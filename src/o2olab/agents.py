@@ -8,7 +8,6 @@ beta = 0 with normalization off recovers plain TD3.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -16,8 +15,8 @@ import numpy as np
 
 from . import nn
 from .data import OfflineDataset, ReplayBuffer, TransitionBatch
-from .errors import NumericError
-from .fsio import write_json_atomic
+from .errors import MissingInputError, NumericError
+from .fsio import read_json, write_json_atomic, write_npy_atomic
 from .seeding import rng_for
 
 DEFAULT_HIDDEN = (64, 64)
@@ -60,15 +59,16 @@ class RegularizerConfig:
 
 @dataclass
 class Td3Agent:
+    """Actor, twin critics held as one stacked net (``critics.stack == 2``;
+    member 0 is the critic the actor ascends), their Polyak targets, and one
+    Adam state for the actor and one for the critic pair."""
+
     actor: nn.DenseNet
-    critic1: nn.DenseNet
-    critic2: nn.DenseNet
+    critics: nn.DenseNet
     target_actor: nn.DenseNet
-    target_critic1: nn.DenseNet
-    target_critic2: nn.DenseNet
+    target_critics: nn.DenseNet
     actor_opt: nn.AdamState
-    critic1_opt: nn.AdamState
-    critic2_opt: nn.AdamState
+    critic_opt: nn.AdamState
     hyper: Td3Hyper
     update_count: int = 0
 
@@ -85,31 +85,41 @@ def _net_seeds(seed: int) -> list[int]:
     return list(rng_for("agent-nets", seed).integers(0, 2**31, size=3))
 
 
+def _init_actor(obs_dim: int, action_dim: int, hyper: Td3Hyper, seed: int) -> nn.DenseNet:
+    return nn.init_net((obs_dim, *hyper.hidden, action_dim), "relu", "tanh", seed=seed)
+
+
+def _init_critic(obs_dim: int, action_dim: int, hyper: Td3Hyper, seed: int) -> nn.DenseNet:
+    return nn.init_net((obs_dim + action_dim, *hyper.hidden, 1), "relu", "linear", seed=seed)
+
+
+def _assemble(
+    actor: nn.DenseNet, critic1: nn.DenseNet, critic2: nn.DenseNet, hyper: Td3Hyper
+) -> Td3Agent:
+    """The one agent constructor: targets start equal to the online nets,
+    optimizers start at zero."""
+    critics = nn.stack_nets([critic1, critic2])
+    return Td3Agent(
+        actor=actor,
+        critics=critics,
+        target_actor=actor.copy(),
+        target_critics=critics.copy(),
+        actor_opt=nn.AdamState.for_net(actor, hyper.actor_lr),
+        critic_opt=nn.AdamState.for_net(critics, hyper.critic_lr),
+        hyper=hyper,
+    )
+
+
 def make_td3_agent(
     obs_dim: int, action_dim: int, hyper: Td3Hyper | None = None, seed: int = 0
 ) -> Td3Agent:
     hyper = hyper or Td3Hyper()
     actor_seed, c1_seed, c2_seed = _net_seeds(seed)
-    actor = nn.init_net(
-        (obs_dim, *hyper.hidden, action_dim),
-        hidden_activation="relu",
-        output_activation="tanh",
-        seed=actor_seed,
-    )
-    critic_sizes = (obs_dim + action_dim, *hyper.hidden, 1)
-    critic1 = nn.init_net(critic_sizes, "relu", "linear", seed=c1_seed)
-    critic2 = nn.init_net(critic_sizes, "relu", "linear", seed=c2_seed)
-    return Td3Agent(
-        actor=actor,
-        critic1=critic1,
-        critic2=critic2,
-        target_actor=actor.copy(),
-        target_critic1=critic1.copy(),
-        target_critic2=critic2.copy(),
-        actor_opt=nn.AdamState.for_net(actor, hyper.actor_lr),
-        critic1_opt=nn.AdamState.for_net(critic1, hyper.critic_lr),
-        critic2_opt=nn.AdamState.for_net(critic2, hyper.critic_lr),
-        hyper=hyper,
+    return _assemble(
+        _init_actor(obs_dim, action_dim, hyper, actor_seed),
+        _init_critic(obs_dim, action_dim, hyper, c1_seed),
+        _init_critic(obs_dim, action_dim, hyper, c2_seed),
+        hyper,
     )
 
 
@@ -117,16 +127,7 @@ def reset_parameters(agent: Td3Agent, seed: int) -> Td3Agent:
     """Re-initialize the agent in place, as if freshly constructed with
     ``seed``: new weights, zeroed optimizers, targets equal to online nets."""
     fresh = make_td3_agent(agent.obs_dim, agent.action_dim, agent.hyper, seed)
-    agent.actor = fresh.actor
-    agent.critic1 = fresh.critic1
-    agent.critic2 = fresh.critic2
-    agent.target_actor = fresh.target_actor
-    agent.target_critic1 = fresh.target_critic1
-    agent.target_critic2 = fresh.target_critic2
-    agent.actor_opt = fresh.actor_opt
-    agent.critic1_opt = fresh.critic1_opt
-    agent.critic2_opt = fresh.critic2_opt
-    agent.update_count = 0
+    agent.__dict__.update(fresh.__dict__)
     return agent
 
 
@@ -158,20 +159,22 @@ def _critic_targets(agent: Td3Agent, batch: TransitionBatch, rng) -> np.ndarray:
     )
     next_a = np.clip(next_a + noise, -1.0, 1.0)
     x_next = np.concatenate([batch.next_obs, next_a], axis=1)
-    q_next = np.minimum(
-        nn.forward(agent.target_critic1, x_next), nn.forward(agent.target_critic2, x_next)
-    )[:, 0]
+    q1_next, q2_next = nn.forward(agent.target_critics, x_next)
+    q_next = np.minimum(q1_next, q2_next)[:, 0]
     # bootstrap is masked on termination but not on time-limit truncation
     return batch.reward + h.gamma * (1.0 - batch.terminated) * q_next
 
 
 def _actor_gradients(agent: Td3Agent, batch: TransitionBatch, reg: RegularizerConfig):
     """Gradient of the (optionally BC-regularized) actor loss; returns
-    (Gradients, loss value, lambda)."""
+    (flat gradient, loss value, lambda)."""
     n = len(batch)
-    a = nn.forward(agent.actor, batch.obs)
+    actor_cache: list = []
+    a = nn.forward(agent.actor, batch.obs, actor_cache)
     x = np.concatenate([batch.obs, a], axis=1)
-    q1 = nn.forward(agent.critic1, x)[:, 0]
+    critic1 = agent.critics.member(0)
+    critic_cache: list = []
+    q1 = nn.forward(critic1, x, critic_cache)[:, 0]
     if reg.q_normalization:
         lam = 1.0 / max(float(np.mean(np.abs(q1))), 1e-8)
     else:
@@ -179,11 +182,12 @@ def _actor_gradients(agent: Td3Agent, batch: TransitionBatch, reg: RegularizerCo
     bc_err = a - batch.action
     loss = -lam * float(np.mean(q1)) + reg.bc_coefficient * float(np.mean(bc_err**2))
     # d(mean q1)/da through the critic's action inputs
-    dq_din = nn.input_gradient(agent.critic1, x, np.full((n, 1), 1.0 / n))
+    _, dq_din = nn.backward(critic1, critic_cache, np.full((n, 1), 1.0 / n))
     da = -lam * dq_din[:, agent.obs_dim :]
     if reg.bc_coefficient:
         da = da + (2.0 * reg.bc_coefficient / (n * agent.action_dim)) * bc_err
-    return nn.backward(agent.actor, batch.obs, da), loss, lam
+    grad, _ = nn.backward(agent.actor, actor_cache, da)
+    return grad, loss, lam
 
 
 def td3_update(
@@ -193,7 +197,8 @@ def td3_update(
     rng: np.random.Generator,
 ) -> dict:
     """One TD3 step: twin-critic regression, delayed actor update, Polyak
-    targets. Returns a loss report; raises NumericError on blow-up."""
+    targets. Returns a loss report; raises NumericError on blow-up, before
+    the step it would have corrupted changes any parameter."""
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
     h = agent.hyper
@@ -203,37 +208,33 @@ def td3_update(
         raise NumericError("non-finite critic target")
 
     x = np.concatenate([batch.obs, batch.action], axis=1)
+    cache: list = []
+    err = nn.forward(agent.critics, x, cache)[:, :, 0] - y  # (2, batch)
     report = {}
-    for name, critic, opt in (
-        ("critic1_loss", agent.critic1, agent.critic1_opt),
-        ("critic2_loss", agent.critic2, agent.critic2_opt),
-    ):
-        q = nn.forward(critic, x)[:, 0]
-        err = q - y
-        loss = float(np.mean(err**2))
+    for name, member_err in zip(("critic1_loss", "critic2_loss"), err):
+        loss = float(np.mean(member_err**2))
         if not np.isfinite(loss):
             raise NumericError(
                 f"critic loss is not finite at update {agent.update_count + 1}"
             )
-        grads = nn.backward(critic, x, (2.0 / n) * err[:, None])
-        nn.adam_step(critic, grads, opt)
         report[name] = loss
+    grad, _ = nn.backward(agent.critics, cache, (2.0 / n) * err[:, :, None])
+    nn.adam_step(agent.critics, grad, agent.critic_opt)
 
     agent.update_count += 1
     report["actor_loss"] = None
     if agent.update_count % h.policy_delay == 0:
-        grads, actor_loss, lam = _actor_gradients(agent, batch, reg)
+        grad, actor_loss, lam = _actor_gradients(agent, batch, reg)
         if not np.isfinite(actor_loss):
             raise NumericError(
                 f"actor loss is not finite at update {agent.update_count}"
             )
-        nn.adam_step(agent.actor, grads, agent.actor_opt)
+        nn.adam_step(agent.actor, grad, agent.actor_opt)
         report["actor_loss"] = actor_loss
         report["q_scale"] = lam
 
     nn.polyak_update(agent.target_actor, agent.actor, h.tau)
-    nn.polyak_update(agent.target_critic1, agent.critic1, h.tau)
-    nn.polyak_update(agent.target_critic2, agent.critic2, h.tau)
+    nn.polyak_update(agent.target_critics, agent.critics, h.tau)
     return report
 
 
@@ -251,20 +252,17 @@ def bc_pretrain(
         raise ValueError("steps must be >= 1")
     hyper = hyper or Td3Hyper()
     spec = dataset.env
-    actor = nn.init_net(
-        (spec.obs_dim, *hyper.hidden, spec.action_dim), "relu", "tanh",
-        seed=_net_seeds(seed)[0],
-    )
+    actor = _init_actor(spec.obs_dim, spec.action_dim, hyper, _net_seeds(seed)[0])
     opt = nn.AdamState.for_net(actor, hyper.actor_lr)
     buf = ReplayBuffer.from_dataset(dataset)
     rng = rng_for("bc", seed)
     n = hyper.batch
     for _ in range(steps):
         batch = buf.sample(n, rng)
-        pred = nn.forward(actor, batch.obs)
-        err = pred - batch.action
-        grads = nn.backward(actor, batch.obs, (2.0 / (n * spec.action_dim)) * err)
-        nn.adam_step(actor, grads, opt)
+        cache: list = []
+        err = nn.forward(actor, batch.obs, cache) - batch.action
+        grad, _ = nn.backward(actor, cache, (2.0 / (n * spec.action_dim)) * err)
+        nn.adam_step(actor, grad, opt)
     return actor
 
 
@@ -282,10 +280,7 @@ def fqe(
     hyper = hyper or Td3Hyper()
     g = hyper.gamma if gamma is None else gamma
     spec = dataset.env
-    critic = nn.init_net(
-        (spec.obs_dim + spec.action_dim, *hyper.hidden, 1), "relu", "linear",
-        seed=_net_seeds(seed)[1],
-    )
+    critic = _init_critic(spec.obs_dim, spec.action_dim, hyper, _net_seeds(seed)[1])
     target = critic.copy()
     opt = nn.AdamState.for_net(critic, hyper.critic_lr)
     buf = ReplayBuffer.from_dataset(dataset)
@@ -297,9 +292,10 @@ def fqe(
         x_next = np.concatenate([batch.next_obs, next_a], axis=1)
         y = batch.reward + g * (1.0 - batch.terminated) * nn.forward(target, x_next)[:, 0]
         x = np.concatenate([batch.obs, batch.action], axis=1)
-        q = nn.forward(critic, x)[:, 0]
-        grads = nn.backward(critic, x, (2.0 / n) * (q - y)[:, None])
-        nn.adam_step(critic, grads, opt)
+        cache: list = []
+        q = nn.forward(critic, x, cache)[:, 0]
+        grad, _ = nn.backward(critic, cache, (2.0 / n) * (q - y)[:, None])
+        nn.adam_step(critic, grad, opt)
         nn.polyak_update(target, critic, hyper.tau)
     return critic
 
@@ -309,20 +305,7 @@ def agent_from_bc_fqe(
 ) -> Td3Agent:
     """Wrap a cloned actor and an FQE critic (duplicated into the twin slot)
     as a full agent ready for fine-tuning."""
-    hyper = hyper or Td3Hyper()
-    critic2 = critic.copy()
-    return Td3Agent(
-        actor=actor,
-        critic1=critic,
-        critic2=critic2,
-        target_actor=actor.copy(),
-        target_critic1=critic.copy(),
-        target_critic2=critic2.copy(),
-        actor_opt=nn.AdamState.for_net(actor, hyper.actor_lr),
-        critic1_opt=nn.AdamState.for_net(critic, hyper.critic_lr),
-        critic2_opt=nn.AdamState.for_net(critic2, hyper.critic_lr),
-        hyper=hyper,
-    )
+    return _assemble(actor, critic, critic, hyper or Td3Hyper())
 
 
 def offline_rl_pretrain(
@@ -350,50 +333,72 @@ def offline_rl_pretrain(
 
 # --- checkpoints ---
 
-_NET_NAMES = (
-    "actor",
-    "critic1",
-    "critic2",
-    "target_actor",
-    "target_critic1",
-    "target_critic2",
-)
-_OPT_NAMES = ("actor_opt", "critic1_opt", "critic2_opt")
+PARAMS_FILE = "params.npy"
+MANIFEST_FILE = "manifest.json"
+
+
+def _state_arrays(agent: Td3Agent) -> list[np.ndarray]:
+    """Every array a checkpoint stores, in ``params.npy`` order: actor,
+    critic pair, target actor, target critic pair, then the actor's Adam
+    m and v and the critic pair's Adam m and v. Each is a flat vector in
+    the layout of ``nn.DenseNet``."""
+    return [
+        agent.actor.params,
+        agent.critics.params,
+        agent.target_actor.params,
+        agent.target_critics.params,
+        agent.actor_opt.m,
+        agent.actor_opt.v,
+        agent.critic_opt.m,
+        agent.critic_opt.v,
+    ]
 
 
 def save_agent(agent: Td3Agent, directory, beta: float | None = None, extra: dict | None = None) -> None:
-    """Write one JSON file per net/optimizer plus a manifest."""
+    """Write every array of the agent to ``params.npy`` (one float64 vector)
+    and the rest of its state to ``manifest.json``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for name in _NET_NAMES:
-        write_json_atomic(directory / f"{name}.json", nn.net_to_dict(getattr(agent, name)))
-    for name in _OPT_NAMES:
-        write_json_atomic(directory / f"{name}.json", nn.adam_to_dict(getattr(agent, name)))
+    write_npy_atomic(directory / PARAMS_FILE, np.concatenate(_state_arrays(agent)))
     manifest = {
         "hyper": agent.hyper.to_dict(),
+        "obs_dim": agent.obs_dim,
+        "action_dim": agent.action_dim,
         "update_count": agent.update_count,
+        "actor_adam_steps": agent.actor_opt.step_count,
+        "critic_adam_steps": agent.critic_opt.step_count,
         "beta": beta,
     }
     if extra:
         manifest.update(extra)
-    write_json_atomic(directory / "manifest.json", manifest)
+    write_json_atomic(directory / MANIFEST_FILE, manifest)
 
 
 def load_agent(directory) -> Td3Agent:
     directory = Path(directory)
-    with open(directory / "manifest.json", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    nets = {}
-    for name in _NET_NAMES:
-        with open(directory / f"{name}.json", encoding="utf-8") as fh:
-            nets[name] = nn.net_from_dict(json.load(fh))
-    opts = {}
-    for name in _OPT_NAMES:
-        with open(directory / f"{name}.json", encoding="utf-8") as fh:
-            opts[name] = nn.adam_from_dict(json.load(fh))
-    return Td3Agent(
-        **nets,
-        **opts,
-        hyper=Td3Hyper.from_dict(manifest["hyper"]),
-        update_count=int(manifest["update_count"]),
+    if not (directory / PARAMS_FILE).exists() or not (directory / MANIFEST_FILE).exists():
+        raise MissingInputError(
+            f"no {PARAMS_FILE} checkpoint in {directory} (missing, or written by an "
+            "older o2olab); re-run `o2olab pretrain --force`"
+        )
+    manifest = read_json(directory / MANIFEST_FILE)
+    flat = np.load(directory / PARAMS_FILE)
+    agent = make_td3_agent(
+        int(manifest["obs_dim"]),
+        int(manifest["action_dim"]),
+        Td3Hyper.from_dict(manifest["hyper"]),
     )
+    arrays = _state_arrays(agent)
+    if flat.dtype != np.float64 or flat.shape != (sum(a.size for a in arrays),):
+        raise MissingInputError(
+            f"{directory / PARAMS_FILE} does not match its manifest; "
+            "re-run `o2olab pretrain --force`"
+        )
+    start = 0
+    for array in arrays:
+        array[...] = flat[start : start + array.size]
+        start += array.size
+    agent.update_count = int(manifest["update_count"])
+    agent.actor_opt.step_count = int(manifest["actor_adam_steps"])
+    agent.critic_opt.step_count = int(manifest["critic_adam_steps"])
+    return agent

@@ -110,10 +110,11 @@ def main(argv=None) -> int:
             print(f"{len(files)} run files under {files[0].parent.parent}")
             return EXIT_OK
         elif args.command == "report":
-            config = _load_config(args)
-            if args.map_inconclusive is not None:
-                config.map_inconclusive = args.map_inconclusive
-            path = runner.cmd_report(config, allow_mixed=args.allow_mixed)
+            path = runner.cmd_report(
+                _load_config(args),
+                allow_mixed=args.allow_mixed,
+                map_inconclusive=args.map_inconclusive,
+            )
         elif args.command == "matrix":
             return _cmd_matrix(args)
         else:  # pragma: no cover - argparse enforces the choices

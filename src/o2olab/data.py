@@ -133,7 +133,6 @@ class TransitionBatch:
     reward: np.ndarray  # (B,)
     next_obs: np.ndarray  # (B, obs_dim)
     terminated: np.ndarray  # (B,) float 0/1
-    truncated: np.ndarray  # (B,) float 0/1
 
     def __len__(self) -> int:
         return self.obs.shape[0]
@@ -184,7 +183,6 @@ class ReplayBuffer:
             reward=self._reward[idx],
             next_obs=self._next_obs[idx],
             terminated=self._terminated[idx],
-            truncated=self._truncated[idx],
         )
 
     def sample(self, batch: int, rng: np.random.Generator) -> TransitionBatch:
@@ -262,7 +260,6 @@ class MixedSampler:
                 reward=np.concatenate([p.reward for p in parts]),
                 next_obs=np.concatenate([p.next_obs for p in parts]),
                 terminated=np.concatenate([p.terminated for p in parts]),
-                truncated=np.concatenate([p.truncated for p in parts]),
             )
         perm = rng.permutation(batch)
         return TransitionBatch(
@@ -271,7 +268,6 @@ class MixedSampler:
             reward=merged.reward[perm],
             next_obs=merged.next_obs[perm],
             terminated=merged.terminated[perm],
-            truncated=merged.truncated[perm],
         )
 
 

@@ -9,7 +9,6 @@ exactly K transitions. Total updates are exactly
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -82,7 +81,6 @@ class RunLog:
     critic_losses: list[float] = field(default_factory=list)
     actor_losses: list[float] = field(default_factory=list)
     counters: dict = field(default_factory=dict)
-    wall_clock_s: float = 0.0
     aborted: bool = False
     abort_reason: str | None = None
 
@@ -98,7 +96,6 @@ class RunLog:
             "critic_losses": self.critic_losses,
             "actor_losses": self.actor_losses,
             "counters": self.counters,
-            "wall_clock_s": self.wall_clock_s,
             "aborted": self.aborted,
             "abort_reason": self.abort_reason,
         }
@@ -116,7 +113,6 @@ class RunLog:
             critic_losses=data["critic_losses"],
             actor_losses=data["actor_losses"],
             counters=data["counters"],
-            wall_clock_s=data["wall_clock_s"],
             aborted=data["aborted"],
             abort_reason=data["abort_reason"],
         )
@@ -193,7 +189,6 @@ def run_finetune(
     log = RunLog(
         method=config.method, seed=seed, config=config.to_dict(), eval_curve=EvalCurve([])
     )
-    t_start = time.perf_counter()
 
     def evaluate(step: int) -> None:
         point_index = len(log.eval_curve.points)
@@ -243,7 +238,6 @@ def run_finetune(
         if step % config.eval_every == 0:
             evaluate(step)
 
-    log.wall_clock_s = time.perf_counter() - t_start
     log.counters = {
         "env_steps": collected,
         "updates": updates,

@@ -1,8 +1,10 @@
-"""Small file helpers: atomic JSON/text writes via write-temp-then-rename."""
+"""Small file helpers: atomic JSON/text/array writes via write-temp-then-rename."""
 
 import json
 import os
 from pathlib import Path
+
+import numpy as np
 
 
 def write_json_atomic(path, payload) -> None:
@@ -25,3 +27,12 @@ def write_text_atomic(path, text: str) -> None:
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def write_npy_atomic(path, array: np.ndarray) -> None:
+    """Write one array in ``.npy`` format, which is byte-deterministic."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        np.save(fh, array, allow_pickle=False)
+    os.replace(tmp, path)

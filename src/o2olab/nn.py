@@ -1,14 +1,17 @@
-"""Minimal dense networks: forward pass, exact backprop, Adam.
+"""Minimal dense networks: forward pass, exact backprop, Adam, Polyak.
 
-Everything is float64 and seed-deterministic. ``backward`` returns the
-gradient of ``sum_batch <output, output_grad>``, i.e. gradients are
-accumulated over the batch; callers fold any 1/batch factor into
-``output_grad``.
+Everything is float64 and seed-deterministic. A net keeps all of its
+parameters in one flat vector; the per-layer weights and biases are views
+into it, so Adam and Polyak averaging are each one vectorised pass.
+
+``backward`` returns the gradient of ``sum_batch <output, output_grad>``,
+i.e. gradients are accumulated over the batch; callers fold any 1/batch
+factor into ``output_grad``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,13 +21,65 @@ HIDDEN_ACTIVATIONS = ("tanh", "relu")
 OUTPUT_ACTIVATIONS = ("linear", "tanh")
 
 
-@dataclass
+def _param_count(layer_sizes) -> int:
+    """Number of parameters of one net with these layer sizes."""
+    return sum(o * i + o for i, o in zip(layer_sizes[:-1], layer_sizes[1:]))
+
+
+def _layer_views(layer_sizes, flat: np.ndarray, stack: int | None):
+    """Per-layer (weights, biases) views into a flat parameter vector.
+
+    One net's vector holds, layer by layer, the (out, in) weight matrix in
+    row-major order and then the (out,) bias. A stack of S nets holds the
+    S members' vectors one after the other; its views carry a leading axis
+    of S: weights (S, out, in), biases (S, out).
+    """
+    rows = flat if stack is None else flat.reshape(stack, -1)
+    lead = () if stack is None else (stack,)
+    weights, biases = [], []
+    start = 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        mid = start + fan_out * fan_in
+        end = mid + fan_out
+        weights.append(rows[..., start:mid].reshape(*lead, fan_out, fan_in))
+        biases.append(rows[..., mid:end])
+        start = end
+    return weights, biases
+
+
 class DenseNet:
-    layer_sizes: tuple[int, ...]
-    weights: list[np.ndarray]  # weights[l]: (layer_sizes[l+1], layer_sizes[l])
-    biases: list[np.ndarray]  # biases[l]: (layer_sizes[l+1],)
-    hidden_activation: str = "relu"
-    output_activation: str = "linear"
+    """A dense net, or a stack of same-shaped nets, over one flat vector.
+
+    ``params`` is the flat float64 parameter vector (see ``_layer_views``
+    for its layout). ``weights[l]`` and ``biases[l]`` are views into it, so
+    writing to either changes the other. With ``stack=S`` the net is S
+    independent members evaluated together on one (batch, in) input;
+    forward returns (S, batch, out).
+    """
+
+    def __init__(
+        self,
+        layer_sizes,
+        params: np.ndarray,
+        hidden_activation: str = "relu",
+        output_activation: str = "linear",
+        stack: int | None = None,
+    ):
+        self.layer_sizes = tuple(int(s) for s in layer_sizes)
+        self.hidden_activation = hidden_activation
+        self.output_activation = output_activation
+        self.stack = stack
+        size = _param_count(self.layer_sizes) * (1 if stack is None else stack)
+        if params.dtype != np.float64 or params.shape != (size,):
+            raise ShapeError(
+                f"expected a flat float64 vector of {size} parameters, "
+                f"got {params.dtype} {params.shape}"
+            )
+        self.params = params
+        self.weights, self.biases = _layer_views(self.layer_sizes, params, stack)
+        # forward() operands, built once: transposed weights, row-broadcast biases
+        self._weights_t = [w.swapaxes(-1, -2) for w in self.weights]
+        self._bias_rows = [b if stack is None else b[:, None, :] for b in self.biases]
 
     @property
     def in_dim(self) -> int:
@@ -34,43 +89,48 @@ class DenseNet:
     def out_dim(self) -> int:
         return self.layer_sizes[-1]
 
-    def copy(self) -> "DenseNet":
+    def _like(self, params: np.ndarray, stack: int | None) -> "DenseNet":
         return DenseNet(
-            layer_sizes=self.layer_sizes,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            hidden_activation=self.hidden_activation,
-            output_activation=self.output_activation,
+            self.layer_sizes, params, self.hidden_activation, self.output_activation, stack
         )
 
+    def copy(self) -> "DenseNet":
+        return self._like(self.params.copy(), self.stack)
 
-@dataclass
-class Gradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    def member(self, i: int) -> "DenseNet":
+        """Member ``i`` of a stack as a plain net sharing this net's memory."""
+        if self.stack is None:
+            raise ValueError("member() needs a stacked net")
+        return self._like(self.params.reshape(self.stack, -1)[i], None)
+
+
+def stack_nets(nets) -> DenseNet:
+    """One stacked net holding copies of ``nets`` (same shape and
+    activations) as its members, in order."""
+    first = nets[0]
+    for net in nets[1:]:
+        if (net.layer_sizes, net.hidden_activation, net.output_activation) != (
+            first.layer_sizes, first.hidden_activation, first.output_activation
+        ) or net.stack is not None:
+            raise ShapeError("only plain nets of one shape and activation can be stacked")
+    return first._like(np.concatenate([net.params for net in nets]), len(nets))
 
 
 @dataclass
 class AdamState:
+    """Adam moments over a net's flat parameter vector."""
+
     learning_rate: float
+    m: np.ndarray
+    v: np.ndarray
+    step_count: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    step_count: int = 0
-    m_weights: list[np.ndarray] = field(default_factory=list)
-    m_biases: list[np.ndarray] = field(default_factory=list)
-    v_weights: list[np.ndarray] = field(default_factory=list)
-    v_biases: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
     def for_net(cls, net: DenseNet, learning_rate: float) -> "AdamState":
-        return cls(
-            learning_rate=learning_rate,
-            m_weights=[np.zeros_like(w) for w in net.weights],
-            m_biases=[np.zeros_like(b) for b in net.biases],
-            v_weights=[np.zeros_like(w) for w in net.weights],
-            v_biases=[np.zeros_like(b) for b in net.biases],
-        )
+        return cls(learning_rate, np.zeros_like(net.params), np.zeros_like(net.params))
 
 
 def init_net(
@@ -91,30 +151,21 @@ def init_net(
         raise ValueError(f"unknown output activation {output_activation!r}")
 
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    net = DenseNet(sizes, np.zeros(_param_count(sizes)), hidden_activation, output_activation)
+    for w in net.weights:
+        fan_out, fan_in = w.shape
         bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return DenseNet(sizes, weights, biases, hidden_activation, output_activation)
+        w[...] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
+    return net
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+    """The activation of ``z``, computed in place."""
     if kind == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     return z  # linear
-
-
-def _activate_grad(z: np.ndarray, h: np.ndarray, kind: str) -> np.ndarray:
-    # h is the already-computed activation of z; reused for tanh.
-    if kind == "tanh":
-        return 1.0 - h * h
-    if kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    return np.ones_like(z)
 
 
 def _check_input(net: DenseNet, inputs: np.ndarray) -> np.ndarray:
@@ -126,153 +177,91 @@ def _check_input(net: DenseNet, inputs: np.ndarray) -> np.ndarray:
     return x
 
 
-def forward(net: DenseNet, inputs: np.ndarray) -> np.ndarray:
-    """Apply the network to a (batch, in_dim) matrix."""
+def forward(net: DenseNet, inputs: np.ndarray, cache: list | None = None) -> np.ndarray:
+    """Apply the network to a (batch, in_dim) matrix.
+
+    When ``cache`` is a list, the input and every layer's activation are
+    appended to it, in order, for ``backward``.
+    """
     h = _check_input(net, inputs)
+    if cache is not None:
+        cache.append(h)
     last = len(net.weights) - 1
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w.T + b
+    for l, (w_t, b) in enumerate(zip(net._weights_t, net._bias_rows)):
+        z = h @ w_t
+        z += b
         kind = net.output_activation if l == last else net.hidden_activation
         h = _activate(z, kind)
+        if cache is not None:
+            cache.append(h)
     return h
 
 
-def _backprop(net: DenseNet, inputs: np.ndarray, output_grad: np.ndarray):
-    """Shared backward pass; returns (Gradients, input gradient)."""
-    x = _check_input(net, inputs)
-    gout = np.asarray(output_grad, dtype=np.float64)
-    if gout.shape != (x.shape[0], net.out_dim):
+def backward(net: DenseNet, cache: list, output_grad: np.ndarray):
+    """Exact gradient of sum over the batch of <output, output_grad>.
+
+    ``cache`` holds the activations recorded by ``forward(net, x, cache)``.
+    Returns ``(grad, input_grad)``: the gradient with respect to
+    ``net.params`` (a flat vector of the same layout) and with respect to
+    the input. A stacked net gives one input gradient per member,
+    (S, batch, in_dim).
+    """
+    if len(cache) != len(net.weights) + 1:
+        raise ValueError("cache does not hold one forward pass of this net")
+    delta = np.array(output_grad, dtype=np.float64)  # a copy: scaled in place below
+    if delta.shape != cache[-1].shape:
         raise ShapeError(
-            f"expected output_grad of shape ({x.shape[0]}, {net.out_dim}), "
-            f"got {gout.shape}"
+            f"expected output_grad of shape {cache[-1].shape}, got {delta.shape}"
         )
 
+    grad = np.empty_like(net.params)
+    w_grads, b_grads = _layer_views(net.layer_sizes, grad, net.stack)
     last = len(net.weights) - 1
-    pre = []  # z per layer
-    act = [x]  # activations, act[l] feeds layer l
-    h = x
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w.T + b
-        kind = net.output_activation if l == last else net.hidden_activation
-        h = _activate(z, kind)
-        pre.append(z)
-        act.append(h)
-
-    w_grads: list[np.ndarray | None] = [None] * len(net.weights)
-    b_grads: list[np.ndarray | None] = [None] * len(net.biases)
-    delta = gout
     for l in range(last, -1, -1):
         kind = net.output_activation if l == last else net.hidden_activation
-        delta = delta * _activate_grad(pre[l], act[l + 1], kind)
-        w_grads[l] = delta.T @ act[l]
-        b_grads[l] = delta.sum(axis=0)
+        h = cache[l + 1]
+        if kind == "tanh":
+            delta *= 1.0 - h * h
+        elif kind == "relu":
+            delta *= h > 0.0  # h > 0 exactly where the pre-activation is
+        np.matmul(delta.swapaxes(-1, -2), cache[l], out=w_grads[l])
+        np.sum(delta, axis=-2, out=b_grads[l])
         delta = delta @ net.weights[l]
-    return Gradients(w_grads, b_grads), delta
-
-
-def backward(net: DenseNet, inputs: np.ndarray, output_grad: np.ndarray) -> Gradients:
-    """Exact gradient of sum over the batch of <output, output_grad>."""
-    grads, _ = _backprop(net, inputs, output_grad)
-    return grads
+    return grad, delta
 
 
 def input_gradient(
     net: DenseNet, inputs: np.ndarray, output_grad: np.ndarray
 ) -> np.ndarray:
     """Gradient of sum_batch <output, output_grad> w.r.t. the inputs."""
-    _, din = _backprop(net, inputs, output_grad)
-    return din
+    cache: list = []
+    forward(net, inputs, cache)
+    return backward(net, cache, output_grad)[1]
 
 
-def adam_step(net: DenseNet, grads: Gradients, state: AdamState) -> None:
+def adam_step(net: DenseNet, grad: np.ndarray, state: AdamState) -> None:
     """Bias-corrected Adam update, in place on net and state."""
-    if len(grads.weights) != len(net.weights):
-        raise ShapeError("gradient layer count does not match the net")
-    for g, w in zip(grads.weights, net.weights):
-        if g.shape != w.shape:
-            raise ShapeError(f"weight grad shape {g.shape} != {w.shape}")
-    for arrs in (grads.weights, grads.biases):
-        for g in arrs:
-            if not np.all(np.isfinite(g)):
-                raise NumericError("non-finite gradient entry")
+    if grad.shape != net.params.shape:
+        raise ShapeError(f"gradient shape {grad.shape} != parameters {net.params.shape}")
+    if not np.all(np.isfinite(grad)):
+        raise NumericError("non-finite gradient entry")
 
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    params = net.weights + net.biases
-    gs = grads.weights + grads.biases
-    ms = state.m_weights + state.m_biases
-    vs = state.v_weights + state.v_biases
-    for p, g, m, v in zip(params, gs, ms, vs):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= state.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + state.epsilon)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    net.params -= state.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + state.epsilon)
 
 
 def polyak_update(target: DenseNet, online: DenseNet, tau: float) -> None:
     """target <- (1 - tau) * target + tau * online, in place."""
-    for tw, ow in zip(target.weights, online.weights):
-        tw[...] = (1.0 - tau) * tw + tau * ow
-    for tb, ob in zip(target.biases, online.biases):
-        tb[...] = (1.0 - tau) * tb + tau * ob
-
-
-def net_to_dict(net: DenseNet) -> dict:
-    """Flat JSON-ready form; floats survive a JSON round trip exactly."""
-    return {
-        "layer_sizes": list(net.layer_sizes),
-        "activations": [net.hidden_activation, net.output_activation],
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-    }
-
-
-def net_from_dict(data: dict) -> DenseNet:
-    sizes = tuple(int(s) for s in data["layer_sizes"])
-    hidden, output = data["activations"]
-    net = DenseNet(
-        layer_sizes=sizes,
-        weights=[np.asarray(w, dtype=np.float64) for w in data["weights"]],
-        biases=[np.asarray(b, dtype=np.float64) for b in data["biases"]],
-        hidden_activation=hidden,
-        output_activation=output,
-    )
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        want = (sizes[l + 1], sizes[l])
-        if w.shape != want:
-            raise ValueError(f"layer {l}: weight shape {w.shape}, expected {want}")
-        if b.shape != (sizes[l + 1],):
-            raise ValueError(f"layer {l}: bias length {b.shape}, expected {sizes[l+1]}")
-    return net
-
-
-def adam_to_dict(state: AdamState) -> dict:
-    return {
-        "learning_rate": state.learning_rate,
-        "beta1": state.beta1,
-        "beta2": state.beta2,
-        "epsilon": state.epsilon,
-        "step_count": state.step_count,
-        "m_weights": [a.tolist() for a in state.m_weights],
-        "m_biases": [a.tolist() for a in state.m_biases],
-        "v_weights": [a.tolist() for a in state.v_weights],
-        "v_biases": [a.tolist() for a in state.v_biases],
-    }
-
-
-def adam_from_dict(data: dict) -> AdamState:
-    return AdamState(
-        learning_rate=data["learning_rate"],
-        beta1=data["beta1"],
-        beta2=data["beta2"],
-        epsilon=data["epsilon"],
-        step_count=data["step_count"],
-        m_weights=[np.asarray(a, dtype=np.float64) for a in data["m_weights"]],
-        m_biases=[np.asarray(a, dtype=np.float64) for a in data["m_biases"]],
-        v_weights=[np.asarray(a, dtype=np.float64) for a in data["v_weights"]],
-        v_biases=[np.asarray(a, dtype=np.float64) for a in data["v_biases"]],
-    )
+    if target.params.shape != online.params.shape:
+        raise ShapeError("target and online nets differ in shape")
+    target.params *= 1.0 - tau
+    target.params += tau * online.params

@@ -17,9 +17,9 @@ output exists, so the prediction is made ahead of the outcome.
 from __future__ import annotations
 
 import concurrent.futures as cf
+import ctypes
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -282,10 +282,7 @@ def _mark_stage(paths: Paths, config: ExperimentConfig, stage: str) -> None:
     manifest = _load_manifest(paths)
     manifest["config_hash"] = config.config_hash
     manifest["version"] = __version__
-    manifest.setdefault("stages", {})[stage] = {
-        "done": True,
-        "completed_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
+    manifest.setdefault("stages", {})[stage] = {"done": True}
     write_json_atomic(paths.manifest, manifest)
 
 
@@ -391,6 +388,46 @@ def _cached_dataset(path: str) -> OfflineDataset:
     return _DATASETS[path]
 
 
+def _openblas_function(name: str):
+    """OpenBLAS's ``name`` (e.g. ``set_num_threads``) from the library this
+    process has loaded, or None where it cannot be found (no OpenBLAS, or no
+    ``/proc/self/maps``)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("openblas_", "scipy_openblas_"):
+            for suffix in ("", "64_"):
+                fn = getattr(lib, f"{prefix}{name}{suffix}", None)
+                if fn is not None:
+                    return fn
+    return None
+
+
+def _single_thread_blas() -> None:
+    """Pool worker initializer: run BLAS on one thread in this worker.
+
+    The workers already use every core they are given; if each also kept
+    OpenBLAS's own threads, the small matmuls here would run on more threads
+    than cores (pretraining took 6x longer with --jobs 2 than with --jobs 1
+    on two cores)."""
+    fn = _openblas_function("set_num_threads")
+    if fn is not None:
+        fn.argtypes = [ctypes.c_int]
+        fn.restype = None
+        fn(1)
+
+
+def _process_pool(jobs: int) -> cf.ProcessPoolExecutor:
+    return cf.ProcessPoolExecutor(max_workers=jobs, initializer=_single_thread_blas)
+
+
 def cmd_pretrain(config: ExperimentConfig, jobs: int = 1, force: bool = False) -> Path:
     paths = Paths(config)
     dataset = _load_pipeline_dataset(config)
@@ -398,7 +435,7 @@ def cmd_pretrain(config: ExperimentConfig, jobs: int = 1, force: bool = False) -
         return paths.pretrain_eval
     results: dict[int, tuple[float, list[float]]] = {}
     if jobs > 1:
-        with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with _process_pool(jobs) as pool:
             futures = [
                 pool.submit(_pretrain_worker, config.to_dict(), seed) for seed in config.seeds
             ]
@@ -521,7 +558,7 @@ def cmd_finetune(config: ExperimentConfig, jobs: int = 1, force: bool = False) -
                     _quarantine(run_file)
             todo.append((method, seed))
     if jobs > 1 and todo:
-        with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with _process_pool(jobs) as pool:
             futures = [
                 pool.submit(_finetune_worker, config.to_dict(), m, s) for m, s in todo
             ]
@@ -561,7 +598,14 @@ def _curve_stats(curves: list[EvalCurve]) -> dict:
     }
 
 
-def cmd_report(config: ExperimentConfig, allow_mixed: bool = False) -> Path:
+def cmd_report(
+    config: ExperimentConfig, allow_mixed: bool = False, map_inconclusive: str | None = None
+) -> Path:
+    """Analyse the finished runs. ``map_inconclusive`` overrides the
+    config's mapping of an Inconclusive regime; like every report knob it is
+    not part of the config hash the artifacts were produced under."""
+    if map_inconclusive not in (None, MAP_COMPARABLE, MAP_DROP):
+        raise ConfigError("map_inconclusive must be 'comparable' or 'drop'")
     paths = Paths(config)
     _require_stage(paths, STAGE_FINETUNE)
     dataset = _load_pipeline_dataset(config, allow_mixed)
@@ -630,7 +674,7 @@ def cmd_report(config: ExperimentConfig, allow_mixed: bool = False) -> Path:
     if policy_variants and data_variants:
         comparison = compare_classes(policy_variants, data_variants, alpha=config.tost_alpha)
 
-    mapped = _mapped_regime(classify["label"], config.map_inconclusive)
+    mapped = _mapped_regime(classify["label"], map_inconclusive or config.map_inconclusive)
     analysis = {
         "setting": config.setting,
         "config_hash": config.config_hash,

@@ -25,15 +25,18 @@ from o2olab.data import (
     generate_dataset,
 )
 from o2olab.envs import BehaviorSpec, ReferenceScores, compute_reference_scores, env_spec
-from o2olab.errors import NumericError
+from o2olab.errors import MissingInputError, NumericError
+
+from test_nn import param_grad
 
 SMALL = Td3Hyper(hidden=(16, 16), batch=64)
 
 
+NETS = ("actor", "critics", "target_actor", "target_critics")
+
+
 def nets_equal(a: nn.DenseNet, b: nn.DenseNet) -> bool:
-    return all(
-        np.array_equal(x, y) for x, y in zip(a.weights + a.biases, b.weights + b.biases)
-    )
+    return a.layer_sizes == b.layer_sizes and np.array_equal(a.params, b.params)
 
 
 def constant_action_dataset(action_value=0.25, n=200, seed=0):
@@ -59,16 +62,15 @@ def batch_from(dataset, size, rng):
 def test_make_agent_deterministic():
     a = make_td3_agent(3, 1, SMALL, seed=4)
     b = make_td3_agent(3, 1, SMALL, seed=4)
-    assert nets_equal(a.actor, b.actor)
-    assert nets_equal(a.critic1, b.critic1)
-    assert nets_equal(a.critic2, b.critic2)
-    assert not nets_equal(a.critic1, a.critic2)
+    for name in NETS:
+        assert nets_equal(getattr(a, name), getattr(b, name))
+    assert not nets_equal(a.critics.member(0), a.critics.member(1))
 
 
 def test_targets_start_equal_to_online():
     a = make_td3_agent(3, 1, SMALL, seed=4)
     assert nets_equal(a.actor, a.target_actor)
-    assert nets_equal(a.critic1, a.target_critic1)
+    assert nets_equal(a.critics, a.target_critics)
 
 
 def test_act_deterministic_and_clipped():
@@ -101,11 +103,12 @@ def test_reset_equals_fresh_agent():
         td3_update(agent, batch_from(ds, 32, rng), RegularizerConfig(), rng)
     reset_parameters(agent, seed=42)
     fresh = make_td3_agent(4, 2, SMALL, seed=42)
-    for name in ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2"):
+    for name in NETS:
         assert nets_equal(getattr(agent, name), getattr(fresh, name))
     assert agent.update_count == 0
-    assert agent.actor_opt.step_count == 0
-    assert all(np.all(m == 0.0) for m in agent.actor_opt.m_weights)
+    for opt in (agent.actor_opt, agent.critic_opt):
+        assert opt.step_count == 0
+        assert np.all(opt.m == 0.0) and np.all(opt.v == 0.0)
 
 
 # --- td3_update mechanics ---
@@ -115,20 +118,16 @@ def test_policy_delay_semantics():
     agent = make_td3_agent(4, 2, SMALL, seed=0)
     ds = constant_action_dataset()
     rng = np.random.default_rng(1)
-    actor_before = [w.copy() for w in agent.actor.weights]
-    critic_before = [w.copy() for w in agent.critic1.weights]
+    actor_before = agent.actor.params.copy()
+    critic_before = agent.critics.member(0).params.copy()
     report = td3_update(agent, batch_from(ds, 32, rng), RegularizerConfig(), rng)
     assert agent.update_count == 1
     assert report["actor_loss"] is None
-    assert all(np.array_equal(a, b) for a, b in zip(agent.actor.weights, actor_before))
-    assert not all(
-        np.array_equal(a, b) for a, b in zip(agent.critic1.weights, critic_before)
-    )
+    assert np.array_equal(agent.actor.params, actor_before)
+    assert not np.array_equal(agent.critics.member(0).params, critic_before)
     report = td3_update(agent, batch_from(ds, 32, rng), RegularizerConfig(), rng)
     assert report["actor_loss"] is not None
-    assert not all(
-        np.array_equal(a, b) for a, b in zip(agent.actor.weights, actor_before)
-    )
+    assert not np.array_equal(agent.actor.params, actor_before)
 
 
 def test_polyak_applied_every_update():
@@ -136,14 +135,14 @@ def test_polyak_applied_every_update():
     ds = constant_action_dataset()
     rng = np.random.default_rng(1)
     tau = agent.hyper.tau
-    target_prev = [w.copy() for w in agent.target_critic1.weights]
+    target_prev = [w[0].copy() for w in agent.target_critics.weights]
     td3_update(agent, batch_from(ds, 32, rng), RegularizerConfig(), rng)
     expected = [
-        (1 - tau) * tp + tau * on
-        for tp, on in zip(target_prev, agent.critic1.weights)
+        (1 - tau) * tp + tau * on[0]
+        for tp, on in zip(target_prev, agent.critics.weights)
     ]
-    for got, want in zip(agent.target_critic1.weights, expected):
-        assert np.array_equal(got, want)
+    for got, want in zip(agent.target_critics.weights, expected):
+        assert np.array_equal(got[0], want)
 
 
 def test_textbook_td3_hand_check():
@@ -159,38 +158,40 @@ def test_textbook_td3_hand_check():
     next_obs = np.array([[0.3]])
     batch = TransitionBatch(
         obs=obs, action=action, reward=np.array([reward]), next_obs=next_obs,
-        terminated=np.array([terminated]), truncated=np.array([0.0]),
+        terminated=np.array([terminated]),
     )
     report = td3_update(agent, batch, RegularizerConfig(), np.random.default_rng(0))
 
-    # --- hand computation on the mirror agent ---
+    # --- hand computation on the mirror agent, one plain net per critic,
+    # each with its own Adam state (members are views into the pair) ---
+    critic1, critic2 = mirror.critics.member(0), mirror.critics.member(1)
+    target1, target2 = mirror.target_critics.member(0), mirror.target_critics.member(1)
     a_next = np.clip(nn.forward(mirror.target_actor, next_obs), -1, 1)  # zero noise
     x_next = np.concatenate([next_obs, a_next], axis=1)
-    q1n = nn.forward(mirror.target_critic1, x_next)[0, 0]
-    q2n = nn.forward(mirror.target_critic2, x_next)[0, 0]
+    q1n = nn.forward(target1, x_next)[0, 0]
+    q2n = nn.forward(target2, x_next)[0, 0]
     y = reward + hyper.gamma * (1 - terminated) * min(q1n, q2n)
     x = np.concatenate([obs, action], axis=1)
     losses = {}
-    for name, critic, opt in (("critic1_loss", mirror.critic1, mirror.critic1_opt),
-                              ("critic2_loss", mirror.critic2, mirror.critic2_opt)):
+    for name, critic in (("critic1_loss", critic1), ("critic2_loss", critic2)):
         q = nn.forward(critic, x)[0, 0]
         losses[name] = (q - y) ** 2
-        grads = nn.backward(critic, x, np.array([[2.0 * (q - y)]]))
-        nn.adam_step(critic, grads, opt)
+        grad = param_grad(critic, x, np.array([[2.0 * (q - y)]]))
+        nn.adam_step(critic, grad, nn.AdamState.for_net(critic, hyper.critic_lr))
     a_pi = nn.forward(mirror.actor, obs)
     x_pi = np.concatenate([obs, a_pi], axis=1)
-    losses["actor_loss"] = -float(np.mean(nn.forward(mirror.critic1, x_pi)[:, 0]))
-    da = -nn.input_gradient(mirror.critic1, x_pi, np.ones((1, 1)))[:, 1:]
-    nn.adam_step(mirror.actor, nn.backward(mirror.actor, obs, da), mirror.actor_opt)
+    losses["actor_loss"] = -float(np.mean(nn.forward(critic1, x_pi)[:, 0]))
+    da = -nn.input_gradient(critic1, x_pi, np.ones((1, 1)))[:, 1:]
+    nn.adam_step(mirror.actor, param_grad(mirror.actor, obs, da), mirror.actor_opt)
     for target, online in ((mirror.target_actor, mirror.actor),
-                           (mirror.target_critic1, mirror.critic1),
-                           (mirror.target_critic2, mirror.critic2)):
+                           (target1, critic1),
+                           (target2, critic2)):
         nn.polyak_update(target, online, hyper.tau)
 
     assert report["critic1_loss"] == pytest.approx(losses["critic1_loss"], abs=1e-15)
     assert report["critic2_loss"] == pytest.approx(losses["critic2_loss"], abs=1e-15)
     assert report["actor_loss"] == pytest.approx(losses["actor_loss"], abs=1e-15)
-    for name in ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2"):
+    for name in NETS:
         assert nets_equal(getattr(agent, name), getattr(mirror, name)), name
 
 
@@ -204,10 +205,9 @@ def test_beta_zero_gradient_is_pure_dpg():
     a = nn.forward(agent.actor, batch.obs)
     x = np.concatenate([batch.obs, a], axis=1)
     n = len(batch)
-    dq = nn.input_gradient(agent.critic1, x, np.full((n, 1), 1.0 / n))[:, 4:]
-    g_hand = nn.backward(agent.actor, batch.obs, -dq)
-    for ga, gb in zip(g_plain.weights + g_plain.biases, g_hand.weights + g_hand.biases):
-        assert np.allclose(ga, gb, atol=1e-14)
+    dq = nn.input_gradient(agent.critics.member(0), x, np.full((n, 1), 1.0 / n))[:, 4:]
+    g_hand = param_grad(agent.actor, batch.obs, -dq)
+    assert np.allclose(g_plain, g_hand, atol=1e-14)
 
 
 def test_huge_beta_aligns_with_bc_gradient():
@@ -221,9 +221,8 @@ def test_huge_beta_aligns_with_bc_gradient():
     )
     pred = nn.forward(agent.actor, batch.obs)
     err = pred - batch.action
-    g_bc = nn.backward(agent.actor, batch.obs, 2.0 * err / err.size)
-    va = np.concatenate([g.ravel() for g in g_reg.weights + g_reg.biases])
-    vb = np.concatenate([g.ravel() for g in g_bc.weights + g_bc.biases])
+    va = g_reg
+    vb = param_grad(agent.actor, batch.obs, 2.0 * err / err.size)
     cosine = float(va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb)))
     assert cosine > 0.99
 
@@ -233,10 +232,25 @@ def test_update_rejects_nonfinite():
     batch = TransitionBatch(
         obs=np.zeros((4, 2)), action=np.zeros((4, 1)),
         reward=np.array([np.inf, 0, 0, 0]), next_obs=np.zeros((4, 2)),
-        terminated=np.zeros(4), truncated=np.zeros(4),
+        terminated=np.zeros(4),
     )
     with pytest.raises(NumericError):
         td3_update(agent, batch, RegularizerConfig(), np.random.default_rng(0))
+
+
+def test_nonfinite_second_critic_changes_no_parameter():
+    # the checks on both critic losses run before either critic steps
+    agent = make_td3_agent(4, 2, SMALL, seed=0)
+    agent.critics.member(1).biases[-1][:] = np.inf  # online critic 2 only
+    before = {name: getattr(agent, name).params.copy() for name in NETS}
+    rng = np.random.default_rng(1)
+    with pytest.raises(NumericError, match="critic loss is not finite at update 1"):
+        td3_update(agent, batch_from(constant_action_dataset(), 32, rng),
+                   RegularizerConfig(), rng)
+    for name in NETS:
+        assert np.array_equal(getattr(agent, name).params, before[name]), name
+    assert agent.update_count == 0
+    assert agent.critic_opt.step_count == 0
 
 
 def test_update_deterministic_given_rng():
@@ -249,7 +263,7 @@ def test_update_deterministic_given_rng():
             td3_update(agent, batch_from(ds, 16, rng), RegularizerConfig(), rng)
         outs.append(agent)
     assert nets_equal(outs[0].actor, outs[1].actor)
-    assert nets_equal(outs[0].critic1, outs[1].critic1)
+    assert nets_equal(outs[0].critics, outs[1].critics)
 
 
 # --- pretraining ---
@@ -362,7 +376,7 @@ def test_offline_rl_deterministic():
     a = offline_rl_pretrain(ds, steps=20, beta=0.4, seed=5, hyper=SMALL)
     b = offline_rl_pretrain(ds, steps=20, beta=0.4, seed=5, hyper=SMALL)
     assert nets_equal(a.actor, b.actor)
-    assert nets_equal(a.target_critic2, b.target_critic2)
+    assert nets_equal(a.target_critics, b.target_critics)
 
 
 def test_pretraining_never_touches_environment():
@@ -381,22 +395,39 @@ def test_agent_from_bc_fqe_duplicates_critic():
     actor = bc_pretrain(ds, steps=30, seed=0, hyper=SMALL)
     critic = fqe(actor, ds, steps=30, seed=0, hyper=SMALL)
     agent = agent_from_bc_fqe(actor, critic, SMALL)
-    assert nets_equal(agent.critic1, agent.critic2)
-    assert nets_equal(agent.critic1, agent.target_critic1)
+    assert nets_equal(agent.critics.member(0), critic)
+    assert nets_equal(agent.critics.member(1), critic)
+    assert nets_equal(agent.critics, agent.target_critics)
     assert agent.update_count == 0
 
 
 def test_checkpoint_round_trip(tmp_path):
     ds = constant_action_dataset()
     agent = offline_rl_pretrain(ds, steps=25, beta=0.4, seed=8, hyper=SMALL)
-    save_agent(agent, tmp_path / "ckpt", beta=0.4)
+    save_agent(agent, tmp_path / "ckpt", beta=0.4, extra={"seed": 8})
+    assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == [
+        "manifest.json", "params.npy"
+    ]
     back = load_agent(tmp_path / "ckpt")
-    for name in ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2"):
+    for name in NETS:
         assert nets_equal(getattr(agent, name), getattr(back, name))
     assert back.update_count == agent.update_count
     assert back.hyper == agent.hyper
-    assert back.actor_opt.step_count == agent.actor_opt.step_count
-    for a, b in zip(agent.actor_opt.m_weights, back.actor_opt.m_weights):
-        assert np.array_equal(a, b)
+    for name in ("actor_opt", "critic_opt"):
+        a, b = getattr(agent, name), getattr(back, name)
+        assert (a.learning_rate, a.step_count) == (b.learning_rate, b.step_count)
+        assert np.array_equal(a.m, b.m) and np.array_equal(a.v, b.v)
     obs = np.array([1.0, 2.0, 3.0, 4.0])
     assert np.array_equal(act(agent, obs), act(back, obs))
+    # loading and saving again reproduces both files byte for byte
+    save_agent(back, tmp_path / "again", beta=0.4, extra={"seed": 8})
+    for name in ("manifest.json", "params.npy"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "ckpt" / name).read_bytes()
+
+
+def test_load_agent_rejects_old_checkpoint(tmp_path):
+    # checkpoints written before params.npy existed held one JSON file per net
+    (tmp_path / "manifest.json").write_text('{"update_count": 0}')
+    (tmp_path / "actor.json").write_text("{}")
+    with pytest.raises(MissingInputError, match="pretrain --force"):
+        load_agent(tmp_path)

@@ -1,10 +1,15 @@
-import json
-
 import numpy as np
 import pytest
 
 from o2olab import nn
 from o2olab.errors import NumericError, ShapeError
+
+
+def param_grad(net, inputs, output_grad):
+    """Gradient of sum_batch <output, output_grad> w.r.t. ``net.params``."""
+    cache = []
+    nn.forward(net, inputs, cache)
+    return nn.backward(net, cache, output_grad)[0]
 
 
 def finite_difference_grads(net, inputs, output_grad, h=1e-5):
@@ -14,30 +19,22 @@ def finite_difference_grads(net, inputs, output_grad, h=1e-5):
     def objective():
         return float(np.sum(nn.forward(net, inputs) * output_grad))
 
-    w_grads, b_grads = [], []
-    for arrs, out in ((net.weights, w_grads), (net.biases, b_grads)):
-        for arr in arrs:
-            g = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + h
-                hi = objective()
-                arr[idx] = orig - h
-                lo = objective()
-                arr[idx] = orig
-                g[idx] = (hi - lo) / (2 * h)
-            out.append(g)
-    return nn.Gradients(w_grads, b_grads)
+    params = net.params
+    g = np.zeros_like(params)
+    for i in range(params.size):
+        orig = params[i]
+        params[i] = orig + h
+        hi = objective()
+        params[i] = orig - h
+        lo = objective()
+        params[i] = orig
+        g[i] = (hi - lo) / (2 * h)
+    return g
 
 
 def assert_grads_close(analytic, numeric, rel=1e-4):
-    for ga, gn in zip(
-        analytic.weights + analytic.biases, numeric.weights + numeric.biases
-    ):
-        denom = np.maximum(np.abs(gn), 1e-6)
-        assert np.max(np.abs(ga - gn) / denom) < rel
+    denom = np.maximum(np.abs(numeric), 1e-6)
+    assert np.max(np.abs(analytic - numeric) / denom) < rel
 
 
 # --- init_net ---
@@ -124,8 +121,7 @@ def test_forward_width_mismatch():
 def test_backward_zero_output_grad():
     net = nn.init_net((3, 4, 2), seed=5)
     x = np.ones((2, 3))
-    grads = nn.backward(net, x, np.zeros((2, 2)))
-    assert all(np.all(g == 0.0) for g in grads.weights + grads.biases)
+    assert np.all(param_grad(net, x, np.zeros((2, 2))) == 0.0)
 
 
 def test_backward_single_linear_layer_outer_product():
@@ -133,9 +129,9 @@ def test_backward_single_linear_layer_outer_product():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(4, 3))
     g = rng.normal(size=(4, 2))
-    grads = nn.backward(net, x, g)
-    assert np.allclose(grads.weights[0], g.T @ x, atol=1e-12)
-    assert np.allclose(grads.biases[0], g.sum(axis=0), atol=1e-12)
+    grad = param_grad(net, x, g)
+    assert np.allclose(grad[:6].reshape(2, 3), g.T @ x, atol=1e-12)
+    assert np.allclose(grad[6:], g.sum(axis=0), atol=1e-12)
 
 
 def test_backward_matches_finite_differences_tanh():
@@ -143,7 +139,7 @@ def test_backward_matches_finite_differences_tanh():
     net = nn.init_net((4, 8, 3), hidden_activation="tanh", seed=9)
     x = rng.normal(size=(5, 4))
     g = rng.normal(size=(5, 3))
-    analytic = nn.backward(net, x, g)
+    analytic = param_grad(net, x, g)
     numeric = finite_difference_grads(net, x, g)
     assert_grads_close(analytic, numeric)
 
@@ -156,7 +152,7 @@ def test_backward_matches_finite_differences_random_nets(hidden_act, out_act):
         net = nn.init_net(sizes, hidden_act, out_act, seed=int(rng.integers(1 << 30)))
         x = rng.normal(size=(3, sizes[0]))
         g = rng.normal(size=(3, sizes[-1]))
-        assert_grads_close(nn.backward(net, x, g), finite_difference_grads(net, x, g))
+        assert_grads_close(param_grad(net, x, g), finite_difference_grads(net, x, g))
 
 
 def test_input_gradient_matches_finite_differences():
@@ -183,10 +179,7 @@ def test_adam_zero_gradients_no_change():
     net = nn.init_net((2, 3, 1), seed=0)
     before = [w.copy() for w in net.weights]
     state = nn.AdamState.for_net(net, learning_rate=0.01)
-    grads = nn.Gradients(
-        [np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases]
-    )
-    nn.adam_step(net, grads, state)
+    nn.adam_step(net, np.zeros_like(net.params), state)
     assert state.step_count == 1
     for w, b4 in zip(net.weights, before):
         assert np.array_equal(w, b4)
@@ -197,8 +190,7 @@ def test_adam_first_step_is_signed_lr():
     w0 = net.weights[0][0, 0]
     state = nn.AdamState.for_net(net, learning_rate=0.01)
     g = 3.7
-    grads = nn.Gradients([np.array([[g]])], [np.zeros(1)])
-    nn.adam_step(net, grads, state)
+    nn.adam_step(net, np.array([g, 0.0]), state)
     expected_delta = -0.01 * g / (abs(g) + state.epsilon)
     assert net.weights[0][0, 0] == pytest.approx(w0 + expected_delta, abs=1e-15)
 
@@ -222,7 +214,7 @@ def test_adam_quadratic_convergence():
     state = nn.AdamState.for_net(net, learning_rate=0.1)
     for _ in range(100):
         g = 2.0 * net.weights[0][0, 0]
-        nn.adam_step(net, nn.Gradients([np.array([[g]])], [np.zeros(1)]), state)
+        nn.adam_step(net, np.array([g, 0.0]), state)
     assert net.weights[0][0, 0] == pytest.approx(expected, abs=1e-12)
     assert state.step_count == 100
 
@@ -231,14 +223,14 @@ def test_adam_rejects_nonfinite():
     net = nn.init_net((1, 1), seed=0)
     state = nn.AdamState.for_net(net, learning_rate=0.1)
     with pytest.raises(NumericError):
-        nn.adam_step(net, nn.Gradients([np.array([[np.nan]])], [np.zeros(1)]), state)
+        nn.adam_step(net, np.array([np.nan, 0.0]), state)
 
 
 def test_adam_shape_mismatch():
     net = nn.init_net((2, 2), seed=0)
     state = nn.AdamState.for_net(net, learning_rate=0.1)
     with pytest.raises(ShapeError):
-        nn.adam_step(net, nn.Gradients([np.zeros((3, 3))], [np.zeros(2)]), state)
+        nn.adam_step(net, np.zeros(12), state)
 
 
 # --- polyak ---
@@ -253,23 +245,47 @@ def test_polyak_exact_form():
         assert np.array_equal(got, want)
 
 
-# --- serialization ---
+# --- flat parameters and stacks ---
 
 
-def test_net_json_round_trip_exact():
-    net = nn.init_net((3, 5, 2), hidden_activation="tanh", output_activation="tanh", seed=77)
-    blob = json.dumps(nn.net_to_dict(net))
-    back = nn.net_from_dict(json.loads(blob))
-    assert back.layer_sizes == net.layer_sizes
-    assert back.hidden_activation == net.hidden_activation
-    assert back.output_activation == net.output_activation
-    for a, b in zip(net.weights + net.biases, back.weights + back.biases):
-        assert np.array_equal(a, b)
+def test_net_rejects_wrong_param_count():
+    with pytest.raises(ShapeError):
+        nn.DenseNet((3, 2), np.zeros(7))
+    with pytest.raises(ShapeError):
+        nn.DenseNet((3, 2), np.zeros(8, dtype=np.float32))
 
 
-def test_net_from_dict_validates_shapes():
-    net = nn.init_net((3, 2), seed=0)
-    blob = nn.net_to_dict(net)
-    blob["weights"][0] = [[1.0, 2.0]]  # wrong shape
-    with pytest.raises(ValueError):
-        nn.net_from_dict(blob)
+def test_layer_views_share_the_flat_vector():
+    net = nn.init_net((3, 4, 2), seed=1)
+    net.params[:] = np.arange(net.params.size)
+    assert np.array_equal(net.weights[0], np.arange(12.0).reshape(4, 3))
+    assert np.array_equal(net.biases[0], np.arange(12.0, 16.0))
+    assert np.array_equal(net.weights[1], np.arange(16.0, 24.0).reshape(2, 4))
+    net.biases[1][:] = -1.0
+    assert np.array_equal(net.params[24:], [-1.0, -1.0])
+
+
+def test_stacked_net_matches_its_members_bit_for_bit():
+    rng = np.random.default_rng(4)
+    members = [nn.init_net((5, 16, 16, 1), seed=s) for s in (1, 2)]
+    for m in members:
+        m.biases[0][:] = rng.normal(size=16)  # nonzero biases exercise the sums
+    pair = nn.stack_nets(members)
+    x = rng.normal(size=(33, 5))
+    g = rng.normal(size=(2, 33, 1))
+    cache = []
+    out = nn.forward(pair, x, cache)
+    grad, din = nn.backward(pair, cache, g)
+    size = members[0].params.size
+    for i, m in enumerate(members):
+        assert np.array_equal(out[i], nn.forward(m, x))
+        assert np.array_equal(grad[i * size : (i + 1) * size], param_grad(m, x, g[i]))
+        assert np.array_equal(din[i], nn.input_gradient(m, x, g[i]))
+        assert np.array_equal(pair.member(i).params, m.params)
+    pair.member(1).params[0] = 42.0  # members are views
+    assert pair.weights[0][1, 0, 0] == 42.0
+
+
+def test_stack_rejects_mismatched_nets():
+    with pytest.raises(ShapeError):
+        nn.stack_nets([nn.init_net((3, 2), seed=0), nn.init_net((3, 3), seed=0)])

@@ -1,3 +1,4 @@
+import ctypes
 import json
 
 import numpy as np
@@ -223,6 +224,33 @@ def test_cli_full_pipeline(tmp_path, capsys):
     assert cli.main(["matrix", str(out_dir)]) == 0
     captured = capsys.readouterr()
     assert "matrix" in captured.out
+    # a report knob given on the command line leaves the config hash alone
+    for mapping in ("drop", "comparable"):
+        args = ["report", "--config", str(cfg_path), "--map-inconclusive", mapping]
+        assert cli.main(args) == 0
+        regime = read_json(out_dir / "report" / "analysis.json")["regime"]
+        if regime["label"] == "Inconclusive":
+            assert regime["mapped"] == (None if mapping == "drop" else "Comparable")
+        else:
+            assert regime["mapped"] == regime["label"]
+    # a checkpoint without params.npy (an older format) is a missing input
+    (out_dir / "pretrain" / "seed_0" / "params.npy").unlink()
+    assert cli.main(["finetune", "--config", str(cfg_path), "--force"]) == 2
+    assert "pretrain --force" in capsys.readouterr().err
+
+
+def _pool_worker_blas_threads() -> int:
+    get_threads = runner._openblas_function("get_num_threads")
+    get_threads.restype = ctypes.c_int
+    return get_threads()
+
+
+def test_pool_workers_use_one_blas_thread():
+    if runner._openblas_function("get_num_threads") is None:
+        pytest.skip("no OpenBLAS library found in this process")
+    with runner._process_pool(2) as pool:
+        futures = [pool.submit(_pool_worker_blas_threads) for _ in range(2)]
+        assert [f.result(timeout=60) for f in futures] == [1, 1]
 
 
 def test_cli_exit_codes(tmp_path, capsys):
