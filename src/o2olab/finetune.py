@@ -165,16 +165,13 @@ def run_finetune(
         reset_parameters(agent, seed=stable_seed("reset", seed))
 
     capacity = config.online_buffer_capacity or config.total_env_steps
-    if config.single_buffer and needs_dataset:
-        capacity += dataset.n_transitions
-    online = ReplayBuffer(capacity, spec.obs_dim, spec.action_dim)
     offline = None
     sampler = None
-    if needs_dataset:
-        if config.single_buffer:
-            for tr in dataset.iter_transitions():
-                online.push(tr)
-        else:
+    if config.single_buffer:  # the online buffer starts out holding the dataset
+        online = ReplayBuffer.from_dataset(dataset, capacity + dataset.n_transitions)
+    else:
+        online = ReplayBuffer(capacity, spec.obs_dim, spec.action_dim)
+        if needs_dataset:
             offline = ReplayBuffer.from_dataset(dataset)
             sampler = MixedSampler(offline, online, config.alpha)
 

@@ -197,6 +197,36 @@ def forward(net: DenseNet, inputs: np.ndarray, cache: list | None = None) -> np.
     return h
 
 
+def _backprop(net: DenseNet, cache: list, output_grad: np.ndarray, grad=None):
+    """Carry ``output_grad`` back through the layers recorded in ``cache``
+    and return the gradient with respect to the input. When ``grad`` (a
+    vector shaped like ``net.params``) is given, each layer's weight and
+    bias gradients are written into it on the way."""
+    if len(cache) != len(net.weights) + 1:
+        raise ValueError("cache does not hold one forward pass of this net")
+    delta = np.array(output_grad, dtype=np.float64)  # a copy: scaled in place below
+    if delta.shape != cache[-1].shape:
+        raise ShapeError(
+            f"expected output_grad of shape {cache[-1].shape}, got {delta.shape}"
+        )
+
+    if grad is not None:
+        w_grads, b_grads = _layer_views(net.layer_sizes, grad, net.stack)
+    last = len(net.weights) - 1
+    for l in range(last, -1, -1):
+        kind = net.output_activation if l == last else net.hidden_activation
+        h = cache[l + 1]
+        if kind == "tanh":
+            delta *= 1.0 - h * h
+        elif kind == "relu":
+            delta *= h > 0.0  # h > 0 exactly where the pre-activation is
+        if grad is not None:
+            np.matmul(delta.swapaxes(-1, -2), cache[l], out=w_grads[l])
+            np.sum(delta, axis=-2, out=b_grads[l])
+        delta = delta @ net.weights[l]
+    return delta
+
+
 def backward(net: DenseNet, cache: list, output_grad: np.ndarray):
     """Exact gradient of sum over the batch of <output, output_grad>.
 
@@ -206,28 +236,14 @@ def backward(net: DenseNet, cache: list, output_grad: np.ndarray):
     the input. A stacked net gives one input gradient per member,
     (S, batch, in_dim).
     """
-    if len(cache) != len(net.weights) + 1:
-        raise ValueError("cache does not hold one forward pass of this net")
-    delta = np.array(output_grad, dtype=np.float64)  # a copy: scaled in place below
-    if delta.shape != cache[-1].shape:
-        raise ShapeError(
-            f"expected output_grad of shape {cache[-1].shape}, got {delta.shape}"
-        )
-
     grad = np.empty_like(net.params)
-    w_grads, b_grads = _layer_views(net.layer_sizes, grad, net.stack)
-    last = len(net.weights) - 1
-    for l in range(last, -1, -1):
-        kind = net.output_activation if l == last else net.hidden_activation
-        h = cache[l + 1]
-        if kind == "tanh":
-            delta *= 1.0 - h * h
-        elif kind == "relu":
-            delta *= h > 0.0  # h > 0 exactly where the pre-activation is
-        np.matmul(delta.swapaxes(-1, -2), cache[l], out=w_grads[l])
-        np.sum(delta, axis=-2, out=b_grads[l])
-        delta = delta @ net.weights[l]
-    return grad, delta
+    return grad, _backprop(net, cache, output_grad, grad)
+
+
+def input_backward(net: DenseNet, cache: list, output_grad: np.ndarray) -> np.ndarray:
+    """``backward``'s input gradient alone, without computing the gradient
+    with respect to the parameters."""
+    return _backprop(net, cache, output_grad)
 
 
 def input_gradient(
@@ -236,7 +252,7 @@ def input_gradient(
     """Gradient of sum_batch <output, output_grad> w.r.t. the inputs."""
     cache: list = []
     forward(net, inputs, cache)
-    return backward(net, cache, output_grad)[1]
+    return input_backward(net, cache, output_grad)
 
 
 def adam_step(net: DenseNet, grad: np.ndarray, state: AdamState) -> None:

@@ -333,13 +333,19 @@ def cmd_gen_data(config: ExperimentConfig, force: bool = False) -> Path:
     return paths.dataset
 
 
-def _load_pipeline_dataset(config: ExperimentConfig, allow_mixed: bool = False) -> OfflineDataset:
+def _check_dataset_header(config: ExperimentConfig, allow_mixed: bool = False) -> Path:
+    """The dataset's path, once its header shows it was made under this
+    config's hash; reads only the header line."""
     paths = Paths(config)
     _require_stage(paths, STAGE_GEN_DATA)
     with open(paths.dataset, encoding="utf-8") as fh:
         header = json.loads(fh.readline())
     _check_hash(config, header.get("config_hash"), str(paths.dataset), allow_mixed)
-    return load_dataset(paths.dataset)
+    return paths.dataset
+
+
+def _load_pipeline_dataset(config: ExperimentConfig, allow_mixed: bool = False) -> OfflineDataset:
+    return load_dataset(_check_dataset_header(config, allow_mixed))
 
 
 # --- stage: pretrain ---
@@ -411,12 +417,14 @@ def _openblas_function(name: str):
 
 
 def _single_thread_blas() -> None:
-    """Pool worker initializer: run BLAS on one thread in this worker.
+    """Run BLAS on one thread in this process: every CLI stage process and
+    every pool worker (as the pool's initializer) calls it.
 
-    The workers already use every core they are given; if each also kept
-    OpenBLAS's own threads, the small matmuls here would run on more threads
-    than cores (pretraining took 6x longer with --jobs 2 than with --jobs 1
-    on two cores)."""
+    The matmuls here are small. In pool workers, OpenBLAS's own threads
+    would put more threads than cores to work (pretraining took 6x longer
+    with --jobs 2 than with --jobs 1 on two cores); in a serial stage its
+    second thread spins, doubling CPU time at the same wall time and the
+    same results."""
     fn = _openblas_function("set_num_threads")
     if fn is not None:
         fn.argtypes = [ctypes.c_int]
@@ -608,10 +616,10 @@ def cmd_report(
         raise ConfigError("map_inconclusive must be 'comparable' or 'drop'")
     paths = Paths(config)
     _require_stage(paths, STAGE_FINETUNE)
-    dataset = _load_pipeline_dataset(config, allow_mixed)
+    _check_dataset_header(config, allow_mixed)
     classify = read_json(paths.classify)
     _check_hash(config, classify.get("config_hash"), str(paths.classify), allow_mixed)
-    _, data_mean = dataset_return(dataset)
+    data_mean = classify["data"]["mean"]  # dataset_return's mean, recorded by classify
 
     runs: dict[str, dict[int, RunLog]] = {}
     missing: list[str] = []

@@ -27,6 +27,7 @@ from o2olab.data import (
 from o2olab.envs import BehaviorSpec, ReferenceScores, compute_reference_scores, env_spec
 from o2olab.errors import MissingInputError, NumericError
 
+from test_data import trajectories
 from test_nn import param_grad
 
 SMALL = Td3Hyper(hidden=(16, 16), batch=64)
@@ -49,7 +50,7 @@ def constant_action_dataset(action_value=0.25, n=200, seed=0):
         trs.append(
             Transition(obs, np.full(2, action_value), -1.0, obs, False, False)
         )
-    return OfflineDataset([trs], spec, BehaviorSpec("expert"), ref)
+    return OfflineDataset.from_trajectories([trs], spec, BehaviorSpec("expert"), ref)
 
 
 def batch_from(dataset, size, rng):
@@ -210,6 +211,24 @@ def test_beta_zero_gradient_is_pure_dpg():
     assert np.allclose(g_plain, g_hand, atol=1e-14)
 
 
+def test_actor_step_takes_no_critic_parameter_gradient(monkeypatch):
+    # the actor step needs only critic 1's input gradient: one full backward
+    # for the critic pair and one for the actor
+    calls = []
+    real_backward = nn.backward
+
+    def counting_backward(net, cache, output_grad):
+        calls.append(net)
+        return real_backward(net, cache, output_grad)
+
+    monkeypatch.setattr(nn, "backward", counting_backward)
+    agent = make_td3_agent(4, 2, SMALL, seed=5)
+    batch = batch_from(constant_action_dataset(), 16, np.random.default_rng(0))
+    agent.update_count = SMALL.policy_delay - 1  # the next update steps the actor
+    td3_update(agent, batch, RegularizerConfig(0.4, True), np.random.default_rng(1))
+    assert calls == [agent.critics, agent.actor]
+
+
 def test_huge_beta_aligns_with_bc_gradient():
     # gradient-direction oracle: at beta = 1e6 the actor update direction is
     # the behavior-cloning gradient
@@ -277,7 +296,7 @@ def dense_ref():
 def test_bc_learns_constant_action():
     ds = constant_action_dataset(action_value=0.25)
     actor = bc_pretrain(ds, steps=3000, seed=0, hyper=SMALL)
-    obs = np.stack([t.obs for t in ds.trajectories[0][:50]])
+    obs = np.stack([t.obs for t in trajectories(ds)[0][:50]])
     pred = nn.forward(actor, obs)
     assert np.all(np.abs(pred - 0.25) < 0.05)
 
@@ -304,7 +323,7 @@ def test_fqe_terminal_fixed_point():
                    rng.uniform(0, 10, 4), True, False)
         for _ in range(100)
     ]
-    ds = OfflineDataset([trs], spec, BehaviorSpec("expert"), ref)
+    ds = OfflineDataset.from_trajectories([trs], spec, BehaviorSpec("expert"), ref)
     policy = bc_pretrain(ds, steps=30, seed=0, hyper=SMALL)
     critic = fqe(policy, ds, steps=10_000, seed=0, hyper=SMALL)
     x = np.concatenate(
@@ -318,7 +337,7 @@ def test_fqe_gamma_zero_regresses_reward():
     ds = constant_action_dataset()
     policy = bc_pretrain(ds, steps=30, seed=0, hyper=SMALL)
     critic = fqe(policy, ds, steps=4000, seed=0, hyper=SMALL, gamma=0.0)
-    trs = ds.trajectories[0][:50]
+    trs = trajectories(ds)[0][:50]
     x = np.concatenate(
         [np.stack([t.obs for t in trs]), np.stack([t.action for t in trs])], axis=1
     )
@@ -331,8 +350,10 @@ def test_fqe_heldout_td_error_decreases(dense_ref):
     ds = generate_dataset(spec, BehaviorSpec("noisy_expert", sigma=0.4), 20, seed=2,
                           reference=dense_ref)
     policy = bc_pretrain(ds, steps=200, seed=0, hyper=SMALL)
-    held = [t for traj in ds.trajectories[:2] for t in traj]
-    train = OfflineDataset(ds.trajectories[2:], spec, ds.behavior, ds.reference)
+    held = [t for traj in trajectories(ds)[:2] for t in traj]
+    train = OfflineDataset.from_trajectories(
+        trajectories(ds)[2:], spec, ds.behavior, ds.reference
+    )
 
     def td_error(critic):
         obs = np.stack([t.obs for t in held])
@@ -379,12 +400,19 @@ def test_offline_rl_deterministic():
     assert nets_equal(a.target_critics, b.target_critics)
 
 
-def test_pretraining_never_touches_environment():
-    before = envs._Env.interactions
+def test_pretraining_never_touches_environment(monkeypatch):
+    steps = []
+    real_step = envs._Env.step
+
+    def counting_step(self, action):
+        steps.append(action)
+        return real_step(self, action)
+
+    monkeypatch.setattr(envs._Env, "step", counting_step)
     ds = constant_action_dataset()
     offline_rl_pretrain(ds, steps=30, beta=0.4, seed=0, hyper=SMALL)
     bc_pretrain(ds, steps=30, seed=0, hyper=SMALL)
-    assert envs._Env.interactions == before
+    assert steps == []
 
 
 # --- bc+fqe wrapper and checkpoints ---

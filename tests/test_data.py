@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from o2olab import data
 from o2olab.data import (
     MixedSampler,
     OfflineDataset,
@@ -16,6 +17,17 @@ from o2olab.data import (
 )
 from o2olab.envs import BehaviorSpec, ReferenceScores, compute_reference_scores, env_spec
 from o2olab.errors import DatasetFormatError, EmptyBufferError
+
+
+def trajectories(ds):
+    """The dataset's rows as one list of ``Transition`` per trajectory."""
+    rows = [
+        Transition(*fields)
+        for fields in zip(ds.obs, ds.action, ds.reward.tolist(), ds.next_obs,
+                          ds.terminated.tolist(), ds.truncated.tolist())
+    ]
+    bounds = ds.offsets.tolist()
+    return [rows[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
 
 
 def _tr(i, obs_dim=2, action_dim=1):
@@ -43,8 +55,8 @@ def test_generate_deterministic(sparse_reference):
                   reference=sparse_reference)
     a = generate_dataset(spec, **kwargs)
     b = generate_dataset(spec, **kwargs)
-    assert len(a.trajectories) == len(b.trajectories) == 10
-    for ta, tb in zip(a.trajectories, b.trajectories):
+    assert a.n_traj == b.n_traj == 10
+    for ta, tb in zip(trajectories(a), trajectories(b)):
         assert ta == tb
 
 
@@ -52,7 +64,7 @@ def test_generate_expert_sparse_all_terminate(sparse_reference):
     spec = env_spec("point_goal_sparse")
     ds = generate_dataset(spec, BehaviorSpec("expert"), 10, seed=3,
                           reference=sparse_reference)
-    for traj in ds.trajectories:
+    for traj in trajectories(ds):
         assert traj[-1].terminated
         assert traj[-1].reward == 1.0
         assert all(t.reward == 0.0 for t in traj[:-1])
@@ -82,7 +94,7 @@ def test_trajectory_mixture_composition(sparse_reference):
         seed=2,
         reference=sparse_reference,
     )
-    assert len(ds.trajectories) == 10
+    assert ds.n_traj == 10
     per_traj, mean = dataset_return(ds)
     assert per_traj[:5].mean() > per_traj[5:].mean()
 
@@ -97,7 +109,7 @@ def test_dataset_return_formula():
         Transition(np.zeros(4), np.zeros(2), r, np.zeros(4), False, False)
         for r in (1.0, 2.0, 3.0)
     ]
-    ds = OfflineDataset([traj], spec, BehaviorSpec("expert"), ref)
+    ds = OfflineDataset.from_trajectories([traj], spec, BehaviorSpec("expert"), ref)
     per_traj, mean = dataset_return(ds)
     assert per_traj.tolist() == [0.6]
     assert mean == 0.6
@@ -112,8 +124,8 @@ def test_dataset_return_mean_in_hull(sparse_reference):
 
 
 def test_dataset_return_empty_rejected(sparse_reference):
-    ds = OfflineDataset([], env_spec("point_goal_sparse"), BehaviorSpec("expert"),
-                        sparse_reference)
+    ds = OfflineDataset.from_trajectories([], env_spec("point_goal_sparse"),
+                                          BehaviorSpec("expert"), sparse_reference)
     with pytest.raises(ValueError):
         dataset_return(ds)
 
@@ -152,6 +164,23 @@ def test_buffer_fifo_under_repeated_overflow():
     for k in range(10):
         buf.push(_tr(k))
     assert buf.as_transitions() == [_tr(7), _tr(8), _tr(9)]
+
+
+@pytest.mark.parametrize("capacity", [None, 7, 40])
+def test_from_dataset_matches_pushing_rows_in_order(sparse_reference, capacity):
+    ds = generate_dataset(env_spec("point_goal_sparse"), BehaviorSpec("noisy_expert", sigma=0.3),
+                          3, seed=4, reference=sparse_reference)
+    pushed = ReplayBuffer(capacity or ds.n_transitions, 4, 2)
+    for traj in trajectories(ds):
+        for tr in traj:
+            pushed.push(tr)
+    copied = ReplayBuffer.from_dataset(ds, capacity)
+    assert (len(copied), copied._next) == (len(pushed), pushed._next)
+    assert copied.as_transitions() == pushed.as_transitions()
+    a = copied.sample(50, np.random.default_rng(1))
+    b = pushed.sample(50, np.random.default_rng(1))
+    for field in ("obs", "action", "reward", "next_obs", "terminated"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 def test_buffer_sample_single_item():
@@ -266,8 +295,8 @@ def test_save_load_round_trip(tmp_path, sparse_reference):
     assert back.env == ds.env
     assert back.behavior == ds.behavior
     assert back.reference == ds.reference
-    assert len(back.trajectories) == len(ds.trajectories)
-    for ta, tb in zip(ds.trajectories, back.trajectories):
+    assert back.n_traj == ds.n_traj
+    for ta, tb in zip(trajectories(ds), trajectories(back)):
         assert ta == tb
 
 
@@ -281,7 +310,7 @@ def test_save_load_mixture_round_trip(tmp_path, sparse_reference):
     save_dataset(ds, path)
     back = load_dataset(path)
     assert back.behavior == ds.behavior
-    for ta, tb in zip(ds.trajectories, back.trajectories):
+    for ta, tb in zip(trajectories(ds), trajectories(back)):
         assert ta == tb
 
 
@@ -324,6 +353,121 @@ def test_mismatched_obs_dim_rejected(tmp_path, sparse_reference):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DatasetFormatError):
         load_dataset(path)
+
+
+@pytest.fixture(params=["one_chunk", "small_chunks"])
+def chunking(request, monkeypatch):
+    """Load whole files at once, or in chunks of a few lines."""
+    if request.param == "small_chunks":
+        monkeypatch.setattr(data, "_CHUNK_CHARS", 600, raising=False)
+
+
+def _saved_lines(tmp_path, reference, n_traj=3):
+    ds = generate_dataset(env_spec("point_goal_sparse"), BehaviorSpec("uniform_random"),
+                          n_traj, seed=4, reference=reference)
+    path = tmp_path / "ds.jsonl"
+    save_dataset(ds, path)
+    return ds, path, path.read_text().splitlines()
+
+
+def _load_error(path, lines) -> DatasetFormatError:
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(path)
+    return err.value
+
+
+def _edit_row(lines, index, **changes):
+    row = json.loads(lines[index])
+    for key, value in changes.items():
+        if value is None:
+            del row[key]
+        else:
+            row[key] = value
+    lines[index] = json.dumps(row, sort_keys=True)
+
+
+def test_load_rejects_blank_line(tmp_path, sparse_reference, chunking):
+    _, path, lines = _saved_lines(tmp_path, sparse_reference)
+    lines[-3] = "   "
+    err = _load_error(path, lines)
+    assert err.line == len(lines) - 2
+    assert "blank line" in str(err)
+
+
+def test_load_rejects_non_object_line(tmp_path, sparse_reference, chunking):
+    _, path, lines = _saved_lines(tmp_path, sparse_reference)
+    lines[-2] = "[1.0, 2.0]"
+    err = _load_error(path, lines)
+    assert err.line == len(lines) - 1
+    assert "expected a JSON object" in str(err)
+
+
+def test_load_rejects_missing_header_key(tmp_path, sparse_reference, chunking):
+    _, path, lines = _saved_lines(tmp_path, sparse_reference)
+    header = json.loads(lines[0])
+    del header["reference"]
+    lines[0] = json.dumps(header, sort_keys=True)
+    err = _load_error(path, lines)
+    assert err.line == 1
+    assert "header missing 'reference'" in str(err)
+
+
+def test_load_rejects_missing_transition_field(tmp_path, sparse_reference, chunking):
+    _, path, lines = _saved_lines(tmp_path, sparse_reference)
+    _edit_row(lines, len(lines) - 4, reward=None)
+    err = _load_error(path, lines)
+    assert err.line == len(lines) - 3
+    assert "bad transition: 'reward'" in str(err)
+
+
+def test_load_rejects_action_width_mismatch(tmp_path, sparse_reference, chunking):
+    _, path, lines = _saved_lines(tmp_path, sparse_reference)
+    _edit_row(lines, len(lines) - 5, action=[0.1, 0.2, 0.3])
+    err = _load_error(path, lines)
+    assert err.line == len(lines) - 4
+    assert "action width does not match header action_dim=2" in str(err)
+
+
+def test_load_rejects_trajectory_index_out_of_range(tmp_path, sparse_reference, chunking):
+    _, path, lines = _saved_lines(tmp_path, sparse_reference)
+    _edit_row(lines, len(lines) - 1, traj=3)
+    err = _load_error(path, lines)
+    assert err.line == len(lines)
+    assert "trajectory index 3 outside [0, 3)" in str(err)
+
+
+def test_load_reports_first_bad_line(tmp_path, sparse_reference, chunking):
+    _, path, lines = _saved_lines(tmp_path, sparse_reference)
+    _edit_row(lines, 5, obs=[1.0])
+    lines[-1] = "{"
+    err = _load_error(path, lines)
+    assert err.line == 6
+    assert "observation width" in str(err)
+
+
+def test_load_groups_rows_by_trajectory(tmp_path, sparse_reference, chunking):
+    ds, path, lines = _saved_lines(tmp_path, sparse_reference)
+    rows = lines[1:]
+    by_traj = sorted(rows, key=lambda text: -json.loads(text)["traj"])  # stable
+    path.write_text("\n".join([lines[0], *by_traj]) + "\n")
+    back = load_dataset(path)
+    assert back.n_traj == ds.n_traj
+    for ta, tb in zip(trajectories(ds), trajectories(back)):
+        assert ta == tb
+
+
+def test_load_converts_values_like_python(tmp_path, sparse_reference, chunking):
+    # values save_dataset never writes still load as int(), float() and
+    # bool() read them
+    _, path, lines = _saved_lines(tmp_path, sparse_reference)
+    _edit_row(lines, 2, reward=2, terminated=1, truncated=[])
+    lines[3] = "  " + lines[3] + " "
+    path.write_text("\n".join(lines) + "\n")
+    back = load_dataset(path)
+    assert back.reward[1] == 2.0 and back.reward.dtype == np.float64
+    assert back.terminated[1] and not back.truncated[1]
+    assert np.array_equal(back.obs[2], json.loads(lines[3])["obs"])
 
 
 def test_save_is_byte_stable(tmp_path, sparse_reference):

@@ -17,6 +17,8 @@ from o2olab.finetune import (
 from o2olab.agents import policy_fn
 from o2olab.metrics import EvalCurve, EvalPoint
 
+from test_data import trajectories
+
 HYPER = Td3Hyper(hidden=(8, 8), batch=32)
 SPEC = env_spec("point_goal_dense", horizon=40)
 
@@ -160,9 +162,9 @@ def test_replay_methods_read_dataset(dataset):
 
 
 def test_dataset_immutable_during_runs(dataset):
-    snapshot = [[copy.deepcopy(t) for t in traj] for traj in dataset.trajectories]
+    snapshot = copy.deepcopy(trajectories(dataset))
     run(method="mixed", dataset=dataset)
-    for before, after in zip(snapshot, dataset.trajectories):
+    for before, after in zip(snapshot, trajectories(dataset)):
         assert before == after
 
 

@@ -286,6 +286,20 @@ def test_stacked_net_matches_its_members_bit_for_bit():
     assert pair.weights[0][1, 0, 0] == 42.0
 
 
+@pytest.mark.parametrize("stack", [False, True])
+def test_input_backward_is_backwards_input_gradient(stack):
+    rng = np.random.default_rng(5)
+    nets = [nn.init_net((5, 8, 8, 3), "tanh", "tanh", seed=s) for s in (1, 2)]
+    net = nn.stack_nets(nets) if stack else nets[0]
+    x = rng.normal(size=(9, 5))
+    cache = []
+    out = nn.forward(net, x, cache)
+    g = rng.normal(size=out.shape)
+    din = nn.input_backward(net, cache, g)
+    assert np.array_equal(din, nn.backward(net, cache, g)[1])
+    assert np.array_equal(cache[-1], out)  # the cache is left as recorded
+
+
 def test_stack_rejects_mismatched_nets():
     with pytest.raises(ShapeError):
         nn.stack_nets([nn.init_net((3, 2), seed=0), nn.init_net((3, 3), seed=0)])

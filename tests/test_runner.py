@@ -75,7 +75,7 @@ def test_gen_data_byte_identical_rerun(config):
     runner.cmd_gen_data(config, force=True)
     assert path.read_bytes() == first
     ds = load_dataset(path)
-    assert len(ds.trajectories) == 6
+    assert ds.n_traj == 6
 
 
 def test_stage_order_enforced(config):
@@ -160,6 +160,31 @@ def test_report_hash_guard(config, tmp_path):
     with pytest.raises(ConfigError):
         runner.cmd_report(changed)
     runner.cmd_report(changed, allow_mixed=True)
+
+
+def test_report_reads_no_dataset_rows(config, monkeypatch):
+    runner.run_pipeline(config)
+    analysis = runner.Paths(config).analysis
+    first = analysis.read_bytes()
+
+    def no_load(path):
+        raise AssertionError("report parsed the dataset")
+
+    monkeypatch.setattr(runner, "load_dataset", no_load)
+    runner.cmd_report(config)
+    assert analysis.read_bytes() == first
+
+
+def test_report_checks_dataset_header_hash(config):
+    runner.run_pipeline(config)
+    dataset = runner.Paths(config).dataset
+    lines = dataset.read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["config_hash"] = "0" * 12
+    dataset.write_text(json.dumps(header, sort_keys=True) + "\n" + "".join(lines[1:]))
+    with pytest.raises(ConfigError, match="dataset.jsonl"):
+        runner.cmd_report(config)
+    runner.cmd_report(config, allow_mixed=True)
 
 
 def test_pipeline_deterministic_analysis(tmp_path):
@@ -251,6 +276,27 @@ def test_pool_workers_use_one_blas_thread():
     with runner._process_pool(2) as pool:
         futures = [pool.submit(_pool_worker_blas_threads) for _ in range(2)]
         assert [f.result(timeout=60) for f in futures] == [1, 1]
+
+
+def _set_blas_threads(n: int) -> None:
+    set_threads = runner._openblas_function("set_num_threads")
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    set_threads(n)
+
+
+def test_cli_stage_runs_blas_on_one_thread(tmp_path, capsys):
+    if runner._openblas_function("get_num_threads") is None:
+        pytest.skip("no OpenBLAS library found in this process")
+    before = _pool_worker_blas_threads()
+    counts = tmp_path / "counts.json"
+    counts.write_text("[[1,0,0],[0,1,0],[0,0,1]]")
+    try:
+        _set_blas_threads(2)
+        assert cli.main(["matrix", "--counts-json", str(counts)]) == 0
+        assert _pool_worker_blas_threads() == 1
+    finally:
+        _set_blas_threads(before)
 
 
 def test_cli_exit_codes(tmp_path, capsys):
