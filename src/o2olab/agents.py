@@ -19,8 +19,6 @@ from .errors import MissingInputError, NumericError
 from .fsio import read_json, write_json_atomic, write_npy_atomic
 from .seeding import rng_for
 
-DEFAULT_HIDDEN = (64, 64)
-
 
 @dataclass(frozen=True)
 class Td3Hyper:
@@ -33,7 +31,7 @@ class Td3Hyper:
     batch: int = 256
     actor_lr: float = 3e-4
     critic_lr: float = 3e-4
-    hidden: tuple[int, ...] = DEFAULT_HIDDEN
+    hidden: tuple[int, ...] = (64, 64)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -43,7 +41,8 @@ class Td3Hyper:
     @classmethod
     def from_dict(cls, data: dict) -> "Td3Hyper":
         data = dict(data)
-        data["hidden"] = tuple(data.get("hidden", DEFAULT_HIDDEN))
+        if "hidden" in data:
+            data["hidden"] = tuple(data["hidden"])
         return cls(**data)
 
 

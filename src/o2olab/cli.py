@@ -52,7 +52,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--force", action="store_true", help="re-run completed runs")
 
     p = add("report", "analysis JSON, CSV tables, and plot data")
-    p.add_argument("--allow-mixed", action="store_true", help="skip config-hash checks")
     p.add_argument(
         "--map-inconclusive",
         choices=[runner.MAP_COMPARABLE, runner.MAP_DROP],
@@ -111,11 +110,7 @@ def main(argv=None) -> int:
             print(f"{len(files)} run files under {files[0].parent.parent}")
             return EXIT_OK
         elif args.command == "report":
-            path = runner.cmd_report(
-                _load_config(args),
-                allow_mixed=args.allow_mixed,
-                map_inconclusive=args.map_inconclusive,
-            )
+            path = runner.cmd_report(_load_config(args), map_inconclusive=args.map_inconclusive)
         elif args.command == "matrix":
             return _cmd_matrix(args)
         else:  # pragma: no cover - argparse enforces the choices

@@ -212,7 +212,6 @@ class ReplayBuffer:
         self._reward = np.zeros(capacity)
         self._next_obs = np.zeros((capacity, obs_dim))
         self._terminated = np.zeros(capacity)
-        self._truncated = np.zeros(capacity)
 
     def __len__(self) -> int:
         return self.size
@@ -229,7 +228,6 @@ class ReplayBuffer:
         self._reward[i] = tr.reward
         self._next_obs[i] = tr.next_obs
         self._terminated[i] = float(tr.terminated)
-        self._truncated[i] = float(tr.truncated)
         self._next = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
@@ -253,24 +251,6 @@ class ReplayBuffer:
             idx = (self._next + idx) % self.capacity
         return self._gather(idx)
 
-    def as_transitions(self) -> list[Transition]:
-        """Buffer contents in FIFO order (oldest first)."""
-        if self.size == self.capacity:
-            order = (self._next + np.arange(self.size)) % self.capacity
-        else:
-            order = np.arange(self.size)
-        return [
-            Transition(
-                obs=self._obs[i].copy(),
-                action=self._action[i].copy(),
-                reward=float(self._reward[i]),
-                next_obs=self._next_obs[i].copy(),
-                terminated=bool(self._terminated[i]),
-                truncated=bool(self._truncated[i]),
-            )
-            for i in order
-        ]
-
     @classmethod
     def from_dataset(cls, dataset: OfflineDataset, capacity: int | None = None):
         """A buffer (of ``capacity``, default the dataset's size) holding the
@@ -285,7 +265,6 @@ class ReplayBuffer:
         buf._reward[slots] = dataset.reward[n - keep :]
         buf._next_obs[slots] = dataset.next_obs[n - keep :]
         buf._terminated[slots] = dataset.terminated[n - keep :]
-        buf._truncated[slots] = dataset.truncated[n - keep :]
         buf._next = n % buf.capacity
         buf.size = keep
         return buf

@@ -105,12 +105,11 @@ def decompose(
         )
     means = curve.means()
     prior = offline_baseline(j0, j_data)
-    lo, hi = min(means), max(means)
     return KnowledgeDecomposition(
         prior=prior,
-        stability=min(lo - prior, 0.0),
-        plasticity=hi - lo,
-        final=hi,
+        stability=stability(means, prior),
+        plasticity=plasticity(means),
+        final=max(means),
     )
 
 
@@ -472,8 +471,3 @@ class ConfusionMatrix:
             f"{self.opposite}/{self.total} opposite mismatches "
             f"({100.0 * self.opposite_rate:.0f}%)"
         )
-
-
-def confusion_matrix(pairs) -> ConfusionMatrix:
-    """Count (regime, fine-tune winner) pairs into a ConfusionMatrix."""
-    return ConfusionMatrix.from_pairs(pairs)

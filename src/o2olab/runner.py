@@ -1,14 +1,29 @@
 """Experiment orchestration: generate -> pretrain -> classify -> fine-tune
--> report, with stage markers, config hashing, and resumable runs.
+-> report, with per-artifact input keys and resumable runs.
 
 Directory layout under the setting's output directory:
 
     dataset.jsonl
-    manifest.json
     pretrain/seed_<s>/...   pretrain/eval.json
     classify.json
     finetune/<method>/seed_<s>.json (+ .csv eval curve)
     report/analysis.json    report/summary.csv    report/curve_<method>.csv
+
+Every artifact records ``key``, a short sha256 of its own inputs, and the
+key of each artifact it is made from is chained into its own:
+
+    dataset          <- env, behavior, dataset_seed, reference seed/episodes
+    checkpoint(seed) <- dataset key, pretrain settings, agent hyper, seed
+    pretrain eval    <- the checkpoint keys of ``seeds`` in order, episodes
+    classify         <- pretrain eval key, tost
+    run(method,seed) <- checkpoint key, the method's FinetuneConfig, run seed
+
+A stage skips work whose artifact already has the expected key. An input
+that does not exist is a MissingInputError (exit 2); one with another key is
+a ConfigError (exit 1) that names the command remaking it. ``setting``,
+``out_dir``, the selection of methods and seeds, and the report knobs
+(``last_k``, ``map_inconclusive``) feed no key, so changing them
+invalidates nothing.
 
 Regime labels are persisted by the classify stage before any fine-tuning
 output exists, so the prediction is made ahead of the outcome.
@@ -25,8 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .agents import (
+    MANIFEST_FILE,
     Td3Hyper,
     agent_from_bc_fqe,
     bc_pretrain,
@@ -47,6 +62,7 @@ from .data import (
 from .envs import (
     BehaviorSpec,
     EnvSpec,
+    ReferenceScores,
     compute_reference_scores,
     env_spec,
     evaluate_policy,
@@ -78,12 +94,6 @@ from .seeding import stable_seed
 
 MAP_COMPARABLE = "comparable"
 MAP_DROP = "drop"
-
-STAGE_GEN_DATA = "gen_data"
-STAGE_PRETRAIN = "pretrain"
-STAGE_CLASSIFY = "classify"
-STAGE_FINETUNE = "finetune"
-STAGE_REPORT = "report"
 
 PRETRAIN_OFFLINE_RL = "offline_rl"
 PRETRAIN_BC_FQE = "bc_fqe"
@@ -187,39 +197,40 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        pre, tost = data.get("pretrain", {}), data.get("tost", {})
+        optional = {  # field: (section, key, conversion or None); absent keys keep the default
+            "pretrain_kind": (pre, "kind", None),
+            "pretrain_steps": (pre, "steps", int),
+            "pretrain_beta": (pre, "beta", float),
+            "fqe_steps": (pre, "fqe_steps", None),
+            "methods": (data, "methods", tuple),
+            "seeds": (data, "seeds", lambda seeds: tuple(int(s) for s in seeds)),
+            "dataset_seed": (data, "dataset_seed", int),
+            "reference_seed": (data, "reference_seed", None),
+            "reference_episodes": (data, "reference_episodes", int),
+            "tost_delta": (tost, "delta", float),
+            "tost_alpha": (tost, "alpha", float),
+            "map_inconclusive": (data, "map_inconclusive", None),
+            "last_k": (data, "last_k", int),
+            "out_dir": (data, "out_dir", None),
+        }
         try:
-            env = env_spec(data["env"]["kind"], data["env"].get("horizon"))
             raw_behavior = data["behavior"]
             if isinstance(raw_behavior, dict):
                 raw_behavior = [raw_behavior]
-            behavior = [
-                (BehaviorSpec.from_dict(b), int(b.get("n_traj", 1))) for b in raw_behavior
-            ]
-            pre = data.get("pretrain", {})
-            ft = FinetuneConfig(**data.get("finetune", {}))
-            hyper_data = data.get("agent", {})
-            hyper = Td3Hyper.from_dict({**Td3Hyper().to_dict(), **hyper_data})
-            tost = data.get("tost", {})
             return cls(
                 setting=data["setting"],
-                env=env,
-                behavior=behavior,
-                pretrain_kind=pre.get("kind", PRETRAIN_OFFLINE_RL),
-                pretrain_steps=int(pre.get("steps", 30_000)),
-                pretrain_beta=float(pre.get("beta", 0.4)),
-                fqe_steps=pre.get("fqe_steps"),
-                methods=tuple(data.get("methods", ALL_METHODS)),
-                seeds=tuple(int(s) for s in data.get("seeds", range(10))),
-                finetune=ft,
-                hyper=hyper,
-                dataset_seed=int(data.get("dataset_seed", 0)),
-                reference_seed=data.get("reference_seed"),
-                reference_episodes=int(data.get("reference_episodes", 100)),
-                tost_delta=float(tost.get("delta", 0.05)),
-                tost_alpha=float(tost.get("alpha", 0.05)),
-                map_inconclusive=data.get("map_inconclusive", MAP_COMPARABLE),
-                last_k=int(data.get("last_k", 10)),
-                out_dir=data.get("out_dir"),
+                env=env_spec(data["env"]["kind"], data["env"].get("horizon")),
+                behavior=[
+                    (BehaviorSpec.from_dict(b), int(b.get("n_traj", 1))) for b in raw_behavior
+                ],
+                finetune=FinetuneConfig(**data.get("finetune", {})),
+                hyper=Td3Hyper.from_dict(data.get("agent", {})),
+                **{
+                    name: section[key] if convert is None else convert(section[key])
+                    for name, (section, key, convert) in optional.items()
+                    if key in section
+                },
             )
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
@@ -237,11 +248,6 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     @property
-    def config_hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-
-    @property
     def root(self) -> Path:
         return Path(self.out_dir if self.out_dir else f"runs/{self.setting}")
 
@@ -250,7 +256,6 @@ class Paths:
     def __init__(self, config: ExperimentConfig):
         root = config.root
         self.root = root
-        self.manifest = root / "manifest.json"
         self.dataset = root / "dataset.jsonl"
         self.pretrain_dir = root / "pretrain"
         self.pretrain_eval = root / "pretrain" / "eval.json"
@@ -269,43 +274,80 @@ class Paths:
         return self.finetune_dir / method / f"seed_{seed}.csv"
 
 
-# --- manifest / stage markers ---
+# --- artifact keys ---
 
 
-def _load_manifest(paths: Paths) -> dict:
-    if paths.manifest.exists():
-        return read_json(paths.manifest)
-    return {"config_hash": None, "version": __version__, "stages": {}}
+def _key(inputs: dict) -> str:
+    canonical = json.dumps(inputs, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
-def _mark_stage(paths: Paths, config: ExperimentConfig, stage: str) -> None:
-    manifest = _load_manifest(paths)
-    manifest["config_hash"] = config.config_hash
-    manifest["version"] = __version__
-    manifest.setdefault("stages", {})[stage] = {"done": True}
-    write_json_atomic(paths.manifest, manifest)
+def dataset_key(config: ExperimentConfig) -> str:
+    d = config.to_dict()
+    return _key({
+        **{name: d[name] for name in ("env", "behavior", "dataset_seed", "reference_episodes")},
+        "reference_seed": config.resolved_reference_seed,
+    })
 
 
-def stage_done(paths: Paths, stage: str) -> bool:
-    manifest = _load_manifest(paths)
-    return bool(manifest.get("stages", {}).get(stage, {}).get("done"))
+def checkpoint_key(config: ExperimentConfig, seed: int) -> str:
+    d = config.to_dict()
+    return _key({
+        "dataset": dataset_key(config),
+        "pretrain": {**d["pretrain"], "fqe_steps": config.resolved_fqe_steps},
+        "agent": d["agent"],
+        "seed": seed,
+    })
 
 
-def _require_stage(paths: Paths, stage: str) -> None:
-    if not stage_done(paths, stage):
-        raise MissingInputError(
-            f"stage {stage!r} has not completed for {paths.root}; run it first"
-        )
+def eval_key(config: ExperimentConfig) -> str:
+    return _key({
+        "checkpoints": [checkpoint_key(config, seed) for seed in config.seeds],
+        "episodes": config.finetune.eval_episodes,
+    })
 
 
-def _check_hash(config: ExperimentConfig, found: str | None, origin: str, allow_mixed: bool):
-    if allow_mixed:
-        return
-    if found != config.config_hash:
+def classify_key(config: ExperimentConfig) -> str:
+    return _key({"eval": eval_key(config), "tost": config.to_dict()["tost"]})
+
+
+def run_key(config: ExperimentConfig, method: str, seed: int) -> str:
+    return _key({
+        "checkpoint": checkpoint_key(config, seed),
+        "finetune": _method_finetune(config, method).to_dict(),
+        "run_seed": run_seed_for(seed, method, config.seeds.index(seed)),
+    })
+
+
+def _record(path: Path) -> dict:
+    """An artifact's JSON record: the whole file, or the dataset's header line."""
+    with open(path, encoding="utf-8") as fh:
+        return json.loads(fh.readline() if path.suffix == ".jsonl" else fh.read())
+
+
+def _require_current(path: Path, key: str, command: str) -> dict:
+    """``path``'s record, once its key shows it was made from this config's
+    inputs; ``command`` is the o2olab command that (re)makes it."""
+    try:
+        record = _record(path)
+    except FileNotFoundError:
+        raise MissingInputError(f"{path} does not exist; run `o2olab {command}`") from None
+    except ValueError:  # unreadable, so not made from these inputs either
+        record = {}
+    if record.get("key") != key:
         raise ConfigError(
-            f"{origin} was produced under config hash {found!r}, current is "
-            f"{config.config_hash!r}; pass --allow-mixed to override"
+            f"{path} was made from other inputs than this config's (key "
+            f"{record.get('key')!r}, expected {key!r}); re-run `o2olab {command}`"
         )
+    return record
+
+
+def _is_current(path: Path, key: str) -> bool:
+    try:
+        _require_current(path, key, "")
+    except (ConfigError, MissingInputError):
+        return False
+    return True
 
 
 # --- stage: gen-data ---
@@ -328,61 +370,54 @@ def cmd_gen_data(config: ExperimentConfig, force: bool = False) -> Path:
         dataset = generate_mixed_dataset(
             config.env, config.behavior, seed=config.dataset_seed, reference=reference
         )
-    save_dataset(dataset, paths.dataset, extra_header={"config_hash": config.config_hash})
-    _mark_stage(paths, config, STAGE_GEN_DATA)
+    save_dataset(dataset, paths.dataset, extra_header={"key": dataset_key(config)})
     return paths.dataset
-
-
-def _check_dataset_header(config: ExperimentConfig, allow_mixed: bool = False) -> Path:
-    """The dataset's path, once its header shows it was made under this
-    config's hash; reads only the header line."""
-    paths = Paths(config)
-    _require_stage(paths, STAGE_GEN_DATA)
-    with open(paths.dataset, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-    _check_hash(config, header.get("config_hash"), str(paths.dataset), allow_mixed)
-    return paths.dataset
-
-
-def _load_pipeline_dataset(config: ExperimentConfig, allow_mixed: bool = False) -> OfflineDataset:
-    return load_dataset(_check_dataset_header(config, allow_mixed))
 
 
 # --- stage: pretrain ---
 
 
-def _pretrain_one(config: ExperimentConfig, dataset: OfflineDataset, seed: int):
-    """Pretrain and evaluate one seed; returns (mean, per_episode)."""
+def _pretrain_one(
+    config: ExperimentConfig,
+    seed: int,
+    reference: ReferenceScores,
+    dataset: OfflineDataset | None,
+):
+    """Evaluate one seed's checkpoint, first training and saving it when
+    ``dataset`` is given; returns (mean, per_episode)."""
     paths = Paths(config)
-    train_seed = stable_seed("pretrain", seed)
-    if config.pretrain_kind == PRETRAIN_OFFLINE_RL:
-        agent = offline_rl_pretrain(
-            dataset, config.pretrain_steps, config.pretrain_beta, train_seed, config.hyper
-        )
+    if dataset is None:
+        agent = load_agent(paths.checkpoint(seed))
     else:
-        actor = bc_pretrain(dataset, config.pretrain_steps, train_seed, config.hyper)
-        critic = fqe(actor, dataset, config.resolved_fqe_steps, train_seed, config.hyper)
-        agent = agent_from_bc_fqe(actor, critic, config.hyper)
-    save_agent(
-        agent,
-        paths.checkpoint(seed),
-        beta=config.pretrain_beta,
-        extra={"config_hash": config.config_hash, "seed": seed},
-    )
+        train_seed = stable_seed("pretrain", seed)
+        if config.pretrain_kind == PRETRAIN_OFFLINE_RL:
+            agent = offline_rl_pretrain(
+                dataset, config.pretrain_steps, config.pretrain_beta, train_seed, config.hyper
+            )
+        else:
+            actor = bc_pretrain(dataset, config.pretrain_steps, train_seed, config.hyper)
+            critic = fqe(actor, dataset, config.resolved_fqe_steps, train_seed, config.hyper)
+            agent = agent_from_bc_fqe(actor, critic, config.hyper)
+        save_agent(
+            agent,
+            paths.checkpoint(seed),
+            beta=config.pretrain_beta,
+            extra={"key": checkpoint_key(config, seed), "seed": seed},
+        )
     result = evaluate_policy(
         policy_fn(agent),
         config.env,
-        dataset.reference,
+        reference,
         episodes=config.finetune.eval_episodes,
         seed=stable_seed("pretrain-eval", seed),
     )
     return result.mean, result.per_episode
 
 
-def _pretrain_worker(config_dict: dict, seed: int):
+def _pretrain_worker(config_dict: dict, seed: int, reference: ReferenceScores, train: bool):
     config = ExperimentConfig.from_dict(config_dict)
-    dataset = _cached_dataset(str(Paths(config).dataset))
-    return seed, _pretrain_one(config, dataset, seed)
+    dataset = _cached_dataset(str(Paths(config).dataset)) if train else None
+    return seed, _pretrain_one(config, seed, reference, dataset)
 
 
 _DATASETS: dict[str, OfflineDataset] = {}
@@ -437,55 +472,66 @@ def _process_pool(jobs: int) -> cf.ProcessPoolExecutor:
 
 
 def cmd_pretrain(config: ExperimentConfig, jobs: int = 1, force: bool = False) -> Path:
+    """Train every seed whose checkpoint is missing or stale (every seed with
+    ``force``), then evaluate all seeds into ``pretrain/eval.json``. The
+    dataset is parsed only when a seed trains."""
     paths = Paths(config)
-    dataset = _load_pipeline_dataset(config)
-    if paths.pretrain_eval.exists() and stage_done(paths, STAGE_PRETRAIN) and not force:
+    header = _require_current(paths.dataset, dataset_key(config), "gen-data --force")
+    train = [
+        seed
+        for seed in config.seeds
+        if force
+        or not _is_current(paths.checkpoint(seed) / MANIFEST_FILE, checkpoint_key(config, seed))
+    ]
+    if not train and _is_current(paths.pretrain_eval, eval_key(config)):
         return paths.pretrain_eval
+    reference = ReferenceScores.from_dict(header["reference"])
     results: dict[int, tuple[float, list[float]]] = {}
     if jobs > 1:
         with _process_pool(jobs) as pool:
             futures = [
-                pool.submit(_pretrain_worker, config.to_dict(), seed) for seed in config.seeds
+                pool.submit(_pretrain_worker, config.to_dict(), seed, reference, seed in train)
+                for seed in config.seeds
             ]
             for fut in cf.as_completed(futures):
                 seed, payload = fut.result()
                 results[seed] = payload
     else:
+        dataset = load_dataset(paths.dataset) if train else None
         for seed in config.seeds:
-            results[seed] = _pretrain_one(config, dataset, seed)
+            results[seed] = _pretrain_one(
+                config, seed, reference, dataset if seed in train else None
+            )
     record = {
-        "config_hash": config.config_hash,
+        "key": eval_key(config),
         "episodes": config.finetune.eval_episodes,
         "seeds": list(config.seeds),
         "means": [results[s][0] for s in config.seeds],
         "per_episode": [results[s][1] for s in config.seeds],
     }
     write_json_atomic(paths.pretrain_eval, record)
-    _mark_stage(paths, config, STAGE_PRETRAIN)
     return paths.pretrain_eval
 
 
 # --- stage: classify ---
 
 
-def cmd_classify(config: ExperimentConfig, allow_mixed: bool = False) -> Path:
+def cmd_classify(config: ExperimentConfig) -> Path:
     paths = Paths(config)
-    _require_stage(paths, STAGE_PRETRAIN)
-    dataset = _load_pipeline_dataset(config, allow_mixed)
-    record = read_json(paths.pretrain_eval)
-    _check_hash(config, record.get("config_hash"), str(paths.pretrain_eval), allow_mixed)
+    record = _require_current(paths.pretrain_eval, eval_key(config), "pretrain")
+    _require_current(paths.dataset, dataset_key(config), "gen-data --force")
+    dataset = load_dataset(paths.dataset)
     policy_stats = SampleStats.from_values(record["means"])
     per_traj, data_mean = dataset_return(dataset)
     data_stats = SampleStats.from_values(per_traj)
     label = tost_classify(policy_stats, data_stats, config.tost_delta, config.tost_alpha)
     payload = {
-        "config_hash": config.config_hash,
+        "key": classify_key(config),
         **label.to_dict(),
         "policy": {"mean": policy_stats.mean, "std": policy_stats.std, "n": policy_stats.n},
         "data": {"mean": data_stats.mean, "std": data_stats.std, "n": data_stats.n},
     }
     write_json_atomic(paths.classify, payload)
-    _mark_stage(paths, config, STAGE_CLASSIFY)
     return paths.classify
 
 
@@ -498,15 +544,18 @@ def run_seed_for(config_seed: int, method: str, seed_index: int) -> int:
     return stable_seed("run", config_seed, method, seed_index)
 
 
+def _method_finetune(config: ExperimentConfig, method: str) -> FinetuneConfig:
+    return FinetuneConfig(**{**config.finetune.to_dict(), "method": method})
+
+
 def _finetune_one(config: ExperimentConfig, dataset: OfflineDataset, method: str, seed: int):
     paths = Paths(config)
     agent = load_agent(paths.checkpoint(seed))
-    ft = FinetuneConfig(**{**config.finetune.to_dict(), "method": method})
     env = make_env(config.env)
     run_seed = run_seed_for(seed, method, config.seeds.index(seed))
-    log, _ = run_finetune(env, dataset, agent, ft, seed=run_seed)
+    log, _ = run_finetune(env, dataset, agent, _method_finetune(config, method), seed=run_seed)
     payload = {
-        "config_hash": config.config_hash,
+        "key": run_key(config, method, seed),
         "config_seed": seed,
         "run_seed": run_seed,
         **log.to_dict(),
@@ -531,11 +580,11 @@ def _finetune_worker(config_dict: dict, method: str, seed: int):
     return _finetune_one(config, dataset, method, seed)
 
 
-def _valid_run_file(path: Path, config: ExperimentConfig) -> bool:
+def _valid_run_file(path: Path, key: str) -> bool:
     try:
         data = read_json(path)
         RunLog.from_dict(data)
-        return data.get("config_hash") == config.config_hash
+        return data.get("key") == key
     except (json.JSONDecodeError, KeyError, TypeError, ValueError):
         return False
 
@@ -551,20 +600,28 @@ def _quarantine(path: Path) -> None:
 
 
 def cmd_finetune(config: ExperimentConfig, jobs: int = 1, force: bool = False) -> list[Path]:
+    """Run every method x seed whose run file is missing or stale (every one
+    with ``force``). The dataset is parsed only when a run is left to do, and
+    under ``jobs > 1`` only in the pool's workers."""
     paths = Paths(config)
-    _require_stage(paths, STAGE_CLASSIFY)  # prediction recorded before outcomes
-    dataset = _load_pipeline_dataset(config)
+    # the regime prediction is recorded before any outcome
+    _require_current(paths.classify, classify_key(config), "classify")
+    _require_current(paths.dataset, dataset_key(config), "gen-data --force")
     todo = []
     for method in config.methods:
         (paths.finetune_dir / method).mkdir(parents=True, exist_ok=True)
         for seed in config.seeds:
             run_file = paths.run_file(method, seed)
             if run_file.exists():
-                if not force and _valid_run_file(run_file, config):
+                if not force and _valid_run_file(run_file, run_key(config, method, seed)):
                     continue
                 if not force:
                     _quarantine(run_file)
             todo.append((method, seed))
+    for seed in dict.fromkeys(seed for _, seed in todo):
+        _require_current(
+            paths.checkpoint(seed) / MANIFEST_FILE, checkpoint_key(config, seed), "pretrain"
+        )
     if jobs > 1 and todo:
         with _process_pool(jobs) as pool:
             futures = [
@@ -572,10 +629,10 @@ def cmd_finetune(config: ExperimentConfig, jobs: int = 1, force: bool = False) -
             ]
             for fut in cf.as_completed(futures):
                 fut.result()
-    else:
+    elif todo:
+        dataset = load_dataset(paths.dataset)
         for method, seed in todo:
             _finetune_one(config, dataset, method, seed)
-    _mark_stage(paths, config, STAGE_FINETUNE)
     return [paths.run_file(m, s) for m in config.methods for s in config.seeds]
 
 
@@ -606,19 +663,15 @@ def _curve_stats(curves: list[EvalCurve]) -> dict:
     }
 
 
-def cmd_report(
-    config: ExperimentConfig, allow_mixed: bool = False, map_inconclusive: str | None = None
-) -> Path:
+def cmd_report(config: ExperimentConfig, map_inconclusive: str | None = None) -> Path:
     """Analyse the finished runs. ``map_inconclusive`` overrides the
-    config's mapping of an Inconclusive regime; like every report knob it is
-    not part of the config hash the artifacts were produced under."""
+    config's mapping of an Inconclusive regime; like every report knob it
+    feeds no artifact key."""
     if map_inconclusive not in (None, MAP_COMPARABLE, MAP_DROP):
         raise ConfigError("map_inconclusive must be 'comparable' or 'drop'")
     paths = Paths(config)
-    _require_stage(paths, STAGE_FINETUNE)
-    _check_dataset_header(config, allow_mixed)
-    classify = read_json(paths.classify)
-    _check_hash(config, classify.get("config_hash"), str(paths.classify), allow_mixed)
+    _require_current(paths.dataset, dataset_key(config), "gen-data --force")
+    classify = _require_current(paths.classify, classify_key(config), "classify")
     data_mean = classify["data"]["mean"]  # dataset_return's mean, recorded by classify
 
     runs: dict[str, dict[int, RunLog]] = {}
@@ -631,13 +684,14 @@ def cmd_report(
             if not run_file.exists():
                 missing.append(f"{method}/seed_{seed}")
                 continue
-            data = read_json(run_file)
-            _check_hash(config, data.get("config_hash"), str(run_file), allow_mixed)
+            data = _require_current(run_file, run_key(config, method, seed), "finetune")
             log = RunLog.from_dict(data)
             if log.aborted:
                 aborted.append(f"{method}/seed_{seed}")
                 continue
             runs[method][seed] = log
+    if len(missing) == len(config.methods) * len(config.seeds):
+        raise MissingInputError(f"no run files under {paths.finetune_dir}; run `o2olab finetune`")
 
     methods_report = {}
     last_k_lists: dict[str, list[list[float]]] = {}
@@ -685,7 +739,6 @@ def cmd_report(
     mapped = _mapped_regime(classify["label"], map_inconclusive or config.map_inconclusive)
     analysis = {
         "setting": config.setting,
-        "config_hash": config.config_hash,
         "regime": {**{k: classify[k] for k in ("label", "p_lower", "p_upper", "mean_diff", "delta", "alpha")}, "mapped": mapped},
         "dataset_score": classify["data"],
         "pretrained_score": classify["policy"],
@@ -725,7 +778,6 @@ def cmd_report(
             f"{d['prior']!r},{d['stability']!r},{d['plasticity']!r},{d['final']!r}"
         )
     write_text_atomic(paths.report_dir / "summary.csv", "\n".join(summary) + "\n")
-    _mark_stage(paths, config, STAGE_REPORT)
     return paths.analysis
 
 

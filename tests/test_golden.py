@@ -1,11 +1,15 @@
 """Pinned artifacts of tiny full pipelines.
 
-Each pipeline runs in its own working directory with a relative ``out_dir``,
-so the config hash, and with it every artifact, does not depend on where the
-test runs. The digests were recorded from the reference implementation; a
-refactor of the numerical code must reproduce them bit for bit. They assume
-IEEE float64 numpy on x86-64 with OpenBLAS; another BLAS build may round
-matrix products differently.
+Each pipeline runs in its own working directory with a relative ``out_dir``.
+No artifact key covers ``out_dir``, so the artifacts do not depend on where
+the test runs. The digests of the CSV files were recorded from the reference
+implementation; a refactor of the numerical code must reproduce them bit
+for bit. ``dataset.jsonl``, ``pretrain/eval.json``, ``classify.json`` and
+``report/analysis.json`` also carry provenance (the artifact's input key, or
+none for the analysis), so their digests change whenever that provenance
+does; their other content matches the reference. The digests assume IEEE
+float64 numpy on x86-64 with OpenBLAS; another BLAS build may round matrix
+products differently.
 """
 
 import contextlib
@@ -23,9 +27,9 @@ OUT_DIR = "runs/golden"
 GOLDEN = {
     "offline_rl": {
         "classify.json":
-            "976ddcb556959b2ad9be0461b8979cfb7befbfc001b56674a0f321515c1a2a25",
+            "69791ca068f623a11429a69aba10252b26fa3ae9b3cbe3340e06a5b4a3538fff",
         "dataset.jsonl":
-            "aa2d6a0cd898d3afcd966270c699bbf762cd04b85ac4a0dadc37129e94a7332e",
+            "a1395511444ed43ea6767bb6e1c309d76774ca5879f665009004711e3fc531c9",
         "finetune/baseline/seed_0.csv":
             "7f28d1574a4556151fb1831575f3d7f3cbd44962e8918ba9737a7bc1acc6470f",
         "finetune/baseline/seed_1.csv":
@@ -51,9 +55,9 @@ GOLDEN = {
         "finetune/warmup/seed_1.csv":
             "8202937c32a1e857fa108481e4a29aa3ca8a4e42155741f8b5f689c34b6a7c7d",
         "pretrain/eval.json":
-            "a233bdb3340f21e8fb40cd07a9b4118d1460ef5404018cb11b0de0ece66e39ee",
+            "887237fc581ff3c5da4dc36f6ee143ae68a310ca182950641fe481074c1ec9be",
         "report/analysis.json":
-            "8b18976ece41492b07f1b2449d2545593b5bf33d84c276f9bfbe45f67388be6d",
+            "2e1379c96f988a1bb5cb249f3c4e4d4c6734e2a98084b595266831ad9b5056db",
         "report/curve_baseline.csv":
             "4dcd703d213d8b0c4a8dcd8970d6928656c28a9b1b23af814424cc38b82abf10",
         "report/curve_mixed.csv":
@@ -71,9 +75,9 @@ GOLDEN = {
     },
     "bc_fqe": {
         "classify.json":
-            "c0ba0834bc1c0489f35be01c6ce58b1111b5ca0d2e55d8d414e40521dae7e58d",
+            "4484bb9bd2c187b2e8d1ad10f0667d2886093be98f776f4aabd8dc70838297e1",
         "dataset.jsonl":
-            "625e32dc60ad31836d02a4bae08c285aa4200a71cd65bfdde3bd19459af5e680",
+            "a1395511444ed43ea6767bb6e1c309d76774ca5879f665009004711e3fc531c9",
         "finetune/baseline/seed_0.csv":
             "4824fdf4d4b5c1e99f8818ce3a983b5a79c80994c5809c33f703a6b4fb6110ce",
         "finetune/baseline/seed_1.csv":
@@ -99,9 +103,9 @@ GOLDEN = {
         "finetune/warmup/seed_1.csv":
             "d32513a86217908deee95f3be8e710675abd2899a679754adad96df4e524375e",
         "pretrain/eval.json":
-            "df4754de7c759f756b9fad69f9d477be4a693bec7c2132569db5de0c29be6adb",
+            "0cdb6a959f73bdfe58a81cf1e0c0732ab2a85b65bf7343f0b1183cb29cb88133",
         "report/analysis.json":
-            "be8312612b7bdba070044bf878cc36e119673b030fa319864364f38a046e0560",
+            "c4453b76723c29924a2d6438f7d4c7773e3e04998f8e545de1baefa3bdb07ac6",
         "report/curve_baseline.csv":
             "785df63caf0ffbee3c5ce818c99383b06fb47bc85c40da08fa60c46ffa3b9922",
         "report/curve_mixed.csv":

@@ -19,7 +19,6 @@ from o2olab.metrics import (
     EvalPoint,
     SampleStats,
     compare_classes,
-    confusion_matrix,
     decompose,
     iqm,
     offline_baseline,
@@ -378,20 +377,20 @@ def test_confusion_matrix_table_counts():
 
 def test_confusion_matrix_all_correct():
     pairs = [(SUPERIOR, WIN_POLICY), (COMPARABLE, WIN_TIE), (INFERIOR, WIN_DATA)]
-    m = confusion_matrix(pairs * 3)
+    m = ConfusionMatrix.from_pairs(pairs * 3)
     assert m.accuracy == 1.0
     assert m.opposite_rate == 0.0
 
 
 def test_confusion_matrix_single_opposite():
-    m = confusion_matrix([(SUPERIOR, WIN_DATA)])
+    m = ConfusionMatrix.from_pairs([(SUPERIOR, WIN_DATA)])
     assert m.accuracy == 0.0
     assert m.opposite_rate == 1.0
 
 
 def test_confusion_matrix_rejects_inconclusive():
     with pytest.raises(ValueError):
-        confusion_matrix([(INCONCLUSIVE, WIN_TIE)])
+        ConfusionMatrix.from_pairs([(INCONCLUSIVE, WIN_TIE)])
 
 
 def test_confusion_matrix_bad_shape():

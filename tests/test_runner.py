@@ -1,13 +1,19 @@
 import ctypes
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
 
 from o2olab import cli, runner
 from o2olab.data import load_dataset
+from o2olab.envs import BehaviorSpec, env_spec
 from o2olab.errors import ConfigError, MissingInputError
 from o2olab.fsio import read_json
+
+
+FINETUNE = {"total_env_steps": 120, "warmup_steps": 30, "eval_every": 10, "eval_episodes": 2}
 
 
 def tiny_config_dict(tmp_path, **overrides):
@@ -22,12 +28,7 @@ def tiny_config_dict(tmp_path, **overrides):
         "agent": {"hidden": [8, 8], "batch": 16},
         "methods": ["baseline", "warmup", "o2o_reg", "replay", "replay_reset", "mixed"],
         "seeds": [0, 1],
-        "finetune": {
-            "total_env_steps": 120,
-            "warmup_steps": 30,
-            "eval_every": 10,
-            "eval_episodes": 2,
-        },
+        "finetune": FINETUNE,
         "reference_episodes": 10,
         "last_k": 10,
         "out_dir": str(tmp_path / "runs" / "tiny-dense"),
@@ -44,7 +45,17 @@ def config(tmp_path):
 def test_config_round_trip(tmp_path):
     config = runner.ExperimentConfig.from_dict(tiny_config_dict(tmp_path))
     again = runner.ExperimentConfig.from_dict(config.to_dict())
-    assert again.config_hash == config.config_hash
+    assert again == config
+
+
+def test_config_defaults_come_from_the_dataclass():
+    config = runner.ExperimentConfig.from_dict({
+        "setting": "s",
+        "env": {"kind": "pendulum"},
+        "behavior": {"kind": "expert", "n_traj": 3},
+    })
+    expected = runner.ExperimentConfig("s", env_spec("pendulum"), [(BehaviorSpec("expert"), 3)])
+    assert config == expected
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -88,6 +99,10 @@ def test_stage_order_enforced(config):
         runner.cmd_finetune(config)
     with pytest.raises(MissingInputError):
         runner.cmd_report(config)
+    runner.cmd_pretrain(config)
+    runner.cmd_classify(config)
+    with pytest.raises(MissingInputError, match="o2olab finetune"):
+        runner.cmd_report(config)  # no run file yet
 
 
 def test_pipeline_end_to_end(config):
@@ -95,7 +110,7 @@ def test_pipeline_end_to_end(config):
     eval_path = runner.cmd_pretrain(config)
     record = read_json(eval_path)
     assert len(record["means"]) == len(config.seeds)
-    assert record["config_hash"] == config.config_hash
+    assert record["key"] == runner.eval_key(config)
 
     classify_path = runner.cmd_classify(config)
     classify = read_json(classify_path)
@@ -107,7 +122,7 @@ def test_pipeline_end_to_end(config):
     for f in run_files:
         assert f.exists()
         data = read_json(f)
-        assert data["config_hash"] == config.config_hash
+        assert data["key"] == runner.run_key(config, data["method"], data["config_seed"])
         assert data["run_seed"] == runner.run_seed_for(
             data["config_seed"], data["method"], config.seeds.index(data["config_seed"])
         )
@@ -121,6 +136,7 @@ def test_pipeline_end_to_end(config):
     # curve CSVs exist for every method
     for method in config.methods:
         assert (runner.Paths(config).report_dir / f"curve_{method}.csv").exists()
+    assert not (runner.Paths(config).root / "manifest.json").exists()
 
 
 def test_finetune_resume_preserves_files(config):
@@ -153,13 +169,13 @@ def test_report_hash_guard(config, tmp_path):
     runner.cmd_classify(config)
     runner.cmd_finetune(config)
     runner.cmd_report(config)
-    # a config change invalidates recorded hashes
+    # a changed fine-tuning input makes every run file stale
     changed = runner.ExperimentConfig.from_dict(
-        tiny_config_dict(tmp_path, last_k=9)
+        tiny_config_dict(tmp_path, finetune={**FINETUNE, "total_env_steps": 100})
     )
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="re-run `o2olab finetune`") as exc:
         runner.cmd_report(changed)
-    runner.cmd_report(changed, allow_mixed=True)
+    assert "allow" not in str(exc.value)
 
 
 def test_report_reads_no_dataset_rows(config, monkeypatch):
@@ -180,11 +196,13 @@ def test_report_checks_dataset_header_hash(config):
     dataset = runner.Paths(config).dataset
     lines = dataset.read_text().splitlines(keepends=True)
     header = json.loads(lines[0])
-    header["config_hash"] = "0" * 12
+    header["key"] = "0" * 12
     dataset.write_text(json.dumps(header, sort_keys=True) + "\n" + "".join(lines[1:]))
-    with pytest.raises(ConfigError, match="dataset.jsonl"):
-        runner.cmd_report(config)
-    runner.cmd_report(config, allow_mixed=True)
+    for stage in (runner.cmd_pretrain, runner.cmd_classify, runner.cmd_finetune,
+                  runner.cmd_report):
+        with pytest.raises(ConfigError, match="dataset.jsonl") as exc:
+            stage(config)
+        assert "gen-data --force" in str(exc.value) and "allow" not in str(exc.value)
 
 
 def test_pipeline_deterministic_analysis(tmp_path):
@@ -194,12 +212,7 @@ def test_pipeline_deterministic_analysis(tmp_path):
             tiny_config_dict(tmp_path, out_dir=str(tmp_path / name))
         )
         runner.run_pipeline(cfg)
-        text = (runner.Paths(cfg).analysis).read_text()
-        # out_dir differs between the two runs; strip it before comparing
-        data = json.loads(text)
-        data.pop("config_hash")
-        analyses.append(json.dumps({k: v for k, v in data.items() if k != "setting"},
-                                   sort_keys=True))
+        analyses.append(runner.Paths(cfg).analysis.read_bytes())
     assert analyses[0] == analyses[1]
 
 
@@ -214,9 +227,7 @@ def test_parallel_matches_serial(tmp_path):
         runner.cmd_classify(cfg)
         runner.cmd_finetune(cfg, jobs=jobs)
         runner.cmd_report(cfg)
-        data = read_json(runner.Paths(cfg).analysis)
-        data.pop("config_hash")
-        outputs.append(json.dumps(data, sort_keys=True))
+        outputs.append(runner.Paths(cfg).analysis.read_bytes())
     assert outputs[0] == outputs[1]
 
 
@@ -226,6 +237,136 @@ def test_aggregate_matrix(config, tmp_path):
     result = runner.aggregate_matrix([analysis, analysis])
     assert result["matrix"]["total"] == 2
     assert "correct" in result["summary"]
+
+
+# --- per-artifact keys on a finished pipeline ---
+
+
+@pytest.fixture(scope="module")
+def finished(tmp_path_factory):
+    """The output tree of one finished tiny pipeline."""
+    base = tmp_path_factory.mktemp("finished")
+    config = runner.ExperimentConfig.from_dict(tiny_config_dict(base))
+    runner.run_pipeline(config)
+    return runner.Paths(config).root
+
+
+def copy_of(finished, tmp_path, **overrides):
+    """A config, with ``overrides``, whose out_dir is a fresh copy of the
+    finished tree."""
+    root = tmp_path / "copy"
+    shutil.copytree(finished, root)
+    return runner.ExperimentConfig.from_dict(
+        tiny_config_dict(tmp_path, out_dir=str(root), **overrides)
+    )
+
+
+def snapshot(root):
+    """(bytes, mtime_ns) of every file under ``root``."""
+    return {
+        p.relative_to(root).as_posix(): (p.read_bytes(), p.stat().st_mtime_ns)
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+def run_stages(config):
+    runner.cmd_pretrain(config)
+    runner.cmd_classify(config)
+    runner.cmd_finetune(config)
+    runner.cmd_report(config)
+
+
+def test_changed_tost_reruns_only_classify(finished, tmp_path):
+    config = copy_of(finished, tmp_path, tost={"delta": 0.1, "alpha": 0.05})
+    root = runner.Paths(config).root
+    before = snapshot(root)
+    run_stages(config)
+    after = snapshot(root)
+    assert sorted(after) == sorted(before)
+    changed = sorted(name for name in before if before[name] != after[name])
+    assert [n for n in changed if not n.startswith("report/")] == ["classify.json"]
+    classify = read_json(root / "classify.json")
+    assert (classify["key"], classify["delta"]) == (runner.classify_key(config), 0.1)
+
+
+def test_changed_finetune_input_reruns_only_the_runs(finished, tmp_path):
+    config = copy_of(finished, tmp_path, finetune={**FINETUNE, "total_env_steps": 100})
+    root = runner.Paths(config).root
+    before = snapshot(root)
+    run_stages(config)
+    after = snapshot(root)
+    for name in before:
+        if name == "dataset.jsonl" or name.startswith("pretrain/"):
+            assert after[name] == before[name], name
+    for method in config.methods:
+        for seed in config.seeds:
+            name = f"finetune/{method}/seed_{seed}.json"
+            assert after[name][0] != before[name][0]
+            assert read_json(root / name)["key"] == runner.run_key(config, method, seed)
+
+
+def test_appending_a_seed_keeps_dataset_and_runs(finished, tmp_path):
+    config = copy_of(finished, tmp_path, seeds=[0, 1, 2])
+    root = runner.Paths(config).root
+    before = snapshot(root)
+    old_means = read_json(root / "pretrain" / "eval.json")["means"]
+    runner.run_pipeline(config)
+    after = snapshot(root)
+    kept = [n for n in before
+            if n == "dataset.jsonl" or n.startswith(("finetune/", "pretrain/seed_"))]
+    assert kept and all(after[n] == before[n] for n in kept)
+    record = read_json(root / "pretrain" / "eval.json")
+    assert record["means"][:2] == old_means  # re-evaluated from the kept checkpoints
+    assert all(f"finetune/{m}/seed_2.json" in after for m in config.methods)
+    assert read_json(runner.Paths(config).analysis)["completeness"]["completed_runs"] == 18
+
+
+def test_stale_pretrain_eval_is_redone(finished, tmp_path):
+    config = copy_of(finished, tmp_path)
+    paths = runner.Paths(config)
+    before = snapshot(paths.root)
+    record = read_json(paths.pretrain_eval)
+    record["key"] = "0" * 12
+    paths.pretrain_eval.write_text(json.dumps(record))
+    runner.cmd_pretrain(config)  # checkpoints are current: only re-evaluated
+    after = snapshot(paths.root)
+    assert after["pretrain/eval.json"][0] == before["pretrain/eval.json"][0]
+    assert all(after[n] == before[n] for n in before if n.startswith("pretrain/seed_"))
+
+    fewer_steps = {"kind": "offline_rl", "steps": 50, "beta": 0.4}
+    changed = runner.ExperimentConfig.from_dict(
+        tiny_config_dict(tmp_path, out_dir=str(paths.root), pretrain=fewer_steps)
+    )
+    runner.cmd_pretrain(changed)  # stale checkpoints: retrained
+    retrained = snapshot(paths.root)
+    for seed in config.seeds:
+        name = f"pretrain/seed_{seed}/params.npy"
+        assert retrained[name][0] != before[name][0]
+    assert read_json(paths.pretrain_eval)["key"] == runner.eval_key(changed)
+
+
+def test_stages_parse_the_dataset_only_when_they_have_work(finished, tmp_path, monkeypatch):
+    config = copy_of(finished, tmp_path)
+    paths = runner.Paths(config)
+    real_load, parent, parsed = runner.load_dataset, os.getpid(), []
+
+    def counting_load(path):
+        if os.getpid() == parent:  # pool workers parse for themselves
+            parsed.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(runner, "load_dataset", counting_load)
+    runner.cmd_pretrain(config)
+    runner.cmd_finetune(config)
+    assert parsed == []  # nothing left to do
+    runner.cmd_pretrain(config, jobs=2, force=True)
+    paths.run_file("baseline", 0).unlink()
+    runner.cmd_finetune(config, jobs=2)
+    assert parsed == []  # only the workers parsed
+    assert paths.run_file("baseline", 0).exists()
+    runner.cmd_pretrain(config, force=True)
+    assert parsed == [paths.dataset]
 
 
 # --- CLI surface ---
@@ -262,6 +403,31 @@ def test_cli_full_pipeline(tmp_path, capsys):
     (out_dir / "pretrain" / "seed_0" / "params.npy").unlink()
     assert cli.main(["finetune", "--config", str(cfg_path), "--force"]) == 2
     assert "pretrain --force" in capsys.readouterr().err
+
+
+def test_cli_report_ignores_report_knobs_and_out_dir(finished, tmp_path):
+    copied = copy_of(finished, tmp_path)
+    cfg_path = _write_config(tmp_path, {"out_dir": str(copied.root), "last_k": 5})
+    assert cli.main(["report", "--config", str(cfg_path)]) == 0
+    plain = _write_config(tmp_path, {"out_dir": str(copied.root)})
+    assert cli.main(["report", "--config", str(plain)]) == 0
+    assert runner.Paths(copied).analysis.read_bytes() == (
+        finished / "report" / "analysis.json"
+    ).read_bytes()
+
+
+def test_cli_finetune_refuses_a_checkpoint_with_another_key(finished, tmp_path, capsys):
+    copied = copy_of(finished, tmp_path)
+    manifest = copied.root / "pretrain" / "seed_0" / "manifest.json"
+    record = read_json(manifest)
+    record["key"] = "0" * 12
+    manifest.write_text(json.dumps(record))
+    runs_before = snapshot(copied.root / "finetune")
+    cfg_path = _write_config(tmp_path, {"out_dir": str(copied.root)})
+    assert cli.main(["finetune", "--config", str(cfg_path), "--force"]) == 1
+    err = capsys.readouterr().err
+    assert "seed_0" in err and "o2olab pretrain" in err and "allow" not in err
+    assert snapshot(copied.root / "finetune") == runs_before
 
 
 def _pool_worker_blas_threads() -> int:
