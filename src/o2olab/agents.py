@@ -136,17 +136,24 @@ def act(
     explore: bool = False,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Deterministic actor output, plus clipped Gaussian noise when exploring."""
-    a = nn.forward(agent.actor, np.asarray(obs, dtype=np.float64)[None, :])[0]
+    """Deterministic actor output, plus clipped Gaussian noise when exploring.
+
+    ``obs`` is one observation (obs_dim,) or a stack of rows (rows,
+    obs_dim); the result has the same leading shape. Each row runs as its
+    own (1, obs_dim) slice, so a row's action equals ``act`` on that row
+    alone, bit for bit.
+    """
+    a = nn.forward(agent.actor, np.asarray(obs, dtype=np.float64)[..., None, :])[..., 0, :]
     if explore:
         if rng is None:
             raise ValueError("explore=True requires an rng")
         a = a + rng.normal(0.0, agent.hyper.explore_noise, size=a.shape)
-    return np.clip(a, -1.0, 1.0)
+    return np.minimum(np.maximum(a, -1.0), 1.0)  # np.clip, bit for bit, faster
 
 
 def policy_fn(agent: Td3Agent):
-    """The agent's evaluation policy (no exploration noise)."""
+    """The agent's evaluation policy (no exploration noise), on one
+    observation or a stack of rows (see ``act``)."""
     return lambda obs: act(agent, obs, explore=False)
 
 

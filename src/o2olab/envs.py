@@ -3,6 +3,12 @@
 Two families: a 2-D point-mass goal reacher (sparse or dense reward) and a
 torque-limited pendulum swing-up. Both are deterministic given a reset
 seed; all randomness flows through numpy Generators.
+
+A policy is a callable on observations. ``run_episode`` (dataset
+generation, reference scores) calls it on one observation at a time;
+``evaluate_policy`` steps its episodes in lockstep and calls it once per
+step on a stack of observation rows, expecting one action row back per
+row, computed row by row.
 """
 
 from __future__ import annotations
@@ -78,7 +84,7 @@ class _Env:
             raise ShapeError(
                 f"expected action of shape ({self.spec.action_dim},), got {a.shape}"
             )
-        a = np.clip(a, -1.0, 1.0)
+        a = np.minimum(np.maximum(a, -1.0), 1.0)  # np.clip, bit for bit, faster
         self._t += 1
         obs, reward, terminated = self._transition(a)
         truncated = self._t >= self.spec.horizon and not terminated
@@ -114,10 +120,12 @@ class PointGoalEnv(_Env):
 
     def _transition(self, action):
         noise = self._rng.normal(0.0, self.NOISE_SIGMA, size=2)
-        self._pos = np.clip(
-            self._pos + self.STEP_GAIN * action + noise, self.ARENA_LO, self.ARENA_HI
+        self._pos = np.minimum(
+            np.maximum(self._pos + self.STEP_GAIN * action + noise, self.ARENA_LO),
+            self.ARENA_HI,
         )
-        dist = float(np.linalg.norm(self._pos - self.GOAL))
+        d = self._pos - self.GOAL
+        dist = math.sqrt(d.dot(d))  # what np.linalg.norm computes for a float vector
         at_goal = dist <= self.GOAL_RADIUS
         if self.spec.kind == POINT_GOAL_SPARSE:
             reward = 1.0 if at_goal else 0.0
@@ -168,8 +176,8 @@ class PendulumEnv(_Env):
             + 0.001 * torque**2
         )
         accel = 3.0 * g / (2.0 * l) * math.sin(self._theta) + 3.0 * torque / (m * l * l)
-        self._theta_dot = float(
-            np.clip(self._theta_dot + accel * dt, -self.MAX_SPEED, self.MAX_SPEED)
+        self._theta_dot = min(
+            max(self._theta_dot + accel * dt, -self.MAX_SPEED), self.MAX_SPEED
         )
         self._theta = self._theta + self._theta_dot * dt
         return self._obs(), reward, False
@@ -342,14 +350,37 @@ def evaluate_policy(
     episodes: int,
     seed: int,
 ) -> PolicyEvaluation:
-    """Normalized undiscounted return of a policy over seeded episodes."""
+    """Normalized undiscounted return of a policy over seeded episodes.
+
+    The episodes run in lockstep, one env each: at every step ``policy``
+    gets the (live, obs_dim) stack of the observations of the episodes
+    still running, in episode order, and returns one action row per
+    observation row. It must act on each row alone, so that an episode's
+    actions do not depend on which other episodes are live (as
+    ``agents.act`` does). Each return is summed in its episode's own step
+    order, so the scores equal those of one ``run_episode`` per episode.
+    """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    env = make_env(spec)
-    scores = []
-    for i in range(episodes):
-        _, raw = run_episode(env, policy, seed=stable_seed("eval-episode", seed, i))
-        scores.append(reference.normalize(raw))
+    envs = [make_env(spec) for _ in range(episodes)]
+    obs = [env.reset(stable_seed("eval-episode", seed, i)) for i, env in enumerate(envs)]
+    raw = [0.0] * episodes
+    live = list(range(episodes))
+    while live:
+        actions = np.asarray(policy(np.stack([obs[i] for i in live])), dtype=np.float64)
+        if actions.shape[:1] != (len(live),):
+            raise ShapeError(
+                f"expected {len(live)} action rows from the policy, got shape {actions.shape}"
+            )
+        running = []
+        for i, action in zip(live, actions):
+            res = envs[i].step(action)
+            raw[i] += res.reward
+            obs[i] = res.next_obs
+            if not res.done:
+                running.append(i)
+        live = running
+    scores = [reference.normalize(r) for r in raw]
     return PolicyEvaluation(scores, float(np.mean(scores)))
 
 

@@ -170,15 +170,22 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
 
 def _check_input(net: DenseNet, inputs: np.ndarray) -> np.ndarray:
     x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.in_dim:
+    if x.ndim < 2 or x.shape[-1] != net.in_dim:
         raise ShapeError(
-            f"expected input of shape (batch, {net.in_dim}), got {x.shape}"
+            f"expected input of shape (..., batch, {net.in_dim}), got {x.shape}"
         )
     return x
 
 
 def forward(net: DenseNet, inputs: np.ndarray, cache: list | None = None) -> np.ndarray:
-    """Apply the network to a (batch, in_dim) matrix.
+    """Apply the network to a (batch, in_dim) matrix, or to a stack of such
+    matrices with leading slice axes, e.g. (rows, 1, in_dim).
+
+    The rows of one (batch, in_dim) matrix go through one matrix product,
+    whose rounding can differ from a single-row forward's in the last bits.
+    The slices of a stack are each multiplied alone, so a (rows, 1, in_dim)
+    stack gives every row exactly its single-row output; ``agents.act``
+    relies on this.
 
     When ``cache`` is a list, the input and every layer's activation are
     appended to it, in order, for ``backward``.

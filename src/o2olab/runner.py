@@ -580,13 +580,14 @@ def _finetune_worker(config_dict: dict, method: str, seed: int):
     return _finetune_one(config, dataset, method, seed)
 
 
-def _valid_run_file(path: Path, key: str) -> bool:
+def _read_run_file(path: Path) -> dict | None:
+    """The run file's record, or None when it is not a readable run log."""
     try:
         data = read_json(path)
         RunLog.from_dict(data)
-        return data.get("key") == key
+        return data
     except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-        return False
+        return None
 
 
 def _quarantine(path: Path) -> None:
@@ -601,8 +602,10 @@ def _quarantine(path: Path) -> None:
 
 def cmd_finetune(config: ExperimentConfig, jobs: int = 1, force: bool = False) -> list[Path]:
     """Run every method x seed whose run file is missing or stale (every one
-    with ``force``). The dataset is parsed only when a run is left to do, and
-    under ``jobs > 1`` only in the pool's workers."""
+    with ``force``). A stale run file is overwritten in place; only an
+    unreadable one is first renamed ``seed_<s>.json.corrupt-<n>``. The
+    dataset is parsed only when a run is left to do, and under ``jobs > 1``
+    only in the pool's workers."""
     paths = Paths(config)
     # the regime prediction is recorded before any outcome
     _require_current(paths.classify, classify_key(config), "classify")
@@ -612,11 +615,12 @@ def cmd_finetune(config: ExperimentConfig, jobs: int = 1, force: bool = False) -
         (paths.finetune_dir / method).mkdir(parents=True, exist_ok=True)
         for seed in config.seeds:
             run_file = paths.run_file(method, seed)
-            if run_file.exists():
-                if not force and _valid_run_file(run_file, run_key(config, method, seed)):
-                    continue
-                if not force:
+            if run_file.exists() and not force:
+                data = _read_run_file(run_file)
+                if data is None:
                     _quarantine(run_file)
+                elif data.get("key") == run_key(config, method, seed):
+                    continue
             todo.append((method, seed))
     for seed in dict.fromkeys(seed for _, seed in todo):
         _require_current(

@@ -13,6 +13,7 @@ from o2olab.agents import (
     load_agent,
     make_td3_agent,
     offline_rl_pretrain,
+    policy_fn,
     reset_parameters,
     save_agent,
     td3_update,
@@ -24,8 +25,17 @@ from o2olab.data import (
     TransitionBatch,
     generate_dataset,
 )
-from o2olab.envs import BehaviorSpec, ReferenceScores, compute_reference_scores, env_spec
-from o2olab.errors import MissingInputError, NumericError
+from o2olab.envs import (
+    BehaviorSpec,
+    ReferenceScores,
+    compute_reference_scores,
+    env_spec,
+    evaluate_policy,
+    make_env,
+    run_episode,
+)
+from o2olab.errors import MissingInputError, NumericError, ShapeError
+from o2olab.seeding import stable_seed
 
 from test_data import trajectories
 from test_nn import param_grad
@@ -85,6 +95,66 @@ def test_act_deterministic_and_clipped():
     for _ in range(100):
         noisy = act(agent, obs, explore=True, rng=rng)
         assert np.all(np.abs(noisy) <= 1.0)
+
+
+@pytest.mark.parametrize("obs_dim,action_dim", [(3, 1), (4, 2)])
+@pytest.mark.parametrize("hidden", [(32, 32), (64, 64)])
+def test_act_on_rows_equals_act_per_row(obs_dim, action_dim, hidden):
+    agent = make_td3_agent(obs_dim, action_dim, Td3Hyper(hidden=hidden), seed=2)
+    rows = np.random.default_rng(3).normal(0.0, 4.0, size=(17, obs_dim))
+    got = act(agent, rows)
+    assert got.shape == (17, action_dim)
+    assert np.array_equal(got, np.stack([act(agent, r) for r in rows]))
+
+
+def steer_to_goal(agent):
+    """Make a point-goal actor head for the goal: its first four hidden
+    units per layer carry relu(+-(goal - pos)), and the output adds them with
+    a large gain to the other units' random contribution scaled by 0.1. The
+    sparse reward's episodes then end at the goal, at different steps."""
+    w, b = agent.actor.weights, agent.actor.biases
+    w[0][:4] = 0.0
+    w[0][[0, 1, 2, 3], [2, 2, 3, 3]] = [1.0, -1.0, 1.0, -1.0]
+    b[0][:4] = 0.0
+    for l in range(1, len(w) - 1):
+        w[l][:4] = 0.0
+        w[l][:4, :4] = np.eye(4)
+        b[l][:4] = 0.0
+    w[-1] *= 0.1
+    w[-1][:, :4] = [[3.0, -3.0, 0.0, 0.0], [0.0, 0.0, 3.0, -3.0]]
+    return agent
+
+
+@pytest.mark.parametrize("kind", ["pendulum", "point_goal_dense", "point_goal_sparse"])
+@pytest.mark.parametrize("hidden", [(32, 32), (64, 64)])
+def test_evaluate_policy_equals_sequential_episodes(kind, hidden):
+    # the lockstep evaluation against one run_episode per episode, each on
+    # single observations: scores must agree exactly
+    spec = env_spec(kind)
+    ref = ReferenceScores(kind, -1000.0, -100.0, 1, 0)
+    agent = make_td3_agent(spec.obs_dim, spec.action_dim, Td3Hyper(hidden=hidden), seed=6)
+    if kind != "pendulum":
+        steer_to_goal(agent)
+    episodes, seed = 12, 31
+    lengths, want = set(), []
+    for i in range(episodes):
+        steps, raw = run_episode(
+            make_env(spec), policy_fn(agent), seed=stable_seed("eval-episode", seed, i)
+        )
+        lengths.add(len(steps))
+        want.append(ref.normalize(raw))
+    if kind == "point_goal_sparse":
+        assert len(lengths) > 1  # episodes drop out of the lockstep at different steps
+    got = evaluate_policy(policy_fn(agent), spec, ref, episodes, seed)
+    assert got.per_episode == want
+    assert got.mean == float(np.mean(want))
+
+
+def test_evaluate_policy_rejects_wrong_action_rows():
+    spec = env_spec("pendulum")
+    ref = ReferenceScores("pendulum", -1000.0, -100.0, 1, 0)
+    with pytest.raises(ShapeError):
+        evaluate_policy(lambda obs: np.zeros(1), spec, ref, episodes=3, seed=0)
 
 
 def test_act_zero_noise_equals_deterministic():

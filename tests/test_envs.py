@@ -259,15 +259,21 @@ def test_reference_scores_point_sparse():
     assert ref.random_return < 0.2
 
 
+def rows_policy(policy):
+    """A per-observation policy as the row-stack policy evaluate_policy
+    calls, applied row by row."""
+    return lambda obs: np.stack([policy(o) for o in obs])
+
+
 def test_evaluate_policy_normalization_identity(pendulum_reference):
     spec = env_spec("pendulum")
     rng = np.random.default_rng(1)
-    expert = behavior_policy(BehaviorSpec("expert"), spec, rng)
+    expert = rows_policy(behavior_policy(BehaviorSpec("expert"), spec, rng))
     result = evaluate_policy(expert, spec, pendulum_reference, episodes=20, seed=3)
     assert result.mean == pytest.approx(1.0, abs=0.35)
 
-    random_pol = behavior_policy(BehaviorSpec("uniform_random"), spec,
-                                 np.random.default_rng(2))
+    random_pol = rows_policy(behavior_policy(BehaviorSpec("uniform_random"), spec,
+                                             np.random.default_rng(2)))
     result = evaluate_policy(random_pol, spec, pendulum_reference, episodes=20, seed=3)
     assert result.mean == pytest.approx(0.0, abs=0.35)
 
@@ -278,8 +284,8 @@ def test_evaluate_policy_deterministic(pendulum_reference):
     def policy(obs):
         return np.array([0.3])
 
-    a = evaluate_policy(policy, spec, pendulum_reference, episodes=5, seed=9)
-    b = evaluate_policy(policy, spec, pendulum_reference, episodes=5, seed=9)
+    a = evaluate_policy(rows_policy(policy), spec, pendulum_reference, episodes=5, seed=9)
+    b = evaluate_policy(rows_policy(policy), spec, pendulum_reference, episodes=5, seed=9)
     assert a.per_episode == b.per_episode
     assert a.mean == b.mean
 
@@ -296,9 +302,11 @@ def test_normalized_anchors_on_fresh_seeds():
     for kind in ("point_goal_sparse", "pendulum"):
         spec = env_spec(kind)
         ref = compute_reference_scores(spec, seed=0, episodes=60)
-        expert = behavior_policy(BehaviorSpec("expert"), spec, np.random.default_rng(7))
-        rand = behavior_policy(BehaviorSpec("uniform_random"), spec,
-                               np.random.default_rng(8))
+        expert = rows_policy(
+            behavior_policy(BehaviorSpec("expert"), spec, np.random.default_rng(7))
+        )
+        rand = rows_policy(behavior_policy(BehaviorSpec("uniform_random"), spec,
+                                           np.random.default_rng(8)))
         e = evaluate_policy(expert, spec, ref, episodes=40, seed=1234)
         r = evaluate_policy(rand, spec, ref, episodes=40, seed=4321)
         assert e.mean >= 0.9, kind

@@ -113,6 +113,21 @@ def test_forward_width_mismatch():
     net = nn.init_net((3, 2), seed=0)
     with pytest.raises(ShapeError):
         nn.forward(net, np.zeros((1, 4)))
+    with pytest.raises(ShapeError):
+        nn.forward(net, np.zeros((5, 1, 4)))  # leading slice axes, wrong last axis
+    with pytest.raises(ShapeError):
+        nn.forward(net, np.zeros(3))  # one row needs a batch axis
+
+
+def test_forward_slices_equal_single_rows():
+    # (rows, 1, in) slices are multiplied one by one, so each row's output
+    # is bit-identical to a single-row forward of that row
+    net = nn.init_net((4, 32, 32, 2), "relu", "tanh", seed=5)
+    x = np.random.default_rng(1).normal(0.0, 3.0, size=(13, 4))
+    single = np.stack([nn.forward(net, row[None, :])[0] for row in x])
+    sliced = nn.forward(net, x[:, None, :])
+    assert sliced.shape == (13, 1, 2)
+    assert np.array_equal(sliced[:, 0, :], single)
 
 
 # --- backward ---

@@ -163,6 +163,22 @@ def test_finetune_quarantines_corrupt_logs(config):
     read_json(victim)  # regenerated and valid
 
 
+def test_finetune_overwrites_stale_logs_in_place(config, tmp_path):
+    # a run file made from other inputs is stale, not corrupt: it is
+    # rewritten under its own name and nothing is quarantined
+    runner.run_pipeline(config)
+    changed = runner.ExperimentConfig.from_dict(
+        tiny_config_dict(tmp_path, finetune={**FINETUNE, "total_env_steps": 100})
+    )
+    runner.cmd_finetune(changed)
+    paths = runner.Paths(changed)
+    assert list(paths.finetune_dir.rglob("*.corrupt-*")) == []
+    for method in changed.methods:
+        for seed in changed.seeds:
+            run = read_json(paths.run_file(method, seed))
+            assert run["key"] == runner.run_key(changed, method, seed)
+
+
 def test_report_hash_guard(config, tmp_path):
     runner.cmd_gen_data(config)
     runner.cmd_pretrain(config)
