@@ -16,7 +16,7 @@ import numpy as np
 from . import nn
 from .data import OfflineDataset, ReplayBuffer, TransitionBatch
 from .errors import MissingInputError, NumericError
-from .fsio import read_json, write_json_atomic, write_npy_atomic
+from .fsio import MANIFEST_FILE, read_json, write_json_atomic, write_npy_atomic
 from .seeding import rng_for
 
 
@@ -340,7 +340,6 @@ def offline_rl_pretrain(
 # --- checkpoints ---
 
 PARAMS_FILE = "params.npy"
-MANIFEST_FILE = "manifest.json"
 
 
 def _state_arrays(agent: Td3Agent) -> list[np.ndarray]:

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: gen-data, pretrain, classify, finetune, report, matrix.
-Exit codes: 0 success, 1 usage/config error, 2 missing inputs, 3 numeric
-failure.
+Exit codes: 0 success, 1 usage/config error, 2 missing or damaged inputs,
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import runner
-from .errors import ConfigError, MissingInputError, NumericError
+from .errors import ConfigError, DatasetFormatError, MissingInputError, NumericError
 from .metrics import ConfusionMatrix
 
 EXIT_OK = 0
@@ -97,7 +97,7 @@ def _cmd_matrix(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    runner._single_thread_blas()
+    runner._configure_process()
     try:
         if args.command == "gen-data":
             path = runner.cmd_gen_data(_load_config(args), force=args.force)
@@ -122,6 +122,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except MissingInputError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
+        return EXIT_MISSING
+    except DatasetFormatError as exc:
+        print(f"damaged dataset: {exc}; re-run `o2olab gen-data --force`", file=sys.stderr)
         return EXIT_MISSING
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -5,18 +5,18 @@ action, reward, next_obs, terminated, truncated), one row per transition,
 with trajectory offsets into the rows. Replay buffers are filled from the
 columns by array copies.
 
-On disk a dataset is JSON lines: a header object followed by one object
-per transition. Floats go through ``repr`` so a save/load round trip is
-bit-exact. Loading parses the file in chunks of lines straight into the
-columns.
+On disk a dataset is a directory: one ``.npy`` file per column (the
+offsets too) and a ``manifest.json`` holding the env, behavior, reference
+scores, sizes and the per-trajectory normalized returns. ``np.save`` is
+exact and byte-deterministic, so a save/load round trip is bit-exact and
+two saves of one dataset are byte-identical. The manifest is written last,
+so a directory without one is an interrupted save.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
-import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .envs import (
     run_episode,
 )
 from .errors import DatasetFormatError, EmptyBufferError, ShapeError
+from .fsio import MANIFEST_FILE, read_json, write_json_atomic, write_npy_atomic
 from .seeding import rng_for, stable_seed
 
 
@@ -333,233 +334,129 @@ def _behavior_from_json(data):
     return [(BehaviorSpec.from_dict(d), int(d["n_traj"])) for d in data]
 
 
-def _header_dict(dataset: OfflineDataset, extra: dict | None) -> dict:
-    header = {
+def _column_layout(n_transitions: int, n_traj: int, env: EnvSpec) -> dict:
+    """Shape and dtype of each column file, by column name."""
+    n = n_transitions
+    return {
+        "obs": ((n, env.obs_dim), np.dtype(np.float64)),
+        "action": ((n, env.action_dim), np.dtype(np.float64)),
+        "reward": ((n,), np.dtype(np.float64)),
+        "next_obs": ((n, env.obs_dim), np.dtype(np.float64)),
+        "terminated": ((n,), np.dtype(bool)),
+        "truncated": ((n,), np.dtype(bool)),
+        "offsets": ((n_traj + 1,), np.dtype(np.int64)),
+    }
+
+
+def save_dataset(dataset: OfflineDataset, directory, extra: dict | None = None) -> None:
+    """Write each column to ``directory/<name>.npy``, then ``manifest.json``
+    (plus ``extra``). The old manifest is removed first, so an interrupted
+    save leaves a directory that no load accepts."""
+    directory = Path(directory)
+    per_traj, _ = dataset_return(dataset)
+    layout = _column_layout(dataset.n_transitions, dataset.n_traj, dataset.env)
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / MANIFEST_FILE).unlink(missing_ok=True)
+    for name, (_, dtype) in layout.items():
+        column = np.ascontiguousarray(getattr(dataset, name), dtype)
+        write_npy_atomic(directory / f"{name}.npy", column)
+    manifest = {
         "env": dataset.env.to_dict(),
         "obs_dim": dataset.env.obs_dim,
         "action_dim": dataset.env.action_dim,
         "n_traj": dataset.n_traj,
+        "n_transitions": dataset.n_transitions,
         "behavior": _behavior_to_json(dataset.behavior),
         "reference": dataset.reference.to_dict(),
+        "returns": per_traj.tolist(),  # dataset_return's sample, for classify
+        **(extra or {}),
     }
-    if extra:
-        header.update(extra)
-    return header
+    write_json_atomic(directory / MANIFEST_FILE, manifest)
 
 
-def save_dataset(dataset: OfflineDataset, path, extra_header: dict | None = None) -> None:
-    """Write header + one JSON object per transition; atomic via rename."""
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    encode = json.JSONEncoder(sort_keys=True).encode
-    traj = np.repeat(np.arange(dataset.n_traj), np.diff(dataset.offsets))
-    rows = zip(
-        traj.tolist(),
-        dataset.obs.tolist(),
-        dataset.action.tolist(),
-        dataset.reward.tolist(),
-        dataset.next_obs.tolist(),
-        dataset.terminated.tolist(),
-        dataset.truncated.tolist(),
-    )
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(encode(_header_dict(dataset, extra_header)))
-        fh.write("\n")
-        for t_idx, obs, action, reward, next_obs, terminated, truncated in rows:
-            row = {
-                "traj": t_idx,
-                "obs": obs,
-                "action": action,
-                "reward": reward,
-                "next_obs": next_obs,
-                "terminated": terminated,
-                "truncated": truncated,
-            }
-            fh.write(encode(row))
-            fh.write("\n")
-    os.replace(tmp, path)
-
-
-# Characters of file text parsed at a time: a load holds one chunk's lines
-# and parsed rows on top of the columns, never the whole file.
-_CHUNK_CHARS = 1 << 20
-
-_DECODER = json.JSONDecoder()
-
-
-def _line_chunks(fh):
-    """The lines of ``fh`` as ``str.splitlines`` splits the whole text, in
-    lists of about ``_CHUNK_CHARS`` characters."""
-    while True:
-        block = fh.readlines(_CHUNK_CHARS)
-        if not block:
-            return
-        # a block ends at a line break, so splitting it splits the file there
-        yield "".join(block).splitlines()
-
-
-def _parse_object(line_no: int, text: str) -> dict:
+def _read_manifest(directory: Path) -> dict:
+    """The manifest, with ``env``, ``behavior`` and ``reference`` parsed,
+    once its dims match its env and it holds one return per trajectory."""
+    path = directory / MANIFEST_FILE
     try:
-        value = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"invalid JSON: {exc.msg}", line=line_no) from exc
-    if not isinstance(value, dict):
-        raise DatasetFormatError("expected a JSON object", line=line_no)
-    return value
-
-
-def _rows_fast(lines: list[str], obs_dim: int, action_dim: int, n_traj: int):
-    """Columns (traj, obs, action, reward, next_obs, terminated, truncated)
-    of ``lines`` when every line is one JSON object holding a transition in
-    the form ``save_dataset`` writes; None when any line is not, and the
-    caller must check the lines one by one."""
-    decode = _DECODER.raw_decode
-    try:
-        rows = []
-        for text in lines:
-            row, end = decode(text)
-            if end != len(text):
-                return None
-            rows.append(row)
-        traj = np.array([row["traj"] for row in rows])
-        obs = np.array([row["obs"] for row in rows], dtype=np.float64)
-        action = np.array([row["action"] for row in rows], dtype=np.float64)
-        reward = np.array([row["reward"] for row in rows])
-        next_obs = np.array([row["next_obs"] for row in rows], dtype=np.float64)
-        terminated = np.array([row["terminated"] for row in rows])
-        truncated = np.array([row["truncated"] for row in rows])
-    except (KeyError, TypeError, ValueError):  # JSONDecodeError is a ValueError
-        return None
-    n = len(rows)
-    if (
-        traj.dtype.kind != "i"
-        or reward.dtype.kind not in "fi"
-        or terminated.dtype != bool
-        or truncated.dtype != bool
-        or obs.shape != (n, obs_dim)
-        or next_obs.shape != (n, obs_dim)
-        or action.shape != (n, action_dim)
-        or traj.min() < 0
-        or traj.max() >= n_traj
-    ):
-        return None
-    return traj, obs, action, reward.astype(np.float64), next_obs, terminated, truncated
-
-
-def _rows_by_line(
-    lines: list[str], first_line: int, obs_dim: int, action_dim: int, n_traj: int
-):
-    """The columns of ``lines`` as ``_rows_fast`` gives them, checking one
-    line at a time; raises DatasetFormatError at the first bad line."""
-    columns = [[] for _ in range(7)]
-    for line_no, text in enumerate(lines, start=first_line):
-        if not text.strip():
-            raise DatasetFormatError("blank line inside dataset", line=line_no)
-        row = _parse_object(line_no, text)
-        try:
-            values = (
-                int(row["traj"]),
-                np.asarray(row["obs"], dtype=np.float64),
-                np.asarray(row["action"], dtype=np.float64),
-                float(row["reward"]),
-                np.asarray(row["next_obs"], dtype=np.float64),
-                bool(row["terminated"]),
-                bool(row["truncated"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetFormatError(f"bad transition: {exc}", line=line_no) from exc
-        t_idx, obs, action, _, next_obs, _, _ = values
-        if obs.shape != (obs_dim,) or next_obs.shape != (obs_dim,):
-            raise DatasetFormatError(
-                f"observation width does not match header obs_dim={obs_dim}",
-                line=line_no,
-            )
-        if action.shape != (action_dim,):
-            raise DatasetFormatError(
-                f"action width does not match header action_dim={action_dim}",
-                line=line_no,
-            )
-        if not 0 <= t_idx < n_traj:
-            raise DatasetFormatError(
-                f"trajectory index {t_idx} outside [0, {n_traj})", line=line_no
-            )
-        for column, value in zip(columns, values):
-            column.append(value)
-    traj, obs, action, reward, next_obs, terminated, truncated = columns
-    return (
-        np.array(traj, dtype=np.int64),
-        np.array(obs, dtype=np.float64).reshape(-1, obs_dim),
-        np.array(action, dtype=np.float64).reshape(-1, action_dim),
-        np.array(reward, dtype=np.float64),
-        np.array(next_obs, dtype=np.float64).reshape(-1, obs_dim),
-        np.array(terminated, dtype=bool),
-        np.array(truncated, dtype=bool),
-    )
-
-
-def load_dataset(path) -> OfflineDataset:
-    """Parse a dataset file into columns; raises DatasetFormatError before
-    returning anything partial.
-
-    The file is parsed in chunks of lines straight into the columns. Rows
-    are grouped by their ``traj`` index, in file order within a trajectory.
-    """
-    with open(path, encoding="utf-8") as fh:
-        chunks = _line_chunks(fh)
-        first = next(chunks, [])
-        if not first:
-            raise DatasetFormatError("empty dataset file", line=1)
-
-        header = _parse_object(1, first[0])
-        for key in ("env", "obs_dim", "action_dim", "n_traj", "behavior", "reference"):
-            if key not in header:
-                raise DatasetFormatError(f"header missing {key!r}", line=1)
-        spec = env_spec(header["env"]["kind"], header["env"].get("horizon"))
-        obs_dim = int(header["obs_dim"])
-        action_dim = int(header["action_dim"])
-        if (obs_dim, action_dim) != (spec.obs_dim, spec.action_dim):
-            raise DatasetFormatError(
-                f"header dims ({obs_dim}, {action_dim}) do not match environment "
-                f"{spec.kind} ({spec.obs_dim}, {spec.action_dim})",
-                line=1,
-            )
-        n_traj = int(header["n_traj"])
-        behavior = _behavior_from_json(header["behavior"])
-        reference = ReferenceScores.from_dict(header["reference"])
-
-        parts = [_rows_by_line([], 2, obs_dim, action_dim, n_traj)]  # empty, shaped
-        line_no = 2  # of the chunk's first line
-        for lines in itertools.chain([first[1:]], chunks):
-            if lines:
-                part = _rows_fast(lines, obs_dim, action_dim, n_traj)
-                if part is None:
-                    part = _rows_by_line(lines, line_no, obs_dim, action_dim, n_traj)
-                parts.append(part)
-            line_no += len(lines)
-
-    traj, obs, action, reward, next_obs, terminated, truncated = (
-        np.concatenate(column) for column in zip(*parts)
-    )
-    counts = np.bincount(traj, minlength=max(n_traj, 0))
-    if not counts.all():
+        manifest = read_json(path)
+        env = env_spec(manifest["env"]["kind"], manifest["env"].get("horizon"))
+        parsed = {
+            **manifest,
+            "env": env,
+            "behavior": _behavior_from_json(manifest["behavior"]),
+            "reference": ReferenceScores.from_dict(manifest["reference"]),
+            "n_traj": int(manifest["n_traj"]),
+            "n_transitions": int(manifest["n_transitions"]),
+        }
+        dims = (int(manifest["obs_dim"]), int(manifest["action_dim"]))
+        n_returns = len(manifest["returns"])
+    except FileNotFoundError:
+        raise DatasetFormatError(f"{path} is missing (an interrupted save?)") from None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"{path} is unreadable: {exc!r}") from None
+    if dims != (env.obs_dim, env.action_dim):
         raise DatasetFormatError(
-            f"trajectory {int(np.argmin(counts))} has no transitions (truncated file?)",
-            line=line_no - 1,
+            f"{path}: dims {dims} do not match environment {env.kind} "
+            f"({env.obs_dim}, {env.action_dim})"
         )
-    if np.any(traj[1:] < traj[:-1]):
-        order = np.argsort(traj, kind="stable")
-        obs, action, reward, next_obs, terminated, truncated = (
-            column[order] for column in (obs, action, reward, next_obs, terminated, truncated)
+    if parsed["n_traj"] < 1 or n_returns != parsed["n_traj"]:
+        raise DatasetFormatError(
+            f"{path}: {n_returns} returns for {parsed['n_traj']} trajectories"
         )
+    return parsed
+
+
+def _read_columns(directory: Path, manifest: dict, mmap_mode: str | None) -> dict:
+    """Every column, once its shape and dtype match the manifest and the
+    offsets split the rows into non-empty trajectories. With ``mmap_mode``
+    "r" the files are mapped, not read."""
+    n = manifest["n_transitions"]
+    layout = _column_layout(n, manifest["n_traj"], manifest["env"])
+    columns = {}
+    for name, (shape, dtype) in layout.items():
+        path = directory / f"{name}.npy"
+        try:
+            column = np.load(path, mmap_mode=mmap_mode, allow_pickle=False)
+        except FileNotFoundError:
+            raise DatasetFormatError(f"{path} is missing") from None
+        except (OSError, ValueError, EOFError) as exc:
+            raise DatasetFormatError(f"{path} is unreadable: {exc}") from None
+        if column.shape != shape or column.dtype != dtype:
+            raise DatasetFormatError(
+                f"{path} holds {column.dtype} {column.shape}, expected {dtype} {shape}"
+            )
+        columns[name] = column
+    offsets = columns["offsets"]
+    if offsets[0] != 0 or offsets[-1] != n:
+        raise DatasetFormatError(
+            f"offsets run from {offsets[0]} to {offsets[-1]}, expected 0 to {n} transitions"
+        )
+    lengths = np.diff(offsets)
+    if lengths.min() < 0:
+        raise DatasetFormatError(f"offsets decrease at trajectory {int(np.argmin(lengths))}")
+    if lengths.min() == 0:
+        raise DatasetFormatError(f"trajectory {int(np.argmin(lengths))} has no transitions")
+    return columns
+
+
+def read_manifest(directory) -> dict:
+    """The manifest of the dataset in ``directory`` once the columns agree
+    with it, without reading any row; raises DatasetFormatError."""
+    directory = Path(directory)
+    manifest = _read_manifest(directory)
+    _read_columns(directory, manifest, mmap_mode="r")
+    return manifest
+
+
+def load_dataset(directory) -> OfflineDataset:
+    """The dataset in ``directory``; raises DatasetFormatError when a file
+    is missing or disagrees with the manifest."""
+    directory = Path(directory)
+    manifest = _read_manifest(directory)
     return OfflineDataset(
-        obs=obs,
-        action=action,
-        reward=reward,
-        next_obs=next_obs,
-        terminated=terminated,
-        truncated=truncated,
-        offsets=np.cumsum([0, *counts.tolist()], dtype=np.int64),
-        env=spec,
-        behavior=behavior,
-        reference=reference,
+        **_read_columns(directory, manifest, mmap_mode=None),
+        env=manifest["env"],
+        behavior=manifest["behavior"],
+        reference=manifest["reference"],
     )

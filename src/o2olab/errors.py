@@ -14,13 +14,8 @@ class EmptyBufferError(RuntimeError):
 
 
 class DatasetFormatError(ValueError):
-    """A dataset file is malformed; carries the 1-based offending line."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    """A dataset directory is damaged: a file is missing, or its columns or
+    manifest disagree."""
 
 
 class ConfigError(ValueError):

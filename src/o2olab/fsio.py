@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 
+# the JSON half of every artifact stored as ``.npy`` arrays plus a manifest
+MANIFEST_FILE = "manifest.json"
+
 
 def write_json_atomic(path, payload) -> None:
     path = Path(path)

@@ -197,6 +197,28 @@ def student_t_cdf(t: float, dof: float) -> float:
     return upper if t > 0 else 1.0 - upper
 
 
+def student_t_ppf(p: float, dof: float) -> float:
+    """Quantile of Student's t with ``dof`` degrees of freedom: the t at
+    which ``student_t_cdf`` reaches ``p``, by bisection to float precision."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must be in (0, 1), got {p}")
+    if p == 0.5:
+        return 0.0
+    if p < 0.5:
+        return -student_t_ppf(1.0 - p, dof)
+    lo, hi = 0.0, 1.0
+    while student_t_cdf(hi, dof) < p:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if student_t_cdf(mid, dof) < p:
+            lo = mid
+        else:
+            hi = mid
+
+
 # --- Welch tests and regime classification ---
 
 

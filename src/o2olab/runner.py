@@ -3,7 +3,7 @@
 
 Directory layout under the setting's output directory:
 
-    dataset.jsonl
+    dataset/<column>.npy    dataset/manifest.json
     pretrain/seed_<s>/...   pretrain/eval.json
     classify.json
     finetune/<method>/seed_<s>.json (+ .csv eval curve)
@@ -20,7 +20,10 @@ key of each artifact it is made from is chained into its own:
 
 A stage skips work whose artifact already has the expected key. An input
 that does not exist is a MissingInputError (exit 2); one with another key is
-a ConfigError (exit 1) that names the command remaking it. ``setting``,
+a ConfigError (exit 1) that names the command remaking it. Every stage
+checks the dataset's columns against its manifest without reading rows (a
+DatasetFormatError, exit 2); only training loads the rows, and classify
+takes the dataset's per-trajectory returns from the manifest. ``setting``,
 ``out_dir``, the selection of methods and seeds, and the report knobs
 (``last_k``, ``map_inconclusive``) feed no key, so changing them
 invalidates nothing.
@@ -41,7 +44,6 @@ from pathlib import Path
 import numpy as np
 
 from .agents import (
-    MANIFEST_FILE,
     Td3Hyper,
     agent_from_bc_fqe,
     bc_pretrain,
@@ -53,10 +55,10 @@ from .agents import (
 )
 from .data import (
     OfflineDataset,
-    dataset_return,
     generate_dataset,
     generate_mixed_dataset,
     load_dataset,
+    read_manifest,
     save_dataset,
 )
 from .envs import (
@@ -78,7 +80,7 @@ from .finetune import (
     last_k_eval_stat,
     run_finetune,
 )
-from .fsio import read_json, write_json_atomic, write_text_atomic
+from .fsio import MANIFEST_FILE, read_json, write_json_atomic, write_text_atomic
 from .metrics import (
     COMPARABLE,
     INCONCLUSIVE,
@@ -88,6 +90,7 @@ from .metrics import (
     SampleStats,
     compare_classes,
     decompose,
+    student_t_ppf,
     tost_classify,
 )
 from .seeding import stable_seed
@@ -256,7 +259,7 @@ class Paths:
     def __init__(self, config: ExperimentConfig):
         root = config.root
         self.root = root
-        self.dataset = root / "dataset.jsonl"
+        self.dataset = root / "dataset"
         self.pretrain_dir = root / "pretrain"
         self.pretrain_eval = root / "pretrain" / "eval.json"
         self.classify = root / "classify.json"
@@ -319,17 +322,11 @@ def run_key(config: ExperimentConfig, method: str, seed: int) -> str:
     })
 
 
-def _record(path: Path) -> dict:
-    """An artifact's JSON record: the whole file, or the dataset's header line."""
-    with open(path, encoding="utf-8") as fh:
-        return json.loads(fh.readline() if path.suffix == ".jsonl" else fh.read())
-
-
 def _require_current(path: Path, key: str, command: str) -> dict:
     """``path``'s record, once its key shows it was made from this config's
     inputs; ``command`` is the o2olab command that (re)makes it."""
     try:
-        record = _record(path)
+        record = read_json(path)
     except FileNotFoundError:
         raise MissingInputError(f"{path} does not exist; run `o2olab {command}`") from None
     except ValueError:  # unreadable, so not made from these inputs either
@@ -348,6 +345,14 @@ def _is_current(path: Path, key: str) -> bool:
     except (ConfigError, MissingInputError):
         return False
     return True
+
+
+def _dataset_manifest(config: ExperimentConfig) -> dict:
+    """The dataset's manifest (see ``data.read_manifest``), once its key
+    shows it was made from this config's inputs; reads no rows."""
+    dataset = Paths(config).dataset
+    _require_current(dataset / MANIFEST_FILE, dataset_key(config), "gen-data --force")
+    return read_manifest(dataset)
 
 
 # --- stage: gen-data ---
@@ -370,7 +375,7 @@ def cmd_gen_data(config: ExperimentConfig, force: bool = False) -> Path:
         dataset = generate_mixed_dataset(
             config.env, config.behavior, seed=config.dataset_seed, reference=reference
         )
-    save_dataset(dataset, paths.dataset, extra_header={"key": dataset_key(config)})
+    save_dataset(dataset, paths.dataset, extra={"key": dataset_key(config)})
     return paths.dataset
 
 
@@ -452,8 +457,7 @@ def _openblas_function(name: str):
 
 
 def _single_thread_blas() -> None:
-    """Run BLAS on one thread in this process: every CLI stage process and
-    every pool worker (as the pool's initializer) calls it.
+    """Run BLAS on one thread in this process.
 
     The matmuls here are small. In pool workers, OpenBLAS's own threads
     would put more threads than cores to work (pretraining took 6x longer
@@ -467,16 +471,48 @@ def _single_thread_blas() -> None:
         fn(1)
 
 
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Let glibc's malloc reuse freed memory rather than hand it back to the
+    system; no effect without glibc.
+
+    A TD3 update at batch 256 x (64, 64) allocates several temporaries of
+    128 KiB and more. At glibc's starting thresholds each is mapped and
+    unmapped, or the heap top is trimmed and regrown, on every update: a
+    200-update pendulum pretrain took 137k page faults, against 6k and
+    three quarters of the time with these settings. Memory under 4 MiB
+    comes from the heap, and the heap keeps up to 64 MiB free at its top."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+def _configure_process() -> None:
+    """Every CLI stage process and every pool worker (as the pool's
+    initializer) calls this first."""
+    _single_thread_blas()
+    _keep_freed_memory()
+
+
 def _process_pool(jobs: int) -> cf.ProcessPoolExecutor:
-    return cf.ProcessPoolExecutor(max_workers=jobs, initializer=_single_thread_blas)
+    return cf.ProcessPoolExecutor(max_workers=jobs, initializer=_configure_process)
 
 
 def cmd_pretrain(config: ExperimentConfig, jobs: int = 1, force: bool = False) -> Path:
     """Train every seed whose checkpoint is missing or stale (every seed with
     ``force``), then evaluate all seeds into ``pretrain/eval.json``. The
-    dataset is parsed only when a seed trains."""
+    dataset's rows are loaded only when a seed trains."""
     paths = Paths(config)
-    header = _require_current(paths.dataset, dataset_key(config), "gen-data --force")
+    reference = _dataset_manifest(config)["reference"]
     train = [
         seed
         for seed in config.seeds
@@ -485,7 +521,6 @@ def cmd_pretrain(config: ExperimentConfig, jobs: int = 1, force: bool = False) -
     ]
     if not train and _is_current(paths.pretrain_eval, eval_key(config)):
         return paths.pretrain_eval
-    reference = ReferenceScores.from_dict(header["reference"])
     results: dict[int, tuple[float, list[float]]] = {}
     if jobs > 1:
         with _process_pool(jobs) as pool:
@@ -517,13 +552,12 @@ def cmd_pretrain(config: ExperimentConfig, jobs: int = 1, force: bool = False) -
 
 
 def cmd_classify(config: ExperimentConfig) -> Path:
+    """Label the regime from the pretrain means and the dataset's
+    per-trajectory returns, read from its manifest."""
     paths = Paths(config)
     record = _require_current(paths.pretrain_eval, eval_key(config), "pretrain")
-    _require_current(paths.dataset, dataset_key(config), "gen-data --force")
-    dataset = load_dataset(paths.dataset)
     policy_stats = SampleStats.from_values(record["means"])
-    per_traj, data_mean = dataset_return(dataset)
-    data_stats = SampleStats.from_values(per_traj)
+    data_stats = SampleStats.from_values(_dataset_manifest(config)["returns"])
     label = tost_classify(policy_stats, data_stats, config.tost_delta, config.tost_alpha)
     payload = {
         "key": classify_key(config),
@@ -604,12 +638,12 @@ def cmd_finetune(config: ExperimentConfig, jobs: int = 1, force: bool = False) -
     """Run every method x seed whose run file is missing or stale (every one
     with ``force``). A stale run file is overwritten in place; only an
     unreadable one is first renamed ``seed_<s>.json.corrupt-<n>``. The
-    dataset is parsed only when a run is left to do, and under ``jobs > 1``
-    only in the pool's workers."""
+    dataset's rows are loaded only when a run is left to do, and under
+    ``jobs > 1`` only in the pool's workers."""
     paths = Paths(config)
     # the regime prediction is recorded before any outcome
     _require_current(paths.classify, classify_key(config), "classify")
-    _require_current(paths.dataset, dataset_key(config), "gen-data --force")
+    _dataset_manifest(config)
     todo = []
     for method in config.methods:
         (paths.finetune_dir / method).mkdir(parents=True, exist_ok=True)
@@ -652,18 +686,21 @@ def _mapped_regime(label: str, policy: str) -> str | None:
 
 
 def _curve_stats(curves: list[EvalCurve]) -> dict:
+    """Mean curve over seeds with a two-sided 95% Student-t interval (none,
+    ci_lo == ci_hi == mean, for a single seed)."""
     steps = [p.step for p in curves[0].points]
     table = np.array([[p.mean for p in c.points] for c in curves])
+    n = table.shape[0]
     mean = table.mean(axis=0)
-    if table.shape[0] > 1:
-        stderr = table.std(axis=0, ddof=1) / np.sqrt(table.shape[0])
+    if n > 1:
+        half = student_t_ppf(0.975, n - 1) * (table.std(axis=0, ddof=1) / np.sqrt(n))
     else:
-        stderr = np.zeros_like(mean)
+        half = np.zeros_like(mean)
     return {
         "steps": steps,
         "mean": mean.tolist(),
-        "ci_lo": (mean - 1.96 * stderr).tolist(),
-        "ci_hi": (mean + 1.96 * stderr).tolist(),
+        "ci_lo": (mean - half).tolist(),
+        "ci_hi": (mean + half).tolist(),
     }
 
 
@@ -674,7 +711,7 @@ def cmd_report(config: ExperimentConfig, map_inconclusive: str | None = None) ->
     if map_inconclusive not in (None, MAP_COMPARABLE, MAP_DROP):
         raise ConfigError("map_inconclusive must be 'comparable' or 'drop'")
     paths = Paths(config)
-    _require_current(paths.dataset, dataset_key(config), "gen-data --force")
+    _dataset_manifest(config)
     classify = _require_current(paths.classify, classify_key(config), "classify")
     data_mean = classify["data"]["mean"]  # dataset_return's mean, recorded by classify
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from o2olab.data import (
     generate_dataset,
     generate_mixed_dataset,
     load_dataset,
+    read_manifest,
     save_dataset,
 )
 from o2olab.envs import BehaviorSpec, ReferenceScores, compute_reference_scores, env_spec
@@ -308,7 +310,7 @@ def test_save_load_round_trip(tmp_path, sparse_reference):
     spec = env_spec("point_goal_sparse")
     ds = generate_dataset(spec, BehaviorSpec("noisy_expert", sigma=0.3), 6, seed=4,
                           reference=sparse_reference)
-    path = tmp_path / "ds.jsonl"
+    path = tmp_path / "ds"
     save_dataset(ds, path)
     back = load_dataset(path)
     assert back.env == ds.env
@@ -325,7 +327,7 @@ def test_save_load_mixture_round_trip(tmp_path, sparse_reference):
         spec, [(BehaviorSpec("expert"), 2), (BehaviorSpec("uniform_random"), 3)],
         seed=8, reference=sparse_reference,
     )
-    path = tmp_path / "mix.jsonl"
+    path = tmp_path / "mix"
     save_dataset(ds, path)
     back = load_dataset(path)
     assert back.behavior == ds.behavior
@@ -333,167 +335,144 @@ def test_save_load_mixture_round_trip(tmp_path, sparse_reference):
         assert ta == tb
 
 
-def test_truncated_file_rejected(tmp_path, sparse_reference):
-    spec = env_spec("point_goal_sparse")
-    ds = generate_dataset(spec, BehaviorSpec("expert"), 4, seed=4,
-                          reference=sparse_reference)
-    path = tmp_path / "ds.jsonl"
-    save_dataset(ds, path)
-    lines = path.read_text().splitlines()
-    (tmp_path / "cut.jsonl").write_text("\n".join(lines[: len(lines) // 2]) + "\n")
-    with pytest.raises(DatasetFormatError):
-        load_dataset(tmp_path / "cut.jsonl")
-
-
-def test_malformed_line_reports_number(tmp_path, sparse_reference):
-    spec = env_spec("point_goal_sparse")
-    ds = generate_dataset(spec, BehaviorSpec("expert"), 2, seed=4,
-                          reference=sparse_reference)
-    path = tmp_path / "ds.jsonl"
-    save_dataset(ds, path)
-    lines = path.read_text().splitlines()
-    lines[3] = lines[3][:-5]  # chop mid-object
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DatasetFormatError) as err:
-        load_dataset(path)
-    assert err.value.line == 4
-
-
-def test_mismatched_obs_dim_rejected(tmp_path, sparse_reference):
-    spec = env_spec("point_goal_sparse")
-    ds = generate_dataset(spec, BehaviorSpec("expert"), 2, seed=4,
-                          reference=sparse_reference)
-    path = tmp_path / "ds.jsonl"
-    save_dataset(ds, path)
-    lines = path.read_text().splitlines()
-    header = json.loads(lines[0])
-    header["obs_dim"] = 7
-    lines[0] = json.dumps(header, sort_keys=True)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DatasetFormatError):
-        load_dataset(path)
-
-
-@pytest.fixture(params=["one_chunk", "small_chunks"])
-def chunking(request, monkeypatch):
-    """Load whole files at once, or in chunks of a few lines."""
-    if request.param == "small_chunks":
-        monkeypatch.setattr(data, "_CHUNK_CHARS", 600, raising=False)
-
-
-def _saved_lines(tmp_path, reference, n_traj=3):
-    ds = generate_dataset(env_spec("point_goal_sparse"), BehaviorSpec("uniform_random"),
-                          n_traj, seed=4, reference=reference)
-    path = tmp_path / "ds.jsonl"
-    save_dataset(ds, path)
-    return ds, path, path.read_text().splitlines()
-
-
-def _load_error(path, lines) -> DatasetFormatError:
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DatasetFormatError) as err:
-        load_dataset(path)
-    return err.value
-
-
-def _edit_row(lines, index, **changes):
-    row = json.loads(lines[index])
-    for key, value in changes.items():
-        if value is None:
-            del row[key]
-        else:
-            row[key] = value
-    lines[index] = json.dumps(row, sort_keys=True)
-
-
-def test_load_rejects_blank_line(tmp_path, sparse_reference, chunking):
-    _, path, lines = _saved_lines(tmp_path, sparse_reference)
-    lines[-3] = "   "
-    err = _load_error(path, lines)
-    assert err.line == len(lines) - 2
-    assert "blank line" in str(err)
-
-
-def test_load_rejects_non_object_line(tmp_path, sparse_reference, chunking):
-    _, path, lines = _saved_lines(tmp_path, sparse_reference)
-    lines[-2] = "[1.0, 2.0]"
-    err = _load_error(path, lines)
-    assert err.line == len(lines) - 1
-    assert "expected a JSON object" in str(err)
-
-
-def test_load_rejects_missing_header_key(tmp_path, sparse_reference, chunking):
-    _, path, lines = _saved_lines(tmp_path, sparse_reference)
-    header = json.loads(lines[0])
-    del header["reference"]
-    lines[0] = json.dumps(header, sort_keys=True)
-    err = _load_error(path, lines)
-    assert err.line == 1
-    assert "header missing 'reference'" in str(err)
-
-
-def test_load_rejects_missing_transition_field(tmp_path, sparse_reference, chunking):
-    _, path, lines = _saved_lines(tmp_path, sparse_reference)
-    _edit_row(lines, len(lines) - 4, reward=None)
-    err = _load_error(path, lines)
-    assert err.line == len(lines) - 3
-    assert "bad transition: 'reward'" in str(err)
-
-
-def test_load_rejects_action_width_mismatch(tmp_path, sparse_reference, chunking):
-    _, path, lines = _saved_lines(tmp_path, sparse_reference)
-    _edit_row(lines, len(lines) - 5, action=[0.1, 0.2, 0.3])
-    err = _load_error(path, lines)
-    assert err.line == len(lines) - 4
-    assert "action width does not match header action_dim=2" in str(err)
-
-
-def test_load_rejects_trajectory_index_out_of_range(tmp_path, sparse_reference, chunking):
-    _, path, lines = _saved_lines(tmp_path, sparse_reference)
-    _edit_row(lines, len(lines) - 1, traj=3)
-    err = _load_error(path, lines)
-    assert err.line == len(lines)
-    assert "trajectory index 3 outside [0, 3)" in str(err)
-
-
-def test_load_reports_first_bad_line(tmp_path, sparse_reference, chunking):
-    _, path, lines = _saved_lines(tmp_path, sparse_reference)
-    _edit_row(lines, 5, obs=[1.0])
-    lines[-1] = "{"
-    err = _load_error(path, lines)
-    assert err.line == 6
-    assert "observation width" in str(err)
-
-
-def test_load_groups_rows_by_trajectory(tmp_path, sparse_reference, chunking):
-    ds, path, lines = _saved_lines(tmp_path, sparse_reference)
-    rows = lines[1:]
-    by_traj = sorted(rows, key=lambda text: -json.loads(text)["traj"])  # stable
-    path.write_text("\n".join([lines[0], *by_traj]) + "\n")
-    back = load_dataset(path)
-    assert back.n_traj == ds.n_traj
-    for ta, tb in zip(trajectories(ds), trajectories(back)):
-        assert ta == tb
-
-
-def test_load_converts_values_like_python(tmp_path, sparse_reference, chunking):
-    # values save_dataset never writes still load as int(), float() and
-    # bool() read them
-    _, path, lines = _saved_lines(tmp_path, sparse_reference)
-    _edit_row(lines, 2, reward=2, terminated=1, truncated=[])
-    lines[3] = "  " + lines[3] + " "
-    path.write_text("\n".join(lines) + "\n")
-    back = load_dataset(path)
-    assert back.reward[1] == 2.0 and back.reward.dtype == np.float64
-    assert back.terminated[1] and not back.truncated[1]
-    assert np.array_equal(back.obs[2], json.loads(lines[3])["obs"])
-
-
 def test_save_is_byte_stable(tmp_path, sparse_reference):
     spec = env_spec("point_goal_sparse")
     ds = generate_dataset(spec, BehaviorSpec("expert"), 3, seed=4,
                           reference=sparse_reference)
-    p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    p1, p2 = tmp_path / "a", tmp_path / "b"
     save_dataset(ds, p1)
     save_dataset(ds, p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    files = sorted(p.name for p in p1.iterdir())
+    assert files == sorted(p.name for p in p2.iterdir())
+    assert files == sorted([f"{name}.npy" for name in (
+        "obs", "action", "reward", "next_obs", "terminated", "truncated", "offsets"
+    )] + ["manifest.json"])
+    for name in files:
+        assert (p1 / name).read_bytes() == (p2 / name).read_bytes(), name
+
+
+def test_manifest_holds_dataset_return_sample(tmp_path, sparse_reference):
+    ds = generate_dataset(env_spec("point_goal_sparse"), BehaviorSpec("uniform_random"), 5,
+                          seed=4, reference=sparse_reference)
+    save_dataset(ds, tmp_path / "ds", extra={"key": "abc"})
+    manifest = read_manifest(tmp_path / "ds")
+    assert manifest["returns"] == dataset_return(ds)[0].tolist()  # bit for bit
+    assert (manifest["key"], manifest["n_traj"], manifest["n_transitions"]) == (
+        "abc", 5, ds.n_transitions
+    )
+    assert manifest["reference"] == ds.reference
+
+
+def _edit_npy(path, edit):
+    column = np.load(path)
+    np.save(path, edit(column))
+
+
+def _set_item(column, index, value):
+    column = column.copy()
+    column[index] = value
+    return column
+
+
+def _edit_offsets(directory, edit):
+    _edit_npy(directory / "offsets.npy", edit)
+
+
+def _edit_manifest(directory, **changes):
+    path = directory / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **changes}, sort_keys=True))
+
+
+def _cut_tail(path):
+    path.write_bytes(path.read_bytes()[:-40])
+
+
+# ways to damage a saved dataset directory, each of which a load must refuse,
+# with the words of its DatasetFormatError
+DAMAGES = {
+    "missing_column": (lambda d: (d / "reward.npy").unlink(), "reward.npy is missing"),
+    "truncated_column": (lambda d: _cut_tail(d / "obs.npy"), "obs.npy is unreadable"),
+    "misshaped_column": (
+        lambda d: _edit_npy(d / "action.npy", lambda a: a[:, :1]), "action.npy holds float64 ("
+    ),
+    "mistyped_column": (
+        lambda d: _edit_npy(d / "reward.npy", lambda a: a.astype(np.float32)),
+        "reward.npy holds float32",
+    ),
+    "offsets_not_from_0": (
+        lambda d: _edit_offsets(d, lambda o: _set_item(o, 0, 1)), "offsets run from 1 to"
+    ),
+    "offsets_decrease": (
+        lambda d: _edit_offsets(d, lambda o: _set_item(o, [1, 2], o[[2, 1]])),
+        "offsets decrease at trajectory 1",
+    ),
+    "offsets_past_end": (
+        lambda d: _edit_offsets(d, lambda o: _set_item(o, -1, o[-1] - 1)), "expected 0 to"
+    ),
+    "empty_trajectory": (
+        lambda d: _edit_offsets(d, lambda o: _set_item(o, 2, o[1])),
+        "trajectory 1 has no transitions",
+    ),
+    "dims_disagree_with_env": (
+        lambda d: _edit_manifest(d, obs_dim=7),
+        "dims (7, 2) do not match environment point_goal_sparse (4, 2)",
+    ),
+}
+
+
+@pytest.fixture()
+def saved(tmp_path, sparse_reference):
+    ds = generate_dataset(env_spec("point_goal_sparse"), BehaviorSpec("uniform_random"), 4,
+                          seed=4, reference=sparse_reference)
+    save_dataset(ds, tmp_path / "ds")
+    return tmp_path / "ds"
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGES))
+def test_load_rejects_damage(saved, damage):
+    damage_files, message = DAMAGES[damage]
+    damage_files(saved)
+    for read in (load_dataset, read_manifest):
+        with pytest.raises(DatasetFormatError, match=re.escape(message)):
+            read(saved)
+
+
+def test_truncated_file_rejected(saved):
+    reward = saved / "reward.npy"
+    reward.write_bytes(reward.read_bytes()[: reward.stat().st_size // 2])
+    with pytest.raises(DatasetFormatError):
+        load_dataset(saved)
+
+
+def test_mismatched_obs_dim_rejected(saved):
+    _edit_manifest(saved, obs_dim=7)
+    with pytest.raises(DatasetFormatError):
+        load_dataset(saved)
+
+
+def test_load_rejects_missing_manifest_key(saved):
+    manifest = json.loads((saved / "manifest.json").read_text())
+    del manifest["returns"]
+    (saved / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DatasetFormatError, match="'returns'"):
+        read_manifest(saved)
+
+
+def test_interrupted_save_leaves_no_manifest(saved, monkeypatch):
+    # a second save that dies after its first column leaves no manifest
+    # behind, so the directory reads as damaged, not as the old dataset
+    ds = load_dataset(saved)
+    real_write, written = data.write_npy_atomic, []
+
+    def dying_write(path, array):
+        if written:
+            raise KeyboardInterrupt
+        written.append(path)
+        real_write(path, array)
+
+    monkeypatch.setattr(data, "write_npy_atomic", dying_write)
+    with pytest.raises(KeyboardInterrupt):
+        save_dataset(ds, saved)
+    assert not (saved / "manifest.json").exists()
+    with pytest.raises(DatasetFormatError, match="manifest.json is missing"):
+        load_dataset(saved)

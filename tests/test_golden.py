@@ -4,10 +4,12 @@ Each pipeline runs in its own working directory with a relative ``out_dir``.
 No artifact key covers ``out_dir``, so the artifacts do not depend on where
 the test runs. The digests of the CSV files were recorded from the reference
 implementation; a refactor of the numerical code must reproduce them bit
-for bit. ``dataset.jsonl``, ``pretrain/eval.json``, ``classify.json`` and
-``report/analysis.json`` also carry provenance (the artifact's input key, or
-none for the analysis), so their digests change whenever that provenance
-does; their other content matches the reference. The digests assume IEEE
+for bit. ``dataset/manifest.json``, ``pretrain/eval.json``, ``classify.json``
+and ``report/analysis.json`` also carry provenance (the artifact's input
+key, or none for the analysis), so their digests change whenever that
+provenance does; their other content matches the reference. The dataset's
+column files (``dataset/*.npy``) hold the same float64 values as the
+reference's JSON-lines dataset, bit for bit. The digests assume IEEE
 float64 numpy on x86-64 with OpenBLAS; another BLAS build may round matrix
 products differently.
 """
@@ -23,13 +25,32 @@ from o2olab import runner
 
 OUT_DIR = "runs/golden"
 
+# sha256 of the dataset files, which both pretrainers share
+DATASET = {
+    "dataset/action.npy":
+        "71f74f72562aca44922f2f5182e6f3df2d02e2807f45c8dff7d321e304f2cfce",
+    "dataset/manifest.json":
+        "6df5e695ed9580f4d9502ee132b261d3b0d5bcb52cd063a72c7f50dbe371334c",
+    "dataset/next_obs.npy":
+        "d9f7ff1af9e2a2a591ebaea442b115d78103ca3b75a891661fa1d73301406a07",
+    "dataset/obs.npy":
+        "dccb55ec9e1aa6fb2412907e2159093e0714d4a3db70ef8949f26fa40f5ca7fa",
+    "dataset/offsets.npy":
+        "fc43e7facd10700a010ec49f4c5bbabd3794941d6c784679092e745d512befc1",
+    "dataset/reward.npy":
+        "c79c4014b44f8d911b350d50f79471932bb5a9d849aaade435cbce7e22ee9f33",
+    "dataset/terminated.npy":
+        "b1c3780a932ce84024eb4ffcfaea14d01b9f3ae2e574a18232ac15d6d712e42f",
+    "dataset/truncated.npy":
+        "7d6dee41c94bd905124ac4dced76923a7b64a8073a5dd56c7406b1f111c052b8",
+}
+
 # sha256 of every digested artifact, by pretrainer and path under out_dir
 GOLDEN = {
     "offline_rl": {
+        **DATASET,
         "classify.json":
             "69791ca068f623a11429a69aba10252b26fa3ae9b3cbe3340e06a5b4a3538fff",
-        "dataset.jsonl":
-            "a1395511444ed43ea6767bb6e1c309d76774ca5879f665009004711e3fc531c9",
         "finetune/baseline/seed_0.csv":
             "7f28d1574a4556151fb1831575f3d7f3cbd44962e8918ba9737a7bc1acc6470f",
         "finetune/baseline/seed_1.csv":
@@ -57,27 +78,26 @@ GOLDEN = {
         "pretrain/eval.json":
             "887237fc581ff3c5da4dc36f6ee143ae68a310ca182950641fe481074c1ec9be",
         "report/analysis.json":
-            "2e1379c96f988a1bb5cb249f3c4e4d4c6734e2a98084b595266831ad9b5056db",
+            "31872165a711935886becdb2cb25f4a927257f8267a4f0dcaead68a41d3a8cca",
         "report/curve_baseline.csv":
-            "4dcd703d213d8b0c4a8dcd8970d6928656c28a9b1b23af814424cc38b82abf10",
+            "4716ad17b23b2622417beafbcb15ad26f68428fe721120ccd13c903a291b7f42",
         "report/curve_mixed.csv":
-            "84558a2878bc9a22b7c3b4b8717dd0d0ca37ba9a7ef1a2f19beb031718fdd60e",
+            "6489922d6d19c9546aa9502908f76aea21a098d5f3b6ce0f4e82fcbc30d29e4a",
         "report/curve_o2o_reg.csv":
-            "515f09fa285bfd23820b6cd46b94c4fa9c25cd2815487f61beb37d0f076b2617",
+            "fd40c69230869c1bd6ed4d123732e5c448b954116d5364d943303e16a380f2b1",
         "report/curve_replay.csv":
-            "c1cfd8764bea8ec3f129f9749c86493611a91e436c80c8ffc4be38342cdebe9a",
+            "1678363eadb16c0b090fdfc1e49ff4454910a6d45cc06e34bd7fdbb86b454e72",
         "report/curve_replay_reset.csv":
-            "159b23277fd54374351b524ebe03288d4622c9f3f36584d9351e9a07b69a79b0",
+            "c54bb04686778a08d11b5480af140feb0e0966c0c9f52d7253a1021edfd58206",
         "report/curve_warmup.csv":
-            "019f9e6d07210bfabe4b8b98437663e5e080d319a75434891b738bbe447e53fb",
+            "f71db75d9e003acebc8f8f9e036eee4a65d9d0d4efbfb2aefc178a4226aa9b5d",
         "report/summary.csv":
             "e4b57bffa3a3c1343f96d419feea931ba62db1667e88269e8c7bac36f1f8510d",
     },
     "bc_fqe": {
+        **DATASET,
         "classify.json":
             "4484bb9bd2c187b2e8d1ad10f0667d2886093be98f776f4aabd8dc70838297e1",
-        "dataset.jsonl":
-            "a1395511444ed43ea6767bb6e1c309d76774ca5879f665009004711e3fc531c9",
         "finetune/baseline/seed_0.csv":
             "4824fdf4d4b5c1e99f8818ce3a983b5a79c80994c5809c33f703a6b4fb6110ce",
         "finetune/baseline/seed_1.csv":
@@ -105,19 +125,19 @@ GOLDEN = {
         "pretrain/eval.json":
             "0cdb6a959f73bdfe58a81cf1e0c0732ab2a85b65bf7343f0b1183cb29cb88133",
         "report/analysis.json":
-            "c4453b76723c29924a2d6438f7d4c7773e3e04998f8e545de1baefa3bdb07ac6",
+            "3ca9d064bc0857258a58e45d3e4ab47ee94a7c3749f8932b7608ba1088bd51c3",
         "report/curve_baseline.csv":
-            "785df63caf0ffbee3c5ce818c99383b06fb47bc85c40da08fa60c46ffa3b9922",
+            "d654ecb0addecb7db8ca8dbc15c26b1beb86cbed02f74a957edf6995f8db90b3",
         "report/curve_mixed.csv":
-            "bc104f6b9d827625fc2732899b3696cc156d2babf821ec296cb034694a2d4312",
+            "779ad4b0cbf526d7a37d053911ce6d4111e589e9fbc4fb23cdaa216a1174f4a5",
         "report/curve_o2o_reg.csv":
-            "229a9871749b06447357b915962e9546a83d2be78ea51e2760d314e472f76bb3",
+            "920191600bad27b30619bd2f7db182cdd9dcfe3b832e84f53d13d92e2d2d46e4",
         "report/curve_replay.csv":
-            "06a0526fa2db20bb4c2dc79481ef8135af414cd33dffff5360f8b4c2f1f5e319",
+            "17671287b5f064ee22d2e8eecf81a0c6363e61771fb230adcf37eb1a3dc30d58",
         "report/curve_replay_reset.csv":
-            "159b23277fd54374351b524ebe03288d4622c9f3f36584d9351e9a07b69a79b0",
+            "c54bb04686778a08d11b5480af140feb0e0966c0c9f52d7253a1021edfd58206",
         "report/curve_warmup.csv":
-            "2f7c6d3ce697ac064707d58303bffc5116f50c6bc3b0a859b2b66f2869753bf8",
+            "7ff14c66c03dbde19e15c1e849a7c0766bccc53a6a252e6ec696012aa85f330d",
         "report/summary.csv":
             "d653b89c2bb4d6f642dc550dc904f134a0f98c1a6260e29c5c0943220a1cc17c",
     },
@@ -175,7 +195,7 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 
 def digested(root: Path) -> dict[str, str]:
     patterns = (
-        "dataset.jsonl",
+        "dataset/*",
         "pretrain/eval.json",
         "classify.json",
         "finetune/*/seed_*.csv",

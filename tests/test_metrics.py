@@ -25,6 +25,7 @@ from o2olab.metrics import (
     plasticity,
     stability,
     student_t_cdf,
+    student_t_ppf,
     tost_classify,
     welch_two_sided,
 )
@@ -136,6 +137,23 @@ def test_t_cdf_table_value():
 @given(st.floats(-50, 50, allow_nan=False), st.floats(0.5, 200))
 def test_t_cdf_matches_scipy(t, dof):
     assert student_t_cdf(t, dof) == pytest.approx(sps.t.cdf(t, dof), abs=1e-10)
+
+
+@pytest.mark.parametrize("dof", [1, 2, 4, 9, 30, 200])
+@pytest.mark.parametrize("p", [0.001, 0.025, 0.3, 0.5, 0.8, 0.975, 0.999])
+def test_t_ppf_matches_scipy(p, dof):
+    assert student_t_ppf(p, dof) == pytest.approx(sps.t.ppf(p, dof), rel=1e-10, abs=1e-12)
+
+
+@given(st.floats(0.001, 0.999), st.floats(0.5, 100))
+def test_t_ppf_inverts_cdf(p, dof):
+    assert student_t_cdf(student_t_ppf(p, dof), dof) == pytest.approx(p, abs=1e-12)
+
+
+def test_t_ppf_rejects_p_outside_unit_interval():
+    for p in (0.0, 1.0, -0.1, 1.5):
+        with pytest.raises(ValueError):
+            student_t_ppf(p, 5)
 
 
 @given(st.floats(-30, 30), st.floats(0.5, 100))

@@ -1,16 +1,22 @@
 import ctypes
 import json
 import os
+import platform
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from o2olab import cli, runner
 from o2olab.data import load_dataset
 from o2olab.envs import BehaviorSpec, env_spec
 from o2olab.errors import ConfigError, MissingInputError
+from o2olab.metrics import EvalCurve, EvalPoint
 from o2olab.fsio import read_json
+from test_data import DAMAGES
 
 
 FINETUNE = {"total_env_steps": 120, "warmup_steps": 30, "eval_every": 10, "eval_episodes": 2}
@@ -82,9 +88,11 @@ def test_gen_data_refuses_overwrite(config):
 
 def test_gen_data_byte_identical_rerun(config):
     path = runner.cmd_gen_data(config)
-    first = path.read_bytes()
+    first = snapshot(path)
     runner.cmd_gen_data(config, force=True)
-    assert path.read_bytes() == first
+    assert {name: data for name, (data, _) in snapshot(path).items()} == {
+        name: data for name, (data, _) in first.items()
+    }
     ds = load_dataset(path)
     assert ds.n_traj == 6
 
@@ -207,16 +215,29 @@ def test_report_reads_no_dataset_rows(config, monkeypatch):
     assert analysis.read_bytes() == first
 
 
+def test_classify_reads_no_dataset_rows(config, monkeypatch):
+    runner.run_pipeline(config)
+    classify = runner.Paths(config).classify
+    first = classify.read_bytes()
+    classify.unlink()
+
+    def no_load(path):
+        raise AssertionError("classify parsed the dataset")
+
+    monkeypatch.setattr(runner, "load_dataset", no_load)
+    runner.cmd_classify(config)
+    assert classify.read_bytes() == first
+
+
 def test_report_checks_dataset_header_hash(config):
     runner.run_pipeline(config)
-    dataset = runner.Paths(config).dataset
-    lines = dataset.read_text().splitlines(keepends=True)
-    header = json.loads(lines[0])
-    header["key"] = "0" * 12
-    dataset.write_text(json.dumps(header, sort_keys=True) + "\n" + "".join(lines[1:]))
+    manifest = runner.Paths(config).dataset / "manifest.json"
+    record = read_json(manifest)
+    record["key"] = "0" * 12
+    manifest.write_text(json.dumps(record, sort_keys=True))
     for stage in (runner.cmd_pretrain, runner.cmd_classify, runner.cmd_finetune,
                   runner.cmd_report):
-        with pytest.raises(ConfigError, match="dataset.jsonl") as exc:
+        with pytest.raises(ConfigError, match="dataset/manifest.json") as exc:
             stage(config)
         assert "gen-data --force" in str(exc.value) and "allow" not in str(exc.value)
 
@@ -245,6 +266,20 @@ def test_parallel_matches_serial(tmp_path):
         runner.cmd_report(cfg)
         outputs.append(runner.Paths(cfg).analysis.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_curve_ci_is_a_student_t_interval():
+    curves = [
+        EvalCurve([EvalPoint(0, v, [v]), EvalPoint(10, 2 * v, [2 * v])])
+        for v in (0.1, 0.4, 0.7)
+    ]
+    stats = runner._curve_stats(curves)
+    half = np.array(stats["ci_hi"]) - np.array(stats["mean"])
+    se = np.array([0.3, 0.6]) / np.sqrt(3)  # std of (0.1, 0.4, 0.7), doubled
+    assert half == pytest.approx(sps.t.ppf(0.975, 2) * se, rel=1e-12)
+    assert np.array(stats["mean"]) - np.array(stats["ci_lo"]) == pytest.approx(half)
+    single = runner._curve_stats(curves[:1])
+    assert single["ci_lo"] == single["mean"] == single["ci_hi"]
 
 
 def test_aggregate_matrix(config, tmp_path):
@@ -313,7 +348,7 @@ def test_changed_finetune_input_reruns_only_the_runs(finished, tmp_path):
     run_stages(config)
     after = snapshot(root)
     for name in before:
-        if name == "dataset.jsonl" or name.startswith("pretrain/"):
+        if name.startswith(("dataset/", "pretrain/")):
             assert after[name] == before[name], name
     for method in config.methods:
         for seed in config.seeds:
@@ -330,7 +365,7 @@ def test_appending_a_seed_keeps_dataset_and_runs(finished, tmp_path):
     runner.run_pipeline(config)
     after = snapshot(root)
     kept = [n for n in before
-            if n == "dataset.jsonl" or n.startswith(("finetune/", "pretrain/seed_"))]
+            if n.startswith(("dataset/", "finetune/", "pretrain/seed_"))]
     assert kept and all(after[n] == before[n] for n in kept)
     record = read_json(root / "pretrain" / "eval.json")
     assert record["means"][:2] == old_means  # re-evaluated from the kept checkpoints
@@ -374,7 +409,9 @@ def test_stages_parse_the_dataset_only_when_they_have_work(finished, tmp_path, m
 
     monkeypatch.setattr(runner, "load_dataset", counting_load)
     runner.cmd_pretrain(config)
+    runner.cmd_classify(config)  # reads the returns from the manifest
     runner.cmd_finetune(config)
+    runner.cmd_report(config)
     assert parsed == []  # nothing left to do
     runner.cmd_pretrain(config, jobs=2, force=True)
     paths.run_file("baseline", 0).unlink()
@@ -446,6 +483,57 @@ def test_cli_finetune_refuses_a_checkpoint_with_another_key(finished, tmp_path, 
     assert snapshot(copied.root / "finetune") == runs_before
 
 
+STAGES = ("pretrain", "classify", "finetune", "report")
+
+
+def _stage_errors(cfg_path, capsys) -> dict[str, tuple[int, str]]:
+    """(exit code, stderr) of every stage after gen-data, run through the CLI."""
+    capsys.readouterr()
+    results = {}
+    for stage in STAGES:
+        code = cli.main([stage, "--config", str(cfg_path)])
+        results[stage] = (code, capsys.readouterr().err)
+    return results
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGES))
+def test_cli_damaged_dataset_exits_2_in_every_stage(finished, tmp_path, capsys, damage):
+    copied = copy_of(finished, tmp_path)
+    damage_files, _ = DAMAGES[damage]
+    damage_files(runner.Paths(copied).dataset)
+    cfg_path = _write_config(tmp_path, {"out_dir": str(copied.root)})
+    for stage, (code, err) in _stage_errors(cfg_path, capsys).items():
+        assert code == 2, stage
+        assert err.startswith("damaged dataset: ") and err.count("\n") == 1, (stage, err)
+        assert "o2olab gen-data --force" in err, stage
+
+
+def test_cli_stages_ask_for_gen_data_in_an_old_directory(finished, tmp_path, capsys):
+    # an output directory of the JSON-lines format: dataset.jsonl, no dataset/
+    copied = copy_of(finished, tmp_path)
+    shutil.rmtree(runner.Paths(copied).dataset)
+    (copied.root / "dataset.jsonl").write_text('{"key": "old"}\n')
+    cfg_path = _write_config(tmp_path, {"out_dir": str(copied.root)})
+    for stage, (code, err) in _stage_errors(cfg_path, capsys).items():
+        assert code == 2, stage
+        assert "dataset/manifest.json does not exist" in err and "o2olab gen-data" in err
+    # the regenerated dataset has the old key, so nothing downstream reruns
+    kept = snapshot(copied.root / "pretrain")
+    assert cli.main(["gen-data", "--config", str(cfg_path)]) == 0
+    assert all(code == 0 for code, _ in _stage_errors(cfg_path, capsys).values())
+    assert snapshot(copied.root / "pretrain") == kept
+
+
+def test_cli_gen_data_refuses_an_existing_dataset_directory(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path)
+    dataset = tmp_path / "runs" / "tiny-dense" / "dataset"
+    dataset.mkdir(parents=True)  # e.g. left by an interrupted save
+    assert cli.main(["gen-data", "--config", str(cfg_path)]) == 1
+    assert "--force" in capsys.readouterr().err
+    assert cli.main(["gen-data", "--config", str(cfg_path), "--force"]) == 0
+    assert (dataset / "manifest.json").exists()
+
+
 def _pool_worker_blas_threads() -> int:
     get_threads = runner._openblas_function("get_num_threads")
     get_threads.restype = ctypes.c_int
@@ -479,6 +567,33 @@ def test_cli_stage_runs_blas_on_one_thread(tmp_path, capsys):
         assert _pool_worker_blas_threads() == 1
     finally:
         _set_blas_threads(before)
+
+
+_FAULT_PROBE = """
+import resource, sys
+import numpy as np
+from o2olab import runner
+if sys.argv[1] == "keep":
+    runner._keep_freed_memory()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(200):
+    temps = [np.ones((2, 256, 64)) for _ in range(4)]  # 256 KiB each
+    del temps
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_stage_processes_reuse_freed_memory():
+    # at glibc's starting thresholds, freeing a batch of 256 KiB temporaries
+    # trims the heap, and the next batch faults its pages in again
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("glibc malloc only")
+    faults = {
+        mode: int(subprocess.run([sys.executable, "-c", _FAULT_PROBE, mode],
+                                 capture_output=True, text=True, check=True).stdout)
+        for mode in ("default", "keep")
+    }
+    assert faults["keep"] * 10 < faults["default"], faults
 
 
 def test_cli_exit_codes(tmp_path, capsys):
