@@ -458,6 +458,68 @@ def test_load_rejects_missing_manifest_key(saved):
         read_manifest(saved)
 
 
+@pytest.fixture(params=["one_chunk", "small_chunks"])
+def chunked(request, tmp_path, sparse_reference):
+    """A saved dataset whose rows form one trajectory, or many short ones,
+    so the offsets hold two entries or many."""
+    spec = env_spec("point_goal_sparse")
+    if request.param == "one_chunk":
+        ds = generate_dataset(spec, BehaviorSpec("uniform_random"), 1, seed=4,
+                              reference=sparse_reference)
+    else:
+        ds = generate_dataset(spec, BehaviorSpec("expert"), 8, seed=4,
+                              reference=sparse_reference)
+        assert ds.n_traj == 8
+    save_dataset(ds, tmp_path / "ds")
+    return ds, tmp_path / "ds"
+
+
+def _load_error(directory) -> DatasetFormatError:
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(directory)
+    return err.value
+
+
+def test_load_rejects_missing_header_key(chunked):
+    _, directory = chunked
+    manifest = json.loads((directory / "manifest.json").read_text())
+    del manifest["reference"]
+    (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
+    assert "manifest.json is unreadable: KeyError('reference')" in str(_load_error(directory))
+
+
+def test_load_rejects_missing_transition_field(chunked):
+    _, directory = chunked
+    (directory / "terminated.npy").unlink()
+    assert "terminated.npy is missing" in str(_load_error(directory))
+
+
+def test_load_rejects_action_width_mismatch(chunked):
+    ds, directory = chunked
+    n = ds.n_transitions
+    np.save(directory / "action.npy", np.zeros((n, 3)))
+    assert (f"action.npy holds float64 ({n}, 3), expected float64 ({n}, 2)"
+            in str(_load_error(directory)))
+
+
+def test_load_rejects_trajectory_index_out_of_range(chunked):
+    ds, directory = chunked
+    n = ds.n_transitions
+    _edit_offsets(directory, lambda o: _set_item(o, -1, n + 1))
+    assert (f"offsets run from 0 to {n + 1}, expected 0 to {n} transitions"
+            in str(_load_error(directory)))
+
+
+def test_load_groups_rows_by_trajectory(chunked):
+    ds, directory = chunked
+    back = load_dataset(directory)
+    assert back.n_traj == ds.n_traj
+    lengths = [len(traj) for traj in trajectories(ds)]
+    assert back.offsets.tolist() == np.cumsum([0, *lengths]).tolist()
+    for ta, tb in zip(trajectories(ds), trajectories(back), strict=True):
+        assert ta == tb
+
+
 def test_interrupted_save_leaves_no_manifest(saved, monkeypatch):
     # a second save that dies after its first column leaves no manifest
     # behind, so the directory reads as damaged, not as the old dataset
