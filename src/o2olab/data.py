@@ -28,7 +28,7 @@ from .envs import (
     compute_reference_scores,
     env_spec,
     make_env,
-    run_episode,
+    run_episodes,
 )
 from .errors import DatasetFormatError, EmptyBufferError, ShapeError
 from .fsio import MANIFEST_FILE, read_json, write_json_atomic, write_npy_atomic
@@ -114,14 +114,14 @@ class OfflineDataset:
 def _rollouts(
     spec: EnvSpec, behavior: BehaviorSpec, n_traj: int, seed: int
 ) -> list[list[Transition]]:
-    """n_traj seeded episodes under the behavior policy."""
-    env = make_env(spec)
-    trajectories = []
-    for i in range(n_traj):
-        policy = behavior_policy(behavior, spec, rng_for("traj-behavior", seed, i))
-        steps, _ = run_episode(env, policy, seed=stable_seed("traj-env", seed, i))
-        trajectories.append([Transition(*s) for s in steps])
-    return trajectories
+    """n_traj seeded episodes under the behavior policy, stepped side by side,
+    each acting with its own generator."""
+    episodes = run_episodes(
+        make_env(spec),
+        [behavior_policy(behavior, spec, rng_for("traj-behavior", seed, i)) for i in range(n_traj)],
+        [stable_seed("traj-env", seed, i) for i in range(n_traj)],
+    )
+    return [[Transition(*s) for s in steps] for steps, _ in episodes]
 
 
 def generate_dataset(

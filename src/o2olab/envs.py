@@ -4,10 +4,17 @@ Two families: a 2-D point-mass goal reacher (sparse or dense reward) and a
 torque-limited pendulum swing-up. Both are deterministic given a reset
 seed; all randomness flows through numpy Generators.
 
-A policy is a callable on observations. ``run_episode`` (dataset
-generation, reference scores) calls it on one observation at a time;
-``evaluate_policy`` steps its episodes in lockstep and calls it once per
-step on a stack of observation rows, expecting one action row back per
+One env object runs n episodes side by side. ``reset`` takes one seed per
+episode; each ``step`` takes one action row per live episode, returns one
+row each and then drops the rows of the episodes it ended. Each episode
+keeps its own generator, so its rows are the same, bit for bit, whatever
+else runs beside it; the fine-tune loop runs one row.
+
+A policy is a callable on observations. ``run_episodes`` (dataset
+generation) gives each episode its own policy and calls it on one
+observation at a time; ``run_episode`` (reference scores) is its one-row
+case. ``evaluate_policy`` calls one policy once per step on the stack of
+the live episodes' observation rows, expecting one action row back per
 row, computed row by row.
 """
 
@@ -48,14 +55,16 @@ def env_spec(kind: str, horizon: int | None = None) -> EnvSpec:
 
 @dataclass
 class StepResult:
-    next_obs: np.ndarray
-    reward: float
-    terminated: bool
-    truncated: bool
+    """One step of the live episodes, one row each, in the env's row order."""
+
+    next_obs: np.ndarray  # (live, obs_dim)
+    reward: np.ndarray  # (live,)
+    terminated: np.ndarray  # (live,) bool
+    truncated: np.ndarray  # (live,) bool
 
     @property
-    def done(self) -> bool:
-        return self.terminated or self.truncated
+    def done(self) -> np.ndarray:
+        return self.terminated | self.truncated
 
 
 def wrap_angle(theta: float) -> float:
@@ -64,78 +73,127 @@ def wrap_angle(theta: float) -> float:
 
 
 class _Env:
+    """Episodes side by side, one row each.
+
+    ``reset`` starts one episode per seed; every state array then has a
+    leading axis over the live episodes, in seed order. ``step`` takes one
+    action row per live episode and returns one row each; the rows of the
+    episodes that the step ends are then dropped, so the next step takes
+    actions for the remaining episodes only, in the same order.
+    """
+
+    _STATE: tuple[str, ...] = ()  # the attributes holding per-episode rows
+
     def __init__(self, spec: EnvSpec):
         self.spec = spec
         self._t = 0
-        self._done = True
-        self._rng: np.random.Generator | None = None
+        self._live = 0
 
-    def reset(self, seed: int) -> np.ndarray:
-        self._rng = np.random.default_rng(seed)
+    def reset(self, seeds) -> np.ndarray:
+        """Start one episode per seed; returns the (n, obs_dim) observations."""
+        rngs = [np.random.default_rng(seed) for seed in seeds]
         self._t = 0
-        self._done = False
-        return self._reset_state(self._rng)
+        self._live = len(rngs)
+        return self._reset_state(rngs)
 
-    def step(self, action) -> StepResult:
-        if self._done:
-            raise RuntimeError("step() called on a finished episode; reset first")
-        a = np.asarray(action, dtype=np.float64)
-        if a.shape != (self.spec.action_dim,):
+    def step(self, actions) -> StepResult:
+        live = self._live
+        if not live:
+            raise RuntimeError("step() called on finished episodes; reset first")
+        a = np.asarray(actions, dtype=np.float64)
+        if a.shape != (live, self.spec.action_dim):
             raise ShapeError(
-                f"expected action of shape ({self.spec.action_dim},), got {a.shape}"
+                f"expected actions of shape ({live}, {self.spec.action_dim}), got {a.shape}"
             )
-        a = np.minimum(np.maximum(a, -1.0), 1.0)  # np.clip, bit for bit, faster
         self._t += 1
-        obs, reward, terminated = self._transition(a)
-        truncated = self._t >= self.spec.horizon and not terminated
-        self._done = terminated or truncated
+        # np.clip, bit for bit, faster
+        obs, reward, terminated = self._transition(np.minimum(np.maximum(a, -1.0), 1.0))
+        if self._t >= self.spec.horizon:
+            truncated = ~terminated
+            self._live = 0
+        else:
+            truncated = np.zeros(live, dtype=bool)
+            ended = np.count_nonzero(terminated)
+            if ended:
+                self._keep(~terminated)
+                self._live = live - ended
         return StepResult(obs, reward, terminated, truncated)
 
-    def _reset_state(self, rng) -> np.ndarray:
+    def _reset_state(self, rngs) -> np.ndarray:
         raise NotImplementedError
 
-    def _transition(self, action):
+    def _transition(self, actions):
+        """Advance every live row; returns (obs, reward, terminated) rows."""
         raise NotImplementedError
+
+    def _keep(self, rows: np.ndarray) -> None:
+        """Keep only the state rows where the boolean mask ``rows`` is set."""
+        for name in self._STATE:
+            setattr(self, name, getattr(self, name)[rows])
 
 
 class PointGoalEnv(_Env):
-    """Point mass in [0, 10]^2 steered toward a fixed goal at (9, 9)."""
+    """Point mass in [0, 10]^2 steered toward a fixed goal at (9, 9).
+
+    Each episode draws its start position and then its whole noise sequence
+    at reset, from its own generator; ``normal(size=(horizon, 2))`` row t
+    equals the t-th ``normal(size=2)`` draw, so the episode is the same as
+    one drawing its noise step by step.
+    """
 
     STEP_GAIN = 0.3
     GOAL_RADIUS = 0.5
     ARENA_LO, ARENA_HI = 0.0, 10.0
     NOISE_SIGMA = 0.01
     GOAL = np.array([9.0, 9.0])
+    _STATE = ("_pos", "_noise")
 
     def __init__(self, spec: EnvSpec):
         super().__init__(spec)
-        self._pos = np.zeros(2)
+        self._pos = np.zeros((0, 2))
+        self._noise = np.zeros((0, spec.horizon, 2))
 
     def _obs(self) -> np.ndarray:
-        return np.concatenate([self._pos, self.GOAL - self._pos])
+        return np.concatenate((self._pos, self.GOAL - self._pos), axis=1)
 
-    def _reset_state(self, rng) -> np.ndarray:
-        self._pos = rng.uniform(self.ARENA_LO, self.ARENA_HI, size=2)
+    def _reset_state(self, rngs) -> np.ndarray:
+        n, horizon = len(rngs), self.spec.horizon
+        pos = np.empty((n, 2))
+        noise = np.empty((n, horizon, 2))
+        for i, rng in enumerate(rngs):
+            pos[i] = rng.uniform(self.ARENA_LO, self.ARENA_HI, size=2)
+            noise[i] = rng.normal(0.0, self.NOISE_SIGMA, size=(horizon, 2))
+        self._pos, self._noise = pos, noise
         return self._obs()
 
-    def _transition(self, action):
-        noise = self._rng.normal(0.0, self.NOISE_SIGMA, size=2)
-        self._pos = np.minimum(
-            np.maximum(self._pos + self.STEP_GAIN * action + noise, self.ARENA_LO),
+    def _transition(self, actions):
+        pos = np.minimum(
+            np.maximum(
+                self._pos + self.STEP_GAIN * actions + self._noise[:, self._t - 1],
+                self.ARENA_LO,
+            ),
             self.ARENA_HI,
         )
-        d = self._pos - self.GOAL
-        dist = math.sqrt(d.dot(d))  # what np.linalg.norm computes for a float vector
+        self._pos = pos
+        to_goal = self.GOAL - pos
+        # per row the dot product d.dot(d) that np.linalg.norm computes, bit
+        # for bit; (d * d).sum(1) rounds differently on some rows
+        dist = np.sqrt(np.matmul(to_goal[:, None, :], to_goal[:, :, None])[:, 0, 0])
         at_goal = dist <= self.GOAL_RADIUS
         if self.spec.kind == POINT_GOAL_SPARSE:
-            reward = 1.0 if at_goal else 0.0
+            reward = at_goal.astype(np.float64)
         else:
-            reward = -dist / 10.0
-        return self._obs(), reward, at_goal
+            reward = dist / -10.0  # -dist / 10.0, bit for bit
+        return np.concatenate((pos, to_goal), axis=1), reward, at_goal
 
 
 class PendulumEnv(_Env):
-    """Torque-limited pendulum; theta = 0 is upright and unstable."""
+    """Torque-limited pendulum; theta = 0 is upright and unstable.
+
+    The dynamics run in scalar ``math``, row by row: evaluation runs few
+    pendulum episodes, and numpy's sin and cos need not round as ``math``
+    does.
+    """
 
     GRAVITY = 10.0
     MASS = 1.0
@@ -143,44 +201,45 @@ class PendulumEnv(_Env):
     DT = 0.05
     MAX_TORQUE = 2.0
     MAX_SPEED = 8.0
+    _STATE = ("_theta", "_theta_dot")
 
     def __init__(self, spec: EnvSpec):
         super().__init__(spec)
-        self._theta = 0.0
-        self._theta_dot = 0.0
+        self._theta = np.zeros(0)
+        self._theta_dot = np.zeros(0)
 
     def _obs(self) -> np.ndarray:
-        return np.array([math.cos(self._theta), math.sin(self._theta), self._theta_dot])
+        return np.array(
+            [
+                [math.cos(theta), math.sin(theta), theta_dot]
+                for theta, theta_dot in zip(self._theta.tolist(), self._theta_dot.tolist())
+            ]
+        ).reshape(-1, 3)
 
-    def _reset_state(self, rng) -> np.ndarray:
-        self._theta = rng.uniform(-math.pi, math.pi)
-        self._theta_dot = rng.uniform(-1.0, 1.0)
+    def _reset_state(self, rngs) -> np.ndarray:
+        self._theta = np.empty(len(rngs))
+        self._theta_dot = np.empty(len(rngs))
+        for i, rng in enumerate(rngs):
+            self._theta[i] = rng.uniform(-math.pi, math.pi)
+            self._theta_dot[i] = rng.uniform(-1.0, 1.0)
         return self._obs()
 
-    def set_state(self, theta: float, theta_dot: float) -> np.ndarray:
-        """Place the pendulum in an exact state (used by controller tests)."""
-        self._theta = theta
-        self._theta_dot = theta_dot
-        self._t = 0
-        self._done = False
-        self._rng = np.random.default_rng(0)
-        return self._obs()
-
-    def _transition(self, action):
+    def _transition(self, actions):
         g, m, l, dt = self.GRAVITY, self.MASS, self.LENGTH, self.DT
-        torque = self.MAX_TORQUE * float(action[0])
-        # cost uses the pre-step state and the applied torque
-        reward = -(
-            wrap_angle(self._theta) ** 2
-            + 0.1 * self._theta_dot**2
-            + 0.001 * torque**2
-        )
-        accel = 3.0 * g / (2.0 * l) * math.sin(self._theta) + 3.0 * torque / (m * l * l)
-        self._theta_dot = min(
-            max(self._theta_dot + accel * dt, -self.MAX_SPEED), self.MAX_SPEED
-        )
-        self._theta = self._theta + self._theta_dot * dt
-        return self._obs(), reward, False
+        n = len(self._theta)
+        obs = np.empty((n, 3))
+        reward = np.empty(n)
+        rows = zip(self._theta.tolist(), self._theta_dot.tolist(), actions[:, 0].tolist())
+        for i, (theta, theta_dot, a) in enumerate(rows):
+            torque = self.MAX_TORQUE * a
+            # cost uses the pre-step state and the applied torque
+            reward[i] = -(wrap_angle(theta) ** 2 + 0.1 * theta_dot**2 + 0.001 * torque**2)
+            accel = 3.0 * g / (2.0 * l) * math.sin(theta) + 3.0 * torque / (m * l * l)
+            theta_dot = min(max(theta_dot + accel * dt, -self.MAX_SPEED), self.MAX_SPEED)
+            theta = theta + theta_dot * dt
+            self._theta[i], self._theta_dot[i] = theta, theta_dot
+            obs[i] = (math.cos(theta), math.sin(theta), theta_dot)
+        return obs, reward, np.zeros(n, dtype=bool)
 
 
 def make_env(spec: EnvSpec) -> _Env:
@@ -248,12 +307,12 @@ def _pendulum_expert(obs) -> np.ndarray:
         energy = 0.5 * _PEND_INERTIA * theta_dot**2 + _PEND_UPRIGHT_ENERGY * cos_t
         direction = math.copysign(1.0, theta_dot) if abs(theta_dot) > 1e-3 else 1.0
         torque = max_t * direction * math.copysign(1.0, _PEND_UPRIGHT_ENERGY - energy)
-    return np.array([np.clip(torque / max_t, -1.0, 1.0)])
+    return np.array([min(max(torque / max_t, -1.0), 1.0)])
 
 
 def _point_expert(obs) -> np.ndarray:
     # obs carries (goal - pos) in its last two entries
-    return np.clip(np.asarray(obs[2:4], dtype=np.float64), -1.0, 1.0)
+    return np.minimum(np.maximum(np.asarray(obs[2:4], dtype=np.float64), -1.0), 1.0)
 
 
 def expert_action(spec: EnvSpec, obs) -> np.ndarray:
@@ -271,7 +330,7 @@ def scripted_action(
         return expert_action(spec, obs)
     if behavior.kind == NOISY_EXPERT:
         a = expert_action(spec, obs) + rng.normal(0.0, behavior.sigma, spec.action_dim)
-        return np.clip(a, -1.0, 1.0)
+        return np.minimum(np.maximum(a, -1.0), 1.0)
     # epsilon_mixture
     if rng.random() < behavior.epsilon:
         return rng.uniform(-1.0, 1.0, size=spec.action_dim)
@@ -321,20 +380,44 @@ class ReferenceScores:
         )
 
 
-def run_episode(env: _Env, policy, seed: int):
-    """Roll one episode; returns (steps, raw_return) where steps is a list of
+def run_episodes(env: _Env, policies, seeds) -> list:
+    """Roll one episode per seed side by side in ``env``. Episode i acts by
+    ``policies[i]``, called on its own observation (obs_dim,) and returning
+    one action; the episodes are asked in row order at every step, so a
+    policy that draws from its own generator draws as it would alone.
+    Returns one (steps, raw_return) per episode, where steps is a list of
     (obs, action, reward, next_obs, terminated, truncated)."""
-    obs = env.reset(seed)
-    steps = []
-    raw_return = 0.0
-    while True:
-        action = np.asarray(policy(obs), dtype=np.float64)
-        res = env.step(action)
-        steps.append((obs, action, res.reward, res.next_obs, res.terminated, res.truncated))
-        raw_return += res.reward
-        obs = res.next_obs
-        if res.done:
-            return steps, raw_return
+    steps = [[] for _ in seeds]
+    live = list(range(len(seeds)))
+    obs = list(env.reset(seeds))
+    while live:
+        actions = [np.asarray(policies[i](o), dtype=np.float64) for i, o in zip(live, obs)]
+        res = env.step(actions)
+        next_obs = list(res.next_obs)
+        rows = zip(
+            live, obs, actions, res.reward.tolist(), next_obs,
+            res.terminated.tolist(), res.truncated.tolist(),
+        )
+        running = []
+        for i, o, a, r, next_o, terminated, truncated in rows:
+            steps[i].append((o, a, r, next_o, terminated, truncated))
+            running.append(not (terminated or truncated))
+        if not all(running):
+            live = [i for i, keep in zip(live, running) if keep]
+            next_obs = [o for o, keep in zip(next_obs, running) if keep]
+        obs = next_obs
+    episodes = []
+    for episode in steps:
+        raw_return = 0.0
+        for step in episode:
+            raw_return += step[2]
+        episodes.append((episode, raw_return))
+    return episodes
+
+
+def run_episode(env: _Env, policy, seed: int):
+    """Roll one episode: the one-row case of ``run_episodes``."""
+    return run_episodes(env, [policy], [seed])[0]
 
 
 @dataclass
@@ -352,7 +435,7 @@ def evaluate_policy(
 ) -> PolicyEvaluation:
     """Normalized undiscounted return of a policy over seeded episodes.
 
-    The episodes run in lockstep, one env each: at every step ``policy``
+    The episodes run in lockstep, all in one env: at every step ``policy``
     gets the (live, obs_dim) stack of the observations of the episodes
     still running, in episode order, and returns one action row per
     observation row. It must act on each row alone, so that an episode's
@@ -362,24 +445,16 @@ def evaluate_policy(
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    envs = [make_env(spec) for _ in range(episodes)]
-    obs = [env.reset(stable_seed("eval-episode", seed, i)) for i, env in enumerate(envs)]
+    env = make_env(spec)
+    obs = env.reset([stable_seed("eval-episode", seed, i) for i in range(episodes)])
     raw = [0.0] * episodes
-    live = list(range(episodes))
-    while live:
-        actions = np.asarray(policy(np.stack([obs[i] for i in live])), dtype=np.float64)
-        if actions.shape[:1] != (len(live),):
-            raise ShapeError(
-                f"expected {len(live)} action rows from the policy, got shape {actions.shape}"
-            )
-        running = []
-        for i, action in zip(live, actions):
-            res = envs[i].step(action)
-            raw[i] += res.reward
-            obs[i] = res.next_obs
-            if not res.done:
-                running.append(i)
-        live = running
+    live = np.arange(episodes)
+    while len(live):
+        res = env.step(policy(obs))
+        for i, reward in zip(live.tolist(), res.reward.tolist()):
+            raw[i] += reward
+        running = ~res.done
+        live, obs = live[running], res.next_obs[running]
     scores = [reference.normalize(r) for r in raw]
     return PolicyEvaluation(scores, float(np.mean(scores)))
 
@@ -388,6 +463,7 @@ def compute_reference_scores(spec: EnvSpec, seed: int, episodes: int = 100) -> R
     """Mean raw returns of the uniform-random and expert behaviors."""
     means = {}
     for kind in (UNIFORM_RANDOM, EXPERT):
+        # the episodes share one behavior generator, so they run one at a time
         env = make_env(spec)
         rng = rng_for("reference", kind, seed)
         policy = behavior_policy(BehaviorSpec(kind), spec, rng)

@@ -202,7 +202,7 @@ def run_finetune(
     updates = 0
     collected = 0
     episode = 0
-    obs = env.reset(stable_seed("episode", seed, episode))
+    obs = env.reset([stable_seed("episode", seed, episode)])  # one episode at a time
     for step in range(1, config.total_env_steps + 1):
         if step > start_delay:
             for _ in range(config.utd):
@@ -225,13 +225,16 @@ def run_finetune(
         action = act(agent, obs, explore=True, rng=explore_rng)
         res = env.step(action)
         online.push(
-            Transition(obs, action, res.reward, res.next_obs, res.terminated, res.truncated)
+            Transition(
+                obs[0], action[0], res.reward[0], res.next_obs[0],
+                res.terminated[0], res.truncated[0],
+            )
         )
         collected += 1
         obs = res.next_obs
-        if res.done:
+        if res.done[0]:
             episode += 1
-            obs = env.reset(stable_seed("episode", seed, episode))
+            obs = env.reset([stable_seed("episode", seed, episode)])
         if step % config.eval_every == 0:
             evaluate(step)
 

@@ -38,6 +38,7 @@ from o2olab.errors import MissingInputError, NumericError, ShapeError
 from o2olab.seeding import stable_seed
 
 from test_data import trajectories
+from test_envs import assert_steps_equal, reference_episode
 from test_nn import param_grad
 
 SMALL = Td3Hyper(hidden=(16, 16), batch=64)
@@ -128,33 +129,61 @@ def steer_to_goal(agent):
 @pytest.mark.parametrize("kind", ["pendulum", "point_goal_dense", "point_goal_sparse"])
 @pytest.mark.parametrize("hidden", [(32, 32), (64, 64)])
 def test_evaluate_policy_equals_sequential_episodes(kind, hidden):
-    # the lockstep evaluation against one run_episode per episode, each on
-    # single observations: scores must agree exactly
-    spec = env_spec(kind)
+    # the lockstep evaluation, and the one-row rollouts of run_episode,
+    # against the per-episode reference dynamics on single observations:
+    # steps and scores must agree exactly. At horizon 25 the point-goal
+    # episodes end at the goal at different steps, one of them on the
+    # horizon step itself, and others are cut off by the horizon.
+    spec = env_spec(kind) if kind == "pendulum" else env_spec(kind, horizon=25)
     ref = ReferenceScores(kind, -1000.0, -100.0, 1, 0)
     agent = make_td3_agent(spec.obs_dim, spec.action_dim, Td3Hyper(hidden=hidden), seed=6)
     if kind != "pendulum":
         steer_to_goal(agent)
-    episodes, seed = 12, 31
-    lengths, want = set(), []
-    for i in range(episodes):
-        steps, raw = run_episode(
-            make_env(spec), policy_fn(agent), seed=stable_seed("eval-episode", seed, i)
-        )
-        lengths.add(len(steps))
-        want.append(ref.normalize(raw))
-    if kind == "point_goal_sparse":
-        assert len(lengths) > 1  # episodes drop out of the lockstep at different steps
-    got = evaluate_policy(policy_fn(agent), spec, ref, episodes, seed)
-    assert got.per_episode == want
-    assert got.mean == float(np.mean(want))
+    seed = 31
+    endings = set()
+    for episodes in (1, 3, 12):
+        want = []
+        for i in range(episodes):
+            episode_seed = stable_seed("eval-episode", seed, i)
+            steps = reference_episode(spec, policy_fn(agent), episode_seed)
+            assert_steps_equal(run_episode(make_env(spec), policy_fn(agent), episode_seed)[0], steps)
+            raw = 0.0
+            for step in steps:
+                raw += step[2]
+            want.append(ref.normalize(raw))
+            endings.add((len(steps), step[4], step[5]))
+        got = evaluate_policy(policy_fn(agent), spec, ref, episodes, seed)
+        assert got.per_episode == want
+        assert got.mean == float(np.mean(want))
+    if kind != "pendulum":
+        assert len({n for n, terminated, _ in endings if terminated}) > 1
+        assert (spec.horizon, True, False) in endings
+        assert (spec.horizon, False, True) in endings
+    else:
+        assert endings == {(spec.horizon, False, True)}
 
 
 def test_evaluate_policy_rejects_wrong_action_rows():
-    spec = env_spec("pendulum")
-    ref = ReferenceScores("pendulum", -1000.0, -100.0, 1, 0)
-    with pytest.raises(ShapeError):
-        evaluate_policy(lambda obs: np.zeros(1), spec, ref, episodes=3, seed=0)
+    # exactly one action row of width action_dim per live episode: a
+    # (live, 1) stack would otherwise broadcast over the point goal's
+    # (live, 2) positions
+    wrong_shapes = {
+        "pendulum": [lambda n: (1,), lambda n: (n, 2), lambda n: (n - 1, 1)],
+        "point_goal_dense": [
+            lambda n: (n, 1),
+            lambda n: (n, 3),
+            lambda n: (n - 1, 2),
+            lambda n: (n + 1, 2),
+            lambda n: (2,),
+        ],
+    }
+    for kind, shapes in wrong_shapes.items():
+        spec = env_spec(kind)
+        ref = ReferenceScores(kind, -1000.0, -100.0, 1, 0)
+        for shape in shapes:
+            with pytest.raises(ShapeError):
+                evaluate_policy(lambda obs: np.zeros(shape(len(obs))), spec, ref,
+                                episodes=3, seed=0)
 
 
 def test_act_zero_noise_equals_deterministic():

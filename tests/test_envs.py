@@ -19,6 +19,73 @@ from o2olab.envs import (
     wrap_angle,
 )
 from o2olab.errors import ConfigError, ShapeError
+from o2olab.seeding import stable_seed
+
+
+def reference_episode(spec, policy, seed):
+    """One episode of the per-episode dynamics, transcribed from the env
+    before it stepped episodes side by side: the point goal draws one
+    ``normal(size=2)`` per step and measures its distance with a vector dot
+    product, the pendulum runs in scalar ``math``. ``policy`` gets one
+    observation. Returns the list of (obs, action, reward, next_obs,
+    terminated, truncated) steps, as ``run_episode`` does."""
+    rng = np.random.default_rng(seed)
+    goal = PointGoalEnv.GOAL
+    if spec.kind == "pendulum":
+        P = PendulumEnv
+        theta = rng.uniform(-math.pi, math.pi)
+        theta_dot = rng.uniform(-1.0, 1.0)
+        obs = np.array([math.cos(theta), math.sin(theta), theta_dot])
+    else:
+        pos = rng.uniform(PointGoalEnv.ARENA_LO, PointGoalEnv.ARENA_HI, size=2)
+        obs = np.concatenate([pos, goal - pos])
+    steps = []
+    for t in range(1, spec.horizon + 1):
+        action = np.asarray(policy(obs), dtype=np.float64)
+        a = np.clip(action, -1.0, 1.0)
+        if spec.kind == "pendulum":
+            torque = P.MAX_TORQUE * float(a[0])
+            reward = -(wrap_angle(theta) ** 2 + 0.1 * theta_dot**2 + 0.001 * torque**2)
+            accel = (3.0 * P.GRAVITY / (2.0 * P.LENGTH) * math.sin(theta)
+                     + 3.0 * torque / (P.MASS * P.LENGTH * P.LENGTH))
+            theta_dot = min(max(theta_dot + accel * P.DT, -P.MAX_SPEED), P.MAX_SPEED)
+            theta = theta + theta_dot * P.DT
+            next_obs = np.array([math.cos(theta), math.sin(theta), theta_dot])
+            terminated = False
+        else:
+            noise = rng.normal(0.0, PointGoalEnv.NOISE_SIGMA, size=2)
+            pos = np.clip(pos + PointGoalEnv.STEP_GAIN * a + noise,
+                          PointGoalEnv.ARENA_LO, PointGoalEnv.ARENA_HI)
+            d = pos - goal
+            dist = math.sqrt(d.dot(d))
+            terminated = dist <= PointGoalEnv.GOAL_RADIUS
+            if spec.kind == "point_goal_sparse":
+                reward = 1.0 if terminated else 0.0
+            else:
+                reward = -dist / 10.0
+            next_obs = np.concatenate([pos, goal - pos])
+        truncated = t >= spec.horizon and not terminated
+        steps.append((obs, action, reward, next_obs, terminated, truncated))
+        if terminated or truncated:
+            return steps
+        obs = next_obs
+
+
+def assert_steps_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g[0], w[0]) and np.array_equal(g[1], w[1])
+        assert g[2] == w[2]
+        assert np.array_equal(g[3], w[3])
+        assert (g[4], g[5]) == (w[4], w[5])
+
+
+def place_pendulum(env, theta, theta_dot):
+    """Put the one live pendulum of a reset env in an exact state; returns
+    its (1, 3) observation."""
+    env._theta = np.array([theta])
+    env._theta_dot = np.array([theta_dot])
+    return env._obs()
 
 
 def test_env_spec_dims():
@@ -35,107 +102,118 @@ def test_env_spec_dims():
 def test_reset_deterministic():
     for kind in ("point_goal_dense", "pendulum"):
         env = make_env(env_spec(kind))
-        a = env.reset(123)
-        b = env.reset(123)
+        a = env.reset([123])
+        b = env.reset([123])
         assert np.array_equal(a, b)
 
 
 def test_point_observation_layout():
     env = PointGoalEnv(env_spec("point_goal_sparse"))
-    obs = env.reset(5)
-    assert obs.shape == (4,)
-    assert np.allclose(obs[2:], PointGoalEnv.GOAL - obs[:2])
+    obs = env.reset([5])
+    assert obs.shape == (1, 4)
+    assert np.allclose(obs[0, 2:], PointGoalEnv.GOAL - obs[0, :2])
 
 
 def test_pendulum_observation_layout():
     env = PendulumEnv(env_spec("pendulum"))
-    obs = env.reset(5)
-    assert obs.shape == (3,)
-    assert obs[0] ** 2 + obs[1] ** 2 == pytest.approx(1.0)
-    assert -1.0 <= obs[2] <= 1.0
+    obs = env.reset([5])
+    assert obs.shape == (1, 3)
+    assert obs[0, 0] ** 2 + obs[0, 1] ** 2 == pytest.approx(1.0)
+    assert -1.0 <= obs[0, 2] <= 1.0
 
 
 def test_point_zero_action_dense_reward():
     env = PointGoalEnv(env_spec("point_goal_dense"))
-    env.reset(0)
-    env.NOISE_SIGMA = 0.0  # isolate the dynamics formula
+    env.NOISE_SIGMA = 0.0  # isolate the dynamics formula; noise is drawn at reset
+    env.reset([0])
     pos = env._pos.copy()
-    res = env.step(np.zeros(2))
+    res = env.step(np.zeros((1, 2)))
     assert np.allclose(env._pos, pos)
-    dist = np.linalg.norm(pos - PointGoalEnv.GOAL)
-    assert res.reward == pytest.approx(-dist / 10.0)
+    dist = np.linalg.norm(pos[0] - PointGoalEnv.GOAL)
+    assert res.reward[0] == pytest.approx(-dist / 10.0)
 
 
 def test_point_goal_entry_sparse():
     env = PointGoalEnv(env_spec("point_goal_sparse"))
-    env.reset(0)
     env.NOISE_SIGMA = 0.0
-    env._pos = np.array([9.0, 8.6])  # distance 0.4 from the goal
-    res = env.step(np.zeros(2))
-    assert res.reward == 1.0
-    assert res.terminated
+    env.reset([0])
+    env._pos = np.array([[9.0, 8.6]])  # distance 0.4 from the goal
+    res = env.step(np.zeros((1, 2)))
+    assert res.reward[0] == 1.0
+    assert res.terminated[0]
 
 
 def test_point_action_clipped_and_arena_bounded():
     env = PointGoalEnv(env_spec("point_goal_dense"))
-    env.reset(3)
-    env._pos = np.array([9.99, 0.01])
-    res = env.step(np.array([5.0, -5.0]))  # clipped to (1, -1)
-    assert env._pos[0] <= 10.0 and env._pos[1] >= 0.0
-    assert not res.terminated or np.linalg.norm(env._pos - env.GOAL) <= 0.5
+    env.reset([3])
+    env._pos = np.array([[9.99, 0.01]])
+    res = env.step(np.array([[5.0, -5.0]]))  # clipped to (1, -1)
+    pos = res.next_obs[0, :2]
+    assert pos[0] <= 10.0 and pos[1] >= 0.0
+    assert not res.terminated[0] or np.linalg.norm(pos - env.GOAL) <= 0.5
 
 
 def test_pendulum_upright_equilibrium():
     env = PendulumEnv(env_spec("pendulum"))
-    env.reset(0)
-    env.set_state(0.0, 0.0)
-    res = env.step(np.zeros(1))
-    assert res.reward == 0.0
-    assert env._theta == 0.0 and env._theta_dot == 0.0
+    env.reset([0])
+    place_pendulum(env, 0.0, 0.0)
+    res = env.step(np.zeros((1, 1)))
+    assert res.reward[0] == 0.0
+    assert env._theta[0] == 0.0 and env._theta_dot[0] == 0.0
 
 
 def test_pendulum_dynamics_step():
     env = PendulumEnv(env_spec("pendulum"))
-    env.reset(0)
+    env.reset([0])
     theta, theta_dot = 1.0, 0.5
-    env.set_state(theta, theta_dot)
-    action = np.array([0.25])
+    place_pendulum(env, theta, theta_dot)
+    action = np.array([[0.25]])
     res = env.step(action)
     torque = 2.0 * 0.25
     accel = 3.0 * 10.0 / 2.0 * math.sin(theta) + 3.0 * torque
     new_dot = theta_dot + accel * 0.05
-    assert res.reward == pytest.approx(-(wrap_angle(theta) ** 2 + 0.1 * theta_dot**2 + 0.001 * torque**2))
-    assert env._theta_dot == pytest.approx(np.clip(new_dot, -8, 8))
-    assert env._theta == pytest.approx(theta + env._theta_dot * 0.05)
+    assert res.reward[0] == pytest.approx(-(wrap_angle(theta) ** 2 + 0.1 * theta_dot**2 + 0.001 * torque**2))
+    assert env._theta_dot[0] == pytest.approx(np.clip(new_dot, -8, 8))
+    assert env._theta[0] == pytest.approx(theta + env._theta_dot[0] * 0.05)
 
 
 def test_step_after_done_raises():
     spec = env_spec("pendulum", horizon=2)
     env = make_env(spec)
-    env.reset(0)
-    env.step(np.zeros(1))
-    res = env.step(np.zeros(1))
-    assert res.truncated
+    env.reset([0])
+    env.step(np.zeros((1, 1)))
+    res = env.step(np.zeros((1, 1)))
+    assert res.truncated[0]
     with pytest.raises(RuntimeError):
-        env.step(np.zeros(1))
+        env.step(np.zeros((1, 1)))
 
 
 def test_action_shape_checked():
     env = make_env(env_spec("pendulum"))
-    env.reset(0)
+    env.reset([0])
     with pytest.raises(ShapeError):
         env.step(np.zeros(2))
+    # one action row per live episode, each of width action_dim; a rejected
+    # step leaves the episodes where they were
+    env = make_env(env_spec("point_goal_dense"))
+    env.reset([0, 1, 2])
+    pos = env._pos.copy()
+    for shape in [(3, 1), (3, 3), (2, 2), (4, 2), (2,), (3, 2, 1)]:
+        with pytest.raises(ShapeError):
+            env.step(np.zeros(shape))
+    assert np.array_equal(env._pos, pos) and env._t == 0
+    assert env.step(np.zeros((3, 2))).reward.shape == (3,)
 
 
 def test_horizon_truncation_exact():
     spec = env_spec("pendulum")
     env = make_env(spec)
-    env.reset(7)
+    env.reset([7])
     for t in range(1, spec.horizon + 1):
-        res = env.step(np.zeros(1))
+        res = env.step(np.zeros((1, 1)))
         if t < spec.horizon:
-            assert not res.truncated and not res.terminated
-    assert res.truncated and not res.terminated
+            assert not res.truncated[0] and not res.terminated[0]
+    assert res.truncated[0] and not res.terminated[0]
 
 
 def test_trajectories_bit_identical():
@@ -166,6 +244,69 @@ def test_sparse_rewards_binary_single_success():
         assert set(rewards) <= {0.0, 1.0}
         assert sum(rewards) <= 1.0
         assert len(steps) <= spec.horizon
+
+
+@pytest.mark.parametrize("kind", ["pendulum", "point_goal_dense", "point_goal_sparse"])
+def test_rows_equal_reference_episodes(kind):
+    # n episodes in one env, and each alone through run_episode, against the
+    # per-episode reference. At horizon 20 the expert brings some point-goal
+    # episodes to the goal, at different steps, and runs out of time on others.
+    spec = env_spec(kind, horizon=20)
+
+    def policy(obs):
+        return expert_action(spec, obs)
+
+    endings = set()
+    for n in (1, 3, 12):
+        seeds = [stable_seed("rows", kind, n, i) for i in range(n)]
+        want = [reference_episode(spec, policy, s) for s in seeds]
+        for s, w in zip(seeds, want):
+            assert_steps_equal(run_episode(make_env(spec), policy, s)[0], w)
+        env = make_env(spec)
+        obs = env.reset(seeds)
+        got = [[] for _ in seeds]
+        live = list(range(n))
+        while live:
+            actions = np.stack([policy(o) for o in obs])
+            res = env.step(actions)
+            for j, i in enumerate(live):
+                got[i].append((obs[j], actions[j], res.reward[j], res.next_obs[j],
+                               res.terminated[j], res.truncated[j]))
+            live = [i for i, done in zip(live, res.done) if not done]
+            obs = res.next_obs[~res.done]
+        for g, w in zip(got, want):
+            assert_steps_equal(g, w)
+        endings |= {(len(w), w[-1][4]) for w in want}
+    if kind == "pendulum":
+        assert endings == {(spec.horizon, False)}
+    else:
+        assert {terminated for _, terminated in endings} == {True, False}
+        assert len({length for length, terminated in endings if terminated}) > 1
+
+
+def test_goal_distance_is_the_vector_dot_product():
+    # the dense reward's distance, computed for all rows at once, equals
+    # math.sqrt(d.dot(d)) per row bit for bit; (d * d).sum(1) and einsum
+    # round differently on some rows where BLAS fuses multiply and add
+    n = 2000
+    env = PointGoalEnv(env_spec("point_goal_dense"))
+    env.NOISE_SIGMA = 0.0
+    env.reset(range(n))
+    pos = np.random.default_rng(0).uniform(0.0, 10.0, size=(n, 2))
+    env._pos = pos.copy()
+    res = env.step(np.zeros((n, 2)))
+    want = [-math.sqrt(d.dot(d)) / 10.0 for d in pos - PointGoalEnv.GOAL]
+    assert res.reward.tolist() == want
+
+
+def test_noise_block_rows_are_the_per_step_draws():
+    # the point goal draws an episode's noise as one (horizon, 2) block at
+    # reset; row t is the t-th normal(size=2) draw of the same generator
+    for seed in (0, 1, 7, 2**31 - 1):
+        block = np.random.default_rng(seed).normal(0.0, 0.01, size=(100, 2))
+        rng = np.random.default_rng(seed)
+        rows = np.array([rng.normal(0.0, 0.01, size=2) for _ in range(100)])
+        assert np.array_equal(block, rows)
 
 
 # --- scripted behaviors ---
@@ -223,16 +364,16 @@ def test_pendulum_expert_swings_up_from_hanging():
     caught = 0
     for seed in range(10):
         env = PendulumEnv(spec)
-        env.reset(seed)
+        env.reset([seed])
         jitter = np.random.default_rng(seed).uniform(-0.05, 0.05)
-        obs = env.set_state(math.pi - jitter, 0.0)
+        obs = place_pendulum(env, math.pi - jitter, 0.0)[0]
         reached = None
         for t in range(spec.horizon):
-            res = env.step(expert_action(spec, obs))
-            obs = res.next_obs
-            if reached is None and abs(wrap_angle(env._theta)) < 0.2:
+            res = env.step(expert_action(spec, obs)[None])
+            obs = res.next_obs[0]
+            if reached is None and abs(wrap_angle(env._theta[0])) < 0.2:
                 reached = t + 1
-            if res.done:
+            if res.done[0]:
                 break
         if reached is not None and reached <= 150:
             caught += 1
@@ -324,6 +465,6 @@ def test_interaction_counter_increments(monkeypatch):
     monkeypatch.setattr(envs._Env, "step", counting_step)
     spec = env_spec("pendulum")
     env = make_env(spec)
-    env.reset(0)
-    env.step(np.zeros(1))
+    env.reset([0])
+    env.step(np.zeros((1, 1)))
     assert len(steps) == 1
