@@ -4,11 +4,9 @@ Two families: a 2-D point-mass goal reacher (sparse or dense reward) and a
 torque-limited pendulum swing-up. Both are deterministic given a reset
 seed; all randomness flows through numpy Generators.
 
-One env object runs n episodes side by side. ``reset`` takes one seed per
-episode; each ``step`` takes one action row per live episode, returns one
-row each and then drops the rows of the episodes it ended. Each episode
-keeps its own generator, so its rows are the same, bit for bit, whatever
-else runs beside it; the fine-tune loop runs one row.
+One env object runs n episodes side by side, one state row each (see
+``_Env``). Each episode keeps its own generator, so its rows are the same,
+bit for bit, whatever else runs beside it; the fine-tune loop runs one row.
 
 A policy is a callable on observations. ``run_episodes`` (dataset
 generation) gives each episode its own policy and calls it on one
@@ -153,9 +151,6 @@ class PointGoalEnv(_Env):
         self._pos = np.zeros((0, 2))
         self._noise = np.zeros((0, spec.horizon, 2))
 
-    def _obs(self) -> np.ndarray:
-        return np.concatenate((self._pos, self.GOAL - self._pos), axis=1)
-
     def _reset_state(self, rngs) -> np.ndarray:
         n, horizon = len(rngs), self.spec.horizon
         pos = np.empty((n, 2))
@@ -164,7 +159,7 @@ class PointGoalEnv(_Env):
             pos[i] = rng.uniform(self.ARENA_LO, self.ARENA_HI, size=2)
             noise[i] = rng.normal(0.0, self.NOISE_SIGMA, size=(horizon, 2))
         self._pos, self._noise = pos, noise
-        return self._obs()
+        return np.concatenate((pos, self.GOAL - pos), axis=1)
 
     def _transition(self, actions):
         pos = np.minimum(
@@ -190,9 +185,9 @@ class PointGoalEnv(_Env):
 class PendulumEnv(_Env):
     """Torque-limited pendulum; theta = 0 is upright and unstable.
 
-    The dynamics run in scalar ``math``, row by row: evaluation runs few
-    pendulum episodes, and numpy's sin and cos need not round as ``math``
-    does.
+    The dynamics run in scalar ``math``, row by row: numpy's sin and cos
+    need not round as ``math`` does, and pendulum settings run few episodes
+    side by side.
     """
 
     GRAVITY = 10.0
