@@ -1,9 +1,11 @@
 """Offline datasets, replay buffers, and the dual-buffer mixed sampler.
 
-In memory a dataset is columns: one array per transition field (obs,
-action, reward, next_obs, terminated, truncated), one row per transition,
-with trajectory offsets into the rows. Replay buffers are filled from the
-columns by array copies.
+A transition is a row of columns from the env step to the replay buffer.
+In memory a dataset is one array per transition field (obs, action,
+reward, next_obs, terminated, truncated), one row per transition, with
+trajectory offsets into the rows, as ``envs.run_episodes`` returns them.
+``ReplayBuffer.push`` appends n rows by array copies; a buffer is filled
+from a dataset by one push of its columns.
 
 On disk a dataset is a directory: one ``.npy`` file per column (the
 offsets too) and a ``manifest.json`` holding the env, behavior, reference
@@ -35,28 +37,6 @@ from .fsio import MANIFEST_FILE, read_json, write_json_atomic, write_npy_atomic
 from .seeding import rng_for, stable_seed
 
 
-@dataclass
-class Transition:
-    obs: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_obs: np.ndarray
-    terminated: bool
-    truncated: bool
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Transition):
-            return NotImplemented
-        return (
-            np.array_equal(self.obs, other.obs)
-            and np.array_equal(self.action, other.action)
-            and self.reward == other.reward
-            and np.array_equal(self.next_obs, other.next_obs)
-            and self.terminated == other.terminated
-            and self.truncated == other.truncated
-        )
-
-
 @dataclass(eq=False)
 class OfflineDataset:
     """Transitions held as columns, one row per transition, with the rows of
@@ -83,45 +63,27 @@ class OfflineDataset:
     def n_traj(self) -> int:
         return len(self.offsets) - 1
 
-    @classmethod
-    def from_trajectories(
-        cls,
-        trajectories: list[list[Transition]],
-        env: EnvSpec,
-        behavior: BehaviorSpec | list[tuple[BehaviorSpec, int]],
-        reference: ReferenceScores,
-    ) -> "OfflineDataset":
-        """The columns of ``trajectories``, in order."""
-        rows = [tr for traj in trajectories for tr in traj]
-        return cls(
-            obs=np.array([tr.obs for tr in rows], dtype=np.float64).reshape(-1, env.obs_dim),
-            action=np.array([tr.action for tr in rows], dtype=np.float64).reshape(
-                -1, env.action_dim
-            ),
-            reward=np.array([tr.reward for tr in rows], dtype=np.float64),
-            next_obs=np.array([tr.next_obs for tr in rows], dtype=np.float64).reshape(
-                -1, env.obs_dim
-            ),
-            terminated=np.array([tr.terminated for tr in rows], dtype=bool),
-            truncated=np.array([tr.truncated for tr in rows], dtype=bool),
-            offsets=np.cumsum([0, *map(len, trajectories)], dtype=np.int64),
-            env=env,
-            behavior=behavior,
-            reference=reference,
-        )
 
-
-def _rollouts(
-    spec: EnvSpec, behavior: BehaviorSpec, n_traj: int, seed: int
-) -> list[list[Transition]]:
-    """n_traj seeded episodes under the behavior policy, stepped side by side,
-    each acting with its own generator."""
-    episodes = run_episodes(
-        make_env(spec),
-        [behavior_policy(behavior, spec, rng_for("traj-behavior", seed, i)) for i in range(n_traj)],
-        [stable_seed("traj-env", seed, i) for i in range(n_traj)],
-    )
-    return [[Transition(*s) for s in steps] for steps, _ in episodes]
+def _generate(
+    spec: EnvSpec,
+    runs: list[tuple[BehaviorSpec, int, int]],
+    behavior: BehaviorSpec | list[tuple[BehaviorSpec, int]],
+    seed: int,
+    reference: ReferenceScores | None,
+) -> OfflineDataset:
+    """One dataset of every (behavior, n_traj, run_seed) run's trajectories,
+    in order, all rolled side by side in one env. Each trajectory acts with
+    its own behavior generator and resets with its own env seed, so no
+    trajectory depends on what runs beside it."""
+    if reference is None:
+        reference = compute_reference_scores(spec, seed=stable_seed("reference", seed))
+    policies, seeds = [], []
+    for kind, n_traj, run_seed in runs:
+        for i in range(n_traj):
+            policies.append(behavior_policy(kind, spec, rng_for("traj-behavior", run_seed, i)))
+            seeds.append(stable_seed("traj-env", run_seed, i))
+    columns = run_episodes(make_env(spec), policies, seeds)
+    return OfflineDataset(**columns, env=spec, behavior=behavior, reference=reference)
 
 
 def generate_dataset(
@@ -134,11 +96,7 @@ def generate_dataset(
     """Roll n_traj seeded episodes under the behavior policy."""
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    if reference is None:
-        reference = compute_reference_scores(spec, seed=stable_seed("reference", seed))
-    return OfflineDataset.from_trajectories(
-        _rollouts(spec, behavior, n_traj, seed), spec, behavior, reference
-    )
+    return _generate(spec, [(behavior, n_traj, seed)], behavior, seed, reference)
 
 
 def generate_mixed_dataset(
@@ -153,14 +111,8 @@ def generate_mixed_dataset(
         raise ValueError("need at least one (behavior, n_traj) segment")
     if any(n_traj < 1 for _, n_traj in segments):
         raise ValueError("n_traj must be >= 1")
-    if reference is None:
-        reference = compute_reference_scores(spec, seed=stable_seed("reference", seed))
-    trajectories = []
-    for i, (behavior, n_traj) in enumerate(segments):
-        trajectories.extend(_rollouts(spec, behavior, n_traj, stable_seed("segment", seed, i)))
-    return OfflineDataset.from_trajectories(
-        trajectories, spec, [tuple(s) for s in segments], reference
-    )
+    runs = [(b, n, stable_seed("segment", seed, i)) for i, (b, n) in enumerate(segments)]
+    return _generate(spec, runs, [tuple(s) for s in segments], seed, reference)
 
 
 def dataset_return(dataset: OfflineDataset):
@@ -206,7 +158,7 @@ class ReplayBuffer:
         self.obs_dim = obs_dim
         self.action_dim = action_dim
         self.size = 0
-        self.sample_reads = 0  # batches drawn; lets tests audit dataset use
+        self.sample_reads = 0  # batches drawn; a run's dataset_samples counter
         self._next = 0
         self._obs = np.zeros((capacity, obs_dim))
         self._action = np.zeros((capacity, action_dim))
@@ -217,20 +169,26 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self.size
 
-    def push(self, tr: Transition) -> None:
-        if tr.obs.shape != (self.obs_dim,) or tr.action.shape != (self.action_dim,):
+    def push(self, obs, action, reward, next_obs, terminated) -> None:
+        """Append n transitions, given as arrays of n rows each, oldest
+        first. Once full, each row overwrites the oldest; of more rows than
+        the capacity only the newest are kept."""
+        widths = (obs.shape[1:], action.shape[1:], next_obs.shape[1:])
+        if widths != ((self.obs_dim,), (self.action_dim,), (self.obs_dim,)):
             raise ShapeError(
-                f"transition widths {tr.obs.shape}/{tr.action.shape} do not match "
-                f"buffer ({self.obs_dim},)/({self.action_dim},)"
+                f"obs/action/next_obs widths {widths} do not match buffer "
+                f"({self.obs_dim},)/({self.action_dim},)/({self.obs_dim},)"
             )
-        i = self._next
-        self._obs[i] = tr.obs
-        self._action[i] = tr.action
-        self._reward[i] = tr.reward
-        self._next_obs[i] = tr.next_obs
-        self._terminated[i] = float(tr.terminated)
-        self._next = (i + 1) % self.capacity
-        self.size = min(self.size + 1, self.capacity)
+        n = len(obs)
+        keep = min(n, self.capacity)
+        slots = np.arange(self._next + n - keep, self._next + n) % self.capacity
+        self._obs[slots] = obs[n - keep :]
+        self._action[slots] = action[n - keep :]
+        self._reward[slots] = reward[n - keep :]
+        self._next_obs[slots] = next_obs[n - keep :]
+        self._terminated[slots] = terminated[n - keep :]
+        self._next = (self._next + n) % self.capacity
+        self.size = min(self.size + n, self.capacity)
 
     def _gather(self, idx: np.ndarray) -> TransitionBatch:
         return TransitionBatch(
@@ -254,20 +212,11 @@ class ReplayBuffer:
 
     @classmethod
     def from_dataset(cls, dataset: OfflineDataset, capacity: int | None = None):
-        """A buffer (of ``capacity``, default the dataset's size) holding the
-        dataset's transitions as if pushed one by one in order: when the
-        dataset is larger than the buffer, its newest rows."""
-        n = dataset.n_transitions
-        buf = cls(capacity or n, dataset.env.obs_dim, dataset.env.action_dim)
-        keep = min(n, buf.capacity)
-        slots = np.arange(n - keep, n) % buf.capacity
-        buf._obs[slots] = dataset.obs[n - keep :]
-        buf._action[slots] = dataset.action[n - keep :]
-        buf._reward[slots] = dataset.reward[n - keep :]
-        buf._next_obs[slots] = dataset.next_obs[n - keep :]
-        buf._terminated[slots] = dataset.terminated[n - keep :]
-        buf._next = n % buf.capacity
-        buf.size = keep
+        """A buffer (of ``capacity``, default the dataset's size) holding one
+        push of the dataset's columns: when the dataset is larger than the
+        buffer, its newest rows."""
+        buf = cls(capacity or dataset.n_transitions, dataset.env.obs_dim, dataset.env.action_dim)
+        buf.push(dataset.obs, dataset.action, dataset.reward, dataset.next_obs, dataset.terminated)
         return buf
 
 

@@ -8,12 +8,12 @@ One env object runs n episodes side by side, one state row each (see
 ``_Env``). Each episode keeps its own generator, so its rows are the same,
 bit for bit, whatever else runs beside it; the fine-tune loop runs one row.
 
-A policy is a callable on observations. ``run_episodes`` (dataset
-generation) gives each episode its own policy and calls it on one
-observation at a time; ``run_episode`` (reference scores) is its one-row
-case. ``evaluate_policy`` calls one policy once per step on the stack of
-the live episodes' observation rows, expecting one action row back per
-row, computed row by row.
+``rollout`` holds the one reset/step/drop loop: ``act(live, obs)`` gets
+the indices and observation rows of the live episodes and returns one
+action row per row. ``evaluate_policy`` asks one policy for every row at
+once and ``compute_reference_scores`` one behavior per episode; both sum
+only the rewards. ``run_episodes`` (dataset generation) asks each
+episode's own policy for its row and returns the transitions as columns.
 """
 
 from __future__ import annotations
@@ -375,44 +375,60 @@ class ReferenceScores:
         )
 
 
-def run_episodes(env: _Env, policies, seeds) -> list:
-    """Roll one episode per seed side by side in ``env``. Episode i acts by
-    ``policies[i]``, called on its own observation (obs_dim,) and returning
-    one action; the episodes are asked in row order at every step, so a
-    policy that draws from its own generator draws as it would alone.
-    Returns one (steps, raw_return) per episode, where steps is a list of
-    (obs, action, reward, next_obs, terminated, truncated)."""
-    steps = [[] for _ in seeds]
-    live = list(range(len(seeds)))
-    obs = list(env.reset(seeds))
-    while live:
-        actions = [np.asarray(policies[i](o), dtype=np.float64) for i, o in zip(live, obs)]
+def rollout(env: _Env, seeds, act):
+    """Roll one episode per seed side by side in ``env``.
+
+    At every step ``act(live, obs)`` gets the (live,) episode indices and
+    (live, obs_dim) observation rows of the episodes still running, in
+    episode order, and returns one action row per row. Yields
+    ``(live, obs, actions, StepResult)`` per step; the episodes that the
+    step ends are then dropped.
+    """
+    live = np.arange(len(seeds))
+    obs = env.reset(seeds)
+    while len(live):
+        actions = np.asarray(act(live, obs), dtype=np.float64)
         res = env.step(actions)
-        next_obs = list(res.next_obs)
-        rows = zip(
-            live, obs, actions, res.reward.tolist(), next_obs,
-            res.terminated.tolist(), res.truncated.tolist(),
-        )
-        running = []
-        for i, o, a, r, next_o, terminated, truncated in rows:
-            steps[i].append((o, a, r, next_o, terminated, truncated))
-            running.append(not (terminated or truncated))
-        if not all(running):
-            live = [i for i, keep in zip(live, running) if keep]
-            next_obs = [o for o, keep in zip(next_obs, running) if keep]
-        obs = next_obs
-    episodes = []
-    for episode in steps:
-        raw_return = 0.0
-        for step in episode:
-            raw_return += step[2]
-        episodes.append((episode, raw_return))
-    return episodes
+        yield live, obs, actions, res
+        if env._live < len(live):  # the step ended some episodes
+            running = ~res.done
+            live, obs = live[running], res.next_obs[running]
+        else:
+            obs = res.next_obs
 
 
-def run_episode(env: _Env, policy, seed: int):
-    """Roll one episode: the one-row case of ``run_episodes``."""
-    return run_episodes(env, [policy], [seed])[0]
+def _per_episode(policies):
+    """An ``act`` asking ``policies[i]`` for episode i's row alone, in row
+    order, so a policy drawing from its own generator draws as it would
+    alone."""
+    return lambda live, obs: [policies[i](o) for i, o in zip(live.tolist(), obs)]
+
+
+def _raw_returns(env: _Env, seeds, act) -> list[float]:
+    """Undiscounted return per episode, each summed in its own step order."""
+    raw = [0.0] * len(seeds)
+    for live, _, _, res in rollout(env, seeds, act):
+        for i, reward in zip(live.tolist(), res.reward.tolist()):
+            raw[i] += reward
+    return raw
+
+
+def run_episodes(env: _Env, policies, seeds) -> dict:
+    """Roll one episode per seed, episode i acting by ``policies[i]`` on its
+    own observation (obs_dim,). Returns the transitions as columns (obs,
+    action, reward, next_obs, terminated, truncated), episode after episode
+    in step order, and ``offsets``: episode i's rows are
+    ``offsets[i]:offsets[i + 1]``."""
+    steps = [
+        (live, obs, actions, res.reward, res.next_obs, res.terminated, res.truncated)
+        for live, obs, actions, res in rollout(env, seeds, _per_episode(policies))
+    ]
+    episode, *fields = (np.concatenate(part) for part in zip(*steps))
+    order = np.argsort(episode, kind="stable")
+    names = ("obs", "action", "reward", "next_obs", "terminated", "truncated")
+    columns = {name: field[order] for name, field in zip(names, fields)}
+    columns["offsets"] = np.searchsorted(episode[order], np.arange(len(seeds) + 1))
+    return columns
 
 
 @dataclass
@@ -436,20 +452,12 @@ def evaluate_policy(
     observation row. It must act on each row alone, so that an episode's
     actions do not depend on which other episodes are live (as
     ``agents.act`` does). Each return is summed in its episode's own step
-    order, so the scores equal those of one ``run_episode`` per episode.
+    order, so the scores equal those of each episode rolled alone.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    env = make_env(spec)
-    obs = env.reset([stable_seed("eval-episode", seed, i) for i in range(episodes)])
-    raw = [0.0] * episodes
-    live = np.arange(episodes)
-    while len(live):
-        res = env.step(policy(obs))
-        for i, reward in zip(live.tolist(), res.reward.tolist()):
-            raw[i] += reward
-        running = ~res.done
-        live, obs = live[running], res.next_obs[running]
+    seeds = [stable_seed("eval-episode", seed, i) for i in range(episodes)]
+    raw = _raw_returns(make_env(spec), seeds, lambda live, obs: policy(obs))
     scores = [reference.normalize(r) for r in raw]
     return PolicyEvaluation(scores, float(np.mean(scores)))
 
@@ -461,9 +469,9 @@ def compute_reference_scores(spec: EnvSpec, seed: int, episodes: int = 100) -> R
         # the episodes share one behavior generator, so they run one at a time
         env = make_env(spec)
         rng = rng_for("reference", kind, seed)
-        policy = behavior_policy(BehaviorSpec(kind), spec, rng)
+        act = _per_episode([behavior_policy(BehaviorSpec(kind), spec, rng)])
         returns = [
-            run_episode(env, policy, seed=stable_seed("reference", kind, seed, i))[1]
+            _raw_returns(env, [stable_seed("reference", kind, seed, i)], act)[0]
             for i in range(episodes)
         ]
         means[kind] = float(np.mean(returns))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .agents import RegularizerConfig, Td3Agent, act, policy_fn, reset_parameters, td3_update
-from .data import MixedSampler, OfflineDataset, ReplayBuffer, Transition
+from .data import MixedSampler, OfflineDataset, ReplayBuffer
 from .envs import EnvSpec, ReferenceScores, evaluate_policy
 from .errors import ConfigError, NumericError
 from .metrics import EvalCurve, EvalPoint
@@ -224,12 +224,7 @@ def run_finetune(
             break
         action = act(agent, obs, explore=True, rng=explore_rng)
         res = env.step(action)
-        online.push(
-            Transition(
-                obs[0], action[0], res.reward[0], res.next_obs[0],
-                res.terminated[0], res.truncated[0],
-            )
-        )
+        online.push(obs, action, res.reward, res.next_obs, res.terminated)
         collected += 1
         obs = res.next_obs
         if res.done[0]:

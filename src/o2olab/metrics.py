@@ -227,7 +227,6 @@ class SampleStats:
     mean: float
     std: float  # unbiased (ddof=1)
     n: int
-    values: list[float] | None = None
 
     @classmethod
     def from_values(cls, values) -> "SampleStats":
@@ -238,7 +237,6 @@ class SampleStats:
             mean=float(np.mean(values)),
             std=float(np.std(values, ddof=1)),
             n=len(values),
-            values=values,
         )
 
 

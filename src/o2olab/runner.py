@@ -143,6 +143,12 @@ class ExperimentConfig:
         if self.finetune.beta is None:
             self.finetune.beta = self.pretrain_beta
         self.finetune.validate()
+        points = self.finetune.total_env_steps // self.finetune.eval_every + 1
+        if not 1 <= self.last_k <= points:
+            raise ConfigError(
+                f"last_k must be in [1, {points}], the points of each evaluation curve; "
+                f"got {self.last_k}"
+            )
 
     @property
     def resolved_reference_seed(self) -> int:

@@ -17,7 +17,7 @@ from scipy import stats as sps
 
 from o2olab import nn, runner
 from o2olab.agents import Td3Hyper, make_td3_agent, policy_fn, reset_parameters
-from o2olab.data import MixedSampler, ReplayBuffer, Transition
+from o2olab.data import MixedSampler, ReplayBuffer
 from o2olab.envs import compute_reference_scores, env_spec, evaluate_policy
 from o2olab.finetune import FinetuneConfig, run_finetune
 from o2olab.metrics import (
@@ -161,11 +161,10 @@ def test_criterion_6_mixed_sampler_exactness():
     with criterion(6, "alpha=0.5 batches of 256 hold exactly 128 offline draws"):
         off = ReplayBuffer(300, 2, 1)
         on = ReplayBuffer(300, 2, 1)
-        rng0 = np.random.default_rng(0)
-        for k in range(300):
-            obs = rng0.normal(size=2)
-            off.push(Transition(obs, np.zeros(1), 1.0, obs, False, False))
-            on.push(Transition(obs, np.zeros(1), 0.0, obs, False, False))
+        obs = np.random.default_rng(0).normal(size=(300, 2))
+        no_action, not_terminal = np.zeros((300, 1)), np.zeros(300, dtype=bool)
+        off.push(obs, no_action, np.ones(300), obs, not_terminal)
+        on.push(obs, no_action, np.zeros(300), obs, not_terminal)
         sampler = MixedSampler(off, on, alpha=0.5)
         rng = np.random.default_rng(123)
         for _ in range(10_000):

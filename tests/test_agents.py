@@ -21,7 +21,6 @@ from o2olab.agents import (
 from o2olab.data import (
     OfflineDataset,
     ReplayBuffer,
-    Transition,
     TransitionBatch,
     generate_dataset,
 )
@@ -32,13 +31,13 @@ from o2olab.envs import (
     env_spec,
     evaluate_policy,
     make_env,
-    run_episode,
+    run_episodes,
 )
 from o2olab.errors import MissingInputError, NumericError, ShapeError
 from o2olab.seeding import stable_seed
 
-from test_data import trajectories
-from test_envs import assert_steps_equal, reference_episode
+from test_data import COLUMNS, one_trajectory, trajectory
+from test_envs import assert_columns_equal_steps, reference_episode
 from test_nn import param_grad
 
 SMALL = Td3Hyper(hidden=(16, 16), batch=64)
@@ -55,13 +54,9 @@ def constant_action_dataset(action_value=0.25, n=200, seed=0):
     spec = env_spec("point_goal_dense")
     ref = ReferenceScores("point_goal_dense", -70.0, -8.0, 1, 0)
     rng = np.random.default_rng(seed)
-    trs = []
-    for _ in range(n):
-        obs = rng.uniform(0, 10, 4)
-        trs.append(
-            Transition(obs, np.full(2, action_value), -1.0, obs, False, False)
-        )
-    return OfflineDataset.from_trajectories([trs], spec, BehaviorSpec("expert"), ref)
+    obs = np.array([rng.uniform(0, 10, 4) for _ in range(n)])
+    return one_trajectory(spec, ref, obs, np.full((n, 2), action_value), np.full(n, -1.0),
+                          obs, np.zeros(n, dtype=bool))
 
 
 def batch_from(dataset, size, rng):
@@ -129,7 +124,7 @@ def steer_to_goal(agent):
 @pytest.mark.parametrize("kind", ["pendulum", "point_goal_dense", "point_goal_sparse"])
 @pytest.mark.parametrize("hidden", [(32, 32), (64, 64)])
 def test_evaluate_policy_equals_sequential_episodes(kind, hidden):
-    # the lockstep evaluation, and the one-row rollouts of run_episode,
+    # the lockstep evaluation, and the one-row rollouts of run_episodes,
     # against the per-episode reference dynamics on single observations:
     # steps and scores must agree exactly. At horizon 25 the point-goal
     # episodes end at the goal at different steps, one of them on the
@@ -146,7 +141,8 @@ def test_evaluate_policy_equals_sequential_episodes(kind, hidden):
         for i in range(episodes):
             episode_seed = stable_seed("eval-episode", seed, i)
             steps = reference_episode(spec, policy_fn(agent), episode_seed)
-            assert_steps_equal(run_episode(make_env(spec), policy_fn(agent), episode_seed)[0], steps)
+            rolled = run_episodes(make_env(spec), [policy_fn(agent)], [episode_seed])
+            assert_columns_equal_steps(rolled, 0, steps)
             raw = 0.0
             for step in steps:
                 raw += step[2]
@@ -395,7 +391,7 @@ def dense_ref():
 def test_bc_learns_constant_action():
     ds = constant_action_dataset(action_value=0.25)
     actor = bc_pretrain(ds, steps=3000, seed=0, hyper=SMALL)
-    obs = np.stack([t.obs for t in trajectories(ds)[0][:50]])
+    obs = trajectory(ds, 0)["obs"][:50]
     pred = nn.forward(actor, obs)
     assert np.all(np.abs(pred - 0.25) < 0.05)
 
@@ -417,17 +413,14 @@ def test_fqe_terminal_fixed_point():
     spec = env_spec("point_goal_dense")
     ref = ReferenceScores("point_goal_dense", -70.0, -8.0, 1, 0)
     rng = np.random.default_rng(0)
-    trs = [
-        Transition(rng.uniform(0, 10, 4), rng.uniform(-1, 1, 2), 2.0,
-                   rng.uniform(0, 10, 4), True, False)
-        for _ in range(100)
-    ]
-    ds = OfflineDataset.from_trajectories([trs], spec, BehaviorSpec("expert"), ref)
+    rows = [(rng.uniform(0, 10, 4), rng.uniform(-1, 1, 2), rng.uniform(0, 10, 4))
+            for _ in range(100)]
+    obs, action, next_obs = (np.array(column) for column in zip(*rows))
+    ds = one_trajectory(spec, ref, obs, action, np.full(100, 2.0), next_obs,
+                        np.ones(100, dtype=bool))
     policy = bc_pretrain(ds, steps=30, seed=0, hyper=SMALL)
     critic = fqe(policy, ds, steps=10_000, seed=0, hyper=SMALL)
-    x = np.concatenate(
-        [np.stack([t.obs for t in trs]), np.stack([t.action for t in trs])], axis=1
-    )
+    x = np.concatenate([obs, action], axis=1)
     q = nn.forward(critic, x)[:, 0]
     assert np.all(np.abs(q - 2.0) < 0.05)
 
@@ -436,10 +429,8 @@ def test_fqe_gamma_zero_regresses_reward():
     ds = constant_action_dataset()
     policy = bc_pretrain(ds, steps=30, seed=0, hyper=SMALL)
     critic = fqe(policy, ds, steps=4000, seed=0, hyper=SMALL, gamma=0.0)
-    trs = trajectories(ds)[0][:50]
-    x = np.concatenate(
-        [np.stack([t.obs for t in trs]), np.stack([t.action for t in trs])], axis=1
-    )
+    traj = trajectory(ds, 0)
+    x = np.concatenate([traj["obs"][:50], traj["action"][:50]], axis=1)
     q = nn.forward(critic, x)[:, 0]
     assert np.all(np.abs(q - (-1.0)) < 0.1)
 
@@ -449,17 +440,18 @@ def test_fqe_heldout_td_error_decreases(dense_ref):
     ds = generate_dataset(spec, BehaviorSpec("noisy_expert", sigma=0.4), 20, seed=2,
                           reference=dense_ref)
     policy = bc_pretrain(ds, steps=200, seed=0, hyper=SMALL)
-    held = [t for traj in trajectories(ds)[:2] for t in traj]
-    train = OfflineDataset.from_trajectories(
-        trajectories(ds)[2:], spec, ds.behavior, ds.reference
+    split = ds.offsets[2]  # the first two trajectories are held out
+    held = {name: getattr(ds, name)[:split] for name in COLUMNS}
+    train = OfflineDataset(
+        **{name: getattr(ds, name)[split:] for name in COLUMNS},
+        offsets=ds.offsets[2:] - split, env=spec, behavior=ds.behavior,
+        reference=ds.reference,
     )
 
     def td_error(critic):
-        obs = np.stack([t.obs for t in held])
-        acts = np.stack([t.action for t in held])
-        nxt = np.stack([t.next_obs for t in held])
-        rew = np.array([t.reward for t in held])
-        term = np.array([float(t.terminated) for t in held])
+        obs, acts, nxt = held["obs"], held["action"], held["next_obs"]
+        rew = held["reward"]
+        term = held["terminated"].astype(float)
         a_next = nn.forward(policy, nxt)
         qn = nn.forward(critic, np.concatenate([nxt, a_next], axis=1))[:, 0]
         y = rew + SMALL.gamma * (1 - term) * qn

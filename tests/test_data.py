@@ -9,7 +9,6 @@ from o2olab.data import (
     MixedSampler,
     OfflineDataset,
     ReplayBuffer,
-    Transition,
     dataset_return,
     generate_dataset,
     generate_mixed_dataset,
@@ -18,21 +17,33 @@ from o2olab.data import (
     save_dataset,
 )
 from o2olab.envs import BehaviorSpec, ReferenceScores, compute_reference_scores, env_spec
-from o2olab.errors import DatasetFormatError, EmptyBufferError
+from o2olab.errors import DatasetFormatError, EmptyBufferError, ShapeError
 
-
-def trajectories(ds):
-    """The dataset's rows as one list of ``Transition`` per trajectory."""
-    rows = [
-        Transition(*fields)
-        for fields in zip(ds.obs, ds.action, ds.reward.tolist(), ds.next_obs,
-                          ds.terminated.tolist(), ds.truncated.tolist())
-    ]
-    bounds = ds.offsets.tolist()
-    return [rows[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
-
-
+COLUMNS = ("obs", "action", "reward", "next_obs", "terminated", "truncated")
 BUFFER_FIELDS = ("obs", "action", "reward", "next_obs", "terminated")
+
+
+def trajectory(ds, i):
+    """Trajectory i's rows, one column slice per transition field."""
+    start, stop = ds.offsets[i], ds.offsets[i + 1]
+    return {name: getattr(ds, name)[start:stop] for name in COLUMNS}
+
+
+def assert_same_dataset(a, b):
+    for name in (*COLUMNS, "offsets"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def one_trajectory(spec, reference, obs, action, reward, next_obs, terminated):
+    """A dataset holding the given rows as one trajectory."""
+    n = len(reward)
+    return OfflineDataset(
+        obs=np.asarray(obs, dtype=float), action=np.asarray(action, dtype=float),
+        reward=np.asarray(reward, dtype=float), next_obs=np.asarray(next_obs, dtype=float),
+        terminated=np.asarray(terminated, dtype=bool), truncated=np.zeros(n, dtype=bool),
+        offsets=np.array([0, n]), env=spec, behavior=BehaviorSpec("expert"),
+        reference=reference,
+    )
 
 
 def fifo_columns(buf):
@@ -41,25 +52,22 @@ def fifo_columns(buf):
     return {f: getattr(buf, f"_{f}")[order] for f in BUFFER_FIELDS}
 
 
-def row_columns(transitions):
-    return {f: np.array([getattr(tr, f) for tr in transitions], dtype=float)
-            for f in BUFFER_FIELDS}
-
-
 def assert_same_columns(got, want):
     for f in BUFFER_FIELDS:
         assert np.array_equal(got[f], want[f]), f
 
 
-def _tr(i, obs_dim=2, action_dim=1):
-    return Transition(
-        obs=np.full(obs_dim, float(i)),
-        action=np.full(action_dim, float(i)),
-        reward=float(i),
-        next_obs=np.full(obs_dim, float(i) + 0.5),
-        terminated=False,
-        truncated=False,
-    )
+def rows(ks, obs_dim=2, action_dim=1):
+    """Transition k of a buffer test, for each k in ``ks``, as push's columns:
+    every field holds k, next_obs k + 0.5, never terminated."""
+    k = np.asarray(ks, dtype=float)
+    return {
+        "obs": np.repeat(k[:, None], obs_dim, axis=1),
+        "action": np.repeat(k[:, None], action_dim, axis=1),
+        "reward": k,
+        "next_obs": np.repeat(k[:, None] + 0.5, obs_dim, axis=1),
+        "terminated": np.zeros(len(k), dtype=bool),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -77,18 +85,18 @@ def test_generate_deterministic(sparse_reference):
     a = generate_dataset(spec, **kwargs)
     b = generate_dataset(spec, **kwargs)
     assert a.n_traj == b.n_traj == 10
-    for ta, tb in zip(trajectories(a), trajectories(b)):
-        assert ta == tb
+    assert_same_dataset(a, b)
 
 
 def test_generate_expert_sparse_all_terminate(sparse_reference):
     spec = env_spec("point_goal_sparse")
     ds = generate_dataset(spec, BehaviorSpec("expert"), 10, seed=3,
                           reference=sparse_reference)
-    for traj in trajectories(ds):
-        assert traj[-1].terminated
-        assert traj[-1].reward == 1.0
-        assert all(t.reward == 0.0 for t in traj[:-1])
+    for i in range(ds.n_traj):
+        traj = trajectory(ds, i)
+        assert traj["terminated"][-1]
+        assert traj["reward"][-1] == 1.0
+        assert np.all(traj["reward"][:-1] == 0.0)
 
 
 def test_epsilon_mixture_between_extremes():
@@ -126,11 +134,8 @@ def test_trajectory_mixture_composition(sparse_reference):
 def test_dataset_return_formula():
     spec = env_spec("point_goal_dense")
     ref = ReferenceScores("point_goal_dense", 0.0, 10.0, 1, 0)
-    traj = [
-        Transition(np.zeros(4), np.zeros(2), r, np.zeros(4), False, False)
-        for r in (1.0, 2.0, 3.0)
-    ]
-    ds = OfflineDataset.from_trajectories([traj], spec, BehaviorSpec("expert"), ref)
+    ds = one_trajectory(spec, ref, np.zeros((3, 4)), np.zeros((3, 2)), [1.0, 2.0, 3.0],
+                        np.zeros((3, 4)), [False] * 3)
     per_traj, mean = dataset_return(ds)
     assert per_traj.tolist() == [0.6]
     assert mean == 0.6
@@ -145,8 +150,9 @@ def test_dataset_return_mean_in_hull(sparse_reference):
 
 
 def test_dataset_return_empty_rejected(sparse_reference):
-    ds = OfflineDataset.from_trajectories([], env_spec("point_goal_sparse"),
-                                          BehaviorSpec("expert"), sparse_reference)
+    ds = one_trajectory(env_spec("point_goal_sparse"), sparse_reference, np.zeros((0, 4)),
+                        np.zeros((0, 2)), [], np.zeros((0, 4)), [])
+    ds.offsets = np.array([0])
     with pytest.raises(ValueError):
         dataset_return(ds)
 
@@ -164,27 +170,40 @@ def test_expert_dataset_mean_near_one(sparse_reference):
 
 def test_buffer_ring_semantics():
     buf = ReplayBuffer(2, 2, 1)
-    a, b, c = _tr(1), _tr(2), _tr(3)
-    buf.push(a)
+    buf.push(**rows([1]))
     assert len(buf) == 1
-    buf.push(b)
-    buf.push(c)
+    buf.push(**rows([2]))
+    buf.push(**rows([3]))
     assert len(buf) == 2
-    assert_same_columns(fifo_columns(buf), row_columns([b, c]))
+    assert_same_columns(fifo_columns(buf), rows([2, 3]))
 
 
 def test_buffer_size_tracks_pushes():
     buf = ReplayBuffer(10, 2, 1)
     for k in range(1, 8):
-        buf.push(_tr(k))
+        buf.push(**rows([k]))
         assert len(buf) == k
 
 
 def test_buffer_fifo_under_repeated_overflow():
     buf = ReplayBuffer(3, 2, 1)
     for k in range(10):
-        buf.push(_tr(k))
-    assert_same_columns(fifo_columns(buf), row_columns([_tr(7), _tr(8), _tr(9)]))
+        buf.push(**rows([k]))
+    assert_same_columns(fifo_columns(buf), rows([7, 8, 9]))
+
+
+def one_row_at_a_time(buf, columns):
+    for k in range(len(columns["reward"])):
+        buf.push(**{f: columns[f][k : k + 1] for f in BUFFER_FIELDS})
+
+
+def assert_same_buffer(got, want):
+    assert (len(got), got._next) == (len(want), want._next)
+    assert_same_columns(fifo_columns(got), fifo_columns(want))
+    a = got.sample(50, np.random.default_rng(1))
+    b = want.sample(50, np.random.default_rng(1))
+    for field in BUFFER_FIELDS:
+        assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 @pytest.mark.parametrize("capacity", [None, 7, 40])
@@ -192,21 +211,41 @@ def test_from_dataset_matches_pushing_rows_in_order(sparse_reference, capacity):
     ds = generate_dataset(env_spec("point_goal_sparse"), BehaviorSpec("noisy_expert", sigma=0.3),
                           3, seed=4, reference=sparse_reference)
     pushed = ReplayBuffer(capacity or ds.n_transitions, 4, 2)
-    for traj in trajectories(ds):
-        for tr in traj:
-            pushed.push(tr)
-    copied = ReplayBuffer.from_dataset(ds, capacity)
-    assert (len(copied), copied._next) == (len(pushed), pushed._next)
-    assert_same_columns(fifo_columns(copied), fifo_columns(pushed))
-    a = copied.sample(50, np.random.default_rng(1))
-    b = pushed.sample(50, np.random.default_rng(1))
-    for field in BUFFER_FIELDS:
-        assert np.array_equal(getattr(a, field), getattr(b, field))
+    one_row_at_a_time(pushed, {f: getattr(ds, f) for f in BUFFER_FIELDS})
+    assert_same_buffer(ReplayBuffer.from_dataset(ds, capacity), pushed)
+
+
+@pytest.mark.parametrize("chunks", [
+    [12],  # one push larger than the capacity
+    [3, 4],  # a push that wraps onto a non-empty buffer
+    [3, 9],  # a push larger than the capacity onto a non-empty buffer
+])
+def test_bulk_push_matches_pushing_rows_in_order(chunks):
+    bulk, pushed = ReplayBuffer(5, 2, 1), ReplayBuffer(5, 2, 1)
+    start = 0
+    for n in chunks:
+        columns = rows(range(start, start + n))
+        bulk.push(**columns)
+        one_row_at_a_time(pushed, columns)
+        start += n
+        assert_same_buffer(bulk, pushed)
+
+
+@pytest.mark.parametrize("field,width", [("obs", 3), ("action", 2), ("next_obs", 1)])
+def test_push_rejects_mismatched_widths(field, width):
+    buf = ReplayBuffer(5, 2, 1)
+    buf.push(**rows([1]))
+    columns = rows([2, 3])
+    columns[field] = np.zeros((2, width))
+    with pytest.raises(ShapeError, match="do not match buffer"):
+        buf.push(**columns)
+    assert (len(buf), buf._next) == (1, 1)
+    assert_same_columns(fifo_columns(buf), rows([1]))
 
 
 def test_buffer_sample_single_item():
     buf = ReplayBuffer(4, 2, 1)
-    buf.push(_tr(5))
+    buf.push(**rows([5]))
     batch = buf.sample(6, np.random.default_rng(0))
     assert len(batch) == 6
     assert np.all(batch.obs == 5.0)
@@ -214,8 +253,7 @@ def test_buffer_sample_single_item():
 
 def test_buffer_sample_reproducible():
     buf = ReplayBuffer(16, 2, 1)
-    for k in range(16):
-        buf.push(_tr(k))
+    buf.push(**rows(range(16)))
     b1 = buf.sample(8, np.random.default_rng(3))
     b2 = buf.sample(8, np.random.default_rng(3))
     assert np.array_equal(b1.obs, b2.obs)
@@ -225,8 +263,7 @@ def test_buffer_sample_uniform_chi_square():
     # frequencies of each slot over 100k draws against a chi-square oracle
     n_items, draws = 20, 100_000
     buf = ReplayBuffer(n_items, 2, 1)
-    for k in range(n_items):
-        buf.push(_tr(k))
+    buf.push(**rows(range(n_items)))
     rng = np.random.default_rng(12345)
     counts = np.zeros(n_items)
     for _ in range(100):
@@ -252,14 +289,8 @@ def test_buffer_empty_sample_raises():
 def _marked_buffers(n_off=50, n_on=50):
     off = ReplayBuffer(n_off, 2, 1)
     on = ReplayBuffer(n_on, 2, 1)
-    for k in range(n_off):
-        tr = _tr(k)
-        tr.reward = 1.0  # offline marker
-        off.push(tr)
-    for k in range(n_on):
-        tr = _tr(k)
-        tr.reward = 0.0
-        on.push(tr)
+    off.push(**{**rows(range(n_off)), "reward": np.ones(n_off)})  # offline marker
+    on.push(**{**rows(range(n_on)), "reward": np.zeros(n_on)})
     return off, on
 
 
@@ -317,8 +348,7 @@ def test_save_load_round_trip(tmp_path, sparse_reference):
     assert back.behavior == ds.behavior
     assert back.reference == ds.reference
     assert back.n_traj == ds.n_traj
-    for ta, tb in zip(trajectories(ds), trajectories(back)):
-        assert ta == tb
+    assert_same_dataset(back, ds)
 
 
 def test_save_load_mixture_round_trip(tmp_path, sparse_reference):
@@ -331,8 +361,7 @@ def test_save_load_mixture_round_trip(tmp_path, sparse_reference):
     save_dataset(ds, path)
     back = load_dataset(path)
     assert back.behavior == ds.behavior
-    for ta, tb in zip(trajectories(ds), trajectories(back)):
-        assert ta == tb
+    assert_same_dataset(back, ds)
 
 
 def test_save_is_byte_stable(tmp_path, sparse_reference):
@@ -514,10 +543,12 @@ def test_load_groups_rows_by_trajectory(chunked):
     ds, directory = chunked
     back = load_dataset(directory)
     assert back.n_traj == ds.n_traj
-    lengths = [len(traj) for traj in trajectories(ds)]
+    lengths = [len(trajectory(ds, i)["reward"]) for i in range(ds.n_traj)]
     assert back.offsets.tolist() == np.cumsum([0, *lengths]).tolist()
-    for ta, tb in zip(trajectories(ds), trajectories(back), strict=True):
-        assert ta == tb
+    for i in range(ds.n_traj):
+        got, want = trajectory(back, i), trajectory(ds, i)
+        for name in COLUMNS:
+            assert np.array_equal(got[name], want[name]), name
 
 
 def test_interrupted_save_leaves_no_manifest(saved, monkeypatch):

@@ -14,7 +14,7 @@ from o2olab.envs import (
     evaluate_policy,
     expert_action,
     make_env,
-    run_episode,
+    run_episodes,
     scripted_action,
     wrap_angle,
 )
@@ -28,7 +28,7 @@ def reference_episode(spec, policy, seed):
     ``normal(size=2)`` per step and measures its distance with a vector dot
     product, the pendulum runs in scalar ``math``. ``policy`` gets one
     observation. Returns the list of (obs, action, reward, next_obs,
-    terminated, truncated) steps, as ``run_episode`` does."""
+    terminated, truncated) steps."""
     rng = np.random.default_rng(seed)
     goal = PointGoalEnv.GOAL
     if spec.kind == "pendulum":
@@ -78,6 +78,19 @@ def assert_steps_equal(got, want):
         assert g[2] == w[2]
         assert np.array_equal(g[3], w[3])
         assert (g[4], g[5]) == (w[4], w[5])
+
+
+STEP_COLUMNS = ("obs", "action", "reward", "next_obs", "terminated", "truncated")
+
+
+def assert_columns_equal_steps(columns, i, want):
+    """Episode i's rows of ``run_episodes``' columns equal the steps of a
+    ``reference_episode``, bit for bit."""
+    start, stop = columns["offsets"][i], columns["offsets"][i + 1]
+    assert stop - start == len(want)
+    for k, name in enumerate(STEP_COLUMNS):
+        got = columns[name][start:stop]
+        assert np.array_equal(got, np.array([step[k] for step in want])), name
 
 
 def place_pendulum(env, theta, theta_dot):
@@ -224,13 +237,11 @@ def test_trajectories_bit_identical():
             env = make_env(spec)
             rng = np.random.default_rng(99)
             policy = behavior_policy(BehaviorSpec("uniform_random"), spec, rng)
-            steps, ret = run_episode(env, policy, seed=4)
-            runs.append((steps, ret))
-        (s1, r1), (s2, r2) = runs
-        assert r1 == r2
-        for a, b in zip(s1, s2):
-            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-            assert a[2] == b[2]
+            runs.append(run_episodes(env, [policy], [4]))
+        c1, c2 = runs
+        assert sum(c1["reward"].tolist()) == sum(c2["reward"].tolist())
+        for name in (*STEP_COLUMNS, "offsets"):
+            assert np.array_equal(c1[name], c2[name]), name
 
 
 def test_sparse_rewards_binary_single_success():
@@ -239,17 +250,18 @@ def test_sparse_rewards_binary_single_success():
     rng = np.random.default_rng(0)
     for ep in range(20):
         policy = behavior_policy(BehaviorSpec("expert"), spec, rng)
-        steps, ret = run_episode(env, policy, seed=ep)
-        rewards = [s[2] for s in steps]
+        columns = run_episodes(env, [policy], [ep])
+        rewards = columns["reward"].tolist()
         assert set(rewards) <= {0.0, 1.0}
         assert sum(rewards) <= 1.0
-        assert len(steps) <= spec.horizon
+        assert columns["offsets"].tolist() == [0, len(rewards)]
+        assert len(rewards) <= spec.horizon
 
 
 @pytest.mark.parametrize("kind", ["pendulum", "point_goal_dense", "point_goal_sparse"])
 def test_rows_equal_reference_episodes(kind):
-    # n episodes in one env, and each alone through run_episode, against the
-    # per-episode reference. At horizon 20 the expert brings some point-goal
+    # n episodes in one env, stepped directly and through run_episodes, and
+    # each alone through run_episodes, against the per-episode reference. At horizon 20 the expert brings some point-goal
     # episodes to the goal, at different steps, and runs out of time on others.
     spec = env_spec(kind, horizon=20)
 
@@ -261,7 +273,10 @@ def test_rows_equal_reference_episodes(kind):
         seeds = [stable_seed("rows", kind, n, i) for i in range(n)]
         want = [reference_episode(spec, policy, s) for s in seeds]
         for s, w in zip(seeds, want):
-            assert_steps_equal(run_episode(make_env(spec), policy, s)[0], w)
+            assert_columns_equal_steps(run_episodes(make_env(spec), [policy], [s]), 0, w)
+        columns = run_episodes(make_env(spec), [policy] * n, seeds)
+        for i, w in enumerate(want):
+            assert_columns_equal_steps(columns, i, w)
         env = make_env(spec)
         obs = env.reset(seeds)
         got = [[] for _ in seeds]
@@ -282,6 +297,26 @@ def test_rows_equal_reference_episodes(kind):
     else:
         assert {terminated for _, terminated in endings} == {True, False}
         assert len({length for length, terminated in endings if terminated}) > 1
+
+
+def test_run_episodes_asks_each_live_episode_in_row_order():
+    # at every step the live episodes' policies are asked once each, in
+    # episode order, and an ended episode is asked no more
+    spec = env_spec("point_goal_dense", horizon=20)
+    calls = []
+
+    def logging_policy(i):
+        def policy(obs):
+            calls.append(i)
+            return expert_action(spec, obs)
+        return policy
+
+    n = 12
+    seeds = [stable_seed("rows", "order", i) for i in range(n)]
+    columns = run_episodes(make_env(spec), [logging_policy(i) for i in range(n)], seeds)
+    lengths = np.diff(columns["offsets"]).tolist()
+    assert len(set(lengths)) > 1
+    assert calls == [i for t in range(max(lengths)) for i in range(n) if lengths[i] > t]
 
 
 def test_goal_distance_is_the_vector_dot_product():

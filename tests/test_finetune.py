@@ -17,7 +17,7 @@ from o2olab.finetune import (
 from o2olab.agents import policy_fn
 from o2olab.metrics import EvalCurve, EvalPoint
 
-from test_data import trajectories
+from test_data import assert_same_dataset
 
 HYPER = Td3Hyper(hidden=(8, 8), batch=32)
 SPEC = env_spec("point_goal_dense", horizon=40)
@@ -162,10 +162,9 @@ def test_replay_methods_read_dataset(dataset):
 
 
 def test_dataset_immutable_during_runs(dataset):
-    snapshot = copy.deepcopy(trajectories(dataset))
+    snapshot = copy.deepcopy(dataset)
     run(method="mixed", dataset=dataset)
-    for before, after in zip(snapshot, trajectories(dataset)):
-        assert before == after
+    assert_same_dataset(dataset, snapshot)
 
 
 def test_replay_reset_degrades_step0(dataset):

@@ -9,7 +9,10 @@ and ``report/analysis.json`` also carry provenance (the artifact's input
 key, or none for the analysis), so their digests change whenever that
 provenance does; their other content matches the reference. The dataset's
 column files (``dataset/*.npy``) hold the same float64 values as the
-reference's JSON-lines dataset, bit for bit. The digests assume IEEE
+reference's JSON-lines dataset, bit for bit. Two datasets outside the
+pipelines are pinned too: a single-behavior ``generate_dataset``, whose
+trajectories are seeded apart from the mixed generator's segments, and a
+pendulum mixed dataset. The digests assume IEEE
 float64 numpy on x86-64 with OpenBLAS; another BLAS build may round matrix
 products differently.
 """
@@ -22,6 +25,8 @@ from pathlib import Path
 import pytest
 
 from o2olab import runner
+from o2olab.data import generate_dataset, generate_mixed_dataset, save_dataset
+from o2olab.envs import BehaviorSpec, compute_reference_scores, env_spec
 
 OUT_DIR = "runs/golden"
 
@@ -144,6 +149,29 @@ GOLDEN = {
 }
 
 
+# sha256 of the saved files of datasets generated outside a pipeline
+SINGLE_BEHAVIOR_DATASET = {
+    "action.npy": "4d111036531d3cc8d597de43c1cc20614baca1039fa3001c4698c89cc06ec5c3",
+    "manifest.json": "f7248517a67018f6c2338b68c30e4ce1173e5244d470159f8b799513513aba39",
+    "next_obs.npy": "cdf185f0b6e93f7aae1eb02b144293ffb46cca79c7b32da5c1688f3cfd747bd8",
+    "obs.npy": "3d8bf0a37247144064f6bb01e5f4d51009dea16bc59d8d1e56baf1f0307ca6a9",
+    "offsets.npy": "74cc02886db6ce82dc398a594b4aaeb80ae1a41d738eb63015b7c1c6001b8aad",
+    "reward.npy": "4493f282dbe7a2d0bde94ed418fa04a150d16d1edfd84d4a6aab53d4cb3bd903",
+    "terminated.npy": "da7f0fbaa0c6fe0d7cf417a9f9f52270473e9d98432d118856089aac146c417f",
+    "truncated.npy": "553a9c185c475d715a856c7cf25b199c1e9af79ca1fa311970e0f735d20bef71",
+}
+PENDULUM_MIXED_DATASET = {
+    "action.npy": "249233abf448045129f4cb47e4506140ccba52b79eb3ff50e51961bcc0f22574",
+    "manifest.json": "0d4186c5a6f927f470803cdac7c7c8ffb4f155d0e17a77dddd441749ea09bafb",
+    "next_obs.npy": "881c662d3bd67eb825e97fd34cf5089525c9c9c734597534663892cb5cd9c7e3",
+    "obs.npy": "d7af5f167be16d61f7a11607ab17a64ecd81db18159ec55b04575bd73ae01881",
+    "offsets.npy": "58dfca7998f2f9632cde8e4bcfe26cc7cbc5891b5f8434a851cf0c96cf1d9ed4",
+    "reward.npy": "5d45550b359b5340e90540057b9becf2b0a7d41f800b5d5683557a9173a1a484",
+    "terminated.npy": "4bdd479f6226d384635a9f74e5a66245fe24aa78f042319c2e6582565f6932a9",
+    "truncated.npy": "9e3a8dcfe7f508cc01cb55023ec28e343f3af8f0e88768e6594a3980cc06b807",
+}
+
+
 def golden_config(pretrain_kind: str) -> runner.ExperimentConfig:
     return runner.ExperimentConfig.from_dict({
         "setting": f"golden-{pretrain_kind}",
@@ -208,6 +236,14 @@ def digested(root: Path) -> dict[str, str]:
     }
 
 
+def saved_digests(dataset, directory: Path) -> dict[str, str]:
+    save_dataset(dataset, directory)
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(directory.iterdir())
+    }
+
+
 @pytest.fixture(scope="module")
 def pipelines(tmp_path_factory):
     base = tmp_path_factory.mktemp("golden")
@@ -226,3 +262,26 @@ def test_identical_runs_give_identical_trees(pipelines, tmp_path):
     assert sorted(first) == sorted(second)
     differing = [name for name in first if first[name] != second[name]]
     assert differing == []
+
+
+def test_single_behavior_dataset_matches_golden_digests(tmp_path):
+    # variable-length trajectories: the dense goal ends some episodes early
+    spec = env_spec("point_goal_dense", 30)
+    reference = compute_reference_scores(spec, seed=3, episodes=4)
+    dataset = generate_dataset(
+        spec, BehaviorSpec("noisy_expert", sigma=0.3), 5, seed=11, reference=reference
+    )
+    assert dataset.offsets.tolist() == [0, 22, 43, 50, 75, 82]
+    assert saved_digests(dataset, tmp_path / "ds") == SINGLE_BEHAVIOR_DATASET
+
+
+def test_pendulum_mixed_dataset_matches_golden_digests(tmp_path):
+    spec = env_spec("pendulum", 40)
+    reference = compute_reference_scores(spec, seed=5, episodes=3)
+    segments = [
+        (BehaviorSpec("expert"), 3),
+        (BehaviorSpec("epsilon_mixture", epsilon=0.3), 2),
+        (BehaviorSpec("uniform_random"), 2),
+    ]
+    dataset = generate_mixed_dataset(spec, segments, seed=13, reference=reference)
+    assert saved_digests(dataset, tmp_path / "ds") == PENDULUM_MIXED_DATASET

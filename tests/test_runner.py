@@ -469,6 +469,28 @@ def test_cli_report_ignores_report_knobs_and_out_dir(finished, tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("last_k,code", [(0, 1), (-2, 1), (14, 1), (13, 0)])
+def test_cli_report_checks_last_k_against_the_curve(finished, tmp_path, capsys, last_k, code):
+    # each tiny run's curve has 120 // 10 + 1 = 13 points
+    copied = copy_of(finished, tmp_path)
+    cfg_path = _write_config(tmp_path, {"out_dir": str(copied.root), "last_k": last_k})
+    capsys.readouterr()
+    assert cli.main(["report", "--config", str(cfg_path)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert f"last_k must be in [1, 13], the points of each evaluation curve; got {last_k}" in err
+        assert "Traceback" not in err
+    else:  # every point counts
+        baseline = read_json(copied.root / "report" / "analysis.json")["methods"]["baseline"]
+        runs = copied.root / "finetune" / "baseline"
+        curves = [read_json(runs / f"seed_{seed}.json")["eval_curve"]
+                  for seed in baseline["config_seeds"]]
+        assert [len(curve) for curve in curves] == [13, 13]
+        assert baseline["last_k_per_seed"] == [
+            float(np.mean([point["mean"] for point in curve])) for curve in curves
+        ]
+
+
 def test_cli_finetune_refuses_a_checkpoint_with_another_key(finished, tmp_path, capsys):
     copied = copy_of(finished, tmp_path)
     manifest = copied.root / "pretrain" / "seed_0" / "manifest.json"
