@@ -280,7 +280,10 @@ def _behavior_to_json(behavior):
 def _behavior_from_json(data):
     if isinstance(data, dict):
         return BehaviorSpec.from_dict(data)
-    return [(BehaviorSpec.from_dict(d), int(d["n_traj"])) for d in data]
+    return [
+        (BehaviorSpec.from_dict({k: v for k, v in d.items() if k != "n_traj"}), int(d["n_traj"]))
+        for d in data
+    ]
 
 
 def _column_layout(n_transitions: int, n_traj: int, env: EnvSpec) -> dict:

@@ -273,11 +273,8 @@ class BehaviorSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BehaviorSpec":
-        return cls(
-            kind=data["kind"],
-            sigma=float(data.get("sigma", 0.0)),
-            epsilon=float(data.get("epsilon", 0.0)),
-        )
+        """A key that is not a field is a TypeError."""
+        return cls(**{**data, **{k: float(data[k]) for k in ("sigma", "epsilon") if k in data}})
 
 
 # Pendulum swing-up controller. Pumps total energy toward the upright level

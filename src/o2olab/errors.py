@@ -24,7 +24,3 @@ class ConfigError(ValueError):
 
 class MissingInputError(FileNotFoundError):
     """A required pipeline input (earlier stage output) is absent."""
-
-
-class ConsistencyError(ValueError):
-    """Two values that must agree (e.g. a cross-checked baseline) do not."""

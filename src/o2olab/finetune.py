@@ -124,7 +124,7 @@ def eval_seed_for(run_seed: int, point_index: int) -> int:
     return stable_seed("finetune-eval", run_seed, point_index)
 
 
-def last_k_eval_stat(log: RunLog, k: int = 10) -> float:
+def last_k_eval_stat(log: RunLog, k: int) -> float:
     """Mean of the last k evaluation means: the per-seed comparison scalar."""
     means = log.eval_curve.means()
     if len(means) < k:

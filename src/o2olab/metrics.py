@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError
-
 SUPERIOR = "Superior"
 COMPARABLE = "Comparable"
 INFERIOR = "Inferior"
@@ -42,14 +40,6 @@ class EvalPoint:
 @dataclass
 class EvalCurve:
     points: list[EvalPoint]
-
-    def validate(self) -> None:
-        steps = [p.step for p in self.points]
-        if any(b <= a for a, b in zip(steps, steps[1:])):
-            raise ValueError(f"curve steps must be strictly increasing: {steps}")
-        for p in self.points:
-            if abs(p.mean - float(np.mean(p.per_episode))) > 1e-12:
-                raise ValueError(f"point at step {p.step}: mean != mean(per_episode)")
 
     def means(self) -> list[float]:
         return [p.mean for p in self.points]
@@ -83,26 +73,14 @@ class KnowledgeDecomposition:
     plasticity: float  # >= 0
     final: float
 
-    def identity_residual(self) -> float:
-        return abs(self.final - (self.prior + self.stability + self.plasticity))
 
-
-def decompose(
-    curve: EvalCurve, j_data: float, j_policy: float | None = None
-) -> KnowledgeDecomposition:
+def decompose(curve: EvalCurve, j_data: float) -> KnowledgeDecomposition:
     """Split the curve's best value into prior knowledge, degradation, and
-    online gain.
-
-    The curve's step-0 point must be the measured pretrained-policy score;
-    if ``j_policy`` is supplied it is cross-checked against that point.
-    """
+    online gain. The curve's step-0 point is the measured pretrained-policy
+    score."""
     if not curve.points:
         raise ValueError("curve must be non-empty")
     j0 = curve.points[0].mean
-    if j_policy is not None and abs(j_policy - j0) > 1e-9:
-        raise ConsistencyError(
-            f"curve step-0 mean {j0!r} != supplied pretrained score {j_policy!r}"
-        )
     means = curve.means()
     prior = offline_baseline(j0, j_data)
     return KnowledgeDecomposition(
@@ -436,14 +414,6 @@ class ConfusionMatrix:
         if len(counts) != 3 or any(len(row) != 3 for row in counts):
             raise ValueError("counts must be 3x3")
         return cls(counts)
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "ConfusionMatrix":
-        """pairs: iterable of (regime label, winner tag)."""
-        matrix = cls()
-        for regime, winner in pairs:
-            matrix.add(regime, winner)
-        return matrix
 
     def add(self, regime: str, winner: str) -> None:
         if regime == INCONCLUSIVE:

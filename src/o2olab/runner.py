@@ -28,6 +28,12 @@ takes the dataset's per-trajectory returns from the manifest. ``setting``,
 (``last_k``, ``map_inconclusive``) feed no key, so changing them
 invalidates nothing.
 
+Pretrain splits its work into one unit per seed, finetune into one per
+method x seed. A serial stage (``jobs`` 1) is the one-worker case of the
+same units: ``jobs`` N runs the same unit function in a pool of N worker
+processes, each unit takes the dataset's rows from a per-process cache, and
+results come back in unit order, so both write the same bytes.
+
 Regime labels are persisted by the classify stage before any fine-tuning
 output exists, so the prediction is made ahead of the outcome.
 """
@@ -36,9 +42,11 @@ from __future__ import annotations
 
 import concurrent.futures as cf
 import ctypes
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -103,28 +111,90 @@ PRETRAIN_BC_FQE = "bc_fqe"
 
 
 @dataclass
+class PretrainConfig:
+    kind: str = PRETRAIN_OFFLINE_RL
+    steps: int = 30_000
+    beta: float = 0.4
+    fqe_steps: int | None = None  # bc_fqe only; defaults to steps // 5
+
+    def __post_init__(self):
+        if self.kind not in (PRETRAIN_OFFLINE_RL, PRETRAIN_BC_FQE):
+            raise ConfigError(f"unknown pretrainer {self.kind!r}")
+        self.steps = int(self.steps)
+        self.beta = float(self.beta)
+
+    @property
+    def resolved_fqe_steps(self) -> int:
+        return self.fqe_steps if self.fqe_steps is not None else max(1, self.steps // 5)
+
+
+@dataclass
+class TostConfig:
+    delta: float = 0.05
+    alpha: float = 0.05
+
+    def __post_init__(self):
+        self.delta = float(self.delta)
+        self.alpha = float(self.alpha)
+
+
+def _segment(entry: dict) -> tuple[BehaviorSpec, int]:
+    """One ``behavior`` entry: the behavior's fields plus ``n_traj`` (1 when absent)."""
+    spec = dict(entry)
+    n_traj = int(spec.pop("n_traj", 1))
+    return BehaviorSpec.from_dict(spec), n_traj
+
+
+def _plain(value):
+    """A config field as JSON data."""
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if is_dataclass(value):
+        return asdict(value)
+    return list(value) if isinstance(value, tuple) else value
+
+
+# How each nested section of the JSON config is built; every other key is
+# passed to ExperimentConfig as it is.
+_SECTIONS = {
+    "env": lambda env: env_spec(**env),
+    "behavior": lambda b: [_segment(e) for e in ([b] if isinstance(b, dict) else b)],
+    "pretrain": lambda pretrain: PretrainConfig(**pretrain),
+    "finetune": lambda finetune: FinetuneConfig(**finetune),
+    "agent": Td3Hyper.from_dict,
+    "tost": lambda tost: TostConfig(**tost),
+}
+
+
+@dataclass
 class ExperimentConfig:
+    """One setting. Fields carry the names and nesting of the JSON config's
+    keys, so ``to_dict`` is read off the fields, and ``from_dict`` builds
+    every section with its own constructor: an unknown key at any level is a
+    ConfigError."""
+
     setting: str
     env: EnvSpec
     behavior: list[tuple[BehaviorSpec, int]]  # (behavior, n_traj) segments
-    pretrain_kind: str = PRETRAIN_OFFLINE_RL
-    pretrain_steps: int = 30_000
-    pretrain_beta: float = 0.4
-    fqe_steps: int | None = None  # bc_fqe only; defaults to pretrain_steps // 5
+    pretrain: PretrainConfig = field(default_factory=PretrainConfig)
     methods: tuple[str, ...] = ALL_METHODS
     seeds: tuple[int, ...] = tuple(range(10))
     finetune: FinetuneConfig = field(default_factory=FinetuneConfig)
-    hyper: Td3Hyper = field(default_factory=Td3Hyper)
+    agent: Td3Hyper = field(default_factory=Td3Hyper)
     dataset_seed: int = 0
     reference_seed: int | None = None
     reference_episodes: int = 100
-    tost_delta: float = 0.05
-    tost_alpha: float = 0.05
+    tost: TostConfig = field(default_factory=TostConfig)
     map_inconclusive: str = MAP_COMPARABLE
     last_k: int = 10
     out_dir: str | None = None
 
     def __post_init__(self):
+        self.methods = tuple(self.methods)
+        self.seeds = tuple(int(s) for s in self.seeds)
+        self.dataset_seed = int(self.dataset_seed)
+        self.reference_episodes = int(self.reference_episodes)
+        self.last_k = int(self.last_k)
         if not self.setting:
             raise ConfigError("setting name must be non-empty")
         if not self.behavior:
@@ -136,12 +206,10 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {m!r}")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be non-empty and distinct")
-        if self.pretrain_kind not in (PRETRAIN_OFFLINE_RL, PRETRAIN_BC_FQE):
-            raise ConfigError(f"unknown pretrainer {self.pretrain_kind!r}")
         if self.map_inconclusive not in (MAP_COMPARABLE, MAP_DROP):
             raise ConfigError("map_inconclusive must be 'comparable' or 'drop'")
         if self.finetune.beta is None:
-            self.finetune.beta = self.pretrain_beta
+            self.finetune.beta = self.pretrain.beta
         self.finetune.validate()
         points = self.finetune.total_env_steps // self.finetune.eval_every + 1
         if not 1 <= self.last_k <= points:
@@ -156,92 +224,19 @@ class ExperimentConfig:
             return self.reference_seed
         return stable_seed("reference", self.dataset_seed)
 
-    @property
-    def resolved_fqe_steps(self) -> int:
-        return self.fqe_steps if self.fqe_steps is not None else max(1, self.pretrain_steps // 5)
-
     def to_dict(self) -> dict:
-        return {
-            "setting": self.setting,
-            "env": self.env.to_dict(),
-            "behavior": [{**b.to_dict(), "n_traj": n} for b, n in self.behavior],
-            "pretrain": {
-                "kind": self.pretrain_kind,
-                "steps": self.pretrain_steps,
-                "beta": self.pretrain_beta,
-                "fqe_steps": self.fqe_steps,
-            },
-            "methods": list(self.methods),
-            "seeds": list(self.seeds),
-            "finetune": self.finetune.to_dict(),
-            "agent": self.hyper.to_dict(),
-            "dataset_seed": self.dataset_seed,
-            "reference_seed": self.reference_seed,
-            "reference_episodes": self.reference_episodes,
-            "tost": {"delta": self.tost_delta, "alpha": self.tost_alpha},
-            "map_inconclusive": self.map_inconclusive,
-            "last_k": self.last_k,
-            "out_dir": self.out_dir,
-        }
+        d = {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        d["behavior"] = [{**b.to_dict(), "n_traj": n} for b, n in self.behavior]
+        return d
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {
-            "setting",
-            "env",
-            "behavior",
-            "pretrain",
-            "methods",
-            "seeds",
-            "finetune",
-            "agent",
-            "dataset_seed",
-            "reference_seed",
-            "reference_episodes",
-            "tost",
-            "map_inconclusive",
-            "last_k",
-            "out_dir",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        pre, tost = data.get("pretrain", {}), data.get("tost", {})
-        optional = {  # field: (section, key, conversion or None); absent keys keep the default
-            "pretrain_kind": (pre, "kind", None),
-            "pretrain_steps": (pre, "steps", int),
-            "pretrain_beta": (pre, "beta", float),
-            "fqe_steps": (pre, "fqe_steps", None),
-            "methods": (data, "methods", tuple),
-            "seeds": (data, "seeds", lambda seeds: tuple(int(s) for s in seeds)),
-            "dataset_seed": (data, "dataset_seed", int),
-            "reference_seed": (data, "reference_seed", None),
-            "reference_episodes": (data, "reference_episodes", int),
-            "tost_delta": (tost, "delta", float),
-            "tost_alpha": (tost, "alpha", float),
-            "map_inconclusive": (data, "map_inconclusive", None),
-            "last_k": (data, "last_k", int),
-            "out_dir": (data, "out_dir", None),
-        }
         try:
-            raw_behavior = data["behavior"]
-            if isinstance(raw_behavior, dict):
-                raw_behavior = [raw_behavior]
-            return cls(
-                setting=data["setting"],
-                env=env_spec(data["env"]["kind"], data["env"].get("horizon")),
-                behavior=[
-                    (BehaviorSpec.from_dict(b), int(b.get("n_traj", 1))) for b in raw_behavior
-                ],
-                finetune=FinetuneConfig(**data.get("finetune", {})),
-                hyper=Td3Hyper.from_dict(data.get("agent", {})),
-                **{
-                    name: section[key] if convert is None else convert(section[key])
-                    for name, (section, key, convert) in optional.items()
-                    if key in section
-                },
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(**{
+                key: _SECTIONS[key](value) if key in _SECTIONS else value
+                for key, value in data.items()
+            })
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"invalid config: {exc}") from exc
@@ -303,7 +298,7 @@ def checkpoint_key(config: ExperimentConfig, seed: int) -> str:
     d = config.to_dict()
     return _key({
         "dataset": dataset_key(config),
-        "pretrain": {**d["pretrain"], "fqe_steps": config.resolved_fqe_steps},
+        "pretrain": {**d["pretrain"], "fqe_steps": config.pretrain.resolved_fqe_steps},
         "agent": d["agent"],
         "seed": seed,
     })
@@ -388,33 +383,39 @@ def cmd_gen_data(config: ExperimentConfig, force: bool = False) -> Path:
 # --- stage: pretrain ---
 
 
-def _pretrain_one(
-    config: ExperimentConfig,
-    seed: int,
-    reference: ReferenceScores,
-    dataset: OfflineDataset | None,
-):
+@functools.lru_cache(maxsize=1)
+def _rows(path: Path, key: str) -> OfflineDataset:
+    return load_dataset(path)
+
+
+def _dataset(config: ExperimentConfig) -> OfflineDataset:
+    """The dataset's rows, parsed once per process: equal keys mean equal
+    rows, since generation is deterministic."""
+    return _rows(Paths(config).dataset, dataset_key(config))
+
+
+def _pretrain_one(config: ExperimentConfig, seed: int, reference: ReferenceScores, train: bool):
     """Evaluate one seed's checkpoint, first training and saving it when
-    ``dataset`` is given; returns (mean, per_episode)."""
+    ``train``; returns (mean, per_episode)."""
     paths = Paths(config)
-    if dataset is None:
-        agent = load_agent(paths.checkpoint(seed))
-    else:
+    pretrain, hyper = config.pretrain, config.agent
+    if train:
+        dataset = _dataset(config)
         train_seed = stable_seed("pretrain", seed)
-        if config.pretrain_kind == PRETRAIN_OFFLINE_RL:
-            agent = offline_rl_pretrain(
-                dataset, config.pretrain_steps, config.pretrain_beta, train_seed, config.hyper
-            )
+        if pretrain.kind == PRETRAIN_OFFLINE_RL:
+            agent = offline_rl_pretrain(dataset, pretrain.steps, pretrain.beta, train_seed, hyper)
         else:
-            actor = bc_pretrain(dataset, config.pretrain_steps, train_seed, config.hyper)
-            critic = fqe(actor, dataset, config.resolved_fqe_steps, train_seed, config.hyper)
-            agent = agent_from_bc_fqe(actor, critic, config.hyper)
+            actor = bc_pretrain(dataset, pretrain.steps, train_seed, hyper)
+            critic = fqe(actor, dataset, pretrain.resolved_fqe_steps, train_seed, hyper)
+            agent = agent_from_bc_fqe(actor, critic, hyper)
         save_agent(
             agent,
             paths.checkpoint(seed),
-            beta=config.pretrain_beta,
+            beta=pretrain.beta,
             extra={"key": checkpoint_key(config, seed), "seed": seed},
         )
+    else:
+        agent = load_agent(paths.checkpoint(seed))
     result = evaluate_policy(
         policy_fn(agent),
         config.env,
@@ -423,21 +424,6 @@ def _pretrain_one(
         seed=stable_seed("pretrain-eval", seed),
     )
     return result.mean, result.per_episode
-
-
-def _pretrain_worker(config_dict: dict, seed: int, reference: ReferenceScores, train: bool):
-    config = ExperimentConfig.from_dict(config_dict)
-    dataset = _cached_dataset(str(Paths(config).dataset)) if train else None
-    return seed, _pretrain_one(config, seed, reference, dataset)
-
-
-_DATASETS: dict[str, OfflineDataset] = {}
-
-
-def _cached_dataset(path: str) -> OfflineDataset:
-    if path not in _DATASETS:
-        _DATASETS[path] = load_dataset(path)
-    return _DATASETS[path]
 
 
 def _openblas_function(name: str):
@@ -513,42 +499,41 @@ def _process_pool(jobs: int) -> cf.ProcessPoolExecutor:
     return cf.ProcessPoolExecutor(max_workers=jobs, initializer=_configure_process)
 
 
+def _map(jobs: int, fn, *iterables) -> list:
+    """``fn`` over the work units in unit order: in this process when
+    ``jobs`` is 1, else in a pool of ``jobs`` workers."""
+    if jobs == 1:
+        return list(map(fn, *iterables))
+    with _process_pool(jobs) as pool:
+        return list(pool.map(fn, *iterables))
+
+
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ConfigError(f"jobs (--jobs) must be at least 1; got {jobs}")
+
+
 def cmd_pretrain(config: ExperimentConfig, jobs: int = 1, force: bool = False) -> Path:
     """Train every seed whose checkpoint is missing or stale (every seed with
     ``force``), then evaluate all seeds into ``pretrain/eval.json``. The
     dataset's rows are loaded only when a seed trains."""
+    _check_jobs(jobs)
     paths = Paths(config)
     reference = _dataset_manifest(config)["reference"]
     train = [
-        seed
-        for seed in config.seeds
-        if force
+        force
         or not _is_current(paths.checkpoint(seed) / MANIFEST_FILE, checkpoint_key(config, seed))
+        for seed in config.seeds
     ]
-    if not train and _is_current(paths.pretrain_eval, eval_key(config)):
+    if not any(train) and _is_current(paths.pretrain_eval, eval_key(config)):
         return paths.pretrain_eval
-    results: dict[int, tuple[float, list[float]]] = {}
-    if jobs > 1:
-        with _process_pool(jobs) as pool:
-            futures = [
-                pool.submit(_pretrain_worker, config.to_dict(), seed, reference, seed in train)
-                for seed in config.seeds
-            ]
-            for fut in cf.as_completed(futures):
-                seed, payload = fut.result()
-                results[seed] = payload
-    else:
-        dataset = load_dataset(paths.dataset) if train else None
-        for seed in config.seeds:
-            results[seed] = _pretrain_one(
-                config, seed, reference, dataset if seed in train else None
-            )
+    results = _map(jobs, _pretrain_one, repeat(config), config.seeds, repeat(reference), train)
     record = {
         "key": eval_key(config),
         "episodes": config.finetune.eval_episodes,
         "seeds": list(config.seeds),
-        "means": [results[s][0] for s in config.seeds],
-        "per_episode": [results[s][1] for s in config.seeds],
+        "means": [mean for mean, _ in results],
+        "per_episode": [per_episode for _, per_episode in results],
     }
     write_json_atomic(paths.pretrain_eval, record)
     return paths.pretrain_eval
@@ -564,7 +549,7 @@ def cmd_classify(config: ExperimentConfig) -> Path:
     record = _require_current(paths.pretrain_eval, eval_key(config), "pretrain")
     policy_stats = SampleStats.from_values(record["means"])
     data_stats = SampleStats.from_values(_dataset_manifest(config)["returns"])
-    label = tost_classify(policy_stats, data_stats, config.tost_delta, config.tost_alpha)
+    label = tost_classify(policy_stats, data_stats, config.tost.delta, config.tost.alpha)
     payload = {
         "key": classify_key(config),
         **label.to_dict(),
@@ -588,12 +573,14 @@ def _method_finetune(config: ExperimentConfig, method: str) -> FinetuneConfig:
     return FinetuneConfig(**{**config.finetune.to_dict(), "method": method})
 
 
-def _finetune_one(config: ExperimentConfig, dataset: OfflineDataset, method: str, seed: int):
+def _finetune_one(config: ExperimentConfig, method: str, seed: int) -> None:
     paths = Paths(config)
     agent = load_agent(paths.checkpoint(seed))
     env = make_env(config.env)
     run_seed = run_seed_for(seed, method, config.seeds.index(seed))
-    log, _ = run_finetune(env, dataset, agent, _method_finetune(config, method), seed=run_seed)
+    log, _ = run_finetune(
+        env, _dataset(config), agent, _method_finetune(config, method), seed=run_seed
+    )
     payload = {
         "key": run_key(config, method, seed),
         "config_seed": seed,
@@ -602,7 +589,6 @@ def _finetune_one(config: ExperimentConfig, dataset: OfflineDataset, method: str
     }
     write_json_atomic(paths.run_file(method, seed), payload)
     _write_curve_csv(paths.run_csv(method, seed), log)
-    return method, seed
 
 
 def _write_curve_csv(path: Path, log: RunLog) -> None:
@@ -612,12 +598,6 @@ def _write_curve_csv(path: Path, log: RunLog) -> None:
     for p in log.eval_curve.points:
         lines.append(f"{p.step},{p.mean!r}," + ",".join(repr(v) for v in p.per_episode))
     write_text_atomic(path, "\n".join(lines) + "\n")
-
-
-def _finetune_worker(config_dict: dict, method: str, seed: int):
-    config = ExperimentConfig.from_dict(config_dict)
-    dataset = _cached_dataset(str(Paths(config).dataset))
-    return _finetune_one(config, dataset, method, seed)
 
 
 def _read_run_file(path: Path) -> dict | None:
@@ -646,6 +626,7 @@ def cmd_finetune(config: ExperimentConfig, jobs: int = 1, force: bool = False) -
     unreadable one is first renamed ``seed_<s>.json.corrupt-<n>``. The
     dataset's rows are loaded only when a run is left to do, and under
     ``jobs > 1`` only in the pool's workers."""
+    _check_jobs(jobs)
     paths = Paths(config)
     # the regime prediction is recorded before any outcome
     _require_current(paths.classify, classify_key(config), "classify")
@@ -666,17 +647,9 @@ def cmd_finetune(config: ExperimentConfig, jobs: int = 1, force: bool = False) -
         _require_current(
             paths.checkpoint(seed) / MANIFEST_FILE, checkpoint_key(config, seed), "pretrain"
         )
-    if jobs > 1 and todo:
-        with _process_pool(jobs) as pool:
-            futures = [
-                pool.submit(_finetune_worker, config.to_dict(), m, s) for m, s in todo
-            ]
-            for fut in cf.as_completed(futures):
-                fut.result()
-    elif todo:
-        dataset = load_dataset(paths.dataset)
-        for method, seed in todo:
-            _finetune_one(config, dataset, method, seed)
+    if todo:
+        methods, seeds = zip(*todo)
+        _map(jobs, _finetune_one, repeat(config), methods, seeds)
     return [paths.run_file(m, s) for m in config.methods for s in config.seeds]
 
 
@@ -781,7 +754,7 @@ def cmd_report(config: ExperimentConfig, map_inconclusive: str | None = None) ->
     data_variants = {m: last_k_lists[m] for m in DATA_CENTRIC if m in last_k_lists}
     comparison: ClassComparison | None = None
     if policy_variants and data_variants:
-        comparison = compare_classes(policy_variants, data_variants, alpha=config.tost_alpha)
+        comparison = compare_classes(policy_variants, data_variants, alpha=config.tost.alpha)
 
     mapped = _mapped_regime(classify["label"], map_inconclusive or config.map_inconclusive)
     analysis = {
@@ -852,6 +825,7 @@ def aggregate_matrix(analysis_paths: list) -> dict:
 
 def run_pipeline(config: ExperimentConfig, jobs: int = 1, force: bool = False) -> Path:
     """Convenience wrapper running every stage in order."""
+    _check_jobs(jobs)
     paths = Paths(config)
     if force or not paths.dataset.exists():
         cmd_gen_data(config, force=force)

@@ -17,6 +17,7 @@ from o2olab.finetune import (
 from o2olab.agents import policy_fn
 from o2olab.metrics import EvalCurve, EvalPoint
 
+from metrics_helpers import validate_curve
 from test_data import assert_same_dataset
 
 HYPER = Td3Hyper(hidden=(8, 8), batch=32)
@@ -120,7 +121,7 @@ def test_eval_schedule_and_step0(dataset):
     log, _ = run(method="baseline", dataset=dataset, total_env_steps=200, eval_every=50)
     steps = [p.step for p in log.eval_curve.points]
     assert steps == [0, 50, 100, 150, 200]
-    log.eval_curve.validate()
+    validate_curve(log.eval_curve)
 
 
 def test_step0_matches_independent_evaluation(dataset):

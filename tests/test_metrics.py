@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
-from o2olab.errors import ConsistencyError
 from o2olab.metrics import (
     COMPARABLE,
     INCONCLUSIVE,
@@ -29,6 +28,8 @@ from o2olab.metrics import (
     tost_classify,
     welch_two_sided,
 )
+
+from metrics_helpers import confusion_from_pairs, identity_residual, validate_curve
 
 finite_floats = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 
@@ -89,7 +90,7 @@ def test_decompose_spot_case():
     assert d.stability == pytest.approx(-0.3)
     assert d.plasticity == pytest.approx(0.6)
     assert d.final == pytest.approx(0.8)
-    assert d.identity_residual() < 1e-12
+    assert identity_residual(d) < 1e-12
 
 
 def test_decompose_monotone_curve_zero_stability():
@@ -99,13 +100,6 @@ def test_decompose_monotone_curve_zero_stability():
     assert d.plasticity == pytest.approx(0.4)
 
 
-def test_decompose_consistency_check():
-    curve = curve_from_means([0.4, 0.2])
-    with pytest.raises(ConsistencyError):
-        decompose(curve, j_data=0.5, j_policy=0.6)
-    decompose(curve, j_data=0.5, j_policy=0.4)  # matching value accepted
-
-
 @given(
     st.lists(st.floats(-2, 2, allow_nan=False), min_size=1, max_size=30),
     st.floats(-2, 2, allow_nan=False),
@@ -113,7 +107,7 @@ def test_decompose_consistency_check():
 @settings(max_examples=300)
 def test_decompose_identity_random_curves(means, j_data):
     d = decompose(curve_from_means(means), j_data)
-    assert d.identity_residual() < 1e-12
+    assert identity_residual(d) < 1e-12
     assert d.stability <= 0.0
     assert d.plasticity >= 0.0
 
@@ -395,20 +389,20 @@ def test_confusion_matrix_table_counts():
 
 def test_confusion_matrix_all_correct():
     pairs = [(SUPERIOR, WIN_POLICY), (COMPARABLE, WIN_TIE), (INFERIOR, WIN_DATA)]
-    m = ConfusionMatrix.from_pairs(pairs * 3)
+    m = confusion_from_pairs(pairs * 3)
     assert m.accuracy == 1.0
     assert m.opposite_rate == 0.0
 
 
 def test_confusion_matrix_single_opposite():
-    m = ConfusionMatrix.from_pairs([(SUPERIOR, WIN_DATA)])
+    m = confusion_from_pairs([(SUPERIOR, WIN_DATA)])
     assert m.accuracy == 0.0
     assert m.opposite_rate == 1.0
 
 
 def test_confusion_matrix_rejects_inconclusive():
     with pytest.raises(ValueError):
-        ConfusionMatrix.from_pairs([(INCONCLUSIVE, WIN_TIE)])
+        confusion_from_pairs([(INCONCLUSIVE, WIN_TIE)])
 
 
 def test_confusion_matrix_bad_shape():
@@ -421,10 +415,10 @@ def test_confusion_matrix_bad_shape():
 
 def test_eval_curve_validation():
     good = EvalCurve([EvalPoint(0, 0.5, [0.4, 0.6]), EvalPoint(10, 0.7, [0.7])])
-    good.validate()
+    validate_curve(good)
     bad_order = EvalCurve([EvalPoint(10, 0.5, [0.5]), EvalPoint(10, 0.7, [0.7])])
     with pytest.raises(ValueError):
-        bad_order.validate()
+        validate_curve(bad_order)
     bad_mean = EvalCurve([EvalPoint(0, 0.9, [0.4, 0.6])])
     with pytest.raises(ValueError):
-        bad_mean.validate()
+        validate_curve(bad_mean)

@@ -69,6 +69,55 @@ def test_config_rejects_unknown_keys(tmp_path):
         runner.ExperimentConfig.from_dict(tiny_config_dict(tmp_path, typo_field=1))
 
 
+TYPOS = {  # section: (override of tiny_config_dict, the misspelt key)
+    "pretrain": ({"pretrain": {"kind": "offline_rl", "stpes": 60, "beta": 0.4}}, "stpes"),
+    "tost": ({"tost": {"delat": 0.1, "alpha": 0.05}}, "delat"),
+    "env": ({"env": {"kind": "point_goal_dense", "horizn": 30}}, "horizn"),
+    "behavior": ({"behavior": [{"kind": "noisy_expert", "sgima": 0.3, "n_traj": 4}]}, "sgima"),
+    "finetune": ({"finetune": {**FINETUNE, "warmpu_steps": 30}}, "warmpu_steps"),
+    "agent": ({"agent": {"hidden": [8, 8], "bacth": 16}}, "bacth"),
+    "top level": ({"last_kk": 3}, "last_kk"),
+}
+
+
+@pytest.mark.parametrize("section", sorted(TYPOS))
+def test_config_rejects_a_typo_in_every_section(tmp_path, capsys, section):
+    override, typo = TYPOS[section]
+    with pytest.raises(ConfigError, match=f"'{typo}'"):
+        runner.ExperimentConfig.from_dict(tiny_config_dict(tmp_path, **override))
+    cfg_path = _write_config(tmp_path, override)
+    capsys.readouterr()
+    assert cli.main(["gen-data", "--config", str(cfg_path)]) == 1
+    assert f"'{typo}'" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_config_keys_are_pinned():
+    # recorded before the flat pretrain_*/tost_* fields were folded into
+    # their sections; a change here moves the key of every artifact
+    config = runner.ExperimentConfig.from_dict({
+        "setting": "k",
+        "env": {"kind": "pendulum", "horizon": 50},
+        "behavior": [{"kind": "noisy_expert", "sigma": 1, "n_traj": 3},
+                     {"kind": "epsilon_mixture", "epsilon": 0, "n_traj": 2}],
+        "pretrain": {"kind": "bc_fqe", "steps": 100, "beta": 1},
+        "agent": {"hidden": [8, 8], "batch": 16},
+        "finetune": {"total_env_steps": 100, "eval_every": 10, "warmup_steps": 20},
+        "tost": {"delta": 0, "alpha": 0.05},
+        "seeds": [3, 1],
+        "last_k": 3,
+    })
+    keys = (
+        runner.dataset_key(config),
+        runner.checkpoint_key(config, 3),
+        runner.eval_key(config),
+        runner.classify_key(config),
+        runner.run_key(config, "mixed", 1),
+    )
+    assert keys == ("668ddcf4a7da", "2b8728e99b70", "3661eed5a167", "ba8b1c50cbe2",
+                    "4ca4d18178c0")
+
+
 def test_config_rejects_duplicate_seeds(tmp_path):
     with pytest.raises(ConfigError):
         runner.ExperimentConfig.from_dict(tiny_config_dict(tmp_path, seeds=[1, 1]))
@@ -123,7 +172,7 @@ def test_pipeline_end_to_end(config):
     classify_path = runner.cmd_classify(config)
     classify = read_json(classify_path)
     assert classify["label"] in ("Superior", "Comparable", "Inferior", "Inconclusive")
-    assert classify["delta"] == config.tost_delta
+    assert classify["delta"] == config.tost.delta
 
     run_files = runner.cmd_finetune(config)
     assert len(run_files) == len(config.methods) * len(config.seeds)
@@ -254,7 +303,7 @@ def test_pipeline_deterministic_analysis(tmp_path):
 
 
 def test_parallel_matches_serial(tmp_path):
-    outputs = []
+    trees = []
     for name, jobs in (("serial", 1), ("parallel", 3)):
         cfg = runner.ExperimentConfig.from_dict(
             tiny_config_dict(tmp_path, out_dir=str(tmp_path / name))
@@ -264,8 +313,26 @@ def test_parallel_matches_serial(tmp_path):
         runner.cmd_classify(cfg)
         runner.cmd_finetune(cfg, jobs=jobs)
         runner.cmd_report(cfg)
-        outputs.append(runner.Paths(cfg).analysis.read_bytes())
-    assert outputs[0] == outputs[1]
+        trees.append({name: data for name, (data, _) in snapshot(runner.Paths(cfg).root).items()})
+    # every file, byte for byte: dataset, checkpoints, eval, classify, runs, report
+    names = set(trees[0])
+    for expected in ("dataset/manifest.json", "pretrain/seed_1/params.npy", "pretrain/eval.json",
+                     "classify.json", "finetune/mixed/seed_1.json", "finetune/mixed/seed_1.csv",
+                     "report/analysis.json", "report/summary.csv", "report/curve_mixed.csv"):
+        assert expected in names
+    assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_is_a_config_error(config, tmp_path, capsys, jobs):
+    for stage in (runner.cmd_pretrain, runner.cmd_finetune):
+        with pytest.raises(ConfigError, match=f"at least 1; got {jobs}"):
+            stage(config, jobs=jobs)
+    cfg_path = _write_config(tmp_path)
+    for stage in ("pretrain", "finetune"):
+        capsys.readouterr()
+        assert cli.main([stage, "--config", str(cfg_path), "--jobs", str(jobs)]) == 1
+        assert f"at least 1; got {jobs}" in capsys.readouterr().err
 
 
 def test_curve_ci_is_a_student_t_interval():
