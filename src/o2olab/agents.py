@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nn
 from .data import OfflineDataset, ReplayBuffer, TransitionBatch
-from .errors import MissingInputError, NumericError
+from .errors import MissingInputError, NumericError, config_int
 from .fsio import MANIFEST_FILE, read_json, write_json_atomic, write_npy_atomic
 from .seeding import rng_for
 
@@ -33,17 +33,17 @@ class Td3Hyper:
     critic_lr: float = 3e-4
     hidden: tuple[int, ...] = (64, 64)
 
+    def __post_init__(self):
+        # frozen, so the integer fields are converted through object.__setattr__
+        for name in ("policy_delay", "batch"):
+            object.__setattr__(self, name, config_int(f"agent.{name}", getattr(self, name)))
+        hidden = tuple(config_int("agent.hidden", width) for width in self.hidden)
+        object.__setattr__(self, "hidden", hidden)
+
     def to_dict(self) -> dict:
         d = asdict(self)
         d["hidden"] = list(self.hidden)
         return d
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Td3Hyper":
-        data = dict(data)
-        if "hidden" in data:
-            data["hidden"] = tuple(data["hidden"])
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,7 @@ def _assemble(
     )
 
 
-def make_td3_agent(
-    obs_dim: int, action_dim: int, hyper: Td3Hyper | None = None, seed: int = 0
-) -> Td3Agent:
-    hyper = hyper or Td3Hyper()
+def make_td3_agent(obs_dim: int, action_dim: int, hyper: Td3Hyper, seed: int = 0) -> Td3Agent:
     actor_seed, c1_seed, c2_seed = _net_seeds(seed)
     return _assemble(
         _init_actor(obs_dim, action_dim, hyper, actor_seed),
@@ -192,7 +189,7 @@ def _actor_gradients(agent: Td3Agent, batch: TransitionBatch, reg: RegularizerCo
     da = -lam * dq_din[:, agent.obs_dim :]
     if reg.bc_coefficient:
         da = da + (2.0 * reg.bc_coefficient / (n * agent.action_dim)) * bc_err
-    grad, _ = nn.backward(agent.actor, actor_cache, da)
+    grad = nn.backward(agent.actor, actor_cache, da)
     return grad, loss, lam
 
 
@@ -224,7 +221,7 @@ def td3_update(
                 f"critic loss is not finite at update {agent.update_count + 1}"
             )
         report[name] = loss
-    grad, _ = nn.backward(agent.critics, cache, (2.0 / n) * err[:, :, None])
+    grad = nn.backward(agent.critics, cache, (2.0 / n) * err[:, :, None])
     nn.adam_step(agent.critics, grad, agent.critic_opt)
 
     agent.update_count += 1
@@ -247,16 +244,10 @@ def td3_update(
 # --- pretraining ---
 
 
-def bc_pretrain(
-    dataset: OfflineDataset,
-    steps: int,
-    seed: int,
-    hyper: Td3Hyper | None = None,
-) -> nn.DenseNet:
+def bc_pretrain(dataset: OfflineDataset, steps: int, seed: int, hyper: Td3Hyper) -> nn.DenseNet:
     """Behavior cloning: regress the actor onto dataset actions."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    hyper = hyper or Td3Hyper()
     spec = dataset.env
     actor = _init_actor(spec.obs_dim, spec.action_dim, hyper, _net_seeds(seed)[0])
     opt = nn.AdamState.for_net(actor, hyper.actor_lr)
@@ -267,24 +258,17 @@ def bc_pretrain(
         batch = buf.sample(n, rng)
         cache: list = []
         err = nn.forward(actor, batch.obs, cache) - batch.action
-        grad, _ = nn.backward(actor, cache, (2.0 / (n * spec.action_dim)) * err)
+        grad = nn.backward(actor, cache, (2.0 / (n * spec.action_dim)) * err)
         nn.adam_step(actor, grad, opt)
     return actor
 
 
 def fqe(
-    policy_net: nn.DenseNet,
-    dataset: OfflineDataset,
-    steps: int,
-    seed: int,
-    hyper: Td3Hyper | None = None,
-    gamma: float | None = None,
+    policy_net: nn.DenseNet, dataset: OfflineDataset, steps: int, seed: int, hyper: Td3Hyper
 ) -> nn.DenseNet:
     """Fitted Q evaluation of a fixed policy from dataset transitions."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    hyper = hyper or Td3Hyper()
-    g = hyper.gamma if gamma is None else gamma
     spec = dataset.env
     critic = _init_critic(spec.obs_dim, spec.action_dim, hyper, _net_seeds(seed)[1])
     target = critic.copy()
@@ -296,37 +280,30 @@ def fqe(
         batch = buf.sample(n, rng)
         next_a = nn.forward(policy_net, batch.next_obs)
         x_next = np.concatenate([batch.next_obs, next_a], axis=1)
-        y = batch.reward + g * (1.0 - batch.terminated) * nn.forward(target, x_next)[:, 0]
+        y = batch.reward + hyper.gamma * (1.0 - batch.terminated) * nn.forward(target, x_next)[:, 0]
         x = np.concatenate([batch.obs, batch.action], axis=1)
         cache: list = []
         q = nn.forward(critic, x, cache)[:, 0]
-        grad, _ = nn.backward(critic, cache, (2.0 / n) * (q - y)[:, None])
+        grad = nn.backward(critic, cache, (2.0 / n) * (q - y)[:, None])
         nn.adam_step(critic, grad, opt)
         nn.polyak_update(target, critic, hyper.tau)
     return critic
 
 
-def agent_from_bc_fqe(
-    actor: nn.DenseNet, critic: nn.DenseNet, hyper: Td3Hyper | None = None
-) -> Td3Agent:
+def agent_from_bc_fqe(actor: nn.DenseNet, critic: nn.DenseNet, hyper: Td3Hyper) -> Td3Agent:
     """Wrap a cloned actor and an FQE critic (duplicated into the twin slot)
     as a full agent ready for fine-tuning."""
-    return _assemble(actor, critic, critic, hyper or Td3Hyper())
+    return _assemble(actor, critic, critic, hyper)
 
 
 def offline_rl_pretrain(
-    dataset: OfflineDataset,
-    steps: int,
-    beta: float,
-    seed: int,
-    hyper: Td3Hyper | None = None,
+    dataset: OfflineDataset, steps: int, beta: float, seed: int, hyper: Td3Hyper
 ) -> Td3Agent:
     """Behavior-regularized TD3 trained purely on dataset batches."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if beta <= 0:
         raise ValueError("beta must be > 0 for offline pretraining")
-    hyper = hyper or Td3Hyper()
     spec = dataset.env
     agent = make_td3_agent(spec.obs_dim, spec.action_dim, hyper, seed)
     reg = RegularizerConfig(bc_coefficient=beta, q_normalization=True)
@@ -359,7 +336,7 @@ def _state_arrays(agent: Td3Agent) -> list[np.ndarray]:
     ]
 
 
-def save_agent(agent: Td3Agent, directory, beta: float | None = None, extra: dict | None = None) -> None:
+def save_agent(agent: Td3Agent, directory, extra: dict | None = None) -> None:
     """Write every array of the agent to ``params.npy`` (one float64 vector)
     and the rest of its state to ``manifest.json``."""
     directory = Path(directory)
@@ -372,7 +349,6 @@ def save_agent(agent: Td3Agent, directory, beta: float | None = None, extra: dic
         "update_count": agent.update_count,
         "actor_adam_steps": agent.actor_opt.step_count,
         "critic_adam_steps": agent.critic_opt.step_count,
-        "beta": beta,
     }
     if extra:
         manifest.update(extra)
@@ -391,7 +367,7 @@ def load_agent(directory) -> Td3Agent:
     agent = make_td3_agent(
         int(manifest["obs_dim"]),
         int(manifest["action_dim"]),
-        Td3Hyper.from_dict(manifest["hyper"]),
+        Td3Hyper(**manifest["hyper"]),
     )
     arrays = _state_arrays(agent)
     if flat.dtype != np.float64 or flat.shape != (sum(a.size for a in arrays),):

@@ -17,7 +17,7 @@ so a directory without one is an interrupted save.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -248,24 +248,11 @@ class MixedSampler:
             parts.append(self.offline_buffer.sample(n_off, rng))
         if batch - n_off:
             parts.append(self.online_buffer.sample(batch - n_off, rng))
-        if len(parts) == 1:
-            merged = parts[0]
-        else:
-            merged = TransitionBatch(
-                obs=np.concatenate([p.obs for p in parts]),
-                action=np.concatenate([p.action for p in parts]),
-                reward=np.concatenate([p.reward for p in parts]),
-                next_obs=np.concatenate([p.next_obs for p in parts]),
-                terminated=np.concatenate([p.terminated for p in parts]),
-            )
         perm = rng.permutation(batch)
-        return TransitionBatch(
-            obs=merged.obs[perm],
-            action=merged.action[perm],
-            reward=merged.reward[perm],
-            next_obs=merged.next_obs[perm],
-            terminated=merged.terminated[perm],
-        )
+        return TransitionBatch(**{
+            f.name: np.concatenate([getattr(p, f.name) for p in parts])[perm]
+            for f in fields(TransitionBatch)
+        })
 
 
 # --- file I/O ---

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, config_int
 from .seeding import rng_for, stable_seed
 
 POINT_GOAL_SPARSE = "point_goal_sparse"
@@ -44,6 +44,8 @@ class EnvSpec:
 
 
 def env_spec(kind: str, horizon: int | None = None) -> EnvSpec:
+    if horizon is not None:
+        horizon = config_int("env.horizon", horizon)
     if kind in (POINT_GOAL_SPARSE, POINT_GOAL_DENSE):
         return EnvSpec(kind, horizon if horizon is not None else 100, 4, 2)
     if kind == PENDULUM:

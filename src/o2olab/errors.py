@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of an
+integer config value."""
+
+import numbers
 
 
 class ShapeError(ValueError):
@@ -24,3 +27,14 @@ class ConfigError(ValueError):
 
 class MissingInputError(FileNotFoundError):
     """A required pipeline input (earlier stage output) is absent."""
+
+
+def config_int(name: str, value) -> int:
+    """``value`` as an int: an integral number (``40`` or ``40.0``) is
+    converted; any other value, a bool or a string among them, is a
+    ConfigError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")

@@ -9,15 +9,15 @@ exactly K transitions. Total updates are exactly
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .agents import RegularizerConfig, Td3Agent, act, policy_fn, reset_parameters, td3_update
 from .data import MixedSampler, OfflineDataset, ReplayBuffer
-from .envs import EnvSpec, ReferenceScores, evaluate_policy
-from .errors import ConfigError, NumericError
-from .metrics import EvalCurve, EvalPoint
+from .envs import EnvSpec, evaluate_policy
+from .errors import ConfigError, NumericError, config_int
+from .metrics import EvalPoint
 from .seeding import rng_for, stable_seed
 
 METHOD_BASELINE = "baseline"
@@ -54,6 +54,14 @@ class FinetuneConfig:
     online_buffer_capacity: int | None = None  # defaults to total_env_steps
     single_buffer: bool = False  # preload the dataset into the online buffer
 
+    def __post_init__(self):
+        for name in ("total_env_steps", "utd", "warmup_steps", "eval_every", "eval_episodes"):
+            setattr(self, name, config_int(f"finetune.{name}", getattr(self, name)))
+        if self.online_buffer_capacity is not None:
+            self.online_buffer_capacity = config_int(
+                "finetune.online_buffer_capacity", self.online_buffer_capacity
+            )
+
     def validate(self) -> None:
         if self.method not in ALL_METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
@@ -74,48 +82,26 @@ class FinetuneConfig:
 
 @dataclass
 class RunLog:
+    """What one fine-tuning run records; ``seed`` is its run seed."""
+
     method: str
     seed: int
     config: dict
-    eval_curve: EvalCurve
-    critic_losses: list[float] = field(default_factory=list)
-    actor_losses: list[float] = field(default_factory=list)
+    eval_curve: list[EvalPoint]
     counters: dict = field(default_factory=dict)
     aborted: bool = False
     abort_reason: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "seed": self.seed,
-            "config": self.config,
-            "eval_curve": [
-                {"step": p.step, "mean": p.mean, "per_episode": p.per_episode}
-                for p in self.eval_curve.points
-            ],
-            "critic_losses": self.critic_losses,
-            "actor_losses": self.actor_losses,
-            "counters": self.counters,
-            "aborted": self.aborted,
-            "abort_reason": self.abort_reason,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunLog":
-        curve = EvalCurve(
-            [EvalPoint(p["step"], p["mean"], p["per_episode"]) for p in data["eval_curve"]]
-        )
-        return cls(
-            method=data["method"],
-            seed=data["seed"],
-            config=data["config"],
-            eval_curve=curve,
-            critic_losses=data["critic_losses"],
-            actor_losses=data["actor_losses"],
-            counters=data["counters"],
-            aborted=data["aborted"],
-            abort_reason=data["abort_reason"],
-        )
+        """The run log in ``data``; keys that are not fields (a run file's
+        key and config seed, or what older versions also wrote) are left out."""
+        record = {f.name: data[f.name] for f in fields(cls)}
+        record["eval_curve"] = [EvalPoint(**p) for p in record["eval_curve"]]
+        return cls(**record)
 
 
 def eval_seed_for(run_seed: int, point_index: int) -> int:
@@ -126,7 +112,7 @@ def eval_seed_for(run_seed: int, point_index: int) -> int:
 
 def last_k_eval_stat(log: RunLog, k: int) -> float:
     """Mean of the last k evaluation means: the per-seed comparison scalar."""
-    means = log.eval_curve.means()
+    means = [p.mean for p in log.eval_curve]
     if len(means) < k:
         raise ValueError(f"curve has {len(means)} points, need at least {k}")
     return float(np.mean(means[-k:]))
@@ -138,29 +124,14 @@ def _regularizer_for(config: FinetuneConfig) -> RegularizerConfig:
     return RegularizerConfig()
 
 
-def run_finetune(
-    env,
-    dataset: OfflineDataset | None,
-    agent: Td3Agent,
-    config: FinetuneConfig,
-    seed: int,
-    reference: ReferenceScores | None = None,
-):
+def run_finetune(env, dataset: OfflineDataset, agent: Td3Agent, config: FinetuneConfig, seed: int):
     """Fine-tune ``agent`` online; returns (RunLog, agent).
 
-    ``dataset`` is required by the replay-based methods and ignored (never
-    sampled) by the others. ``reference`` defaults to the dataset's scores.
+    Scores are normalized by the dataset's reference scores. The dataset is
+    sampled only by the replay-based methods and with ``single_buffer``.
     """
     config.validate()
     spec: EnvSpec = env.spec
-    if reference is None:
-        if dataset is None:
-            raise ConfigError("need a dataset or explicit reference scores")
-        reference = dataset.reference
-    needs_dataset = config.method in REPLAY_METHODS or config.single_buffer
-    if needs_dataset and dataset is None:
-        raise ConfigError(f"method {config.method!r} requires the offline dataset")
-
     if config.method == METHOD_REPLAY_RESET:
         reset_parameters(agent, seed=stable_seed("reset", seed))
 
@@ -171,7 +142,7 @@ def run_finetune(
         online = ReplayBuffer.from_dataset(dataset, capacity + dataset.n_transitions)
     else:
         online = ReplayBuffer(capacity, spec.obs_dim, spec.action_dim)
-        if needs_dataset:
+        if config.method in REPLAY_METHODS:
             offline = ReplayBuffer.from_dataset(dataset)
             sampler = MixedSampler(offline, online, config.alpha)
 
@@ -183,20 +154,18 @@ def run_finetune(
     update_rng = rng_for("update", seed)
     sample_rng = rng_for("sample", seed)
 
-    log = RunLog(
-        method=config.method, seed=seed, config=config.to_dict(), eval_curve=EvalCurve([])
-    )
+    log = RunLog(method=config.method, seed=seed, config=config.to_dict(), eval_curve=[])
 
     def evaluate(step: int) -> None:
-        point_index = len(log.eval_curve.points)
+        point_index = len(log.eval_curve)
         result = evaluate_policy(
             policy_fn(agent),
             spec,
-            reference,
+            dataset.reference,
             config.eval_episodes,
             seed=eval_seed_for(seed, point_index),
         )
-        log.eval_curve.points.append(EvalPoint(step, result.mean, result.per_episode))
+        log.eval_curve.append(EvalPoint(step, result.mean, result.per_episode))
 
     evaluate(0)  # for replay_reset this is the post-reset policy
     updates = 0
@@ -211,15 +180,12 @@ def run_finetune(
                 else:
                     batch = online.sample(agent.hyper.batch, sample_rng)
                 try:
-                    report = td3_update(agent, batch, reg, update_rng)
+                    td3_update(agent, batch, reg, update_rng)
                 except NumericError as exc:
                     log.aborted = True
                     log.abort_reason = str(exc)
                     break
                 updates += 1
-                log.critic_losses.append(report["critic1_loss"] + report["critic2_loss"])
-                if report["actor_loss"] is not None:
-                    log.actor_losses.append(report["actor_loss"])
         if log.aborted:
             break
         action = act(agent, obs, explore=True, rng=explore_rng)

@@ -37,14 +37,6 @@ class EvalPoint:
     per_episode: list[float]
 
 
-@dataclass
-class EvalCurve:
-    points: list[EvalPoint]
-
-    def means(self) -> list[float]:
-        return [p.mean for p in self.points]
-
-
 def stability(values, baseline: float) -> float:
     """Worst-case drop of the curve below the baseline; always <= 0."""
     values = list(values)
@@ -74,15 +66,14 @@ class KnowledgeDecomposition:
     final: float
 
 
-def decompose(curve: EvalCurve, j_data: float) -> KnowledgeDecomposition:
+def decompose(curve: list[EvalPoint], j_data: float) -> KnowledgeDecomposition:
     """Split the curve's best value into prior knowledge, degradation, and
     online gain. The curve's step-0 point is the measured pretrained-policy
     score."""
-    if not curve.points:
+    if not curve:
         raise ValueError("curve must be non-empty")
-    j0 = curve.points[0].mean
-    means = curve.means()
-    prior = offline_baseline(j0, j_data)
+    means = [p.mean for p in curve]
+    prior = offline_baseline(means[0], j_data)
     return KnowledgeDecomposition(
         prior=prior,
         stability=stability(means, prior),

@@ -205,10 +205,12 @@ def forward(net: DenseNet, inputs: np.ndarray, cache: list | None = None) -> np.
 
 
 def _backprop(net: DenseNet, cache: list, output_grad: np.ndarray, grad=None):
-    """Carry ``output_grad`` back through the layers recorded in ``cache``
-    and return the gradient with respect to the input. When ``grad`` (a
-    vector shaped like ``net.params``) is given, each layer's weight and
-    bias gradients are written into it on the way."""
+    """Carry ``output_grad`` back through the layers recorded in ``cache``.
+
+    Without ``grad``, returns the gradient with respect to the input. With
+    ``grad`` (a vector shaped like ``net.params``), writes each layer's
+    weight and bias gradients into it and stops at the first layer, skipping
+    the product back to the input."""
     if len(cache) != len(net.weights) + 1:
         raise ValueError("cache does not hold one forward pass of this net")
     delta = np.array(output_grad, dtype=np.float64)  # a copy: scaled in place below
@@ -230,26 +232,27 @@ def _backprop(net: DenseNet, cache: list, output_grad: np.ndarray, grad=None):
         if grad is not None:
             np.matmul(delta.swapaxes(-1, -2), cache[l], out=w_grads[l])
             np.sum(delta, axis=-2, out=b_grads[l])
+            if l == 0:
+                return None
         delta = delta @ net.weights[l]
     return delta
 
 
-def backward(net: DenseNet, cache: list, output_grad: np.ndarray):
-    """Exact gradient of sum over the batch of <output, output_grad>.
+def backward(net: DenseNet, cache: list, output_grad: np.ndarray) -> np.ndarray:
+    """Exact gradient of sum over the batch of <output, output_grad> with
+    respect to ``net.params``, as a flat vector of the same layout.
 
     ``cache`` holds the activations recorded by ``forward(net, x, cache)``.
-    Returns ``(grad, input_grad)``: the gradient with respect to
-    ``net.params`` (a flat vector of the same layout) and with respect to
-    the input. A stacked net gives one input gradient per member,
-    (S, batch, in_dim).
     """
     grad = np.empty_like(net.params)
-    return grad, _backprop(net, cache, output_grad, grad)
+    _backprop(net, cache, output_grad, grad)
+    return grad
 
 
 def input_backward(net: DenseNet, cache: list, output_grad: np.ndarray) -> np.ndarray:
-    """``backward``'s input gradient alone, without computing the gradient
-    with respect to the parameters."""
+    """The same sum's gradient with respect to the input, without the
+    parameter gradient. A stacked net gives one input gradient per member,
+    (S, batch, in_dim)."""
     return _backprop(net, cache, output_grad)
 
 

@@ -78,7 +78,7 @@ from .envs import (
     evaluate_policy,
     make_env,
 )
-from .errors import ConfigError, MissingInputError
+from .errors import ConfigError, MissingInputError, config_int
 from .finetune import (
     ALL_METHODS,
     DATA_CENTRIC,
@@ -94,7 +94,8 @@ from .metrics import (
     INCONCLUSIVE,
     ClassComparison,
     ConfusionMatrix,
-    EvalCurve,
+    EvalPoint,
+    KnowledgeDecomposition,
     SampleStats,
     compare_classes,
     decompose,
@@ -120,7 +121,9 @@ class PretrainConfig:
     def __post_init__(self):
         if self.kind not in (PRETRAIN_OFFLINE_RL, PRETRAIN_BC_FQE):
             raise ConfigError(f"unknown pretrainer {self.kind!r}")
-        self.steps = int(self.steps)
+        self.steps = config_int("pretrain.steps", self.steps)
+        if self.fqe_steps is not None:
+            self.fqe_steps = config_int("pretrain.fqe_steps", self.fqe_steps)
         self.beta = float(self.beta)
 
     @property
@@ -141,7 +144,7 @@ class TostConfig:
 def _segment(entry: dict) -> tuple[BehaviorSpec, int]:
     """One ``behavior`` entry: the behavior's fields plus ``n_traj`` (1 when absent)."""
     spec = dict(entry)
-    n_traj = int(spec.pop("n_traj", 1))
+    n_traj = config_int("behavior.n_traj", spec.pop("n_traj", 1))
     return BehaviorSpec.from_dict(spec), n_traj
 
 
@@ -161,7 +164,7 @@ _SECTIONS = {
     "behavior": lambda b: [_segment(e) for e in ([b] if isinstance(b, dict) else b)],
     "pretrain": lambda pretrain: PretrainConfig(**pretrain),
     "finetune": lambda finetune: FinetuneConfig(**finetune),
-    "agent": Td3Hyper.from_dict,
+    "agent": lambda agent: Td3Hyper(**agent),
     "tost": lambda tost: TostConfig(**tost),
 }
 
@@ -191,10 +194,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.methods = tuple(self.methods)
-        self.seeds = tuple(int(s) for s in self.seeds)
-        self.dataset_seed = int(self.dataset_seed)
-        self.reference_episodes = int(self.reference_episodes)
-        self.last_k = int(self.last_k)
+        self.seeds = tuple(config_int("seeds", s) for s in self.seeds)
+        for name in ("dataset_seed", "reference_episodes", "last_k"):
+            setattr(self, name, config_int(name, getattr(self, name)))
+        if self.reference_seed is not None:
+            self.reference_seed = config_int("reference_seed", self.reference_seed)
         if not self.setting:
             raise ConfigError("setting name must be non-empty")
         if not self.behavior:
@@ -409,10 +413,7 @@ def _pretrain_one(config: ExperimentConfig, seed: int, reference: ReferenceScore
             critic = fqe(actor, dataset, pretrain.resolved_fqe_steps, train_seed, hyper)
             agent = agent_from_bc_fqe(actor, critic, hyper)
         save_agent(
-            agent,
-            paths.checkpoint(seed),
-            beta=pretrain.beta,
-            extra={"key": checkpoint_key(config, seed), "seed": seed},
+            agent, paths.checkpoint(seed), extra={"key": checkpoint_key(config, seed), "seed": seed}
         )
     else:
         agent = load_agent(paths.checkpoint(seed))
@@ -581,23 +582,21 @@ def _finetune_one(config: ExperimentConfig, method: str, seed: int) -> None:
     log, _ = run_finetune(
         env, _dataset(config), agent, _method_finetune(config, method), seed=run_seed
     )
-    payload = {
-        "key": run_key(config, method, seed),
-        "config_seed": seed,
-        "run_seed": run_seed,
-        **log.to_dict(),
-    }
+    payload = {"key": run_key(config, method, seed), "config_seed": seed, **log.to_dict()}
     write_json_atomic(paths.run_file(method, seed), payload)
-    _write_curve_csv(paths.run_csv(method, seed), log)
+    n_episodes = len(log.eval_curve[0].per_episode)
+    _write_csv(
+        paths.run_csv(method, seed),
+        ["step", "mean", *(f"ret_{i}" for i in range(n_episodes))],
+        ([p.step, p.mean, *p.per_episode] for p in log.eval_curve),
+    )
 
 
-def _write_curve_csv(path: Path, log: RunLog) -> None:
-    lines = []
-    n_ep = len(log.eval_curve.points[0].per_episode) if log.eval_curve.points else 0
-    lines.append("step,mean," + ",".join(f"ret_{i}" for i in range(n_ep)))
-    for p in log.eval_curve.points:
-        lines.append(f"{p.step},{p.mean!r}," + ",".join(repr(v) for v in p.per_episode))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """A CSV file of ``header`` and ``rows``; a float is written as its
+    shortest round-trip repr, so the file holds its exact value."""
+    lines = [header, *rows]
+    write_text_atomic(path, "".join(",".join(map(str, line)) + "\n" for line in lines))
 
 
 def _read_run_file(path: Path) -> dict | None:
@@ -664,11 +663,11 @@ def _mapped_regime(label: str, policy: str) -> str | None:
     return None  # drop
 
 
-def _curve_stats(curves: list[EvalCurve]) -> dict:
+def _curve_stats(curves: list[list[EvalPoint]]) -> dict:
     """Mean curve over seeds with a two-sided 95% Student-t interval (none,
     ci_lo == ci_hi == mean, for a single seed)."""
-    steps = [p.step for p in curves[0].points]
-    table = np.array([[p.mean for p in c.points] for c in curves])
+    steps = [p.step for p in curves[0]]
+    table = np.array([[p.mean for p in curve] for curve in curves])
     n = table.shape[0]
     mean = table.mean(axis=0)
     if n > 1:
@@ -721,30 +720,17 @@ def cmd_report(config: ExperimentConfig, map_inconclusive: str | None = None) ->
             methods_report[method] = {"seeds": [], "note": "no completed runs"}
             continue
         k = config.last_k
-        last_k_values = [log.eval_curve.means()[-k:] for log in logs]
+        last_k_values = [[p.mean for p in log.eval_curve[-k:]] for log in logs]
         last_k_scalars = [last_k_eval_stat(log, k) for log in logs]
-        decos = [decompose(log.eval_curve, data_mean) for log in logs]
+        decos = [asdict(decompose(log.eval_curve, data_mean)) for log in logs]
         methods_report[method] = {
             "seeds": [log.seed for log in logs],
             "config_seeds": [s for s in config.seeds if s in runs[method]],
             "last_k_per_seed": last_k_scalars,
             "last_k_mean": float(np.mean(last_k_scalars)),
             "decomposition": {
-                "per_seed": [
-                    {
-                        "prior": d.prior,
-                        "stability": d.stability,
-                        "plasticity": d.plasticity,
-                        "final": d.final,
-                    }
-                    for d in decos
-                ],
-                "mean": {
-                    "prior": float(np.mean([d.prior for d in decos])),
-                    "stability": float(np.mean([d.stability for d in decos])),
-                    "plasticity": float(np.mean([d.plasticity for d in decos])),
-                    "final": float(np.mean([d.final for d in decos])),
-                },
+                "per_seed": decos,
+                "mean": {name: float(np.mean([d[name] for d in decos])) for name in decos[0]},
             },
             "curve": _curve_stats([log.eval_curve for log in logs]),
         }
@@ -779,25 +765,24 @@ def cmd_report(config: ExperimentConfig, map_inconclusive: str | None = None) ->
     paths.report_dir.mkdir(parents=True, exist_ok=True)
     write_json_atomic(paths.analysis, analysis)
 
-    for method, entry in methods_report.items():
-        if "curve" not in entry:
-            continue
+    reported = {method: entry for method, entry in methods_report.items() if "curve" in entry}
+    for method, entry in reported.items():
         curve = entry["curve"]
-        lines = ["step,mean,ci_lo,ci_hi"]
-        for s, m, lo, hi in zip(curve["steps"], curve["mean"], curve["ci_lo"], curve["ci_hi"]):
-            lines.append(f"{s},{m!r},{lo!r},{hi!r}")
-        write_text_atomic(paths.report_dir / f"curve_{method}.csv", "\n".join(lines) + "\n")
-
-    summary = ["setting,method,n_seeds,last_k_mean,prior,stability,plasticity,final"]
-    for method, entry in methods_report.items():
-        if "decomposition" not in entry:
-            continue
-        d = entry["decomposition"]["mean"]
-        summary.append(
-            f"{config.setting},{method},{len(entry['seeds'])},{entry['last_k_mean']!r},"
-            f"{d['prior']!r},{d['stability']!r},{d['plasticity']!r},{d['final']!r}"
+        _write_csv(
+            paths.report_dir / f"curve_{method}.csv",
+            ["step", "mean", "ci_lo", "ci_hi"],
+            zip(curve["steps"], curve["mean"], curve["ci_lo"], curve["ci_hi"]),
         )
-    write_text_atomic(paths.report_dir / "summary.csv", "\n".join(summary) + "\n")
+    _write_csv(
+        paths.report_dir / "summary.csv",
+        ["setting", "method", "n_seeds", "last_k_mean",
+         *(f.name for f in fields(KnowledgeDecomposition))],
+        (
+            [config.setting, method, len(entry["seeds"]), entry["last_k_mean"],
+             *entry["decomposition"]["mean"].values()]
+            for method, entry in reported.items()
+        ),
+    )
     return paths.analysis
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from o2olab.metrics import ConfusionMatrix, EvalCurve, KnowledgeDecomposition
+from o2olab.metrics import ConfusionMatrix, EvalPoint, KnowledgeDecomposition
 
 
 def identity_residual(d: KnowledgeDecomposition) -> float:
@@ -18,12 +18,12 @@ def confusion_from_pairs(pairs) -> ConfusionMatrix:
     return matrix
 
 
-def validate_curve(curve: EvalCurve) -> None:
+def validate_curve(curve: list[EvalPoint]) -> None:
     """Raise ValueError unless the steps strictly increase and each point's
     mean is the mean of its per-episode returns."""
-    steps = [p.step for p in curve.points]
+    steps = [p.step for p in curve]
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError(f"curve steps must be strictly increasing: {steps}")
-    for p in curve.points:
+    for p in curve:
         if abs(p.mean - float(np.mean(p.per_episode))) > 1e-12:
             raise ValueError(f"point at step {p.step}: mean != mean(per_episode)")

@@ -17,8 +17,8 @@ from scipy import stats as sps
 
 from o2olab import nn, runner
 from o2olab.agents import Td3Hyper, make_td3_agent, policy_fn, reset_parameters
-from o2olab.data import MixedSampler, ReplayBuffer
-from o2olab.envs import compute_reference_scores, env_spec, evaluate_policy
+from o2olab.data import MixedSampler, ReplayBuffer, generate_dataset
+from o2olab.envs import BehaviorSpec, compute_reference_scores, env_spec, evaluate_policy
 from o2olab.finetune import FinetuneConfig, run_finetune
 from o2olab.metrics import (
     COMPARABLE,
@@ -26,7 +26,6 @@ from o2olab.metrics import (
     INFERIOR,
     SUPERIOR,
     ConfusionMatrix,
-    EvalCurve,
     EvalPoint,
     SampleStats,
     decompose,
@@ -83,9 +82,7 @@ def test_criterion_2_decomposition_identity():
         for _ in range(1000):
             n = int(rng.integers(1, 40))
             means = rng.uniform(-1.5, 1.5, size=n)
-            curve = EvalCurve(
-                [EvalPoint(i, float(m), [float(m)]) for i, m in enumerate(means)]
-            )
+            curve = [EvalPoint(i, float(m), [float(m)]) for i, m in enumerate(means)]
             d = decompose(curve, j_data=float(rng.uniform(-1.5, 1.5)))
             assert identity_residual(d) < 1e-12
         assert time.perf_counter() - start < 1.0
@@ -180,6 +177,7 @@ def test_criterion_7_warmup_contract(tmp_path):
     with criterion(7, "K=500 warm-up: first update at step 501 with 500 banked"):
         spec = env_spec("point_goal_dense", horizon=50)
         ref = compute_reference_scores(spec, seed=0, episodes=10)
+        dataset = generate_dataset(spec, BehaviorSpec("expert"), 1, seed=0, reference=ref)
         hyper = Td3Hyper(hidden=(8, 8), batch=64)
         first_sample_sizes = []
 
@@ -202,8 +200,7 @@ def test_criterion_7_warmup_contract(tmp_path):
                 agent = make_td3_agent(spec.obs_dim, spec.action_dim, hyper, seed=0)
                 from o2olab.envs import make_env
 
-                log, _ = run_finetune(make_env(spec), None, agent, config, seed=1,
-                                      reference=ref)
+                log, _ = run_finetune(make_env(spec), dataset, agent, config, seed=1)
                 assert log.counters["updates"] == expected_updates, total
                 if expected_updates:
                     assert first_sample_sizes[0] == 500  # buffer size at first update

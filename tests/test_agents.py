@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -398,7 +400,7 @@ def test_bc_learns_constant_action():
 
 def test_bc_requires_steps():
     with pytest.raises(ValueError):
-        bc_pretrain(constant_action_dataset(), steps=0, seed=0)
+        bc_pretrain(constant_action_dataset(), steps=0, seed=0, hyper=SMALL)
 
 
 def test_bc_deterministic():
@@ -428,7 +430,7 @@ def test_fqe_terminal_fixed_point():
 def test_fqe_gamma_zero_regresses_reward():
     ds = constant_action_dataset()
     policy = bc_pretrain(ds, steps=30, seed=0, hyper=SMALL)
-    critic = fqe(policy, ds, steps=4000, seed=0, hyper=SMALL, gamma=0.0)
+    critic = fqe(policy, ds, steps=4000, seed=0, hyper=replace(SMALL, gamma=0.0))
     traj = trajectory(ds, 0)
     x = np.concatenate([traj["obs"][:50], traj["action"][:50]], axis=1)
     q = nn.forward(critic, x)[:, 0]
@@ -480,7 +482,7 @@ def test_offline_rl_expert_pendulum(dense_ref):
 
 def test_offline_rl_requires_positive_beta():
     with pytest.raises(ValueError):
-        offline_rl_pretrain(constant_action_dataset(), steps=10, beta=0.0, seed=0)
+        offline_rl_pretrain(constant_action_dataset(), steps=10, beta=0.0, seed=0, hyper=SMALL)
 
 
 def test_offline_rl_deterministic():
@@ -523,7 +525,7 @@ def test_agent_from_bc_fqe_duplicates_critic():
 def test_checkpoint_round_trip(tmp_path):
     ds = constant_action_dataset()
     agent = offline_rl_pretrain(ds, steps=25, beta=0.4, seed=8, hyper=SMALL)
-    save_agent(agent, tmp_path / "ckpt", beta=0.4, extra={"seed": 8})
+    save_agent(agent, tmp_path / "ckpt", extra={"seed": 8})
     assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == [
         "manifest.json", "params.npy"
     ]
@@ -539,7 +541,7 @@ def test_checkpoint_round_trip(tmp_path):
     obs = np.array([1.0, 2.0, 3.0, 4.0])
     assert np.array_equal(act(agent, obs), act(back, obs))
     # loading and saving again reproduces both files byte for byte
-    save_agent(back, tmp_path / "again", beta=0.4, extra={"seed": 8})
+    save_agent(back, tmp_path / "again", extra={"seed": 8})
     for name in ("manifest.json", "params.npy"):
         assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "ckpt" / name).read_bytes()
 

@@ -15,7 +15,7 @@ from o2olab.finetune import (
     run_finetune,
 )
 from o2olab.agents import policy_fn
-from o2olab.metrics import EvalCurve, EvalPoint
+from o2olab.metrics import EvalPoint
 
 from metrics_helpers import validate_curve
 from test_data import assert_same_dataset
@@ -73,17 +73,6 @@ def test_config_validation():
     small_config().validate()
 
 
-def test_replay_needs_dataset():
-    with pytest.raises(ConfigError):
-        run_finetune(make_env(SPEC), None, fresh_agent(), small_config(method="replay"),
-                     seed=0)
-
-
-def test_reference_required_without_dataset():
-    with pytest.raises(ConfigError):
-        run_finetune(make_env(SPEC), None, fresh_agent(), small_config(), seed=0)
-
-
 # --- warm-up and UTD accounting ---
 
 
@@ -111,7 +100,6 @@ def test_zero_updates_before_warmup_end(dataset):
     config = small_config(method="warmup", warmup_steps=150, total_env_steps=150)
     log, _ = run_finetune(make_env(SPEC), dataset, fresh_agent(), config, seed=2)
     assert log.counters["updates"] == 0
-    assert len(log.critic_losses) == 0
 
 
 # --- eval curve semantics ---
@@ -119,7 +107,7 @@ def test_zero_updates_before_warmup_end(dataset):
 
 def test_eval_schedule_and_step0(dataset):
     log, _ = run(method="baseline", dataset=dataset, total_env_steps=200, eval_every=50)
-    steps = [p.step for p in log.eval_curve.points]
+    steps = [p.step for p in log.eval_curve]
     assert steps == [0, 50, 100, 150, 200]
     validate_curve(log.eval_curve)
 
@@ -134,15 +122,15 @@ def test_step0_matches_independent_evaluation(dataset):
         policy_fn(frozen), SPEC, dataset.reference, config.eval_episodes,
         seed=eval_seed_for(seed, 0),
     )
-    assert log.eval_curve.points[0].per_episode == independent.per_episode
-    assert log.eval_curve.points[0].mean == independent.mean
+    assert log.eval_curve[0].per_episode == independent.per_episode
+    assert log.eval_curve[0].mean == independent.mean
 
 
 def test_run_deterministic(dataset):
     curves = []
     for _ in range(2):
         log, _ = run(method="replay", dataset=dataset, seed=9)
-        curves.append([(p.step, p.mean, tuple(p.per_episode)) for p in log.eval_curve.points])
+        curves.append([(p.step, p.mean, tuple(p.per_episode)) for p in log.eval_curve])
     assert curves[0] == curves[1]
 
 
@@ -182,7 +170,7 @@ def test_replay_reset_degrades_step0(dataset):
         seed=eval_seed_for(seed, 0),
     )
     # the reset agent is a different random net; bit-equality would be a fluke
-    assert log.eval_curve.points[0].per_episode != incoming.per_episode
+    assert log.eval_curve[0].per_episode != incoming.per_episode
 
 
 def test_single_buffer_variant_preloads(dataset):
@@ -223,7 +211,7 @@ def test_replay_batches_split_exactly_at_full_scale(dataset):
 
 
 def _log_with_means(means):
-    curve = EvalCurve([EvalPoint(i, m, [m]) for i, m in enumerate(means)])
+    curve = [EvalPoint(i, m, [m]) for i, m in enumerate(means)]
     return RunLog(method="baseline", seed=0, config={}, eval_curve=curve)
 
 
@@ -247,7 +235,5 @@ def test_last_k_too_short():
 def test_runlog_round_trip(dataset):
     log, _ = run(method="warmup", dataset=dataset)
     back = RunLog.from_dict(log.to_dict())
-    assert back.method == log.method
-    assert back.counters == log.counters
-    assert [p.mean for p in back.eval_curve.points] == [p.mean for p in log.eval_curve.points]
-    assert back.critic_losses == log.critic_losses
+    assert back == log
+    assert back.to_dict() == log.to_dict()

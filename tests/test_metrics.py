@@ -14,7 +14,6 @@ from o2olab.metrics import (
     WIN_POLICY,
     WIN_TIE,
     ConfusionMatrix,
-    EvalCurve,
     EvalPoint,
     SampleStats,
     compare_classes,
@@ -35,9 +34,7 @@ finite_floats = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 
 
 def curve_from_means(means, step_gap=1000):
-    return EvalCurve(
-        [EvalPoint(i * step_gap, float(m), [float(m)]) for i, m in enumerate(means)]
-    )
+    return [EvalPoint(i * step_gap, float(m), [float(m)]) for i, m in enumerate(means)]
 
 
 # --- stability / plasticity / decomposition ---
@@ -414,11 +411,11 @@ def test_confusion_matrix_bad_shape():
 
 
 def test_eval_curve_validation():
-    good = EvalCurve([EvalPoint(0, 0.5, [0.4, 0.6]), EvalPoint(10, 0.7, [0.7])])
+    good = [EvalPoint(0, 0.5, [0.4, 0.6]), EvalPoint(10, 0.7, [0.7])]
     validate_curve(good)
-    bad_order = EvalCurve([EvalPoint(10, 0.5, [0.5]), EvalPoint(10, 0.7, [0.7])])
+    bad_order = [EvalPoint(10, 0.5, [0.5]), EvalPoint(10, 0.7, [0.7])]
     with pytest.raises(ValueError):
         validate_curve(bad_order)
-    bad_mean = EvalCurve([EvalPoint(0, 0.9, [0.4, 0.6])])
+    bad_mean = [EvalPoint(0, 0.9, [0.4, 0.6])]
     with pytest.raises(ValueError):
         validate_curve(bad_mean)

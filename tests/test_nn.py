@@ -9,7 +9,7 @@ def param_grad(net, inputs, output_grad):
     """Gradient of sum_batch <output, output_grad> w.r.t. ``net.params``."""
     cache = []
     nn.forward(net, inputs, cache)
-    return nn.backward(net, cache, output_grad)[0]
+    return nn.backward(net, cache, output_grad)
 
 
 def finite_difference_grads(net, inputs, output_grad, h=1e-5):
@@ -290,7 +290,8 @@ def test_stacked_net_matches_its_members_bit_for_bit():
     g = rng.normal(size=(2, 33, 1))
     cache = []
     out = nn.forward(pair, x, cache)
-    grad, din = nn.backward(pair, cache, g)
+    grad = nn.backward(pair, cache, g)
+    din = nn.input_backward(pair, cache, g)
     size = members[0].params.size
     for i, m in enumerate(members):
         assert np.array_equal(out[i], nn.forward(m, x))
@@ -311,7 +312,9 @@ def test_input_backward_is_backwards_input_gradient(stack):
     out = nn.forward(net, x, cache)
     g = rng.normal(size=out.shape)
     din = nn.input_backward(net, cache, g)
-    assert np.array_equal(din, nn.backward(net, cache, g)[1])
+    assert np.array_equal(din, nn.input_gradient(net, x, g))
+    nn.backward(net, cache, g)  # the parameter gradient from the same cache
+    assert np.array_equal(din, nn.input_backward(net, cache, g))
     assert np.array_equal(cache[-1], out)  # the cache is left as recorded
 
 

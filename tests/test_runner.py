@@ -14,7 +14,7 @@ from o2olab import cli, runner
 from o2olab.data import load_dataset
 from o2olab.envs import BehaviorSpec, env_spec
 from o2olab.errors import ConfigError, MissingInputError
-from o2olab.metrics import EvalCurve, EvalPoint
+from o2olab.metrics import EvalPoint
 from o2olab.fsio import read_json
 from test_data import DAMAGES
 
@@ -118,6 +118,61 @@ def test_config_keys_are_pinned():
                     "4ca4d18178c0")
 
 
+NOT_INTEGERS = {  # integer field: an override of tiny_config_dict giving it another value
+    "finetune.total_env_steps": {"finetune": {**FINETUNE, "total_env_steps": 40.5}},
+    "finetune.utd": {"finetune": {**FINETUNE, "utd": True}},
+    "finetune.warmup_steps": {"finetune": {**FINETUNE, "warmup_steps": "30"}},
+    "finetune.eval_episodes": {"finetune": {**FINETUNE, "eval_episodes": 2.5}},
+    "agent.batch": {"agent": {"hidden": [8, 8], "batch": 16.5}},
+    "agent.hidden": {"agent": {"hidden": [8, 8.5], "batch": 16}},
+    "env.horizon": {"env": {"kind": "point_goal_dense", "horizon": 20.5}},
+    "pretrain.steps": {"pretrain": {"kind": "offline_rl", "steps": 60.5, "beta": 0.4}},
+    "seeds": {"seeds": [0, 1.5]},
+    "last_k": {"last_k": 2.5},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_INTEGERS))
+def test_cli_rejects_a_non_integer_in_an_integer_field(tmp_path, capsys, name):
+    cfg_path = _write_config(tmp_path, NOT_INTEGERS[name])
+    capsys.readouterr()
+    assert cli.main(["gen-data", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{name} must be an integer" in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+# every integer field of tiny_config_dict, written as a float
+INTEGRAL_FLOATS = {
+    "env": {"kind": "point_goal_dense", "horizon": 30.0},
+    "behavior": [
+        {"kind": "noisy_expert", "sigma": 0.3, "n_traj": 4.0},
+        {"kind": "uniform_random", "n_traj": 2.0},
+    ],
+    "pretrain": {"kind": "offline_rl", "steps": 60.0, "beta": 0.4},
+    "agent": {"hidden": [8.0, 8.0], "batch": 16.0},
+    "seeds": [0.0, 1.0],
+    "finetune": {"total_env_steps": 120.0, "utd": 1.0, "warmup_steps": 30.0,
+                 "eval_every": 10.0, "eval_episodes": 2.0},
+    "reference_episodes": 10.0,
+    "last_k": 10.0,
+}
+
+
+def test_integral_floats_are_their_integers(finished, tmp_path):
+    floats = runner.ExperimentConfig.from_dict(tiny_config_dict(tmp_path, **INTEGRAL_FLOATS))
+    ints = runner.ExperimentConfig.from_dict(tiny_config_dict(tmp_path))
+    assert floats == ints
+    assert runner.run_key(floats, "warmup", 1) == runner.run_key(ints, "warmup", 1)
+    cfg_path = _write_config(tmp_path, {**INTEGRAL_FLOATS, "out_dir": str(tmp_path / "floats")})
+    for stage in ("gen-data", "pretrain", "classify", "finetune", "report"):
+        assert cli.main([stage, "--config", str(cfg_path)]) == 0, stage
+    got = snapshot(tmp_path / "floats")
+    assert {n: data for n, (data, _) in got.items()} == {
+        n: data for n, (data, _) in snapshot(finished).items()
+    }
+
+
 def test_config_rejects_duplicate_seeds(tmp_path):
     with pytest.raises(ConfigError):
         runner.ExperimentConfig.from_dict(tiny_config_dict(tmp_path, seeds=[1, 1]))
@@ -180,7 +235,7 @@ def test_pipeline_end_to_end(config):
         assert f.exists()
         data = read_json(f)
         assert data["key"] == runner.run_key(config, data["method"], data["config_seed"])
-        assert data["run_seed"] == runner.run_seed_for(
+        assert data["seed"] == runner.run_seed_for(
             data["config_seed"], data["method"], config.seeds.index(data["config_seed"])
         )
 
@@ -337,7 +392,7 @@ def test_jobs_below_one_is_a_config_error(config, tmp_path, capsys, jobs):
 
 def test_curve_ci_is_a_student_t_interval():
     curves = [
-        EvalCurve([EvalPoint(0, v, [v]), EvalPoint(10, 2 * v, [2 * v])])
+        [EvalPoint(0, v, [v]), EvalPoint(10, 2 * v, [2 * v])]
         for v in (0.1, 0.4, 0.7)
     ]
     stats = runner._curve_stats(curves)
@@ -462,6 +517,23 @@ def test_stale_pretrain_eval_is_redone(finished, tmp_path):
         name = f"pretrain/seed_{seed}/params.npy"
         assert retrained[name][0] != before[name][0]
     assert read_json(paths.pretrain_eval)["key"] == runner.eval_key(changed)
+
+
+def test_run_files_of_the_older_format_stay_current(finished, tmp_path):
+    # older versions also wrote per-update loss lists and a copy of the run seed
+    config = copy_of(finished, tmp_path)
+    paths = runner.Paths(config)
+    for method in config.methods:
+        for seed in config.seeds:
+            run_file = paths.run_file(method, seed)
+            record = read_json(run_file)
+            record.update(critic_losses=[0.5, 0.25], actor_losses=[-1.0], run_seed=record["seed"])
+            run_file.write_text(json.dumps(record, sort_keys=True) + "\n")
+    before = snapshot(paths.finetune_dir)
+    runner.cmd_finetune(config)
+    assert snapshot(paths.finetune_dir) == before
+    runner.cmd_report(config)
+    assert paths.analysis.read_bytes() == (finished / "report" / "analysis.json").read_bytes()
 
 
 def test_stages_parse_the_dataset_only_when_they_have_work(finished, tmp_path, monkeypatch):
