@@ -58,9 +58,17 @@ class RegularizerConfig:
 
 @dataclass
 class Td3Agent:
-    """Actor, twin critics held as one stacked net (``critics.stack == 2``;
-    member 0 is the critic the actor ascends), their Polyak targets, and one
-    Adam state for the actor and one for the critic pair."""
+    """Actor, twin critics held as one stacked net, their Polyak targets, and
+    one Adam state for the actor and one for the critics.
+
+    A single run's actor is a plain net and its critics a stack of 2; member
+    0 is the critic the actor ascends. A lockstep group of R runs (``runs``
+    R, see ``stack_agents``) holds the R actors as one stack and the 2R
+    critics as one stack: first critic 1 of every run, in run order, then
+    critic 2 of every run, so the critics the actors ascend are the first R
+    members. Targets and Adam moments are flat vectors in the same layouts.
+    The runs of a group share hyperparameters and counters.
+    """
 
     actor: nn.DenseNet
     critics: nn.DenseNet
@@ -70,6 +78,11 @@ class Td3Agent:
     critic_opt: nn.AdamState
     hyper: Td3Hyper
     update_count: int = 0
+
+    @property
+    def runs(self) -> int | None:
+        """The number of runs of a lockstep group; None for a single run."""
+        return self.actor.stack
 
     @property
     def obs_dim(self) -> int:
@@ -127,69 +140,199 @@ def reset_parameters(agent: Td3Agent, seed: int) -> Td3Agent:
     return agent
 
 
+# --- lockstep groups ---
+
+# which of ``_state_arrays`` hold a critic pair per run
+_PAIRED = (False, True, False, True, False, False, True, True)
+
+
+def _run_rows(array: np.ndarray, runs: int, paired: bool) -> np.ndarray:
+    """A group's state array as (runs, n) rows, row r in the layout of run
+    r's own array as a single agent holds it."""
+    if paired:  # critic 1 of every run, then critic 2 of every run
+        return array.reshape(2, runs, -1).swapaxes(0, 1).reshape(runs, -1)
+    return array.reshape(runs, -1)
+
+
+def _group_array(rows: np.ndarray, paired: bool) -> np.ndarray:
+    """The inverse of ``_run_rows``: a new flat vector."""
+    if paired:
+        return rows.reshape(len(rows), 2, -1).swapaxes(0, 1).ravel()
+    return rows.ravel()
+
+
+def _with_state(like: Td3Agent, arrays: list[np.ndarray], runs: int | None) -> Td3Agent:
+    """An agent of ``runs`` runs (None: a single run) holding ``arrays``, in
+    the order and layout of ``_state_arrays``, with the nets, learning rates,
+    hyperparameters and counters of ``like``."""
+    pair = 2 * (runs or 1)
+    nets = [
+        nn.DenseNet(net.layer_sizes, params, net.hidden_activation, net.output_activation, stack)
+        for net, params, stack in zip(
+            (like.actor, like.critics, like.actor, like.critics),
+            arrays[:4],
+            (runs, pair, runs, pair),
+        )
+    ]
+    opts = [
+        nn.AdamState(opt.learning_rate, m, v, opt.step_count)
+        for opt, m, v in ((like.actor_opt, *arrays[4:6]), (like.critic_opt, *arrays[6:8]))
+    ]
+    return Td3Agent(*nets, *opts, hyper=like.hyper, update_count=like.update_count)
+
+
+def _counters(agent: Td3Agent) -> tuple:
+    return agent.hyper, agent.update_count, agent.actor_opt.step_count, agent.critic_opt.step_count
+
+
+def stack_agents(agents: list[Td3Agent]) -> Td3Agent:
+    """A lockstep group holding copies of the single-run ``agents`` as its
+    runs, in order. They must share hyperparameters and counters, so that
+    one update steps every run as its own update would."""
+    first = agents[0]
+    if any(a.runs is not None or _counters(a) != _counters(first) for a in agents):
+        raise ValueError("a lockstep group needs single-run agents of one hyper and counters")
+    columns = zip(*(_state_arrays(a) for a in agents))
+    arrays = [_group_array(np.stack(c), paired) for c, paired in zip(columns, _PAIRED)]
+    return _with_state(first, arrays, len(agents))
+
+
+def select_runs(group: Td3Agent, keep: list[int]) -> Td3Agent:
+    """A lockstep group of copies of the runs ``keep`` of ``group``, in that
+    order."""
+    arrays = [
+        _group_array(_run_rows(a, group.runs, paired)[keep], paired)
+        for a, paired in zip(_state_arrays(group), _PAIRED)
+    ]
+    return _with_state(group, arrays, len(keep))
+
+
+# --- acting ---
+
+
+def _normal(agent: Td3Agent, rng, sigma: float, shape: tuple) -> np.ndarray:
+    """Gaussian draws of ``shape`` from ``rng``; for a lockstep group, each
+    run's slice from its own generator in the list ``rng``, as that run
+    alone would draw it."""
+    if agent.runs is None:
+        return rng.normal(0.0, sigma, size=shape)
+    return np.concatenate([g.normal(0.0, sigma, size=(1, *shape[1:])) for g in rng])
+
+
+def _actions(actor: nn.DenseNet, obs: np.ndarray) -> np.ndarray:
+    """The actor's output on each row of ``obs``, each row as its own
+    (1, obs_dim) slice."""
+    return nn.forward(actor, np.asarray(obs, dtype=np.float64)[..., None, :])[..., 0, :]
+
+
 def act(
     agent: Td3Agent,
     obs: np.ndarray,
     explore: bool = False,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | list[np.random.Generator] | None = None,
 ) -> np.ndarray:
     """Deterministic actor output, plus clipped Gaussian noise when exploring.
 
     ``obs`` is one observation (obs_dim,) or a stack of rows (rows,
     obs_dim); the result has the same leading shape. Each row runs as its
     own (1, obs_dim) slice, so a row's action equals ``act`` on that row
-    alone, bit for bit.
+    alone, bit for bit. A lockstep group takes one row per run, each acting
+    by its run's actor, and when exploring a list of generators, one per
+    run, each drawing its run's noise.
     """
-    a = nn.forward(agent.actor, np.asarray(obs, dtype=np.float64)[..., None, :])[..., 0, :]
+    a = _actions(agent.actor, obs)
     if explore:
         if rng is None:
             raise ValueError("explore=True requires an rng")
-        a = a + rng.normal(0.0, agent.hyper.explore_noise, size=a.shape)
+        a = a + _normal(agent, rng, agent.hyper.explore_noise, a.shape)
     return np.minimum(np.maximum(a, -1.0), 1.0)  # np.clip, bit for bit, faster
 
 
 def policy_fn(agent: Td3Agent):
     """The agent's evaluation policy (no exploration noise), on one
-    observation or a stack of rows (see ``act``)."""
-    return lambda obs: act(agent, obs, explore=False)
+    observation or a stack of rows (see ``act``).
+
+    A lockstep group's policy is ``policy(obs, runs)``: row i acts by the
+    actor of run ``runs[i]``, alone, as it would under that run's own
+    policy. The rows go through one forward pass of a stack holding each
+    row's actor, rebuilt only when the runs of the rows change.
+    """
+    if agent.runs is None:
+        return lambda obs: act(agent, obs, explore=False)
+    actor = agent.actor
+    members = actor.params.reshape(agent.runs, -1)
+    rows = {}  # the stack of each row's actor, by the rows' runs
+
+    def policy(obs, runs):
+        key = runs.tobytes()
+        if key not in rows:
+            rows.clear()
+            rows[key] = nn.DenseNet(
+                actor.layer_sizes, members[runs].ravel(),
+                actor.hidden_activation, actor.output_activation, len(runs),
+            )
+        return np.minimum(np.maximum(_actions(rows[key], obs), -1.0), 1.0)
+
+    return policy
+
+
+# --- the update ---
+
+
+def _pair(agent: Td3Agent, x: np.ndarray) -> np.ndarray:
+    """The critic pair's input: ``x`` for one run, broadcast over its two
+    critics; a group's (R, batch, in) input once for each critic half."""
+    return x if agent.critics.stack == 2 else np.concatenate([x, x])
 
 
 def _critic_targets(agent: Td3Agent, batch: TransitionBatch, rng) -> np.ndarray:
     h = agent.hyper
     next_a = nn.forward(agent.target_actor, batch.next_obs)
     noise = np.clip(
-        rng.normal(0.0, h.target_noise, size=next_a.shape), -h.noise_clip, h.noise_clip
+        _normal(agent, rng, h.target_noise, next_a.shape), -h.noise_clip, h.noise_clip
     )
     next_a = np.clip(next_a + noise, -1.0, 1.0)
-    x_next = np.concatenate([batch.next_obs, next_a], axis=1)
-    q1_next, q2_next = nn.forward(agent.target_critics, x_next)
-    q_next = np.minimum(q1_next, q2_next)[:, 0]
+    x_next = np.concatenate([batch.next_obs, next_a], axis=-1)
+    q1_next, q2_next = nn.forward(agent.target_critics, _pair(agent, x_next)).reshape(
+        (2, *batch.reward.shape)
+    )
+    q_next = np.minimum(q1_next, q2_next)
     # bootstrap is masked on termination but not on time-limit truncation
     return batch.reward + h.gamma * (1.0 - batch.terminated) * q_next
 
 
 def _actor_gradients(agent: Td3Agent, batch: TransitionBatch, reg: RegularizerConfig):
     """Gradient of the (optionally BC-regularized) actor loss; returns
-    (flat gradient, loss value, lambda)."""
-    n = len(batch)
+    (flat gradient, loss value, lambda), the loss and lambda per run for a
+    group. Each run's loss and lambda are reduced over its own rows."""
+    n = batch.reward.shape[-1]
     actor_cache: list = []
     a = nn.forward(agent.actor, batch.obs, actor_cache)
-    x = np.concatenate([batch.obs, a], axis=1)
-    critic1 = agent.critics.member(0)
+    x = np.concatenate([batch.obs, a], axis=-1)
+    critics = agent.critics
+    critic1 = nn.DenseNet(  # critic 1 of each run: the first half of the pair
+        critics.layer_sizes, critics.params[: critics.params.size // 2],
+        critics.hidden_activation, critics.output_activation, agent.runs,
+    )
     critic_cache: list = []
-    q1 = nn.forward(critic1, x, critic_cache)[:, 0]
-    if reg.q_normalization:
-        lam = 1.0 / max(float(np.mean(np.abs(q1))), 1e-8)
-    else:
-        lam = 1.0
+    q1 = nn.forward(critic1, x, critic_cache)[..., 0]
     bc_err = a - batch.action
-    loss = -lam * float(np.mean(q1)) + reg.bc_coefficient * float(np.mean(bc_err**2))
+    q1_rows = q1.reshape(-1, n)
+    sq_err = (bc_err**2).reshape(len(q1_rows), n, -1)
+    lam, loss = [], []
+    for q, sq in zip(q1_rows, sq_err):
+        lam.append(
+            1.0 / max(float(np.mean(np.abs(q))), 1e-8) if reg.q_normalization else 1.0
+        )
+        loss.append(-lam[-1] * float(np.mean(q)) + reg.bc_coefficient * float(np.mean(sq)))
     # d(mean q1)/da through the critic's action inputs
-    dq_din = nn.input_backward(critic1, critic_cache, np.full((n, 1), 1.0 / n))
-    da = -lam * dq_din[:, agent.obs_dim :]
+    dq_din = nn.input_backward(critic1, critic_cache, np.full((*q1.shape, 1), 1.0 / n))
+    da = -np.reshape(lam, (*q1.shape[:-1], 1, 1)) * dq_din[..., agent.obs_dim :]
     if reg.bc_coefficient:
         da = da + (2.0 * reg.bc_coefficient / (n * agent.action_dim)) * bc_err
     grad = nn.backward(agent.actor, actor_cache, da)
+    if agent.runs is None:
+        return grad, loss[0], lam[0]
     return grad, loss, lam
 
 
@@ -197,48 +340,83 @@ def td3_update(
     agent: Td3Agent,
     batch: TransitionBatch,
     reg: RegularizerConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | list[np.random.Generator],
 ) -> dict:
     """One TD3 step: twin-critic regression, delayed actor update, Polyak
-    targets. Returns a loss report; raises NumericError on blow-up, before
-    the step it would have corrupted changes any parameter."""
-    if len(batch) == 0:
+    targets.
+
+    A single run's update returns a loss report and raises NumericError on
+    blow-up, before the step it would have corrupted changes any parameter.
+
+    A lockstep group's update takes one batch per run, every field with a
+    leading run axis, and a list of generators, one per run. Each run steps
+    exactly as its own update would: every product and elementwise step
+    acts on its slices alone, and every loss and lambda is reduced over its
+    own rows. It returns {run: reason} for the runs whose own update would
+    have raised, with that reason; their parameters are then garbage, and
+    the caller drops them (``select_runs``).
+    """
+    n = batch.reward.shape[-1]
+    if n == 0:
         raise ValueError("batch must be non-empty")
     h = agent.hyper
-    n = len(batch)
-    y = _critic_targets(agent, batch, rng)
-    if not np.all(np.isfinite(y)):
-        raise NumericError("non-finite critic target")
+    failed: dict[int, str] = {}
 
-    x = np.concatenate([batch.obs, batch.action], axis=1)
-    cache: list = []
-    err = nn.forward(agent.critics, x, cache)[:, :, 0] - y  # (2, batch)
-    report = {}
-    for name, member_err in zip(("critic1_loss", "critic2_loss"), err):
-        loss = float(np.mean(member_err**2))
-        if not np.isfinite(loss):
-            raise NumericError(
-                f"critic loss is not finite at update {agent.update_count + 1}"
+    def check(ok, reason: str) -> None:
+        """``ok`` holds one flag per run; a failed single run raises."""
+        if agent.runs is None:
+            if not ok:
+                raise NumericError(reason)
+            return
+        ok = np.asarray(ok)
+        if not ok.all():
+            for run in np.flatnonzero(~ok):
+                failed.setdefault(int(run), reason)
+
+    def checked(grad: np.ndarray, halves: int) -> np.ndarray:
+        """``grad`` once each run's slices are checked, with the slices of
+        the failed runs zeroed, so that one Adam step over the group stays
+        finite. A single run's is checked by ``adam_step``, which raises
+        the same error."""
+        if agent.runs is None:
+            return grad
+        per_run = grad.reshape(halves, agent.runs, -1)
+        check(np.isfinite(per_run).all(axis=(0, 2)), "non-finite gradient entry")
+        if failed:
+            per_run[:, list(failed)] = 0.0
+        return grad
+
+    # the checks find every non-finite value; a group's failed runs go on
+    # computing with theirs until the caller drops them
+    with np.errstate(all="ignore"):
+        y = _critic_targets(agent, batch, rng)
+        check(np.isfinite(y).all(axis=-1), "non-finite critic target")
+
+        x = np.concatenate([batch.obs, batch.action], axis=-1)
+        cache: list = []
+        err = nn.forward(agent.critics, _pair(agent, x), cache).reshape((2, *y.shape)) - y
+        losses = [[float(np.mean(e**2)) for e in half.reshape(-1, n)] for half in err]
+        check(
+            np.isfinite(losses).all(axis=0),
+            f"critic loss is not finite at update {agent.update_count + 1}",
+        )
+        grad = nn.backward(agent.critics, cache, ((2.0 / n) * err).reshape(-1, n, 1))
+        nn.adam_step(agent.critics, checked(grad, 2), agent.critic_opt)
+
+        agent.update_count += 1
+        report = {"critic1_loss": losses[0][0], "critic2_loss": losses[1][0], "actor_loss": None}
+        if agent.update_count % h.policy_delay == 0:
+            grad, actor_loss, lam = _actor_gradients(agent, batch, reg)
+            check(
+                np.isfinite(actor_loss), f"actor loss is not finite at update {agent.update_count}"
             )
-        report[name] = loss
-    grad = nn.backward(agent.critics, cache, (2.0 / n) * err[:, :, None])
-    nn.adam_step(agent.critics, grad, agent.critic_opt)
+            nn.adam_step(agent.actor, checked(grad, 1), agent.actor_opt)
+            report["actor_loss"] = actor_loss
+            report["q_scale"] = lam
 
-    agent.update_count += 1
-    report["actor_loss"] = None
-    if agent.update_count % h.policy_delay == 0:
-        grad, actor_loss, lam = _actor_gradients(agent, batch, reg)
-        if not np.isfinite(actor_loss):
-            raise NumericError(
-                f"actor loss is not finite at update {agent.update_count}"
-            )
-        nn.adam_step(agent.actor, grad, agent.actor_opt)
-        report["actor_loss"] = actor_loss
-        report["q_scale"] = lam
-
-    nn.polyak_update(agent.target_actor, agent.actor, h.tau)
-    nn.polyak_update(agent.target_critics, agent.critics, h.tau)
-    return report
+        nn.polyak_update(agent.target_actor, agent.actor, h.tau)
+        nn.polyak_update(agent.target_critics, agent.critics, h.tau)
+    return report if agent.runs is None else failed
 
 
 # --- pretraining ---

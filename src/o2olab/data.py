@@ -17,7 +17,7 @@ so a directory without one is an interrupted save.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -190,25 +190,27 @@ class ReplayBuffer:
         self._next = (self._next + n) % self.capacity
         self.size = min(self.size + n, self.capacity)
 
-    def _gather(self, idx: np.ndarray) -> TransitionBatch:
-        return TransitionBatch(
-            obs=self._obs[idx],
-            action=self._action[idx],
-            reward=self._reward[idx],
-            next_obs=self._next_obs[idx],
-            terminated=self._terminated[idx],
-        )
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """The storage of each TransitionBatch field, in field order."""
+        return self._obs, self._action, self._reward, self._next_obs, self._terminated
 
-    def sample(self, batch: int, rng: np.random.Generator) -> TransitionBatch:
-        """Uniform sampling with replacement."""
+    def _slots(self, batch: int, rng: np.random.Generator) -> np.ndarray:
+        """The ring slots of ``batch`` uniform draws with replacement."""
         if self.size == 0:
             raise EmptyBufferError("cannot sample from an empty buffer")
         self.sample_reads += 1
-        idx = rng.integers(0, self.size, size=batch)
+        # int64 is the default; naming it skips a slow conversion, same draws
+        idx = rng.integers(0, self.size, size=batch, dtype=np.int64)
         # map logical FIFO positions to ring slots
         if self.size == self.capacity:
             idx = (self._next + idx) % self.capacity
-        return self._gather(idx)
+        return idx
+
+    def sample(self, batch: int, rng: np.random.Generator) -> TransitionBatch:
+        """Uniform sampling with replacement."""
+        slots = self._slots(batch, rng)
+        # take gathers the same rows as indexing, in less time
+        return TransitionBatch(*(column.take(slots, axis=0) for column in self._columns()))
 
     @classmethod
     def from_dataset(cls, dataset: OfflineDataset, capacity: int | None = None):
@@ -240,19 +242,29 @@ class MixedSampler:
         return int(round(self.alpha * batch))
 
     def sample(self, batch: int, rng: np.random.Generator) -> TransitionBatch:
+        """round(alpha * batch) offline draws, then the online draws, then a
+        permutation of the batch's rows; each part is gathered from its
+        buffer straight into its permuted rows."""
         if len(self.offline_buffer) == 0 or len(self.online_buffer) == 0:
             raise EmptyBufferError("mixed sampling needs both buffers non-empty")
         n_off = self.offline_count(batch)
         parts = []
         if n_off:
-            parts.append(self.offline_buffer.sample(n_off, rng))
+            parts.append((self.offline_buffer, self.offline_buffer._slots(n_off, rng)))
         if batch - n_off:
-            parts.append(self.online_buffer.sample(batch - n_off, rng))
+            parts.append((self.online_buffer, self.online_buffer._slots(batch - n_off, rng)))
         perm = rng.permutation(batch)
-        return TransitionBatch(**{
-            f.name: np.concatenate([getattr(p, f.name) for p in parts])[perm]
-            for f in fields(TransitionBatch)
-        })
+        # row perm[i] of the two parts, one after the other, is the batch's row i
+        rows = np.empty(batch, dtype=perm.dtype)
+        rows[perm] = np.arange(batch)
+        columns = [np.empty((batch, *c.shape[1:])) for c in self.online_buffer._columns()]
+        start = 0
+        for buffer, slots in parts:
+            part_rows = rows[start : start + len(slots)]
+            for out, column in zip(columns, buffer._columns()):
+                out[part_rows] = column.take(slots, axis=0)
+            start += len(slots)
+        return TransitionBatch(*columns)
 
 
 # --- file I/O ---

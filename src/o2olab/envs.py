@@ -441,8 +441,8 @@ def evaluate_policy(
     spec: EnvSpec,
     reference: ReferenceScores,
     episodes: int,
-    seed: int,
-) -> PolicyEvaluation:
+    seed: int | list[int],
+) -> PolicyEvaluation | list[PolicyEvaluation]:
     """Normalized undiscounted return of a policy over seeded episodes.
 
     The episodes run in lockstep, all in one env: at every step ``policy``
@@ -452,13 +452,26 @@ def evaluate_policy(
     actions do not depend on which other episodes are live (as
     ``agents.act`` does). Each return is summed in its episode's own step
     order, so the scores equal those of each episode rolled alone.
+
+    A list of R seeds evaluates the R runs of a lockstep group at once: the
+    ``episodes`` episodes of each run, run after run, all go in the one
+    env, ``policy(obs, runs)`` also gets the run of each row, and the result
+    is a list of R evaluations, each equal to that of its run alone.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    seeds = [stable_seed("eval-episode", seed, i) for i in range(episodes)]
-    raw = _raw_returns(make_env(spec), seeds, lambda live, obs: policy(obs))
-    scores = [reference.normalize(r) for r in raw]
-    return PolicyEvaluation(scores, float(np.mean(scores)))
+    group = isinstance(seed, list)
+    run_seeds = seed if group else [seed]
+    seeds = [stable_seed("eval-episode", s, i) for s in run_seeds for i in range(episodes)]
+    if group:
+        raw = _raw_returns(make_env(spec), seeds, lambda live, obs: policy(obs, live // episodes))
+    else:
+        raw = _raw_returns(make_env(spec), seeds, lambda live, obs: policy(obs))
+    results = []
+    for start in range(0, len(raw), episodes):
+        scores = [reference.normalize(r) for r in raw[start : start + episodes]]
+        results.append(PolicyEvaluation(scores, float(np.mean(scores))))
+    return results if group else results[0]
 
 
 def compute_reference_scores(spec: EnvSpec, seed: int, episodes: int = 100) -> ReferenceScores:

@@ -9,15 +9,27 @@ exactly K transitions. Total updates are exactly
 
 from __future__ import annotations
 
+import copy
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .agents import RegularizerConfig, Td3Agent, act, policy_fn, reset_parameters, td3_update
-from .data import MixedSampler, OfflineDataset, ReplayBuffer
-from .envs import EnvSpec, evaluate_policy
+from .agents import (
+    RegularizerConfig,
+    Td3Agent,
+    Td3Hyper,
+    act,
+    policy_fn,
+    reset_parameters,
+    select_runs,
+    stack_agents,
+    td3_update,
+)
+from .data import MixedSampler, OfflineDataset, ReplayBuffer, TransitionBatch
+from .envs import EnvSpec, evaluate_policy, make_env
 from .errors import ConfigError, NumericError, config_int
 from .metrics import EvalPoint
+from .nn import param_count
 from .seeding import rng_for, stable_seed
 
 METHOD_BASELINE = "baseline"
@@ -60,6 +72,10 @@ class FinetuneConfig:
         if self.online_buffer_capacity is not None:
             self.online_buffer_capacity = config_int(
                 "finetune.online_buffer_capacity", self.online_buffer_capacity
+            )
+        if not isinstance(self.single_buffer, bool):
+            raise ConfigError(
+                f"finetune.single_buffer must be true or false, got {self.single_buffer!r}"
             )
 
     def validate(self) -> None:
@@ -124,85 +140,202 @@ def _regularizer_for(config: FinetuneConfig) -> RegularizerConfig:
     return RegularizerConfig()
 
 
-def run_finetune(env, dataset: OfflineDataset, agent: Td3Agent, config: FinetuneConfig, seed: int):
-    """Fine-tune ``agent`` online; returns (RunLog, agent).
+# A lockstep group pays where a run's update is small enough that its fixed
+# Python cost, not its arithmetic, sets its time. One update of a group of 2
+# against 2 updates alone (beta 0.4 with Q-normalization; single-thread
+# OpenBLAS on a 2-vCPU x86-64 host; medians of 7 rounds of 60) was 1.23-1.46x
+# faster up to 3.4e5 multiply-adds per critic forward over a batch (batch x
+# critic parameters: (32, 32) nets at batch 64 make 8.4e4, (64, 64) at
+# batch 64 3.0e5), 1.13-1.19x at 5.6e5-5.8e5, and 1.04-1.13x at 1.1e6
+# ((64, 64) at batch 256 on the pendulum, where an earlier series gave
+# 0.80-0.96x).
+LOCKSTEP_MAX_WORK = 500_000
+LOCKSTEP_MAX_RUNS = 4
 
-    Scores are normalized by the dataset's reference scores. The dataset is
-    sampled only by the replay-based methods and with ``single_buffer``.
+
+def lockstep_runs(hyper: Td3Hyper, spec: EnvSpec) -> int:
+    """How many runs of one method to fine-tune as one lockstep group: up to
+    LOCKSTEP_MAX_RUNS while one critic forward over a batch stays within
+    LOCKSTEP_MAX_WORK multiply-adds, else 1."""
+    critic = param_count((spec.obs_dim + spec.action_dim, *hyper.hidden, 1))
+    return LOCKSTEP_MAX_RUNS if hyper.batch * critic <= LOCKSTEP_MAX_WORK else 1
+
+
+@dataclass(eq=False)
+class _Run:
+    """One run of a lockstep group: its log, and its own env, buffers and
+    generators."""
+
+    log: RunLog
+    env: object
+    online: ReplayBuffer
+    sampler: MixedSampler | None
+    explore_rng: np.random.Generator
+    update_rng: np.random.Generator
+    sample_rng: np.random.Generator
+    obs: np.ndarray | None = None
+    episode: int = 0
+    collected: int = 0
+    updates: int = 0
+
+    @classmethod
+    def start(
+        cls,
+        dataset: OfflineDataset,
+        config: FinetuneConfig,
+        seed: int,
+        offline: ReplayBuffer | None,
+    ) -> "_Run":
+        """A run at step 0. ``offline``, the dataset's buffer of the replay
+        methods, is shared by the runs of a group: nothing is pushed to it,
+        and each run draws through its own shallow copy, which counts its
+        own draws."""
+        capacity = config.online_buffer_capacity or config.total_env_steps
+        spec = dataset.env
+        if config.single_buffer:  # the online buffer starts out holding the dataset
+            online = ReplayBuffer.from_dataset(dataset, capacity + dataset.n_transitions)
+        else:
+            online = ReplayBuffer(capacity, spec.obs_dim, spec.action_dim)
+        sampler = None
+        if offline is not None:
+            offline = copy.copy(offline)
+            sampler = MixedSampler(offline, online, config.alpha)
+        run = cls(
+            log=RunLog(method=config.method, seed=seed, config=config.to_dict(), eval_curve=[]),
+            env=make_env(spec),
+            online=online,
+            sampler=sampler,
+            explore_rng=rng_for("explore", seed),
+            update_rng=rng_for("update", seed),
+            sample_rng=rng_for("sample", seed),
+        )
+        run.obs = run.env.reset([stable_seed("episode", seed, 0)])  # one episode at a time
+        return run
+
+    def sample(self, batch: int) -> TransitionBatch:
+        if self.sampler is not None:
+            return self.sampler.sample(batch, self.sample_rng)
+        return self.online.sample(batch, self.sample_rng)
+
+    def step(self, action: np.ndarray) -> None:
+        """Take ``action`` (1, action_dim) in the env and bank the transition."""
+        res = self.env.step(action)
+        self.online.push(self.obs, action, res.reward, res.next_obs, res.terminated)
+        self.collected += 1
+        self.obs = res.next_obs
+        if res.done[0]:
+            self.episode += 1
+            self.obs = self.env.reset([stable_seed("episode", self.log.seed, self.episode)])
+
+    def finish(self) -> None:
+        self.log.counters = {
+            "env_steps": self.collected,
+            "updates": self.updates,
+            "episodes_started": self.episode + 1,
+            "dataset_samples": self.sampler.offline_buffer.sample_reads if self.sampler else 0,
+        }
+
+
+def _stacked(batches: list[TransitionBatch]) -> TransitionBatch:
+    """One batch per run as one batch with a leading run axis."""
+    columns = ([getattr(batch, f.name) for batch in batches] for f in fields(TransitionBatch))
+    return TransitionBatch(
+        *(np.concatenate(c).reshape(len(batches), *c[0].shape) for c in columns)
+    )
+
+
+def run_finetune(
+    dataset: OfflineDataset, agents: list[Td3Agent], config: FinetuneConfig, seeds: list[int]
+) -> list[RunLog]:
+    """Fine-tune each agent online with its run seed; returns one RunLog per
+    run, in order.
+
+    The runs go in lockstep: one stacked ``td3_update`` per update, one
+    exploring ``act`` per env step and one evaluation of every run's
+    episodes in one env (see ``agents.stack_agents``). Each run keeps its
+    own env, buffers and generators, so its RunLog equals the one it would
+    record alone. A run whose update blows up aborts alone.
+
+    A lone run goes as a single run: its agent is fine-tuned in place, its
+    blow-up caught as a ``NumericError``. A group of more runs holds copies
+    of the agents. Either way ``agents`` is emptied, so that nothing here
+    keeps the originals alive.
+
+    Scores are normalized by the dataset's reference scores; runs act in
+    the dataset's env. The dataset is sampled only by the replay-based
+    methods and with ``single_buffer``.
     """
     config.validate()
-    spec: EnvSpec = env.spec
     if config.method == METHOD_REPLAY_RESET:
-        reset_parameters(agent, seed=stable_seed("reset", seed))
-
-    capacity = config.online_buffer_capacity or config.total_env_steps
-    offline = None
-    sampler = None
-    if config.single_buffer:  # the online buffer starts out holding the dataset
-        online = ReplayBuffer.from_dataset(dataset, capacity + dataset.n_transitions)
-    else:
-        online = ReplayBuffer(capacity, spec.obs_dim, spec.action_dim)
-        if config.method in REPLAY_METHODS:
-            offline = ReplayBuffer.from_dataset(dataset)
-            sampler = MixedSampler(offline, online, config.alpha)
-
+        for i, seed in enumerate(seeds):  # no loop variable keeps an agent alive
+            reset_parameters(agents[i], seed=stable_seed("reset", seed))
+    # a lone run goes as a single run, which costs less than a group of one
+    lone = len(seeds) == 1
+    group = agents[0] if lone else stack_agents(agents)
+    agents.clear()
+    replay = config.method in REPLAY_METHODS and not config.single_buffer
+    offline = ReplayBuffer.from_dataset(dataset) if replay else None
+    every = [_Run.start(dataset, config, seed, offline) for seed in seeds]
+    runs = list(every)  # the live runs, in the order of the group's runs
     reg = _regularizer_for(config)
-    start_delay = (
-        config.warmup_steps if config.method == METHOD_WARMUP else agent.hyper.batch
-    )
-    explore_rng = rng_for("explore", seed)
-    update_rng = rng_for("update", seed)
-    sample_rng = rng_for("sample", seed)
+    hyper = group.hyper
+    start_delay = config.warmup_steps if config.method == METHOD_WARMUP else hyper.batch
 
-    log = RunLog(method=config.method, seed=seed, config=config.to_dict(), eval_curve=[])
+    def per_run(values: list):
+        """One value per live run, as ``group`` takes them: a lone run's own."""
+        return values[0] if lone else values
 
     def evaluate(step: int) -> None:
-        point_index = len(log.eval_curve)
-        result = evaluate_policy(
-            policy_fn(agent),
-            spec,
+        point_index = len(runs[0].log.eval_curve)
+        results = evaluate_policy(
+            policy_fn(group),
+            dataset.env,
             dataset.reference,
             config.eval_episodes,
-            seed=eval_seed_for(seed, point_index),
+            seed=per_run([eval_seed_for(run.log.seed, point_index) for run in runs]),
         )
-        log.eval_curve.append(EvalPoint(step, result.mean, result.per_episode))
+        for run, result in zip(runs, [results] if lone else results):
+            run.log.eval_curve.append(EvalPoint(step, result.mean, result.per_episode))
+
+    def update() -> dict[int, str]:
+        """One update of every live run; returns {run: reason} for those
+        that blew up."""
+        batches = [run.sample(hyper.batch) for run in runs]
+        rngs = [run.update_rng for run in runs]
+        if not lone:
+            return td3_update(group, _stacked(batches), reg, rngs)
+        try:
+            td3_update(group, batches[0], reg, rngs[0])
+        except NumericError as exc:
+            return {0: str(exc)}
+        return {}
 
     evaluate(0)  # for replay_reset this is the post-reset policy
-    updates = 0
-    collected = 0
-    episode = 0
-    obs = env.reset([stable_seed("episode", seed, episode)])  # one episode at a time
     for step in range(1, config.total_env_steps + 1):
         if step > start_delay:
             for _ in range(config.utd):
-                if sampler is not None:
-                    batch = sampler.sample(agent.hyper.batch, sample_rng)
-                else:
-                    batch = online.sample(agent.hyper.batch, sample_rng)
-                try:
-                    td3_update(agent, batch, reg, update_rng)
-                except NumericError as exc:
-                    log.aborted = True
-                    log.abort_reason = str(exc)
-                    break
-                updates += 1
-        if log.aborted:
+                failed = update()
+                for i, run in enumerate(runs):
+                    if i in failed:
+                        run.log.aborted = True
+                        run.log.abort_reason = failed[i]
+                    else:
+                        run.updates += 1
+                if failed:
+                    keep = [i for i in range(len(runs)) if i not in failed]
+                    runs = [runs[i] for i in keep]
+                    if not runs:
+                        break
+                    group = select_runs(group, keep)
+        if not runs:
             break
-        action = act(agent, obs, explore=True, rng=explore_rng)
-        res = env.step(action)
-        online.push(obs, action, res.reward, res.next_obs, res.terminated)
-        collected += 1
-        obs = res.next_obs
-        if res.done[0]:
-            episode += 1
-            obs = env.reset([stable_seed("episode", seed, episode)])
+        obs = np.concatenate([run.obs for run in runs])
+        actions = act(group, obs, explore=True, rng=per_run([run.explore_rng for run in runs]))
+        for i, run in enumerate(runs):
+            run.step(actions[i : i + 1])
         if step % config.eval_every == 0:
             evaluate(step)
 
-    log.counters = {
-        "env_steps": collected,
-        "updates": updates,
-        "episodes_started": episode + 1,
-        "dataset_samples": offline.sample_reads if offline is not None else 0,
-    }
-    return log, agent
+    for run in every:
+        run.finish()
+    return [run.log for run in every]

@@ -21,7 +21,7 @@ HIDDEN_ACTIVATIONS = ("tanh", "relu")
 OUTPUT_ACTIVATIONS = ("linear", "tanh")
 
 
-def _param_count(layer_sizes) -> int:
+def param_count(layer_sizes) -> int:
     """Number of parameters of one net with these layer sizes."""
     return sum(o * i + o for i, o in zip(layer_sizes[:-1], layer_sizes[1:]))
 
@@ -53,8 +53,9 @@ class DenseNet:
     ``params`` is the flat float64 parameter vector (see ``_layer_views``
     for its layout). ``weights[l]`` and ``biases[l]`` are views into it, so
     writing to either changes the other. With ``stack=S`` the net is S
-    independent members evaluated together on one (batch, in) input;
-    forward returns (S, batch, out).
+    independent members evaluated together, on one (batch, in) input or
+    each on its own slice of an (S, batch, in) input; forward returns (S,
+    batch, out).
     """
 
     def __init__(
@@ -69,7 +70,7 @@ class DenseNet:
         self.hidden_activation = hidden_activation
         self.output_activation = output_activation
         self.stack = stack
-        size = _param_count(self.layer_sizes) * (1 if stack is None else stack)
+        size = param_count(self.layer_sizes) * (1 if stack is None else stack)
         if params.dtype != np.float64 or params.shape != (size,):
             raise ShapeError(
                 f"expected a flat float64 vector of {size} parameters, "
@@ -96,6 +97,11 @@ class DenseNet:
 
     def copy(self) -> "DenseNet":
         return self._like(self.params.copy(), self.stack)
+
+    def __deepcopy__(self, memo) -> "DenseNet":
+        # a memberwise deep copy would copy the layer views apart from the
+        # copied params, so writes to the copy's params would not reach them
+        return self.copy()
 
     def member(self, i: int) -> "DenseNet":
         """Member ``i`` of a stack as a plain net sharing this net's memory."""
@@ -151,7 +157,7 @@ def init_net(
         raise ValueError(f"unknown output activation {output_activation!r}")
 
     rng = np.random.default_rng(seed)
-    net = DenseNet(sizes, np.zeros(_param_count(sizes)), hidden_activation, output_activation)
+    net = DenseNet(sizes, np.zeros(param_count(sizes)), hidden_activation, output_activation)
     for w in net.weights:
         fan_out, fan_in = w.shape
         bound = 1.0 / np.sqrt(fan_in)

@@ -29,10 +29,11 @@ takes the dataset's per-trajectory returns from the manifest. ``setting``,
 invalidates nothing.
 
 Pretrain splits its work into one unit per seed, finetune into one per
-method x seed. A serial stage (``jobs`` 1) is the one-worker case of the
-same units: ``jobs`` N runs the same unit function in a pool of N worker
-processes, each unit takes the dataset's rows from a per-process cache, and
-results come back in unit order, so both write the same bytes.
+method and lockstep group of its seeds (see ``finetune.lockstep_runs``). A
+serial stage (``jobs`` 1) is the one-worker case of the same units: ``jobs``
+N runs the same unit function in a pool of N worker processes, each unit
+takes the dataset's rows from a per-process cache, and results come back in
+unit order, so both write the same bytes.
 
 Regime labels are persisted by the classify stage before any fine-tuning
 output exists, so the prediction is made ahead of the outcome.
@@ -76,7 +77,6 @@ from .envs import (
     compute_reference_scores,
     env_spec,
     evaluate_policy,
-    make_env,
 )
 from .errors import ConfigError, MissingInputError, config_int
 from .finetune import (
@@ -86,6 +86,7 @@ from .finetune import (
     FinetuneConfig,
     RunLog,
     last_k_eval_stat,
+    lockstep_runs,
     run_finetune,
 )
 from .fsio import MANIFEST_FILE, read_json, write_json_atomic, write_text_atomic
@@ -336,12 +337,16 @@ def _require_current(path: Path, key: str, command: str) -> dict:
         raise MissingInputError(f"{path} does not exist; run `o2olab {command}`") from None
     except ValueError:  # unreadable, so not made from these inputs either
         record = {}
+    _check_key(path, record, key, command)
+    return record
+
+
+def _check_key(path: Path, record: dict, key: str, command: str) -> None:
     if record.get("key") != key:
         raise ConfigError(
             f"{path} was made from other inputs than this config's (key "
             f"{record.get('key')!r}, expected {key!r}); re-run `o2olab {command}`"
         )
-    return record
 
 
 def _is_current(path: Path, key: str) -> bool:
@@ -574,22 +579,38 @@ def _method_finetune(config: ExperimentConfig, method: str) -> FinetuneConfig:
     return FinetuneConfig(**{**config.finetune.to_dict(), "method": method})
 
 
-def _finetune_one(config: ExperimentConfig, method: str, seed: int) -> None:
+def _finetune_group(config: ExperimentConfig, method: str, seeds: tuple[int, ...]) -> None:
+    """Fine-tune one method's ``seeds`` as one lockstep group and write their
+    run files; nothing is written before the whole group is done."""
     paths = Paths(config)
-    agent = load_agent(paths.checkpoint(seed))
-    env = make_env(config.env)
-    run_seed = run_seed_for(seed, method, config.seeds.index(seed))
-    log, _ = run_finetune(
-        env, _dataset(config), agent, _method_finetune(config, method), seed=run_seed
-    )
-    payload = {"key": run_key(config, method, seed), "config_seed": seed, **log.to_dict()}
-    write_json_atomic(paths.run_file(method, seed), payload)
-    n_episodes = len(log.eval_curve[0].per_episode)
-    _write_csv(
-        paths.run_csv(method, seed),
-        ["step", "mean", *(f"ret_{i}" for i in range(n_episodes))],
-        ([p.step, p.mean, *p.per_episode] for p in log.eval_curve),
-    )
+    agents = [load_agent(paths.checkpoint(seed)) for seed in seeds]
+    run_seeds = [run_seed_for(seed, method, config.seeds.index(seed)) for seed in seeds]
+    logs = run_finetune(_dataset(config), agents, _method_finetune(config, method), run_seeds)
+    for seed, log in zip(seeds, logs):
+        payload = {"key": run_key(config, method, seed), "config_seed": seed, **log.to_dict()}
+        write_json_atomic(paths.run_file(method, seed), payload)
+        n_episodes = len(log.eval_curve[0].per_episode)
+        _write_csv(
+            paths.run_csv(method, seed),
+            ["step", "mean", *(f"ret_{i}" for i in range(n_episodes))],
+            ([p.step, p.mean, *p.per_episode] for p in log.eval_curve),
+        )
+
+
+def _finetune_units(todo: dict[str, list[int]], size: int, jobs: int) -> list[tuple]:
+    """(method, seeds) work units: each method's seeds to run, in groups of
+    at most ``size``, made smaller while there are fewer units than
+    min(``jobs``, runs) so that every worker has one."""
+    runs = sum(len(seeds) for seeds in todo.values())
+    while True:
+        units = [
+            (method, tuple(seeds[i : i + size]))
+            for method, seeds in todo.items()
+            for i in range(0, len(seeds), size)
+        ]
+        if size == 1 or len(units) >= min(jobs, runs):
+            return units
+        size -= 1
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -630,7 +651,7 @@ def cmd_finetune(config: ExperimentConfig, jobs: int = 1, force: bool = False) -
     # the regime prediction is recorded before any outcome
     _require_current(paths.classify, classify_key(config), "classify")
     _dataset_manifest(config)
-    todo = []
+    todo: dict[str, list[int]] = {}
     for method in config.methods:
         (paths.finetune_dir / method).mkdir(parents=True, exist_ok=True)
         for seed in config.seeds:
@@ -641,14 +662,15 @@ def cmd_finetune(config: ExperimentConfig, jobs: int = 1, force: bool = False) -
                     _quarantine(run_file)
                 elif data.get("key") == run_key(config, method, seed):
                     continue
-            todo.append((method, seed))
-    for seed in dict.fromkeys(seed for _, seed in todo):
+            todo.setdefault(method, []).append(seed)
+    for seed in dict.fromkeys(seed for seeds in todo.values() for seed in seeds):
         _require_current(
             paths.checkpoint(seed) / MANIFEST_FILE, checkpoint_key(config, seed), "pretrain"
         )
-    if todo:
-        methods, seeds = zip(*todo)
-        _map(jobs, _finetune_one, repeat(config), methods, seeds)
+    units = _finetune_units(todo, lockstep_runs(config.agent, config.env), jobs)
+    if units:
+        methods, seed_groups = zip(*units)
+        _map(jobs, _finetune_group, repeat(config), methods, seed_groups)
     return [paths.run_file(m, s) for m in config.methods for s in config.seeds]
 
 
@@ -703,7 +725,13 @@ def cmd_report(config: ExperimentConfig, map_inconclusive: str | None = None) ->
             if not run_file.exists():
                 missing.append(f"{method}/seed_{seed}")
                 continue
-            data = _require_current(run_file, run_key(config, method, seed), "finetune")
+            data = _read_run_file(run_file)
+            if data is None:
+                raise MissingInputError(
+                    f"{run_file} is not a readable run log; re-run `o2olab finetune`, "
+                    "which sets it aside and redoes the run"
+                )
+            _check_key(run_file, data, run_key(config, method, seed), "finetune")
             log = RunLog.from_dict(data)
             if log.aborted:
                 aborted.append(f"{method}/seed_{seed}")

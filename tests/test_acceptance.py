@@ -198,9 +198,7 @@ def test_criterion_7_warmup_contract(tmp_path):
                     eval_every=total, eval_episodes=1,
                 )
                 agent = make_td3_agent(spec.obs_dim, spec.action_dim, hyper, seed=0)
-                from o2olab.envs import make_env
-
-                log, _ = run_finetune(make_env(spec), dataset, agent, config, seed=1)
+                [log] = run_finetune(dataset, [agent], config, [1])
                 assert log.counters["updates"] == expected_updates, total
                 if expected_updates:
                     assert first_sample_sizes[0] == 500  # buffer size at first update

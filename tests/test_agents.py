@@ -8,6 +8,7 @@ from o2olab.agents import (
     RegularizerConfig,
     Td3Hyper,
     _actor_gradients,
+    _state_arrays,
     act,
     agent_from_bc_fqe,
     bc_pretrain,
@@ -18,6 +19,8 @@ from o2olab.agents import (
     policy_fn,
     reset_parameters,
     save_agent,
+    select_runs,
+    stack_agents,
     td3_update,
 )
 from o2olab.data import (
@@ -380,6 +383,131 @@ def test_update_deterministic_given_rng():
         outs.append(agent)
     assert nets_equal(outs[0].actor, outs[1].actor)
     assert nets_equal(outs[0].critics, outs[1].critics)
+
+
+# --- lockstep groups ---
+
+
+def random_batch(rng, size, obs_dim, action_dim):
+    return TransitionBatch(
+        obs=rng.normal(size=(size, obs_dim)), action=rng.uniform(-1, 1, (size, action_dim)),
+        reward=rng.normal(size=size), next_obs=rng.normal(size=(size, obs_dim)),
+        terminated=(rng.random(size) < 0.1).astype(float),
+    )
+
+
+def stacked(batches):
+    return TransitionBatch(*(np.stack(column) for column in
+                             zip(*((b.obs, b.action, b.reward, b.next_obs, b.terminated)
+                                   for b in batches))))
+
+
+def same_state(a, b):
+    return a.update_count == b.update_count and all(
+        np.array_equal(x, y) for x, y in zip(_state_arrays(a), _state_arrays(b))
+    )
+
+
+def run_of(group, run):
+    """Run ``run`` of a group as a group of one, which holds its arrays in a
+    single run's layout."""
+    return select_runs(group, [run])
+
+
+@pytest.mark.parametrize("reg", [RegularizerConfig(), RegularizerConfig(0.4, True)])
+@pytest.mark.parametrize("hidden,batch", [((8, 8), 16), ((32, 32), 64)])
+@pytest.mark.parametrize("runs", [1, 2, 3])
+def test_group_update_equals_each_run_alone(reg, hidden, batch, runs):
+    hyper = Td3Hyper(hidden=hidden, batch=batch)
+    alone = [make_td3_agent(4, 2, hyper, seed=s) for s in range(runs)]
+    group = stack_agents(alone)
+    alone_rngs = [np.random.default_rng(10 + r) for r in range(runs)]
+    group_rngs = [np.random.default_rng(10 + r) for r in range(runs)]
+    data = np.random.default_rng(7)
+    for _ in range(40):  # policy delay 2: 20 actor steps
+        batches = [random_batch(data, batch, 4, 2) for _ in range(runs)]
+        for agent, b, rng in zip(alone, batches, alone_rngs):
+            td3_update(agent, b, reg, rng)
+        assert td3_update(group, stacked(batches), reg, group_rngs) == {}
+    for r, agent in enumerate(alone):
+        assert same_state(run_of(group, r), agent), r
+
+
+def test_stack_and_select_keep_each_run():
+    agents = [make_td3_agent(4, 2, SMALL, seed=s) for s in range(3)]
+    for agent in agents:  # moments and targets apart from the online nets
+        for array in _state_arrays(agent)[2:]:
+            array += np.random.default_rng(len(array)).normal(size=array.shape)
+    group = stack_agents(agents)
+    assert group.runs == 3 and group.critics.stack == 6
+    for r, agent in enumerate(agents):
+        assert same_state(run_of(group, r), agent)
+        assert np.array_equal(group.critics.member(r).params, agent.critics.member(0).params)
+        assert np.array_equal(group.critics.member(3 + r).params, agent.critics.member(1).params)
+    kept = select_runs(group, [2, 0])
+    assert kept.runs == 2
+    assert same_state(run_of(kept, 0), agents[2]) and same_state(run_of(kept, 1), agents[0])
+    agents[1].update_count += 1
+    with pytest.raises(ValueError):
+        stack_agents(agents)
+
+
+def test_group_act_and_policy_act_as_each_run():
+    agents = [make_td3_agent(4, 2, SMALL, seed=s) for s in range(3)]
+    group = stack_agents(agents)
+    obs = np.random.default_rng(0).normal(0.0, 4.0, size=(3, 4))
+    got = act(group, obs, explore=True, rng=[np.random.default_rng(r) for r in range(3)])
+    for r, agent in enumerate(agents):
+        alone = act(agent, obs[r : r + 1], explore=True, rng=np.random.default_rng(r))
+        assert np.array_equal(got[r : r + 1], alone)
+    policy = policy_fn(group)
+    rows = np.random.default_rng(1).normal(0.0, 4.0, size=(7, 4))
+    for runs in (np.array([0, 0, 1, 1, 1, 2, 2]), np.array([0, 1, 1, 2, 2, 2, 2])):
+        want = np.stack([act(agents[r], row) for r, row in zip(runs, rows)])
+        assert np.array_equal(policy(rows, runs), want)
+
+
+def test_group_evaluation_equals_each_run_alone():
+    # episodes end at the goal at different steps, so rows drop mid-way
+    spec = env_spec("point_goal_sparse", horizon=25)
+    ref = ReferenceScores(spec.kind, -1000.0, -100.0, 1, 0)
+    agents = [steer_to_goal(make_td3_agent(4, 2, SMALL, seed=s)) for s in range(3)]
+    seeds = [31, 32, 33]
+    got = evaluate_policy(policy_fn(stack_agents(agents)), spec, ref, 5, seeds)
+    for result, agent, seed in zip(got, agents, seeds):
+        alone = evaluate_policy(policy_fn(agent), spec, ref, 5, seed)
+        assert (result.per_episode, result.mean) == (alone.per_episode, alone.mean)
+    assert len({score for result in got for score in result.per_episode}) > 1
+
+
+def overflow_targets(agent):
+    for w in agent.target_critics.weights[1:]:
+        w[:] = 1e200  # the targets overflow to +inf
+
+
+def infinite_second_critic(agent):
+    agent.critics.member(1).biases[-1][:] = np.inf
+
+
+@pytest.mark.parametrize("damage,reason", [
+    (overflow_targets, "non-finite critic target"),
+    (infinite_second_critic, "critic loss is not finite at update 1"),
+])
+def test_group_update_fails_only_the_run_that_blows_up(damage, reason):
+    agents = [make_td3_agent(4, 2, SMALL, seed=s) for s in range(3)]
+    damage(agents[1])
+    group = stack_agents(agents)
+    data = np.random.default_rng(7)
+    batches = [random_batch(data, 32, 4, 2) for _ in range(3)]
+    reg = RegularizerConfig(0.4, True)
+    failed = td3_update(group, stacked(batches), reg, [np.random.default_rng(r) for r in range(3)])
+    assert failed == {1: reason}
+    with pytest.raises(NumericError) as alone:
+        td3_update(agents[1], batches[1], reg, np.random.default_rng(1))
+    assert str(alone.value) == reason
+    for r in (0, 2):
+        td3_update(agents[r], batches[r], reg, np.random.default_rng(r))
+        assert same_state(run_of(group, r), agents[r]), r
 
 
 # --- pretraining ---

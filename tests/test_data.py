@@ -328,6 +328,28 @@ def test_mixed_order_shuffled():
     assert 0 < first_half < 32
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_mixed_sample_equals_concatenate_then_permute(alpha):
+    # the parts' draws, then the permutation, as a concatenation of the
+    # parts' own samples permuted; both buffers have wrapped
+    rng = np.random.default_rng(3)
+    off, on = ReplayBuffer(40, 2, 1), ReplayBuffer(30, 2, 1)
+    for buf, n in ((off, 70), (on, 45)):
+        buf.push(rng.normal(size=(n, 2)), rng.normal(size=(n, 1)), rng.normal(size=n),
+                 rng.normal(size=(n, 2)), rng.random(n) < 0.5)
+    sampler = MixedSampler(off, on, alpha=alpha)
+    for seed in range(5):
+        got = sampler.sample(64, np.random.default_rng(seed))
+        draws = np.random.default_rng(seed)
+        n_off = sampler.offline_count(64)
+        parts = [buf.sample(n, draws) for buf, n in ((off, n_off), (on, 64 - n_off)) if n]
+        perm = draws.permutation(64)
+        for name in ("obs", "action", "reward", "next_obs", "terminated"):
+            expected = np.concatenate([getattr(p, name) for p in parts])[perm]
+            assert np.array_equal(getattr(got, name), expected), name
+            assert getattr(got, name).dtype == expected.dtype
+
+
 def test_mixed_alpha_validated():
     off, on = _marked_buffers()
     with pytest.raises(ValueError):

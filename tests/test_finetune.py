@@ -5,13 +5,15 @@ import pytest
 
 from o2olab.agents import Td3Hyper, make_td3_agent
 from o2olab.data import dataset_return, generate_dataset
-from o2olab.envs import BehaviorSpec, compute_reference_scores, env_spec, evaluate_policy, make_env
+from o2olab.envs import BehaviorSpec, compute_reference_scores, env_spec, evaluate_policy
 from o2olab.errors import ConfigError
 from o2olab.finetune import (
+    LOCKSTEP_MAX_RUNS,
     FinetuneConfig,
     RunLog,
     eval_seed_for,
     last_k_eval_stat,
+    lockstep_runs,
     run_finetune,
 )
 from o2olab.agents import policy_fn
@@ -54,8 +56,8 @@ def fresh_agent(seed=0):
 
 def run(method, dataset, seed=5, **overrides):
     config = small_config(method=method, **overrides)
-    env = make_env(SPEC)
-    return run_finetune(env, dataset, fresh_agent(), config, seed=seed)
+    [log] = run_finetune(dataset, [fresh_agent()], config, [seed])
+    return log
 
 
 # --- config validation ---
@@ -79,26 +81,25 @@ def test_config_validation():
 def test_warmup_contract(dataset):
     # first update at step K+1 with exactly K transitions banked
     config = small_config(method="warmup", warmup_steps=60, total_env_steps=120)
-    env = make_env(SPEC)
-    log, _ = run_finetune(env, dataset, fresh_agent(), config, seed=2)
+    [log] = run_finetune(dataset, [fresh_agent()], config, [2])
     assert log.counters["updates"] == 120 - 60
     assert log.counters["env_steps"] == 120
 
 
 def test_utd_accounting_baseline(dataset):
-    log, _ = run(method="baseline", dataset=dataset, total_env_steps=150)
+    log = run(method="baseline", dataset=dataset, total_env_steps=150)
     # start delay is the batch fill (batch=32)
     assert log.counters["updates"] == 150 - 32
 
 
 def test_utd_accounting_scales(dataset):
-    log, _ = run(method="baseline", dataset=dataset, total_env_steps=100, utd=3)
+    log = run(method="baseline", dataset=dataset, total_env_steps=100, utd=3)
     assert log.counters["updates"] == 3 * (100 - 32)
 
 
 def test_zero_updates_before_warmup_end(dataset):
     config = small_config(method="warmup", warmup_steps=150, total_env_steps=150)
-    log, _ = run_finetune(make_env(SPEC), dataset, fresh_agent(), config, seed=2)
+    [log] = run_finetune(dataset, [fresh_agent()], config, [2])
     assert log.counters["updates"] == 0
 
 
@@ -106,7 +107,7 @@ def test_zero_updates_before_warmup_end(dataset):
 
 
 def test_eval_schedule_and_step0(dataset):
-    log, _ = run(method="baseline", dataset=dataset, total_env_steps=200, eval_every=50)
+    log = run(method="baseline", dataset=dataset, total_env_steps=200, eval_every=50)
     steps = [p.step for p in log.eval_curve]
     assert steps == [0, 50, 100, 150, 200]
     validate_curve(log.eval_curve)
@@ -117,7 +118,7 @@ def test_step0_matches_independent_evaluation(dataset):
     agent = fresh_agent(3)
     frozen = copy.deepcopy(agent)
     config = small_config()
-    log, _ = run_finetune(make_env(SPEC), dataset, agent, config, seed=seed)
+    [log] = run_finetune(dataset, [agent], config, [seed])
     independent = evaluate_policy(
         policy_fn(frozen), SPEC, dataset.reference, config.eval_episodes,
         seed=eval_seed_for(seed, 0),
@@ -129,7 +130,7 @@ def test_step0_matches_independent_evaluation(dataset):
 def test_run_deterministic(dataset):
     curves = []
     for _ in range(2):
-        log, _ = run(method="replay", dataset=dataset, seed=9)
+        log = run(method="replay", dataset=dataset, seed=9)
         curves.append([(p.step, p.mean, tuple(p.per_episode)) for p in log.eval_curve])
     assert curves[0] == curves[1]
 
@@ -138,15 +139,15 @@ def test_run_deterministic(dataset):
 
 
 def test_baseline_never_reads_dataset(dataset):
-    log, _ = run(method="baseline", dataset=dataset)
+    log = run(method="baseline", dataset=dataset)
     assert log.counters["dataset_samples"] == 0
-    log2, _ = run(method="o2o_reg", dataset=dataset)
+    log2 = run(method="o2o_reg", dataset=dataset)
     assert log2.counters["dataset_samples"] == 0
 
 
 def test_replay_methods_read_dataset(dataset):
     for method in ("replay", "replay_reset", "mixed"):
-        log, _ = run(method=method, dataset=dataset)
+        log = run(method=method, dataset=dataset)
         assert log.counters["dataset_samples"] > 0, method
 
 
@@ -164,7 +165,7 @@ def test_replay_reset_degrades_step0(dataset):
     frozen = copy.deepcopy(agent)
     seed = 21
     config = small_config(method="replay_reset")
-    log, returned = run_finetune(make_env(SPEC), dataset, agent, config, seed=seed)
+    [log] = run_finetune(dataset, [agent], config, [seed])
     incoming = evaluate_policy(
         policy_fn(frozen), SPEC, dataset.reference, config.eval_episodes,
         seed=eval_seed_for(seed, 0),
@@ -174,7 +175,7 @@ def test_replay_reset_degrades_step0(dataset):
 
 
 def test_single_buffer_variant_preloads(dataset):
-    log, _ = run(method="replay", dataset=dataset, single_buffer=True)
+    log = run(method="replay", dataset=dataset, single_buffer=True)
     # no dual-buffer sampling happens in the single-buffer form
     assert log.counters["dataset_samples"] == 0
     assert log.counters["updates"] > 0
@@ -200,11 +201,29 @@ def test_replay_batches_split_exactly_at_full_scale(dataset):
     original = ft.MixedSampler
     ft.MixedSampler = CountingSampler
     try:
-        log, _ = run_finetune(make_env(SPEC), dataset, agent, config, seed=3)
+        [log] = run_finetune(dataset, [agent], config, [3])
     finally:
         ft.MixedSampler = original
     assert log.counters["updates"] == 280 - 256
     assert offline_counts and all(c == (128, 256) for c in offline_counts)
+
+
+# --- lockstep groups ---
+
+
+def test_a_group_lets_go_of_the_agents_it_copied(dataset):
+    agents = [fresh_agent(0), fresh_agent(1)]
+    logs = run_finetune(dataset, agents, small_config(total_env_steps=60), [5, 6])
+    assert agents == [] and [log.seed for log in logs] == [5, 6]
+
+
+def test_lockstep_groups_only_small_nets():
+    point, pendulum = env_spec("point_goal_dense"), env_spec("pendulum")
+    assert lockstep_runs(Td3Hyper(hidden=(8, 8), batch=16), point) == LOCKSTEP_MAX_RUNS
+    assert lockstep_runs(Td3Hyper(hidden=(32, 32), batch=64), point) == LOCKSTEP_MAX_RUNS
+    assert lockstep_runs(Td3Hyper(hidden=(64, 64), batch=64), point) == LOCKSTEP_MAX_RUNS
+    assert lockstep_runs(Td3Hyper(hidden=(64, 64), batch=256), pendulum) == 1
+    assert lockstep_runs(Td3Hyper(hidden=(128, 128), batch=64), point) == 1
 
 
 # --- last_k stat ---
@@ -233,7 +252,7 @@ def test_last_k_too_short():
 
 
 def test_runlog_round_trip(dataset):
-    log, _ = run(method="warmup", dataset=dataset)
+    log = run(method="warmup", dataset=dataset)
     back = RunLog.from_dict(log.to_dict())
     assert back == log
     assert back.to_dict() == log.to_dict()

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -316,6 +318,21 @@ def test_input_backward_is_backwards_input_gradient(stack):
     nn.backward(net, cache, g)  # the parameter gradient from the same cache
     assert np.array_equal(din, nn.input_backward(net, cache, g))
     assert np.array_equal(cache[-1], out)  # the cache is left as recorded
+
+
+@pytest.mark.parametrize("stack", [False, True])
+def test_deep_copy_forwards_with_its_own_params(stack):
+    nets = [nn.init_net((3, 4, 2), seed=s) for s in (1, 2)]
+    net = nn.stack_nets(nets) if stack else nets[0]
+    x = np.random.default_rng(6).normal(size=(5, 3))
+    before = nn.forward(net, x)
+    copied = copy.deepcopy(net)
+    nn.polyak_update(copied, nn.DenseNet(net.layer_sizes, np.ones_like(net.params),
+                                         stack=net.stack), 0.5)  # in place
+    fresh = nn.DenseNet(net.layer_sizes, copied.params.copy(), stack=net.stack)
+    assert np.array_equal(nn.forward(copied, x), nn.forward(fresh, x))
+    assert not np.array_equal(nn.forward(copied, x), before)
+    assert np.array_equal(nn.forward(net, x), before)
 
 
 def test_stack_rejects_mismatched_nets():

@@ -11,6 +11,7 @@ import pytest
 from scipy import stats as sps
 
 from o2olab import cli, runner
+from o2olab.agents import load_agent, save_agent
 from o2olab.data import load_dataset
 from o2olab.envs import BehaviorSpec, env_spec
 from o2olab.errors import ConfigError, MissingInputError
@@ -140,6 +141,16 @@ def test_cli_rejects_a_non_integer_in_an_integer_field(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert f"{name} must be an integer" in err and "Traceback" not in err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_cli_rejects_a_single_buffer_that_is_not_a_bool(tmp_path, capsys, value):
+    cfg_path = _write_config(tmp_path, {"finetune": {**FINETUNE, "single_buffer": value}})
+    capsys.readouterr()
+    assert cli.main(["gen-data", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"finetune.single_buffer must be true or false, got {value!r}" in err
+    assert "Traceback" not in err and not (tmp_path / "runs").exists()
 
 
 # every integer field of tiny_config_dict, written as a float
@@ -536,6 +547,31 @@ def test_run_files_of_the_older_format_stay_current(finished, tmp_path):
     assert paths.analysis.read_bytes() == (finished / "report" / "analysis.json").read_bytes()
 
 
+@pytest.mark.parametrize("damage", ["missing field", "not a run log", "not JSON"])
+def test_cli_report_exits_2_on_a_damaged_run_file(finished, tmp_path, capsys, damage):
+    copied = copy_of(finished, tmp_path)
+    run_file = runner.Paths(copied).run_file("mixed", 1)
+    record = read_json(run_file)
+    if damage == "missing field":  # the key is still current
+        del record["counters"]
+        run_file.write_text(json.dumps(record))
+    elif damage == "not a run log":
+        run_file.write_text(json.dumps([record]))
+    else:
+        run_file.write_text(json.dumps(record)[:-7])
+    cfg_path = _write_config(tmp_path, {"out_dir": str(copied.root)})
+    capsys.readouterr()
+    assert cli.main(["report", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(run_file) in err and "o2olab finetune" in err
+    assert cli.main(["finetune", "--config", str(cfg_path)]) == 0  # sets it aside, redoes it
+    assert cli.main(["report", "--config", str(cfg_path)]) == 0
+    assert runner.Paths(copied).analysis.read_bytes() == (
+        finished / "report" / "analysis.json"
+    ).read_bytes()
+
+
 def test_stages_parse_the_dataset_only_when_they_have_work(finished, tmp_path, monkeypatch):
     config = copy_of(finished, tmp_path)
     paths = runner.Paths(config)
@@ -559,6 +595,139 @@ def test_stages_parse_the_dataset_only_when_they_have_work(finished, tmp_path, m
     assert paths.run_file("baseline", 0).exists()
     runner.cmd_pretrain(config, force=True)
     assert parsed == [paths.dataset]
+
+
+# --- lockstep groups ---
+
+
+def recording_groups(mp):
+    """Patch ``runner.run_finetune`` to record the (method, runs) of each group."""
+    groups, real = [], runner.run_finetune
+
+    def recording(dataset, agents, config, seeds):
+        groups.append((config.method, len(agents)))
+        return real(dataset, agents, config, seeds)
+
+    mp.setattr(runner, "run_finetune", recording)
+    return groups
+
+
+def finetune_in_groups(config, size):
+    """The bytes of every finetune file after a forced finetune in groups of
+    at most ``size`` runs, and the (method, runs) of each group."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "lockstep_runs", lambda hyper, spec: size)
+        groups = recording_groups(mp)
+        runner.cmd_finetune(config, force=True)
+    root = runner.Paths(config).finetune_dir
+    files = {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*"))
+             if p.is_file()}
+    return files, groups
+
+
+NET_SIZES = {"golden": {"hidden": [8, 8], "batch": 16}, "32x32": {"hidden": [32, 32], "batch": 64}}
+
+
+@pytest.fixture(scope="module", params=sorted(NET_SIZES))
+def three_seeds(request, tmp_path_factory):
+    """A tiny setting with three seeds, pretrained and classified, and its
+    finetune files with every run alone."""
+    base = tmp_path_factory.mktemp(f"three-{request.param}")
+    config = runner.ExperimentConfig.from_dict(
+        tiny_config_dict(base, agent=NET_SIZES[request.param], seeds=[0, 1, 2])
+    )
+    runner.cmd_gen_data(config)
+    runner.cmd_pretrain(config)
+    runner.cmd_classify(config)
+    alone, groups = finetune_in_groups(config, 1)
+    assert {runs for _, runs in groups} == {1}
+    return config, alone
+
+
+@pytest.mark.parametrize("size,runs", [(2, [2, 1]), (3, [3])])
+def test_lockstep_groups_write_the_bytes_of_runs_alone(three_seeds, size, runs):
+    config, alone = three_seeds
+    files, groups = finetune_in_groups(config, size)
+    assert groups == [(method, n) for method in config.methods for n in runs]
+    assert len(files) == 2 * 6 * 3 and files == alone
+
+
+def blow_up_targets(checkpoint):
+    """Rewrite a checkpoint, key and all, so that its critic targets overflow."""
+    agent = load_agent(checkpoint)
+    for w in agent.target_critics.weights[1:]:
+        w[:] = 1e200
+    manifest = read_json(checkpoint / "manifest.json")
+    save_agent(agent, checkpoint, extra={"key": manifest["key"], "seed": manifest["seed"]})
+
+
+def test_a_run_that_blows_up_aborts_alone(finished, tmp_path):
+    config = copy_of(finished, tmp_path)
+    blow_up_targets(runner.Paths(config).checkpoint(1))
+    alone, _ = finetune_in_groups(config, 1)
+    grouped, groups = finetune_in_groups(config, 2)
+    assert groups == [(method, 2) for method in config.methods]
+    assert grouped == alone
+    runs = finished / "finetune"
+    for method in config.methods:
+        for name in (f"{method}/seed_0.json", f"{method}/seed_0.csv"):
+            assert grouped[name] == (runs / name).read_bytes(), name
+        record = json.loads(grouped[f"{method}/seed_1.json"])
+        if method == "replay_reset":  # the reset replaces the damaged nets
+            assert grouped[f"{method}/seed_1.json"] == (runs / method / "seed_1.json").read_bytes()
+        else:
+            reason = (record["aborted"], record["abort_reason"])
+            assert reason == (True, "non-finite critic target")
+            assert record["counters"]["updates"] == 0
+
+
+def test_a_deleted_run_file_is_redone_alone_with_its_bytes(finished, tmp_path, monkeypatch):
+    config = copy_of(finished, tmp_path)
+    paths = runner.Paths(config)
+    before = snapshot(paths.finetune_dir)
+    paths.run_file("mixed", 1).unlink()
+    groups = recording_groups(monkeypatch)
+    runner.cmd_finetune(config)
+    after = snapshot(paths.finetune_dir)
+    assert groups == [("mixed", 1)]
+    assert {n: data for n, (data, _) in after.items()} == {
+        n: data for n, (data, _) in before.items()
+    }
+    assert [n for n in after if after[n] != before[n]] == ["mixed/seed_1.csv", "mixed/seed_1.json"]
+
+
+def test_nets_above_the_threshold_run_alone(tmp_path, monkeypatch):
+    # (64, 64) at batch 256 on the pendulum: no update within 20 steps
+    config = runner.ExperimentConfig.from_dict(tiny_config_dict(
+        tmp_path, env={"kind": "pendulum", "horizon": 10},
+        behavior=[{"kind": "expert", "n_traj": 2}],
+        pretrain={"kind": "offline_rl", "steps": 2, "beta": 0.4},
+        agent={"hidden": [64, 64], "batch": 256},
+        finetune={"total_env_steps": 20, "warmup_steps": 10, "eval_every": 10,
+                  "eval_episodes": 1},
+        last_k=2,
+    ))
+    runner.cmd_gen_data(config)
+    runner.cmd_pretrain(config)
+    runner.cmd_classify(config)
+    groups = recording_groups(monkeypatch)
+    runner.cmd_finetune(config)
+    assert groups == [(method, 1) for method in config.methods for _ in config.seeds]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("todo", [
+    {"baseline": [0, 1]},
+    {"baseline": [0, 1, 2, 3, 4], "mixed": [7]},
+    {"warmup": list(range(10)), "replay": [3]},
+])
+def test_finetune_units_give_every_worker_a_unit(todo, jobs):
+    units = runner._finetune_units(todo, 4, jobs)
+    assert len(units) >= min(jobs, sum(len(seeds) for seeds in todo.values()))
+    assert all(1 <= len(seeds) <= 4 for _, seeds in units)
+    assert [(m, s) for m, seeds in units for s in seeds] == [
+        (m, s) for m, seeds in todo.items() for s in seeds
+    ]
 
 
 # --- CLI surface ---
