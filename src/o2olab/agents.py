@@ -4,6 +4,10 @@ behavior-regularized TD3) and the shared online update rule.
 The actor update minimizes ``-lambda * Q1(s, actor(s)) + beta * MSE(actor(s),
 batch actions)`` where lambda is 1/mean|Q1| when Q-normalization is on.
 beta = 0 with normalization off recovers plain TD3.
+
+Every agent is a lockstep group of R >= 1 runs; a single run is a group of
+one. One update steps every run as its own update would and reports the
+runs that blew up.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import OfflineDataset, ReplayBuffer, TransitionBatch
+from .data import OfflineDataset, ReplayBuffer, TransitionBatch, stack_batches
 from .errors import MissingInputError, NumericError, config_int
 from .fsio import MANIFEST_FILE, read_json, write_json_atomic, write_npy_atomic
 from .seeding import rng_for
@@ -58,16 +62,13 @@ class RegularizerConfig:
 
 @dataclass
 class Td3Agent:
-    """Actor, twin critics held as one stacked net, their Polyak targets, and
-    one Adam state for the actor and one for the critics.
-
-    A single run's actor is a plain net and its critics a stack of 2; member
-    0 is the critic the actor ascends. A lockstep group of R runs (``runs``
-    R, see ``stack_agents``) holds the R actors as one stack and the 2R
-    critics as one stack: first critic 1 of every run, in run order, then
+    """A lockstep group of ``runs`` runs: the R actors as one stacked net,
+    the 2R critics as another (critic 1 of every run, in run order, then
     critic 2 of every run, so the critics the actors ascend are the first R
-    members. Targets and Adam moments are flat vectors in the same layouts.
-    The runs of a group share hyperparameters and counters.
+    members), with their Polyak targets and Adam moments (one Adam state
+    for the actors, one for the critics) in the same layouts. A group of
+    one holds a single run's layout. The runs share hyperparameters and
+    counters.
     """
 
     actor: nn.DenseNet
@@ -80,8 +81,7 @@ class Td3Agent:
     update_count: int = 0
 
     @property
-    def runs(self) -> int | None:
-        """The number of runs of a lockstep group; None for a single run."""
+    def runs(self) -> int:
         return self.actor.stack
 
     @property
@@ -108,8 +108,9 @@ def _init_critic(obs_dim: int, action_dim: int, hyper: Td3Hyper, seed: int) -> n
 def _assemble(
     actor: nn.DenseNet, critic1: nn.DenseNet, critic2: nn.DenseNet, hyper: Td3Hyper
 ) -> Td3Agent:
-    """The one agent constructor: targets start equal to the online nets,
-    optimizers start at zero."""
+    """The one agent constructor, a group of one: targets start equal to the
+    online nets, optimizers start at zero."""
+    actor = nn.stack_nets([actor])
     critics = nn.stack_nets([critic1, critic2])
     return Td3Agent(
         actor=actor,
@@ -148,7 +149,7 @@ _PAIRED = (False, True, False, True, False, False, True, True)
 
 def _run_rows(array: np.ndarray, runs: int, paired: bool) -> np.ndarray:
     """A group's state array as (runs, n) rows, row r in the layout of run
-    r's own array as a single agent holds it."""
+    r's own array as a group of one holds it."""
     if paired:  # critic 1 of every run, then critic 2 of every run
         return array.reshape(2, runs, -1).swapaxes(0, 1).reshape(runs, -1)
     return array.reshape(runs, -1)
@@ -161,11 +162,11 @@ def _group_array(rows: np.ndarray, paired: bool) -> np.ndarray:
     return rows.ravel()
 
 
-def _with_state(like: Td3Agent, arrays: list[np.ndarray], runs: int | None) -> Td3Agent:
-    """An agent of ``runs`` runs (None: a single run) holding ``arrays``, in
-    the order and layout of ``_state_arrays``, with the nets, learning rates,
-    hyperparameters and counters of ``like``."""
-    pair = 2 * (runs or 1)
+def _with_state(like: Td3Agent, arrays: list[np.ndarray], runs: int) -> Td3Agent:
+    """An agent of ``runs`` runs holding ``arrays``, in the order and layout
+    of ``_state_arrays``, with the nets, learning rates, hyperparameters and
+    counters of ``like``."""
+    pair = 2 * runs
     nets = [
         nn.DenseNet(net.layer_sizes, params, net.hidden_activation, net.output_activation, stack)
         for net, params, stack in zip(
@@ -186,12 +187,12 @@ def _counters(agent: Td3Agent) -> tuple:
 
 
 def stack_agents(agents: list[Td3Agent]) -> Td3Agent:
-    """A lockstep group holding copies of the single-run ``agents`` as its
-    runs, in order. They must share hyperparameters and counters, so that
-    one update steps every run as its own update would."""
+    """A lockstep group holding copies of the groups of one ``agents`` as
+    its runs, in order. They must share hyperparameters and counters, so
+    that one update steps every run as its own update would."""
     first = agents[0]
-    if any(a.runs is not None or _counters(a) != _counters(first) for a in agents):
-        raise ValueError("a lockstep group needs single-run agents of one hyper and counters")
+    if any(a.runs != 1 or _counters(a) != _counters(first) for a in agents):
+        raise ValueError("a lockstep group stacks groups of one that share hyper and counters")
     columns = zip(*(_state_arrays(a) for a in agents))
     arrays = [_group_array(np.stack(c), paired) for c, paired in zip(columns, _PAIRED)]
     return _with_state(first, arrays, len(agents))
@@ -210,55 +211,54 @@ def select_runs(group: Td3Agent, keep: list[int]) -> Td3Agent:
 # --- acting ---
 
 
-def _normal(agent: Td3Agent, rng, sigma: float, shape: tuple) -> np.ndarray:
-    """Gaussian draws of ``shape`` from ``rng``; for a lockstep group, each
-    run's slice from its own generator in the list ``rng``, as that run
-    alone would draw it."""
-    if agent.runs is None:
-        return rng.normal(0.0, sigma, size=shape)
-    return np.concatenate([g.normal(0.0, sigma, size=(1, *shape[1:])) for g in rng])
+def _normal(rngs: list[np.random.Generator], sigma: float, shape: tuple) -> np.ndarray:
+    """Gaussian draws of ``shape``, whose leading axis is a group's runs:
+    each run's slice from its own generator in ``rngs``, as that run alone
+    would draw it."""
+    draws = [g.normal(0.0, sigma, size=(1, *shape[1:])) for g in rngs]
+    # concatenating a lone run's draws would only copy them
+    return draws[0] if len(draws) == 1 else np.concatenate(draws)
 
 
 def _actions(actor: nn.DenseNet, obs: np.ndarray) -> np.ndarray:
     """The actor's output on each row of ``obs``, each row as its own
-    (1, obs_dim) slice."""
-    return nn.forward(actor, np.asarray(obs, dtype=np.float64)[..., None, :])[..., 0, :]
+    (1, obs_dim) slice, with the leading shape of ``obs``."""
+    obs = np.asarray(obs, dtype=np.float64)
+    return nn.forward(actor, obs[..., None, :]).reshape(*obs.shape[:-1], actor.out_dim)
 
 
 def act(
     agent: Td3Agent,
     obs: np.ndarray,
     explore: bool = False,
-    rng: np.random.Generator | list[np.random.Generator] | None = None,
+    rngs: list[np.random.Generator] | None = None,
 ) -> np.ndarray:
     """Deterministic actor output, plus clipped Gaussian noise when exploring.
 
-    ``obs`` is one observation (obs_dim,) or a stack of rows (rows,
-    obs_dim); the result has the same leading shape. Each row runs as its
-    own (1, obs_dim) slice, so a row's action equals ``act`` on that row
-    alone, bit for bit. A lockstep group takes one row per run, each acting
-    by its run's actor, and when exploring a list of generators, one per
-    run, each drawing its run's noise.
+    A group takes one row per run, (runs, obs_dim), each acting by its
+    run's actor; a group of one also takes one observation (obs_dim,) or
+    any stack of rows. The result has the leading shape of ``obs``. Each
+    row runs as its own (1, obs_dim) slice, so a row's action equals
+    ``act`` on that row alone, bit for bit. Exploring takes one row per
+    run and a list of generators, one per run, each drawing its run's
+    noise.
     """
     a = _actions(agent.actor, obs)
     if explore:
-        if rng is None:
-            raise ValueError("explore=True requires an rng")
-        a = a + _normal(agent, rng, agent.hyper.explore_noise, a.shape)
+        if rngs is None or a.shape[:-1] != (agent.runs,) or len(rngs) != agent.runs:
+            raise ValueError("exploring takes one row and one generator per run")
+        a = a + _normal(rngs, agent.hyper.explore_noise, a.shape)
     return np.minimum(np.maximum(a, -1.0), 1.0)  # np.clip, bit for bit, faster
 
 
 def policy_fn(agent: Td3Agent):
-    """The agent's evaluation policy (no exploration noise), on one
-    observation or a stack of rows (see ``act``).
-
-    A lockstep group's policy is ``policy(obs, runs)``: row i acts by the
-    actor of run ``runs[i]``, alone, as it would under that run's own
-    policy. The rows go through one forward pass of a stack holding each
-    row's actor, rebuilt only when the runs of the rows change.
+    """The group's evaluation policy (no exploration noise),
+    ``policy(obs, runs)``: row i of the (rows, obs_dim) stack ``obs`` acts
+    by the actor of run ``runs[i]``, alone, as it would under that run's
+    own policy (see ``envs.evaluate_policy``). The rows go through one
+    forward pass of a stack holding each row's actor, rebuilt only when the
+    runs of the rows change.
     """
-    if agent.runs is None:
-        return lambda obs: act(agent, obs, explore=False)
     actor = agent.actor
     members = actor.params.reshape(agent.runs, -1)
     rows = {}  # the stack of each row's actor, by the rows' runs
@@ -280,17 +280,16 @@ def policy_fn(agent: Td3Agent):
 
 
 def _pair(agent: Td3Agent, x: np.ndarray) -> np.ndarray:
-    """The critic pair's input: ``x`` for one run, broadcast over its two
-    critics; a group's (R, batch, in) input once for each critic half."""
-    return x if agent.critics.stack == 2 else np.concatenate([x, x])
+    """The critic pair's (runs, batch, in) input: a group of one's, as it
+    is, broadcast over its two critics; a larger group's once for each
+    critic half."""
+    return x if agent.runs == 1 else np.concatenate([x, x])
 
 
-def _critic_targets(agent: Td3Agent, batch: TransitionBatch, rng) -> np.ndarray:
+def _critic_targets(agent: Td3Agent, batch: TransitionBatch, rngs) -> np.ndarray:
     h = agent.hyper
     next_a = nn.forward(agent.target_actor, batch.next_obs)
-    noise = np.clip(
-        _normal(agent, rng, h.target_noise, next_a.shape), -h.noise_clip, h.noise_clip
-    )
+    noise = np.clip(_normal(rngs, h.target_noise, next_a.shape), -h.noise_clip, h.noise_clip)
     next_a = np.clip(next_a + noise, -1.0, 1.0)
     x_next = np.concatenate([batch.next_obs, next_a], axis=-1)
     q1_next, q2_next = nn.forward(agent.target_critics, _pair(agent, x_next)).reshape(
@@ -302,9 +301,8 @@ def _critic_targets(agent: Td3Agent, batch: TransitionBatch, rng) -> np.ndarray:
 
 
 def _actor_gradients(agent: Td3Agent, batch: TransitionBatch, reg: RegularizerConfig):
-    """Gradient of the (optionally BC-regularized) actor loss; returns
-    (flat gradient, loss value, lambda), the loss and lambda per run for a
-    group. Each run's loss and lambda are reduced over its own rows."""
+    """Gradient of the (optionally BC-regularized) actor loss, and the loss
+    of each run. Each run's loss and lambda are reduced over its own rows."""
     n = batch.reward.shape[-1]
     actor_cache: list = []
     a = nn.forward(agent.actor, batch.obs, actor_cache)
@@ -317,44 +315,40 @@ def _actor_gradients(agent: Td3Agent, batch: TransitionBatch, reg: RegularizerCo
     critic_cache: list = []
     q1 = nn.forward(critic1, x, critic_cache)[..., 0]
     bc_err = a - batch.action
-    q1_rows = q1.reshape(-1, n)
-    sq_err = (bc_err**2).reshape(len(q1_rows), n, -1)
+    sq_err = (bc_err**2).reshape(agent.runs, n, -1)
     lam, loss = [], []
-    for q, sq in zip(q1_rows, sq_err):
+    for q, sq in zip(q1, sq_err):
         lam.append(
             1.0 / max(float(np.mean(np.abs(q))), 1e-8) if reg.q_normalization else 1.0
         )
         loss.append(-lam[-1] * float(np.mean(q)) + reg.bc_coefficient * float(np.mean(sq)))
     # d(mean q1)/da through the critic's action inputs
     dq_din = nn.input_backward(critic1, critic_cache, np.full((*q1.shape, 1), 1.0 / n))
-    da = -np.reshape(lam, (*q1.shape[:-1], 1, 1)) * dq_din[..., agent.obs_dim :]
+    da = -np.reshape(lam, (agent.runs, 1, 1)) * dq_din[..., agent.obs_dim :]
     if reg.bc_coefficient:
         da = da + (2.0 * reg.bc_coefficient / (n * agent.action_dim)) * bc_err
-    grad = nn.backward(agent.actor, actor_cache, da)
-    if agent.runs is None:
-        return grad, loss[0], lam[0]
-    return grad, loss, lam
+    return nn.backward(agent.actor, actor_cache, da), np.array(loss)
 
 
 def td3_update(
     agent: Td3Agent,
     batch: TransitionBatch,
     reg: RegularizerConfig,
-    rng: np.random.Generator | list[np.random.Generator],
-) -> dict:
-    """One TD3 step: twin-critic regression, delayed actor update, Polyak
-    targets.
+    rngs: list[np.random.Generator],
+) -> dict[int, str]:
+    """One TD3 step of every run of the group: twin-critic regression,
+    delayed actor update, Polyak targets.
 
-    A single run's update returns a loss report and raises NumericError on
-    blow-up, before the step it would have corrupted changes any parameter.
+    ``batch`` holds one batch per run, every field with a leading run axis
+    (see ``data.stack_batches``), and ``rngs`` one generator per run. Each
+    run steps exactly as its own update would: every product and
+    elementwise step acts on its slices alone, and every loss and lambda is
+    reduced over its own rows.
 
-    A lockstep group's update takes one batch per run, every field with a
-    leading run axis, and a list of generators, one per run. Each run steps
-    exactly as its own update would: every product and elementwise step
-    acts on its slices alone, and every loss and lambda is reduced over its
-    own rows. It returns {run: reason} for the runs whose own update would
-    have raised, with that reason; their parameters are then garbage, and
-    the caller drops them (``select_runs``).
+    Returns {run: reason} for the runs whose update blew up: a non-finite
+    critic target, critic loss, actor loss or gradient entry. Their
+    parameters are then garbage, and the caller drops them
+    (``select_runs``); every other run has stepped as above.
     """
     n = batch.reward.shape[-1]
     if n == 0:
@@ -362,61 +356,54 @@ def td3_update(
     h = agent.hyper
     failed: dict[int, str] = {}
 
-    def check(ok, reason: str) -> None:
-        """``ok`` holds one flag per run; a failed single run raises."""
-        if agent.runs is None:
-            if not ok:
-                raise NumericError(reason)
-            return
-        ok = np.asarray(ok)
-        if not ok.all():
+    def check(values: np.ndarray, halves: int, reason: str) -> None:
+        """Fail, with ``reason``, each run with a non-finite entry in its
+        slices of ``values``: ``halves`` slices of every run, in run order."""
+        if not np.isfinite(values).all():
+            ok = np.isfinite(values).reshape(halves, agent.runs, -1).all(axis=(0, 2))
             for run in np.flatnonzero(~ok):
                 failed.setdefault(int(run), reason)
 
-    def checked(grad: np.ndarray, halves: int) -> np.ndarray:
-        """``grad`` once each run's slices are checked, with the slices of
-        the failed runs zeroed, so that one Adam step over the group stays
-        finite. A single run's is checked by ``adam_step``, which raises
-        the same error."""
-        if agent.runs is None:
-            return grad
+    def step(net: nn.DenseNet, grad: np.ndarray, opt: nn.AdamState, halves: int) -> None:
+        """One Adam step of ``net`` with the failed runs' slices zeroed, so
+        that it stays finite. ``adam_step``'s scan of ``grad`` is its one
+        scan unless it finds a non-finite entry."""
         per_run = grad.reshape(halves, agent.runs, -1)
-        check(np.isfinite(per_run).all(axis=(0, 2)), "non-finite gradient entry")
         if failed:
             per_run[:, list(failed)] = 0.0
-        return grad
+        try:
+            nn.adam_step(net, grad, opt)
+        except NumericError:
+            check(grad, halves, "non-finite gradient entry")
+            per_run[:, list(failed)] = 0.0
+            nn.adam_step(net, grad, opt)
 
-    # the checks find every non-finite value; a group's failed runs go on
+    # the checks find every non-finite value; the failed runs go on
     # computing with theirs until the caller drops them
     with np.errstate(all="ignore"):
-        y = _critic_targets(agent, batch, rng)
-        check(np.isfinite(y).all(axis=-1), "non-finite critic target")
+        y = _critic_targets(agent, batch, rngs)
+        check(y, 1, "non-finite critic target")
 
         x = np.concatenate([batch.obs, batch.action], axis=-1)
         cache: list = []
         err = nn.forward(agent.critics, _pair(agent, x), cache).reshape((2, *y.shape)) - y
-        losses = [[float(np.mean(e**2)) for e in half.reshape(-1, n)] for half in err]
+        # each critic's loss is finite where its sum of squared errors is
         check(
-            np.isfinite(losses).all(axis=0),
+            (err * err).sum(axis=-1), 2,
             f"critic loss is not finite at update {agent.update_count + 1}",
         )
         grad = nn.backward(agent.critics, cache, ((2.0 / n) * err).reshape(-1, n, 1))
-        nn.adam_step(agent.critics, checked(grad, 2), agent.critic_opt)
+        step(agent.critics, grad, agent.critic_opt, 2)
 
         agent.update_count += 1
-        report = {"critic1_loss": losses[0][0], "critic2_loss": losses[1][0], "actor_loss": None}
         if agent.update_count % h.policy_delay == 0:
-            grad, actor_loss, lam = _actor_gradients(agent, batch, reg)
-            check(
-                np.isfinite(actor_loss), f"actor loss is not finite at update {agent.update_count}"
-            )
-            nn.adam_step(agent.actor, checked(grad, 1), agent.actor_opt)
-            report["actor_loss"] = actor_loss
-            report["q_scale"] = lam
+            grad, actor_loss = _actor_gradients(agent, batch, reg)
+            check(actor_loss, 1, f"actor loss is not finite at update {agent.update_count}")
+            step(agent.actor, grad, agent.actor_opt, 1)
 
         nn.polyak_update(agent.target_actor, agent.actor, h.tau)
         nn.polyak_update(agent.target_critics, agent.critics, h.tau)
-    return report if agent.runs is None else failed
+    return failed
 
 
 # --- pretraining ---
@@ -470,14 +457,15 @@ def fqe(
 
 def agent_from_bc_fqe(actor: nn.DenseNet, critic: nn.DenseNet, hyper: Td3Hyper) -> Td3Agent:
     """Wrap a cloned actor and an FQE critic (duplicated into the twin slot)
-    as a full agent ready for fine-tuning."""
+    as a group of one ready for fine-tuning."""
     return _assemble(actor, critic, critic, hyper)
 
 
 def offline_rl_pretrain(
     dataset: OfflineDataset, steps: int, beta: float, seed: int, hyper: Td3Hyper
 ) -> Td3Agent:
-    """Behavior-regularized TD3 trained purely on dataset batches."""
+    """Behavior-regularized TD3 trained purely on dataset batches, as a
+    group of one; raises NumericError when its update blows up."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if beta <= 0:
@@ -488,7 +476,9 @@ def offline_rl_pretrain(
     buf = ReplayBuffer.from_dataset(dataset)
     rng = rng_for("offline-rl", seed)
     for _ in range(steps):
-        td3_update(agent, buf.sample(hyper.batch, rng), reg, rng)
+        failed = td3_update(agent, stack_batches([buf.sample(hyper.batch, rng)]), reg, [rng])
+        if failed:
+            raise NumericError(failed[0])
     return agent
 
 
@@ -534,6 +524,7 @@ def save_agent(agent: Td3Agent, directory, extra: dict | None = None) -> None:
 
 
 def load_agent(directory) -> Td3Agent:
+    """The group of one saved in ``directory``."""
     directory = Path(directory)
     if not (directory / PARAMS_FILE).exists() or not (directory / MANIFEST_FILE).exists():
         raise MissingInputError(

@@ -4,8 +4,9 @@ A transition is a row of columns from the env step to the replay buffer.
 In memory a dataset is one array per transition field (obs, action,
 reward, next_obs, terminated, truncated), one row per transition, with
 trajectory offsets into the rows, as ``envs.run_episodes`` returns them.
-``ReplayBuffer.push`` appends n rows by array copies; a buffer is filled
-from a dataset by one push of its columns.
+``ReplayBuffer.push`` appends n rows by array copies. A buffer of a
+dataset's own size holds the dataset's columns themselves, read-only; a
+larger one is filled by one push of them.
 
 On disk a dataset is a directory: one ``.npy`` file per column (the
 offsets too) and a ``manifest.json`` holding the env, behavior, reference
@@ -144,8 +145,16 @@ class TransitionBatch:
     next_obs: np.ndarray  # (B, obs_dim)
     terminated: np.ndarray  # (B,) float 0/1
 
-    def __len__(self) -> int:
-        return self.obs.shape[0]
+
+def stack_batches(batches: list[TransitionBatch]) -> TransitionBatch:
+    """One batch per run as one batch with a leading run axis; a lone batch
+    as views of its own columns."""
+    columns = [list(vars(batch).values()) for batch in batches]
+    if len(batches) == 1:
+        return TransitionBatch(*(column[None] for column in columns[0]))
+    return TransitionBatch(
+        *(np.concatenate(c).reshape(len(batches), *c[0].shape) for c in zip(*columns))
+    )
 
 
 class ReplayBuffer:
@@ -216,9 +225,23 @@ class ReplayBuffer:
     def from_dataset(cls, dataset: OfflineDataset, capacity: int | None = None):
         """A buffer (of ``capacity``, default the dataset's size) holding one
         push of the dataset's columns: when the dataset is larger than the
-        buffer, its newest rows."""
-        buf = cls(capacity or dataset.n_transitions, dataset.env.obs_dim, dataset.env.action_dim)
-        buf.push(dataset.obs, dataset.action, dataset.reward, dataset.next_obs, dataset.terminated)
+        buffer, its newest rows.
+
+        At the dataset's own size the buffer is full from the start and
+        holds the dataset's float columns themselves, read-only, with
+        ``terminated`` as floats; a push into it raises."""
+        n = dataset.n_transitions
+        rows = (dataset.obs, dataset.action, dataset.reward, dataset.next_obs, dataset.terminated)
+        own_size = capacity in (None, n)
+        buf = cls(1 if own_size else capacity, dataset.env.obs_dim, dataset.env.action_dim)
+        if not own_size:
+            buf.push(*rows)
+            return buf
+        buf.capacity = buf.size = n
+        columns = [np.asarray(column, dtype=np.float64).view() for column in rows]
+        for column in columns:
+            column.flags.writeable = False
+        buf._obs, buf._action, buf._reward, buf._next_obs, buf._terminated = columns
         return buf
 
 

@@ -11,9 +11,10 @@ bit for bit, whatever else runs beside it; the fine-tune loop runs one row.
 ``rollout`` holds the one reset/step/drop loop: ``act(live, obs)`` gets
 the indices and observation rows of the live episodes and returns one
 action row per row. ``evaluate_policy`` asks one policy for every row at
-once and ``compute_reference_scores`` one behavior per episode; both sum
-only the rewards. ``run_episodes`` (dataset generation) asks each
-episode's own policy for its row and returns the transitions as columns.
+once, naming each row's run, and ``compute_reference_scores`` one behavior
+per episode; both sum only the rewards. ``run_episodes`` (dataset
+generation) asks each episode's own policy for its row and returns the
+transitions as columns.
 """
 
 from __future__ import annotations
@@ -441,37 +442,32 @@ def evaluate_policy(
     spec: EnvSpec,
     reference: ReferenceScores,
     episodes: int,
-    seed: int | list[int],
-) -> PolicyEvaluation | list[PolicyEvaluation]:
-    """Normalized undiscounted return of a policy over seeded episodes.
+    seeds: list[int],
+) -> list[PolicyEvaluation]:
+    """Normalized undiscounted return of each run of a lockstep group over
+    its seeded episodes: one evaluation per run seed in ``seeds``, in order.
 
-    The episodes run in lockstep, all in one env: at every step ``policy``
-    gets the (live, obs_dim) stack of the observations of the episodes
-    still running, in episode order, and returns one action row per
+    The ``episodes`` episodes of each run, run after run, all go in lockstep
+    in one env: at every step ``policy(obs, runs)`` gets the (live,
+    obs_dim) stack of the observations of the episodes still running, in
+    episode order, and the run of each row, and returns one action row per
     observation row. It must act on each row alone, so that an episode's
     actions do not depend on which other episodes are live (as
-    ``agents.act`` does). Each return is summed in its episode's own step
-    order, so the scores equal those of each episode rolled alone.
-
-    A list of R seeds evaluates the R runs of a lockstep group at once: the
-    ``episodes`` episodes of each run, run after run, all go in the one
-    env, ``policy(obs, runs)`` also gets the run of each row, and the result
-    is a list of R evaluations, each equal to that of its run alone.
+    ``agents.policy_fn`` does). Each return is summed in its episode's own
+    step order, so the scores equal those of each episode rolled alone, and
+    each run's evaluation equals that of its run alone.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    group = isinstance(seed, list)
-    run_seeds = seed if group else [seed]
-    seeds = [stable_seed("eval-episode", s, i) for s in run_seeds for i in range(episodes)]
-    if group:
-        raw = _raw_returns(make_env(spec), seeds, lambda live, obs: policy(obs, live // episodes))
-    else:
-        raw = _raw_returns(make_env(spec), seeds, lambda live, obs: policy(obs))
+    episode_seeds = [stable_seed("eval-episode", s, i) for s in seeds for i in range(episodes)]
+    raw = _raw_returns(
+        make_env(spec), episode_seeds, lambda live, obs: policy(obs, live // episodes)
+    )
     results = []
     for start in range(0, len(raw), episodes):
         scores = [reference.normalize(r) for r in raw[start : start + episodes]]
         results.append(PolicyEvaluation(scores, float(np.mean(scores))))
-    return results if group else results[0]
+    return results
 
 
 def compute_reference_scores(spec: EnvSpec, seed: int, episodes: int = 100) -> ReferenceScores:

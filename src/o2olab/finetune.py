@@ -25,9 +25,9 @@ from .agents import (
     stack_agents,
     td3_update,
 )
-from .data import MixedSampler, OfflineDataset, ReplayBuffer, TransitionBatch
+from .data import MixedSampler, OfflineDataset, ReplayBuffer, TransitionBatch, stack_batches
 from .envs import EnvSpec, evaluate_policy, make_env
-from .errors import ConfigError, NumericError, config_int
+from .errors import ConfigError, config_int
 from .metrics import EvalPoint
 from .nn import param_count
 from .seeding import rng_for, stable_seed
@@ -91,6 +91,8 @@ class FinetuneConfig:
             raise ConfigError("eval_every and eval_episodes must be >= 1")
         if self.method in (METHOD_O2O_REG, METHOD_MIXED) and self.beta is None:
             raise ConfigError(f"method {self.method!r} needs beta")
+        if self.beta is not None and self.beta < 0:
+            raise ConfigError(f"finetune.beta must be >= 0, got {self.beta}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -236,30 +238,19 @@ class _Run:
         }
 
 
-def _stacked(batches: list[TransitionBatch]) -> TransitionBatch:
-    """One batch per run as one batch with a leading run axis."""
-    columns = ([getattr(batch, f.name) for batch in batches] for f in fields(TransitionBatch))
-    return TransitionBatch(
-        *(np.concatenate(c).reshape(len(batches), *c[0].shape) for c in columns)
-    )
-
-
 def run_finetune(
     dataset: OfflineDataset, agents: list[Td3Agent], config: FinetuneConfig, seeds: list[int]
 ) -> list[RunLog]:
-    """Fine-tune each agent online with its run seed; returns one RunLog per
-    run, in order.
+    """Fine-tune each agent (a group of one) online with its run seed;
+    returns one RunLog per run, in order.
 
-    The runs go in lockstep: one stacked ``td3_update`` per update, one
-    exploring ``act`` per env step and one evaluation of every run's
-    episodes in one env (see ``agents.stack_agents``). Each run keeps its
-    own env, buffers and generators, so its RunLog equals the one it would
-    record alone. A run whose update blows up aborts alone.
-
-    A lone run goes as a single run: its agent is fine-tuned in place, its
-    blow-up caught as a ``NumericError``. A group of more runs holds copies
-    of the agents. Either way ``agents`` is emptied, so that nothing here
-    keeps the originals alive.
+    The runs go in lockstep, as one group holding copies of the agents: one
+    stacked ``td3_update`` per update, one exploring ``act`` per env step
+    and one evaluation of every run's episodes in one env (see
+    ``agents.stack_agents``). Each run keeps its own env, buffers and
+    generators, so its RunLog equals the one it would record alone. A run
+    whose update blows up aborts alone. ``agents`` is emptied, so that
+    nothing here keeps the originals alive.
 
     Scores are normalized by the dataset's reference scores; runs act in
     the dataset's env. The dataset is sampled only by the replay-based
@@ -269,9 +260,7 @@ def run_finetune(
     if config.method == METHOD_REPLAY_RESET:
         for i, seed in enumerate(seeds):  # no loop variable keeps an agent alive
             reset_parameters(agents[i], seed=stable_seed("reset", seed))
-    # a lone run goes as a single run, which costs less than a group of one
-    lone = len(seeds) == 1
-    group = agents[0] if lone else stack_agents(agents)
+    group = stack_agents(agents)
     agents.clear()
     replay = config.method in REPLAY_METHODS and not config.single_buffer
     offline = ReplayBuffer.from_dataset(dataset) if replay else None
@@ -281,10 +270,6 @@ def run_finetune(
     hyper = group.hyper
     start_delay = config.warmup_steps if config.method == METHOD_WARMUP else hyper.batch
 
-    def per_run(values: list):
-        """One value per live run, as ``group`` takes them: a lone run's own."""
-        return values[0] if lone else values
-
     def evaluate(step: int) -> None:
         point_index = len(runs[0].log.eval_curve)
         results = evaluate_policy(
@@ -292,23 +277,16 @@ def run_finetune(
             dataset.env,
             dataset.reference,
             config.eval_episodes,
-            seed=per_run([eval_seed_for(run.log.seed, point_index) for run in runs]),
+            [eval_seed_for(run.log.seed, point_index) for run in runs],
         )
-        for run, result in zip(runs, [results] if lone else results):
+        for run, result in zip(runs, results):
             run.log.eval_curve.append(EvalPoint(step, result.mean, result.per_episode))
 
     def update() -> dict[int, str]:
         """One update of every live run; returns {run: reason} for those
         that blew up."""
-        batches = [run.sample(hyper.batch) for run in runs]
-        rngs = [run.update_rng for run in runs]
-        if not lone:
-            return td3_update(group, _stacked(batches), reg, rngs)
-        try:
-            td3_update(group, batches[0], reg, rngs[0])
-        except NumericError as exc:
-            return {0: str(exc)}
-        return {}
+        batch = stack_batches([run.sample(hyper.batch) for run in runs])
+        return td3_update(group, batch, reg, [run.update_rng for run in runs])
 
     evaluate(0)  # for replay_reset this is the post-reset policy
     for step in range(1, config.total_env_steps + 1):
@@ -330,7 +308,7 @@ def run_finetune(
         if not runs:
             break
         obs = np.concatenate([run.obs for run in runs])
-        actions = act(group, obs, explore=True, rng=per_run([run.explore_rng for run in runs]))
+        actions = act(group, obs, explore=True, rngs=[run.explore_rng for run in runs])
         for i, run in enumerate(runs):
             run.step(actions[i : i + 1])
         if step % config.eval_every == 0:

@@ -272,7 +272,8 @@ def input_gradient(
 
 
 def adam_step(net: DenseNet, grad: np.ndarray, state: AdamState) -> None:
-    """Bias-corrected Adam update, in place on net and state."""
+    """Bias-corrected Adam update, in place on net and state. A gradient
+    with a non-finite entry raises NumericError before anything changes."""
     if grad.shape != net.params.shape:
         raise ShapeError(f"gradient shape {grad.shape} != parameters {net.params.shape}")
     if not np.all(np.isfinite(grad)):

@@ -126,6 +126,8 @@ class PretrainConfig:
         if self.fqe_steps is not None:
             self.fqe_steps = config_int("pretrain.fqe_steps", self.fqe_steps)
         self.beta = float(self.beta)
+        if self.kind == PRETRAIN_OFFLINE_RL and self.beta <= 0:
+            raise ConfigError(f"pretrain.beta must be > 0 for offline_rl, got {self.beta}")
 
     @property
     def resolved_fqe_steps(self) -> int:
@@ -209,8 +211,11 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ConfigError(f"unknown method {m!r}")
-        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds must be non-empty and distinct")
+        if len(set(self.methods)) != len(self.methods):
+            raise ConfigError(f"methods must be distinct, got {list(self.methods)}")
+        # classify compares the seeds' pretrained scores: a sample of at least 2
+        if len(self.seeds) < 2 or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be at least 2 distinct seeds, got {list(self.seeds)}")
         if self.map_inconclusive not in (MAP_COMPARABLE, MAP_DROP):
             raise ConfigError("map_inconclusive must be 'comparable' or 'drop'")
         if self.finetune.beta is None:
@@ -422,12 +427,12 @@ def _pretrain_one(config: ExperimentConfig, seed: int, reference: ReferenceScore
         )
     else:
         agent = load_agent(paths.checkpoint(seed))
-    result = evaluate_policy(
+    [result] = evaluate_policy(
         policy_fn(agent),
         config.env,
         reference,
-        episodes=config.finetune.eval_episodes,
-        seed=stable_seed("pretrain-eval", seed),
+        config.finetune.eval_episodes,
+        [stable_seed("pretrain-eval", seed)],
     )
     return result.mean, result.per_episode
 

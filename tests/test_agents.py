@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from o2olab.data import (
     ReplayBuffer,
     TransitionBatch,
     generate_dataset,
+    stack_batches,
 )
 from o2olab.envs import (
     BehaviorSpec,
@@ -68,6 +70,17 @@ def batch_from(dataset, size, rng):
     return ReplayBuffer.from_dataset(dataset).sample(size, rng)
 
 
+def update(agent, batch, reg, rng):
+    """One update of the group of one ``agent`` on ``batch``, drawing from
+    ``rng``; returns {0: reason} when it blows up."""
+    return td3_update(agent, stack_batches([batch]), reg, [rng])
+
+
+def plain(net):
+    """The one member of a stack of one as a plain net sharing its memory."""
+    return net.member(0)
+
+
 # --- construction / act / reset ---
 
 
@@ -77,6 +90,7 @@ def test_make_agent_deterministic():
     for name in NETS:
         assert nets_equal(getattr(a, name), getattr(b, name))
     assert not nets_equal(a.critics.member(0), a.critics.member(1))
+    assert (a.runs, a.actor.stack, a.critics.stack) == (1, 1, 2)
 
 
 def test_targets_start_equal_to_online():
@@ -94,8 +108,12 @@ def test_act_deterministic_and_clipped():
     assert np.all(np.abs(a1) <= 1.0)
     rng = np.random.default_rng(0)
     for _ in range(100):
-        noisy = act(agent, obs, explore=True, rng=rng)
+        noisy = act(agent, obs[None], explore=True, rngs=[rng])
         assert np.all(np.abs(noisy) <= 1.0)
+    # one row and one generator per run: no noise row is shared by others
+    for rows, rngs in ((obs, [rng]), (np.stack([obs, obs]), [rng]), (obs[None], [rng, rng])):
+        with pytest.raises(ValueError, match="one row and one generator per run"):
+            act(agent, rows, explore=True, rngs=rngs)
 
 
 @pytest.mark.parametrize("obs_dim,action_dim", [(3, 1), (4, 2)])
@@ -113,7 +131,7 @@ def steer_to_goal(agent):
     units per layer carry relu(+-(goal - pos)), and the output adds them with
     a large gain to the other units' random contribution scaled by 0.1. The
     sparse reward's episodes then end at the goal, at different steps."""
-    w, b = agent.actor.weights, agent.actor.biases
+    w, b = plain(agent.actor).weights, plain(agent.actor).biases
     w[0][:4] = 0.0
     w[0][[0, 1, 2, 3], [2, 2, 3, 3]] = [1.0, -1.0, 1.0, -1.0]
     b[0][:4] = 0.0
@@ -145,15 +163,16 @@ def test_evaluate_policy_equals_sequential_episodes(kind, hidden):
         want = []
         for i in range(episodes):
             episode_seed = stable_seed("eval-episode", seed, i)
-            steps = reference_episode(spec, policy_fn(agent), episode_seed)
-            rolled = run_episodes(make_env(spec), [policy_fn(agent)], [episode_seed])
+            steps = reference_episode(spec, lambda obs: act(agent, obs), episode_seed)
+            rolled = run_episodes(make_env(spec), [lambda obs: act(agent, obs)],
+                                  [episode_seed])
             assert_columns_equal_steps(rolled, 0, steps)
             raw = 0.0
             for step in steps:
                 raw += step[2]
             want.append(ref.normalize(raw))
             endings.add((len(steps), step[4], step[5]))
-        got = evaluate_policy(policy_fn(agent), spec, ref, episodes, seed)
+        [got] = evaluate_policy(policy_fn(agent), spec, ref, episodes, [seed])
         assert got.per_episode == want
         assert got.mean == float(np.mean(want))
     if kind != "pendulum":
@@ -183,16 +202,16 @@ def test_evaluate_policy_rejects_wrong_action_rows():
         ref = ReferenceScores(kind, -1000.0, -100.0, 1, 0)
         for shape in shapes:
             with pytest.raises(ShapeError):
-                evaluate_policy(lambda obs: np.zeros(shape(len(obs))), spec, ref,
-                                episodes=3, seed=0)
+                evaluate_policy(lambda obs, runs: np.zeros(shape(len(obs))), spec, ref,
+                                episodes=3, seeds=[0])
 
 
 def test_act_zero_noise_equals_deterministic():
     hyper = Td3Hyper(hidden=(8,), explore_noise=0.0)
     agent = make_td3_agent(3, 1, hyper, seed=1)
-    obs = np.array([0.1, 0.2, 0.3])
+    obs = np.array([[0.1, 0.2, 0.3]])
     assert np.array_equal(
-        act(agent, obs, explore=True, rng=np.random.default_rng(0)), act(agent, obs)
+        act(agent, obs, explore=True, rngs=[np.random.default_rng(0)]), act(agent, obs)
     )
 
 
@@ -201,7 +220,7 @@ def test_reset_equals_fresh_agent():
     rng = np.random.default_rng(0)
     ds = constant_action_dataset()
     for _ in range(5):
-        td3_update(agent, batch_from(ds, 32, rng), RegularizerConfig(), rng)
+        update(agent, batch_from(ds, 32, rng), RegularizerConfig(), rng)
     reset_parameters(agent, seed=42)
     fresh = make_td3_agent(4, 2, SMALL, seed=42)
     for name in NETS:
@@ -221,13 +240,13 @@ def test_policy_delay_semantics():
     rng = np.random.default_rng(1)
     actor_before = agent.actor.params.copy()
     critic_before = agent.critics.member(0).params.copy()
-    report = td3_update(agent, batch_from(ds, 32, rng), RegularizerConfig(), rng)
+    assert update(agent, batch_from(ds, 32, rng), RegularizerConfig(), rng) == {}
     assert agent.update_count == 1
-    assert report["actor_loss"] is None
+    assert agent.actor_opt.step_count == 0
     assert np.array_equal(agent.actor.params, actor_before)
     assert not np.array_equal(agent.critics.member(0).params, critic_before)
-    report = td3_update(agent, batch_from(ds, 32, rng), RegularizerConfig(), rng)
-    assert report["actor_loss"] is not None
+    assert update(agent, batch_from(ds, 32, rng), RegularizerConfig(), rng) == {}
+    assert agent.actor_opt.step_count == 1
     assert not np.array_equal(agent.actor.params, actor_before)
 
 
@@ -237,7 +256,7 @@ def test_polyak_applied_every_update():
     rng = np.random.default_rng(1)
     tau = agent.hyper.tau
     target_prev = [w[0].copy() for w in agent.target_critics.weights]
-    td3_update(agent, batch_from(ds, 32, rng), RegularizerConfig(), rng)
+    update(agent, batch_from(ds, 32, rng), RegularizerConfig(), rng)
     expected = [
         (1 - tau) * tp + tau * on[0]
         for tp, on in zip(target_prev, agent.critics.weights)
@@ -261,37 +280,31 @@ def test_textbook_td3_hand_check():
         obs=obs, action=action, reward=np.array([reward]), next_obs=next_obs,
         terminated=np.array([terminated]),
     )
-    report = td3_update(agent, batch, RegularizerConfig(), np.random.default_rng(0))
+    assert update(agent, batch, RegularizerConfig(), np.random.default_rng(0)) == {}
 
     # --- hand computation on the mirror agent, one plain net per critic,
     # each with its own Adam state (members are views into the pair) ---
     critic1, critic2 = mirror.critics.member(0), mirror.critics.member(1)
     target1, target2 = mirror.target_critics.member(0), mirror.target_critics.member(1)
-    a_next = np.clip(nn.forward(mirror.target_actor, next_obs), -1, 1)  # zero noise
+    actor, target_actor = plain(mirror.actor), plain(mirror.target_actor)
+    a_next = np.clip(nn.forward(target_actor, next_obs), -1, 1)  # zero noise
     x_next = np.concatenate([next_obs, a_next], axis=1)
     q1n = nn.forward(target1, x_next)[0, 0]
     q2n = nn.forward(target2, x_next)[0, 0]
     y = reward + hyper.gamma * (1 - terminated) * min(q1n, q2n)
     x = np.concatenate([obs, action], axis=1)
-    losses = {}
-    for name, critic in (("critic1_loss", critic1), ("critic2_loss", critic2)):
+    for critic in (critic1, critic2):
         q = nn.forward(critic, x)[0, 0]
-        losses[name] = (q - y) ** 2
         grad = param_grad(critic, x, np.array([[2.0 * (q - y)]]))
         nn.adam_step(critic, grad, nn.AdamState.for_net(critic, hyper.critic_lr))
-    a_pi = nn.forward(mirror.actor, obs)
-    x_pi = np.concatenate([obs, a_pi], axis=1)
-    losses["actor_loss"] = -float(np.mean(nn.forward(critic1, x_pi)[:, 0]))
+    x_pi = np.concatenate([obs, nn.forward(actor, obs)], axis=1)
     da = -nn.input_gradient(critic1, x_pi, np.ones((1, 1)))[:, 1:]
-    nn.adam_step(mirror.actor, param_grad(mirror.actor, obs, da), mirror.actor_opt)
-    for target, online in ((mirror.target_actor, mirror.actor),
+    nn.adam_step(actor, param_grad(actor, obs, da), mirror.actor_opt)
+    for target, online in ((target_actor, actor),
                            (target1, critic1),
                            (target2, critic2)):
         nn.polyak_update(target, online, hyper.tau)
 
-    assert report["critic1_loss"] == pytest.approx(losses["critic1_loss"], abs=1e-15)
-    assert report["critic2_loss"] == pytest.approx(losses["critic2_loss"], abs=1e-15)
-    assert report["actor_loss"] == pytest.approx(losses["actor_loss"], abs=1e-15)
     for name in NETS:
         assert nets_equal(getattr(agent, name), getattr(mirror, name)), name
 
@@ -300,14 +313,13 @@ def test_beta_zero_gradient_is_pure_dpg():
     agent = make_td3_agent(4, 2, SMALL, seed=5)
     ds = constant_action_dataset()
     batch = batch_from(ds, 16, np.random.default_rng(0))
-    g_plain, loss_plain, lam = _actor_gradients(agent, batch, RegularizerConfig())
-    assert lam == 1.0
+    g_plain, _ = _actor_gradients(agent, stack_batches([batch]), RegularizerConfig())
     # replicate the deterministic-policy-gradient term by hand
-    a = nn.forward(agent.actor, batch.obs)
+    a = nn.forward(plain(agent.actor), batch.obs)
     x = np.concatenate([batch.obs, a], axis=1)
-    n = len(batch)
+    n = batch.reward.size
     dq = nn.input_gradient(agent.critics.member(0), x, np.full((n, 1), 1.0 / n))[:, 4:]
-    g_hand = param_grad(agent.actor, batch.obs, -dq)
+    g_hand = param_grad(plain(agent.actor), batch.obs, -dq)
     assert np.allclose(g_plain, g_hand, atol=1e-14)
 
 
@@ -325,7 +337,7 @@ def test_actor_step_takes_no_critic_parameter_gradient(monkeypatch):
     agent = make_td3_agent(4, 2, SMALL, seed=5)
     batch = batch_from(constant_action_dataset(), 16, np.random.default_rng(0))
     agent.update_count = SMALL.policy_delay - 1  # the next update steps the actor
-    td3_update(agent, batch, RegularizerConfig(0.4, True), np.random.default_rng(1))
+    update(agent, batch, RegularizerConfig(0.4, True), np.random.default_rng(1))
     assert calls == [agent.critics, agent.actor]
 
 
@@ -335,13 +347,13 @@ def test_huge_beta_aligns_with_bc_gradient():
     agent = make_td3_agent(4, 2, SMALL, seed=6)
     ds = constant_action_dataset()
     batch = batch_from(ds, 32, np.random.default_rng(1))
-    g_reg, _, _ = _actor_gradients(
-        agent, batch, RegularizerConfig(bc_coefficient=1e6, q_normalization=False)
+    g_reg, _ = _actor_gradients(
+        agent, stack_batches([batch]), RegularizerConfig(bc_coefficient=1e6, q_normalization=False)
     )
-    pred = nn.forward(agent.actor, batch.obs)
+    pred = nn.forward(plain(agent.actor), batch.obs)
     err = pred - batch.action
     va = g_reg
-    vb = param_grad(agent.actor, batch.obs, 2.0 * err / err.size)
+    vb = param_grad(plain(agent.actor), batch.obs, 2.0 * err / err.size)
     cosine = float(va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb)))
     assert cosine > 0.99
 
@@ -353,23 +365,8 @@ def test_update_rejects_nonfinite():
         reward=np.array([np.inf, 0, 0, 0]), next_obs=np.zeros((4, 2)),
         terminated=np.zeros(4),
     )
-    with pytest.raises(NumericError):
-        td3_update(agent, batch, RegularizerConfig(), np.random.default_rng(0))
-
-
-def test_nonfinite_second_critic_changes_no_parameter():
-    # the checks on both critic losses run before either critic steps
-    agent = make_td3_agent(4, 2, SMALL, seed=0)
-    agent.critics.member(1).biases[-1][:] = np.inf  # online critic 2 only
-    before = {name: getattr(agent, name).params.copy() for name in NETS}
-    rng = np.random.default_rng(1)
-    with pytest.raises(NumericError, match="critic loss is not finite at update 1"):
-        td3_update(agent, batch_from(constant_action_dataset(), 32, rng),
-                   RegularizerConfig(), rng)
-    for name in NETS:
-        assert np.array_equal(getattr(agent, name).params, before[name]), name
-    assert agent.update_count == 0
-    assert agent.critic_opt.step_count == 0
+    failed = update(agent, batch, RegularizerConfig(), np.random.default_rng(0))
+    assert failed == {0: "non-finite critic target"}
 
 
 def test_update_deterministic_given_rng():
@@ -379,7 +376,7 @@ def test_update_deterministic_given_rng():
         agent = make_td3_agent(4, 2, SMALL, seed=9)
         rng = np.random.default_rng(33)
         for _ in range(4):
-            td3_update(agent, batch_from(ds, 16, rng), RegularizerConfig(), rng)
+            update(agent, batch_from(ds, 16, rng), RegularizerConfig(), rng)
         outs.append(agent)
     assert nets_equal(outs[0].actor, outs[1].actor)
     assert nets_equal(outs[0].critics, outs[1].critics)
@@ -396,12 +393,6 @@ def random_batch(rng, size, obs_dim, action_dim):
     )
 
 
-def stacked(batches):
-    return TransitionBatch(*(np.stack(column) for column in
-                             zip(*((b.obs, b.action, b.reward, b.next_obs, b.terminated)
-                                   for b in batches))))
-
-
 def same_state(a, b):
     return a.update_count == b.update_count and all(
         np.array_equal(x, y) for x, y in zip(_state_arrays(a), _state_arrays(b))
@@ -409,9 +400,31 @@ def same_state(a, b):
 
 
 def run_of(group, run):
-    """Run ``run`` of a group as a group of one, which holds its arrays in a
-    single run's layout."""
+    """Run ``run`` of a group as a group of one."""
     return select_runs(group, [run])
+
+
+# sha256 of ``_state_arrays`` of make_td3_agent(4, 2, hyper, seed=0) after
+# 40 updates on random_batch draws, recorded when a run alone was a plain
+# single-run agent with its own update path
+ALONE_DIGESTS = {
+    ((8, 8), 16, False): "cf1e9746845ba8a500cf0a826f4aa730b721cd1a64b8b35269612427f1839558",
+    ((8, 8), 16, True): "52a0ecb8e50aa66f6033c88f9e9e2050175ad8f62b7f0b14ab8dfde63e8f78fb",
+    ((32, 32), 64, False): "c0413e7fc496c59a6288e0abd301d1eb6c378ca26a66a09fdc475c4bb7a7237b",
+    ((32, 32), 64, True): "59a4f4109c07bae7ffc69b78b3d27b7d5440caf90b0b4db216325cb462af4501",
+}
+
+
+@pytest.mark.parametrize("hidden,batch,regularized", sorted(ALONE_DIGESTS))
+def test_a_group_of_one_steps_as_the_single_run_did(hidden, batch, regularized):
+    reg = RegularizerConfig(0.4, True) if regularized else RegularizerConfig()
+    agent = make_td3_agent(4, 2, Td3Hyper(hidden=hidden, batch=batch), seed=0)
+    rng, data = np.random.default_rng(10), np.random.default_rng(7)
+    for _ in range(40):
+        assert update(agent, random_batch(data, batch, 4, 2), reg, rng) == {}
+    digest = hashlib.sha256(np.concatenate(_state_arrays(agent)).tobytes()).hexdigest()
+    assert agent.update_count == 40
+    assert digest == ALONE_DIGESTS[(hidden, batch, regularized)]
 
 
 @pytest.mark.parametrize("reg", [RegularizerConfig(), RegularizerConfig(0.4, True)])
@@ -427,8 +440,8 @@ def test_group_update_equals_each_run_alone(reg, hidden, batch, runs):
     for _ in range(40):  # policy delay 2: 20 actor steps
         batches = [random_batch(data, batch, 4, 2) for _ in range(runs)]
         for agent, b, rng in zip(alone, batches, alone_rngs):
-            td3_update(agent, b, reg, rng)
-        assert td3_update(group, stacked(batches), reg, group_rngs) == {}
+            assert update(agent, b, reg, rng) == {}
+        assert td3_update(group, stack_batches(batches), reg, group_rngs) == {}
     for r, agent in enumerate(alone):
         assert same_state(run_of(group, r), agent), r
 
@@ -456,9 +469,9 @@ def test_group_act_and_policy_act_as_each_run():
     agents = [make_td3_agent(4, 2, SMALL, seed=s) for s in range(3)]
     group = stack_agents(agents)
     obs = np.random.default_rng(0).normal(0.0, 4.0, size=(3, 4))
-    got = act(group, obs, explore=True, rng=[np.random.default_rng(r) for r in range(3)])
+    got = act(group, obs, explore=True, rngs=[np.random.default_rng(r) for r in range(3)])
     for r, agent in enumerate(agents):
-        alone = act(agent, obs[r : r + 1], explore=True, rng=np.random.default_rng(r))
+        alone = act(agent, obs[r : r + 1], explore=True, rngs=[np.random.default_rng(r)])
         assert np.array_equal(got[r : r + 1], alone)
     policy = policy_fn(group)
     rows = np.random.default_rng(1).normal(0.0, 4.0, size=(7, 4))
@@ -475,7 +488,7 @@ def test_group_evaluation_equals_each_run_alone():
     seeds = [31, 32, 33]
     got = evaluate_policy(policy_fn(stack_agents(agents)), spec, ref, 5, seeds)
     for result, agent, seed in zip(got, agents, seeds):
-        alone = evaluate_policy(policy_fn(agent), spec, ref, 5, seed)
+        [alone] = evaluate_policy(policy_fn(agent), spec, ref, 5, [seed])
         assert (result.per_episode, result.mean) == (alone.per_episode, alone.mean)
     assert len({score for result in got for score in result.per_episode}) > 1
 
@@ -500,13 +513,36 @@ def test_group_update_fails_only_the_run_that_blows_up(damage, reason):
     data = np.random.default_rng(7)
     batches = [random_batch(data, 32, 4, 2) for _ in range(3)]
     reg = RegularizerConfig(0.4, True)
-    failed = td3_update(group, stacked(batches), reg, [np.random.default_rng(r) for r in range(3)])
+    failed = td3_update(group, stack_batches(batches), reg,
+                        [np.random.default_rng(r) for r in range(3)])
     assert failed == {1: reason}
-    with pytest.raises(NumericError) as alone:
-        td3_update(agents[1], batches[1], reg, np.random.default_rng(1))
-    assert str(alone.value) == reason
+    assert update(agents[1], batches[1], reg, np.random.default_rng(1)) == {0: reason}
     for r in (0, 2):
-        td3_update(agents[r], batches[r], reg, np.random.default_rng(r))
+        assert update(agents[r], batches[r], reg, np.random.default_rng(r)) == {}
+        assert same_state(run_of(group, r), agents[r]), r
+
+
+def test_group_update_fails_only_the_run_whose_gradient_is_not_finite(monkeypatch):
+    agents = [make_td3_agent(4, 2, SMALL, seed=s) for s in range(3)]
+    group = stack_agents(agents)
+    real_backward = nn.backward
+
+    def poisoned_backward(net, cache, output_grad):
+        grad = real_backward(net, cache, output_grad)
+        if net is group.critics:
+            grad.reshape(2, 3, -1)[1, 1, 0] = np.nan  # an entry of critic 2 of run 1
+        return grad
+
+    monkeypatch.setattr(nn, "backward", poisoned_backward)
+    data = np.random.default_rng(7)
+    batches = [random_batch(data, 32, 4, 2) for _ in range(3)]
+    reg = RegularizerConfig(0.4, True)
+    failed = td3_update(group, stack_batches(batches), reg,
+                        [np.random.default_rng(r) for r in range(3)])
+    assert failed == {1: "non-finite gradient entry"}
+    monkeypatch.undo()
+    for r in (0, 2):
+        assert update(agents[r], batches[r], reg, np.random.default_rng(r)) == {}
         assert same_state(run_of(group, r), agents[r]), r
 
 
@@ -531,6 +567,12 @@ def test_bc_requires_steps():
         bc_pretrain(constant_action_dataset(), steps=0, seed=0, hyper=SMALL)
 
 
+def test_bc_raises_on_a_nonfinite_gradient():
+    ds = constant_action_dataset(action_value=np.inf)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite gradient"):
+        bc_pretrain(ds, steps=3, seed=0, hyper=SMALL)
+
+
 def test_bc_deterministic():
     ds = constant_action_dataset()
     a = bc_pretrain(ds, steps=50, seed=3, hyper=SMALL)
@@ -553,6 +595,14 @@ def test_fqe_terminal_fixed_point():
     x = np.concatenate([obs, action], axis=1)
     q = nn.forward(critic, x)[:, 0]
     assert np.all(np.abs(q - 2.0) < 0.05)
+
+
+def test_fqe_raises_on_a_nonfinite_gradient():
+    ds = constant_action_dataset()
+    ds.reward[:] = np.inf
+    policy = nn.init_net((4, 16, 16, 2), "relu", "tanh", seed=0)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite gradient"):
+        fqe(policy, ds, steps=3, seed=0, hyper=SMALL)
 
 
 def test_fqe_gamma_zero_regresses_reward():
@@ -603,7 +653,7 @@ def test_offline_rl_expert_pendulum(dense_ref):
     from o2olab.data import dataset_return
     from o2olab.envs import evaluate_policy
 
-    result = evaluate_policy(policy_fn(agent), spec, dense_ref, episodes=20, seed=77)
+    [result] = evaluate_policy(policy_fn(agent), spec, dense_ref, episodes=20, seeds=[77])
     _, jd = dataset_return(ds)
     assert result.mean >= 0.8 * jd
 
@@ -658,6 +708,7 @@ def test_checkpoint_round_trip(tmp_path):
         "manifest.json", "params.npy"
     ]
     back = load_agent(tmp_path / "ckpt")
+    assert back.runs == 1
     for name in NETS:
         assert nets_equal(getattr(agent, name), getattr(back, name))
     assert back.update_count == agent.update_count

@@ -247,8 +247,7 @@ def test_buffer_sample_single_item():
     buf = ReplayBuffer(4, 2, 1)
     buf.push(**rows([5]))
     batch = buf.sample(6, np.random.default_rng(0))
-    assert len(batch) == 6
-    assert np.all(batch.obs == 5.0)
+    assert batch.obs.shape == (6, 2) and np.all(batch.obs == 5.0)
 
 
 def test_buffer_sample_reproducible():

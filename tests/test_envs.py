@@ -437,20 +437,20 @@ def test_reference_scores_point_sparse():
 
 def rows_policy(policy):
     """A per-observation policy as the row-stack policy evaluate_policy
-    calls, applied row by row."""
-    return lambda obs: np.stack([policy(o) for o in obs])
+    calls, applied row by row, whatever the rows' runs."""
+    return lambda obs, runs: np.stack([policy(o) for o in obs])
 
 
 def test_evaluate_policy_normalization_identity(pendulum_reference):
     spec = env_spec("pendulum")
     rng = np.random.default_rng(1)
     expert = rows_policy(behavior_policy(BehaviorSpec("expert"), spec, rng))
-    result = evaluate_policy(expert, spec, pendulum_reference, episodes=20, seed=3)
+    [result] = evaluate_policy(expert, spec, pendulum_reference, episodes=20, seeds=[3])
     assert result.mean == pytest.approx(1.0, abs=0.35)
 
     random_pol = rows_policy(behavior_policy(BehaviorSpec("uniform_random"), spec,
                                              np.random.default_rng(2)))
-    result = evaluate_policy(random_pol, spec, pendulum_reference, episodes=20, seed=3)
+    [result] = evaluate_policy(random_pol, spec, pendulum_reference, episodes=20, seeds=[3])
     assert result.mean == pytest.approx(0.0, abs=0.35)
 
 
@@ -460,16 +460,16 @@ def test_evaluate_policy_deterministic(pendulum_reference):
     def policy(obs):
         return np.array([0.3])
 
-    a = evaluate_policy(rows_policy(policy), spec, pendulum_reference, episodes=5, seed=9)
-    b = evaluate_policy(rows_policy(policy), spec, pendulum_reference, episodes=5, seed=9)
+    [a] = evaluate_policy(rows_policy(policy), spec, pendulum_reference, episodes=5, seeds=[9])
+    [b] = evaluate_policy(rows_policy(policy), spec, pendulum_reference, episodes=5, seeds=[9])
     assert a.per_episode == b.per_episode
     assert a.mean == b.mean
 
 
 def test_evaluate_policy_rejects_zero_episodes(pendulum_reference):
     with pytest.raises(ValueError):
-        evaluate_policy(lambda o: np.zeros(1), env_spec("pendulum"),
-                        pendulum_reference, episodes=0, seed=0)
+        evaluate_policy(lambda obs, runs: np.zeros((len(obs), 1)), env_spec("pendulum"),
+                        pendulum_reference, episodes=0, seeds=[0])
 
 
 def test_normalized_anchors_on_fresh_seeds():
@@ -483,8 +483,8 @@ def test_normalized_anchors_on_fresh_seeds():
         )
         rand = rows_policy(behavior_policy(BehaviorSpec("uniform_random"), spec,
                                            np.random.default_rng(8)))
-        e = evaluate_policy(expert, spec, ref, episodes=40, seed=1234)
-        r = evaluate_policy(rand, spec, ref, episodes=40, seed=4321)
+        [e] = evaluate_policy(expert, spec, ref, episodes=40, seeds=[1234])
+        [r] = evaluate_policy(rand, spec, ref, episodes=40, seeds=[4321])
         assert e.mean >= 0.9, kind
         assert r.mean <= 0.1, kind
 

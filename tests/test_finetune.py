@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from o2olab.agents import Td3Hyper, make_td3_agent
-from o2olab.data import dataset_return, generate_dataset
+from o2olab.data import ReplayBuffer, dataset_return, generate_dataset
 from o2olab.envs import BehaviorSpec, compute_reference_scores, env_spec, evaluate_policy
 from o2olab.errors import ConfigError
 from o2olab.finetune import (
@@ -119,9 +119,9 @@ def test_step0_matches_independent_evaluation(dataset):
     frozen = copy.deepcopy(agent)
     config = small_config()
     [log] = run_finetune(dataset, [agent], config, [seed])
-    independent = evaluate_policy(
+    [independent] = evaluate_policy(
         policy_fn(frozen), SPEC, dataset.reference, config.eval_episodes,
-        seed=eval_seed_for(seed, 0),
+        [eval_seed_for(seed, 0)],
     )
     assert log.eval_curve[0].per_episode == independent.per_episode
     assert log.eval_curve[0].mean == independent.mean
@@ -155,6 +155,27 @@ def test_dataset_immutable_during_runs(dataset):
     snapshot = copy.deepcopy(dataset)
     run(method="mixed", dataset=dataset)
     assert_same_dataset(dataset, snapshot)
+    # the dataset's own buffer holds its float columns, read-only, not copies
+    buf = ReplayBuffer.from_dataset(dataset)
+    for name in ("obs", "action", "reward", "next_obs"):
+        column = getattr(buf, f"_{name}")
+        assert np.shares_memory(column, getattr(dataset, name)), name
+        assert not column.flags.writeable, name
+    assert buf._terminated.dtype == np.float64
+    assert np.array_equal(buf._terminated, dataset.terminated)
+    rows = (dataset.obs, dataset.action, dataset.reward, dataset.next_obs, dataset.terminated)
+    with pytest.raises(ValueError, match="read-only"):
+        buf.push(*(column[:1] for column in rows))
+    assert_same_dataset(dataset, snapshot)
+    # it draws the batches of a buffer that copied the rows, bit for bit
+    copied = ReplayBuffer(dataset.n_transitions, SPEC.obs_dim, SPEC.action_dim)
+    copied.push(*rows)
+    got, want = buf.sample(64, np.random.default_rng(4)), copied.sample(64, np.random.default_rng(4))
+    for name, column in vars(got).items():
+        assert column.dtype == np.float64 and np.array_equal(column, getattr(want, name)), name
+    # a larger buffer, as single_buffer makes, copies the rows
+    larger = ReplayBuffer.from_dataset(dataset, dataset.n_transitions + 10)
+    assert not np.shares_memory(larger._obs, dataset.obs) and larger._obs.flags.writeable
 
 
 def test_replay_reset_degrades_step0(dataset):
@@ -166,9 +187,9 @@ def test_replay_reset_degrades_step0(dataset):
     seed = 21
     config = small_config(method="replay_reset")
     [log] = run_finetune(dataset, [agent], config, [seed])
-    incoming = evaluate_policy(
+    [incoming] = evaluate_policy(
         policy_fn(frozen), SPEC, dataset.reference, config.eval_episodes,
-        seed=eval_seed_for(seed, 0),
+        [eval_seed_for(seed, 0)],
     )
     # the reset agent is a different random net; bit-equality would be a fluke
     assert log.eval_curve[0].per_episode != incoming.per_episode

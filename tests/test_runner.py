@@ -184,6 +184,47 @@ def test_integral_floats_are_their_integers(finished, tmp_path):
     }
 
 
+# configs that would parse and then fail in a later stage: an override of
+# tiny_config_dict, and the message of its config error
+FAILING_LATER = {
+    "pretrain beta 0": (
+        {"pretrain": {"kind": "offline_rl", "steps": 60, "beta": 0}},
+        "pretrain.beta must be > 0 for offline_rl, got 0.0",
+    ),
+    "negative finetune beta": (
+        {"finetune": {**FINETUNE, "beta": -0.1}}, "finetune.beta must be >= 0, got -0.1"
+    ),
+    "one seed": ({"seeds": [3]}, "seeds must be at least 2 distinct seeds, got [3]"),
+    "duplicate methods": (
+        {"methods": ["baseline", "baseline"]},
+        "methods must be distinct, got ['baseline', 'baseline']",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_LATER))
+def test_cli_rejects_a_config_that_would_fail_in_a_later_stage(tmp_path, capsys, case):
+    override, message = FAILING_LATER[case]
+    with pytest.raises(ConfigError):
+        runner.ExperimentConfig.from_dict(tiny_config_dict(tmp_path, **override))
+    cfg_path = _write_config(tmp_path, override)
+    capsys.readouterr()
+    assert cli.main(["gen-data", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_pretrain_blow_up_exits_3_and_writes_no_checkpoint(tmp_path, capsys):
+    # recorded when a pretraining run was a plain single-run agent
+    cfg_path = _write_config(tmp_path, {"agent": {"hidden": [8, 8], "batch": 16, "gamma": 1e300}})
+    assert cli.main(["gen-data", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["pretrain", "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err == "numeric failure: critic loss is not finite at update 1\n"
+    assert not (tmp_path / "runs" / "tiny-dense" / "pretrain").exists()
+
+
 def test_config_rejects_duplicate_seeds(tmp_path):
     with pytest.raises(ConfigError):
         runner.ExperimentConfig.from_dict(tiny_config_dict(tmp_path, seeds=[1, 1]))
