@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nn
 from .data import OfflineDataset, ReplayBuffer, TransitionBatch, stack_batches
-from .errors import MissingInputError, NumericError, config_int
+from .errors import MissingInputError, NumericError, parse
 from .fsio import MANIFEST_FILE, read_json, write_json_atomic, write_npy_atomic
 from .seeding import rng_for
 
@@ -36,18 +36,6 @@ class Td3Hyper:
     actor_lr: float = 3e-4
     critic_lr: float = 3e-4
     hidden: tuple[int, ...] = (64, 64)
-
-    def __post_init__(self):
-        # frozen, so the integer fields are converted through object.__setattr__
-        for name in ("policy_delay", "batch"):
-            object.__setattr__(self, name, config_int(f"agent.{name}", getattr(self, name)))
-        hidden = tuple(config_int("agent.hidden", width) for width in self.hidden)
-        object.__setattr__(self, "hidden", hidden)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["hidden"] = list(self.hidden)
-        return d
 
 
 @dataclass(frozen=True)
@@ -511,7 +499,7 @@ def save_agent(agent: Td3Agent, directory, extra: dict | None = None) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     write_npy_atomic(directory / PARAMS_FILE, np.concatenate(_state_arrays(agent)))
     manifest = {
-        "hyper": agent.hyper.to_dict(),
+        "hyper": asdict(agent.hyper),
         "obs_dim": agent.obs_dim,
         "action_dim": agent.action_dim,
         "update_count": agent.update_count,
@@ -536,7 +524,7 @@ def load_agent(directory) -> Td3Agent:
     agent = make_td3_agent(
         int(manifest["obs_dim"]),
         int(manifest["action_dim"]),
-        Td3Hyper(**manifest["hyper"]),
+        parse(Td3Hyper, manifest["hyper"], "hyper"),
     )
     arrays = _state_arrays(agent)
     if flat.dtype != np.float64 or flat.shape != (sum(a.size for a in arrays),):

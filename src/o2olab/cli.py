@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import runner
-from .errors import ConfigError, DatasetFormatError, MissingInputError, NumericError
+from .errors import ConfigError, DatasetFormatError, MissingInputError, NumericError, parse
 from .metrics import ConfusionMatrix
 
 EXIT_OK = 0
@@ -72,8 +72,13 @@ def _load_config(args) -> runner.ExperimentConfig:
 
 def _cmd_matrix(args) -> int:
     if args.counts_json:
-        counts = json.loads(Path(args.counts_json).read_text())
-        matrix = ConfusionMatrix.from_counts(counts)
+        try:
+            counts = json.loads(Path(args.counts_json).read_text())
+        except FileNotFoundError:
+            raise MissingInputError(f"no counts file at {args.counts_json}") from None
+        except ValueError as exc:
+            raise ConfigError(f"{args.counts_json} is not valid JSON: {exc}") from None
+        matrix = parse(ConfusionMatrix.from_counts, {"counts": counts})
         result = {"matrix": matrix.to_dict(), "summary": matrix.summary_line()}
     else:
         paths = []

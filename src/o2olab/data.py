@@ -18,7 +18,7 @@ so a directory without one is an interrupted save.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .envs import (
     make_env,
     run_episodes,
 )
-from .errors import DatasetFormatError, EmptyBufferError, ShapeError
+from .errors import DatasetFormatError, EmptyBufferError, ShapeError, parse
 from .fsio import MANIFEST_FILE, read_json, write_json_atomic, write_npy_atomic
 from .seeding import rng_for, stable_seed
 
@@ -295,17 +295,20 @@ class MixedSampler:
 
 def _behavior_to_json(behavior):
     if isinstance(behavior, BehaviorSpec):
-        return behavior.to_dict()
-    return [{**spec.to_dict(), "n_traj": n} for spec, n in behavior]
+        return asdict(behavior)
+    return [{**asdict(spec), "n_traj": n} for spec, n in behavior]
+
+
+def behavior_segment(n_traj: int = 1, **behavior) -> tuple[BehaviorSpec, int]:
+    """A mixture's segment from a ``behavior`` entry (through ``parse``): a
+    behavior's fields plus ``n_traj``, its trajectories, 1 when absent."""
+    return parse(BehaviorSpec, behavior, "behavior"), n_traj
 
 
 def _behavior_from_json(data):
     if isinstance(data, dict):
-        return BehaviorSpec.from_dict(data)
-    return [
-        (BehaviorSpec.from_dict({k: v for k, v in d.items() if k != "n_traj"}), int(d["n_traj"]))
-        for d in data
-    ]
+        return parse(BehaviorSpec, data, "behavior")
+    return [parse(behavior_segment, d, "behavior") for d in data]
 
 
 def _column_layout(n_transitions: int, n_traj: int, env: EnvSpec) -> dict:
@@ -341,7 +344,7 @@ def save_dataset(dataset: OfflineDataset, directory, extra: dict | None = None) 
         "n_traj": dataset.n_traj,
         "n_transitions": dataset.n_transitions,
         "behavior": _behavior_to_json(dataset.behavior),
-        "reference": dataset.reference.to_dict(),
+        "reference": asdict(dataset.reference),
         "returns": per_traj.tolist(),  # dataset_return's sample, for classify
         **(extra or {}),
     }
@@ -354,12 +357,12 @@ def _read_manifest(directory: Path) -> dict:
     path = directory / MANIFEST_FILE
     try:
         manifest = read_json(path)
-        env = env_spec(manifest["env"]["kind"], manifest["env"].get("horizon"))
+        env = parse(env_spec, manifest["env"], "env")
         parsed = {
             **manifest,
             "env": env,
             "behavior": _behavior_from_json(manifest["behavior"]),
-            "reference": ReferenceScores.from_dict(manifest["reference"]),
+            "reference": parse(ReferenceScores, manifest["reference"], "reference"),
             "n_traj": int(manifest["n_traj"]),
             "n_transitions": int(manifest["n_transitions"]),
         }

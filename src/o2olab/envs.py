@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, config_int
+from .errors import ConfigError, ShapeError
 from .seeding import rng_for, stable_seed
 
 POINT_GOAL_SPARSE = "point_goal_sparse"
@@ -45,8 +45,6 @@ class EnvSpec:
 
 
 def env_spec(kind: str, horizon: int | None = None) -> EnvSpec:
-    if horizon is not None:
-        horizon = config_int("env.horizon", horizon)
     if kind in (POINT_GOAL_SPARSE, POINT_GOAL_DENSE):
         return EnvSpec(kind, horizon if horizon is not None else 100, 4, 2)
     if kind == PENDULUM:
@@ -271,14 +269,6 @@ class BehaviorSpec:
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigError("epsilon must be in [0, 1]")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "sigma": self.sigma, "epsilon": self.epsilon}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BehaviorSpec":
-        """A key that is not a field is a TypeError."""
-        return cls(**{**data, **{k: float(data[k]) for k in ("sigma", "epsilon") if k in data}})
-
 
 # Pendulum swing-up controller. Pumps total energy toward the upright level
 # with bang-bang torque, then hands over to a PD law inside the catch zone.
@@ -353,25 +343,6 @@ class ReferenceScores:
     def normalize(self, raw_return: float) -> float:
         return (raw_return - self.random_return) / (
             self.expert_return - self.random_return
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "env": self.env,
-            "random_return": self.random_return,
-            "expert_return": self.expert_return,
-            "episodes": self.episodes,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReferenceScores":
-        return cls(
-            env=data["env"],
-            random_return=float(data["random_return"]),
-            expert_return=float(data["expert_return"]),
-            episodes=int(data["episodes"]),
-            seed=int(data["seed"]),
         )
 
 

@@ -27,7 +27,7 @@ from .agents import (
 )
 from .data import MixedSampler, OfflineDataset, ReplayBuffer, TransitionBatch, stack_batches
 from .envs import EnvSpec, evaluate_policy, make_env
-from .errors import ConfigError, config_int
+from .errors import ConfigError
 from .metrics import EvalPoint
 from .nn import param_count
 from .seeding import rng_for, stable_seed
@@ -67,18 +67,6 @@ class FinetuneConfig:
     single_buffer: bool = False  # preload the dataset into the online buffer
 
     def __post_init__(self):
-        for name in ("total_env_steps", "utd", "warmup_steps", "eval_every", "eval_episodes"):
-            setattr(self, name, config_int(f"finetune.{name}", getattr(self, name)))
-        if self.online_buffer_capacity is not None:
-            self.online_buffer_capacity = config_int(
-                "finetune.online_buffer_capacity", self.online_buffer_capacity
-            )
-        if not isinstance(self.single_buffer, bool):
-            raise ConfigError(
-                f"finetune.single_buffer must be true or false, got {self.single_buffer!r}"
-            )
-
-    def validate(self) -> None:
         if self.method not in ALL_METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.total_env_steps < 1 or self.utd < 1:
@@ -93,9 +81,6 @@ class FinetuneConfig:
             raise ConfigError(f"method {self.method!r} needs beta")
         if self.beta is not None and self.beta < 0:
             raise ConfigError(f"finetune.beta must be >= 0, got {self.beta}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -203,7 +188,7 @@ class _Run:
             offline = copy.copy(offline)
             sampler = MixedSampler(offline, online, config.alpha)
         run = cls(
-            log=RunLog(method=config.method, seed=seed, config=config.to_dict(), eval_curve=[]),
+            log=RunLog(method=config.method, seed=seed, config=asdict(config), eval_curve=[]),
             env=make_env(spec),
             online=online,
             sampler=sampler,
@@ -256,7 +241,6 @@ def run_finetune(
     the dataset's env. The dataset is sampled only by the replay-based
     methods and with ``single_buffer``.
     """
-    config.validate()
     if config.method == METHOD_REPLAY_RESET:
         for i, seed in enumerate(seeds):  # no loop variable keeps an agent alive
             reset_parameters(agents[i], seed=stable_seed("reset", seed))

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
+
 SUPERIOR = "Superior"
 COMPARABLE = "Comparable"
 INFERIOR = "Inferior"
@@ -400,10 +402,10 @@ class ConfusionMatrix:
     )
 
     @classmethod
-    def from_counts(cls, counts) -> "ConfusionMatrix":
+    def from_counts(cls, counts: tuple[tuple[int, ...], ...]) -> "ConfusionMatrix":
         counts = [[int(c) for c in row] for row in counts]
         if len(counts) != 3 or any(len(row) != 3 for row in counts):
-            raise ValueError("counts must be 3x3")
+            raise ConfigError("counts must be 3x3")
         return cls(counts)
 
     def add(self, regime: str, winner: str) -> None:

@@ -103,12 +103,6 @@ class DenseNet:
         # copied params, so writes to the copy's params would not reach them
         return self.copy()
 
-    def member(self, i: int) -> "DenseNet":
-        """Member ``i`` of a stack as a plain net sharing this net's memory."""
-        if self.stack is None:
-            raise ValueError("member() needs a stacked net")
-        return self._like(self.params.reshape(self.stack, -1)[i], None)
-
 
 def stack_nets(nets) -> DenseNet:
     """One stacked net holding copies of ``nets`` (same shape and

@@ -46,7 +46,7 @@ import ctypes
 import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -64,6 +64,7 @@ from .agents import (
 )
 from .data import (
     OfflineDataset,
+    behavior_segment,
     generate_dataset,
     generate_mixed_dataset,
     load_dataset,
@@ -78,7 +79,7 @@ from .envs import (
     env_spec,
     evaluate_policy,
 )
-from .errors import ConfigError, MissingInputError, config_int
+from .errors import ConfigError, MissingInputError, parse
 from .finetune import (
     ALL_METHODS,
     DATA_CENTRIC,
@@ -122,10 +123,6 @@ class PretrainConfig:
     def __post_init__(self):
         if self.kind not in (PRETRAIN_OFFLINE_RL, PRETRAIN_BC_FQE):
             raise ConfigError(f"unknown pretrainer {self.kind!r}")
-        self.steps = config_int("pretrain.steps", self.steps)
-        if self.fqe_steps is not None:
-            self.fqe_steps = config_int("pretrain.fqe_steps", self.fqe_steps)
-        self.beta = float(self.beta)
         if self.kind == PRETRAIN_OFFLINE_RL and self.beta <= 0:
             raise ConfigError(f"pretrain.beta must be > 0 for offline_rl, got {self.beta}")
 
@@ -139,36 +136,24 @@ class TostConfig:
     delta: float = 0.05
     alpha: float = 0.05
 
-    def __post_init__(self):
-        self.delta = float(self.delta)
-        self.alpha = float(self.alpha)
-
-
-def _segment(entry: dict) -> tuple[BehaviorSpec, int]:
-    """One ``behavior`` entry: the behavior's fields plus ``n_traj`` (1 when absent)."""
-    spec = dict(entry)
-    n_traj = config_int("behavior.n_traj", spec.pop("n_traj", 1))
-    return BehaviorSpec.from_dict(spec), n_traj
-
 
 def _plain(value):
     """A config field as JSON data."""
     if hasattr(value, "to_dict"):
         return value.to_dict()
     if is_dataclass(value):
-        return asdict(value)
-    return list(value) if isinstance(value, tuple) else value
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
-# How each nested section of the JSON config is built; every other key is
-# passed to ExperimentConfig as it is.
+# The sections of the JSON config that are not built from their annotation:
+# ``env`` derives its dims from its kind, and ``behavior`` is one segment or
+# a list of them.
 _SECTIONS = {
-    "env": lambda env: env_spec(**env),
-    "behavior": lambda b: [_segment(e) for e in ([b] if isinstance(b, dict) else b)],
-    "pretrain": lambda pretrain: PretrainConfig(**pretrain),
-    "finetune": lambda finetune: FinetuneConfig(**finetune),
-    "agent": lambda agent: Td3Hyper(**agent),
-    "tost": lambda tost: TostConfig(**tost),
+    "env": lambda env: parse(env_spec, env, "env"),
+    "behavior": lambda b: [
+        parse(behavior_segment, entry, "behavior") for entry in (b if isinstance(b, list) else [b])
+    ],
 }
 
 
@@ -176,8 +161,8 @@ _SECTIONS = {
 class ExperimentConfig:
     """One setting. Fields carry the names and nesting of the JSON config's
     keys, so ``to_dict`` is read off the fields, and ``from_dict`` builds
-    every section with its own constructor: an unknown key at any level is a
-    ConfigError."""
+    every section by its annotations (see ``errors.parse``): an unknown key
+    or a value of another type at any level is a ConfigError."""
 
     setting: str
     env: EnvSpec
@@ -196,12 +181,6 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        self.methods = tuple(self.methods)
-        self.seeds = tuple(config_int("seeds", s) for s in self.seeds)
-        for name in ("dataset_seed", "reference_episodes", "last_k"):
-            setattr(self, name, config_int(name, getattr(self, name)))
-        if self.reference_seed is not None:
-            self.reference_seed = config_int("reference_seed", self.reference_seed)
         if not self.setting:
             raise ConfigError("setting name must be non-empty")
         if not self.behavior:
@@ -219,8 +198,7 @@ class ExperimentConfig:
         if self.map_inconclusive not in (MAP_COMPARABLE, MAP_DROP):
             raise ConfigError("map_inconclusive must be 'comparable' or 'drop'")
         if self.finetune.beta is None:
-            self.finetune.beta = self.pretrain.beta
-        self.finetune.validate()
+            self.finetune = replace(self.finetune, beta=self.pretrain.beta)
         points = self.finetune.total_env_steps // self.finetune.eval_every + 1
         if not 1 <= self.last_k <= points:
             raise ConfigError(
@@ -236,20 +214,18 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         d = {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
-        d["behavior"] = [{**b.to_dict(), "n_traj": n} for b, n in self.behavior]
+        d["behavior"] = [{**asdict(b), "n_traj": n} for b, n in self.behavior]
+        del d["finetune"]["method"]  # each run's method comes from ``methods``
         return d
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        try:
-            return cls(**{
-                key: _SECTIONS[key](value) if key in _SECTIONS else value
-                for key, value in data.items()
-            })
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"invalid config: {exc}") from exc
+        finetune = data.get("finetune") if isinstance(data, dict) else None
+        if isinstance(finetune, dict) and "method" in finetune:
+            raise ConfigError(
+                "finetune.method is not a setting: `methods` lists the methods to run"
+            )
+        return parse(cls, data, "", _SECTIONS)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -328,7 +304,7 @@ def classify_key(config: ExperimentConfig) -> str:
 def run_key(config: ExperimentConfig, method: str, seed: int) -> str:
     return _key({
         "checkpoint": checkpoint_key(config, seed),
-        "finetune": _method_finetune(config, method).to_dict(),
+        "finetune": asdict(_method_finetune(config, method)),
         "run_seed": run_seed_for(seed, method, config.seeds.index(seed)),
     })
 
@@ -581,7 +557,7 @@ def run_seed_for(config_seed: int, method: str, seed_index: int) -> int:
 
 
 def _method_finetune(config: ExperimentConfig, method: str) -> FinetuneConfig:
-    return FinetuneConfig(**{**config.finetune.to_dict(), "method": method})
+    return replace(config.finetune, method=method)
 
 
 def _finetune_group(config: ExperimentConfig, method: str, seeds: tuple[int, ...]) -> None:
@@ -827,7 +803,12 @@ def aggregate_matrix(analysis_paths: list) -> dict:
     matrix = ConfusionMatrix()
     skipped = []
     for path in analysis_paths:
-        analysis = read_json(path)
+        try:
+            analysis = read_json(path)
+        except ValueError:
+            analysis = None
+        if not isinstance(analysis, dict):
+            raise MissingInputError(f"{path} is not a readable analysis; re-run `o2olab report`")
         cell = analysis.get("confusion_cell")
         if cell is None:
             skipped.append(str(path))

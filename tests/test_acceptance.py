@@ -204,10 +204,8 @@ def test_criterion_7_warmup_contract(tmp_path):
                     assert first_sample_sizes[0] == 500  # buffer size at first update
         finally:
             ft.ReplayBuffer = original
-        # paper-scale K is representable and echoed through the config
-        paper = FinetuneConfig(method="warmup", warmup_steps=5000, total_env_steps=50_000)
-        paper.validate()
-        assert paper.to_dict()["warmup_steps"] == 5000
+        # paper-scale K is a valid setting: constructing the config checks it
+        FinetuneConfig(method="warmup", warmup_steps=5000, total_env_steps=50_000)
 
 
 # --- 9: confusion-matrix arithmetic ---

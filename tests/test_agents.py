@@ -1,4 +1,5 @@
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -40,12 +41,12 @@ from o2olab.envs import (
     make_env,
     run_episodes,
 )
-from o2olab.errors import MissingInputError, NumericError, ShapeError
+from o2olab.errors import ConfigError, MissingInputError, NumericError, ShapeError
 from o2olab.seeding import stable_seed
 
 from test_data import COLUMNS, one_trajectory, trajectory
 from test_envs import assert_columns_equal_steps, reference_episode
-from test_nn import param_grad
+from test_nn import member, param_grad
 
 SMALL = Td3Hyper(hidden=(16, 16), batch=64)
 
@@ -78,7 +79,7 @@ def update(agent, batch, reg, rng):
 
 def plain(net):
     """The one member of a stack of one as a plain net sharing its memory."""
-    return net.member(0)
+    return member(net, 0)
 
 
 # --- construction / act / reset ---
@@ -89,7 +90,7 @@ def test_make_agent_deterministic():
     b = make_td3_agent(3, 1, SMALL, seed=4)
     for name in NETS:
         assert nets_equal(getattr(a, name), getattr(b, name))
-    assert not nets_equal(a.critics.member(0), a.critics.member(1))
+    assert not nets_equal(member(a.critics, 0), member(a.critics, 1))
     assert (a.runs, a.actor.stack, a.critics.stack) == (1, 1, 2)
 
 
@@ -239,12 +240,12 @@ def test_policy_delay_semantics():
     ds = constant_action_dataset()
     rng = np.random.default_rng(1)
     actor_before = agent.actor.params.copy()
-    critic_before = agent.critics.member(0).params.copy()
+    critic_before = member(agent.critics, 0).params.copy()
     assert update(agent, batch_from(ds, 32, rng), RegularizerConfig(), rng) == {}
     assert agent.update_count == 1
     assert agent.actor_opt.step_count == 0
     assert np.array_equal(agent.actor.params, actor_before)
-    assert not np.array_equal(agent.critics.member(0).params, critic_before)
+    assert not np.array_equal(member(agent.critics, 0).params, critic_before)
     assert update(agent, batch_from(ds, 32, rng), RegularizerConfig(), rng) == {}
     assert agent.actor_opt.step_count == 1
     assert not np.array_equal(agent.actor.params, actor_before)
@@ -284,8 +285,8 @@ def test_textbook_td3_hand_check():
 
     # --- hand computation on the mirror agent, one plain net per critic,
     # each with its own Adam state (members are views into the pair) ---
-    critic1, critic2 = mirror.critics.member(0), mirror.critics.member(1)
-    target1, target2 = mirror.target_critics.member(0), mirror.target_critics.member(1)
+    critic1, critic2 = member(mirror.critics, 0), member(mirror.critics, 1)
+    target1, target2 = member(mirror.target_critics, 0), member(mirror.target_critics, 1)
     actor, target_actor = plain(mirror.actor), plain(mirror.target_actor)
     a_next = np.clip(nn.forward(target_actor, next_obs), -1, 1)  # zero noise
     x_next = np.concatenate([next_obs, a_next], axis=1)
@@ -318,7 +319,7 @@ def test_beta_zero_gradient_is_pure_dpg():
     a = nn.forward(plain(agent.actor), batch.obs)
     x = np.concatenate([batch.obs, a], axis=1)
     n = batch.reward.size
-    dq = nn.input_gradient(agent.critics.member(0), x, np.full((n, 1), 1.0 / n))[:, 4:]
+    dq = nn.input_gradient(member(agent.critics, 0), x, np.full((n, 1), 1.0 / n))[:, 4:]
     g_hand = param_grad(plain(agent.actor), batch.obs, -dq)
     assert np.allclose(g_plain, g_hand, atol=1e-14)
 
@@ -455,8 +456,8 @@ def test_stack_and_select_keep_each_run():
     assert group.runs == 3 and group.critics.stack == 6
     for r, agent in enumerate(agents):
         assert same_state(run_of(group, r), agent)
-        assert np.array_equal(group.critics.member(r).params, agent.critics.member(0).params)
-        assert np.array_equal(group.critics.member(3 + r).params, agent.critics.member(1).params)
+        assert np.array_equal(member(group.critics, r).params, member(agent.critics, 0).params)
+        assert np.array_equal(member(group.critics, 3 + r).params, member(agent.critics, 1).params)
     kept = select_runs(group, [2, 0])
     assert kept.runs == 2
     assert same_state(run_of(kept, 0), agents[2]) and same_state(run_of(kept, 1), agents[0])
@@ -499,7 +500,7 @@ def overflow_targets(agent):
 
 
 def infinite_second_critic(agent):
-    agent.critics.member(1).biases[-1][:] = np.inf
+    member(agent.critics, 1).biases[-1][:] = np.inf
 
 
 @pytest.mark.parametrize("damage,reason", [
@@ -694,8 +695,8 @@ def test_agent_from_bc_fqe_duplicates_critic():
     actor = bc_pretrain(ds, steps=30, seed=0, hyper=SMALL)
     critic = fqe(actor, ds, steps=30, seed=0, hyper=SMALL)
     agent = agent_from_bc_fqe(actor, critic, SMALL)
-    assert nets_equal(agent.critics.member(0), critic)
-    assert nets_equal(agent.critics.member(1), critic)
+    assert nets_equal(member(agent.critics, 0), critic)
+    assert nets_equal(member(agent.critics, 1), critic)
     assert nets_equal(agent.critics, agent.target_critics)
     assert agent.update_count == 0
 
@@ -723,6 +724,17 @@ def test_checkpoint_round_trip(tmp_path):
     save_agent(back, tmp_path / "again", extra={"seed": 8})
     for name in ("manifest.json", "params.npy"):
         assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "ckpt" / name).read_bytes()
+
+
+def test_load_agent_types_the_hyperparameters(tmp_path):
+    # a checkpoint's hyper is parsed like the config's agent section
+    save_agent(make_td3_agent(4, 2, SMALL, seed=0), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert load_agent(tmp_path).hyper == SMALL
+    manifest["hyper"]["gamma"] = "0.99"
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match="hyper.gamma must be a number"):
+        load_agent(tmp_path)
 
 
 def test_load_agent_rejects_old_checkpoint(tmp_path):

@@ -64,15 +64,16 @@ def run(method, dataset, seed=5, **overrides):
 
 
 def test_config_validation():
+    # a FinetuneConfig that exists is valid: construction runs the checks
     with pytest.raises(ConfigError):
-        small_config(method="nope").validate()
+        small_config(method="nope")
     with pytest.raises(ConfigError):
-        small_config(warmup_steps=1000).validate()
+        small_config(warmup_steps=1000)
     with pytest.raises(ConfigError):
-        small_config(alpha=2.0).validate()
+        small_config(alpha=2.0)
     with pytest.raises(ConfigError):
-        small_config(method="o2o_reg", beta=None).validate()
-    small_config().validate()
+        small_config(method="o2o_reg", beta=None)
+    small_config()
 
 
 # --- warm-up and UTD accounting ---

@@ -1,10 +1,14 @@
 import ctypes
+import dataclasses
+import inspect
 import json
 import os
 import platform
 import shutil
 import subprocess
 import sys
+import types
+import typing
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from scipy import stats as sps
 
 from o2olab import cli, runner
 from o2olab.agents import load_agent, save_agent
-from o2olab.data import load_dataset
+from o2olab.data import behavior_segment, load_dataset
 from o2olab.envs import BehaviorSpec, env_spec
 from o2olab.errors import ConfigError, MissingInputError
 from o2olab.metrics import EvalPoint
@@ -153,6 +157,98 @@ def test_cli_rejects_a_single_buffer_that_is_not_a_bool(tmp_path, capsys, value)
     assert "Traceback" not in err and not (tmp_path / "runs").exists()
 
 
+def _parameters(fn) -> dict:
+    """Annotation of each named parameter of a config section's builder."""
+    hints = typing.get_type_hints(fn)
+    params = inspect.signature(fn).parameters.values()
+    return {p.name: hints[p.name] for p in params if p.kind is not p.VAR_KEYWORD}
+
+
+def config_fields() -> list[tuple[str, str, object]]:
+    """(section, key, annotation) of every key a config can set, read off
+    the builders' annotations; the top level is section ""."""
+    found = []
+    for name, tp in _parameters(runner.ExperimentConfig).items():
+        found.append(("", name, tp))
+        if dataclasses.is_dataclass(tp) and name != "env":
+            found += [(name, key, t) for key, t in _parameters(tp).items()
+                      if (name, key) != ("finetune", "method")]
+    found += [("env", key, t) for key, t in _parameters(env_spec).items()]
+    behavior = {**_parameters(BehaviorSpec), **_parameters(behavior_segment)}
+    return found + [("behavior", key, t) for key, t in behavior.items()]
+
+
+def _unwrap(tp) -> tuple[object, bool]:
+    """(X, whether null is allowed) of an annotation X or ``X | None``."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        return next(a for a in typing.get_args(tp) if a is not type(None)), True
+    return tp, False
+
+
+def wrong_values(tp) -> list:
+    """Values of another type than ``tp``: a string or a bool for a number,
+    a number for a string or a bool, null unless ``tp`` is optional."""
+    tp, optional = _unwrap(tp)
+    values = [] if optional else [None]
+    if typing.get_origin(tp) is tuple:
+        return values + ["x"] + [[v] for v in wrong_values(typing.get_args(tp)[0])]
+    return values + {int: ["1", True], float: ["1", True], str: [5], bool: [1, "true"]}.get(tp, [5])
+
+
+def with_value(data: dict, section: str, key: str, value) -> dict:
+    """``data`` with ``key`` of ``section`` (of the first segment, for
+    ``behavior``) set to ``value``."""
+    data = dict(data)
+    if not section:
+        data[key] = value
+    elif section == "behavior":
+        data["behavior"] = [{**data["behavior"][0], key: value}, *data["behavior"][1:]]
+    else:
+        data[section] = {**data.get(section, {}), key: value}
+    return data
+
+
+WRONG_TYPES = [
+    (f"{section}.{key}" if section else key, section, key, value)
+    for section, key, tp in config_fields()
+    for value in wrong_values(tp)
+]
+
+
+@pytest.mark.parametrize(
+    "name, section, key, value", WRONG_TYPES, ids=[f"{c[0]}={c[3]!r}" for c in WRONG_TYPES]
+)
+def test_cli_rejects_a_value_of_another_type_in_every_field(
+    tmp_path, capsys, name, section, key, value
+):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(with_value(tiny_config_dict(tmp_path), section, key, value)))
+    capsys.readouterr()
+    assert cli.main(["gen-data", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be ") and err.count("\n") == 1, err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_float_fields_written_as_integers_are_their_floats(tmp_path):
+    # the inverse of test_integral_floats_are_their_integers
+    fields = [(s, k) for s, k, tp in config_fields() if _unwrap(tp)[0] is float]
+    assert len(fields) == 14  # behavior 2, pretrain 1, agent 7, finetune 2, tost 2
+    ints = floats = tiny_config_dict(tmp_path)
+    for section, key in fields:
+        ints = with_value(ints, section, key, 1)
+        floats = with_value(floats, section, key, 1.0)
+    configs = [runner.ExperimentConfig.from_dict(data) for data in (ints, floats)]
+    assert configs[0] == configs[1]
+    assert json.dumps(configs[0].to_dict()) == json.dumps(configs[1].to_dict())
+    keys = [
+        (runner.dataset_key(c), runner.checkpoint_key(c, 1), runner.eval_key(c),
+         runner.classify_key(c), runner.run_key(c, "mixed", 1))
+        for c in configs
+    ]
+    assert keys[0] == keys[1]
+
+
 # every integer field of tiny_config_dict, written as a float
 INTEGRAL_FLOATS = {
     "env": {"kind": "point_goal_dense", "horizon": 30.0},
@@ -184,8 +280,8 @@ def test_integral_floats_are_their_integers(finished, tmp_path):
     }
 
 
-# configs that would parse and then fail in a later stage: an override of
-# tiny_config_dict, and the message of its config error
+# configs that would parse and then fail in a later stage, or be ignored:
+# an override of tiny_config_dict, and the message of its config error
 FAILING_LATER = {
     "pretrain beta 0": (
         {"pretrain": {"kind": "offline_rl", "steps": 60, "beta": 0}},
@@ -198,6 +294,10 @@ FAILING_LATER = {
     "duplicate methods": (
         {"methods": ["baseline", "baseline"]},
         "methods must be distinct, got ['baseline', 'baseline']",
+    ),
+    "method in finetune": (  # ``methods`` picks the methods that run
+        {"finetune": {**FINETUNE, "method": "warmup"}},
+        "finetune.method is not a setting: `methods` lists the methods to run",
     ),
 }
 
@@ -986,6 +1086,30 @@ def test_cli_usage_error_is_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["gen-data"])  # missing --config
     assert exc.value.code == 1
+
+
+# matrix input faults: (arguments, with FILE for a file holding the text,
+# the text or None for no file, exit code, start of the one-line message)
+MATRIX_FAULTS = {
+    "no counts file": (["--counts-json", "FILE"], None, 2, "missing input: no counts file at"),
+    "counts not JSON": (["--counts-json", "FILE"], "[[1, 2", 1, "error: "),
+    "counts not 3x3": (["--counts-json", "FILE"], "[[1, 2], [3, 4]]", 1,
+                       "error: counts must be 3x3"),
+    "analysis not JSON": (["FILE"], "{", 2, "missing input: "),
+    "analysis not an object": (["FILE"], "[1, 2]", 2, "missing input: "),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MATRIX_FAULTS))
+def test_cli_matrix_exit_codes(tmp_path, capsys, fault):
+    args, text, code, message = MATRIX_FAULTS[fault]
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["matrix", *(str(path) if a == "FILE" else a for a in args)]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1, captured.err
+    assert captured.out == ""
 
 
 def test_cli_matrix_counts(tmp_path, capsys):
