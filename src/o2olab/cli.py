@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import runner
 from .errors import ConfigError, DatasetFormatError, MissingInputError, NumericError, parse
+from .fsio import write_text_atomic
 from .metrics import ConfusionMatrix
 
 EXIT_OK = 0
@@ -96,7 +97,7 @@ def _cmd_matrix(args) -> int:
     print(text)
     print(result["summary"], file=sys.stderr)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        write_text_atomic(args.out, text + "\n")
     return EXIT_OK
 
 

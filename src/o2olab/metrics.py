@@ -406,6 +406,8 @@ class ConfusionMatrix:
         counts = [[int(c) for c in row] for row in counts]
         if len(counts) != 3 or any(len(row) != 3 for row in counts):
             raise ConfigError("counts must be 3x3")
+        if any(c < 0 for row in counts for c in row):
+            raise ConfigError("counts must not be negative")
         return cls(counts)
 
     def add(self, regime: str, winner: str) -> None:

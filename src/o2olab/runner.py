@@ -94,6 +94,8 @@ from .fsio import MANIFEST_FILE, read_json, write_json_atomic, write_text_atomic
 from .metrics import (
     COMPARABLE,
     INCONCLUSIVE,
+    REGIMES,
+    WINNERS,
     ClassComparison,
     ConfusionMatrix,
     EvalPoint,
@@ -813,6 +815,15 @@ def aggregate_matrix(analysis_paths: list) -> dict:
         if cell is None:
             skipped.append(str(path))
             continue
+        if not (
+            isinstance(cell, dict)
+            and cell.get("regime") in REGIMES
+            and cell.get("winner") in WINNERS
+        ):
+            raise MissingInputError(
+                f"{path} holds no resolved regime and winner in its confusion_cell; "
+                "re-run `o2olab report`"
+            )
         matrix.add(cell["regime"], cell["winner"])
     return {
         "matrix": matrix.to_dict(),

@@ -9,12 +9,13 @@ import subprocess
 import sys
 import types
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from o2olab import cli, runner
+from o2olab import cli, fsio, runner
 from o2olab.agents import load_agent, save_agent
 from o2olab.data import behavior_segment, load_dataset
 from o2olab.envs import BehaviorSpec, env_spec
@@ -403,13 +404,16 @@ def test_pipeline_end_to_end(config):
     assert not (runner.Paths(config).root / "manifest.json").exists()
 
 
-def test_finetune_resume_preserves_files(config):
+def test_finetune_resume_preserves_files(config, monkeypatch):
     runner.cmd_gen_data(config)
     runner.cmd_pretrain(config)
     runner.cmd_classify(config)
     files = runner.cmd_finetune(config)
     stamps = {f: f.stat().st_mtime_ns for f in files}
+    groups = recording_groups(monkeypatch)
+    written = recording_writes(monkeypatch, runner.Paths(config).root)
     again = runner.cmd_finetune(config)  # resume: nothing to redo
+    assert groups == [] and written == []
     assert set(again) == set(files)
     assert {f: f.stat().st_mtime_ns for f in files} == stamps
 
@@ -595,6 +599,21 @@ def snapshot(root):
     }
 
 
+def recording_writes(mp, root):
+    """Patch the artifact writer to record the path, relative to ``root``, of
+    every file a stage asks it to write, whether or not the bytes change:
+    a file left in place keeps its mtime, so only this shows that a stage
+    did not redo it."""
+    written, real = [], fsio._write_atomic
+
+    def recording(path, data):
+        written.append(Path(path).relative_to(root).as_posix())
+        return real(path, data)
+
+    mp.setattr(fsio, "_write_atomic", recording)
+    return written
+
+
 def run_stages(config):
     runner.cmd_pretrain(config)
     runner.cmd_classify(config)
@@ -602,11 +621,13 @@ def run_stages(config):
     runner.cmd_report(config)
 
 
-def test_changed_tost_reruns_only_classify(finished, tmp_path):
+def test_changed_tost_reruns_only_classify(finished, tmp_path, monkeypatch):
     config = copy_of(finished, tmp_path, tost={"delta": 0.1, "alpha": 0.05})
     root = runner.Paths(config).root
     before = snapshot(root)
+    written = recording_writes(monkeypatch, root)
     run_stages(config)
+    assert [n for n in written if not n.startswith("report/")] == ["classify.json"]
     after = snapshot(root)
     assert sorted(after) == sorted(before)
     changed = sorted(name for name in before if before[name] != after[name])
@@ -654,7 +675,10 @@ def test_stale_pretrain_eval_is_redone(finished, tmp_path):
     record = read_json(paths.pretrain_eval)
     record["key"] = "0" * 12
     paths.pretrain_eval.write_text(json.dumps(record))
-    runner.cmd_pretrain(config)  # checkpoints are current: only re-evaluated
+    with pytest.MonkeyPatch.context() as mp:
+        written = recording_writes(mp, paths.root)
+        runner.cmd_pretrain(config)  # checkpoints are current: only re-evaluated
+    assert written == ["pretrain/eval.json"]
     after = snapshot(paths.root)
     assert after["pretrain/eval.json"][0] == before["pretrain/eval.json"][0]
     assert all(after[n] == before[n] for n in before if n.startswith("pretrain/seed_"))
@@ -671,7 +695,7 @@ def test_stale_pretrain_eval_is_redone(finished, tmp_path):
     assert read_json(paths.pretrain_eval)["key"] == runner.eval_key(changed)
 
 
-def test_run_files_of_the_older_format_stay_current(finished, tmp_path):
+def test_run_files_of_the_older_format_stay_current(finished, tmp_path, monkeypatch):
     # older versions also wrote per-update loss lists and a copy of the run seed
     config = copy_of(finished, tmp_path)
     paths = runner.Paths(config)
@@ -682,7 +706,10 @@ def test_run_files_of_the_older_format_stay_current(finished, tmp_path):
             record.update(critic_losses=[0.5, 0.25], actor_losses=[-1.0], run_seed=record["seed"])
             run_file.write_text(json.dumps(record, sort_keys=True) + "\n")
     before = snapshot(paths.finetune_dir)
+    groups = recording_groups(monkeypatch)
+    written = recording_writes(monkeypatch, paths.root)
     runner.cmd_finetune(config)
+    assert groups == [] and written == []
     assert snapshot(paths.finetune_dir) == before
     runner.cmd_report(config)
     assert paths.analysis.read_bytes() == (finished / "report" / "analysis.json").read_bytes()
@@ -834,7 +861,20 @@ def test_a_deleted_run_file_is_redone_alone_with_its_bytes(finished, tmp_path, m
     assert {n: data for n, (data, _) in after.items()} == {
         n: data for n, (data, _) in before.items()
     }
-    assert [n for n in after if after[n] != before[n]] == ["mixed/seed_1.csv", "mixed/seed_1.json"]
+    # the CSV's bytes came out the same, so it was left in place
+    assert [n for n in after if after[n] != before[n]] == ["mixed/seed_1.json"]
+
+
+def test_a_forced_finetune_reruns_every_group_and_leaves_equal_files_in_place(
+    finished, tmp_path, monkeypatch
+):
+    config = copy_of(finished, tmp_path)
+    root = runner.Paths(config).finetune_dir
+    before = snapshot(root)
+    groups = recording_groups(monkeypatch)
+    runner.cmd_finetune(config, force=True)
+    assert groups == [(method, 2) for method in config.methods]
+    assert snapshot(root) == before
 
 
 def test_nets_above_the_threshold_run_alone(tmp_path, monkeypatch):
@@ -979,7 +1019,9 @@ def test_cli_damaged_dataset_exits_2_in_every_stage(finished, tmp_path, capsys, 
         assert "o2olab gen-data --force" in err, stage
 
 
-def test_cli_stages_ask_for_gen_data_in_an_old_directory(finished, tmp_path, capsys):
+def test_cli_stages_ask_for_gen_data_in_an_old_directory(
+    finished, tmp_path, capsys, monkeypatch
+):
     # an output directory of the JSON-lines format: dataset.jsonl, no dataset/
     copied = copy_of(finished, tmp_path)
     shutil.rmtree(runner.Paths(copied).dataset)
@@ -991,7 +1033,11 @@ def test_cli_stages_ask_for_gen_data_in_an_old_directory(finished, tmp_path, cap
     # the regenerated dataset has the old key, so nothing downstream reruns
     kept = snapshot(copied.root / "pretrain")
     assert cli.main(["gen-data", "--config", str(cfg_path)]) == 0
+    groups = recording_groups(monkeypatch)
+    written = recording_writes(monkeypatch, copied.root)
     assert all(code == 0 for code, _ in _stage_errors(cfg_path, capsys).values())
+    assert groups == []
+    assert [n for n in written if n.startswith(("pretrain/", "finetune/"))] == []
     assert snapshot(copied.root / "pretrain") == kept
 
 
@@ -1097,6 +1143,16 @@ MATRIX_FAULTS = {
                        "error: counts must be 3x3"),
     "analysis not JSON": (["FILE"], "{", 2, "missing input: "),
     "analysis not an object": (["FILE"], "[1, 2]", 2, "missing input: "),
+    "cell not an object": (["FILE"], '{"confusion_cell": []}', 2, "missing input: "),
+    "cell regime unknown": (["FILE"], '{"confusion_cell": {"regime": "Nope", "winner": ">"}}',
+                            2, "missing input: "),
+    "cell winner unknown": (["FILE"], '{"confusion_cell": {"regime": "Superior", "winner": "?"}}',
+                            2, "missing input: "),
+    "cell Inconclusive": (["FILE"],
+                          '{"confusion_cell": {"regime": "Inconclusive", "winner": ">"}}',
+                          2, "missing input: "),
+    "counts negative": (["--counts-json", "FILE"], "[[-5, 0, 0], [0, 0, 0], [0, 0, 0]]", 1,
+                        "error: counts must not be negative"),
 }
 
 
@@ -1109,7 +1165,17 @@ def test_cli_matrix_exit_codes(tmp_path, capsys, fault):
     assert cli.main(["matrix", *(str(path) if a == "FILE" else a for a in args)]) == code
     captured = capsys.readouterr()
     assert captured.err.startswith(message) and captured.err.count("\n") == 1, captured.err
+    assert code != 2 or str(path) in captured.err  # a damaged input is named
     assert captured.out == ""
+
+
+def test_cli_matrix_out_holds_what_it_prints(tmp_path, capsys):
+    counts = tmp_path / "counts.json"
+    counts.write_text("[[24,2,1],[6,2,3],[2,4,19]]")
+    out = tmp_path / "matrix.json"
+    assert cli.main(["matrix", "--counts-json", str(counts), "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.json", "matrix.json"]
 
 
 def test_cli_matrix_counts(tmp_path, capsys):
