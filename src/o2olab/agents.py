@@ -511,21 +511,41 @@ def save_agent(agent: Td3Agent, directory, extra: dict | None = None) -> None:
     write_json_atomic(directory / MANIFEST_FILE, manifest)
 
 
+def _agent_from_manifest(
+    hyper: Td3Hyper,
+    obs_dim: int,
+    action_dim: int,
+    update_count: int,
+    actor_adam_steps: int,
+    critic_adam_steps: int,
+    **extra,
+) -> Td3Agent:
+    """A group of one with the counts of a checkpoint manifest (built by
+    ``parse``, which types each field); ``extra`` holds the keys that the
+    caller of ``save_agent`` added."""
+    agent = make_td3_agent(obs_dim, action_dim, hyper)
+    agent.update_count = update_count
+    agent.actor_opt.step_count = actor_adam_steps
+    agent.critic_opt.step_count = critic_adam_steps
+    return agent
+
+
 def load_agent(directory) -> Td3Agent:
-    """The group of one saved in ``directory``."""
+    """The group of one saved in ``directory``; a missing or damaged
+    checkpoint is a MissingInputError."""
     directory = Path(directory)
     if not (directory / PARAMS_FILE).exists() or not (directory / MANIFEST_FILE).exists():
         raise MissingInputError(
             f"no {PARAMS_FILE} checkpoint in {directory} (missing, or written by an "
             "older o2olab); re-run `o2olab pretrain --force`"
         )
-    manifest = read_json(directory / MANIFEST_FILE)
-    flat = np.load(directory / PARAMS_FILE)
-    agent = make_td3_agent(
-        int(manifest["obs_dim"]),
-        int(manifest["action_dim"]),
-        parse(Td3Hyper, manifest["hyper"], "hyper"),
-    )
+    try:
+        agent = parse(_agent_from_manifest, read_json(directory / MANIFEST_FILE), "manifest")
+        flat = np.load(directory / PARAMS_FILE)
+    except (ValueError, EOFError) as exc:  # bad JSON, a mistyped field, a cut .npy
+        raise MissingInputError(
+            f"{directory} holds a damaged checkpoint ({exc}); re-run `o2olab pretrain --force`"
+        ) from None
     arrays = _state_arrays(agent)
     if flat.dtype != np.float64 or flat.shape != (sum(a.size for a in arrays),):
         raise MissingInputError(
@@ -536,7 +556,4 @@ def load_agent(directory) -> Td3Agent:
     for array in arrays:
         array[...] = flat[start : start + array.size]
         start += array.size
-    agent.update_count = int(manifest["update_count"])
-    agent.actor_opt.step_count = int(manifest["actor_adam_steps"])
-    agent.critic_opt.step_count = int(manifest["critic_adam_steps"])
     return agent

@@ -9,8 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+
+# OpenBLAS sizes its thread pool when numpy loads it, so this must precede
+# every import that loads numpy; see runner._single_thread_blas
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import runner
 from .errors import ConfigError, DatasetFormatError, MissingInputError, NumericError, parse

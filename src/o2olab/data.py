@@ -351,37 +351,59 @@ def save_dataset(dataset: OfflineDataset, directory, extra: dict | None = None) 
     write_json_atomic(directory / MANIFEST_FILE, manifest)
 
 
+def _typed_manifest(
+    env: EnvSpec,
+    behavior: BehaviorSpec | list,
+    reference: ReferenceScores,
+    obs_dim: int,
+    action_dim: int,
+    n_traj: int,
+    n_transitions: int,
+    returns: tuple[float, ...],
+    **extra,
+) -> dict:
+    """A dataset manifest whose fields ``parse`` has typed; ``extra`` holds
+    what the saver's caller added."""
+    return {
+        **extra,
+        "env": env,
+        "behavior": behavior,
+        "reference": reference,
+        "obs_dim": obs_dim,
+        "action_dim": action_dim,
+        "n_traj": n_traj,
+        "n_transitions": n_transitions,
+        "returns": list(returns),
+    }
+
+
 def _read_manifest(directory: Path) -> dict:
-    """The manifest, with ``env``, ``behavior`` and ``reference`` parsed,
-    once its dims match its env and it holds one return per trajectory."""
+    """The manifest, each field typed, once its dims match its env and it
+    holds one return per trajectory."""
     path = directory / MANIFEST_FILE
     try:
-        manifest = read_json(path)
-        env = parse(env_spec, manifest["env"], "env")
-        parsed = {
-            **manifest,
-            "env": env,
-            "behavior": _behavior_from_json(manifest["behavior"]),
-            "reference": parse(ReferenceScores, manifest["reference"], "reference"),
-            "n_traj": int(manifest["n_traj"]),
-            "n_transitions": int(manifest["n_transitions"]),
-        }
-        dims = (int(manifest["obs_dim"]), int(manifest["action_dim"]))
-        n_returns = len(manifest["returns"])
+        manifest = parse(
+            _typed_manifest,
+            read_json(path),
+            "manifest",
+            {"env": lambda data: parse(env_spec, data, "env"), "behavior": _behavior_from_json},
+        )
     except FileNotFoundError:
         raise DatasetFormatError(f"{path} is missing (an interrupted save?)") from None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"{path} is unreadable: {exc!r}") from None
+    env, dims = manifest["env"], (manifest["obs_dim"], manifest["action_dim"])
+    n_returns = len(manifest["returns"])
     if dims != (env.obs_dim, env.action_dim):
         raise DatasetFormatError(
             f"{path}: dims {dims} do not match environment {env.kind} "
             f"({env.obs_dim}, {env.action_dim})"
         )
-    if parsed["n_traj"] < 1 or n_returns != parsed["n_traj"]:
+    if manifest["n_traj"] < 1 or n_returns != manifest["n_traj"]:
         raise DatasetFormatError(
-            f"{path}: {n_returns} returns for {parsed['n_traj']} trajectories"
+            f"{path}: {n_returns} returns for {manifest['n_traj']} trajectories"
         )
-    return parsed
+    return manifest
 
 
 def _read_columns(directory: Path, manifest: dict, mmap_mode: str | None) -> dict:

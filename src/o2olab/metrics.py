@@ -430,12 +430,14 @@ class ConfusionMatrix:
         return self.counts[2][0] + self.counts[0][2]
 
     @property
-    def accuracy(self) -> float:
-        return self.correct / self.total
+    def accuracy(self) -> float | None:
+        """Share of correct predictions; None when nothing was counted."""
+        return self.correct / self.total if self.total else None
 
     @property
-    def opposite_rate(self) -> float:
-        return self.opposite / self.total
+    def opposite_rate(self) -> float | None:
+        """Share of opposite mismatches; None when nothing was counted."""
+        return self.opposite / self.total if self.total else None
 
     def to_dict(self) -> dict:
         return {
@@ -450,6 +452,8 @@ class ConfusionMatrix:
         }
 
     def summary_line(self) -> str:
+        if not self.total:
+            return "no setting counted, so no accuracy or opposite rate"
         return (
             f"{self.correct}/{self.total} correct predictions "
             f"({100.0 * self.accuracy:.0f}%), "

@@ -443,8 +443,12 @@ def _single_thread_blas() -> None:
     The matmuls here are small. In pool workers, OpenBLAS's own threads
     would put more threads than cores to work (pretraining took 6x longer
     with --jobs 2 than with --jobs 1 on two cores); in a serial stage its
-    second thread spins, doubling CPU time at the same wall time and the
-    same results."""
+    second thread spins, adding CPU time at the same wall time and the
+    same results. The CLI sets ``OPENBLAS_NUM_THREADS=1`` before numpy
+    loads, so its processes never start that thread and this call changes
+    nothing there. It is the fallback for a library caller that loaded
+    numpy first (a test or a notebook calling ``cmd_pretrain(jobs=2)``):
+    the thread pool already exists and is cut to one thread here."""
     fn = _openblas_function("set_num_threads")
     if fn is not None:
         fn.argtypes = [ctypes.c_int]
@@ -479,7 +483,9 @@ def _keep_freed_memory() -> None:
 
 def _configure_process() -> None:
     """Every CLI stage process and every pool worker (as the pool's
-    initializer) calls this first."""
+    initializer) calls this first. A CLI process and its workers already
+    run BLAS on one thread (see ``o2olab.cli``); the BLAS call matters in
+    the pool workers of a library caller that loaded numpy first."""
     _single_thread_blas()
     _keep_freed_memory()
 

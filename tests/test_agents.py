@@ -41,7 +41,7 @@ from o2olab.envs import (
     make_env,
     run_episodes,
 )
-from o2olab.errors import ConfigError, MissingInputError, NumericError, ShapeError
+from o2olab.errors import MissingInputError, NumericError, ShapeError
 from o2olab.seeding import stable_seed
 
 from test_data import COLUMNS, one_trajectory, trajectory
@@ -727,14 +727,41 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_load_agent_types_the_hyperparameters(tmp_path):
-    # a checkpoint's hyper is parsed like the config's agent section
+    # a checkpoint's hyper is parsed like the config's agent section, and a
+    # mistyped one is a damaged checkpoint
     save_agent(make_td3_agent(4, 2, SMALL, seed=0), tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert load_agent(tmp_path).hyper == SMALL
     manifest["hyper"]["gamma"] = "0.99"
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ConfigError, match="hyper.gamma must be a number"):
+    with pytest.raises(MissingInputError, match="hyper.gamma must be a number"):
         load_agent(tmp_path)
+
+
+@pytest.mark.parametrize("key", ["obs_dim", "action_dim", "update_count",
+                                 "actor_adam_steps", "critic_adam_steps"])
+@pytest.mark.parametrize("value", [3.7, "3", None, "missing"])
+def test_load_agent_refuses_a_mistyped_count(tmp_path, key, value):
+    save_agent(make_td3_agent(4, 2, SMALL, seed=0), tmp_path, extra={"seed": 8})
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    if value == "missing":
+        del manifest[key]
+    else:
+        manifest[key] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(MissingInputError, match=f"'?{key}.*pretrain --force"):
+        load_agent(tmp_path)
+
+
+def test_load_agent_takes_an_integral_float_count(tmp_path):
+    agent = make_td3_agent(4, 2, SMALL, seed=0)
+    agent.update_count = 5
+    save_agent(agent, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["update_count"] = 5.0
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    back = load_agent(tmp_path)
+    assert back.update_count == 5 and type(back.update_count) is int
 
 
 def test_load_agent_rejects_old_checkpoint(tmp_path):

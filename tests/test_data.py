@@ -508,6 +508,30 @@ def test_load_rejects_missing_manifest_key(saved):
         read_manifest(saved)
 
 
+@pytest.mark.parametrize("key", ["n_traj", "n_transitions", "obs_dim", "action_dim"])
+@pytest.mark.parametrize("value", [3.7, "4", True])
+def test_load_rejects_a_mistyped_manifest_count(saved, key, value):
+    # a fractional count used to be truncated by int()
+    _edit_manifest(saved, **{key: value})
+    for read in (load_dataset, read_manifest):
+        with pytest.raises(DatasetFormatError, match=f"manifest.{key} must be an integer"):
+            read(saved)
+
+
+@pytest.mark.parametrize("returns", ["abcd", [0.1, 0.2, "x", 0.4], [0.1, 0.2, None, 0.4]])
+def test_load_rejects_returns_that_are_not_numbers(saved, returns):
+    # four of them, one per trajectory, used to pass until classify's float()
+    _edit_manifest(saved, returns=returns)
+    with pytest.raises(DatasetFormatError, match="manifest.returns must be"):
+        read_manifest(saved)
+
+
+def test_manifest_counts_are_ints(saved):
+    _edit_manifest(saved, n_traj=4.0)
+    manifest = read_manifest(saved)
+    assert manifest["n_traj"] == 4 and type(manifest["n_traj"]) is int
+
+
 @pytest.fixture(params=["one_chunk", "small_chunks"])
 def chunked(request, tmp_path, sparse_reference):
     """A saved dataset whose rows form one trajectory, or many short ones,
@@ -535,7 +559,8 @@ def test_load_rejects_missing_header_key(chunked):
     manifest = json.loads((directory / "manifest.json").read_text())
     del manifest["reference"]
     (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
-    assert "manifest.json is unreadable: KeyError('reference')" in str(_load_error(directory))
+    assert ("manifest.json is unreadable: ConfigError(\"missing config key 'reference' in "
+            "manifest\")") in str(_load_error(directory))
 
 
 def test_load_rejects_missing_transition_field(chunked):

@@ -397,6 +397,13 @@ def test_confusion_matrix_single_opposite():
     assert m.opposite_rate == 1.0
 
 
+def test_confusion_matrix_of_nothing_has_no_rates():
+    m = ConfusionMatrix()
+    assert (m.total, m.accuracy, m.opposite_rate) == (0, None, None)
+    assert m.to_dict()["accuracy"] is None
+    assert m.summary_line().startswith("no setting counted")
+
+
 def test_confusion_matrix_rejects_inconclusive():
     with pytest.raises(ValueError):
         confusion_from_pairs([(INCONCLUSIVE, WIN_TIE)])

@@ -740,6 +740,30 @@ def test_cli_report_exits_2_on_a_damaged_run_file(finished, tmp_path, capsys, da
     ).read_bytes()
 
 
+@pytest.mark.parametrize("damage", ["no update_count", "fractional update_count",
+                                    "hyper mistyped", "params cut"])
+def test_cli_finetune_exits_2_on_a_damaged_checkpoint(finished, tmp_path, capsys, damage):
+    copied = copy_of(finished, tmp_path)
+    checkpoint = runner.Paths(copied).checkpoint(1)
+    manifest = read_json(checkpoint / "manifest.json")  # its key stays current
+    if damage == "no update_count":
+        del manifest["update_count"]
+    elif damage == "fractional update_count":
+        manifest["update_count"] += 0.5
+    elif damage == "hyper mistyped":
+        manifest["hyper"]["tau"] = "0.005"
+    else:
+        params = checkpoint / "params.npy"
+        params.write_bytes(params.read_bytes()[:60])
+    (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+    cfg_path = _write_config(tmp_path, {"out_dir": str(copied.root)})
+    capsys.readouterr()
+    assert cli.main(["finetune", "--config", str(cfg_path), "--force"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(checkpoint) in err and "o2olab pretrain --force" in err
+
+
 def test_stages_parse_the_dataset_only_when_they_have_work(finished, tmp_path, monkeypatch):
     config = copy_of(finished, tmp_path)
     paths = runner.Paths(config)
@@ -1086,6 +1110,26 @@ def test_cli_stage_runs_blas_on_one_thread(tmp_path, capsys):
         _set_blas_threads(before)
 
 
+_THREAD_PROBE = "import o2olab.cli; import os; print(len(os.listdir('/proc/self/task')))"
+# importing o2olab.cli sets the first of these in this test process too, and
+# the probe must not inherit it
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def test_importing_the_cli_starts_no_blas_thread():
+    # OpenBLAS starts its worker threads when numpy loads it, so the CLI must
+    # fix the thread count before any of its imports loads numpy
+    if not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2:
+        pytest.skip("counts the threads of a Linux process on two or more cores")
+    if runner._openblas_function("get_num_threads") is None:
+        pytest.skip("no OpenBLAS library found in this process")
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(runner.__file__).resolve().parent.parent)
+    probe = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                           capture_output=True, text=True, check=True, timeout=60)
+    assert int(probe.stdout) == 1
+
+
 _FAULT_PROBE = """
 import resource, sys
 import numpy as np
@@ -1185,3 +1229,19 @@ def test_cli_matrix_counts(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "45/63" in captured.err
     assert "71%" in captured.err and "5%" in captured.err
+
+
+@pytest.mark.parametrize("source", ["zero counts", "no resolved cell"])
+def test_cli_matrix_of_no_setting_exits_0_with_null_rates(tmp_path, capsys, source):
+    path = tmp_path / "input.json"
+    if source == "zero counts":
+        path.write_text("[[0,0,0],[0,0,0],[0,0,0]]")
+        args = ["--counts-json", str(path)]
+    else:  # every setting dropped as Inconclusive
+        path.write_text('{"confusion_cell": null}')
+        args = [str(path), str(path)]
+    assert cli.main(["matrix", *args]) == 0
+    captured = capsys.readouterr()
+    matrix = json.loads(captured.out)["matrix"]
+    assert (matrix["total"], matrix["accuracy"], matrix["opposite_rate"]) == (0, None, None)
+    assert captured.err.startswith("no setting counted") and captured.err.count("\n") == 1
