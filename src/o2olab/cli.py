@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 # OpenBLAS sizes its thread pool when numpy loads it, so this must precede
@@ -60,9 +61,7 @@ def _build_parser() -> _Parser:
     p = add("report", "analysis JSON, CSV tables, and plot data")
     p.add_argument(
         "--map-inconclusive",
-        choices=[runner.MAP_COMPARABLE, runner.MAP_DROP],
-        default=None,
-        help="override how Inconclusive regime labels are resolved",
+        help="override the config's map_inconclusive: how Inconclusive regime labels are resolved",
     )
 
     p = add("matrix", "aggregate settings into a confusion matrix", needs_config=False)
@@ -87,17 +86,9 @@ def _cmd_matrix(args) -> int:
         matrix = parse(ConfusionMatrix.from_counts, {"counts": counts})
         result = {"matrix": matrix.to_dict(), "summary": matrix.summary_line()}
     else:
-        paths = []
-        for entry in args.analyses:
-            p = Path(entry)
-            if p.is_dir():
-                p = p / "report" / "analysis.json"
-            if not p.exists():
-                raise MissingInputError(f"no analysis file at {p}")
-            paths.append(p)
-        if not paths:
+        if not args.analyses:
             raise ConfigError("matrix needs analysis paths or --counts-json")
-        result = runner.aggregate_matrix(paths)
+        result = runner.aggregate_matrix(args.analyses)
     text = json.dumps(result, sort_keys=True, indent=2)
     print(text)
     print(result["summary"], file=sys.stderr)
@@ -121,7 +112,10 @@ def main(argv=None) -> int:
             print(f"{len(files)} run files under {files[0].parent.parent}")
             return EXIT_OK
         elif args.command == "report":
-            path = runner.cmd_report(_load_config(args), map_inconclusive=args.map_inconclusive)
+            config = _load_config(args)
+            if args.map_inconclusive is not None:  # checked as the config key
+                config = replace(config, map_inconclusive=args.map_inconclusive)
+            path = runner.cmd_report(config)
         elif args.command == "matrix":
             return _cmd_matrix(args)
         else:  # pragma: no cover - argparse enforces the choices

@@ -36,7 +36,11 @@ takes the dataset's rows from a per-process cache, and results come back in
 unit order, so both write the same bytes.
 
 Regime labels are persisted by the classify stage before any fine-tuning
-output exists, so the prediction is made ahead of the outcome.
+output exists, so the prediction is made ahead of the outcome. Report reads
+the classify record and each run file found, checking its key, then calls
+``analyse``, which computes the whole analysis and touches no file, and
+writes what it returns; the same logs can be re-scored under other report
+knobs with ``analyse`` alone.
 """
 
 from __future__ import annotations
@@ -244,6 +248,10 @@ class ExperimentConfig:
         return Path(self.out_dir if self.out_dir else f"runs/{self.setting}")
 
 
+# a setting's analysis, relative to its output directory
+_ANALYSIS = Path("report", "analysis.json")
+
+
 class Paths:
     def __init__(self, config: ExperimentConfig):
         root = config.root
@@ -253,8 +261,8 @@ class Paths:
         self.pretrain_eval = root / "pretrain" / "eval.json"
         self.classify = root / "classify.json"
         self.finetune_dir = root / "finetune"
-        self.report_dir = root / "report"
-        self.analysis = root / "report" / "analysis.json"
+        self.analysis = root / _ANALYSIS
+        self.report_dir = self.analysis.parent
 
     def checkpoint(self, seed: int) -> Path:
         return self.pretrain_dir / f"seed_{seed}"
@@ -666,14 +674,6 @@ def cmd_finetune(config: ExperimentConfig, jobs: int = 1, force: bool = False) -
 # --- stage: report ---
 
 
-def _mapped_regime(label: str, policy: str) -> str | None:
-    if label != INCONCLUSIVE:
-        return label
-    if policy == MAP_COMPARABLE:
-        return COMPARABLE
-    return None  # drop
-
-
 def _curve_stats(curves: list[list[EvalPoint]]) -> dict:
     """Mean curve over seeds with a two-sided 95% Student-t interval (none,
     ci_lo == ci_hi == mean, for a single seed)."""
@@ -693,65 +693,38 @@ def _curve_stats(curves: list[list[EvalPoint]]) -> dict:
     }
 
 
-def cmd_report(config: ExperimentConfig, map_inconclusive: str | None = None) -> Path:
-    """Analyse the finished runs. ``map_inconclusive`` overrides the
-    config's mapping of an Inconclusive regime; like every report knob it
-    feeds no artifact key."""
-    if map_inconclusive not in (None, MAP_COMPARABLE, MAP_DROP):
-        raise ConfigError("map_inconclusive must be 'comparable' or 'drop'")
-    paths = Paths(config)
-    _dataset_manifest(config)
-    classify = _require_current(paths.classify, classify_key(config), "classify")
+def analyse(config: ExperimentConfig, classify: dict, logs: dict[tuple[str, int], RunLog]) -> dict:
+    """The setting's analysis from its classify record and the run logs that
+    were found, keyed by (method, config seed): a configured run absent from
+    ``logs`` is missing. Reads and writes no file."""
+    runs = [(method, seed) for method in config.methods for seed in config.seeds]
+    completed = {run: logs[run] for run in runs if run in logs and not logs[run].aborted}
     data_mean = classify["data"]["mean"]  # dataset_return's mean, recorded by classify
-
-    runs: dict[str, dict[int, RunLog]] = {}
-    missing: list[str] = []
-    aborted: list[str] = []
-    for method in config.methods:
-        runs[method] = {}
-        for seed in config.seeds:
-            run_file = paths.run_file(method, seed)
-            if not run_file.exists():
-                missing.append(f"{method}/seed_{seed}")
-                continue
-            data = _read_run_file(run_file)
-            if data is None:
-                raise MissingInputError(
-                    f"{run_file} is not a readable run log; re-run `o2olab finetune`, "
-                    "which sets it aside and redoes the run"
-                )
-            _check_key(run_file, data, run_key(config, method, seed), "finetune")
-            log = RunLog.from_dict(data)
-            if log.aborted:
-                aborted.append(f"{method}/seed_{seed}")
-                continue
-            runs[method][seed] = log
-    if len(missing) == len(config.methods) * len(config.seeds):
-        raise MissingInputError(f"no run files under {paths.finetune_dir}; run `o2olab finetune`")
 
     methods_report = {}
     last_k_lists: dict[str, list[list[float]]] = {}
     for method in config.methods:
-        logs = [runs[method][s] for s in config.seeds if s in runs[method]]
-        if not logs:
+        seeds = [s for s in config.seeds if (method, s) in completed]
+        done = [completed[method, s] for s in seeds]
+        if not done:
             methods_report[method] = {"seeds": [], "note": "no completed runs"}
             continue
         k = config.last_k
-        last_k_values = [[p.mean for p in log.eval_curve[-k:]] for log in logs]
-        last_k_scalars = [last_k_eval_stat(log, k) for log in logs]
-        decos = [asdict(decompose(log.eval_curve, data_mean)) for log in logs]
+        last_k_scalars = [last_k_eval_stat(log, k) for log in done]
+        decos = [asdict(decompose(log.eval_curve, data_mean)) for log in done]
         methods_report[method] = {
-            "seeds": [log.seed for log in logs],
-            "config_seeds": [s for s in config.seeds if s in runs[method]],
+            "seeds": [log.seed for log in done],
+            "config_seeds": seeds,
             "last_k_per_seed": last_k_scalars,
             "last_k_mean": float(np.mean(last_k_scalars)),
             "decomposition": {
                 "per_seed": decos,
                 "mean": {name: float(np.mean([d[name] for d in decos])) for name in decos[0]},
             },
-            "curve": _curve_stats([log.eval_curve for log in logs]),
+            "curve": _curve_stats([log.eval_curve for log in done]),
         }
-        last_k_lists[method] = last_k_values
+        if len(done) >= 2:  # a variant is compared over a sample of seeds
+            last_k_lists[method] = [[p.mean for p in log.eval_curve[-k:]] for log in done]
 
     policy_variants = {m: last_k_lists[m] for m in POLICY_CENTRIC if m in last_k_lists}
     data_variants = {m: last_k_lists[m] for m in DATA_CENTRIC if m in last_k_lists}
@@ -759,10 +732,15 @@ def cmd_report(config: ExperimentConfig, map_inconclusive: str | None = None) ->
     if policy_variants and data_variants:
         comparison = compare_classes(policy_variants, data_variants, alpha=config.tost.alpha)
 
-    mapped = _mapped_regime(classify["label"], map_inconclusive or config.map_inconclusive)
-    analysis = {
+    mapped = classify["label"]
+    if mapped == INCONCLUSIVE:  # counted as Comparable, or dropped from the matrix
+        mapped = COMPARABLE if config.map_inconclusive == MAP_COMPARABLE else None
+    return {
         "setting": config.setting,
-        "regime": {**{k: classify[k] for k in ("label", "p_lower", "p_upper", "mean_diff", "delta", "alpha")}, "mapped": mapped},
+        "regime": {
+            **{k: classify[k] for k in ("label", "p_lower", "p_upper", "mean_diff", "delta", "alpha")},
+            "mapped": mapped,
+        },
         "dataset_score": classify["data"],
         "pretrained_score": classify["policy"],
         "methods": methods_report,
@@ -773,16 +751,42 @@ def cmd_report(config: ExperimentConfig, map_inconclusive: str | None = None) ->
             else None
         ),
         "completeness": {
-            "expected_runs": len(config.methods) * len(config.seeds),
-            "completed_runs": sum(len(v) for v in runs.values()),
-            "missing": missing,
-            "aborted": aborted,
+            "expected_runs": len(runs),
+            "completed_runs": len(completed),
+            "missing": [f"{m}/seed_{s}" for m, s in runs if (m, s) not in logs],
+            "aborted": [f"{m}/seed_{s}" for m, s in runs if (m, s) in logs and logs[m, s].aborted],
         },
     }
+
+
+def cmd_report(config: ExperimentConfig) -> Path:
+    """Read the run files, each checked against its key, ``analyse`` them,
+    and write ``analysis.json``, ``summary.csv`` and ``curve_<method>.csv``.
+    The report knobs (``last_k``, ``map_inconclusive``) feed no key."""
+    paths = Paths(config)
+    _dataset_manifest(config)
+    classify = _require_current(paths.classify, classify_key(config), "classify")
+    logs: dict[tuple[str, int], RunLog] = {}
+    for method in config.methods:
+        for seed in config.seeds:
+            run_file = paths.run_file(method, seed)
+            if not run_file.exists():
+                continue
+            data = _read_run_file(run_file)
+            if data is None:
+                raise MissingInputError(
+                    f"{run_file} is not a readable run log; re-run `o2olab finetune`, "
+                    "which sets it aside and redoes the run"
+                )
+            _check_key(run_file, data, run_key(config, method, seed), "finetune")
+            logs[method, seed] = RunLog.from_dict(data)
+    if not logs:
+        raise MissingInputError(f"no run files under {paths.finetune_dir}; run `o2olab finetune`")
+    analysis = analyse(config, classify, logs)
     paths.report_dir.mkdir(parents=True, exist_ok=True)
     write_json_atomic(paths.analysis, analysis)
 
-    reported = {method: entry for method, entry in methods_report.items() if "curve" in entry}
+    reported = {method: entry for method, entry in analysis["methods"].items() if "curve" in entry}
     for method, entry in reported.items():
         curve = entry["curve"]
         _write_csv(
@@ -806,8 +810,13 @@ def cmd_report(config: ExperimentConfig, map_inconclusive: str | None = None) ->
 # --- cross-setting aggregation ---
 
 
-def aggregate_matrix(analysis_paths: list) -> dict:
-    """Build the regime-vs-outcome confusion matrix over several settings."""
+def aggregate_matrix(entries: list) -> dict:
+    """Build the regime-vs-outcome confusion matrix over several settings,
+    each given as its analysis file or its output directory."""
+    analysis_paths = [p / _ANALYSIS if p.is_dir() else p for p in map(Path, entries)]
+    for path in analysis_paths:
+        if not path.exists():
+            raise MissingInputError(f"no analysis file at {path}")
     matrix = ConfusionMatrix()
     skipped = []
     for path in analysis_paths:
@@ -837,15 +846,3 @@ def aggregate_matrix(analysis_paths: list) -> dict:
         "settings": len(analysis_paths) - len(skipped),
         "skipped": skipped,
     }
-
-
-def run_pipeline(config: ExperimentConfig, jobs: int = 1, force: bool = False) -> Path:
-    """Convenience wrapper running every stage in order."""
-    _check_jobs(jobs)
-    paths = Paths(config)
-    if force or not paths.dataset.exists():
-        cmd_gen_data(config, force=force)
-    cmd_pretrain(config, jobs=jobs, force=force)
-    cmd_classify(config)
-    cmd_finetune(config, jobs=jobs, force=force)
-    return cmd_report(config)

@@ -37,6 +37,7 @@ from o2olab.metrics import (
 )
 
 from metrics_helpers import identity_residual
+from pipeline_helpers import run_pipeline
 from test_nn import assert_grads_close, finite_difference_grads, param_grad
 
 
@@ -247,6 +248,6 @@ def test_criterion_12_pipeline_determinism(tmp_path):
                 "reference_episodes": 8,
                 "out_dir": str(tmp_path / name),
             })
-            runner.run_pipeline(config, jobs=2)
+            run_pipeline(config, jobs=2)
             texts.append(runner.Paths(config).analysis.read_text())
         assert texts[0] == texts[1]

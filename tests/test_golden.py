@@ -34,6 +34,8 @@ from o2olab import runner
 from o2olab.data import generate_dataset, generate_mixed_dataset, save_dataset
 from o2olab.envs import BehaviorSpec, compute_reference_scores, env_spec
 
+from pipeline_helpers import run_pipeline
+
 OUT_DIR = "runs/golden"
 
 # sha256 of the dataset files, which both pretrainers share
@@ -279,7 +281,7 @@ def working_dir(path: Path):
 def run_in(workdir: Path, pretrain_kind: str) -> Path:
     workdir.mkdir(parents=True, exist_ok=True)
     with working_dir(workdir):
-        runner.run_pipeline(golden_config(pretrain_kind))
+        run_pipeline(golden_config(pretrain_kind))
     return workdir / OUT_DIR
 
 

@@ -13,6 +13,7 @@ from o2olab.agents import Td3Hyper
 from o2olab.finetune import FinetuneConfig
 from o2olab.fsio import read_json
 
+from pipeline_helpers import run_pipeline
 from test_runner import tiny_config_dict
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -50,7 +51,7 @@ def test_listed_finetune_and_agent_keys_are_fields():
 @pytest.fixture(scope="module")
 def tree(tmp_path_factory):
     config = runner.ExperimentConfig.from_dict(tiny_config_dict(tmp_path_factory.mktemp("readme")))
-    runner.run_pipeline(config)
+    run_pipeline(config)
     return runner.Paths(config).root
 
 

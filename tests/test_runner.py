@@ -20,8 +20,10 @@ from o2olab.agents import load_agent, save_agent
 from o2olab.data import behavior_segment, load_dataset
 from o2olab.envs import BehaviorSpec, env_spec
 from o2olab.errors import ConfigError, MissingInputError
+from o2olab.finetune import RunLog
 from o2olab.metrics import EvalPoint
 from o2olab.fsio import read_json
+from pipeline_helpers import run_pipeline
 from test_data import DAMAGES
 
 
@@ -434,7 +436,7 @@ def test_finetune_quarantines_corrupt_logs(config):
 def test_finetune_overwrites_stale_logs_in_place(config, tmp_path):
     # a run file made from other inputs is stale, not corrupt: it is
     # rewritten under its own name and nothing is quarantined
-    runner.run_pipeline(config)
+    run_pipeline(config)
     changed = runner.ExperimentConfig.from_dict(
         tiny_config_dict(tmp_path, finetune={**FINETUNE, "total_env_steps": 100})
     )
@@ -463,7 +465,7 @@ def test_report_hash_guard(config, tmp_path):
 
 
 def test_report_reads_no_dataset_rows(config, monkeypatch):
-    runner.run_pipeline(config)
+    run_pipeline(config)
     analysis = runner.Paths(config).analysis
     first = analysis.read_bytes()
 
@@ -476,7 +478,7 @@ def test_report_reads_no_dataset_rows(config, monkeypatch):
 
 
 def test_classify_reads_no_dataset_rows(config, monkeypatch):
-    runner.run_pipeline(config)
+    run_pipeline(config)
     classify = runner.Paths(config).classify
     first = classify.read_bytes()
     classify.unlink()
@@ -490,7 +492,7 @@ def test_classify_reads_no_dataset_rows(config, monkeypatch):
 
 
 def test_report_checks_dataset_header_hash(config):
-    runner.run_pipeline(config)
+    run_pipeline(config)
     manifest = runner.Paths(config).dataset / "manifest.json"
     record = read_json(manifest)
     record["key"] = "0" * 12
@@ -508,7 +510,7 @@ def test_pipeline_deterministic_analysis(tmp_path):
         cfg = runner.ExperimentConfig.from_dict(
             tiny_config_dict(tmp_path, out_dir=str(tmp_path / name))
         )
-        runner.run_pipeline(cfg)
+        run_pipeline(cfg)
         analyses.append(runner.Paths(cfg).analysis.read_bytes())
     assert analyses[0] == analyses[1]
 
@@ -560,8 +562,99 @@ def test_curve_ci_is_a_student_t_interval():
     assert single["ci_lo"] == single["mean"] == single["ci_hi"]
 
 
+# --- analyse on hand-built run logs ---
+
+
+# each run's level: the policy-centric class ends well above the data-centric one
+LEVELS = {"baseline": 0.1, "warmup": 0.5, "o2o_reg": 0.6, "replay": 0.2, "replay_reset": 0.3,
+          "mixed": 0.4}
+
+
+def classify_record(label):
+    """A classify record of ``label`` with fixed statistics."""
+    return {"label": label, "p_lower": 0.2, "p_upper": 0.3, "mean_diff": 0.01, "delta": 0.05,
+            "alpha": 0.05, "data": {"mean": 0.4, "std": 0.1, "n": 6},
+            "policy": {"mean": 0.41, "std": 0.02, "n": 2}}
+
+
+def hand_logs(config, drop=(), aborted=()):
+    """A run log for every configured run but those in ``drop``, keyed by
+    (method, config seed); each curve (13 points, as the tiny config's) climbs
+    0.01 a point from its method's level, plus 0.02 for config seed 1."""
+    logs = {}
+    for method in config.methods:
+        for seed in config.seeds:
+            if (method, seed) in drop:
+                continue
+            level = LEVELS[method] + 0.02 * seed
+            curve = [EvalPoint(10 * i, level + 0.01 * i, [level + 0.01 * i]) for i in range(13)]
+            logs[method, seed] = RunLog(method, 100 + seed, {}, curve,
+                                        aborted=(method, seed) in aborted)
+    return logs
+
+
+@pytest.mark.parametrize("label,mapping,mapped", [
+    ("Inconclusive", "comparable", "Comparable"),
+    ("Inconclusive", "drop", None),
+    ("Superior", "drop", "Superior"),
+])
+def test_analyse_maps_the_regime_label(tmp_path, label, mapping, mapped):
+    config = runner.ExperimentConfig.from_dict(tiny_config_dict(tmp_path, map_inconclusive=mapping))
+    analysis = runner.analyse(config, classify_record(label), hand_logs(config))
+    assert (analysis["regime"]["label"], analysis["regime"]["mapped"]) == (label, mapped)
+    assert analysis["class_comparison"]["winner"] == ">"
+    expected_cell = None if mapped is None else {"regime": mapped, "winner": ">"}
+    assert analysis["confusion_cell"] == expected_cell
+    assert not (tmp_path / "runs").exists()  # the config's out_dir: nothing written
+
+
+def test_analyse_lists_missing_and_aborted_runs_in_config_order(config):
+    logs = hand_logs(config, drop=[("replay", 1), ("baseline", 0)],
+                     aborted=[("mixed", 1), ("warmup", 0)])
+    completeness = runner.analyse(config, classify_record("Superior"), logs)["completeness"]
+    assert completeness == {
+        "expected_runs": 12,
+        "completed_runs": 8,
+        "missing": ["baseline/seed_0", "replay/seed_1"],
+        "aborted": ["warmup/seed_0", "mixed/seed_1"],
+    }
+
+
+def test_analyse_compares_only_variants_with_two_completed_runs(config):
+    logs = hand_logs(config, drop=[("replay", 1)], aborted=[("warmup", 0)])
+    analysis = runner.analyse(config, classify_record("Superior"), logs)
+    comparison = analysis["class_comparison"]
+    assert (comparison["policy_variant"], comparison["data_variant"]) == ("o2o_reg", "replay_reset")
+    assert analysis["methods"]["warmup"]["config_seeds"] == [1]  # still reported
+    assert analysis["methods"]["replay"]["config_seeds"] == [0]
+    logs = hand_logs(config, drop=[("replay", 1), ("replay_reset", 0)])
+    analysis = runner.analyse(config, classify_record("Superior"), logs)
+    assert analysis["class_comparison"] is None and analysis["confusion_cell"] is None
+
+
+def test_analyse_notes_a_method_without_completed_runs(config):
+    logs = hand_logs(config, drop=[("baseline", 0), ("baseline", 1)],
+                     aborted=[("mixed", 0), ("mixed", 1)])
+    methods = runner.analyse(config, classify_record("Superior"), logs)["methods"]
+    for method in ("baseline", "mixed"):
+        assert methods[method] == {"seeds": [], "note": "no completed runs"}
+    assert methods["o2o_reg"]["seeds"] == [100, 101]
+
+
+def test_analyse_of_the_finished_logs_is_the_written_analysis(finished, tmp_path, monkeypatch):
+    config = runner.ExperimentConfig.from_dict(tiny_config_dict(tmp_path, out_dir=str(finished)))
+    paths = runner.Paths(config)
+    logs = {(m, s): RunLog.from_dict(read_json(paths.run_file(m, s)))
+            for m in config.methods for s in config.seeds}
+    before = snapshot(finished)
+    written = recording_writes(monkeypatch, finished)
+    analysis = runner.analyse(config, read_json(paths.classify), logs)
+    assert written == [] and snapshot(finished) == before
+    assert analysis == read_json(paths.analysis)
+
+
 def test_aggregate_matrix(config, tmp_path):
-    runner.run_pipeline(config)
+    run_pipeline(config)
     analysis = runner.Paths(config).analysis
     result = runner.aggregate_matrix([analysis, analysis])
     assert result["matrix"]["total"] == 2
@@ -576,7 +669,7 @@ def finished(tmp_path_factory):
     """The output tree of one finished tiny pipeline."""
     base = tmp_path_factory.mktemp("finished")
     config = runner.ExperimentConfig.from_dict(tiny_config_dict(base))
-    runner.run_pipeline(config)
+    run_pipeline(config)
     return runner.Paths(config).root
 
 
@@ -657,7 +750,7 @@ def test_appending_a_seed_keeps_dataset_and_runs(finished, tmp_path):
     root = runner.Paths(config).root
     before = snapshot(root)
     old_means = read_json(root / "pretrain" / "eval.json")["means"]
-    runner.run_pipeline(config)
+    run_pipeline(config)
     after = snapshot(root)
     kept = [n for n in before
             if n.startswith(("dataset/", "finetune/", "pretrain/seed_"))]
@@ -965,6 +1058,9 @@ def test_cli_full_pipeline(tmp_path, capsys):
             assert regime["mapped"] == (None if mapping == "drop" else "Comparable")
         else:
             assert regime["mapped"] == regime["label"]
+    capsys.readouterr()
+    assert cli.main(["report", "--config", str(cfg_path), "--map-inconclusive", "maybe"]) == 1
+    assert "map_inconclusive must be 'comparable' or 'drop'" in capsys.readouterr().err
     # a checkpoint without params.npy (an older format) is a missing input
     (out_dir / "pretrain" / "seed_0" / "params.npy").unlink()
     assert cli.main(["finetune", "--config", str(cfg_path), "--force"]) == 2
@@ -980,6 +1076,20 @@ def test_cli_report_ignores_report_knobs_and_out_dir(finished, tmp_path):
     assert runner.Paths(copied).analysis.read_bytes() == (
         finished / "report" / "analysis.json"
     ).read_bytes()
+
+
+def test_cli_report_with_one_completed_run_of_a_variant(finished, tmp_path, capsys):
+    copied = copy_of(finished, tmp_path)
+    runner.Paths(copied).run_file("warmup", 1).unlink()
+    cfg_path = _write_config(tmp_path, {"out_dir": str(copied.root)})
+    assert cli.main(["report", "--config", str(cfg_path)]) == 0
+    analysis = read_json(runner.Paths(copied).analysis)
+    full = read_json(finished / "report" / "analysis.json")
+    assert analysis["completeness"]["missing"] == ["warmup/seed_1"]
+    assert analysis["methods"]["warmup"]["config_seeds"] == [0]
+    comparison = analysis["class_comparison"]
+    assert comparison["policy_variant"] == "o2o_reg"  # the one policy-centric variant left
+    assert comparison["data_variant"] == full["class_comparison"]["data_variant"]
 
 
 @pytest.mark.parametrize("last_k,code", [(0, 1), (-2, 1), (14, 1), (13, 0)])
