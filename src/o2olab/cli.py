@@ -8,11 +8,19 @@ Exit codes: 0 success, 1 usage/config error, 2 missing or damaged inputs,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+# Run as the program, the collector is off while o2olab and numpy load, and
+# what they built is frozen before main (at the end of this module). Those
+# objects live until exit, so no collection, the one at exit included,
+# needs to walk them.
+if __name__ == "__main__":
+    gc.disable()
 
 # OpenBLAS sizes its thread pool when numpy loads it, so this must precede
 # every import that loads numpy; see runner._single_thread_blas
@@ -79,7 +87,7 @@ def _cmd_matrix(args) -> int:
     if args.counts_json:
         try:
             counts = json.loads(Path(args.counts_json).read_text())
-        except FileNotFoundError:
+        except (FileNotFoundError, IsADirectoryError):
             raise MissingInputError(f"no counts file at {args.counts_json}") from None
         except ValueError as exc:
             raise ConfigError(f"{args.counts_json} is not valid JSON: {exc}") from None
@@ -90,10 +98,13 @@ def _cmd_matrix(args) -> int:
             raise ConfigError("matrix needs analysis paths or --counts-json")
         result = runner.aggregate_matrix(args.analyses)
     text = json.dumps(result, sort_keys=True, indent=2)
+    if args.out:  # written first, so a failed write prints no result
+        try:
+            write_text_atomic(args.out, text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {args.out}: {exc.strerror}") from None
     print(text)
     print(result["summary"], file=sys.stderr)
-    if args.out:
-        write_text_atomic(args.out, text + "\n")
     return EXIT_OK
 
 
@@ -137,4 +148,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    gc.freeze()
+    gc.enable()
     sys.exit(main())

@@ -445,14 +445,14 @@ def compute_reference_scores(spec: EnvSpec, seed: int, episodes: int = 100) -> R
     """Mean raw returns of the uniform-random and expert behaviors."""
     means = {}
     for kind in (UNIFORM_RANDOM, EXPERT):
-        # the episodes share one behavior generator, so they run one at a time
         env = make_env(spec)
-        rng = rng_for("reference", kind, seed)
-        act = _per_episode([behavior_policy(BehaviorSpec(kind), spec, rng)])
-        returns = [
-            _raw_returns(env, [stable_seed("reference", kind, seed, i)], act)[0]
-            for i in range(episodes)
-        ]
+        policy = behavior_policy(BehaviorSpec(kind), spec, rng_for("reference", kind, seed))
+        act = _per_episode([policy] * episodes)
+        seeds = [stable_seed("reference", kind, seed, i) for i in range(episodes)]
+        if kind == EXPERT:  # draws nothing from its generator: side by side
+            returns = _raw_returns(env, seeds, act)
+        else:  # the episodes share one generator, so they run one at a time
+            returns = [_raw_returns(env, [s], act)[0] for s in seeds]
         means[kind] = float(np.mean(returns))
     if means[EXPERT] <= means[UNIFORM_RANDOM]:
         raise ConfigError(

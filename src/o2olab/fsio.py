@@ -11,6 +11,7 @@ rename to a fresh name, and a pipeline round writes 46 files. The old file
 is compared a chunk at a time, so a check holds no second copy of it.
 """
 
+import contextlib
 import io
 import json
 import os
@@ -46,8 +47,13 @@ def _write_atomic(path, data) -> None:
     if _holds(path, data):
         return
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:  # leave no part-written temp file behind
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def write_json_atomic(path, payload) -> None:

@@ -812,11 +812,15 @@ def cmd_report(config: ExperimentConfig) -> Path:
 
 def aggregate_matrix(entries: list) -> dict:
     """Build the regime-vs-outcome confusion matrix over several settings,
-    each given as its analysis file or its output directory."""
+    each given once, as its analysis file or its output directory."""
     analysis_paths = [p / _ANALYSIS if p.is_dir() else p for p in map(Path, entries)]
+    seen = set()
     for path in analysis_paths:
         if not path.exists():
             raise MissingInputError(f"no analysis file at {path}")
+        if path.resolve() in seen:
+            raise ConfigError(f"{path} is given more than once; a setting counts once")
+        seen.add(path.resolve())
     matrix = ConfusionMatrix()
     skipped = []
     for path in analysis_paths:

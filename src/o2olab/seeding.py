@@ -6,6 +6,10 @@ configuration are bit-identical. Python's built-in ``hash`` is salted per
 process and must not be used for this.
 """
 
+# the annotations stay strings, so defining ``rng_for`` does not load
+# numpy.random: a stage that never draws (classify, report) never loads it
+from __future__ import annotations
+
 import hashlib
 
 import numpy as np

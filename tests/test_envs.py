@@ -435,6 +435,28 @@ def test_reference_scores_point_sparse():
     assert ref.random_return < 0.2
 
 
+@pytest.mark.parametrize("kind", ["pendulum", "point_goal_dense", "point_goal_sparse"])
+def test_reference_means_equal_the_episodes_run_one_at_a_time(kind):
+    # the expert's episodes run side by side, the random ones one after the
+    # other on one generator; both means are those of the lone episodes
+    spec, seed, episodes = env_spec(kind, horizon=20), 7, 12
+    ref = compute_reference_scores(spec, seed=seed, episodes=episodes)
+    means = {}
+    for behavior in ("uniform_random", "expert"):
+        rng = np.random.default_rng(stable_seed("reference", behavior, seed))
+        policy = behavior_policy(BehaviorSpec(behavior), spec, rng)
+        returns = []
+        for i in range(episodes):
+            raw = 0.0
+            for _, _, reward, *_ in reference_episode(
+                spec, policy, stable_seed("reference", behavior, seed, i)
+            ):
+                raw += reward
+            returns.append(raw)
+        means[behavior] = float(np.mean(returns))
+    assert (ref.random_return, ref.expert_return) == (means["uniform_random"], means["expert"])
+
+
 def rows_policy(policy):
     """A per-observation policy as the row-stack policy evaluate_policy
     calls, applied row by row, whatever the rows' runs."""

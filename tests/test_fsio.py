@@ -7,6 +7,7 @@ call outside ``fsio.py`` that writes a file itself.
 """
 
 import ast
+import errno
 import json
 from pathlib import Path
 
@@ -75,6 +76,38 @@ def test_a_difference_past_the_first_chunk_is_written(tmp_path, monkeypatch):
     assert path.stat().st_ino == inode
     write_text_atomic(path, "step,mean\n0,0.75\n")
     assert path.read_text(encoding="utf-8") == "step,mean\n0,0.75\n"
+
+
+def _half_written(path, data):
+    with open(path, "wb") as fh:
+        fh.write(bytes(data)[: len(data) // 2])
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _refused_rename(src, dst):
+    raise OSError(errno.EIO, "Input/output error")
+
+
+@pytest.mark.parametrize("fault", ["write", "rename"])
+def test_a_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch, fault):
+    path = tmp_path / "run.json"
+    write_json_atomic(path, {"steps": 1})
+    old = path.read_bytes()
+    if fault == "write":
+        monkeypatch.setattr(Path, "write_bytes", _half_written)
+    else:
+        monkeypatch.setattr(fsio.os, "replace", _refused_rename)
+    with pytest.raises(OSError):
+        write_json_atomic(path, {"steps": 2})
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+def test_a_directory_in_the_way_leaves_no_temp_file(tmp_path):
+    (tmp_path / "report").mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_text_atomic(tmp_path / "report", "text\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["report"]
 
 
 # --- one writer ---

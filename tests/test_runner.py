@@ -656,8 +656,8 @@ def test_analyse_of_the_finished_logs_is_the_written_analysis(finished, tmp_path
 def test_aggregate_matrix(config, tmp_path):
     run_pipeline(config)
     analysis = runner.Paths(config).analysis
-    result = runner.aggregate_matrix([analysis, analysis])
-    assert result["matrix"]["total"] == 2
+    result = runner.aggregate_matrix([analysis])
+    assert result["matrix"]["total"] == 1 and result["settings"] == 1
     assert "correct" in result["summary"]
 
 
@@ -1240,6 +1240,51 @@ def test_importing_the_cli_starts_no_blas_thread():
     assert int(probe.stdout) == 1
 
 
+# runs each argv list given as JSON as `python -m o2olab.cli` would, or with
+# none imports o2olab.cli; prints the exit codes, the collector's state and
+# whether numpy.random was loaded
+_START_UP_PROBE = """
+import gc, json, runpy, sys
+stages = json.loads(sys.argv[1])
+if not stages:
+    import o2olab.cli
+codes = []
+for argv in stages:
+    sys.argv = ["o2olab", *argv]
+    try:
+        runpy.run_module("o2olab.cli", run_name="__main__")
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps({"codes": codes, "enabled": gc.isenabled(), "frozen": gc.get_freeze_count(),
+                  "numpy_random": "numpy.random" in sys.modules}))
+"""
+
+
+def _start_up(*stages):
+    env = {**os.environ, "PYTHONPATH": str(Path(runner.__file__).resolve().parent.parent)}
+    probe = subprocess.run([sys.executable, "-c", _START_UP_PROBE, json.dumps(stages)], env=env,
+                           capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(probe.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_leaves_the_collector_alone():
+    assert _start_up() == {"codes": [], "enabled": True, "frozen": 0, "numpy_random": False}
+
+
+def test_a_stage_process_freezes_what_its_imports_built(tmp_path):
+    counts = tmp_path / "counts.json"
+    counts.write_text("[[1,0,0],[0,1,0],[0,0,1]]")
+    state = _start_up(["matrix", "--counts-json", str(counts)])
+    assert state["codes"] == [0] and state["enabled"] and state["frozen"] > 0
+
+
+def test_classify_and_report_never_load_numpy_random(finished, tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(copy_of(finished, tmp_path).to_dict()))
+    state = _start_up(*([stage, "--config", str(cfg_path)] for stage in ("classify", "report")))
+    assert state["codes"] == [0, 0] and not state["numpy_random"]
+
+
 _FAULT_PROBE = """
 import resource, sys
 import numpy as np
@@ -1323,6 +1368,44 @@ def test_cli_matrix_exit_codes(tmp_path, capsys, fault):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("twice", ["same file", "setting dir and its analysis file"])
+def test_cli_matrix_counts_a_setting_once(tmp_path, capsys, twice):
+    analysis = tmp_path / "setting" / "report" / "analysis.json"
+    analysis.parent.mkdir(parents=True)
+    analysis.write_text('{"confusion_cell": {"regime": "Superior", "winner": ">"}}')
+    first = analysis if twice == "same file" else tmp_path / "setting"
+    assert cli.main(["matrix", str(first), str(analysis)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert str(analysis) in captured.err and captured.out == ""
+
+
+# matrix I/O faults: (arguments, with DIR for an existing directory and
+# COUNTS for a valid counts file, exit code, start of the one-line message)
+MATRIX_IO_FAULTS = {
+    "counts file a directory": (["--counts-json", "DIR"], 2, "missing input: no counts file at"),
+    "out in a missing directory": (["--counts-json", "COUNTS", "--out", "DIR/missing/m.json"], 1,
+                                   "error: cannot write --out"),
+    "out a directory": (["--counts-json", "COUNTS", "--out", "DIR"], 1,
+                        "error: cannot write --out"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MATRIX_IO_FAULTS))
+def test_cli_matrix_io_faults_end_in_one_line(tmp_path, capsys, fault):
+    args, code, message = MATRIX_IO_FAULTS[fault]
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "counts.json").write_text("[[24,2,1],[6,2,3],[2,4,19]]")
+    argv = [a.replace("DIR", str(tmp_path / "dir")).replace("COUNTS", str(tmp_path / "counts.json"))
+            for a in args]
+    assert cli.main(["matrix", *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1, captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.json", "dir"]
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
 def test_cli_matrix_out_holds_what_it_prints(tmp_path, capsys):
     counts = tmp_path / "counts.json"
     counts.write_text("[[24,2,1],[6,2,3],[2,4,19]]")
@@ -1348,8 +1431,10 @@ def test_cli_matrix_of_no_setting_exits_0_with_null_rates(tmp_path, capsys, sour
         path.write_text("[[0,0,0],[0,0,0],[0,0,0]]")
         args = ["--counts-json", str(path)]
     else:  # every setting dropped as Inconclusive
-        path.write_text('{"confusion_cell": null}')
-        args = [str(path), str(path)]
+        other = tmp_path / "other.json"
+        for analysis in (path, other):
+            analysis.write_text('{"confusion_cell": null}')
+        args = [str(path), str(other)]
     assert cli.main(["matrix", *args]) == 0
     captured = capsys.readouterr()
     matrix = json.loads(captured.out)["matrix"]
