@@ -85,12 +85,21 @@ def _net_seeds(seed: int) -> list[int]:
     return list(rng_for("agent-nets", seed).integers(0, 2**31, size=3))
 
 
+def _layouts(obs_dim: int, action_dim: int, hyper: Td3Hyper) -> tuple:
+    """The actor's and a critic's (layer sizes, hidden activation, output
+    activation)."""
+    return (
+        ((obs_dim, *hyper.hidden, action_dim), "relu", "tanh"),
+        ((obs_dim + action_dim, *hyper.hidden, 1), "relu", "linear"),
+    )
+
+
 def _init_actor(obs_dim: int, action_dim: int, hyper: Td3Hyper, seed: int) -> nn.DenseNet:
-    return nn.init_net((obs_dim, *hyper.hidden, action_dim), "relu", "tanh", seed=seed)
+    return nn.init_net(*_layouts(obs_dim, action_dim, hyper)[0], seed=seed)
 
 
 def _init_critic(obs_dim: int, action_dim: int, hyper: Td3Hyper, seed: int) -> nn.DenseNet:
-    return nn.init_net((obs_dim + action_dim, *hyper.hidden, 1), "relu", "linear", seed=seed)
+    return nn.init_net(*_layouts(obs_dim, action_dim, hyper)[1], seed=seed)
 
 
 def _assemble(
@@ -522,8 +531,13 @@ def _agent_from_manifest(
 ) -> Td3Agent:
     """A group of one with the counts of a checkpoint manifest (built by
     ``parse``, which types each field); ``extra`` holds the keys that the
-    caller of ``save_agent`` added."""
-    agent = make_td3_agent(obs_dim, action_dim, hyper)
+    caller of ``save_agent`` added. Its arrays are zeros, which
+    ``load_agent`` overwrites, so nothing is drawn."""
+    actor, critic = (
+        nn.DenseNet(sizes, np.zeros(nn.param_count(sizes)), hidden, output)
+        for sizes, hidden, output in _layouts(obs_dim, action_dim, hyper)
+    )
+    agent = _assemble(actor, critic, critic, hyper)
     agent.update_count = update_count
     agent.actor_opt.step_count = actor_adam_steps
     agent.critic_opt.step_count = critic_adam_steps

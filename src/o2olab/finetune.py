@@ -128,15 +128,24 @@ def _regularizer_for(config: FinetuneConfig) -> RegularizerConfig:
 
 
 # A lockstep group pays where a run's update is small enough that its fixed
-# Python cost, not its arithmetic, sets its time. One update of a group of 2
-# against 2 updates alone (beta 0.4 with Q-normalization; single-thread
-# OpenBLAS on a 2-vCPU x86-64 host; medians of 7 rounds of 60) was 1.23-1.46x
-# faster up to 3.4e5 multiply-adds per critic forward over a batch (batch x
-# critic parameters: (32, 32) nets at batch 64 make 8.4e4, (64, 64) at
-# batch 64 3.0e5), 1.13-1.19x at 5.6e5-5.8e5, and 1.04-1.13x at 1.1e6
-# ((64, 64) at batch 256 on the pendulum, where an earlier series gave
-# 0.80-0.96x).
-LOCKSTEP_MAX_WORK = 500_000
+# Python cost, not its arithmetic, sets its time. Per-run td3_update time in
+# microseconds at group sizes 1, 2 and 4 (beta 0.4 with Q-normalization;
+# numpy 2.4.6 on single-thread OpenBLAS 0.3.31 and a stage process's malloc
+# settings, on a 2-vCPU AMD EPYC VM; medians of 7 rounds of at least 0.3 s),
+# with the multiply-adds of one critic forward over a batch (batch x critic
+# parameters):
+#
+#   nets@batch       env        work    alone  of 2  of 4
+#   (32, 32)@64      point      8.4e4     147   104    82
+#   (64, 64)@256     pendulum   1.2e6     566   520   512
+#   (96, 96)@256     pendulum   2.5e6     978   938   998
+#   (128, 128)@256   pendulum   4.4e6    1529  1491  1582
+#   (256, 256)@256   pendulum   1.7e7    4855  5063  5443
+#
+# The cap sits between the (64, 64)@256 point, where a group of 4 saves 10 %
+# a run, and the (96, 96)@256 one, where it costs 2 % more; larger nets run
+# alone.
+LOCKSTEP_MAX_WORK = 2_000_000
 LOCKSTEP_MAX_RUNS = 4
 
 

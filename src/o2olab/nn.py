@@ -7,6 +7,10 @@ into it, so Adam and Polyak averaging are each one vectorised pass.
 ``backward`` returns the gradient of ``sum_batch <output, output_grad>``,
 i.e. gradients are accumulated over the batch; callers fold any 1/batch
 factor into ``output_grad``.
+
+Two numpy slow paths are avoided, with equal bits: ``maximum`` against a
+scalar (ReLU takes a zero array) and ``matmul`` over an inner dimension of
+1 (backprop through a 1-wide layer is a broadcast product plus +0.0).
 """
 
 from __future__ import annotations
@@ -159,12 +163,28 @@ def init_net(
     return net
 
 
+# Read-only zeros, grown to the largest activation seen; ReLU takes a view
+# of ``z``'s shape. numpy's maximum against the scalar 0.0 is about 4x
+# slower than against an array, with the same bits.
+_zeros = np.zeros(0)
+
+
+def _relu(z: np.ndarray) -> np.ndarray:
+    global _zeros
+    zeros = _zeros  # one read: another thread may replace it meanwhile
+    if zeros.size < z.size:
+        zeros = np.zeros(z.size)
+        zeros.setflags(write=False)
+        _zeros = zeros
+    return np.maximum(z, zeros[: z.size].reshape(z.shape), out=z)
+
+
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     """The activation of ``z``, computed in place."""
     if kind == "tanh":
         return np.tanh(z, out=z)
     if kind == "relu":
-        return np.maximum(z, 0.0, out=z)
+        return _relu(z)
     return z  # linear
 
 
@@ -234,7 +254,14 @@ def _backprop(net: DenseNet, cache: list, output_grad: np.ndarray, grad=None):
             np.sum(delta, axis=-2, out=b_grads[l])
             if l == 0:
                 return None
-        delta = delta @ net.weights[l]
+        w = net.weights[l]
+        if w.shape[-2] == 1:
+            # matmul is slow over an inner dimension of 1; each entry is one
+            # product, which matmul adds to +0.0, so -0.0 comes out +0.0
+            delta = delta * w
+            delta += 0.0
+        else:
+            delta = delta @ w
     return delta
 
 

@@ -405,41 +405,55 @@ def run_of(group, run):
     return select_runs(group, [run])
 
 
-# sha256 of ``_state_arrays`` of make_td3_agent(4, 2, hyper, seed=0) after
-# 40 updates on random_batch draws, recorded when a run alone was a plain
-# single-run agent with its own update path
+# (obs_dim, action_dim, sha256 of ``_state_arrays``) of make_td3_agent(obs_dim,
+# action_dim, hyper, seed=0) after 40 updates on random_batch draws. The
+# point-goal sizes were recorded when a run alone was a plain single-run agent
+# with its own update path; the pendulum one, whose actor ends in a 1-wide
+# layer, before ReLU and the 1-wide layers' backprop left numpy's slow paths
+POINT, PENDULUM = (4, 2), (3, 1)
 ALONE_DIGESTS = {
-    ((8, 8), 16, False): "cf1e9746845ba8a500cf0a826f4aa730b721cd1a64b8b35269612427f1839558",
-    ((8, 8), 16, True): "52a0ecb8e50aa66f6033c88f9e9e2050175ad8f62b7f0b14ab8dfde63e8f78fb",
-    ((32, 32), 64, False): "c0413e7fc496c59a6288e0abd301d1eb6c378ca26a66a09fdc475c4bb7a7237b",
-    ((32, 32), 64, True): "59a4f4109c07bae7ffc69b78b3d27b7d5440caf90b0b4db216325cb462af4501",
+    ((8, 8), 16, False): (*POINT, "cf1e9746845ba8a500cf0a826f4aa730b721cd1a64b8b35269612427f1839558"),
+    ((8, 8), 16, True): (*POINT, "52a0ecb8e50aa66f6033c88f9e9e2050175ad8f62b7f0b14ab8dfde63e8f78fb"),
+    ((32, 32), 64, False): (*POINT, "c0413e7fc496c59a6288e0abd301d1eb6c378ca26a66a09fdc475c4bb7a7237b"),
+    ((32, 32), 64, True): (*POINT, "59a4f4109c07bae7ffc69b78b3d27b7d5440caf90b0b4db216325cb462af4501"),
+    ((64, 64), 256, False): (*PENDULUM, "13bba7f28ca98edc1eeb3f1202f160be8683220d00d0fabe8a94dd5d8562d258"),
+    ((64, 64), 256, True): (*PENDULUM, "7040c8db57bfb2dbfc53cb3a0cda6f3a140d2bbe3583f24ddc16d3f942a4fbf6"),
 }
 
 
 @pytest.mark.parametrize("hidden,batch,regularized", sorted(ALONE_DIGESTS))
 def test_a_group_of_one_steps_as_the_single_run_did(hidden, batch, regularized):
+    obs_dim, action_dim, want = ALONE_DIGESTS[(hidden, batch, regularized)]
     reg = RegularizerConfig(0.4, True) if regularized else RegularizerConfig()
-    agent = make_td3_agent(4, 2, Td3Hyper(hidden=hidden, batch=batch), seed=0)
+    agent = make_td3_agent(obs_dim, action_dim, Td3Hyper(hidden=hidden, batch=batch), seed=0)
     rng, data = np.random.default_rng(10), np.random.default_rng(7)
     for _ in range(40):
-        assert update(agent, random_batch(data, batch, 4, 2), reg, rng) == {}
+        assert update(agent, random_batch(data, batch, obs_dim, action_dim), reg, rng) == {}
     digest = hashlib.sha256(np.concatenate(_state_arrays(agent)).tobytes()).hexdigest()
     assert agent.update_count == 40
-    assert digest == ALONE_DIGESTS[(hidden, batch, regularized)]
+    assert digest == want
+
+
+# point-goal nets in groups of 1 to 3, and pendulum (64, 64)@256 nets, which
+# the lockstep rule groups too, in a group of 2
+GROUP_CASES = [
+    pytest.param(runs, hidden, batch, POINT, id=f"{runs}-hidden{i}-{batch}")
+    for runs in (1, 2, 3)
+    for i, (hidden, batch) in enumerate([((8, 8), 16), ((32, 32), 64)])
+] + [pytest.param(2, (64, 64), 256, PENDULUM, id="2-hidden2-256")]
 
 
 @pytest.mark.parametrize("reg", [RegularizerConfig(), RegularizerConfig(0.4, True)])
-@pytest.mark.parametrize("hidden,batch", [((8, 8), 16), ((32, 32), 64)])
-@pytest.mark.parametrize("runs", [1, 2, 3])
-def test_group_update_equals_each_run_alone(reg, hidden, batch, runs):
+@pytest.mark.parametrize("runs,hidden,batch,dims", GROUP_CASES)
+def test_group_update_equals_each_run_alone(reg, runs, hidden, batch, dims):
     hyper = Td3Hyper(hidden=hidden, batch=batch)
-    alone = [make_td3_agent(4, 2, hyper, seed=s) for s in range(runs)]
+    alone = [make_td3_agent(*dims, hyper, seed=s) for s in range(runs)]
     group = stack_agents(alone)
     alone_rngs = [np.random.default_rng(10 + r) for r in range(runs)]
     group_rngs = [np.random.default_rng(10 + r) for r in range(runs)]
     data = np.random.default_rng(7)
     for _ in range(40):  # policy delay 2: 20 actor steps
-        batches = [random_batch(data, batch, 4, 2) for _ in range(runs)]
+        batches = [random_batch(data, batch, *dims) for _ in range(runs)]
         for agent, b, rng in zip(alone, batches, alone_rngs):
             assert update(agent, b, reg, rng) == {}
         assert td3_update(group, stack_batches(batches), reg, group_rngs) == {}
@@ -724,6 +738,22 @@ def test_checkpoint_round_trip(tmp_path):
     save_agent(back, tmp_path / "again", extra={"seed": 8})
     for name in ("manifest.json", "params.npy"):
         assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "ckpt" / name).read_bytes()
+
+
+def test_loading_draws_no_nets_and_restores_every_array(tmp_path, monkeypatch):
+    agent = make_td3_agent(3, 1, SMALL, seed=3)
+    for array in _state_arrays(agent):  # every array apart from the others
+        array += np.random.default_rng(array.size).normal(size=array.shape)
+    agent.update_count, agent.actor_opt.step_count, agent.critic_opt.step_count = 7, 3, 7
+    save_agent(agent, tmp_path)
+
+    def draw(*args, **kwargs):
+        raise AssertionError("load_agent drew a net that params.npy overwrites")
+
+    monkeypatch.setattr(nn, "init_net", draw)
+    back = load_agent(tmp_path)
+    assert same_state(back, agent) and back.hyper == agent.hyper
+    assert (back.actor_opt.step_count, back.critic_opt.step_count) == (3, 7)
 
 
 def test_load_agent_types_the_hyperparameters(tmp_path):

@@ -244,8 +244,8 @@ def test_lockstep_groups_only_small_nets():
     assert lockstep_runs(Td3Hyper(hidden=(8, 8), batch=16), point) == LOCKSTEP_MAX_RUNS
     assert lockstep_runs(Td3Hyper(hidden=(32, 32), batch=64), point) == LOCKSTEP_MAX_RUNS
     assert lockstep_runs(Td3Hyper(hidden=(64, 64), batch=64), point) == LOCKSTEP_MAX_RUNS
-    assert lockstep_runs(Td3Hyper(hidden=(64, 64), batch=256), pendulum) == 1
-    assert lockstep_runs(Td3Hyper(hidden=(128, 128), batch=64), point) == 1
+    assert lockstep_runs(Td3Hyper(hidden=(64, 64), batch=256), pendulum) == LOCKSTEP_MAX_RUNS
+    assert lockstep_runs(Td3Hyper(hidden=(128, 128), batch=256), point) == 1
 
 
 # --- last_k stat ---

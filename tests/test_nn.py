@@ -140,6 +140,54 @@ def test_forward_slices_equal_single_rows():
     assert np.array_equal(sliced[:, 0, :], single)
 
 
+def _special_values(shape, seed):
+    """Normals of ``shape`` salted with +-0, NaN, +-inf and subnormals."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    specials = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310]
+    z = np.random.default_rng(seed).normal(size=shape).ravel()
+    z[::2] = np.resize(specials, z[::2].size)
+    return z.reshape(shape)
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (3, 7, 5), (2, 256, 64), (1, 1, 3)])
+def test_relu_equals_maximum_with_zero_bit_for_bit(shape):
+    # larger and smaller shapes in turn: the zeros the ReLU compares against
+    # are grown, then viewed
+    z = _special_values(shape, seed=len(shape))
+    want = np.maximum(z, 0.0)
+    got = nn._activate(z.copy(), "relu")
+    assert got.shape == shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("stack", [False, True])
+def test_backprop_through_a_1_wide_layer_equals_the_matmul(stack):
+    # layers 0 and 2 are 1 wide, as a critic's output layer and the
+    # pendulum actor's are; the reference carries delta back with @. The
+    # ReLU masks and the zero rows of g make signed zeros.
+    rng = np.random.default_rng(8)
+    nets = [nn.init_net((3, 1, 4, 1), seed=s) for s in (1, 2)]
+    for net in nets:
+        net.biases[0][:] = 0.3  # the 1-wide ReLU passes some rows
+    net = nn.stack_nets(nets) if stack else nets[0]
+    x = rng.normal(size=(9, 3))
+    cache = []
+    out = nn.forward(net, x, cache)
+    g = rng.normal(size=out.shape)
+    g[..., :2, :] = [[0.0], [-0.0]]
+    want = nn.DenseNet(net.layer_sizes, np.empty_like(net.params), stack=net.stack)
+    delta = g
+    for l in range(len(net.weights) - 1, -1, -1):
+        if l < len(net.weights) - 1:
+            delta = delta * (cache[l + 1] > 0.0)
+        want.weights[l][...] = delta.swapaxes(-1, -2) @ cache[l]
+        want.biases[l][...] = delta.sum(axis=-2)
+        delta = delta @ net.weights[l]
+    assert 0 < np.count_nonzero(cache[1]) < cache[1].size
+    assert nn.backward(net, cache, g).tobytes() == want.params.tobytes()
+    assert nn.input_backward(net, cache, g).tobytes() == delta.tobytes()
+
+
 # --- backward ---
 
 

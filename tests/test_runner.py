@@ -995,12 +995,12 @@ def test_a_forced_finetune_reruns_every_group_and_leaves_equal_files_in_place(
 
 
 def test_nets_above_the_threshold_run_alone(tmp_path, monkeypatch):
-    # (64, 64) at batch 256 on the pendulum: no update within 20 steps
+    # (128, 128) at batch 256 on the pendulum: no update within 20 steps
     config = runner.ExperimentConfig.from_dict(tiny_config_dict(
         tmp_path, env={"kind": "pendulum", "horizon": 10},
         behavior=[{"kind": "expert", "n_traj": 2}],
         pretrain={"kind": "offline_rl", "steps": 2, "beta": 0.4},
-        agent={"hidden": [64, 64], "batch": 256},
+        agent={"hidden": [128, 128], "batch": 256},
         finetune={"total_env_steps": 20, "warmup_steps": 10, "eval_every": 10,
                   "eval_episodes": 1},
         last_k=2,
@@ -1240,19 +1240,24 @@ def test_importing_the_cli_starts_no_blas_thread():
     assert int(probe.stdout) == 1
 
 
-# runs each argv list given as JSON as `python -m o2olab.cli` would, or with
-# none imports o2olab.cli; prints the exit codes, the collector's state and
+# runs each argv list given as JSON as `python -m o2olab.cli` would, or, with
+# "script", through the `o2olab` console script's entry function; with none
+# imports o2olab.cli. Prints the exit codes, the collector's state and
 # whether numpy.random was loaded
 _START_UP_PROBE = """
 import gc, json, runpy, sys
-stages = json.loads(sys.argv[1])
+stages, entry = json.loads(sys.argv[1]), sys.argv[2]
 if not stages:
     import o2olab.cli
 codes = []
 for argv in stages:
     sys.argv = ["o2olab", *argv]
     try:
-        runpy.run_module("o2olab.cli", run_name="__main__")
+        if entry == "script":
+            from o2olab.__main__ import main
+            main()
+        else:
+            runpy.run_module("o2olab.cli", run_name="__main__")
     except SystemExit as exc:
         codes.append(exc.code)
 print(json.dumps({"codes": codes, "enabled": gc.isenabled(), "frozen": gc.get_freeze_count(),
@@ -1260,10 +1265,12 @@ print(json.dumps({"codes": codes, "enabled": gc.isenabled(), "frozen": gc.get_fr
 """
 
 
-def _start_up(*stages):
+def _start_up(*stages, entry="module"):
     env = {**os.environ, "PYTHONPATH": str(Path(runner.__file__).resolve().parent.parent)}
-    probe = subprocess.run([sys.executable, "-c", _START_UP_PROBE, json.dumps(stages)], env=env,
-                           capture_output=True, text=True, check=True, timeout=120)
+    probe = subprocess.run(
+        [sys.executable, "-c", _START_UP_PROBE, json.dumps(stages), entry], env=env,
+        capture_output=True, text=True, check=True, timeout=120,
+    )
     return json.loads(probe.stdout.splitlines()[-1])
 
 
@@ -1276,6 +1283,16 @@ def test_a_stage_process_freezes_what_its_imports_built(tmp_path):
     counts.write_text("[[1,0,0],[0,1,0],[0,0,1]]")
     state = _start_up(["matrix", "--counts-json", str(counts)])
     assert state["codes"] == [0] and state["enabled"] and state["frozen"] > 0
+
+
+def test_the_console_script_freezes_what_its_imports_built(tmp_path):
+    counts = tmp_path / "counts.json"
+    counts.write_text("[[1,0,0],[0,1,0],[0,0,1]]")
+    state = _start_up(["matrix", "--counts-json", str(counts)], entry="script")
+    assert state["codes"] == [0] and state["enabled"] and state["frozen"] > 0
+    assert _start_up(["matrix", "--counts-json", "no-such.json"], entry="script")["codes"] == [2]
+    pyproject = Path(runner.__file__).resolve().parents[2] / "pyproject.toml"
+    assert 'o2olab = "o2olab.__main__:main"' in pyproject.read_text(encoding="utf-8")
 
 
 def test_classify_and_report_never_load_numpy_random(finished, tmp_path):
