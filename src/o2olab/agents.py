@@ -179,8 +179,20 @@ def _with_state(like: Td3Agent, arrays: list[np.ndarray], runs: int) -> Td3Agent
     return Td3Agent(*nets, *opts, hyper=like.hyper, update_count=like.update_count)
 
 
+# a group's counters, by the names its checkpoint manifest gives them
+_COUNTERS = ("update_count", "actor_adam_steps", "critic_adam_steps")
+FRESH_COUNTERS = (0, 0, 0)  # those of a new agent
+
+
 def _counters(agent: Td3Agent) -> tuple:
-    return agent.hyper, agent.update_count, agent.actor_opt.step_count, agent.critic_opt.step_count
+    return agent.update_count, agent.actor_opt.step_count, agent.critic_opt.step_count
+
+
+def checkpoint_counters(manifest: dict) -> tuple:
+    """The counters that a checkpoint's manifest records: its update count
+    and its actor's and critics' Adam steps, None for a count it lacks
+    (``load_agent`` reports such a checkpoint as damaged)."""
+    return tuple(manifest.get(name) for name in _COUNTERS)
 
 
 def stack_agents(agents: list[Td3Agent]) -> Td3Agent:
@@ -188,7 +200,8 @@ def stack_agents(agents: list[Td3Agent]) -> Td3Agent:
     its runs, in order. They must share hyperparameters and counters, so
     that one update steps every run as its own update would."""
     first = agents[0]
-    if any(a.runs != 1 or _counters(a) != _counters(first) for a in agents):
+    shared = first.hyper, _counters(first)
+    if any(a.runs != 1 or (a.hyper, _counters(a)) != shared for a in agents):
         raise ValueError("a lockstep group stacks groups of one that share hyper and counters")
     columns = zip(*(_state_arrays(a) for a in agents))
     arrays = [_group_array(np.stack(c), paired) for c, paired in zip(columns, _PAIRED)]
@@ -248,29 +261,14 @@ def act(
     return np.minimum(np.maximum(a, -1.0), 1.0)  # np.clip, bit for bit, faster
 
 
-def policy_fn(agent: Td3Agent):
-    """The group's evaluation policy (no exploration noise),
-    ``policy(obs, runs)``: row i of the (rows, obs_dim) stack ``obs`` acts
-    by the actor of run ``runs[i]``, alone, as it would under that run's
-    own policy (see ``envs.evaluate_policy``). The rows go through one
-    forward pass of a stack holding each row's actor, rebuilt only when the
-    runs of the rows change.
-    """
-    actor = agent.actor
-    members = actor.params.reshape(agent.runs, -1)
-    rows = {}  # the stack of each row's actor, by the rows' runs
-
-    def policy(obs, runs):
-        key = runs.tobytes()
-        if key not in rows:
-            rows.clear()
-            rows[key] = nn.DenseNet(
-                actor.layer_sizes, members[runs].ravel(),
-                actor.hidden_activation, actor.output_activation, len(runs),
-            )
-        return np.minimum(np.maximum(_actions(rows[key], obs), -1.0), 1.0)
-
-    return policy
+def policy_fn(actor: nn.DenseNet):
+    """The evaluation policy (no exploration noise) of a stack of actors,
+    one per policy that ``envs.evaluate_policy`` scores: the (episodes,
+    policies, obs_dim) observations act by their policy's actor. Each
+    actor's weights are broadcast over its own rows, and each row runs as
+    its own (1, obs_dim) slice, so a row's action equals ``act`` on that
+    row alone, bit for bit, and no parameter is copied."""
+    return lambda obs: np.minimum(np.maximum(_actions(actor, obs), -1.0), 1.0)
 
 
 # --- the update ---
@@ -511,9 +509,7 @@ def save_agent(agent: Td3Agent, directory, extra: dict | None = None) -> None:
         "hyper": asdict(agent.hyper),
         "obs_dim": agent.obs_dim,
         "action_dim": agent.action_dim,
-        "update_count": agent.update_count,
-        "actor_adam_steps": agent.actor_opt.step_count,
-        "critic_adam_steps": agent.critic_opt.step_count,
+        **dict(zip(_COUNTERS, _counters(agent))),
     }
     if extra:
         manifest.update(extra)

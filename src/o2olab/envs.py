@@ -10,9 +10,10 @@ bit for bit, whatever else runs beside it; the fine-tune loop runs one row.
 
 ``rollout`` holds the one reset/step/drop loop: ``act(live, obs)`` gets
 the indices and observation rows of the live episodes and returns one
-action row per row. ``evaluate_policy`` asks one policy for every row at
-once, naming each row's run, and ``compute_reference_scores`` one behavior
-per episode; both sum only the rewards. ``run_episodes`` (dataset
+action row per row. ``evaluate_policy`` asks one policy call for the rows
+of every episode of several policies at once, laid out as episodes x
+policies, and ``compute_reference_scores`` one behavior per episode; both
+sum only the rewards. ``run_episodes`` (dataset
 generation) asks each episode's own policy for its row and returns the
 transitions as columns.
 """
@@ -415,28 +416,45 @@ def evaluate_policy(
     episodes: int,
     seeds: list[int],
 ) -> list[PolicyEvaluation]:
-    """Normalized undiscounted return of each run of a lockstep group over
-    its seeded episodes: one evaluation per run seed in ``seeds``, in order.
+    """Normalized undiscounted return of each of several policies over its
+    seeded episodes: one evaluation per seed in ``seeds``, in order.
 
-    The ``episodes`` episodes of each run, run after run, all go in lockstep
-    in one env: at every step ``policy(obs, runs)`` gets the (live,
-    obs_dim) stack of the observations of the episodes still running, in
-    episode order, and the run of each row, and returns one action row per
-    observation row. It must act on each row alone, so that an episode's
-    actions do not depend on which other episodes are live (as
+    The ``episodes`` episodes of every policy all go in lockstep in one env.
+    At every step ``policy(obs)`` gets the (episodes, policies, obs_dim)
+    observations, row ``[i, p]`` of policy p's i-th episode, and returns one
+    action row each, (episodes, policies, action_dim). The row of an
+    episode that has ended holds a stale observation, or zeros, and its
+    action is dropped. The policy must act on each row alone, so that an
+    episode's actions do not depend on which other episodes run (as
     ``agents.policy_fn`` does). Each return is summed in its episode's own
     step order, so the scores equal those of each episode rolled alone, and
-    each run's evaluation equals that of its run alone.
+    each policy's evaluation equals that of the policy alone.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    episode_seeds = [stable_seed("eval-episode", s, i) for s in seeds for i in range(episodes)]
-    raw = _raw_returns(
-        make_env(spec), episode_seeds, lambda live, obs: policy(obs, live // episodes)
-    )
+    n = len(seeds)
+    lead = (episodes, n)
+    # row i * n + p is policy p's i-th episode, so the rows reshape to ``lead``
+    episode_seeds = [stable_seed("eval-episode", s, i) for i in range(episodes) for s in seeds]
+    grid = np.zeros((episodes * n, spec.obs_dim))  # every row, once some episodes end
+
+    def act(live, obs):
+        ended = len(live) < len(grid)
+        if ended:
+            grid[live] = obs
+            obs = grid
+        actions = np.asarray(policy(obs.reshape(*lead, spec.obs_dim)), dtype=np.float64)
+        if actions.shape != (*lead, spec.action_dim):
+            raise ShapeError(
+                f"expected actions of shape {(*lead, spec.action_dim)}, got {actions.shape}"
+            )
+        actions = actions.reshape(len(grid), spec.action_dim)
+        return actions[live] if ended else actions
+
+    raw = _raw_returns(make_env(spec), episode_seeds, act)
     results = []
-    for start in range(0, len(raw), episodes):
-        scores = [reference.normalize(r) for r in raw[start : start + episodes]]
+    for p in range(n):
+        scores = [reference.normalize(r) for r in raw[p::n]]
         results.append(PolicyEvaluation(scores, float(np.mean(scores))))
     return results
 

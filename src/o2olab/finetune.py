@@ -5,6 +5,12 @@ updates, then collects one transition, so with a warm-up of K steps the
 first update happens at step K+1 while the online buffer still holds
 exactly K transitions. Total updates are exactly
 ``utd * max(0, steps - start_delay)``.
+
+The loop steps a lockstep group of runs (see ``run_finetune``), which may
+be of several methods: runs of one ``update_class`` share the regularizer,
+the first update step and the counters they start from, and
+``lockstep_runs`` sizes a group by its critic work. The evaluation curve is
+scored after training, in one pass over every run and curve point.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from . import nn
 from .agents import (
+    FRESH_COUNTERS,
     RegularizerConfig,
     Td3Agent,
     Td3Hyper,
@@ -29,7 +37,6 @@ from .data import MixedSampler, OfflineDataset, ReplayBuffer, TransitionBatch, s
 from .envs import EnvSpec, evaluate_policy, make_env
 from .errors import ConfigError
 from .metrics import EvalPoint
-from .nn import param_count
 from .seeding import rng_for, stable_seed
 
 METHOD_BASELINE = "baseline"
@@ -127,34 +134,68 @@ def _regularizer_for(config: FinetuneConfig) -> RegularizerConfig:
     return RegularizerConfig()
 
 
+def _replays(config: FinetuneConfig) -> bool:
+    """Whether the run samples the dataset's own buffer beside its online one."""
+    return config.method in REPLAY_METHODS and not config.single_buffer
+
+
+def _schedule(config: FinetuneConfig, hyper: Td3Hyper) -> tuple:
+    """What the runs of one lockstep group share of their configs: the
+    regularizer, the first update step, the updates per step and the curve
+    points."""
+    start_delay = config.warmup_steps if config.method == METHOD_WARMUP else hyper.batch
+    return (
+        _regularizer_for(config),
+        start_delay,
+        config.utd,
+        config.total_env_steps,
+        config.eval_every,
+        config.eval_episodes,
+    )
+
+
+def update_class(config: FinetuneConfig, hyper: Td3Hyper, counters: tuple) -> tuple:
+    """The class of a run: runs of one class update alike, whatever their
+    methods, and can share a lockstep group. It holds the config's schedule
+    (regularizer, first update step, updates per step, curve points) and the
+    counters the run starts from: its checkpoint's ``counters`` (see
+    ``agents.checkpoint_counters``), or fresh ones after a replay_reset."""
+    start = FRESH_COUNTERS if config.method == METHOD_REPLAY_RESET else tuple(counters)
+    return (*_schedule(config, hyper), start)
+
+
 # A lockstep group pays where a run's update is small enough that its fixed
-# Python cost, not its arithmetic, sets its time. Per-run td3_update time in
-# microseconds at group sizes 1, 2 and 4 (beta 0.4 with Q-normalization;
-# numpy 2.4.6 on single-thread OpenBLAS 0.3.31 and a stage process's malloc
-# settings, on a 2-vCPU AMD EPYC VM; medians of 7 rounds of at least 0.3 s),
-# with the multiply-adds of one critic forward over a batch (batch x critic
-# parameters):
+# Python cost, not its arithmetic, sets its time, while the group's arrays,
+# which grow with its runs, stay small. Per run, the time of a whole
+# run_finetune (o2o_reg in the benchmark's loop shapes: 120 point-goal steps
+# with 56 updates and 4 curve points of 10 episodes, or 290 pendulum steps
+# with 68 updates and 4 points of 2 episodes), and the peak RSS of a process
+# fine-tuning 4 runs in groups of 1, 2 or 4 (numpy 2.4.6 on single-thread
+# OpenBLAS 0.3.31 and a stage process's malloc settings, on a 2-vCPU AMD
+# EPYC VM; medians of 5 processes), with the multiply-adds of one critic
+# forward over one run's batch (batch x critic parameters):
 #
-#   nets@batch       env        work    alone  of 2  of 4
-#   (32, 32)@64      point      8.4e4     147   104    82
-#   (64, 64)@256     pendulum   1.2e6     566   520   512
-#   (96, 96)@256     pendulum   2.5e6     978   938   998
-#   (128, 128)@256   pendulum   4.4e6    1529  1491  1582
-#   (256, 256)@256   pendulum   1.7e7    4855  5063  5443
+#   nets@batch       env        work   ms a run: alone  of 2   of 4   MB: alone  of 2   of 4
+#   (32, 32)@64      point      8.4e4            15.7   11.8    9.3       40.2  40.2   40.3
+#   (64, 64)@256     pendulum   1.2e6            50.3   44.7   44.0       39.6  41.7   46.0
+#   (96, 96)@256     pendulum   2.5e6            77.0   75.1   75.8       41.3  45.5   51.7
+#   (128, 128)@256   pendulum   4.4e6           113.8  111.6  121.8       43.5  49.6   59.9
+#   (256, 256)@256   pendulum   1.7e7           360.6  373.0  393.7       55.3  70.6  109.7
 #
-# The cap sits between the (64, 64)@256 point, where a group of 4 saves 10 %
-# a run, and the (96, 96)@256 one, where it costs 2 % more; larger nets run
-# alone.
-LOCKSTEP_MAX_WORK = 2_000_000
+# LOCKSTEP_MAX_WORK budgets the critic forward of a whole group: 4 runs at
+# (32, 32)@64, 2 at (64, 64)@256, where a group of 4 saves 1.6 % more a run
+# for 4.3 MB more, and 1 from (96, 96)@256 up, where a group of 2 saves
+# 2.5 % for 4.2 MB more.
+LOCKSTEP_MAX_WORK = 2_500_000
 LOCKSTEP_MAX_RUNS = 4
 
 
 def lockstep_runs(hyper: Td3Hyper, spec: EnvSpec) -> int:
-    """How many runs of one method to fine-tune as one lockstep group: up to
-    LOCKSTEP_MAX_RUNS while one critic forward over a batch stays within
-    LOCKSTEP_MAX_WORK multiply-adds, else 1."""
-    critic = param_count((spec.obs_dim + spec.action_dim, *hyper.hidden, 1))
-    return LOCKSTEP_MAX_RUNS if hyper.batch * critic <= LOCKSTEP_MAX_WORK else 1
+    """How many runs to fine-tune as one lockstep group: as many as keep
+    one critic forward over every run's batch within LOCKSTEP_MAX_WORK
+    multiply-adds, at least 1 and at most LOCKSTEP_MAX_RUNS."""
+    critic = nn.param_count((spec.obs_dim + spec.action_dim, *hyper.hidden, 1))
+    return max(1, min(LOCKSTEP_MAX_RUNS, LOCKSTEP_MAX_WORK // (hyper.batch * critic)))
 
 
 @dataclass(eq=False)
@@ -232,48 +273,75 @@ class _Run:
         }
 
 
+def _evaluate_curves(
+    dataset: OfflineDataset, episodes: int, actor: nn.DenseNet, points: list
+) -> None:
+    """Append every curve point to its runs' logs. ``points`` holds, per
+    curve point in order, its step, its live runs and a copy of their
+    stacked actors' parameters; one ``evaluate_policy`` call scores every
+    (run, point) pair over its seeded episodes."""
+    pairs = [(k, step, run) for k, (step, live, _) in enumerate(points) for run in live]
+    actors = nn.DenseNet(
+        actor.layer_sizes, np.concatenate([params for _, _, params in points]),
+        actor.hidden_activation, actor.output_activation, len(pairs),
+    )
+    results = evaluate_policy(
+        policy_fn(actors),
+        dataset.env,
+        dataset.reference,
+        episodes,
+        [eval_seed_for(run.log.seed, k) for k, _, run in pairs],
+    )
+    for (_, step, run), result in zip(pairs, results):
+        run.log.eval_curve.append(EvalPoint(step, result.mean, result.per_episode))
+
+
 def run_finetune(
-    dataset: OfflineDataset, agents: list[Td3Agent], config: FinetuneConfig, seeds: list[int]
+    dataset: OfflineDataset,
+    agents: list[Td3Agent],
+    configs: list[FinetuneConfig],
+    seeds: list[int],
 ) -> list[RunLog]:
-    """Fine-tune each agent (a group of one) online with its run seed;
-    returns one RunLog per run, in order.
+    """Fine-tune each agent (a group of one) online by its config and run
+    seed; returns one RunLog per run, in order.
 
     The runs go in lockstep, as one group holding copies of the agents: one
-    stacked ``td3_update`` per update, one exploring ``act`` per env step
-    and one evaluation of every run's episodes in one env (see
-    ``agents.stack_agents``). Each run keeps its own env, buffers and
-    generators, so its RunLog equals the one it would record alone. A run
-    whose update blows up aborts alone. ``agents`` is emptied, so that
-    nothing here keeps the originals alive.
+    stacked ``td3_update`` per update and one exploring ``act`` per env step
+    (see ``agents.stack_agents``). Their methods may differ where the runs
+    update alike (see ``update_class``): the configs must share their
+    schedule, and the agents their counters once a replay_reset run's agent
+    is reset. Each run keeps its own env, buffers and generators, so its
+    RunLog equals the one it would record alone. A run whose update blows
+    up aborts alone. ``agents`` is emptied, so that nothing here keeps the
+    originals alive.
 
-    Scores are normalized by the dataset's reference scores; runs act in
-    the dataset's env. The dataset is sampled only by the replay-based
-    methods and with ``single_buffer``.
+    The curve is evaluated after training: at each curve point the loop
+    keeps a copy of the live runs' actors, and one evaluation then scores
+    every (run, point) pair (see ``_evaluate_curves``). Scores are
+    normalized by the dataset's reference scores; runs act in the dataset's
+    env. The dataset is sampled only by the replay-based methods and with
+    ``single_buffer``.
     """
-    if config.method == METHOD_REPLAY_RESET:
-        for i, seed in enumerate(seeds):  # no loop variable keeps an agent alive
+    hyper = agents[0].hyper
+    schedule = _schedule(configs[0], hyper)
+    if any(_schedule(config, hyper) != schedule for config in configs):
+        raise ValueError("a lockstep group takes runs whose configs share a schedule")
+    reg, start_delay, utd, total_env_steps, eval_every, eval_episodes = schedule
+    for i, (config, seed) in enumerate(zip(configs, seeds)):  # no loop variable keeps an agent
+        if config.method == METHOD_REPLAY_RESET:
             reset_parameters(agents[i], seed=stable_seed("reset", seed))
     group = stack_agents(agents)
     agents.clear()
-    replay = config.method in REPLAY_METHODS and not config.single_buffer
-    offline = ReplayBuffer.from_dataset(dataset) if replay else None
-    every = [_Run.start(dataset, config, seed, offline) for seed in seeds]
+    offline = ReplayBuffer.from_dataset(dataset) if any(map(_replays, configs)) else None
+    every = [
+        _Run.start(dataset, config, seed, offline if _replays(config) else None)
+        for config, seed in zip(configs, seeds)
+    ]
     runs = list(every)  # the live runs, in the order of the group's runs
-    reg = _regularizer_for(config)
-    hyper = group.hyper
-    start_delay = config.warmup_steps if config.method == METHOD_WARMUP else hyper.batch
+    points = []  # per curve point: its step, its live runs and their actors' parameters
 
-    def evaluate(step: int) -> None:
-        point_index = len(runs[0].log.eval_curve)
-        results = evaluate_policy(
-            policy_fn(group),
-            dataset.env,
-            dataset.reference,
-            config.eval_episodes,
-            [eval_seed_for(run.log.seed, point_index) for run in runs],
-        )
-        for run, result in zip(runs, results):
-            run.log.eval_curve.append(EvalPoint(step, result.mean, result.per_episode))
+    def keep_point(step: int) -> None:
+        points.append((step, runs, group.actor.params.copy()))
 
     def update() -> dict[int, str]:
         """One update of every live run; returns {run: reason} for those
@@ -281,10 +349,10 @@ def run_finetune(
         batch = stack_batches([run.sample(hyper.batch) for run in runs])
         return td3_update(group, batch, reg, [run.update_rng for run in runs])
 
-    evaluate(0)  # for replay_reset this is the post-reset policy
-    for step in range(1, config.total_env_steps + 1):
+    keep_point(0)  # for replay_reset this is the post-reset policy
+    for step in range(1, total_env_steps + 1):
         if step > start_delay:
-            for _ in range(config.utd):
+            for _ in range(utd):
                 failed = update()
                 for i, run in enumerate(runs):
                     if i in failed:
@@ -304,9 +372,10 @@ def run_finetune(
         actions = act(group, obs, explore=True, rngs=[run.explore_rng for run in runs])
         for i, run in enumerate(runs):
             run.step(actions[i : i + 1])
-        if step % config.eval_every == 0:
-            evaluate(step)
+        if step % eval_every == 0:
+            keep_point(step)
 
+    _evaluate_curves(dataset, eval_episodes, group.actor, points)
     for run in every:
         run.finish()
     return [run.log for run in every]

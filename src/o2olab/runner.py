@@ -29,11 +29,14 @@ takes the dataset's per-trajectory returns from the manifest. ``setting``,
 invalidates nothing.
 
 Pretrain splits its work into one unit per seed, finetune into one per
-method and lockstep group of its seeds (see ``finetune.lockstep_runs``). A
-serial stage (``jobs`` 1) is the one-worker case of the same units: ``jobs``
-N runs the same unit function in a pool of N worker processes, each unit
-takes the dataset's rows from a per-process cache, and results come back in
-unit order, so both write the same bytes.
+lockstep group: the runs to do are sorted, in config order, into classes
+that update alike whatever their methods (``finetune.update_class``, from
+each checkpoint manifest's counters), and each class is cut into groups
+(``finetune.lockstep_runs``). A serial stage (``jobs`` 1) is the
+one-worker case of the same units: ``jobs`` N runs the same unit function
+in a pool of N worker processes, each unit takes the dataset's rows from a
+per-process cache, and results come back in unit order, so both write the
+same bytes.
 
 Regime labels are persisted by the classify stage before any fine-tuning
 output exists, so the prediction is made ahead of the outcome. Report reads
@@ -60,6 +63,7 @@ from .agents import (
     Td3Hyper,
     agent_from_bc_fqe,
     bc_pretrain,
+    checkpoint_counters,
     fqe,
     load_agent,
     offline_rl_pretrain,
@@ -93,6 +97,7 @@ from .finetune import (
     last_k_eval_stat,
     lockstep_runs,
     run_finetune,
+    update_class,
 )
 from .fsio import MANIFEST_FILE, read_json, write_json_atomic, write_text_atomic
 from .metrics import (
@@ -239,8 +244,10 @@ class ExperimentConfig:
             data = read_json(path)
         except FileNotFoundError as exc:
             raise MissingInputError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except IsADirectoryError:
+            raise MissingInputError(f"config path {path} is a directory, not a file") from None
+        except ValueError as exc:  # not JSON, or bytes that are not UTF-8
+            raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
         return cls.from_dict(data)
 
     @property
@@ -319,11 +326,22 @@ def run_key(config: ExperimentConfig, method: str, seed: int) -> str:
     })
 
 
+def _read(path: Path):
+    """``path``'s JSON; a directory where the file belongs is a
+    MissingInputError, as no stage can write the file there."""
+    try:
+        return read_json(path)
+    except IsADirectoryError:
+        raise MissingInputError(f"{path} is a directory where a file belongs; remove it") from None
+
+
 def _require_current(path: Path, key: str, command: str) -> dict:
     """``path``'s record, once its key shows it was made from this config's
     inputs; ``command`` is the o2olab command that (re)makes it."""
     try:
-        record = read_json(path)
+        record = _read(path)
+    except MissingInputError:  # a directory in its place
+        raise
     except FileNotFoundError:
         raise MissingInputError(f"{path} does not exist; run `o2olab {command}`") from None
     except ValueError:  # unreadable, so not made from these inputs either
@@ -341,9 +359,15 @@ def _check_key(path: Path, record: dict, key: str, command: str) -> None:
 
 
 def _is_current(path: Path, key: str) -> bool:
+    """Whether ``path`` holds a record of ``key``; a directory in its place
+    is a MissingInputError (see ``_read``)."""
     try:
         _require_current(path, key, "")
-    except (ConfigError, MissingInputError):
+    except ConfigError:
+        return False
+    except MissingInputError:
+        if path.is_dir():
+            raise
         return False
     return True
 
@@ -414,7 +438,7 @@ def _pretrain_one(config: ExperimentConfig, seed: int, reference: ReferenceScore
     else:
         agent = load_agent(paths.checkpoint(seed))
     [result] = evaluate_policy(
-        policy_fn(agent),
+        policy_fn(agent.actor),
         config.env,
         reference,
         config.finetune.eval_episodes,
@@ -576,14 +600,16 @@ def _method_finetune(config: ExperimentConfig, method: str) -> FinetuneConfig:
     return replace(config.finetune, method=method)
 
 
-def _finetune_group(config: ExperimentConfig, method: str, seeds: tuple[int, ...]) -> None:
-    """Fine-tune one method's ``seeds`` as one lockstep group and write their
-    run files; nothing is written before the whole group is done."""
+def _finetune_group(config: ExperimentConfig, runs: tuple[tuple[str, int], ...]) -> None:
+    """Fine-tune ``runs``, (method, seed) pairs of one update class, as one
+    lockstep group and write their run files; nothing is written before the
+    whole group is done."""
     paths = Paths(config)
-    agents = [load_agent(paths.checkpoint(seed)) for seed in seeds]
-    run_seeds = [run_seed_for(seed, method, config.seeds.index(seed)) for seed in seeds]
-    logs = run_finetune(_dataset(config), agents, _method_finetune(config, method), run_seeds)
-    for seed, log in zip(seeds, logs):
+    agents = [load_agent(paths.checkpoint(seed)) for _, seed in runs]
+    configs = [_method_finetune(config, method) for method, _ in runs]
+    run_seeds = [run_seed_for(seed, method, config.seeds.index(seed)) for method, seed in runs]
+    logs = run_finetune(_dataset(config), agents, configs, run_seeds)
+    for (method, seed), log in zip(runs, logs):
         payload = {"key": run_key(config, method, seed), "config_seed": seed, **log.to_dict()}
         write_json_atomic(paths.run_file(method, seed), payload)
         n_episodes = len(log.eval_curve[0].per_episode)
@@ -594,18 +620,14 @@ def _finetune_group(config: ExperimentConfig, method: str, seeds: tuple[int, ...
         )
 
 
-def _finetune_units(todo: dict[str, list[int]], size: int, jobs: int) -> list[tuple]:
-    """(method, seeds) work units: each method's seeds to run, in groups of
-    at most ``size``, made smaller while there are fewer units than
-    min(``jobs``, runs) so that every worker has one."""
-    runs = sum(len(seeds) for seeds in todo.values())
+def _finetune_units(classes: list[list[tuple[str, int]]], size: int, jobs: int) -> list[tuple]:
+    """Work units of (method, seed) runs: each class's runs, in order, in
+    groups of at most ``size``, made smaller while there are fewer units
+    than min(``jobs``, runs) so that every worker has one."""
+    total = sum(map(len, classes))
     while True:
-        units = [
-            (method, tuple(seeds[i : i + size]))
-            for method, seeds in todo.items()
-            for i in range(0, len(seeds), size)
-        ]
-        if size == 1 or len(units) >= min(jobs, runs):
+        units = [tuple(runs[i : i + size]) for runs in classes for i in range(0, len(runs), size)]
+        if size == 1 or len(units) >= min(jobs, total):
             return units
         size -= 1
 
@@ -620,7 +642,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def _read_run_file(path: Path) -> dict | None:
     """The run file's record, or None when it is not a readable run log."""
     try:
-        data = read_json(path)
+        data = _read(path)
         RunLog.from_dict(data)
         return data
     except (json.JSONDecodeError, KeyError, TypeError, ValueError):
@@ -648,26 +670,32 @@ def cmd_finetune(config: ExperimentConfig, jobs: int = 1, force: bool = False) -
     # the regime prediction is recorded before any outcome
     _require_current(paths.classify, classify_key(config), "classify")
     _dataset_manifest(config)
-    todo: dict[str, list[int]] = {}
+    todo: list[tuple[str, int]] = []
     for method in config.methods:
         (paths.finetune_dir / method).mkdir(parents=True, exist_ok=True)
         for seed in config.seeds:
             run_file = paths.run_file(method, seed)
-            if run_file.exists() and not force:
+            # a directory in a run file's place is read, and reported, even under force
+            if run_file.exists() and (not force or run_file.is_dir()):
                 data = _read_run_file(run_file)
                 if data is None:
                     _quarantine(run_file)
                 elif data.get("key") == run_key(config, method, seed):
                     continue
-            todo.setdefault(method, []).append(seed)
-    for seed in dict.fromkeys(seed for seeds in todo.values() for seed in seeds):
-        _require_current(
+            todo.append((method, seed))
+    counters = {
+        seed: checkpoint_counters(_require_current(
             paths.checkpoint(seed) / MANIFEST_FILE, checkpoint_key(config, seed), "pretrain"
-        )
-    units = _finetune_units(todo, lockstep_runs(config.agent, config.env), jobs)
+        ))
+        for seed in dict.fromkeys(seed for _, seed in todo)
+    }
+    classes: dict[tuple, list[tuple[str, int]]] = {}
+    for method, seed in todo:
+        key = update_class(_method_finetune(config, method), config.agent, counters[seed])
+        classes.setdefault(key, []).append((method, seed))
+    units = _finetune_units(list(classes.values()), lockstep_runs(config.agent, config.env), jobs)
     if units:
-        methods, seed_groups = zip(*units)
-        _map(jobs, _finetune_group, repeat(config), methods, seed_groups)
+        _map(jobs, _finetune_group, repeat(config), units)
     return [paths.run_file(m, s) for m in config.methods for s in config.seeds]
 
 
@@ -825,7 +853,7 @@ def aggregate_matrix(entries: list) -> dict:
     skipped = []
     for path in analysis_paths:
         try:
-            analysis = read_json(path)
+            analysis = _read(path)
         except ValueError:
             analysis = None
         if not isinstance(analysis, dict):

@@ -173,7 +173,7 @@ def test_evaluate_policy_equals_sequential_episodes(kind, hidden):
                 raw += step[2]
             want.append(ref.normalize(raw))
             endings.add((len(steps), step[4], step[5]))
-        [got] = evaluate_policy(policy_fn(agent), spec, ref, episodes, [seed])
+        [got] = evaluate_policy(policy_fn(agent.actor), spec, ref, episodes, [seed])
         assert got.per_episode == want
         assert got.mean == float(np.mean(want))
     if kind != "pendulum":
@@ -185,17 +185,19 @@ def test_evaluate_policy_equals_sequential_episodes(kind, hidden):
 
 
 def test_evaluate_policy_rejects_wrong_action_rows():
-    # exactly one action row of width action_dim per live episode: a
-    # (live, 1) stack would otherwise broadcast over the point goal's
-    # (live, 2) positions
+    # exactly one action row of width action_dim per episode of each
+    # policy: an (episodes, policies, 1) stack would otherwise broadcast
+    # over the point goal's 2-wide positions
     wrong_shapes = {
-        "pendulum": [lambda n: (1,), lambda n: (n, 2), lambda n: (n - 1, 1)],
+        "pendulum": [lambda e, p: (1,), lambda e, p: (e, p, 2), lambda e, p: (e - 1, p, 1),
+                     lambda e, p: (e * p, 1)],
         "point_goal_dense": [
-            lambda n: (n, 1),
-            lambda n: (n, 3),
-            lambda n: (n - 1, 2),
-            lambda n: (n + 1, 2),
-            lambda n: (2,),
+            lambda e, p: (e, p, 1),
+            lambda e, p: (e, p, 3),
+            lambda e, p: (e - 1, p, 2),
+            lambda e, p: (e, p + 1, 2),
+            lambda e, p: (e * p, 2),
+            lambda e, p: (2,),
         ],
     }
     for kind, shapes in wrong_shapes.items():
@@ -203,8 +205,8 @@ def test_evaluate_policy_rejects_wrong_action_rows():
         ref = ReferenceScores(kind, -1000.0, -100.0, 1, 0)
         for shape in shapes:
             with pytest.raises(ShapeError):
-                evaluate_policy(lambda obs, runs: np.zeros(shape(len(obs))), spec, ref,
-                                episodes=3, seeds=[0])
+                evaluate_policy(lambda obs: np.zeros(shape(*obs.shape[:-1])), spec, ref,
+                                episodes=3, seeds=[0, 1])
 
 
 def test_act_zero_noise_equals_deterministic():
@@ -488,11 +490,11 @@ def test_group_act_and_policy_act_as_each_run():
     for r, agent in enumerate(agents):
         alone = act(agent, obs[r : r + 1], explore=True, rngs=[np.random.default_rng(r)])
         assert np.array_equal(got[r : r + 1], alone)
-    policy = policy_fn(group)
-    rows = np.random.default_rng(1).normal(0.0, 4.0, size=(7, 4))
-    for runs in (np.array([0, 0, 1, 1, 1, 2, 2]), np.array([0, 1, 1, 2, 2, 2, 2])):
-        want = np.stack([act(agents[r], row) for r, row in zip(runs, rows)])
-        assert np.array_equal(policy(rows, runs), want)
+    # the evaluation policy: episodes x runs rows, each by its run's actor
+    policy = policy_fn(group.actor)
+    rows = np.random.default_rng(1).normal(0.0, 4.0, size=(5, 3, 4))
+    want = np.stack([[act(agents[r], row[r]) for r in range(3)] for row in rows])
+    assert np.array_equal(policy(rows), want)
 
 
 def test_group_evaluation_equals_each_run_alone():
@@ -501,9 +503,9 @@ def test_group_evaluation_equals_each_run_alone():
     ref = ReferenceScores(spec.kind, -1000.0, -100.0, 1, 0)
     agents = [steer_to_goal(make_td3_agent(4, 2, SMALL, seed=s)) for s in range(3)]
     seeds = [31, 32, 33]
-    got = evaluate_policy(policy_fn(stack_agents(agents)), spec, ref, 5, seeds)
+    got = evaluate_policy(policy_fn(stack_agents(agents).actor), spec, ref, 5, seeds)
     for result, agent, seed in zip(got, agents, seeds):
-        [alone] = evaluate_policy(policy_fn(agent), spec, ref, 5, [seed])
+        [alone] = evaluate_policy(policy_fn(agent.actor), spec, ref, 5, [seed])
         assert (result.per_episode, result.mean) == (alone.per_episode, alone.mean)
     assert len({score for result in got for score in result.per_episode}) > 1
 
@@ -668,7 +670,7 @@ def test_offline_rl_expert_pendulum(dense_ref):
     from o2olab.data import dataset_return
     from o2olab.envs import evaluate_policy
 
-    [result] = evaluate_policy(policy_fn(agent), spec, dense_ref, episodes=20, seeds=[77])
+    [result] = evaluate_policy(policy_fn(agent.actor), spec, dense_ref, episodes=20, seeds=[77])
     _, jd = dataset_return(ds)
     assert result.mean >= 0.8 * jd
 

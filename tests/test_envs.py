@@ -458,9 +458,12 @@ def test_reference_means_equal_the_episodes_run_one_at_a_time(kind):
 
 
 def rows_policy(policy):
-    """A per-observation policy as the row-stack policy evaluate_policy
-    calls, applied row by row, whatever the rows' runs."""
-    return lambda obs, runs: np.stack([policy(o) for o in obs])
+    """A per-observation policy as the episodes x policies policy that
+    evaluate_policy calls, applied row by row, whatever the rows' policies.
+    It also acts on the rows of the episodes that have ended."""
+    return lambda obs: np.stack([policy(o) for o in obs.reshape(-1, obs.shape[-1])]).reshape(
+        *obs.shape[:-1], -1
+    )
 
 
 def test_evaluate_policy_normalization_identity(pendulum_reference):
@@ -490,7 +493,7 @@ def test_evaluate_policy_deterministic(pendulum_reference):
 
 def test_evaluate_policy_rejects_zero_episodes(pendulum_reference):
     with pytest.raises(ValueError):
-        evaluate_policy(lambda obs, runs: np.zeros((len(obs), 1)), env_spec("pendulum"),
+        evaluate_policy(lambda obs: np.zeros((*obs.shape[:-1], 1)), env_spec("pendulum"),
                         pendulum_reference, episodes=0, seeds=[0])
 
 

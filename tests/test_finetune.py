@@ -7,7 +7,9 @@ from o2olab.agents import Td3Hyper, make_td3_agent
 from o2olab.data import ReplayBuffer, dataset_return, generate_dataset
 from o2olab.envs import BehaviorSpec, compute_reference_scores, env_spec, evaluate_policy
 from o2olab.errors import ConfigError
+from o2olab import nn
 from o2olab.finetune import (
+    ALL_METHODS,
     LOCKSTEP_MAX_RUNS,
     FinetuneConfig,
     RunLog,
@@ -15,9 +17,11 @@ from o2olab.finetune import (
     last_k_eval_stat,
     lockstep_runs,
     run_finetune,
+    update_class,
 )
-from o2olab.agents import policy_fn
+from o2olab.agents import policy_fn, reset_parameters
 from o2olab.metrics import EvalPoint
+from o2olab.seeding import stable_seed
 
 from metrics_helpers import validate_curve
 from test_data import assert_same_dataset
@@ -56,7 +60,7 @@ def fresh_agent(seed=0):
 
 def run(method, dataset, seed=5, **overrides):
     config = small_config(method=method, **overrides)
-    [log] = run_finetune(dataset, [fresh_agent()], config, [seed])
+    [log] = run_finetune(dataset, [fresh_agent()], [config], [seed])
     return log
 
 
@@ -82,7 +86,7 @@ def test_config_validation():
 def test_warmup_contract(dataset):
     # first update at step K+1 with exactly K transitions banked
     config = small_config(method="warmup", warmup_steps=60, total_env_steps=120)
-    [log] = run_finetune(dataset, [fresh_agent()], config, [2])
+    [log] = run_finetune(dataset, [fresh_agent()], [config], [2])
     assert log.counters["updates"] == 120 - 60
     assert log.counters["env_steps"] == 120
 
@@ -100,7 +104,7 @@ def test_utd_accounting_scales(dataset):
 
 def test_zero_updates_before_warmup_end(dataset):
     config = small_config(method="warmup", warmup_steps=150, total_env_steps=150)
-    [log] = run_finetune(dataset, [fresh_agent()], config, [2])
+    [log] = run_finetune(dataset, [fresh_agent()], [config], [2])
     assert log.counters["updates"] == 0
 
 
@@ -119,9 +123,9 @@ def test_step0_matches_independent_evaluation(dataset):
     agent = fresh_agent(3)
     frozen = copy.deepcopy(agent)
     config = small_config()
-    [log] = run_finetune(dataset, [agent], config, [seed])
+    [log] = run_finetune(dataset, [agent], [config], [seed])
     [independent] = evaluate_policy(
-        policy_fn(frozen), SPEC, dataset.reference, config.eval_episodes,
+        policy_fn(frozen.actor), SPEC, dataset.reference, config.eval_episodes,
         [eval_seed_for(seed, 0)],
     )
     assert log.eval_curve[0].per_episode == independent.per_episode
@@ -187,9 +191,9 @@ def test_replay_reset_degrades_step0(dataset):
     frozen = copy.deepcopy(agent)
     seed = 21
     config = small_config(method="replay_reset")
-    [log] = run_finetune(dataset, [agent], config, [seed])
+    [log] = run_finetune(dataset, [agent], [config], [seed])
     [incoming] = evaluate_policy(
-        policy_fn(frozen), SPEC, dataset.reference, config.eval_episodes,
+        policy_fn(frozen.actor), SPEC, dataset.reference, config.eval_episodes,
         [eval_seed_for(seed, 0)],
     )
     # the reset agent is a different random net; bit-equality would be a fluke
@@ -223,7 +227,7 @@ def test_replay_batches_split_exactly_at_full_scale(dataset):
     original = ft.MixedSampler
     ft.MixedSampler = CountingSampler
     try:
-        [log] = run_finetune(dataset, [agent], config, [3])
+        [log] = run_finetune(dataset, [agent], [config], [3])
     finally:
         ft.MixedSampler = original
     assert log.counters["updates"] == 280 - 256
@@ -235,7 +239,7 @@ def test_replay_batches_split_exactly_at_full_scale(dataset):
 
 def test_a_group_lets_go_of_the_agents_it_copied(dataset):
     agents = [fresh_agent(0), fresh_agent(1)]
-    logs = run_finetune(dataset, agents, small_config(total_env_steps=60), [5, 6])
+    logs = run_finetune(dataset, agents, [small_config(total_env_steps=60)] * 2, [5, 6])
     assert agents == [] and [log.seed for log in logs] == [5, 6]
 
 
@@ -244,8 +248,108 @@ def test_lockstep_groups_only_small_nets():
     assert lockstep_runs(Td3Hyper(hidden=(8, 8), batch=16), point) == LOCKSTEP_MAX_RUNS
     assert lockstep_runs(Td3Hyper(hidden=(32, 32), batch=64), point) == LOCKSTEP_MAX_RUNS
     assert lockstep_runs(Td3Hyper(hidden=(64, 64), batch=64), point) == LOCKSTEP_MAX_RUNS
-    assert lockstep_runs(Td3Hyper(hidden=(64, 64), batch=256), pendulum) == LOCKSTEP_MAX_RUNS
+    assert lockstep_runs(Td3Hyper(hidden=(64, 64), batch=256), pendulum) == 2
+    assert lockstep_runs(Td3Hyper(hidden=(96, 96), batch=256), pendulum) == 1
     assert lockstep_runs(Td3Hyper(hidden=(128, 128), batch=256), point) == 1
+
+
+def damaged_agent(seed):
+    """A fresh agent whose critic targets overflow, so its first update
+    blows up."""
+    agent = fresh_agent(seed)
+    for w in agent.target_critics.weights[1:]:
+        w[:] = 1e200
+    return agent
+
+
+# groups of runs that update alike: no regularizer and the first update at
+# the batch fill, replay_reset starting from fresh counters like every fresh
+# agent here; and the regularized methods
+MIXED_GROUPS = [
+    [("baseline", 0, 5), ("replay", 1, 6), ("replay_reset", 2, 7), ("baseline", 3, 8)],
+    [("o2o_reg", 0, 5), ("mixed", 1, 6), ("mixed", 2, 7)],
+]
+
+
+@pytest.mark.parametrize("runs", MIXED_GROUPS, ids=["unregularized", "regularized"])
+def test_a_mixed_method_group_records_each_run_as_alone(dataset, runs):
+    # the last run aborts at its first update, beside the others
+    def agents():
+        return [fresh_agent(s) if i < len(runs) - 1 else damaged_agent(s)
+                for i, (_, s, _) in enumerate(runs)]
+
+    configs = [small_config(method=method) for method, _, _ in runs]
+    seeds = [seed for _, _, seed in runs]
+    group = run_finetune(dataset, agents(), configs, seeds)
+    for log, agent, config, seed in zip(group, agents(), configs, seeds):
+        assert log.to_dict() == run_finetune(dataset, [agent], [config], [seed])[0].to_dict()
+    assert [log.aborted for log in group] == [False] * (len(runs) - 1) + [True]
+    assert len({log.method for log in group}) > 1
+
+
+def test_a_group_refuses_runs_that_update_apart(dataset):
+    for other in ("warmup", "o2o_reg"):
+        with pytest.raises(ValueError, match="schedule"):
+            run_finetune(dataset, [fresh_agent(0), fresh_agent(1)],
+                         [small_config(), small_config(method=other)], [5, 6])
+
+
+def test_update_classes():
+    hyper, counters = HYPER, (60, 30, 60)
+    classes = {m: update_class(small_config(method=m), hyper, counters) for m in ALL_METHODS}
+    assert classes["baseline"] == classes["replay"] != classes["replay_reset"]
+    assert classes["o2o_reg"] == classes["mixed"] != classes["baseline"]
+    assert classes["warmup"] != classes["baseline"]
+    # from a checkpoint with fresh counters, replay_reset updates alike
+    fresh = {m: update_class(small_config(method=m), hyper, (0, 0, 0)) for m in ALL_METHODS}
+    assert fresh["baseline"] == fresh["replay_reset"]
+    # warm-up ending at the batch fill starts updating at the same step
+    assert update_class(small_config(method="warmup", warmup_steps=HYPER.batch), hyper,
+                        counters) == classes["baseline"]
+
+
+@pytest.mark.parametrize("methods,warmup_steps,aborted_steps", [
+    (["baseline", "replay_reset", "warmup"], HYPER.batch, [0]),
+    (["warmup", "warmup", "warmup"], 60, [0, 50]),
+])
+def test_every_curve_point_scores_its_actor_snapshot(
+    dataset, monkeypatch, methods, warmup_steps, aborted_steps
+):
+    # each point of each run equals evaluate_policy of that run's actor at
+    # the point's step, alone: replay_reset's step-0 point is its reset
+    # actor's, and the last run, which aborts at its first update, keeps the
+    # points before its abort
+    import o2olab.finetune as ft
+
+    actors = []  # per env step: the live runs' actors, as act saw them
+    real_act = ft.act
+
+    def recording_act(agent, obs, **kwargs):
+        actors.append(agent.actor.params.reshape(agent.runs, -1).copy())
+        return real_act(agent, obs, **kwargs)
+
+    monkeypatch.setattr(ft, "act", recording_act)
+    configs = [small_config(method=m, warmup_steps=warmup_steps) for m in methods]
+    incoming = [fresh_agent(0), fresh_agent(1), damaged_agent(2)]
+    seeds = [5, 6, 7]
+    logs = run_finetune(dataset, copy.deepcopy(incoming), configs, seeds)
+    assert [log.aborted for log in logs] == [False, False, True]
+    assert [p.step for p in logs[2].eval_curve] == aborted_steps
+    layout = incoming[0].actor
+    for r, (log, config, seed) in enumerate(zip(logs, configs, seeds)):
+        start = copy.deepcopy(incoming[r])
+        if config.method == "replay_reset":
+            reset_parameters(start, seed=stable_seed("reset", seed))
+        assert len(log.eval_curve) == (5 if r < 2 else len(aborted_steps))
+        for k, point in enumerate(log.eval_curve):
+            if point.step == 0:
+                actor = start.actor
+            else:  # the live runs are a prefix of the group: only the last aborts
+                actor = nn.DenseNet(layout.layer_sizes, actors[point.step - 1][r].copy(),
+                                    layout.hidden_activation, layout.output_activation, 1)
+            [alone] = evaluate_policy(policy_fn(actor), SPEC, dataset.reference,
+                                      config.eval_episodes, [eval_seed_for(seed, k)])
+            assert (point.mean, point.per_episode) == (alone.mean, alone.per_episode)
 
 
 # --- last_k stat ---

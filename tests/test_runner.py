@@ -16,11 +16,11 @@ import pytest
 from scipy import stats as sps
 
 from o2olab import cli, fsio, runner
-from o2olab.agents import load_agent, save_agent
+from o2olab.agents import checkpoint_counters, load_agent, save_agent
 from o2olab.data import behavior_segment, load_dataset
 from o2olab.envs import BehaviorSpec, env_spec
 from o2olab.errors import ConfigError, MissingInputError
-from o2olab.finetune import RunLog
+from o2olab.finetune import LOCKSTEP_MAX_RUNS, RunLog, update_class
 from o2olab.metrics import EvalPoint
 from o2olab.fsio import read_json
 from pipeline_helpers import run_pipeline
@@ -524,6 +524,11 @@ def test_parallel_matches_serial(tmp_path):
         runner.cmd_gen_data(cfg)
         runner.cmd_pretrain(cfg, jobs=jobs)
         runner.cmd_classify(cfg)
+        # fewer update classes than methods: some lockstep groups mix methods
+        manifest = read_json(runner.Paths(cfg).checkpoint(0) / "manifest.json")
+        classes = {update_class(runner._method_finetune(cfg, method), cfg.agent,
+                                checkpoint_counters(manifest)) for method in cfg.methods}
+        assert len(classes) < len(cfg.methods)
         runner.cmd_finetune(cfg, jobs=jobs)
         runner.cmd_report(cfg)
         trees.append({name: data for name, (data, _) in snapshot(runner.Paths(cfg).root).items()})
@@ -886,12 +891,13 @@ def test_stages_parse_the_dataset_only_when_they_have_work(finished, tmp_path, m
 
 
 def recording_groups(mp):
-    """Patch ``runner.run_finetune`` to record the (method, runs) of each group."""
+    """Patch ``runner.run_finetune`` to record the methods of each group's
+    runs, in order."""
     groups, real = [], runner.run_finetune
 
-    def recording(dataset, agents, config, seeds):
-        groups.append((config.method, len(agents)))
-        return real(dataset, agents, config, seeds)
+    def recording(dataset, agents, configs, seeds):
+        groups.append(tuple(config.method for config in configs))
+        return real(dataset, agents, configs, seeds)
 
     mp.setattr(runner, "run_finetune", recording)
     return groups
@@ -899,7 +905,8 @@ def recording_groups(mp):
 
 def finetune_in_groups(config, size):
     """The bytes of every finetune file after a forced finetune in groups of
-    at most ``size`` runs, and the (method, runs) of each group."""
+    at most ``size`` runs, and the methods of each group (see
+    ``recording_groups``)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(runner, "lockstep_runs", lambda hyper, spec: size)
         groups = recording_groups(mp)
@@ -912,29 +919,77 @@ def finetune_in_groups(config, size):
 
 NET_SIZES = {"golden": {"hidden": [8, 8], "batch": 16}, "32x32": {"hidden": [32, 32], "batch": 64}}
 
+# the update classes of the tiny setting's methods, in the order of their
+# first run. offline_rl checkpoints carry their pretraining's counters, so a
+# replay_reset run, which starts from fresh ones, updates apart; bc_fqe ones
+# start from fresh counters too. Warm-up starts updating at another step.
+CLASSES = {
+    "offline_rl": [("baseline", "replay"), ("warmup",), ("o2o_reg", "mixed"), ("replay_reset",)],
+    "bc_fqe": [("baseline", "replay", "replay_reset"), ("warmup",), ("o2o_reg", "mixed")],
+}
 
-@pytest.fixture(scope="module", params=sorted(NET_SIZES))
-def three_seeds(request, tmp_path_factory):
-    """A tiny setting with three seeds, pretrained and classified, and its
-    finetune files with every run alone."""
-    base = tmp_path_factory.mktemp(f"three-{request.param}")
-    config = runner.ExperimentConfig.from_dict(
-        tiny_config_dict(base, agent=NET_SIZES[request.param], seeds=[0, 1, 2])
-    )
+
+def class_groups(pretrain, seeds, size):
+    """The methods of each group that cutting the update classes of
+    ``pretrain``'s checkpoints into groups of at most ``size`` runs gives."""
+    groups = []
+    for methods in CLASSES[pretrain]:
+        runs = [method for method in methods for _ in seeds]
+        groups += [tuple(runs[i : i + size]) for i in range(0, len(runs), size)]
+    return groups
+
+
+def pretrained_three_seeds(base, net, pretrain):
+    """A tiny setting with three seeds, pretrained by ``pretrain`` and
+    classified, and its finetune files with every run alone."""
+    config = runner.ExperimentConfig.from_dict(tiny_config_dict(
+        base, agent=NET_SIZES[net], seeds=[0, 1, 2],
+        pretrain={"kind": pretrain, "steps": 60, "beta": 0.4},
+    ))
     runner.cmd_gen_data(config)
     runner.cmd_pretrain(config)
     runner.cmd_classify(config)
     alone, groups = finetune_in_groups(config, 1)
-    assert {runs for _, runs in groups} == {1}
+    assert len(groups) == 6 * 3 and {len(g) for g in groups} == {1}
     return config, alone
 
 
-@pytest.mark.parametrize("size,runs", [(2, [2, 1]), (3, [3])])
-def test_lockstep_groups_write_the_bytes_of_runs_alone(three_seeds, size, runs):
-    config, alone = three_seeds
+@pytest.fixture(scope="module", params=sorted(NET_SIZES))
+def three_seeds(request, tmp_path_factory):
+    base = tmp_path_factory.mktemp(f"three-{request.param}")
+    return pretrained_three_seeds(base, request.param, "offline_rl")
+
+
+@pytest.fixture(scope="module", params=sorted(NET_SIZES))
+def three_bc_fqe_seeds(request, tmp_path_factory):
+    base = tmp_path_factory.mktemp(f"three-bc-fqe-{request.param}")
+    return pretrained_three_seeds(base, request.param, "bc_fqe")
+
+
+def assert_groups_write_the_bytes_of_runs_alone(setting, size):
+    config, alone = setting
     files, groups = finetune_in_groups(config, size)
-    assert groups == [(method, n) for method in config.methods for n in runs]
+    assert groups == class_groups(config.pretrain.kind, config.seeds, size)
     assert len(files) == 2 * 6 * 3 and files == alone
+    return groups
+
+
+# runs: the groups that the six runs of baseline and replay are cut into
+@pytest.mark.parametrize("size,runs", [(2, [2, 2, 2]), (3, [3, 3])])
+def test_lockstep_groups_write_the_bytes_of_runs_alone(three_seeds, size, runs):
+    groups = assert_groups_write_the_bytes_of_runs_alone(three_seeds, size)
+    assert [len(group) for group in groups[: len(runs)]] == runs
+    # groups of two methods: baseline + replay at size 2, o2o_reg + mixed
+    assert (("baseline", "replay") in groups) == (size == 2)
+    assert ("o2o_reg", "mixed") in groups or size != 2
+
+
+@pytest.mark.parametrize("size", [4, 5])
+def test_groups_of_bc_fqe_checkpoints_write_the_bytes_of_runs_alone(three_bc_fqe_seeds, size):
+    # fresh counters: replay_reset runs are of the class of baseline and replay
+    groups = assert_groups_write_the_bytes_of_runs_alone(three_bc_fqe_seeds, size)
+    assert ("replay", "replay_reset") in {tuple(sorted(set(group))) for group in groups}
+    assert ("mixed", "o2o_reg") in {tuple(sorted(set(group))) for group in groups}
 
 
 def blow_up_targets(checkpoint):
@@ -950,8 +1005,8 @@ def test_a_run_that_blows_up_aborts_alone(finished, tmp_path):
     config = copy_of(finished, tmp_path)
     blow_up_targets(runner.Paths(config).checkpoint(1))
     alone, _ = finetune_in_groups(config, 1)
-    grouped, groups = finetune_in_groups(config, 2)
-    assert groups == [(method, 2) for method in config.methods]
+    grouped, groups = finetune_in_groups(config, 4)  # seed 1 aborts beside three runs
+    assert groups == class_groups("offline_rl", config.seeds, 4)
     assert grouped == alone
     runs = finished / "finetune"
     for method in config.methods:
@@ -974,7 +1029,7 @@ def test_a_deleted_run_file_is_redone_alone_with_its_bytes(finished, tmp_path, m
     groups = recording_groups(monkeypatch)
     runner.cmd_finetune(config)
     after = snapshot(paths.finetune_dir)
-    assert groups == [("mixed", 1)]
+    assert groups == [("mixed",)]
     assert {n: data for n, (data, _) in after.items()} == {
         n: data for n, (data, _) in before.items()
     }
@@ -990,7 +1045,7 @@ def test_a_forced_finetune_reruns_every_group_and_leaves_equal_files_in_place(
     before = snapshot(root)
     groups = recording_groups(monkeypatch)
     runner.cmd_finetune(config, force=True)
-    assert groups == [(method, 2) for method in config.methods]
+    assert groups == class_groups("offline_rl", config.seeds, LOCKSTEP_MAX_RUNS)
     assert snapshot(root) == before
 
 
@@ -1010,22 +1065,24 @@ def test_nets_above_the_threshold_run_alone(tmp_path, monkeypatch):
     runner.cmd_classify(config)
     groups = recording_groups(monkeypatch)
     runner.cmd_finetune(config)
-    assert groups == [(method, 1) for method in config.methods for _ in config.seeds]
+    assert groups == class_groups("offline_rl", config.seeds, 1)
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3, 5, 8])
 @pytest.mark.parametrize("todo", [
-    {"baseline": [0, 1]},
-    {"baseline": [0, 1, 2, 3, 4], "mixed": [7]},
-    {"warmup": list(range(10)), "replay": [3]},
+    [[("baseline", 0), ("baseline", 1)]],
+    [[*(("baseline", s) for s in range(5)), ("replay", 0)], [("mixed", 7)]],
+    [[("warmup", s) for s in range(10)], [("baseline", 3), ("replay", 3)]],
+    [[("baseline", 0), ("replay", 0), ("replay", 1)], [("warmup", 0)], [("mixed", 0)]],
 ])
 def test_finetune_units_give_every_worker_a_unit(todo, jobs):
-    units = runner._finetune_units(todo, 4, jobs)
-    assert len(units) >= min(jobs, sum(len(seeds) for seeds in todo.values()))
-    assert all(1 <= len(seeds) <= 4 for _, seeds in units)
-    assert [(m, s) for m, seeds in units for s in seeds] == [
-        (m, s) for m, seeds in todo.items() for s in seeds
-    ]
+    classes = todo  # each update class's runs to do, in config order
+    units = runner._finetune_units(classes, 4, jobs)
+    assert len(units) >= min(jobs, sum(map(len, classes)))
+    assert all(1 <= len(unit) <= 4 for unit in units)
+    # no unit mixes classes, and each class's runs keep their order
+    assert all(any(set(unit) <= set(runs) for runs in classes) for unit in units)
+    assert [run for unit in units for run in unit] == [run for runs in classes for run in runs]
 
 
 # --- CLI surface ---
@@ -1342,6 +1399,45 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["gen-data", "--config", str(bad)]) == 1
     # config file absent -> 2
     assert cli.main(["gen-data", "--config", str(tmp_path / "none.json")]) == 2
+
+
+UNREADABLE_INPUTS = {
+    # fault: (stages, exit code, what the one line says)
+    "config a directory": (["classify", "report"], 2, "is a directory, not a file"),
+    "config not UTF-8": (["classify", "report"], 1, "not valid UTF-8 JSON"),
+    "classify.json a directory": (["finetune", "report"], 2, "is a directory where a file"),
+    "run file a directory": (["finetune", "finetune --force", "report"], 2,
+                             "is a directory where a file"),
+    "pretrain eval a directory": (["pretrain", "classify"], 2, "is a directory where a file"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(UNREADABLE_INPUTS))
+def test_cli_unreadable_inputs_end_in_one_line(finished, tmp_path, capsys, fault):
+    stages, code, message = UNREADABLE_INPUTS[fault]
+    config = copy_of(finished, tmp_path)
+    cfg_path = _write_config(tmp_path, {"out_dir": str(config.root)})
+    paths = runner.Paths(config)
+    if fault == "config a directory":
+        cfg_path = tmp_path / "config-dir"
+        cfg_path.mkdir()
+    elif fault == "config not UTF-8":
+        cfg_path.write_bytes(b'{"setting": "caf\xe9"}')
+    elif fault == "classify.json a directory":
+        paths.classify.unlink()
+        paths.classify.mkdir()
+    elif fault == "pretrain eval a directory":
+        paths.pretrain_eval.unlink()
+        paths.pretrain_eval.mkdir()
+    else:
+        paths.run_file("mixed", 1).unlink()
+        paths.run_file("mixed", 1).mkdir()
+    for stage in stages:
+        capsys.readouterr()
+        assert cli.main([*stage.split(), "--config", str(cfg_path)]) == code, stage
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, stage
+        assert message in err, stage
 
 
 def test_cli_usage_error_is_exit_1(capsys):
