@@ -7,7 +7,8 @@ beta = 0 with normalization off recovers plain TD3.
 
 Every agent is a lockstep group of R >= 1 runs; a single run is a group of
 one. One update steps every run as its own update would and reports the
-runs that blew up.
+runs that blew up. Pretraining, too, trains a list of seeds as one group,
+each seed drawing from its own generators.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import OfflineDataset, ReplayBuffer, TransitionBatch, stack_batches
-from .errors import MissingInputError, NumericError, parse
+from .data import OfflineDataset, ReplayBuffer, TransitionBatch
+from .errors import ConfigError, MissingInputError, NumericError, parse
 from .fsio import MANIFEST_FILE, read_json, write_json_atomic, write_npy_atomic
 from .seeding import rng_for
 
@@ -36,6 +37,13 @@ class Td3Hyper:
     actor_lr: float = 3e-4
     critic_lr: float = 3e-4
     hidden: tuple[int, ...] = (64, 64)
+
+    def __post_init__(self):
+        for name in ("batch", "policy_delay"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"agent.{name} must be >= 1, got {getattr(self, name)}")
+        if any(size < 1 for size in self.hidden):
+            raise ConfigError(f"agent.hidden sizes must be >= 1, got {list(self.hidden)}")
 
 
 @dataclass(frozen=True)
@@ -102,13 +110,10 @@ def _init_critic(obs_dim: int, action_dim: int, hyper: Td3Hyper, seed: int) -> n
     return nn.init_net(*_layouts(obs_dim, action_dim, hyper)[1], seed=seed)
 
 
-def _assemble(
-    actor: nn.DenseNet, critic1: nn.DenseNet, critic2: nn.DenseNet, hyper: Td3Hyper
-) -> Td3Agent:
-    """The one agent constructor, a group of one: targets start equal to the
-    online nets, optimizers start at zero."""
-    actor = nn.stack_nets([actor])
-    critics = nn.stack_nets([critic1, critic2])
+def _assemble(actor: nn.DenseNet, critics: nn.DenseNet, hyper: Td3Hyper) -> Td3Agent:
+    """The one agent constructor: a group of the runs of the stacked
+    ``actor``, with ``critics`` in the layout of ``Td3Agent``; targets start
+    equal to the online nets, optimizers start at zero."""
     return Td3Agent(
         actor=actor,
         critics=critics,
@@ -123,9 +128,11 @@ def _assemble(
 def make_td3_agent(obs_dim: int, action_dim: int, hyper: Td3Hyper, seed: int = 0) -> Td3Agent:
     actor_seed, c1_seed, c2_seed = _net_seeds(seed)
     return _assemble(
-        _init_actor(obs_dim, action_dim, hyper, actor_seed),
-        _init_critic(obs_dim, action_dim, hyper, c1_seed),
-        _init_critic(obs_dim, action_dim, hyper, c2_seed),
+        nn.stack_nets([_init_actor(obs_dim, action_dim, hyper, actor_seed)]),
+        nn.stack_nets([
+            _init_critic(obs_dim, action_dim, hyper, c1_seed),
+            _init_critic(obs_dim, action_dim, hyper, c2_seed),
+        ]),
         hyper,
     )
 
@@ -404,18 +411,25 @@ def td3_update(
 # --- pretraining ---
 
 
-def bc_pretrain(dataset: OfflineDataset, steps: int, seed: int, hyper: Td3Hyper) -> nn.DenseNet:
-    """Behavior cloning: regress the actor onto dataset actions."""
+def bc_pretrain(
+    dataset: OfflineDataset, steps: int, seeds: list[int], hyper: Td3Hyper
+) -> nn.DenseNet:
+    """Behavior cloning of a lockstep group: each seed's actor regressed
+    onto the dataset actions of its own batches. Returns the actors as one
+    stacked net, in seed order; each equals the actor its seed trains
+    alone."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     spec = dataset.env
-    actor = _init_actor(spec.obs_dim, spec.action_dim, hyper, _net_seeds(seed)[0])
+    actor = nn.stack_nets(
+        [_init_actor(spec.obs_dim, spec.action_dim, hyper, _net_seeds(s)[0]) for s in seeds]
+    )
     opt = nn.AdamState.for_net(actor, hyper.actor_lr)
     buf = ReplayBuffer.from_dataset(dataset)
-    rng = rng_for("bc", seed)
+    rngs = [rng_for("bc", s) for s in seeds]
     n = hyper.batch
     for _ in range(steps):
-        batch = buf.sample(n, rng)
+        batch = buf.sample_runs(n, rngs)
         cache: list = []
         err = nn.forward(actor, batch.obs, cache) - batch.action
         grad = nn.backward(actor, cache, (2.0 / (n * spec.action_dim)) * err)
@@ -424,56 +438,69 @@ def bc_pretrain(dataset: OfflineDataset, steps: int, seed: int, hyper: Td3Hyper)
 
 
 def fqe(
-    policy_net: nn.DenseNet, dataset: OfflineDataset, steps: int, seed: int, hyper: Td3Hyper
+    policy_net: nn.DenseNet,
+    dataset: OfflineDataset,
+    steps: int,
+    seeds: list[int],
+    hyper: Td3Hyper,
 ) -> nn.DenseNet:
-    """Fitted Q evaluation of a fixed policy from dataset transitions."""
+    """Fitted Q evaluation of a lockstep group of fixed policies from
+    dataset transitions: ``policy_net`` stacks one actor per seed. Returns
+    the critics as one stacked net, in seed order; each equals the critic
+    its seed trains alone."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     spec = dataset.env
-    critic = _init_critic(spec.obs_dim, spec.action_dim, hyper, _net_seeds(seed)[1])
+    critic = nn.stack_nets(
+        [_init_critic(spec.obs_dim, spec.action_dim, hyper, _net_seeds(s)[1]) for s in seeds]
+    )
     target = critic.copy()
     opt = nn.AdamState.for_net(critic, hyper.critic_lr)
     buf = ReplayBuffer.from_dataset(dataset)
-    rng = rng_for("fqe", seed)
+    rngs = [rng_for("fqe", s) for s in seeds]
     n = hyper.batch
     for _ in range(steps):
-        batch = buf.sample(n, rng)
+        batch = buf.sample_runs(n, rngs)
         next_a = nn.forward(policy_net, batch.next_obs)
-        x_next = np.concatenate([batch.next_obs, next_a], axis=1)
-        y = batch.reward + hyper.gamma * (1.0 - batch.terminated) * nn.forward(target, x_next)[:, 0]
-        x = np.concatenate([batch.obs, batch.action], axis=1)
+        x_next = np.concatenate([batch.next_obs, next_a], axis=-1)
+        q_next = nn.forward(target, x_next)[..., 0]
+        y = batch.reward + hyper.gamma * (1.0 - batch.terminated) * q_next
+        x = np.concatenate([batch.obs, batch.action], axis=-1)
         cache: list = []
-        q = nn.forward(critic, x, cache)[:, 0]
-        grad = nn.backward(critic, cache, (2.0 / n) * (q - y)[:, None])
+        q = nn.forward(critic, x, cache)[..., 0]
+        grad = nn.backward(critic, cache, (2.0 / n) * (q - y)[..., None])
         nn.adam_step(critic, grad, opt)
         nn.polyak_update(target, critic, hyper.tau)
     return critic
 
 
 def agent_from_bc_fqe(actor: nn.DenseNet, critic: nn.DenseNet, hyper: Td3Hyper) -> Td3Agent:
-    """Wrap a cloned actor and an FQE critic (duplicated into the twin slot)
-    as a group of one ready for fine-tuning."""
-    return _assemble(actor, critic, critic, hyper)
+    """Wrap cloned actors and their FQE critics, stacked nets of one member
+    per run, as a lockstep group ready for fine-tuning: each run's critic
+    fills both of its twin slots."""
+    return _assemble(actor, nn.stack_nets([critic, critic]), hyper)
 
 
 def offline_rl_pretrain(
-    dataset: OfflineDataset, steps: int, beta: float, seed: int, hyper: Td3Hyper
+    dataset: OfflineDataset, steps: int, beta: float, seeds: list[int], hyper: Td3Hyper
 ) -> Td3Agent:
-    """Behavior-regularized TD3 trained purely on dataset batches, as a
-    group of one; raises NumericError when its update blows up."""
+    """Behavior-regularized TD3 of a lockstep group, one run per seed,
+    trained purely on dataset batches. Each run's generator samples its
+    batch and then draws its target noise, so each run equals the one its
+    seed trains alone. Raises NumericError when any run's update blows up."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if beta <= 0:
         raise ValueError("beta must be > 0 for offline pretraining")
     spec = dataset.env
-    agent = make_td3_agent(spec.obs_dim, spec.action_dim, hyper, seed)
+    agent = stack_agents([make_td3_agent(spec.obs_dim, spec.action_dim, hyper, s) for s in seeds])
     reg = RegularizerConfig(bc_coefficient=beta, q_normalization=True)
     buf = ReplayBuffer.from_dataset(dataset)
-    rng = rng_for("offline-rl", seed)
+    rngs = [rng_for("offline-rl", s) for s in seeds]
     for _ in range(steps):
-        failed = td3_update(agent, stack_batches([buf.sample(hyper.batch, rng)]), reg, [rng])
+        failed = td3_update(agent, buf.sample_runs(hyper.batch, rngs), reg, rngs)
         if failed:
-            raise NumericError(failed[0])
+            raise NumericError(failed[min(failed)])
     return agent
 
 
@@ -533,7 +560,7 @@ def _agent_from_manifest(
         nn.DenseNet(sizes, np.zeros(nn.param_count(sizes)), hidden, output)
         for sizes, hidden, output in _layouts(obs_dim, action_dim, hyper)
     )
-    agent = _assemble(actor, critic, critic, hyper)
+    agent = _assemble(nn.stack_nets([actor]), nn.stack_nets([critic, critic]), hyper)
     agent.update_count = update_count
     agent.actor_opt.step_count = actor_adam_steps
     agent.critic_opt.step_count = critic_adam_steps

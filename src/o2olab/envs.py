@@ -12,8 +12,8 @@ bit for bit, whatever else runs beside it; the fine-tune loop runs one row.
 the indices and observation rows of the live episodes and returns one
 action row per row. ``evaluate_policy`` asks one policy call for the rows
 of every episode of several policies at once, laid out as episodes x
-policies, and ``compute_reference_scores`` one behavior per episode; both
-sum only the rewards. ``run_episodes`` (dataset
+policies, and ``compute_reference_scores`` each behavior's episodes side
+by side; both sum only the rewards. ``run_episodes`` (dataset
 generation) asks each episode's own policy for its row and returns the
 transitions as columns.
 """
@@ -46,6 +46,8 @@ class EnvSpec:
 
 
 def env_spec(kind: str, horizon: int | None = None) -> EnvSpec:
+    if horizon is not None and horizon < 1:
+        raise ConfigError(f"env.horizon must be >= 1, got {horizon}")
     if kind in (POINT_GOAL_SPARSE, POINT_GOAL_DENSE):
         return EnvSpec(kind, horizon if horizon is not None else 100, 4, 2)
     if kind == PENDULUM:
@@ -459,18 +461,54 @@ def evaluate_policy(
     return results
 
 
+def _random_returns(spec: EnvSpec, seeds, rng: np.random.Generator) -> list[float]:
+    """Raw returns of uniform-random episodes that share ``rng``, one after
+    the other, each as ``scripted_action`` would draw it step by step.
+
+    Row t of one block draw ``uniform(-1, 1, size=(episodes * horizon,
+    action_dim))`` is the t-th per-step draw, so episode i's t-th action
+    is row ``start_i + t``, ``start_i`` being the steps of the episodes
+    before it. Each pass rolls every remaining episode side by side,
+    taking each earlier one of the pass to run the full horizon; it keeps
+    the episodes up to and including the first that ended early, and the
+    next pass starts after that one.
+    """
+    horizon = spec.horizon
+    draws = rng.uniform(-1.0, 1.0, size=(len(seeds) * horizon, spec.action_dim))
+    returns: list[float] = []
+    start = 0  # the draw row of the pass's first episode
+    while len(returns) < len(seeds):
+        rest = seeds[len(returns) :]
+        starts = start + horizon * np.arange(len(rest))
+        steps = np.zeros(len(rest), dtype=np.int64)
+
+        def act(live, obs):
+            rows = starts[live] + steps[live]
+            steps[live] += 1
+            return draws[rows]
+
+        raw = _raw_returns(make_env(spec), rest, act)
+        short = np.flatnonzero(steps < horizon)
+        kept = int(short[0]) + 1 if len(short) else len(rest)
+        returns += raw[:kept]
+        start = int(starts[kept - 1] + steps[kept - 1])
+    return returns
+
+
 def compute_reference_scores(spec: EnvSpec, seed: int, episodes: int = 100) -> ReferenceScores:
-    """Mean raw returns of the uniform-random and expert behaviors."""
+    """Mean raw returns of the uniform-random and expert behaviors, each
+    over ``episodes`` seeded episodes run side by side."""
+    if episodes < 1:
+        raise ValueError("episodes must be >= 1")
     means = {}
     for kind in (UNIFORM_RANDOM, EXPERT):
-        env = make_env(spec)
-        policy = behavior_policy(BehaviorSpec(kind), spec, rng_for("reference", kind, seed))
-        act = _per_episode([policy] * episodes)
+        rng = rng_for("reference", kind, seed)
         seeds = [stable_seed("reference", kind, seed, i) for i in range(episodes)]
-        if kind == EXPERT:  # draws nothing from its generator: side by side
-            returns = _raw_returns(env, seeds, act)
-        else:  # the episodes share one generator, so they run one at a time
-            returns = [_raw_returns(env, [s], act)[0] for s in seeds]
+        if kind == EXPERT:  # draws nothing from its generator
+            policy = behavior_policy(BehaviorSpec(kind), spec, rng)
+            returns = _raw_returns(make_env(spec), seeds, _per_episode([policy] * episodes))
+        else:
+            returns = _random_returns(spec, seeds, rng)
         means[kind] = float(np.mean(returns))
     if means[EXPERT] <= means[UNIFORM_RANDOM]:
         raise ConfigError(

@@ -191,9 +191,10 @@ LOCKSTEP_MAX_RUNS = 4
 
 
 def lockstep_runs(hyper: Td3Hyper, spec: EnvSpec) -> int:
-    """How many runs to fine-tune as one lockstep group: as many as keep
-    one critic forward over every run's batch within LOCKSTEP_MAX_WORK
-    multiply-adds, at least 1 and at most LOCKSTEP_MAX_RUNS."""
+    """How many runs to fine-tune, or seeds to pretrain, as one lockstep
+    group: as many as keep one critic forward over every run's batch within
+    LOCKSTEP_MAX_WORK multiply-adds, at least 1 and at most
+    LOCKSTEP_MAX_RUNS."""
     critic = nn.param_count((spec.obs_dim + spec.action_dim, *hyper.hidden, 1))
     return max(1, min(LOCKSTEP_MAX_RUNS, LOCKSTEP_MAX_WORK // (hyper.batch * critic)))
 

@@ -109,15 +109,17 @@ class DenseNet:
 
 
 def stack_nets(nets) -> DenseNet:
-    """One stacked net holding copies of ``nets`` (same shape and
-    activations) as its members, in order."""
+    """One stacked net holding copies of the members of ``nets`` (same
+    shape and activations), in order: a plain net is one member, a stack
+    its members."""
     first = nets[0]
     for net in nets[1:]:
         if (net.layer_sizes, net.hidden_activation, net.output_activation) != (
             first.layer_sizes, first.hidden_activation, first.output_activation
-        ) or net.stack is not None:
-            raise ShapeError("only plain nets of one shape and activation can be stacked")
-    return first._like(np.concatenate([net.params for net in nets]), len(nets))
+        ):
+            raise ShapeError("only nets of one shape and activation can be stacked")
+    members = sum(net.stack or 1 for net in nets)
+    return first._like(np.concatenate([net.params for net in nets]), members)
 
 
 @dataclass

@@ -28,10 +28,11 @@ takes the dataset's per-trajectory returns from the manifest. ``setting``,
 (``last_k``, ``map_inconclusive``) feed no key, so changing them
 invalidates nothing.
 
-Pretrain splits its work into one unit per seed, finetune into one per
-lockstep group: the runs to do are sorted, in config order, into classes
-that update alike whatever their methods (``finetune.update_class``, from
-each checkpoint manifest's counters), and each class is cut into groups
+Pretrain and finetune split their work into one unit per lockstep group.
+Pretrain's classes are the seeds to train and the seeds only to evaluate;
+finetune sorts the runs to do, in config order, into classes that update
+alike whatever their methods (``finetune.update_class``, from each
+checkpoint manifest's counters). Each class is cut into groups
 (``finetune.lockstep_runs``). A serial stage (``jobs`` 1) is the
 one-worker case of the same units: ``jobs`` N runs the same unit function
 in a pool of N worker processes, each unit takes the dataset's rows from a
@@ -69,6 +70,7 @@ from .agents import (
     offline_rl_pretrain,
     policy_fn,
     save_agent,
+    select_runs,
 )
 from .data import (
     OfflineDataset,
@@ -115,6 +117,7 @@ from .metrics import (
     student_t_ppf,
     tost_classify,
 )
+from .nn import stack_nets
 from .seeding import stable_seed
 
 MAP_COMPARABLE = "comparable"
@@ -136,6 +139,10 @@ class PretrainConfig:
             raise ConfigError(f"unknown pretrainer {self.kind!r}")
         if self.kind == PRETRAIN_OFFLINE_RL and self.beta <= 0:
             raise ConfigError(f"pretrain.beta must be > 0 for offline_rl, got {self.beta}")
+        if self.steps < 1:
+            raise ConfigError(f"pretrain.steps must be >= 1, got {self.steps}")
+        if self.fqe_steps is not None and self.fqe_steps < 1:
+            raise ConfigError(f"pretrain.fqe_steps must be >= 1, got {self.fqe_steps}")
 
     @property
     def resolved_fqe_steps(self) -> int:
@@ -206,6 +213,8 @@ class ExperimentConfig:
         # classify compares the seeds' pretrained scores: a sample of at least 2
         if len(self.seeds) < 2 or len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be at least 2 distinct seeds, got {list(self.seeds)}")
+        if self.reference_episodes < 1:
+            raise ConfigError(f"reference_episodes must be >= 1, got {self.reference_episodes}")
         if self.map_inconclusive not in (MAP_COMPARABLE, MAP_DROP):
             raise ConfigError("map_inconclusive must be 'comparable' or 'drop'")
         if self.finetune.beta is None:
@@ -418,33 +427,41 @@ def _dataset(config: ExperimentConfig) -> OfflineDataset:
     return _rows(Paths(config).dataset, dataset_key(config))
 
 
-def _pretrain_one(config: ExperimentConfig, seed: int, reference: ReferenceScores, train: bool):
-    """Evaluate one seed's checkpoint, first training and saving it when
-    ``train``; returns (mean, per_episode)."""
+def _pretrain_group(
+    config: ExperimentConfig, seeds: tuple[int, ...], reference: ReferenceScores, train: bool
+) -> list[tuple[float, list[float]]]:
+    """Evaluate the checkpoints of ``seeds``, first training them as one
+    lockstep group and saving each when ``train``; returns (mean,
+    per_episode) per seed. Nothing is saved before the whole group is
+    trained, and one evaluation scores every seed's pretrained actor."""
     paths = Paths(config)
     pretrain, hyper = config.pretrain, config.agent
     if train:
         dataset = _dataset(config)
-        train_seed = stable_seed("pretrain", seed)
+        train_seeds = [stable_seed("pretrain", seed) for seed in seeds]
         if pretrain.kind == PRETRAIN_OFFLINE_RL:
-            agent = offline_rl_pretrain(dataset, pretrain.steps, pretrain.beta, train_seed, hyper)
+            group = offline_rl_pretrain(dataset, pretrain.steps, pretrain.beta, train_seeds, hyper)
         else:
-            actor = bc_pretrain(dataset, pretrain.steps, train_seed, hyper)
-            critic = fqe(actor, dataset, pretrain.resolved_fqe_steps, train_seed, hyper)
-            agent = agent_from_bc_fqe(actor, critic, hyper)
-        save_agent(
-            agent, paths.checkpoint(seed), extra={"key": checkpoint_key(config, seed), "seed": seed}
-        )
+            actor = bc_pretrain(dataset, pretrain.steps, train_seeds, hyper)
+            critic = fqe(actor, dataset, pretrain.resolved_fqe_steps, train_seeds, hyper)
+            group = agent_from_bc_fqe(actor, critic, hyper)
+        for i, seed in enumerate(seeds):
+            save_agent(
+                select_runs(group, [i]),
+                paths.checkpoint(seed),
+                extra={"key": checkpoint_key(config, seed), "seed": seed},
+            )
+        actors = group.actor
     else:
-        agent = load_agent(paths.checkpoint(seed))
-    [result] = evaluate_policy(
-        policy_fn(agent.actor),
+        actors = stack_nets([load_agent(paths.checkpoint(seed)).actor for seed in seeds])
+    results = evaluate_policy(
+        policy_fn(actors),
         config.env,
         reference,
         config.finetune.eval_episodes,
-        [stable_seed("pretrain-eval", seed)],
+        [stable_seed("pretrain-eval", seed) for seed in seeds],
     )
-    return result.mean, result.per_episode
+    return [(result.mean, result.per_episode) for result in results]
 
 
 def _openblas_function(name: str):
@@ -543,24 +560,32 @@ def _check_jobs(jobs: int) -> None:
 def cmd_pretrain(config: ExperimentConfig, jobs: int = 1, force: bool = False) -> Path:
     """Train every seed whose checkpoint is missing or stale (every seed with
     ``force``), then evaluate all seeds into ``pretrain/eval.json``. The
+    seeds to train, and apart from them the seeds to evaluate only, are cut
+    into lockstep groups, one work unit each (see ``_lockstep_units``). The
     dataset's rows are loaded only when a seed trains."""
     _check_jobs(jobs)
     paths = Paths(config)
     reference = _dataset_manifest(config)["reference"]
-    train = [
-        force
+    train = {
+        seed: force
         or not _is_current(paths.checkpoint(seed) / MANIFEST_FILE, checkpoint_key(config, seed))
         for seed in config.seeds
-    ]
-    if not any(train) and _is_current(paths.pretrain_eval, eval_key(config)):
+    }
+    if not any(train.values()) and _is_current(paths.pretrain_eval, eval_key(config)):
         return paths.pretrain_eval
-    results = _map(jobs, _pretrain_one, repeat(config), config.seeds, repeat(reference), train)
+    classes = [[seed for seed in config.seeds if train[seed] == trains] for trains in (True, False)]
+    units = _lockstep_units(classes, lockstep_runs(config.agent, config.env), jobs)
+    results = _map(
+        jobs, _pretrain_group, repeat(config), units, repeat(reference),
+        [train[unit[0]] for unit in units],
+    )
+    by_seed = {seed: r for unit, rows in zip(units, results) for seed, r in zip(unit, rows)}
     record = {
         "key": eval_key(config),
         "episodes": config.finetune.eval_episodes,
         "seeds": list(config.seeds),
-        "means": [mean for mean, _ in results],
-        "per_episode": [per_episode for _, per_episode in results],
+        "means": [by_seed[seed][0] for seed in config.seeds],
+        "per_episode": [by_seed[seed][1] for seed in config.seeds],
     }
     write_json_atomic(paths.pretrain_eval, record)
     return paths.pretrain_eval
@@ -620,10 +645,11 @@ def _finetune_group(config: ExperimentConfig, runs: tuple[tuple[str, int], ...])
         )
 
 
-def _finetune_units(classes: list[list[tuple[str, int]]], size: int, jobs: int) -> list[tuple]:
-    """Work units of (method, seed) runs: each class's runs, in order, in
-    groups of at most ``size``, made smaller while there are fewer units
-    than min(``jobs``, runs) so that every worker has one."""
+def _lockstep_units(classes: list[list], size: int, jobs: int) -> list[tuple]:
+    """Work units of lockstep groups: each class's runs (a fine-tune's
+    (method, seed) pairs, or pretraining's seeds), in order, in groups of
+    at most ``size``, made smaller while there are fewer units than
+    min(``jobs``, runs) so that every worker has one."""
     total = sum(map(len, classes))
     while True:
         units = [tuple(runs[i : i + size]) for runs in classes for i in range(0, len(runs), size)]
@@ -693,7 +719,7 @@ def cmd_finetune(config: ExperimentConfig, jobs: int = 1, force: bool = False) -
     for method, seed in todo:
         key = update_class(_method_finetune(config, method), config.agent, counters[seed])
         classes.setdefault(key, []).append((method, seed))
-    units = _finetune_units(list(classes.values()), lockstep_runs(config.agent, config.env), jobs)
+    units = _lockstep_units(list(classes.values()), lockstep_runs(config.agent, config.env), jobs)
     if units:
         _map(jobs, _finetune_group, repeat(config), units)
     return [paths.run_file(m, s) for m in config.methods for s in config.seeds]

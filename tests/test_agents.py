@@ -573,7 +573,7 @@ def dense_ref():
 
 def test_bc_learns_constant_action():
     ds = constant_action_dataset(action_value=0.25)
-    actor = bc_pretrain(ds, steps=3000, seed=0, hyper=SMALL)
+    actor = bc_pretrain(ds, steps=3000, seeds=[0], hyper=SMALL)
     obs = trajectory(ds, 0)["obs"][:50]
     pred = nn.forward(actor, obs)
     assert np.all(np.abs(pred - 0.25) < 0.05)
@@ -581,19 +581,19 @@ def test_bc_learns_constant_action():
 
 def test_bc_requires_steps():
     with pytest.raises(ValueError):
-        bc_pretrain(constant_action_dataset(), steps=0, seed=0, hyper=SMALL)
+        bc_pretrain(constant_action_dataset(), steps=0, seeds=[0], hyper=SMALL)
 
 
 def test_bc_raises_on_a_nonfinite_gradient():
     ds = constant_action_dataset(action_value=np.inf)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite gradient"):
-        bc_pretrain(ds, steps=3, seed=0, hyper=SMALL)
+        bc_pretrain(ds, steps=3, seeds=[0], hyper=SMALL)
 
 
 def test_bc_deterministic():
     ds = constant_action_dataset()
-    a = bc_pretrain(ds, steps=50, seed=3, hyper=SMALL)
-    b = bc_pretrain(ds, steps=50, seed=3, hyper=SMALL)
+    a = bc_pretrain(ds, steps=50, seeds=[3], hyper=SMALL)
+    b = bc_pretrain(ds, steps=50, seeds=[3], hyper=SMALL)
     assert nets_equal(a, b)
 
 
@@ -607,8 +607,8 @@ def test_fqe_terminal_fixed_point():
     obs, action, next_obs = (np.array(column) for column in zip(*rows))
     ds = one_trajectory(spec, ref, obs, action, np.full(100, 2.0), next_obs,
                         np.ones(100, dtype=bool))
-    policy = bc_pretrain(ds, steps=30, seed=0, hyper=SMALL)
-    critic = fqe(policy, ds, steps=10_000, seed=0, hyper=SMALL)
+    policy = bc_pretrain(ds, steps=30, seeds=[0], hyper=SMALL)
+    critic = member(fqe(policy, ds, steps=10_000, seeds=[0], hyper=SMALL), 0)
     x = np.concatenate([obs, action], axis=1)
     q = nn.forward(critic, x)[:, 0]
     assert np.all(np.abs(q - 2.0) < 0.05)
@@ -617,15 +617,15 @@ def test_fqe_terminal_fixed_point():
 def test_fqe_raises_on_a_nonfinite_gradient():
     ds = constant_action_dataset()
     ds.reward[:] = np.inf
-    policy = nn.init_net((4, 16, 16, 2), "relu", "tanh", seed=0)
+    policy = nn.stack_nets([nn.init_net((4, 16, 16, 2), "relu", "tanh", seed=0)])
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite gradient"):
-        fqe(policy, ds, steps=3, seed=0, hyper=SMALL)
+        fqe(policy, ds, steps=3, seeds=[0], hyper=SMALL)
 
 
 def test_fqe_gamma_zero_regresses_reward():
     ds = constant_action_dataset()
-    policy = bc_pretrain(ds, steps=30, seed=0, hyper=SMALL)
-    critic = fqe(policy, ds, steps=4000, seed=0, hyper=replace(SMALL, gamma=0.0))
+    policy = bc_pretrain(ds, steps=30, seeds=[0], hyper=SMALL)
+    critic = member(fqe(policy, ds, steps=4000, seeds=[0], hyper=replace(SMALL, gamma=0.0)), 0)
     traj = trajectory(ds, 0)
     x = np.concatenate([traj["obs"][:50], traj["action"][:50]], axis=1)
     q = nn.forward(critic, x)[:, 0]
@@ -636,7 +636,7 @@ def test_fqe_heldout_td_error_decreases(dense_ref):
     spec = env_spec("point_goal_dense")
     ds = generate_dataset(spec, BehaviorSpec("noisy_expert", sigma=0.4), 20, seed=2,
                           reference=dense_ref)
-    policy = bc_pretrain(ds, steps=200, seed=0, hyper=SMALL)
+    policy = bc_pretrain(ds, steps=200, seeds=[0], hyper=SMALL)
     split = ds.offsets[2]  # the first two trajectories are held out
     held = {name: getattr(ds, name)[:split] for name in COLUMNS}
     train = OfflineDataset(
@@ -649,14 +649,15 @@ def test_fqe_heldout_td_error_decreases(dense_ref):
         obs, acts, nxt = held["obs"], held["action"], held["next_obs"]
         rew = held["reward"]
         term = held["terminated"].astype(float)
-        a_next = nn.forward(policy, nxt)
+        a_next = nn.forward(member(policy, 0), nxt)
+        critic = member(critic, 0)
         qn = nn.forward(critic, np.concatenate([nxt, a_next], axis=1))[:, 0]
         y = rew + SMALL.gamma * (1 - term) * qn
         q = nn.forward(critic, np.concatenate([obs, acts], axis=1))[:, 0]
         return float(np.mean((q - y) ** 2))
 
-    c0 = fqe(policy, train, steps=1, seed=0, hyper=SMALL)
-    c1 = fqe(policy, train, steps=2000, seed=0, hyper=SMALL)
+    c0 = fqe(policy, train, steps=1, seeds=[0], hyper=SMALL)
+    c1 = fqe(policy, train, steps=2000, seeds=[0], hyper=SMALL)
     assert td_error(c1) < td_error(c0)
 
 
@@ -665,7 +666,7 @@ def test_offline_rl_expert_pendulum(dense_ref):
     # must reach at least 80% of the dataset's score
     spec = env_spec("point_goal_dense")
     ds = generate_dataset(spec, BehaviorSpec("expert"), 30, seed=0, reference=dense_ref)
-    agent = offline_rl_pretrain(ds, steps=2500, beta=0.4, seed=0, hyper=SMALL)
+    agent = offline_rl_pretrain(ds, steps=2500, beta=0.4, seeds=[0], hyper=SMALL)
     from o2olab.agents import policy_fn
     from o2olab.data import dataset_return
     from o2olab.envs import evaluate_policy
@@ -677,13 +678,13 @@ def test_offline_rl_expert_pendulum(dense_ref):
 
 def test_offline_rl_requires_positive_beta():
     with pytest.raises(ValueError):
-        offline_rl_pretrain(constant_action_dataset(), steps=10, beta=0.0, seed=0, hyper=SMALL)
+        offline_rl_pretrain(constant_action_dataset(), steps=10, beta=0.0, seeds=[0], hyper=SMALL)
 
 
 def test_offline_rl_deterministic():
     ds = constant_action_dataset()
-    a = offline_rl_pretrain(ds, steps=20, beta=0.4, seed=5, hyper=SMALL)
-    b = offline_rl_pretrain(ds, steps=20, beta=0.4, seed=5, hyper=SMALL)
+    a = offline_rl_pretrain(ds, steps=20, beta=0.4, seeds=[5], hyper=SMALL)
+    b = offline_rl_pretrain(ds, steps=20, beta=0.4, seeds=[5], hyper=SMALL)
     assert nets_equal(a.actor, b.actor)
     assert nets_equal(a.target_critics, b.target_critics)
 
@@ -698,8 +699,8 @@ def test_pretraining_never_touches_environment(monkeypatch):
 
     monkeypatch.setattr(envs._Env, "step", counting_step)
     ds = constant_action_dataset()
-    offline_rl_pretrain(ds, steps=30, beta=0.4, seed=0, hyper=SMALL)
-    bc_pretrain(ds, steps=30, seed=0, hyper=SMALL)
+    offline_rl_pretrain(ds, steps=30, beta=0.4, seeds=[0], hyper=SMALL)
+    bc_pretrain(ds, steps=30, seeds=[0], hyper=SMALL)
     assert steps == []
 
 
@@ -708,18 +709,18 @@ def test_pretraining_never_touches_environment(monkeypatch):
 
 def test_agent_from_bc_fqe_duplicates_critic():
     ds = constant_action_dataset()
-    actor = bc_pretrain(ds, steps=30, seed=0, hyper=SMALL)
-    critic = fqe(actor, ds, steps=30, seed=0, hyper=SMALL)
+    actor = bc_pretrain(ds, steps=30, seeds=[0], hyper=SMALL)
+    critic = fqe(actor, ds, steps=30, seeds=[0], hyper=SMALL)
     agent = agent_from_bc_fqe(actor, critic, SMALL)
-    assert nets_equal(member(agent.critics, 0), critic)
-    assert nets_equal(member(agent.critics, 1), critic)
+    assert nets_equal(member(agent.critics, 0), member(critic, 0))
+    assert nets_equal(member(agent.critics, 1), member(critic, 0))
     assert nets_equal(agent.critics, agent.target_critics)
     assert agent.update_count == 0
 
 
 def test_checkpoint_round_trip(tmp_path):
     ds = constant_action_dataset()
-    agent = offline_rl_pretrain(ds, steps=25, beta=0.4, seed=8, hyper=SMALL)
+    agent = offline_rl_pretrain(ds, steps=25, beta=0.4, seeds=[8], hyper=SMALL)
     save_agent(agent, tmp_path / "ckpt", extra={"seed": 8})
     assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == [
         "manifest.json", "params.npy"

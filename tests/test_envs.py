@@ -435,26 +435,53 @@ def test_reference_scores_point_sparse():
     assert ref.random_return < 0.2
 
 
-@pytest.mark.parametrize("kind", ["pendulum", "point_goal_dense", "point_goal_sparse"])
-def test_reference_means_equal_the_episodes_run_one_at_a_time(kind):
-    # the expert's episodes run side by side, the random ones one after the
-    # other on one generator; both means are those of the lone episodes
-    spec, seed, episodes = env_spec(kind, horizon=20), 7, 12
-    ref = compute_reference_scores(spec, seed=seed, episodes=episodes)
-    means = {}
+def lone_reference(spec, seed, episodes):
+    """The reference means of episodes run one at a time, each random one
+    drawing its actions step by step from the shared generator, and the
+    step count of each random episode."""
+    means, lengths = {}, []
     for behavior in ("uniform_random", "expert"):
         rng = np.random.default_rng(stable_seed("reference", behavior, seed))
         policy = behavior_policy(BehaviorSpec(behavior), spec, rng)
         returns = []
         for i in range(episodes):
+            steps = reference_episode(spec, policy, stable_seed("reference", behavior, seed, i))
             raw = 0.0
-            for _, _, reward, *_ in reference_episode(
-                spec, policy, stable_seed("reference", behavior, seed, i)
-            ):
+            for _, _, reward, *_ in steps:
                 raw += reward
             returns.append(raw)
+            if behavior == "uniform_random":
+                lengths.append(len(steps))
         means[behavior] = float(np.mean(returns))
+    return means, lengths
+
+
+@pytest.mark.parametrize("kind", ["pendulum", "point_goal_dense", "point_goal_sparse"])
+def test_reference_means_equal_the_episodes_run_one_at_a_time(kind):
+    # the expert's episodes and the random ones run side by side; both means
+    # are those of the lone episodes. No random episode ends early here, so
+    # the random ones take one pass.
+    spec, seed, episodes = env_spec(kind, horizon=20), 7, 12
+    ref = compute_reference_scores(spec, seed=seed, episodes=episodes)
+    means, lengths = lone_reference(spec, seed, episodes)
+    assert lengths == [spec.horizon] * episodes
     assert (ref.random_return, ref.expert_return) == (means["uniform_random"], means["expert"])
+
+
+def test_random_reference_episodes_after_one_that_ends_early_take_another_pass():
+    # random episodes 2, 7, 8 and 12 of 16 reach the goal early, so the
+    # random ones take five passes, one starting right after another's end
+    spec, seed, episodes = env_spec("point_goal_dense", horizon=60), 0, 16
+    means, lengths = lone_reference(spec, seed, episodes)
+    assert [i for i, n in enumerate(lengths) if n < spec.horizon] == [2, 7, 8, 12]
+    ref = compute_reference_scores(spec, seed=seed, episodes=episodes)
+    assert (ref.random_return, ref.expert_return) == (means["uniform_random"], means["expert"])
+
+
+@pytest.mark.parametrize("episodes", [0, -3])
+def test_reference_scores_reject_fewer_than_one_episode(episodes):
+    with pytest.raises(ValueError, match="episodes must be >= 1"):
+        compute_reference_scores(env_spec("pendulum"), seed=0, episodes=episodes)
 
 
 def rows_policy(policy):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from o2olab import cli, fsio, runner
+from o2olab import agents, cli, fsio, runner
 from o2olab.agents import checkpoint_counters, load_agent, save_agent
 from o2olab.data import behavior_segment, load_dataset
 from o2olab.envs import BehaviorSpec, env_spec
@@ -23,6 +23,7 @@ from o2olab.errors import ConfigError, MissingInputError
 from o2olab.finetune import LOCKSTEP_MAX_RUNS, RunLog, update_class
 from o2olab.metrics import EvalPoint
 from o2olab.fsio import read_json
+from o2olab.seeding import stable_seed
 from pipeline_helpers import run_pipeline
 from test_data import DAMAGES
 
@@ -294,6 +295,29 @@ FAILING_LATER = {
         {"finetune": {**FINETUNE, "beta": -0.1}}, "finetune.beta must be >= 0, got -0.1"
     ),
     "one seed": ({"seeds": [3]}, "seeds must be at least 2 distinct seeds, got [3]"),
+    "reference episodes 0": ({"reference_episodes": 0}, "reference_episodes must be >= 1, got 0"),
+    "reference episodes negative": (
+        {"reference_episodes": -3}, "reference_episodes must be >= 1, got -3"
+    ),
+    "pretrain steps 0": (
+        {"pretrain": {"kind": "offline_rl", "steps": 0, "beta": 0.4}},
+        "pretrain.steps must be >= 1, got 0",
+    ),
+    "pretrain fqe_steps 0": (
+        {"pretrain": {"kind": "bc_fqe", "steps": 60, "beta": 0.4, "fqe_steps": 0}},
+        "pretrain.fqe_steps must be >= 1, got 0",
+    ),
+    "agent batch 0": ({"agent": {"hidden": [8, 8], "batch": 0}}, "agent.batch must be >= 1, got 0"),
+    "agent hidden size 0": (
+        {"agent": {"hidden": [8, 0], "batch": 16}}, "agent.hidden sizes must be >= 1, got [8, 0]"
+    ),
+    "agent policy_delay 0": (
+        {"agent": {"hidden": [8, 8], "batch": 16, "policy_delay": 0}},
+        "agent.policy_delay must be >= 1, got 0",
+    ),
+    "env horizon 0": (
+        {"env": {"kind": "point_goal_dense", "horizon": 0}}, "env.horizon must be >= 1, got 0"
+    ),
     "duplicate methods": (
         {"methods": ["baseline", "baseline"]},
         "methods must be distinct, got ['baseline', 'baseline']",
@@ -1077,12 +1101,121 @@ def test_nets_above_the_threshold_run_alone(tmp_path, monkeypatch):
 ])
 def test_finetune_units_give_every_worker_a_unit(todo, jobs):
     classes = todo  # each update class's runs to do, in config order
-    units = runner._finetune_units(classes, 4, jobs)
+    units = runner._lockstep_units(classes, 4, jobs)
     assert len(units) >= min(jobs, sum(map(len, classes)))
     assert all(1 <= len(unit) <= 4 for unit in units)
     # no unit mixes classes, and each class's runs keep their order
     assert all(any(set(unit) <= set(runs) for runs in classes) for unit in units)
     assert [run for unit in units for run in unit] == [run for runs in classes for run in runs]
+
+
+# --- lockstep pretraining ---
+
+
+def recording_pretrain_units(mp):
+    """Patch ``runner._pretrain_group`` to record the seeds of each work
+    unit and whether it trains them."""
+    units, real = [], runner._pretrain_group
+
+    def recording(config, seeds, reference, train):
+        units.append((seeds, train))
+        return real(config, seeds, reference, train)
+
+    mp.setattr(runner, "_pretrain_group", recording)
+    return units
+
+
+def pretrain_in_groups(config, size, jobs=1):
+    """The bytes of every pretrain file after a forced pretrain in groups of
+    at most ``size`` seeds, and, serially, the work units (see
+    ``recording_pretrain_units``)."""
+    units = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "lockstep_runs", lambda hyper, spec: size)
+        if jobs == 1:  # a pool worker cannot take a patched unit function
+            units = recording_pretrain_units(mp)
+        runner.cmd_pretrain(config, jobs=jobs, force=True)
+    root = runner.Paths(config).pretrain_dir
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}, units
+
+
+@pytest.fixture(scope="module", params=[(kind, net) for kind in ("bc_fqe", "offline_rl")
+                                        for net in sorted(NET_SIZES)], ids="-".join)
+def three_seed_dataset(request, tmp_path_factory):
+    """A tiny setting with three seeds and its dataset, by pretrainer and
+    net size."""
+    kind, net = request.param
+    base = tmp_path_factory.mktemp(f"pretrain-{kind}-{net}")
+    config = runner.ExperimentConfig.from_dict(tiny_config_dict(
+        base, agent=NET_SIZES[net], seeds=[0, 1, 2],
+        pretrain={"kind": kind, "steps": 60, "beta": 0.4},
+    ))
+    runner.cmd_gen_data(config)
+    return config
+
+
+def test_a_pretraining_group_writes_the_bytes_of_seeds_alone(three_seed_dataset):
+    config = three_seed_dataset
+    alone, units = pretrain_in_groups(config, 1)
+    assert units == [((0,), True), ((1,), True), ((2,), True)]
+    grouped, units = pretrain_in_groups(config, 4)
+    assert units == [((0, 1, 2), True)]
+    # every checkpoint and the eval record, whose means are the pi_0 scores
+    assert len(grouped) == 2 * 3 + 1 and grouped == alone
+    assert read_json(runner.Paths(config).pretrain_eval)["seeds"] == [0, 1, 2]
+
+
+def test_pretraining_with_two_jobs_writes_the_bytes_of_one(three_seed_dataset):
+    config = three_seed_dataset
+    serial, units = pretrain_in_groups(config, 4)
+    assert units == [((0, 1, 2), True)]
+    parallel, _ = pretrain_in_groups(config, 4, jobs=2)  # groups of 2 and 1
+    assert parallel == serial
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_pretraining_units_give_every_worker_a_unit_and_keep_the_seed_order(
+    tmp_path, monkeypatch, jobs
+):
+    # two seeds to train and two to evaluate only: neither unit mixes them
+    config = runner.ExperimentConfig.from_dict(tiny_config_dict(tmp_path, seeds=[5, 3, 8, 1]))
+    runner.cmd_gen_data(config)
+    runner.cmd_pretrain(config)
+    before = read_json(runner.Paths(config).pretrain_eval)
+    for seed in (3, 1):
+        shutil.rmtree(runner.Paths(config).checkpoint(seed))
+    units = recording_pretrain_units(monkeypatch)
+    monkeypatch.setattr(runner, "_map", lambda _, fn, *args: list(map(fn, *args)))
+    runner.cmd_pretrain(config, jobs=jobs)
+    expected = {1: [((3, 1), True), ((5, 8), False)],
+                2: [((3, 1), True), ((5, 8), False)],
+                3: [((3,), True), ((1,), True), ((5,), False), ((8,), False)]}
+    assert units == expected[jobs]
+    assert read_json(runner.Paths(config).pretrain_eval) == before
+
+
+def test_a_seed_that_blows_up_in_pretraining_loses_its_group(tmp_path, capsys, monkeypatch):
+    # groups of 2: seeds 0 and 1 are saved, seed 3 blows up beside seed 2,
+    # and seed 4 never trains
+    cfg_path = _write_config(tmp_path, {"seeds": [0, 1, 2, 3, 4]})
+    assert cli.main(["gen-data", "--config", str(cfg_path)]) == 0
+    real, damaged = agents.make_td3_agent, stable_seed("pretrain", 3)
+
+    def make(obs_dim, action_dim, hyper, seed=0):
+        agent = real(obs_dim, action_dim, hyper, seed)
+        if seed == damaged:  # its critic targets overflow
+            for w in agent.target_critics.weights[1:]:
+                w[:] = 1e200
+        return agent
+
+    monkeypatch.setattr(agents, "make_td3_agent", make)
+    monkeypatch.setattr(runner, "lockstep_runs", lambda hyper, spec: 2)
+    capsys.readouterr()
+    assert cli.main(["pretrain", "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err == "numeric failure: non-finite critic target\n"
+    pretrain = tmp_path / "runs" / "tiny-dense" / "pretrain"
+    assert sorted(p.name for p in pretrain.iterdir()) == ["seed_0", "seed_1"]
 
 
 # --- CLI surface ---
