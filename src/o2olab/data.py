@@ -221,13 +221,6 @@ class ReplayBuffer:
         # take gathers the same rows as indexing, in less time
         return TransitionBatch(*(column.take(slots, axis=0) for column in self._columns()))
 
-    def sample_runs(self, batch: int, rngs: list[np.random.Generator]) -> TransitionBatch:
-        """One batch per run of a lockstep group, each the batch ``sample``
-        draws with its run's generator in ``rngs``, gathered at once with a
-        leading run axis (see ``stack_batches``)."""
-        slots = np.stack([self._slots(batch, rng) for rng in rngs])
-        return TransitionBatch(*(column.take(slots, axis=0) for column in self._columns()))
-
     @classmethod
     def from_dataset(cls, dataset: OfflineDataset, capacity: int | None = None):
         """A buffer (of ``capacity``, default the dataset's size) holding one

@@ -472,6 +472,12 @@ def _random_returns(spec: EnvSpec, seeds, rng: np.random.Generator) -> list[floa
     taking each earlier one of the pass to run the full horizon; it keeps
     the episodes up to and including the first that ended early, and the
     next pass starts after that one.
+
+    The episodes of a pass all take their t-th step together, so a pass
+    indexes its rows by episode and step and tells the early ends from the
+    ``terminated`` rows. It runs no integer array arithmetic: nothing else
+    in gen-data pages in that numpy code, which would count toward the
+    stage's peak RSS.
     """
     horizon = spec.horizon
     draws = rng.uniform(-1.0, 1.0, size=(len(seeds) * horizon, spec.action_dim))
@@ -479,19 +485,25 @@ def _random_returns(spec: EnvSpec, seeds, rng: np.random.Generator) -> list[floa
     start = 0  # the draw row of the pass's first episode
     while len(returns) < len(seeds):
         rest = seeds[len(returns) :]
-        starts = start + horizon * np.arange(len(rest))
-        steps = np.zeros(len(rest), dtype=np.int64)
+        rows = draws[start : start + horizon * len(rest)].reshape(len(rest), horizon, -1)
+        t = 0
 
         def act(live, obs):
-            rows = starts[live] + steps[live]
-            steps[live] += 1
-            return draws[rows]
+            nonlocal t
+            t += 1
+            return rows[live, t - 1]
 
-        raw = _raw_returns(make_env(spec), rest, act)
-        short = np.flatnonzero(steps < horizon)
-        kept = int(short[0]) + 1 if len(short) else len(rest)
+        raw = [0.0] * len(rest)
+        ran = [horizon] * len(rest)  # episode lengths
+        for live, _, _, res in rollout(make_env(spec), rest, act):
+            rewards, ends = res.reward.tolist(), res.terminated.tolist()
+            for i, reward, ended in zip(live.tolist(), rewards, ends):
+                raw[i] += reward
+                if ended:
+                    ran[i] = t
+        kept = next((i + 1 for i, n in enumerate(ran) if n < horizon), len(rest))
         returns += raw[:kept]
-        start = int(starts[kept - 1] + steps[kept - 1])
+        start += horizon * (kept - 1) + ran[kept - 1]
     return returns
 
 

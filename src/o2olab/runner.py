@@ -648,14 +648,15 @@ def _finetune_group(config: ExperimentConfig, runs: tuple[tuple[str, int], ...])
 def _lockstep_units(classes: list[list], size: int, jobs: int) -> list[tuple]:
     """Work units of lockstep groups: each class's runs (a fine-tune's
     (method, seed) pairs, or pretraining's seeds), in order, in groups of
-    at most ``size``, made smaller while there are fewer units than
-    min(``jobs``, runs) so that every worker has one."""
-    total = sum(map(len, classes))
-    while True:
-        units = [tuple(runs[i : i + size]) for runs in classes for i in range(0, len(runs), size)]
-        if size == 1 or len(units) >= min(jobs, total):
-            return units
-        size -= 1
+    at most ``size``. While there are fewer units than min(``jobs``, runs),
+    the first of the largest units is halved, so that every worker has one
+    and the other units stay whole."""
+    units = [tuple(runs[i : i + size]) for runs in classes for i in range(0, len(runs), size)]
+    while len(units) < min(jobs, sum(map(len, units))):
+        i = max(range(len(units)), key=lambda k: len(units[k]))
+        half = (len(units[i]) + 1) // 2
+        units[i : i + 1] = [units[i][:half], units[i][half:]]
+    return units
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:

@@ -15,7 +15,6 @@ from o2olab.data import (
     load_dataset,
     read_manifest,
     save_dataset,
-    stack_batches,
 )
 from o2olab.envs import BehaviorSpec, ReferenceScores, compute_reference_scores, env_spec
 from o2olab.errors import DatasetFormatError, EmptyBufferError, ShapeError
@@ -275,18 +274,6 @@ def test_buffer_sample_uniform_chi_square():
     assert np.all(np.abs(counts - expected) <= 3 * se)
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     assert chi2 < 43.8  # 99.9% quantile of chi-square with 19 dof
-
-
-@pytest.mark.parametrize("wrapped", [False, True])
-def test_sampling_runs_at_once_equals_each_run_sampling_alone(wrapped):
-    # a wrapped ring maps its draws through the write position
-    buf = ReplayBuffer(16, 2, 1)
-    buf.push(**rows(range(21 if wrapped else 16)))
-    runs = buf.sample_runs(8, [np.random.default_rng(s) for s in (3, 4, 5)])
-    alone = stack_batches([buf.sample(8, np.random.default_rng(s)) for s in (3, 4, 5)])
-    for name in vars(alone):
-        assert np.array_equal(getattr(runs, name), getattr(alone, name)), name
-    assert runs.obs.shape == (3, 8, 2) and buf.sample_reads == 6
 
 
 def test_buffer_empty_sample_raises():

@@ -1109,6 +1109,11 @@ def test_finetune_units_give_every_worker_a_unit(todo, jobs):
     assert [run for unit in units for run in unit] == [run for runs in classes for run in runs]
 
 
+def test_units_for_more_workers_halve_the_largest_group_only():
+    # the group of four is halved; the other class's group stays whole
+    assert runner._lockstep_units([[1, 2, 3, 4], [5, 6]], 4, 3) == [(1, 2), (3, 4), (5, 6)]
+
+
 # --- lockstep pretraining ---
 
 
@@ -1190,7 +1195,7 @@ def test_pretraining_units_give_every_worker_a_unit_and_keep_the_seed_order(
     runner.cmd_pretrain(config, jobs=jobs)
     expected = {1: [((3, 1), True), ((5, 8), False)],
                 2: [((3, 1), True), ((5, 8), False)],
-                3: [((3,), True), ((1,), True), ((5,), False), ((8,), False)]}
+                3: [((3,), True), ((1,), True), ((5, 8), False)]}
     assert units == expected[jobs]
     assert read_json(runner.Paths(config).pretrain_eval) == before
 
