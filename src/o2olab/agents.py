@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import OfflineDataset, ReplayBuffer, TransitionBatch, stack_batches
+from .data import OfflineDataset, ReplayBuffer, TransitionBatch
 from .errors import ConfigError, MissingInputError, NumericError, parse
 from .fsio import MANIFEST_FILE, read_json, write_json_atomic, write_npy_atomic
 from .seeding import rng_for
@@ -342,10 +342,10 @@ def td3_update(
     delayed actor update, Polyak targets.
 
     ``batch`` holds one batch per run, every field with a leading run axis
-    (see ``data.stack_batches``), and ``rngs`` one generator per run. Each
-    run steps exactly as its own update would: every product and
-    elementwise step acts on its slices alone, and every loss and lambda is
-    reduced over its own rows.
+    (as ``data.ReplayBuffer.sample`` gathers it), and ``rngs`` one
+    generator per run. Each run steps exactly as its own update would:
+    every product and elementwise step acts on its slices alone, and every
+    loss and lambda is reduced over its own rows.
 
     Returns {run: reason} for the runs whose update blew up: a non-finite
     critic target, critic loss, actor loss or gradient entry. Their
@@ -429,7 +429,7 @@ def bc_pretrain(
     rngs = [rng_for("bc", s) for s in seeds]
     n = hyper.batch
     for _ in range(steps):
-        batch = stack_batches([buf.sample(n, rng) for rng in rngs])
+        batch = buf.sample(n, rngs)
         cache: list = []
         err = nn.forward(actor, batch.obs, cache) - batch.action
         grad = nn.backward(actor, cache, (2.0 / (n * spec.action_dim)) * err)
@@ -460,7 +460,7 @@ def fqe(
     rngs = [rng_for("fqe", s) for s in seeds]
     n = hyper.batch
     for _ in range(steps):
-        batch = stack_batches([buf.sample(n, rng) for rng in rngs])
+        batch = buf.sample(n, rngs)
         next_a = nn.forward(policy_net, batch.next_obs)
         x_next = np.concatenate([batch.next_obs, next_a], axis=-1)
         q_next = nn.forward(target, x_next)[..., 0]
@@ -498,7 +498,7 @@ def offline_rl_pretrain(
     buf = ReplayBuffer.from_dataset(dataset)
     rngs = [rng_for("offline-rl", s) for s in seeds]
     for _ in range(steps):
-        batch = stack_batches([buf.sample(hyper.batch, rng) for rng in rngs])
+        batch = buf.sample(hyper.batch, rngs)
         failed = td3_update(agent, batch, reg, rngs)
         if failed:
             raise NumericError(failed[min(failed)])

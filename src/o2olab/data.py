@@ -4,9 +4,11 @@ A transition is a row of columns from the env step to the replay buffer.
 In memory a dataset is one array per transition field (obs, action,
 reward, next_obs, terminated, truncated), one row per transition, with
 trajectory offsets into the rows, as ``envs.run_episodes`` returns them.
-``ReplayBuffer.push`` appends n rows by array copies. A buffer of a
-dataset's own size holds the dataset's columns themselves, read-only; a
-larger one is filled by one push of them.
+``ReplayBuffer`` holds one ring per run of a lockstep group, and its
+``sample``, and ``MixedSampler.sample`` through the same gather, draw
+every run's batch at once: the one gather path of pretraining and
+fine-tuning. ``push`` appends n rows by array copies. A buffer of a
+dataset's own size holds the dataset's columns themselves, read-only.
 
 On disk a dataset is a directory: one ``.npy`` file per column (the
 offsets too) and a ``manifest.json`` holding the env, behavior, reference
@@ -139,123 +141,214 @@ def dataset_return(dataset: OfflineDataset):
 
 @dataclass
 class TransitionBatch:
-    obs: np.ndarray  # (B, obs_dim)
-    action: np.ndarray  # (B, action_dim)
-    reward: np.ndarray  # (B,)
-    next_obs: np.ndarray  # (B, obs_dim)
-    terminated: np.ndarray  # (B,) float 0/1
+    """One batch per run of a lockstep group, every field with a leading
+    run axis."""
 
-
-def stack_batches(batches: list[TransitionBatch]) -> TransitionBatch:
-    """One batch per run as one batch with a leading run axis; a lone batch
-    as views of its own columns."""
-    columns = [list(vars(batch).values()) for batch in batches]
-    if len(batches) == 1:
-        return TransitionBatch(*(column[None] for column in columns[0]))
-    return TransitionBatch(
-        *(np.concatenate(c).reshape(len(batches), *c[0].shape) for c in zip(*columns))
-    )
+    obs: np.ndarray  # (runs, B, obs_dim)
+    action: np.ndarray  # (runs, B, action_dim)
+    reward: np.ndarray  # (runs, B)
+    next_obs: np.ndarray  # (runs, B, obs_dim)
+    terminated: np.ndarray  # (runs, B) float 0/1
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring of transitions with uniform sampling."""
+    """Fixed-capacity FIFO rings of transitions with uniform sampling, one
+    ring per run of a lockstep group; a lone buffer is a group of one.
 
-    def __init__(self, capacity: int, obs_dim: int, action_dim: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+    The runs push together, one row each per transition, so every ring
+    holds as many rows as the others, at the same slots. Each field is
+    stored as one array, ring after ring: slot s of ring r is row
+    ``r * capacity + s``.
+    """
+
+    def __init__(self, capacity: int, obs_dim: int, action_dim: int, runs: int = 1):
+        if capacity < 1 or runs < 1:
+            raise ValueError("capacity and runs must be >= 1")
         self.capacity = capacity
+        self.runs = runs
         self.obs_dim = obs_dim
         self.action_dim = action_dim
         self.size = 0
-        self.sample_reads = 0  # batches drawn; a run's dataset_samples counter
         self._next = 0
-        self._obs = np.zeros((capacity, obs_dim))
-        self._action = np.zeros((capacity, action_dim))
-        self._reward = np.zeros(capacity)
-        self._next_obs = np.zeros((capacity, obs_dim))
-        self._terminated = np.zeros(capacity)
+        rows = runs * capacity
+        self._obs = np.zeros((rows, obs_dim))
+        self._action = np.zeros((rows, action_dim))
+        self._reward = np.zeros(rows)
+        self._next_obs = np.zeros((rows, obs_dim))
+        self._terminated = np.zeros(rows)
 
     def __len__(self) -> int:
         return self.size
 
     def push(self, obs, action, reward, next_obs, terminated) -> None:
-        """Append n transitions, given as arrays of n rows each, oldest
-        first. Once full, each row overwrites the oldest; of more rows than
-        the capacity only the newest are kept."""
-        widths = (obs.shape[1:], action.shape[1:], next_obs.shape[1:])
+        """Append n transitions to every ring, oldest first: arrays of n rows
+        each with a leading run axis, (runs, n, ...), or for a lone buffer
+        also (n, ...). Once full, each row overwrites the oldest; of more
+        rows than the capacity only the newest are kept."""
+        columns = (obs, action, reward, next_obs, terminated)
+        if np.ndim(reward) == 1:  # a lone buffer's rows
+            columns = tuple(column[None] for column in columns)
+        obs, action, reward, next_obs, terminated = columns
+        widths = (obs.shape[2:], action.shape[2:], next_obs.shape[2:])
         if widths != ((self.obs_dim,), (self.action_dim,), (self.obs_dim,)):
             raise ShapeError(
                 f"obs/action/next_obs widths {widths} do not match buffer "
                 f"({self.obs_dim},)/({self.action_dim},)/({self.obs_dim},)"
             )
-        n = len(obs)
-        keep = min(n, self.capacity)
-        slots = np.arange(self._next + n - keep, self._next + n) % self.capacity
-        self._obs[slots] = obs[n - keep :]
-        self._action[slots] = action[n - keep :]
-        self._reward[slots] = reward[n - keep :]
-        self._next_obs[slots] = next_obs[n - keep :]
-        self._terminated[slots] = terminated[n - keep :]
-        self._next = (self._next + n) % self.capacity
-        self.size = min(self.size + n, self.capacity)
+        if len(obs) != self.runs:
+            raise ShapeError(f"rows of {len(obs)} runs for a buffer of {self.runs}")
+        n, capacity = obs.shape[1], self.capacity
+        keep = min(n, capacity)
+        first = (self._next + n - keep) % capacity  # the slot of the first row kept
+        head = min(keep, capacity - first)  # the rows before the ring wraps
+        for store, rows in zip(self._columns(), columns):
+            rings = store.reshape(self.runs, capacity, *store.shape[1:])
+            rings[:, first : first + head] = rows[:, n - keep : n - keep + head]
+            rings[:, : keep - head] = rows[:, n - keep + head :]
+        self._next = (self._next + n) % capacity
+        self.size = min(self.size + n, capacity)
+
+    def keep(self, runs) -> None:
+        """Keep only the rings of ``runs`` (run indices), in that order."""
+        kept = []
+        for store in self._columns():
+            rings = store.reshape(self.runs, self.capacity, *store.shape[1:])[runs]
+            kept.append(rings.reshape(-1, *store.shape[1:]))
+        self._obs, self._action, self._reward, self._next_obs, self._terminated = kept
+        self.runs = len(runs)
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         """The storage of each TransitionBatch field, in field order."""
         return self._obs, self._action, self._reward, self._next_obs, self._terminated
 
-    def _slots(self, batch: int, rng: np.random.Generator) -> np.ndarray:
-        """The ring slots of ``batch`` uniform draws with replacement."""
+    def _draw(self, batch: int, rng: np.random.Generator) -> np.ndarray:
+        """``batch`` uniform draws with replacement, as FIFO positions (0 the
+        oldest row)."""
         if self.size == 0:
             raise EmptyBufferError("cannot sample from an empty buffer")
-        self.sample_reads += 1
         # int64 is the default; naming it skips a slow conversion, same draws
-        idx = rng.integers(0, self.size, size=batch, dtype=np.int64)
-        # map logical FIFO positions to ring slots
-        if self.size == self.capacity:
-            idx = (self._next + idx) % self.capacity
-        return idx
+        return rng.integers(0, self.size, size=batch, dtype=np.int64)
 
-    def sample(self, batch: int, rng: np.random.Generator) -> TransitionBatch:
-        """Uniform sampling with replacement."""
-        slots = self._slots(batch, rng)
-        # take gathers the same rows as indexing, in less time
-        return TransitionBatch(*(column.take(slots, axis=0) for column in self._columns()))
+    def _slots(self, positions: np.ndarray) -> np.ndarray:
+        """The ring slots of FIFO positions."""
+        if self.size == self.capacity:
+            return (self._next + positions) % self.capacity
+        return positions
+
+    def sample(self, batch: int, rngs: list[np.random.Generator]) -> TransitionBatch:
+        """One batch per generator in ``rngs``, on a leading run axis: run r
+        draws ``batch`` rows of ring r uniformly with replacement from
+        ``rngs[r]``. A lone buffer serves every generator. Every run's rows
+        are gathered at once (see ``_gather``)."""
+        return self._gather(batch, rngs, None, [None] * len(rngs))
+
+    def _gather(
+        self,
+        batch: int,
+        rngs: list[np.random.Generator],
+        offline: ReplayBuffer | None,
+        offline_draws: list[int | None],
+    ) -> TransitionBatch:
+        """The one gather of ``sample`` and ``MixedSampler.sample``.
+        ``offline``, a lone buffer, goes into the batch of each run r whose
+        ``offline_draws[r]`` is not None: that many offline draws, then the
+        rest from ring r, then a permutation of the batch's rows, all from
+        ``rngs[r]``. Rows are gathered by one ``take`` per field and buffer
+        they come from; where they all come from the rings, those takes are
+        the batch."""
+        runs = len(rngs)
+        if self.runs not in (1, runs):
+            raise ValueError(f"{runs} generators for a buffer of {self.runs} runs")
+        mixes = any(n_off is not None for n_off in offline_draws)
+        if mixes and (offline is None or offline.runs != 1):
+            raise ValueError("mixed draws need a lone offline buffer")
+        # per source buffer: the rows it gives, and their rows of the stacked batch
+        parts: dict[ReplayBuffer, tuple[list, list]] = {}
+
+        def take(source: ReplayBuffer, rows: np.ndarray, at: np.ndarray) -> None:
+            source_rows, places = parts.setdefault(source, ([], []))
+            source_rows.append(rows)
+            places.append(at)
+
+        for r, (rng, n_off) in enumerate(zip(rngs, offline_draws)):
+            ring = (r if self.runs > 1 else 0) * self.capacity  # the ring's first row
+            rows_at = np.arange(r * batch, (r + 1) * batch)
+            if n_off is None:
+                take(self, self._slots(self._draw(batch, rng)) + ring, rows_at)
+                continue
+            if len(offline) == 0 or len(self) == 0:
+                raise EmptyBufferError("mixed sampling needs both buffers non-empty")
+            offline_picks = offline._draw(n_off, rng) if n_off else None
+            online_picks = self._draw(batch - n_off, rng) if batch - n_off else None
+            # the batch's row i is row perm[i] of the parts, one after the other
+            at = np.empty(batch, dtype=np.int64)
+            at[rng.permutation(batch)] = rows_at
+            if n_off:
+                take(offline, offline._slots(offline_picks), at[:n_off])
+            if batch - n_off:
+                take(self, self._slots(online_picks) + ring, at[n_off:])
+        sources = list(parts)
+        rows = [np.concatenate(parts[source][0]) for source in sources]
+        if sources == [self] and not mixes:  # the rows are in batch order
+            # take gathers the same rows as indexing, in less time
+            columns = [column.take(rows[0], axis=0) for column in self._columns()]
+        else:  # one take per source, then the rows put in batch order
+            at = np.concatenate([a for source in sources for a in parts[source][1]])
+            back = np.empty_like(at)
+            back[at] = np.arange(len(at))
+            columns = []
+            for stores in zip(*(source._columns() for source in sources)):
+                gathered = np.empty((len(at), *stores[0].shape[1:]))
+                start = 0
+                for store, source_rows in zip(stores, rows):
+                    stop = start + len(source_rows)
+                    np.take(store, source_rows, axis=0, out=gathered[start:stop])
+                    start = stop
+                columns.append(gathered.take(back, axis=0))
+        return TransitionBatch(*(c.reshape(runs, batch, *c.shape[1:]) for c in columns))
 
     @classmethod
-    def from_dataset(cls, dataset: OfflineDataset, capacity: int | None = None):
-        """A buffer (of ``capacity``, default the dataset's size) holding one
-        push of the dataset's columns: when the dataset is larger than the
-        buffer, its newest rows.
+    def from_dataset(cls, dataset: OfflineDataset, capacity: int | None = None, runs: int = 1):
+        """A buffer of ``runs`` rings (of ``capacity``, default the dataset's
+        size), each holding one push of the dataset's columns: when the
+        dataset is larger than a ring, its newest rows.
 
-        At the dataset's own size the buffer is full from the start and
+        A lone buffer at the dataset's own size is full from the start and
         holds the dataset's float columns themselves, read-only, with
-        ``terminated`` as floats; a push into it raises."""
+        ``terminated`` as floats; a push into it raises. Any other buffer
+        copies the rows into every ring."""
         n = dataset.n_transitions
         rows = (dataset.obs, dataset.action, dataset.reward, dataset.next_obs, dataset.terminated)
-        own_size = capacity in (None, n)
-        buf = cls(1 if own_size else capacity, dataset.env.obs_dim, dataset.env.action_dim)
-        if not own_size:
-            buf.push(*rows)
+        capacity = n if capacity is None else capacity
+        spec = dataset.env
+        if capacity == n and runs == 1:
+            buf = cls(1, spec.obs_dim, spec.action_dim)
+            buf.capacity = buf.size = n
+            columns = [np.asarray(column, dtype=np.float64).view() for column in rows]
+            for column in columns:
+                column.flags.writeable = False
+            buf._obs, buf._action, buf._reward, buf._next_obs, buf._terminated = columns
             return buf
-        buf.capacity = buf.size = n
-        columns = [np.asarray(column, dtype=np.float64).view() for column in rows]
-        for column in columns:
-            column.flags.writeable = False
-        buf._obs, buf._action, buf._reward, buf._next_obs, buf._terminated = columns
+        buf = cls(capacity, spec.obs_dim, spec.action_dim, runs)
+        buf.push(*(np.broadcast_to(column, (runs, *column.shape)) for column in rows))
         return buf
 
 
 @dataclass
 class MixedSampler:
-    """Draws each batch with an exact offline/online split.
+    """Draws each run's batch with an exact offline/online split.
 
     A batch of size B contains exactly round(alpha * B) offline
-    transitions; the split is deterministic per batch, not Bernoulli.
+    transitions; the split is deterministic per batch, not Bernoulli. The
+    offline buffer is a lone one, which every ring of the online buffer
+    shares. ``mixing`` holds, per ring, whether its run mixes; the others
+    draw from their rings alone. Without it every run mixes.
     """
 
     offline_buffer: ReplayBuffer
     online_buffer: ReplayBuffer
     alpha: float
+    mixing: list[bool] | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -264,30 +357,15 @@ class MixedSampler:
     def offline_count(self, batch: int) -> int:
         return int(round(self.alpha * batch))
 
-    def sample(self, batch: int, rng: np.random.Generator) -> TransitionBatch:
-        """round(alpha * batch) offline draws, then the online draws, then a
-        permutation of the batch's rows; each part is gathered from its
-        buffer straight into its permuted rows."""
-        if len(self.offline_buffer) == 0 or len(self.online_buffer) == 0:
-            raise EmptyBufferError("mixed sampling needs both buffers non-empty")
+    def sample(self, batch: int, rngs: list[np.random.Generator]) -> TransitionBatch:
+        """One batch per generator in ``rngs``, on a leading run axis, as
+        ``ReplayBuffer.sample`` gathers it; each mixing run draws
+        round(alpha * batch) offline rows, then its online rows, then a
+        permutation of its batch's rows."""
         n_off = self.offline_count(batch)
-        parts = []
-        if n_off:
-            parts.append((self.offline_buffer, self.offline_buffer._slots(n_off, rng)))
-        if batch - n_off:
-            parts.append((self.online_buffer, self.online_buffer._slots(batch - n_off, rng)))
-        perm = rng.permutation(batch)
-        # row perm[i] of the two parts, one after the other, is the batch's row i
-        rows = np.empty(batch, dtype=perm.dtype)
-        rows[perm] = np.arange(batch)
-        columns = [np.empty((batch, *c.shape[1:])) for c in self.online_buffer._columns()]
-        start = 0
-        for buffer, slots in parts:
-            part_rows = rows[start : start + len(slots)]
-            for out, column in zip(columns, buffer._columns()):
-                out[part_rows] = column.take(slots, axis=0)
-            start += len(slots)
-        return TransitionBatch(*columns)
+        mixing = self.mixing or [True] * len(rngs)
+        draws = [n_off if mixes else None for mixes in mixing]
+        return self.online_buffer._gather(batch, rngs, self.offline_buffer, draws)
 
 
 # --- file I/O ---

@@ -6,7 +6,9 @@ seed; all randomness flows through numpy Generators.
 
 One env object runs n episodes side by side, one state row each (see
 ``_Env``). Each episode keeps its own generator, so its rows are the same,
-bit for bit, whatever else runs beside it; the fine-tune loop runs one row.
+bit for bit, whatever else runs beside it. Rows can start apart: the
+fine-tune loop runs a row per run of its group and starts a run's next
+episode in that row when the run's episode ends.
 
 ``rollout`` holds the one reset/step/drop loop: ``act(live, obs)`` gets
 the indices and observation rows of the live episodes and returns one
@@ -81,7 +83,13 @@ class _Env:
     leading axis over the live episodes, in seed order. ``step`` takes one
     action row per live episode and returns one row each; the rows of the
     episodes that the step ends are then dropped, so the next step takes
-    actions for the remaining episodes only, in the same order.
+    actions for the remaining episodes only, in the same order. ``start``
+    starts more episodes beside the live ones, at chosen rows: a caller
+    that starts one in each row the last step ended keeps every row going.
+
+    The env counts its steps in ``_t``, and each row the count at which its
+    episode started, so rows that started apart truncate apart, each at the
+    horizon of its own episode.
     """
 
     _STATE: tuple[str, ...] = ()  # the attributes holding per-episode rows
@@ -90,13 +98,47 @@ class _Env:
         self.spec = spec
         self._t = 0
         self._live = 0
+        self._started = np.zeros(0, dtype=np.int64)  # per row, ``_t`` at its start
 
     def reset(self, seeds) -> np.ndarray:
-        """Start one episode per seed; returns the (n, obs_dim) observations."""
-        rngs = [np.random.default_rng(seed) for seed in seeds]
+        """Start one episode per seed in place of any live ones; returns the
+        (n, obs_dim) observations."""
         self._t = 0
-        self._live = len(rngs)
-        return self._reset_state(rngs)
+        state, obs = self._draw([np.random.default_rng(seed) for seed in seeds])
+        for name, rows in zip(self._STATE, state):
+            setattr(self, name, rows)
+        self._started = np.zeros(len(obs), dtype=np.int64)
+        self._live = len(obs)
+        return obs
+
+    def start(self, seeds, rows) -> np.ndarray:
+        """Start one episode per seed beside the live ones, the i-th at row
+        ``rows[i]`` of the rows after (``rows`` ascending), leaving every
+        other row as it was; returns the new rows' (n, obs_dim)
+        observations."""
+        state, obs = self._draw([np.random.default_rng(seed) for seed in seeds])
+        # row i of the rows after is row order[i] of the live rows, then the new
+        order = list(range(self._live))
+        for k, row in enumerate(rows):
+            order.insert(row, self._live + k)
+        for name, new_rows in zip(self._STATE, state):
+            both = np.concatenate((getattr(self, name), new_rows))
+            setattr(self, name, both.take(order, axis=0))
+        self._started = np.append(self._started, [self._t] * len(obs)).take(order)
+        self._live = len(order)
+        return obs
+
+    def __len__(self) -> int:
+        """The live episodes."""
+        return self._live
+
+    def keep(self, rows) -> None:
+        """Keep only the episodes of ``rows``, a boolean mask or row indices,
+        in that order."""
+        for name in self._STATE:
+            setattr(self, name, getattr(self, name)[rows])
+        self._started = self._started[rows]
+        self._live = len(self._started)
 
     def step(self, actions) -> StepResult:
         live = self._live
@@ -110,37 +152,31 @@ class _Env:
         self._t += 1
         # np.clip, bit for bit, faster
         obs, reward, terminated = self._transition(np.minimum(np.maximum(a, -1.0), 1.0))
-        if self._t >= self.spec.horizon:
-            truncated = ~terminated
-            self._live = 0
-        else:
-            truncated = np.zeros(live, dtype=bool)
-            ended = np.count_nonzero(terminated)
-            if ended:
-                self._keep(~terminated)
-                self._live = live - ended
+        truncated = ~terminated & (self._t - self._started >= self.spec.horizon)
+        done = terminated | truncated
+        if np.count_nonzero(done):
+            self.keep(~done)
         return StepResult(obs, reward, terminated, truncated)
 
-    def _reset_state(self, rngs) -> np.ndarray:
+    def _draw(self, rngs) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """The state rows (one array per ``_STATE`` name) and observations
+        of one new episode per generator, starting at step ``_t``."""
         raise NotImplementedError
 
     def _transition(self, actions):
         """Advance every live row; returns (obs, reward, terminated) rows."""
         raise NotImplementedError
 
-    def _keep(self, rows: np.ndarray) -> None:
-        """Keep only the state rows where the boolean mask ``rows`` is set."""
-        for name in self._STATE:
-            setattr(self, name, getattr(self, name)[rows])
-
 
 class PointGoalEnv(_Env):
     """Point mass in [0, 10]^2 steered toward a fixed goal at (9, 9).
 
     Each episode draws its start position and then its whole noise sequence
-    at reset, from its own generator; ``normal(size=(horizon, 2))`` row t
-    equals the t-th ``normal(size=2)`` draw, so the episode is the same as
-    one drawing its noise step by step.
+    at its start, from its own generator; ``normal(size=(horizon, 2))`` row
+    t equals the t-th ``normal(size=2)`` draw, so the episode is the same as
+    one drawing its noise step by step. A row holds its noise rotated by
+    the env's step count at its start, so every row's noise for the next
+    step is column ``_t mod horizon``.
     """
 
     STEP_GAIN = 0.3
@@ -155,20 +191,23 @@ class PointGoalEnv(_Env):
         self._pos = np.zeros((0, 2))
         self._noise = np.zeros((0, spec.horizon, 2))
 
-    def _reset_state(self, rngs) -> np.ndarray:
+    def _draw(self, rngs):
         n, horizon = len(rngs), self.spec.horizon
         pos = np.empty((n, 2))
         noise = np.empty((n, horizon, 2))
         for i, rng in enumerate(rngs):
             pos[i] = rng.uniform(self.ARENA_LO, self.ARENA_HI, size=2)
             noise[i] = rng.normal(0.0, self.NOISE_SIGMA, size=(horizon, 2))
-        self._pos, self._noise = pos, noise
-        return np.concatenate((pos, self.GOAL - pos), axis=1)
+        shift = self._t % horizon
+        if shift:  # the episode's step k reads column (_t + k) mod horizon
+            noise = np.concatenate((noise[:, horizon - shift :], noise[:, : horizon - shift]), 1)
+        return (pos, noise), np.concatenate((pos, self.GOAL - pos), axis=1)
 
     def _transition(self, actions):
+        noise = self._noise[:, (self._t - 1) % self.spec.horizon]
         pos = np.minimum(
             np.maximum(
-                self._pos + self.STEP_GAIN * actions + self._noise[:, self._t - 1],
+                self._pos + self.STEP_GAIN * actions + noise,
                 self.ARENA_LO,
             ),
             self.ARENA_HI,
@@ -207,21 +246,23 @@ class PendulumEnv(_Env):
         self._theta = np.zeros(0)
         self._theta_dot = np.zeros(0)
 
-    def _obs(self) -> np.ndarray:
+    @staticmethod
+    def _observe(theta: np.ndarray, theta_dot: np.ndarray) -> np.ndarray:
+        """The (n, 3) observations of the states (theta, theta_dot)."""
         return np.array(
             [
-                [math.cos(theta), math.sin(theta), theta_dot]
-                for theta, theta_dot in zip(self._theta.tolist(), self._theta_dot.tolist())
+                [math.cos(t), math.sin(t), t_dot]
+                for t, t_dot in zip(theta.tolist(), theta_dot.tolist())
             ]
         ).reshape(-1, 3)
 
-    def _reset_state(self, rngs) -> np.ndarray:
-        self._theta = np.empty(len(rngs))
-        self._theta_dot = np.empty(len(rngs))
+    def _draw(self, rngs):
+        theta = np.empty(len(rngs))
+        theta_dot = np.empty(len(rngs))
         for i, rng in enumerate(rngs):
-            self._theta[i] = rng.uniform(-math.pi, math.pi)
-            self._theta_dot[i] = rng.uniform(-1.0, 1.0)
-        return self._obs()
+            theta[i] = rng.uniform(-math.pi, math.pi)
+            theta_dot[i] = rng.uniform(-1.0, 1.0)
+        return (theta, theta_dot), self._observe(theta, theta_dot)
 
     def _transition(self, actions):
         g, m, l, dt = self.GRAVITY, self.MASS, self.LENGTH, self.DT
@@ -364,7 +405,7 @@ def rollout(env: _Env, seeds, act):
         actions = np.asarray(act(live, obs), dtype=np.float64)
         res = env.step(actions)
         yield live, obs, actions, res
-        if env._live < len(live):  # the step ended some episodes
+        if len(env) < len(live):  # the step ended some episodes
             running = ~res.done
             live, obs = live[running], res.next_obs[running]
         else:

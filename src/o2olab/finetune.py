@@ -8,14 +8,16 @@ exactly K transitions. Total updates are exactly
 
 The loop steps a lockstep group of runs (see ``run_finetune``), which may
 be of several methods: runs of one ``update_class`` share the regularizer,
-the first update step and the counters they start from, and
-``lockstep_runs`` sizes a group by its critic work. The evaluation curve is
-scored after training, in one pass over every run and curve point.
+the first update step, the online buffer's size and preload, the offline
+share and the counters they start from, and ``lockstep_runs`` sizes a
+group by its critic work. The group's run state is group-level, as its
+agent is: one env with a row per run, one online buffer with a ring per
+run, and one gather of every run's batch per update. The evaluation curve
+is scored after training, in one pass over every run and curve point.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -33,7 +35,7 @@ from .agents import (
     stack_agents,
     td3_update,
 )
-from .data import MixedSampler, OfflineDataset, ReplayBuffer, TransitionBatch, stack_batches
+from .data import MixedSampler, OfflineDataset, ReplayBuffer
 from .envs import EnvSpec, evaluate_policy, make_env
 from .errors import ConfigError
 from .metrics import EvalPoint
@@ -78,8 +80,15 @@ class FinetuneConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.total_env_steps < 1 or self.utd < 1:
             raise ConfigError("total_env_steps and utd must be >= 1")
+        if self.warmup_steps < 1:
+            raise ConfigError(f"finetune.warmup_steps must be >= 1, got {self.warmup_steps}")
         if self.warmup_steps > self.total_env_steps:
             raise ConfigError("warmup_steps must be <= total_env_steps")
+        if self.online_buffer_capacity is not None and self.online_buffer_capacity < 1:
+            raise ConfigError(
+                "finetune.online_buffer_capacity must be >= 1, got "
+                f"{self.online_buffer_capacity}"
+            )
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must be in [0, 1]")
         if self.eval_every < 1 or self.eval_episodes < 1:
@@ -141,9 +150,12 @@ def _replays(config: FinetuneConfig) -> bool:
 
 def _schedule(config: FinetuneConfig, hyper: Td3Hyper) -> tuple:
     """What the runs of one lockstep group share of their configs: the
-    regularizer, the first update step, the updates per step and the curve
-    points."""
+    regularizer, the first update step, the updates per step, the curve
+    points, their online buffer's capacity and whether it starts out
+    holding the dataset, and the offline share of a replaying run's
+    batch."""
     start_delay = config.warmup_steps if config.method == METHOD_WARMUP else hyper.batch
+    capacity = config.online_buffer_capacity
     return (
         _regularizer_for(config),
         start_delay,
@@ -151,15 +163,19 @@ def _schedule(config: FinetuneConfig, hyper: Td3Hyper) -> tuple:
         config.total_env_steps,
         config.eval_every,
         config.eval_episodes,
+        config.total_env_steps if capacity is None else capacity,
+        config.single_buffer,
+        config.alpha,
     )
 
 
 def update_class(config: FinetuneConfig, hyper: Td3Hyper, counters: tuple) -> tuple:
     """The class of a run: runs of one class update alike, whatever their
     methods, and can share a lockstep group. It holds the config's schedule
-    (regularizer, first update step, updates per step, curve points) and the
-    counters the run starts from: its checkpoint's ``counters`` (see
-    ``agents.checkpoint_counters``), or fresh ones after a replay_reset."""
+    (regularizer, first update step, updates per step, curve points, online
+    buffer, offline share) and the counters the run starts from: its
+    checkpoint's ``counters`` (see ``agents.checkpoint_counters``), or fresh
+    ones after a replay_reset."""
     start = FRESH_COUNTERS if config.method == METHOD_REPLAY_RESET else tuple(counters)
     return (*_schedule(config, hyper), start)
 
@@ -171,23 +187,35 @@ def update_class(config: FinetuneConfig, hyper: Td3Hyper, counters: tuple) -> tu
 # with 56 updates and 4 curve points of 10 episodes, or 290 pendulum steps
 # with 68 updates and 4 points of 2 episodes), and the peak RSS of a process
 # fine-tuning 4 runs in groups of 1, 2 or 4 (numpy 2.4.6 on single-thread
-# OpenBLAS 0.3.31 and a stage process's malloc settings, on a 2-vCPU AMD
-# EPYC VM; medians of 5 processes), with the multiply-adds of one critic
-# forward over one run's batch (batch x critic parameters):
+# OpenBLAS 0.3.31, SkylakeX kernels, and a stage process's malloc settings,
+# on a 2-vCPU Intel Xeon VM, CPU family 6 model 207; medians of 5
+# processes, which spread by up to a fifth), with the multiply-adds of one
+# critic forward over one run's batch (batch x critic parameters):
 #
 #   nets@batch       env        work   ms a run: alone  of 2   of 4   MB: alone  of 2   of 4
-#   (32, 32)@64      point      8.4e4            15.7   11.8    9.3       40.2  40.2   40.3
-#   (64, 64)@256     pendulum   1.2e6            50.3   44.7   44.0       39.6  41.7   46.0
-#   (96, 96)@256     pendulum   2.5e6            77.0   75.1   75.8       41.3  45.5   51.7
-#   (128, 128)@256   pendulum   4.4e6           113.8  111.6  121.8       43.5  49.6   59.9
-#   (256, 256)@256   pendulum   1.7e7           360.6  373.0  393.7       55.3  70.6  109.7
+#   (32, 32)@64      point      8.4e4            52.8   29.6   20.8       40.1  40.0   40.4
+#   (64, 64)@256     pendulum   1.2e6           145.4  107.6  118.4       39.7  41.5   46.4
+#   (96, 96)@256     pendulum   2.5e6           242.2  208.4  217.2       41.3  45.1   51.6
+#   (128, 128)@256   pendulum   4.4e6           347.7  317.4  332.6       43.4  49.2   58.6
+#   (256, 256)@256   pendulum   1.7e7          1046.7  942.0 1077.6       55.4  71.0  106.5
 #
-# LOCKSTEP_MAX_WORK budgets the critic forward of a whole group: 4 runs at
-# (32, 32)@64, 2 at (64, 64)@256, where a group of 4 saves 1.6 % more a run
-# for 4.3 MB more, and 1 from (96, 96)@256 up, where a group of 2 saves
-# 2.5 % for 4.2 MB more.
+# LOCKSTEP_MAX_WORK budgets the critic forward of a whole group: 2 runs at
+# (64, 64)@256, where a group of 4 is slower, and 1 from (96, 96)@256 up.
+# (The budget was set on a 2-vCPU AMD EPYC VM, where a group of 2 at
+# (96, 96)@256 saved 2.5 % a run; on the host above it saves 14 %, for
+# 3.8 MB more.)
+#
+# LOCKSTEP_MAX_RUNS caps the groups of small nets. The sparse probe's
+# fine-tune stage (ROADMAP; 120 runs of (32, 32)@64 over 20 seeds, 5000
+# steps each, --jobs 2; same host, medians of 2 or 3 stages), per run and
+# per worker's peak RSS:
+#
+#   groups of   4: 773 ms a run, 38.0 MB    8: 665 ms, 43.9 MB    16: 624 ms, 56.4 MB
+#
+# A group of 8 saves 14 % a run over 4 for 6 MB a worker; one of 16 saves
+# 6 % more for 12.5 MB more, most of it the online buffers of its runs.
 LOCKSTEP_MAX_WORK = 2_500_000
-LOCKSTEP_MAX_RUNS = 4
+LOCKSTEP_MAX_RUNS = 8
 
 
 def lockstep_runs(hyper: Td3Hyper, spec: EnvSpec) -> int:
@@ -201,76 +229,41 @@ def lockstep_runs(hyper: Td3Hyper, spec: EnvSpec) -> int:
 
 @dataclass(eq=False)
 class _Run:
-    """One run of a lockstep group: its log, and its own env, buffers and
-    generators."""
+    """One run of a lockstep group: its log, its counters and its
+    generators. Its env row, its ring of the group's online buffer and its
+    agent are the group's, at the run's place among the live runs."""
 
     log: RunLog
-    env: object
-    online: ReplayBuffer
-    sampler: MixedSampler | None
+    replays: bool  # its batches mix in the dataset's own buffer (see _replays)
     explore_rng: np.random.Generator
     update_rng: np.random.Generator
     sample_rng: np.random.Generator
-    obs: np.ndarray | None = None
     episode: int = 0
-    collected: int = 0
-    updates: int = 0
 
     @classmethod
-    def start(
-        cls,
-        dataset: OfflineDataset,
-        config: FinetuneConfig,
-        seed: int,
-        offline: ReplayBuffer | None,
-    ) -> "_Run":
-        """A run at step 0. ``offline``, the dataset's buffer of the replay
-        methods, is shared by the runs of a group: nothing is pushed to it,
-        and each run draws through its own shallow copy, which counts its
-        own draws."""
-        capacity = config.online_buffer_capacity or config.total_env_steps
-        spec = dataset.env
-        if config.single_buffer:  # the online buffer starts out holding the dataset
-            online = ReplayBuffer.from_dataset(dataset, capacity + dataset.n_transitions)
-        else:
-            online = ReplayBuffer(capacity, spec.obs_dim, spec.action_dim)
-        sampler = None
-        if offline is not None:
-            offline = copy.copy(offline)
-            sampler = MixedSampler(offline, online, config.alpha)
-        run = cls(
+    def start(cls, config: FinetuneConfig, seed: int) -> "_Run":
+        return cls(
             log=RunLog(method=config.method, seed=seed, config=asdict(config), eval_curve=[]),
-            env=make_env(spec),
-            online=online,
-            sampler=sampler,
+            replays=_replays(config),
             explore_rng=rng_for("explore", seed),
             update_rng=rng_for("update", seed),
             sample_rng=rng_for("sample", seed),
         )
-        run.obs = run.env.reset([stable_seed("episode", seed, 0)])  # one episode at a time
-        return run
 
-    def sample(self, batch: int) -> TransitionBatch:
-        if self.sampler is not None:
-            return self.sampler.sample(batch, self.sample_rng)
-        return self.online.sample(batch, self.sample_rng)
+    def episode_seed(self) -> int:
+        return stable_seed("episode", self.log.seed, self.episode)
 
-    def step(self, action: np.ndarray) -> None:
-        """Take ``action`` (1, action_dim) in the env and bank the transition."""
-        res = self.env.step(action)
-        self.online.push(self.obs, action, res.reward, res.next_obs, res.terminated)
-        self.collected += 1
-        self.obs = res.next_obs
-        if res.done[0]:
-            self.episode += 1
-            self.obs = self.env.reset([stable_seed("episode", self.log.seed, self.episode)])
-
-    def finish(self) -> None:
+    def finish(self, env_steps: int, updates: int, offline_draws: int) -> None:
+        """Record the counters of the run, which leaves the group after
+        ``env_steps`` steps and ``updates`` updates; a replaying run's
+        batches hold ``offline_draws`` dataset rows each."""
         self.log.counters = {
-            "env_steps": self.collected,
-            "updates": self.updates,
+            "env_steps": env_steps,
+            "updates": updates,
             "episodes_started": self.episode + 1,
-            "dataset_samples": self.sampler.offline_buffer.sample_reads if self.sampler else 0,
+            # every update draws one batch of each live run, the one that
+            # aborts it too
+            "dataset_samples": updates + self.log.aborted if self.replays and offline_draws else 0,
         }
 
 
@@ -311,10 +304,18 @@ def run_finetune(
     (see ``agents.stack_agents``). Their methods may differ where the runs
     update alike (see ``update_class``): the configs must share their
     schedule, and the agents their counters once a replay_reset run's agent
-    is reset. Each run keeps its own env, buffers and generators, so its
-    RunLog equals the one it would record alone. A run whose update blows
-    up aborts alone. ``agents`` is emptied, so that nothing here keeps the
+    is reset. ``agents`` is emptied, so that nothing here keeps the
     originals alive.
+
+    The group's run state is group-level. One env holds a row per run and
+    starts a run's next episode in its row when its episode ends. One
+    online buffer holds a ring per run; the runs that replay the dataset
+    share its own buffer, and with ``single_buffer`` each ring starts out
+    holding a copy of the dataset. One gather (``ReplayBuffer.sample``)
+    draws every run's batch per update. Each run keeps its own episode
+    seeds and generators, so its RunLog equals the one it would record
+    alone. A run whose update blows up aborts alone: its agent, env row and
+    ring leave the group.
 
     The curve is evaluated after training: at each curve point the loop
     keeps a copy of the live runs' actors, and one evaluation then scores
@@ -327,56 +328,74 @@ def run_finetune(
     schedule = _schedule(configs[0], hyper)
     if any(_schedule(config, hyper) != schedule for config in configs):
         raise ValueError("a lockstep group takes runs whose configs share a schedule")
-    reg, start_delay, utd, total_env_steps, eval_every, eval_episodes = schedule
+    (reg, start_delay, utd, total_env_steps, eval_every, eval_episodes,
+     capacity, single_buffer, alpha) = schedule
     for i, (config, seed) in enumerate(zip(configs, seeds)):  # no loop variable keeps an agent
         if config.method == METHOD_REPLAY_RESET:
             reset_parameters(agents[i], seed=stable_seed("reset", seed))
     group = stack_agents(agents)
     agents.clear()
+    spec = dataset.env
     offline = ReplayBuffer.from_dataset(dataset) if any(map(_replays, configs)) else None
-    every = [
-        _Run.start(dataset, config, seed, offline if _replays(config) else None)
-        for config, seed in zip(configs, seeds)
-    ]
+    if single_buffer:  # every ring starts out holding the dataset
+        online = ReplayBuffer.from_dataset(dataset, capacity + dataset.n_transitions, len(seeds))
+    else:
+        online = ReplayBuffer(capacity, spec.obs_dim, spec.action_dim, len(seeds))
+    every = [_Run.start(config, seed) for config, seed in zip(configs, seeds)]
     runs = list(every)  # the live runs, in the order of the group's runs
+
+    def sampler_of(runs: list[_Run]):
+        if offline is None:
+            return online
+        return MixedSampler(offline, online, alpha, [run.replays for run in runs])
+
+    sampler = sampler_of(runs)
+    offline_draws = sampler.offline_count(hyper.batch) if offline is not None else 0
+    env = make_env(spec)
+    obs = env.reset([run.episode_seed() for run in runs])
+    updates = 0  # of each live run
     points = []  # per curve point: its step, its live runs and their actors' parameters
 
     def keep_point(step: int) -> None:
         points.append((step, runs, group.actor.params.copy()))
 
-    def update() -> dict[int, str]:
-        """One update of every live run; returns {run: reason} for those
-        that blew up."""
-        batch = stack_batches([run.sample(hyper.batch) for run in runs])
-        return td3_update(group, batch, reg, [run.update_rng for run in runs])
-
     keep_point(0)  # for replay_reset this is the post-reset policy
     for step in range(1, total_env_steps + 1):
         if step > start_delay:
             for _ in range(utd):
-                failed = update()
-                for i, run in enumerate(runs):
-                    if i in failed:
-                        run.log.aborted = True
-                        run.log.abort_reason = failed[i]
-                    else:
-                        run.updates += 1
+                batch = sampler.sample(hyper.batch, [run.sample_rng for run in runs])
+                failed = td3_update(group, batch, reg, [run.update_rng for run in runs])
                 if failed:
+                    for i, reason in failed.items():
+                        runs[i].log.aborted = True
+                        runs[i].log.abort_reason = reason
+                        runs[i].finish(step - 1, updates, offline_draws)
                     keep = [i for i in range(len(runs)) if i not in failed]
                     runs = [runs[i] for i in keep]
                     if not runs:
                         break
                     group = select_runs(group, keep)
+                    online.keep(keep)
+                    sampler = sampler_of(runs)
+                    env.keep(keep)
+                    obs = obs[keep]
+                updates += 1
         if not runs:
             break
-        obs = np.concatenate([run.obs for run in runs])
         actions = act(group, obs, explore=True, rngs=[run.explore_rng for run in runs])
-        for i, run in enumerate(runs):
-            run.step(actions[i : i + 1])
+        res = env.step(actions)
+        transitions = (obs, actions, res.reward, res.next_obs, res.terminated)
+        online.push(*(rows[:, None] for rows in transitions))  # one row per ring
+        obs = res.next_obs
+        if len(env) < len(runs):  # the step ended some runs' episodes
+            ended = [i for i, done in enumerate(res.done.tolist()) if done]
+            for i in ended:
+                runs[i].episode += 1
+            obs[ended] = env.start([runs[i].episode_seed() for i in ended], ended)
         if step % eval_every == 0:
             keep_point(step)
 
+    for run in runs:
+        run.finish(total_env_steps, updates, offline_draws)
     _evaluate_curves(dataset, eval_episodes, group.actor, points)
-    for run in every:
-        run.finish()
     return [run.log for run in every]

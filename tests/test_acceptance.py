@@ -167,7 +167,7 @@ def test_criterion_6_mixed_sampler_exactness():
         sampler = MixedSampler(off, on, alpha=0.5)
         rng = np.random.default_rng(123)
         for _ in range(10_000):
-            batch = sampler.sample(256, rng)
+            batch = sampler.sample(256, [rng])
             assert int(batch.reward.sum()) == 128
 
 

@@ -30,7 +30,6 @@ from o2olab.data import (
     ReplayBuffer,
     TransitionBatch,
     generate_dataset,
-    stack_batches,
 )
 from o2olab.envs import (
     BehaviorSpec,
@@ -67,8 +66,15 @@ def constant_action_dataset(action_value=0.25, n=200, seed=0):
                           obs, np.zeros(n, dtype=bool))
 
 
+def stack_batches(batches):
+    """Lone batches, (B, ...) each, as one batch with a leading run axis."""
+    return TransitionBatch(*(np.stack(c) for c in zip(*(vars(b).values() for b in batches))))
+
+
 def batch_from(dataset, size, rng):
-    return ReplayBuffer.from_dataset(dataset).sample(size, rng)
+    """A lone batch, without a run axis: ``size`` dataset rows drawn by ``rng``."""
+    [batch] = zip(*vars(ReplayBuffer.from_dataset(dataset).sample(size, [rng])).values())
+    return TransitionBatch(*batch)
 
 
 def update(agent, batch, reg, rng):

@@ -200,8 +200,8 @@ def one_row_at_a_time(buf, columns):
 def assert_same_buffer(got, want):
     assert (len(got), got._next) == (len(want), want._next)
     assert_same_columns(fifo_columns(got), fifo_columns(want))
-    a = got.sample(50, np.random.default_rng(1))
-    b = want.sample(50, np.random.default_rng(1))
+    a = got.sample(50, [np.random.default_rng(1)])
+    b = want.sample(50, [np.random.default_rng(1)])
     for field in BUFFER_FIELDS:
         assert np.array_equal(getattr(a, field), getattr(b, field))
 
@@ -213,6 +213,50 @@ def test_from_dataset_matches_pushing_rows_in_order(sparse_reference, capacity):
     pushed = ReplayBuffer(capacity or ds.n_transitions, 4, 2)
     one_row_at_a_time(pushed, {f: getattr(ds, f) for f in BUFFER_FIELDS})
     assert_same_buffer(ReplayBuffer.from_dataset(ds, capacity), pushed)
+
+
+def test_a_larger_buffer_holds_the_dataset_in_every_ring(sparse_reference):
+    # two rings start out holding a copy of the dataset each, and then draw,
+    # ring by ring, what a lone buffer that pushed its rows one at a time
+    # draws, alone and mixed with an offline buffer: before the wrap, while
+    # the rings overwrite the dataset's rows, and after they have
+    # overwritten all of them
+    ds = generate_dataset(env_spec("point_goal_sparse"), BehaviorSpec("noisy_expert", sigma=0.3),
+                          3, seed=4, reference=sparse_reference)
+    n, capacity = ds.n_transitions, ds.n_transitions + 30
+    group = ReplayBuffer.from_dataset(ds, capacity, runs=2)
+    off = ReplayBuffer(40, 4, 2)
+    draws = np.random.default_rng(5)
+    off.push(draws.normal(size=(40, 4)), draws.normal(size=(40, 2)), draws.normal(size=40),
+             draws.normal(size=(40, 4)), draws.random(40) < 0.5)
+    assert not np.shares_memory(group._obs, ds.obs)
+    for ring in group._obs.reshape(2, capacity, 4):
+        assert np.array_equal(ring[:n], ds.obs) and not ring[n:].any()
+    copied = []
+    for _ in range(2):
+        buf = ReplayBuffer(capacity, 4, 2)
+        one_row_at_a_time(buf, {f: getattr(ds, f) for f in BUFFER_FIELDS})
+        copied.append(buf)
+    rng = np.random.default_rng(0)
+    for chunk in (20, 25, n // 2, n):
+        online = [rng.normal(size=(2, chunk, 4)), rng.uniform(-1, 1, (2, chunk, 2)),
+                  rng.normal(size=(2, chunk)), rng.normal(size=(2, chunk, 4)),
+                  rng.random((2, chunk)) < 0.1]
+        group.push(*online)
+        for r, buf in enumerate(copied):
+            buf.push(*(column[r] for column in online))
+        got = group.sample(64, [np.random.default_rng(s) for s in (1, 2)])
+        # the second run mixes in offline draws
+        mixed = MixedSampler(off, group, 0.5, [False, True])
+        got_mixed = mixed.sample(64, [np.random.default_rng(s) for s in (3, 4)])
+        for r, buf in enumerate(copied):
+            want = buf.sample(64, [np.random.default_rng(1 + r)])
+            want_mixed = (MixedSampler(off, buf, 0.5) if r else buf).sample(
+                64, [np.random.default_rng(3 + r)]
+            )
+            for f in BUFFER_FIELDS:
+                assert np.array_equal(getattr(got, f)[r], getattr(want, f)[0]), (chunk, r, f)
+                assert np.array_equal(getattr(got_mixed, f)[r], getattr(want_mixed, f)[0])
 
 
 @pytest.mark.parametrize("chunks", [
@@ -246,15 +290,15 @@ def test_push_rejects_mismatched_widths(field, width):
 def test_buffer_sample_single_item():
     buf = ReplayBuffer(4, 2, 1)
     buf.push(**rows([5]))
-    batch = buf.sample(6, np.random.default_rng(0))
-    assert batch.obs.shape == (6, 2) and np.all(batch.obs == 5.0)
+    batch = buf.sample(6, [np.random.default_rng(0)])
+    assert batch.obs.shape == (1, 6, 2) and np.all(batch.obs == 5.0)
 
 
 def test_buffer_sample_reproducible():
     buf = ReplayBuffer(16, 2, 1)
     buf.push(**rows(range(16)))
-    b1 = buf.sample(8, np.random.default_rng(3))
-    b2 = buf.sample(8, np.random.default_rng(3))
+    b1 = buf.sample(8, [np.random.default_rng(3)])
+    b2 = buf.sample(8, [np.random.default_rng(3)])
     assert np.array_equal(b1.obs, b2.obs)
 
 
@@ -266,8 +310,8 @@ def test_buffer_sample_uniform_chi_square():
     rng = np.random.default_rng(12345)
     counts = np.zeros(n_items)
     for _ in range(100):
-        batch = buf.sample(draws // 100, rng)
-        idx = batch.reward.astype(int)
+        batch = buf.sample(draws // 100, [rng])
+        idx = batch.reward[0].astype(int)
         counts += np.bincount(idx, minlength=n_items)
     expected = draws / n_items
     se = np.sqrt(draws * (1 / n_items) * (1 - 1 / n_items))
@@ -279,7 +323,7 @@ def test_buffer_sample_uniform_chi_square():
 def test_buffer_empty_sample_raises():
     buf = ReplayBuffer(4, 2, 1)
     with pytest.raises(EmptyBufferError):
-        buf.sample(1, np.random.default_rng(0))
+        buf.sample(1, [np.random.default_rng(0)])
 
 
 # --- mixed sampler ---
@@ -298,7 +342,7 @@ def test_mixed_exact_split_every_batch():
     sampler = MixedSampler(off, on, alpha=0.5)
     rng = np.random.default_rng(0)
     for _ in range(200):
-        batch = sampler.sample(256, rng)
+        batch = sampler.sample(256, [rng])
         assert int(batch.reward.sum()) == 128
 
 
@@ -306,7 +350,7 @@ def test_mixed_exact_split_every_batch():
 def test_mixed_alpha_boundaries(alpha, expect):
     off, on = _marked_buffers()
     sampler = MixedSampler(off, on, alpha=alpha)
-    batch = sampler.sample(64, np.random.default_rng(1))
+    batch = sampler.sample(64, [np.random.default_rng(1)])
     assert int(batch.reward.sum()) == expect
 
 
@@ -315,15 +359,15 @@ def test_mixed_requires_both_nonempty():
     empty = ReplayBuffer(4, 2, 1)
     sampler = MixedSampler(off, empty, alpha=0.5)
     with pytest.raises(EmptyBufferError):
-        sampler.sample(8, np.random.default_rng(0))
+        sampler.sample(8, [np.random.default_rng(0)])
 
 
 def test_mixed_order_shuffled():
     off, on = _marked_buffers()
     sampler = MixedSampler(off, on, alpha=0.5)
-    batch = sampler.sample(64, np.random.default_rng(2))
+    batch = sampler.sample(64, [np.random.default_rng(2)])
     # offline markers must not sit in one contiguous block
-    first_half = batch.reward[:32].sum()
+    first_half = batch.reward[0, :32].sum()
     assert 0 < first_half < 32
 
 
@@ -338,13 +382,13 @@ def test_mixed_sample_equals_concatenate_then_permute(alpha):
                  rng.normal(size=(n, 2)), rng.random(n) < 0.5)
     sampler = MixedSampler(off, on, alpha=alpha)
     for seed in range(5):
-        got = sampler.sample(64, np.random.default_rng(seed))
+        got = sampler.sample(64, [np.random.default_rng(seed)])
         draws = np.random.default_rng(seed)
         n_off = sampler.offline_count(64)
-        parts = [buf.sample(n, draws) for buf, n in ((off, n_off), (on, 64 - n_off)) if n]
+        parts = [buf.sample(n, [draws]) for buf, n in ((off, n_off), (on, 64 - n_off)) if n]
         perm = draws.permutation(64)
         for name in ("obs", "action", "reward", "next_obs", "terminated"):
-            expected = np.concatenate([getattr(p, name) for p in parts])[perm]
+            expected = np.concatenate([getattr(p, name) for p in parts], axis=1)[:, perm]
             assert np.array_equal(getattr(got, name), expected), name
             assert getattr(got, name).dtype == expected.dtype
 

@@ -98,7 +98,7 @@ def place_pendulum(env, theta, theta_dot):
     its (1, 3) observation."""
     env._theta = np.array([theta])
     env._theta_dot = np.array([theta_dot])
-    return env._obs()
+    return env._observe(env._theta, env._theta_dot)
 
 
 def test_env_spec_dims():
@@ -297,6 +297,49 @@ def test_rows_equal_reference_episodes(kind):
     else:
         assert {terminated for _, terminated in endings} == {True, False}
         assert len({length for length, terminated in endings if terminated}) > 1
+
+
+@pytest.mark.parametrize("kind", ["point_goal_dense", "point_goal_sparse"])
+def test_a_row_restarted_alone_leaves_the_others_as_alone(kind):
+    # three rows go on for 70 steps, each starting its next episode in its
+    # row when its episode ends, as the fine-tune loop does. Every episode
+    # equals its one-row reference, bit for bit: the rows beside a restart,
+    # and a restarted episode, which truncates at its own horizon, not the
+    # env's; an episode still running at the end equals its reference's
+    # first steps.
+    spec = env_spec(kind, horizon=20)
+
+    def policy(obs):
+        return expert_action(spec, obs)
+
+    env = make_env(spec)
+    seeds = [[stable_seed("restart", kind, row, 0)] for row in range(3)]
+    episodes = [[[]] for _ in range(3)]  # per row, per episode, its steps
+    obs = env.reset([row_seeds[0] for row_seeds in seeds])
+    restarts = []
+    for _ in range(70):
+        actions = np.stack([policy(o) for o in obs])
+        res = env.step(actions)
+        for row in range(3):
+            episodes[row][-1].append((obs[row], actions[row], res.reward[row], res.next_obs[row],
+                                      res.terminated[row], res.truncated[row]))
+        obs = res.next_obs.copy()  # the steps recorded keep views of next_obs
+        ended = np.flatnonzero(res.done).tolist()
+        if ended:
+            restarts.append(ended)
+            for row in ended:
+                seeds[row].append(stable_seed("restart", kind, row, len(seeds[row])))
+                episodes[row].append([])
+            obs[ended] = env.start([seeds[row][-1] for row in ended], ended)
+    for row_seeds, row_episodes in zip(seeds, episodes):
+        for seed, got in zip(row_seeds, row_episodes):
+            want = reference_episode(spec, policy, seed)
+            assert_steps_equal(got, want[: len(got)])
+            assert len(got) < len(want) or got[-1][4] or got[-1][5]
+    assert [1] in restarts or [0] in restarts or [2] in restarts  # a row restarted alone
+    ends = {(len(got), got[-1][4]) for row in episodes for got in row[1:-1]}
+    assert (spec.horizon, False) in ends  # a restarted episode ran to its horizon
+    assert any(terminated for _, terminated in ends)
 
 
 def test_run_episodes_asks_each_live_episode_in_row_order():

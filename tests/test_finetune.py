@@ -175,7 +175,8 @@ def test_dataset_immutable_during_runs(dataset):
     # it draws the batches of a buffer that copied the rows, bit for bit
     copied = ReplayBuffer(dataset.n_transitions, SPEC.obs_dim, SPEC.action_dim)
     copied.push(*rows)
-    got, want = buf.sample(64, np.random.default_rng(4)), copied.sample(64, np.random.default_rng(4))
+    got = buf.sample(64, [np.random.default_rng(4)])
+    want = copied.sample(64, [np.random.default_rng(4)])
     for name, column in vars(got).items():
         assert column.dtype == np.float64 and np.array_equal(column, getattr(want, name)), name
     # a larger buffer, as single_buffer makes, copies the rows
@@ -285,6 +286,60 @@ def test_a_mixed_method_group_records_each_run_as_alone(dataset, runs):
         assert log.to_dict() == run_finetune(dataset, [agent], [config], [seed])[0].to_dict()
     assert [log.aborted for log in group] == [False] * (len(runs) - 1) + [True]
     assert len({log.method for log in group}) > 1
+
+
+def assert_each_run_as_alone(dataset, agents, configs, seeds):
+    """Run the group of ``agents()``, ``configs`` and ``seeds``, and check
+    each run's log against that run fine-tuned alone; returns the logs."""
+    group = run_finetune(dataset, agents(), configs, seeds)
+    for log, agent, config, seed in zip(group, agents(), configs, seeds):
+        assert log.to_dict() == run_finetune(dataset, [agent], [config], [seed])[0].to_dict()
+    return group
+
+
+def test_a_run_whose_episodes_end_early_restarts_its_row_alone(dataset):
+    # the middle run steers to the goal, so its episodes end there, each at
+    # its own step, while the fresh runs beside it run to the horizon (40);
+    # warm-up holds the updates off until step 101, so the rows restart
+    # apart before and while the runs update
+    from test_agents import steer_to_goal
+
+    def agents():
+        return [fresh_agent(0), steer_to_goal(fresh_agent(1)), fresh_agent(2)]
+
+    configs = [small_config(method="warmup", warmup_steps=100, total_env_steps=160)] * 3
+    logs = assert_each_run_as_alone(dataset, agents, configs, [5, 6, 7])
+    episodes = [log.counters["episodes_started"] for log in logs]
+    assert episodes[0] == episodes[2] == 160 // SPEC.horizon + 1 < episodes[1]
+
+
+# groups whose online buffers wrap, start out holding the dataset, or lose
+# a run after the wrap: replaying and plain runs side by side
+BUFFER_GROUPS = {
+    "wrapping ring": dict(online_buffer_capacity=50),
+    "single buffer": dict(online_buffer_capacity=50, single_buffer=True),
+    "abort after the wrap": dict(online_buffer_capacity=20),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUFFER_GROUPS))
+def test_a_group_buffer_records_each_run_as_alone(dataset, case):
+    methods = ["baseline", "replay", "replay", "baseline"]
+    damaged = case == "abort after the wrap"
+
+    def agents():  # the second run's first update (step 33) blows up
+        return [damaged_agent(s) if damaged and i == 1 else fresh_agent(s)
+                for i, s in enumerate(range(len(methods)))]
+
+    configs = [small_config(method=m, **BUFFER_GROUPS[case]) for m in methods]
+    logs = assert_each_run_as_alone(dataset, agents, configs, [5, 6, 7, 8])
+    assert [log.aborted for log in logs] == [False, damaged, False, False]
+    # with a single buffer no run draws from the dataset's own buffer
+    single = BUFFER_GROUPS[case].get("single_buffer", False)
+    assert logs[2].counters["dataset_samples"] == (0 if single else 200 - HYPER.batch)
+    if damaged:
+        assert logs[1].counters == {"env_steps": HYPER.batch, "updates": 0,
+                                    "episodes_started": 1, "dataset_samples": 1}
 
 
 def test_a_group_refuses_runs_that_update_apart(dataset):

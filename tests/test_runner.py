@@ -322,6 +322,21 @@ FAILING_LATER = {
         {"methods": ["baseline", "baseline"]},
         "methods must be distinct, got ['baseline', 'baseline']",
     ),
+    "finetune warmup_steps 0": (
+        {"finetune": {**FINETUNE, "warmup_steps": 0}}, "finetune.warmup_steps must be >= 1, got 0"
+    ),
+    "finetune warmup_steps negative": (
+        {"finetune": {**FINETUNE, "warmup_steps": -5}},
+        "finetune.warmup_steps must be >= 1, got -5",
+    ),
+    "finetune online_buffer_capacity 0": (
+        {"finetune": {**FINETUNE, "online_buffer_capacity": 0}},
+        "finetune.online_buffer_capacity must be >= 1, got 0",
+    ),
+    "finetune online_buffer_capacity negative": (
+        {"finetune": {**FINETUNE, "online_buffer_capacity": -5}},
+        "finetune.online_buffer_capacity must be >= 1, got -5",
+    ),
     "method in finetune": (  # ``methods`` picks the methods that run
         {"finetune": {**FINETUNE, "method": "warmup"}},
         "finetune.method is not a setting: `methods` lists the methods to run",
