@@ -4,6 +4,9 @@ A transition is a row of columns from the env step to the replay buffer.
 In memory a dataset is one array per transition field (obs, action,
 reward, next_obs, terminated, truncated), one row per transition, with
 trajectory offsets into the rows, as ``envs.run_episodes`` returns them.
+A dataset's trajectories are rolled side by side in one env, every
+behavior segment's at once, and one ``envs.behavior_act`` acts on all the
+live rows at each step.
 ``ReplayBuffer`` holds one ring per run of a lockstep group, and its
 ``sample``, and ``MixedSampler.sample`` through the same gather, draw
 every run's batch at once: the one gather path of pretraining and
@@ -29,7 +32,7 @@ from .envs import (
     BehaviorSpec,
     EnvSpec,
     ReferenceScores,
-    behavior_policy,
+    behavior_act,
     compute_reference_scores,
     env_spec,
     make_env,
@@ -75,17 +78,19 @@ def _generate(
     reference: ReferenceScores | None,
 ) -> OfflineDataset:
     """One dataset of every (behavior, n_traj, run_seed) run's trajectories,
-    in order, all rolled side by side in one env. Each trajectory acts with
-    its own behavior generator and resets with its own env seed, so no
-    trajectory depends on what runs beside it."""
+    in order, all rolled side by side in one env and acted on row-wise by
+    one ``behavior_act``. Each trajectory acts with its own behavior
+    generator and resets with its own env seed, so no trajectory depends on
+    what runs beside it."""
     if reference is None:
         reference = compute_reference_scores(spec, seed=stable_seed("reference", seed))
-    policies, seeds = [], []
+    behaviors, rngs, seeds = [], [], []
     for kind, n_traj, run_seed in runs:
         for i in range(n_traj):
-            policies.append(behavior_policy(kind, spec, rng_for("traj-behavior", run_seed, i)))
+            behaviors.append(kind)
+            rngs.append(rng_for("traj-behavior", run_seed, i))
             seeds.append(stable_seed("traj-env", run_seed, i))
-    columns = run_episodes(make_env(spec), policies, seeds)
+    columns = run_episodes(make_env(spec), seeds, behavior_act(spec, behaviors, rngs))
     return OfflineDataset(**columns, env=spec, behavior=behavior, reference=reference)
 
 

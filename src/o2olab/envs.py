@@ -16,8 +16,14 @@ action row per row. ``evaluate_policy`` asks one policy call for the rows
 of every episode of several policies at once, laid out as episodes x
 policies, and ``compute_reference_scores`` each behavior's episodes side
 by side; both sum only the rewards. ``run_episodes`` (dataset
-generation) asks each episode's own policy for its row and returns the
-transitions as columns.
+generation) returns the transitions as columns.
+
+The scripted behaviors act row-wise too: ``behavior_act`` is one ``act``
+for a set of trajectories, each of its own behavior kind and generator.
+It takes the expert's action on every row that needs it at once, and
+indexes by step the actions or noise that each uniform-random or
+noisy-expert trajectory drew as one block at the start; only
+``epsilon_mixture`` rows draw at each step, one row at a time.
 """
 
 from __future__ import annotations
@@ -308,10 +314,16 @@ class BehaviorSpec:
     def __post_init__(self):
         if self.kind not in BEHAVIOR_KINDS:
             raise ConfigError(f"unknown behavior kind {self.kind!r}")
-        if self.sigma < 0.0:
-            raise ConfigError("sigma must be >= 0")
+        if not self.sigma >= 0.0:  # NaN too, which JSON's NaN literal gives
+            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigError("epsilon must be in [0, 1]")
+        for key, owner in (("sigma", NOISY_EXPERT), ("epsilon", EPSILON_MIXTURE)):
+            if getattr(self, key) and self.kind != owner:
+                raise ConfigError(
+                    f"{key} is a parameter of kind {owner!r} only; "
+                    f"kind {self.kind!r} has {key} {getattr(self, key)}"
+                )
 
 
 # Pendulum swing-up controller. Pumps total energy toward the upright level
@@ -326,8 +338,7 @@ _PEND_KP = 8.0
 _PEND_KD = 2.0
 
 
-def _pendulum_expert(obs) -> np.ndarray:
-    cos_t, sin_t, theta_dot = float(obs[0]), float(obs[1]), float(obs[2])
+def _pendulum_expert(cos_t: float, sin_t: float, theta_dot: float) -> float:
     theta = math.atan2(sin_t, cos_t)
     max_t = PendulumEnv.MAX_TORQUE
     if abs(theta) < _PEND_CATCH_ANGLE and abs(theta_dot) < _PEND_CATCH_RATE:
@@ -336,39 +347,70 @@ def _pendulum_expert(obs) -> np.ndarray:
         energy = 0.5 * _PEND_INERTIA * theta_dot**2 + _PEND_UPRIGHT_ENERGY * cos_t
         direction = math.copysign(1.0, theta_dot) if abs(theta_dot) > 1e-3 else 1.0
         torque = max_t * direction * math.copysign(1.0, _PEND_UPRIGHT_ENERGY - energy)
-    return np.array([min(max(torque / max_t, -1.0), 1.0)])
+    return min(max(torque / max_t, -1.0), 1.0)
 
 
-def _point_expert(obs) -> np.ndarray:
-    # obs carries (goal - pos) in its last two entries
-    return np.minimum(np.maximum(np.asarray(obs[2:4], dtype=np.float64), -1.0), 1.0)
+def expert_actions(spec: EnvSpec, obs: np.ndarray) -> np.ndarray:
+    """The expert's (n, action_dim) actions on (n, obs_dim) observation
+    rows, each row's action a function of that row alone.
 
-
-def expert_action(spec: EnvSpec, obs) -> np.ndarray:
+    The pendulum expert runs row by row in scalar ``math``: numpy's
+    ``arctan2`` need not round as ``math.atan2`` does."""
     if spec.kind == PENDULUM:
-        return _pendulum_expert(obs)
-    return _point_expert(obs)
+        return np.array([_pendulum_expert(*row) for row in obs.tolist()]).reshape(-1, 1)
+    # obs carries (goal - pos) in its last two columns
+    return np.minimum(np.maximum(obs[:, 2:4], -1.0), 1.0)
 
 
-def scripted_action(
-    behavior: BehaviorSpec, spec: EnvSpec, obs, rng: np.random.Generator
-) -> np.ndarray:
-    if behavior.kind == UNIFORM_RANDOM:
-        return rng.uniform(-1.0, 1.0, size=spec.action_dim)
-    if behavior.kind == EXPERT:
-        return expert_action(spec, obs)
-    if behavior.kind == NOISY_EXPERT:
-        a = expert_action(spec, obs) + rng.normal(0.0, behavior.sigma, spec.action_dim)
-        return np.minimum(np.maximum(a, -1.0), 1.0)
-    # epsilon_mixture
-    if rng.random() < behavior.epsilon:
-        return rng.uniform(-1.0, 1.0, size=spec.action_dim)
-    return expert_action(spec, obs)
+def behavior_act(spec: EnvSpec, behaviors: list[BehaviorSpec], rngs: list[np.random.Generator]):
+    """One ``act(live, obs)`` for ``rollout``: trajectory i acts by
+    ``behaviors[i]``, drawing from its own generator ``rngs[i]`` as it
+    would draw step by step alone. Every trajectory starts at the rollout's
+    reset, and ``act`` is called once per step.
 
+    A uniform-random or noisy-expert trajectory draws its whole horizon of
+    actions or noise at once: row t of ``uniform(-1, 1, size=(horizon,
+    action_dim))`` or ``normal(0, sigma, size=(horizon, action_dim))`` is
+    its t-th per-step draw. An ``epsilon_mixture`` trajectory draws
+    ``random()``, and ``uniform(-1, 1, size=action_dim)`` when it acts at
+    random, at each step, the live rows in order. Every other row takes the
+    expert's action on its observation, a noisy expert's with its noise
+    added and clipped to [-1, 1].
+    """
+    n, horizon, width = len(behaviors), spec.horizon, spec.action_dim
+    drawn = np.zeros((horizon, n, width))  # per step, each trajectory's draw
+    for i, (behavior, rng) in enumerate(zip(behaviors, rngs)):
+        if behavior.kind == UNIFORM_RANDOM:
+            drawn[:, i] = rng.uniform(-1.0, 1.0, size=(horizon, width))
+        elif behavior.kind == NOISY_EXPERT:
+            drawn[:, i] = rng.normal(0.0, behavior.sigma, size=(horizon, width))
+    uniform, noisy, mixing = (
+        np.array([b.kind == kind for b in behaviors], dtype=bool)
+        for kind in (UNIFORM_RANDOM, NOISY_EXPERT, EPSILON_MIXTURE)
+    )
+    t = 0
 
-def behavior_policy(behavior: BehaviorSpec, spec: EnvSpec, rng: np.random.Generator):
-    """Close the behavior over its rng so it can be used as a plain policy."""
-    return lambda obs: scripted_action(behavior, spec, obs, rng)
+    def act(live, obs):
+        nonlocal t
+        t += 1
+        actions = drawn[t - 1].take(live, axis=0)  # right for the uniform-random rows
+        scripted = ~uniform[live]  # the rows that take the expert's action
+        for row in np.flatnonzero(mixing[live]).tolist():
+            i = int(live[row])
+            if rngs[i].random() < behaviors[i].epsilon:
+                actions[row] = rngs[i].uniform(-1.0, 1.0, size=width)
+                scripted[row] = False
+        rows = np.flatnonzero(scripted)
+        if len(rows):
+            expert = expert_actions(spec, obs[rows])
+            shaken = noisy[live[rows]]
+            if shaken.any():
+                noise = actions[rows[shaken]]
+                expert[shaken] = np.minimum(np.maximum(expert[shaken] + noise, -1.0), 1.0)
+            actions[rows] = expert
+        return actions
+
+    return act
 
 
 # --- rollouts and evaluation ---
@@ -412,13 +454,6 @@ def rollout(env: _Env, seeds, act):
             obs = res.next_obs
 
 
-def _per_episode(policies):
-    """An ``act`` asking ``policies[i]`` for episode i's row alone, in row
-    order, so a policy drawing from its own generator draws as it would
-    alone."""
-    return lambda live, obs: [policies[i](o) for i, o in zip(live.tolist(), obs)]
-
-
 def _raw_returns(env: _Env, seeds, act) -> list[float]:
     """Undiscounted return per episode, each summed in its own step order."""
     raw = [0.0] * len(seeds)
@@ -428,15 +463,15 @@ def _raw_returns(env: _Env, seeds, act) -> list[float]:
     return raw
 
 
-def run_episodes(env: _Env, policies, seeds) -> dict:
-    """Roll one episode per seed, episode i acting by ``policies[i]`` on its
-    own observation (obs_dim,). Returns the transitions as columns (obs,
-    action, reward, next_obs, terminated, truncated), episode after episode
-    in step order, and ``offsets``: episode i's rows are
+def run_episodes(env: _Env, seeds, act) -> dict:
+    """Roll one episode per seed side by side, acting by ``act(live, obs)``
+    (see ``rollout``). Returns the transitions as columns (obs, action,
+    reward, next_obs, terminated, truncated), episode after episode in step
+    order, and ``offsets``: episode i's rows are
     ``offsets[i]:offsets[i + 1]``."""
     steps = [
         (live, obs, actions, res.reward, res.next_obs, res.terminated, res.truncated)
-        for live, obs, actions, res in rollout(env, seeds, _per_episode(policies))
+        for live, obs, actions, res in rollout(env, seeds, act)
     ]
     episode, *fields = (np.concatenate(part) for part in zip(*steps))
     order = np.argsort(episode, kind="stable")
@@ -504,7 +539,8 @@ def evaluate_policy(
 
 def _random_returns(spec: EnvSpec, seeds, rng: np.random.Generator) -> list[float]:
     """Raw returns of uniform-random episodes that share ``rng``, one after
-    the other, each as ``scripted_action`` would draw it step by step.
+    the other, as if each drew ``uniform(-1, 1, size=action_dim)`` from it
+    at each step.
 
     Row t of one block draw ``uniform(-1, 1, size=(episodes * horizon,
     action_dim))`` is the t-th per-step draw, so episode i's t-th action
@@ -555,13 +591,11 @@ def compute_reference_scores(spec: EnvSpec, seed: int, episodes: int = 100) -> R
         raise ValueError("episodes must be >= 1")
     means = {}
     for kind in (UNIFORM_RANDOM, EXPERT):
-        rng = rng_for("reference", kind, seed)
         seeds = [stable_seed("reference", kind, seed, i) for i in range(episodes)]
-        if kind == EXPERT:  # draws nothing from its generator
-            policy = behavior_policy(BehaviorSpec(kind), spec, rng)
-            returns = _raw_returns(make_env(spec), seeds, _per_episode([policy] * episodes))
+        if kind == EXPERT:  # draws nothing
+            returns = _raw_returns(make_env(spec), seeds, lambda _, obs: expert_actions(spec, obs))
         else:
-            returns = _random_returns(spec, seeds, rng)
+            returns = _random_returns(spec, seeds, rng_for("reference", kind, seed))
         means[kind] = float(np.mean(returns))
     if means[EXPERT] <= means[UNIFORM_RANDOM]:
         raise ConfigError(

@@ -647,11 +647,17 @@ def _finetune_group(config: ExperimentConfig, runs: tuple[tuple[str, int], ...])
 
 def _lockstep_units(classes: list[list], size: int, jobs: int) -> list[tuple]:
     """Work units of lockstep groups: each class's runs (a fine-tune's
-    (method, seed) pairs, or pretraining's seeds), in order, in groups of
-    at most ``size``. While there are fewer units than min(``jobs``, runs),
+    (method, seed) pairs, or pretraining's seeds), in order, in the fewest
+    groups of at most ``size``, whose sizes differ by at most one (the
+    larger first). While there are fewer units than min(``jobs``, runs),
     the first of the largest units is halved, so that every worker has one
     and the other units stay whole."""
-    units = [tuple(runs[i : i + size]) for runs in classes for i in range(0, len(runs), size)]
+    units = []
+    for runs in classes:
+        groups = -(-len(runs) // size)  # none for a class without runs
+        small, larger = divmod(len(runs), max(groups, 1))
+        bounds = [g * small + min(g, larger) for g in range(groups + 1)]
+        units += [tuple(runs[start:stop]) for start, stop in zip(bounds, bounds[1:])]
     while len(units) < min(jobs, sum(map(len, units))):
         i = max(range(len(units)), key=lambda k: len(units[k]))
         half = (len(units[i]) + 1) // 2

@@ -171,8 +171,8 @@ def test_evaluate_policy_equals_sequential_episodes(kind, hidden):
         for i in range(episodes):
             episode_seed = stable_seed("eval-episode", seed, i)
             steps = reference_episode(spec, lambda obs: act(agent, obs), episode_seed)
-            rolled = run_episodes(make_env(spec), [lambda obs: act(agent, obs)],
-                                  [episode_seed])
+            rolled = run_episodes(make_env(spec), [episode_seed],
+                                  lambda live, obs: [act(agent, o) for o in obs])
             assert_columns_equal_steps(rolled, 0, steps)
             raw = 0.0
             for step in steps:

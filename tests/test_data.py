@@ -18,6 +18,8 @@ from o2olab.data import (
 )
 from o2olab.envs import BehaviorSpec, ReferenceScores, compute_reference_scores, env_spec
 from o2olab.errors import DatasetFormatError, EmptyBufferError, ShapeError
+from o2olab.seeding import rng_for, stable_seed
+from test_envs import assert_columns_equal_steps, behavior_policy, reference_episode
 
 COLUMNS = ("obs", "action", "reward", "next_obs", "terminated", "truncated")
 BUFFER_FIELDS = ("obs", "action", "reward", "next_obs", "terminated")
@@ -126,6 +128,66 @@ def test_trajectory_mixture_composition(sparse_reference):
     assert ds.n_traj == 10
     per_traj, mean = dataset_return(ds)
     assert per_traj[:5].mean() > per_traj[5:].mean()
+
+
+# every behavior kind, epsilon_mixture at its ends and between them
+EVERY_KIND = [
+    (BehaviorSpec("uniform_random"), 3),
+    (BehaviorSpec("expert"), 4),
+    (BehaviorSpec("noisy_expert", sigma=0.4), 3),
+    (BehaviorSpec("epsilon_mixture", epsilon=0.0), 2),
+    (BehaviorSpec("epsilon_mixture", epsilon=0.3), 4),
+    (BehaviorSpec("epsilon_mixture", epsilon=1.0), 2),
+]
+
+
+@pytest.mark.parametrize("kind", ["pendulum", "point_goal_dense"])
+def test_a_dataset_of_every_kind_equals_its_trajectories_drawn_step_by_step(kind):
+    # the row-wise behaviors against the per-step transcription, each
+    # trajectory rolled alone and drawing from its generator at each step.
+    # At horizon 40 some point-goal trajectories reach the goal, at
+    # different steps, while others run out of time.
+    spec, seed = env_spec(kind, horizon=40), 17
+    reference = ReferenceScores(kind, -1000.0, -100.0, 1, 0)
+    ds = generate_mixed_dataset(spec, EVERY_KIND, seed, reference=reference)
+    columns = {name: getattr(ds, name) for name in (*COLUMNS, "offsets")}
+    k, endings = 0, set()
+    for j, (behavior, n_traj) in enumerate(EVERY_KIND):
+        run_seed = stable_seed("segment", seed, j)
+        for i in range(n_traj):
+            policy = behavior_policy(behavior, spec, rng_for("traj-behavior", run_seed, i))
+            want = reference_episode(spec, policy, stable_seed("traj-env", run_seed, i))
+            assert_columns_equal_steps(columns, k, want)
+            endings.add((len(want), want[-1][4]))
+            k += 1
+    assert k == ds.n_traj
+    if kind == "pendulum":
+        assert endings == {(spec.horizon, False)}
+    else:
+        assert len({length for length, terminated in endings if terminated}) > 1
+        assert (spec.horizon, False) in endings
+
+
+def test_a_trajectory_is_the_same_beside_other_segments_alone_or_reordered():
+    spec = env_spec("point_goal_dense", horizon=40)
+    reference = ReferenceScores(spec.kind, -1000.0, -100.0, 1, 0)
+    runs = [(b, n, stable_seed("independent", j)) for j, (b, n) in enumerate(EVERY_KIND)]
+
+    def rolled(some_runs):
+        """Each trajectory's rows, by (run seed, index in its run)."""
+        ds = data._generate(spec, some_runs, some_runs[0][0], 0, reference)
+        keys = [(run_seed, i) for _, n, run_seed in some_runs for i in range(n)]
+        return {key: trajectory(ds, k) for k, key in enumerate(keys)}
+
+    together = rolled(runs)
+    reordered = rolled(runs[::-1])
+    alone = {key: rows for run in runs for key, rows in rolled([run]).items()}
+    assert together.keys() == reordered.keys() == alone.keys()
+    assert len({len(rows["reward"]) for rows in together.values()}) > 1
+    for key, rows in together.items():
+        for other in (reordered, alone):
+            for name in COLUMNS:
+                assert np.array_equal(rows[name], other[key][name]), (key, name)
 
 
 # --- dataset_return ---

@@ -8,14 +8,13 @@ from o2olab.envs import (
     BehaviorSpec,
     PendulumEnv,
     PointGoalEnv,
-    behavior_policy,
+    behavior_act,
     compute_reference_scores,
     env_spec,
     evaluate_policy,
-    expert_action,
+    expert_actions,
     make_env,
     run_episodes,
-    scripted_action,
     wrap_angle,
 )
 from o2olab.errors import ConfigError, ShapeError
@@ -69,6 +68,38 @@ def reference_episode(spec, policy, seed):
         if terminated or truncated:
             return steps
         obs = next_obs
+
+
+def expert_policy(spec):
+    """The expert as a policy of one observation."""
+    return lambda obs: expert_actions(spec, np.asarray(obs)[None])[0]
+
+
+def scripted_action(behavior, spec, obs, rng):
+    """A behavior's action on one observation, its draws made step by step
+    from ``rng``: the per-step transcription of the behaviors from before
+    they acted row-wise."""
+    if behavior.kind == "uniform_random":
+        return rng.uniform(-1.0, 1.0, size=spec.action_dim)
+    if behavior.kind == "expert":
+        return expert_policy(spec)(obs)
+    if behavior.kind == "noisy_expert":
+        a = expert_policy(spec)(obs) + rng.normal(0.0, behavior.sigma, spec.action_dim)
+        return np.minimum(np.maximum(a, -1.0), 1.0)
+    # epsilon_mixture
+    if rng.random() < behavior.epsilon:
+        return rng.uniform(-1.0, 1.0, size=spec.action_dim)
+    return expert_policy(spec)(obs)
+
+
+def behavior_policy(behavior, spec, rng):
+    """The per-step transcription as a policy of one observation."""
+    return lambda obs: scripted_action(behavior, spec, obs, rng)
+
+
+def expert_act(spec):
+    """The expert as an ``act(live, obs)`` of ``rollout``."""
+    return lambda live, obs: expert_actions(spec, obs)
 
 
 def assert_steps_equal(got, want):
@@ -236,8 +267,8 @@ def test_trajectories_bit_identical():
         for _ in range(2):
             env = make_env(spec)
             rng = np.random.default_rng(99)
-            policy = behavior_policy(BehaviorSpec("uniform_random"), spec, rng)
-            runs.append(run_episodes(env, [policy], [4]))
+            act = behavior_act(spec, [BehaviorSpec("uniform_random")], [rng])
+            runs.append(run_episodes(env, [4], act))
         c1, c2 = runs
         assert sum(c1["reward"].tolist()) == sum(c2["reward"].tolist())
         for name in (*STEP_COLUMNS, "offsets"):
@@ -249,8 +280,7 @@ def test_sparse_rewards_binary_single_success():
     env = make_env(spec)
     rng = np.random.default_rng(0)
     for ep in range(20):
-        policy = behavior_policy(BehaviorSpec("expert"), spec, rng)
-        columns = run_episodes(env, [policy], [ep])
+        columns = run_episodes(env, [ep], behavior_act(spec, [BehaviorSpec("expert")], [rng]))
         rewards = columns["reward"].tolist()
         assert set(rewards) <= {0.0, 1.0}
         assert sum(rewards) <= 1.0
@@ -264,17 +294,14 @@ def test_rows_equal_reference_episodes(kind):
     # each alone through run_episodes, against the per-episode reference. At horizon 20 the expert brings some point-goal
     # episodes to the goal, at different steps, and runs out of time on others.
     spec = env_spec(kind, horizon=20)
-
-    def policy(obs):
-        return expert_action(spec, obs)
-
+    policy = expert_policy(spec)
     endings = set()
     for n in (1, 3, 12):
         seeds = [stable_seed("rows", kind, n, i) for i in range(n)]
         want = [reference_episode(spec, policy, s) for s in seeds]
         for s, w in zip(seeds, want):
-            assert_columns_equal_steps(run_episodes(make_env(spec), [policy], [s]), 0, w)
-        columns = run_episodes(make_env(spec), [policy] * n, seeds)
+            assert_columns_equal_steps(run_episodes(make_env(spec), [s], expert_act(spec)), 0, w)
+        columns = run_episodes(make_env(spec), seeds, expert_act(spec))
         for i, w in enumerate(want):
             assert_columns_equal_steps(columns, i, w)
         env = make_env(spec)
@@ -308,10 +335,7 @@ def test_a_row_restarted_alone_leaves_the_others_as_alone(kind):
     # env's; an episode still running at the end equals its reference's
     # first steps.
     spec = env_spec(kind, horizon=20)
-
-    def policy(obs):
-        return expert_action(spec, obs)
-
+    policy = expert_policy(spec)
     env = make_env(spec)
     seeds = [[stable_seed("restart", kind, row, 0)] for row in range(3)]
     episodes = [[[]] for _ in range(3)]  # per row, per episode, its steps
@@ -343,20 +367,18 @@ def test_a_row_restarted_alone_leaves_the_others_as_alone(kind):
 
 
 def test_run_episodes_asks_each_live_episode_in_row_order():
-    # at every step the live episodes' policies are asked once each, in
-    # episode order, and an ended episode is asked no more
+    # at every step the act gets each live episode's row once, in episode
+    # order, and an ended episode's no more
     spec = env_spec("point_goal_dense", horizon=20)
     calls = []
 
-    def logging_policy(i):
-        def policy(obs):
-            calls.append(i)
-            return expert_action(spec, obs)
-        return policy
+    def logging_act(live, obs):
+        calls.extend(live.tolist())
+        return expert_actions(spec, obs)
 
     n = 12
     seeds = [stable_seed("rows", "order", i) for i in range(n)]
-    columns = run_episodes(make_env(spec), [logging_policy(i) for i in range(n)], seeds)
+    columns = run_episodes(make_env(spec), seeds, logging_act)
     lengths = np.diff(columns["offsets"]).tolist()
     assert len(set(lengths)) > 1
     assert calls == [i for t in range(max(lengths)) for i in range(n) if lengths[i] > t]
@@ -392,20 +414,24 @@ def test_noise_block_rows_are_the_per_step_draws():
 
 def test_point_expert_direction():
     spec = env_spec("point_goal_sparse")
-    obs = np.array([0.0, 0.0, 9.0, 9.0])
-    assert np.array_equal(expert_action(spec, obs), np.array([1.0, 1.0]))
-    obs = np.array([8.8, 9.1, 0.2, -0.1])
-    assert np.allclose(expert_action(spec, obs), np.array([0.2, -0.1]))
+    obs = np.array([[0.0, 0.0, 9.0, 9.0]])
+    assert np.array_equal(expert_actions(spec, obs), np.array([[1.0, 1.0]]))
+    obs = np.array([[8.8, 9.1, 0.2, -0.1]])
+    assert np.allclose(expert_actions(spec, obs), np.array([[0.2, -0.1]]))
+
+
+def one_row_actions(behavior, spec, obs, rng, steps):
+    """The actions of one trajectory acting by ``behavior`` on the same
+    observation row at each of ``steps`` steps."""
+    act = behavior_act(env_spec(spec.kind, horizon=steps), [behavior], [rng])
+    return np.concatenate([act(np.array([0]), obs[None]) for _ in range(steps)])
 
 
 def test_epsilon_one_is_uniform_random_in_distribution():
     spec = env_spec("point_goal_sparse")
     obs = np.array([0.0, 0.0, 9.0, 9.0])  # expert here would always emit (1, 1)
     rng = np.random.default_rng(5)
-    draws = np.array([
-        scripted_action(BehaviorSpec("epsilon_mixture", epsilon=1.0), spec, obs, rng)
-        for _ in range(2000)
-    ])
+    draws = one_row_actions(BehaviorSpec("epsilon_mixture", epsilon=1.0), spec, obs, rng, 2000)
     assert np.all(np.abs(draws.mean(axis=0)) < 0.05)
     assert np.all(draws.min(axis=0) < -0.95) and np.all(draws.max(axis=0) > 0.95)
 
@@ -413,27 +439,36 @@ def test_epsilon_one_is_uniform_random_in_distribution():
 def test_epsilon_zero_is_expert():
     spec = env_spec("point_goal_sparse")
     obs = np.array([1.0, 2.0, 8.0, 7.0])
-    mix = scripted_action(BehaviorSpec("epsilon_mixture", epsilon=0.0), spec, obs,
-                          np.random.default_rng(5))
-    assert np.array_equal(mix, expert_action(spec, obs))
+    mix = one_row_actions(BehaviorSpec("epsilon_mixture", epsilon=0.0), spec, obs,
+                          np.random.default_rng(5), 1)
+    assert np.array_equal(mix, expert_actions(spec, obs[None]))
 
 
 def test_noisy_expert_clipped():
     spec = env_spec("point_goal_sparse")
     obs = np.array([0.0, 0.0, 9.0, 9.0])
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        a = scripted_action(BehaviorSpec("noisy_expert", sigma=2.0), spec, obs, rng)
+    for a in one_row_actions(BehaviorSpec("noisy_expert", sigma=2.0), spec, obs, rng, 50):
         assert np.all(a >= -1.0) and np.all(a <= 1.0)
 
 
 def test_behavior_validation():
     with pytest.raises(ConfigError):
         BehaviorSpec("noisy_expert", sigma=-1.0)
+    with pytest.raises(ConfigError, match="sigma must be >= 0, got nan"):
+        BehaviorSpec("noisy_expert", sigma=float("nan"))
     with pytest.raises(ConfigError):
         BehaviorSpec("epsilon_mixture", epsilon=1.5)
     with pytest.raises(ConfigError):
         BehaviorSpec("greedy")
+    # a parameter of another kind would draw nothing
+    for kind in ("uniform_random", "expert", "epsilon_mixture"):
+        with pytest.raises(ConfigError, match="^sigma is a parameter of kind 'noisy_expert'"):
+            BehaviorSpec(kind, sigma=0.5)
+    for kind in ("uniform_random", "expert", "noisy_expert"):
+        with pytest.raises(ConfigError, match="^epsilon is a parameter of kind 'epsilon_mixture'"):
+            BehaviorSpec(kind, epsilon=0.2)
+    assert BehaviorSpec("expert", sigma=0.0, epsilon=0.0) == BehaviorSpec("expert")
 
 
 def test_pendulum_expert_swings_up_from_hanging():
@@ -447,7 +482,7 @@ def test_pendulum_expert_swings_up_from_hanging():
         obs = place_pendulum(env, math.pi - jitter, 0.0)[0]
         reached = None
         for t in range(spec.horizon):
-            res = env.step(expert_action(spec, obs)[None])
+            res = env.step(expert_actions(spec, obs[None]))
             obs = res.next_obs[0]
             if reached is None and abs(wrap_angle(env._theta[0])) < 0.2:
                 reached = t + 1
@@ -536,15 +571,27 @@ def rows_policy(policy):
     )
 
 
+def expert_grid(spec):
+    """The expert as the episodes x policies policy that evaluate_policy
+    calls, on every row at once, the rows of ended episodes too."""
+    return lambda obs: expert_actions(spec, obs.reshape(-1, spec.obs_dim)).reshape(
+        *obs.shape[:-1], -1
+    )
+
+
+def random_grid(spec, rng):
+    """Uniform-random actions from ``rng`` for the episodes x policies rows
+    of evaluate_policy, the rows of ended episodes too, row after row."""
+    return lambda obs: rng.uniform(-1.0, 1.0, size=(*obs.shape[:-1], spec.action_dim))
+
+
 def test_evaluate_policy_normalization_identity(pendulum_reference):
     spec = env_spec("pendulum")
-    rng = np.random.default_rng(1)
-    expert = rows_policy(behavior_policy(BehaviorSpec("expert"), spec, rng))
+    expert = expert_grid(spec)
     [result] = evaluate_policy(expert, spec, pendulum_reference, episodes=20, seeds=[3])
     assert result.mean == pytest.approx(1.0, abs=0.35)
 
-    random_pol = rows_policy(behavior_policy(BehaviorSpec("uniform_random"), spec,
-                                             np.random.default_rng(2)))
+    random_pol = random_grid(spec, np.random.default_rng(2))
     [result] = evaluate_policy(random_pol, spec, pendulum_reference, episodes=20, seeds=[3])
     assert result.mean == pytest.approx(0.0, abs=0.35)
 
@@ -573,11 +620,8 @@ def test_normalized_anchors_on_fresh_seeds():
     for kind in ("point_goal_sparse", "pendulum"):
         spec = env_spec(kind)
         ref = compute_reference_scores(spec, seed=0, episodes=60)
-        expert = rows_policy(
-            behavior_policy(BehaviorSpec("expert"), spec, np.random.default_rng(7))
-        )
-        rand = rows_policy(behavior_policy(BehaviorSpec("uniform_random"), spec,
-                                           np.random.default_rng(8)))
+        expert = expert_grid(spec)
+        rand = random_grid(spec, np.random.default_rng(8))
         [e] = evaluate_policy(expert, spec, ref, episodes=40, seeds=[1234])
         [r] = evaluate_policy(rand, spec, ref, episodes=40, seeds=[4321])
         assert e.mean >= 0.9, kind

@@ -101,6 +101,29 @@ def test_config_rejects_a_typo_in_every_section(tmp_path, capsys, section):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("segment, key", [
+    ({"kind": "expert", "sigma": 0.5}, "sigma"),
+    ({"kind": "uniform_random", "sigma": 0.1}, "sigma"),
+    ({"kind": "epsilon_mixture", "epsilon": 0.3, "sigma": 0.2}, "sigma"),
+    ({"kind": "noisy_expert", "sigma": 0.3, "epsilon": 0.1}, "epsilon"),
+    ({"kind": "expert", "epsilon": 1}, "epsilon"),
+    ({"kind": "uniform_random", "epsilon": 0.5}, "epsilon"),
+])
+def test_cli_rejects_a_behavior_parameter_that_its_kind_does_not_use(
+    tmp_path, capsys, segment, key
+):
+    # it would draw nothing and still feed the dataset key
+    behavior = [{**segment, "n_traj": 2}, {"kind": "uniform_random", "n_traj": 2}]
+    with pytest.raises(ConfigError, match=f"^{key} is a parameter of kind"):
+        runner.ExperimentConfig.from_dict(tiny_config_dict(tmp_path, behavior=behavior))
+    cfg_path = _write_config(tmp_path, {"behavior": behavior})
+    capsys.readouterr()
+    assert cli.main(["gen-data", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} is a parameter of kind") and err.count("\n") == 1, err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_config_keys_are_pinned():
     # recorded before the flat pretrain_*/tost_* fields were folded into
     # their sections; a change here moves the key of every artifact
@@ -199,14 +222,23 @@ def wrong_values(tp) -> list:
     return values + {int: ["1", True], float: ["1", True], str: [5], bool: [1, "true"]}.get(tp, [5])
 
 
+# the behavior kind that each behavior parameter belongs to
+PARAMETER_KINDS = {"sigma": "noisy_expert", "epsilon": "epsilon_mixture"}
+
+
 def with_value(data: dict, section: str, key: str, value) -> dict:
-    """``data`` with ``key`` of ``section`` (of the first segment, for
-    ``behavior``) set to ``value``."""
+    """``data`` with ``key`` of ``section`` set to ``value``; for
+    ``behavior``, in the first segment of the kind that the key belongs to,
+    or else in the first segment."""
     data = dict(data)
     if not section:
         data[key] = value
     elif section == "behavior":
-        data["behavior"] = [{**data["behavior"][0], key: value}, *data["behavior"][1:]]
+        segments = list(data["behavior"])
+        kinds = [segment["kind"] for segment in segments]
+        i = kinds.index(PARAMETER_KINDS[key]) if PARAMETER_KINDS.get(key) in kinds else 0
+        segments[i] = {**segments[i], key: value}
+        data["behavior"] = segments
     else:
         data[section] = {**data.get(section, {}), key: value}
     return data
@@ -238,7 +270,11 @@ def test_float_fields_written_as_integers_are_their_floats(tmp_path):
     # the inverse of test_integral_floats_are_their_integers
     fields = [(s, k) for s, k, tp in config_fields() if _unwrap(tp)[0] is float]
     assert len(fields) == 14  # behavior 2, pretrain 1, agent 7, finetune 2, tost 2
-    ints = floats = tiny_config_dict(tmp_path)
+    # a segment for each behavior parameter: a kind takes only its own
+    ints = floats = tiny_config_dict(tmp_path, behavior=[
+        {"kind": "noisy_expert", "sigma": 0.3, "n_traj": 4},
+        {"kind": "epsilon_mixture", "epsilon": 0.3, "n_traj": 2},
+    ])
     for section, key in fields:
         ints = with_value(ints, section, key, 1)
         floats = with_value(floats, section, key, 1.0)
@@ -970,11 +1006,16 @@ CLASSES = {
 
 def class_groups(pretrain, seeds, size):
     """The methods of each group that cutting the update classes of
-    ``pretrain``'s checkpoints into groups of at most ``size`` runs gives."""
+    ``pretrain``'s checkpoints into the fewest groups of at most ``size``
+    runs, of sizes that differ by at most one (the larger first), gives."""
     groups = []
     for methods in CLASSES[pretrain]:
         runs = [method for method in methods for _ in seeds]
-        groups += [tuple(runs[i : i + size]) for i in range(0, len(runs), size)]
+        cuts = -(-len(runs) // size)
+        sizes = [len(runs) // cuts + (i < len(runs) % cuts) for i in range(cuts)]
+        for n in sizes:
+            groups.append(tuple(runs[:n]))
+            runs = runs[n:]
     return groups
 
 
@@ -1025,10 +1066,19 @@ def test_lockstep_groups_write_the_bytes_of_runs_alone(three_seeds, size, runs):
 
 @pytest.mark.parametrize("size", [4, 5])
 def test_groups_of_bc_fqe_checkpoints_write_the_bytes_of_runs_alone(three_bc_fqe_seeds, size):
-    # fresh counters: replay_reset runs are of the class of baseline and replay
+    # fresh counters: replay_reset runs are of the class of baseline and
+    # replay, and mixed runs of o2o_reg's
+    config, _ = three_bc_fqe_seeds
+    manifest = read_json(runner.Paths(config).checkpoint(0) / "manifest.json")
+    classes = {}
+    for method in config.methods:
+        key = update_class(runner._method_finetune(config, method), config.agent,
+                           checkpoint_counters(manifest))
+        classes.setdefault(key, []).append(method)
+    assert [tuple(methods) for methods in classes.values()] == CLASSES["bc_fqe"]
     groups = assert_groups_write_the_bytes_of_runs_alone(three_bc_fqe_seeds, size)
-    assert ("replay", "replay_reset") in {tuple(sorted(set(group))) for group in groups}
-    assert ("mixed", "o2o_reg") in {tuple(sorted(set(group))) for group in groups}
+    # the classes' 9, 3 and 6 runs, each cut evenly
+    assert [len(group) for group in groups] == {4: [3] * 6, 5: [5, 4, 3, 3, 3]}[size]
 
 
 def blow_up_targets(checkpoint):
@@ -1127,6 +1177,25 @@ def test_finetune_units_give_every_worker_a_unit(todo, jobs):
 def test_units_for_more_workers_halve_the_largest_group_only():
     # the group of four is halved; the other class's group stays whole
     assert runner._lockstep_units([[1, 2, 3, 4], [5, 6]], 4, 3) == [(1, 2), (3, 4), (5, 6)]
+
+
+@pytest.mark.parametrize("classes,size,jobs,sizes", [
+    ([20], 8, 2, [7, 7, 6]),  # the 20-seed probe's pretraining under --jobs 2
+    ([20], 4, 2, [4, 4, 4, 4, 4]),
+    ([9], 8, 1, [5, 4]),
+    ([10], 4, 1, [4, 3, 3]),
+    ([8], 8, 3, [2, 2, 4]),  # halved, then the first half halved: a unit for each worker
+    # the update classes of the benchmark's two seeds: pointgoal-eval's
+    # (bc_fqe) at its cap, and pendulum-update's (offline_rl) in pairs
+    ([6, 2, 4], 8, 1, [6, 2, 4]),
+    ([4, 2, 4, 2], 2, 1, [2, 2, 2, 2, 2, 2]),
+])
+def test_a_class_is_cut_into_groups_of_even_size(classes, size, jobs, sizes):
+    bounds = np.cumsum([0, *classes]).tolist()
+    runs = [list(range(start, stop)) for start, stop in zip(bounds, bounds[1:])]
+    units = runner._lockstep_units(runs, size, jobs)
+    assert [len(unit) for unit in units] == sizes
+    assert [run for unit in units for run in unit] == list(range(bounds[-1]))
 
 
 # --- lockstep pretraining ---
