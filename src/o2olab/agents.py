@@ -44,6 +44,9 @@ class Td3Hyper:
                 raise ConfigError(f"agent.{name} must be >= 1, got {getattr(self, name)}")
         if any(size < 1 for size in self.hidden):
             raise ConfigError(f"agent.hidden sizes must be >= 1, got {list(self.hidden)}")
+        for name in ("target_noise", "noise_clip", "explore_noise"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"agent.{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

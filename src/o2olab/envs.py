@@ -6,17 +6,21 @@ seed; all randomness flows through numpy Generators.
 
 One env object runs n episodes side by side, one state row each (see
 ``_Env``). Each episode keeps its own generator, so its rows are the same,
-bit for bit, whatever else runs beside it. Rows can start apart: the
-fine-tune loop runs a row per run of its group and starts a run's next
-episode in that row when the run's episode ends.
+bit for bit, whatever else runs beside it. A row stays in its place until
+its caller drops it with ``keep`` or starts a new episode in it with
+``restart``; a row whose episode has ended steps on, and its caller
+ignores what it returns. The fine-tune loop runs a row per run of its
+group and restarts a run's row when the run's episode ends.
 
-``rollout`` holds the one reset/step/drop loop: ``act(live, obs)`` gets
-the indices and observation rows of the live episodes and returns one
-action row per row. ``evaluate_policy`` asks one policy call for the rows
-of every episode of several policies at once, laid out as episodes x
-policies, and ``compute_reference_scores`` each behavior's episodes side
-by side; both sum only the rewards. ``run_episodes`` (dataset
-generation) returns the transitions as columns.
+Every score comes from one loop (``_returns``): it steps every row until
+every episode has ended, asks ``act(t, obs)`` for one action row per row
+at step t, and adds each row's rewards while its episode runs.
+``evaluate_policy`` asks one policy call for the rows of every episode of
+several policies at once, laid out as episodes x policies, and
+``compute_reference_scores`` each behavior's episodes side by side.
+``run_episodes`` (dataset generation) drops the rows of the episodes that
+end and returns the transitions as columns; its ``act(live, obs)`` gets
+the indices and observation rows of the live episodes.
 
 The scripted behaviors act row-wise too: ``behavior_act`` is one ``act``
 for a set of trajectories, each of its own behavior kind and generator.
@@ -65,12 +69,12 @@ def env_spec(kind: str, horizon: int | None = None) -> EnvSpec:
 
 @dataclass
 class StepResult:
-    """One step of the live episodes, one row each, in the env's row order."""
+    """One step of the env's rows, one row each, in the env's row order."""
 
-    next_obs: np.ndarray  # (live, obs_dim)
-    reward: np.ndarray  # (live,)
-    terminated: np.ndarray  # (live,) bool
-    truncated: np.ndarray  # (live,) bool
+    next_obs: np.ndarray  # (rows, obs_dim)
+    reward: np.ndarray  # (rows,)
+    terminated: np.ndarray  # (rows,) bool
+    truncated: np.ndarray  # (rows,) bool
 
     @property
     def done(self) -> np.ndarray:
@@ -86,12 +90,11 @@ class _Env:
     """Episodes side by side, one row each.
 
     ``reset`` starts one episode per seed; every state array then has a
-    leading axis over the live episodes, in seed order. ``step`` takes one
-    action row per live episode and returns one row each; the rows of the
-    episodes that the step ends are then dropped, so the next step takes
-    actions for the remaining episodes only, in the same order. ``start``
-    starts more episodes beside the live ones, at chosen rows: a caller
-    that starts one in each row the last step ended keeps every row going.
+    leading axis over the rows, in seed order. ``step`` takes one action
+    row per row and returns one row each. The rows stay fixed: a row whose
+    episode has ended steps on, past its end, and what it returns means
+    nothing. ``keep`` drops rows, and ``restart`` starts a new episode in
+    place of a row's, leaving every other row as it was.
 
     The env counts its steps in ``_t``, and each row the count at which its
     episode started, so rows that started apart truncate apart, each at the
@@ -103,40 +106,27 @@ class _Env:
     def __init__(self, spec: EnvSpec):
         self.spec = spec
         self._t = 0
-        self._live = 0
         self._started = np.zeros(0, dtype=np.int64)  # per row, ``_t`` at its start
 
     def reset(self, seeds) -> np.ndarray:
-        """Start one episode per seed in place of any live ones; returns the
+        """Start one episode per seed in place of any rows; returns the
         (n, obs_dim) observations."""
         self._t = 0
         state, obs = self._draw([np.random.default_rng(seed) for seed in seeds])
         for name, rows in zip(self._STATE, state):
             setattr(self, name, rows)
         self._started = np.zeros(len(obs), dtype=np.int64)
-        self._live = len(obs)
         return obs
 
-    def start(self, seeds, rows) -> np.ndarray:
-        """Start one episode per seed beside the live ones, the i-th at row
-        ``rows[i]`` of the rows after (``rows`` ascending), leaving every
-        other row as it was; returns the new rows' (n, obs_dim)
-        observations."""
+    def restart(self, rows, seeds) -> np.ndarray:
+        """Start one episode per seed in place, the i-th in row
+        ``rows[i]``, leaving every other row as it was; returns the new
+        episodes' (n, obs_dim) observations."""
         state, obs = self._draw([np.random.default_rng(seed) for seed in seeds])
-        # row i of the rows after is row order[i] of the live rows, then the new
-        order = list(range(self._live))
-        for k, row in enumerate(rows):
-            order.insert(row, self._live + k)
         for name, new_rows in zip(self._STATE, state):
-            both = np.concatenate((getattr(self, name), new_rows))
-            setattr(self, name, both.take(order, axis=0))
-        self._started = np.append(self._started, [self._t] * len(obs)).take(order)
-        self._live = len(order)
+            getattr(self, name)[rows] = new_rows
+        self._started[rows] = self._t
         return obs
-
-    def __len__(self) -> int:
-        """The live episodes."""
-        return self._live
 
     def keep(self, rows) -> None:
         """Keep only the episodes of ``rows``, a boolean mask or row indices,
@@ -144,24 +134,20 @@ class _Env:
         for name in self._STATE:
             setattr(self, name, getattr(self, name)[rows])
         self._started = self._started[rows]
-        self._live = len(self._started)
 
     def step(self, actions) -> StepResult:
-        live = self._live
-        if not live:
-            raise RuntimeError("step() called on finished episodes; reset first")
+        n = len(self._started)
+        if not n:
+            raise RuntimeError("step() called on an env with no rows; reset first")
         a = np.asarray(actions, dtype=np.float64)
-        if a.shape != (live, self.spec.action_dim):
+        if a.shape != (n, self.spec.action_dim):
             raise ShapeError(
-                f"expected actions of shape ({live}, {self.spec.action_dim}), got {a.shape}"
+                f"expected actions of shape ({n}, {self.spec.action_dim}), got {a.shape}"
             )
         self._t += 1
         # np.clip, bit for bit, faster
         obs, reward, terminated = self._transition(np.minimum(np.maximum(a, -1.0), 1.0))
         truncated = ~terminated & (self._t - self._started >= self.spec.horizon)
-        done = terminated | truncated
-        if np.count_nonzero(done):
-            self.keep(~done)
         return StepResult(obs, reward, terminated, truncated)
 
     def _draw(self, rngs) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -170,7 +156,7 @@ class _Env:
         raise NotImplementedError
 
     def _transition(self, actions):
-        """Advance every live row; returns (obs, reward, terminated) rows."""
+        """Advance every row; returns (obs, reward, terminated) rows."""
         raise NotImplementedError
 
 
@@ -363,9 +349,9 @@ def expert_actions(spec: EnvSpec, obs: np.ndarray) -> np.ndarray:
 
 
 def behavior_act(spec: EnvSpec, behaviors: list[BehaviorSpec], rngs: list[np.random.Generator]):
-    """One ``act(live, obs)`` for ``rollout``: trajectory i acts by
+    """One ``act(live, obs)`` for ``run_episodes``: trajectory i acts by
     ``behaviors[i]``, drawing from its own generator ``rngs[i]`` as it
-    would draw step by step alone. Every trajectory starts at the rollout's
+    would draw step by step alone. Every trajectory starts at the env's
     reset, and ``act`` is called once per step.
 
     A uniform-random or noisy-expert trajectory draws its whole horizon of
@@ -432,53 +418,61 @@ class ReferenceScores:
         )
 
 
-def rollout(env: _Env, seeds, act):
+def run_episodes(env: _Env, seeds, act) -> dict:
     """Roll one episode per seed side by side in ``env``.
 
     At every step ``act(live, obs)`` gets the (live,) episode indices and
     (live, obs_dim) observation rows of the episodes still running, in
-    episode order, and returns one action row per row. Yields
-    ``(live, obs, actions, StepResult)`` per step; the episodes that the
-    step ends are then dropped.
-    """
+    episode order, and returns one action row per row; the rows of the
+    episodes that the step ends are then dropped. Returns the transitions
+    as columns (obs, action, reward, next_obs, terminated, truncated),
+    episode after episode in step order, and ``offsets``: episode i's rows
+    are ``offsets[i]:offsets[i + 1]``."""
     live = np.arange(len(seeds))
     obs = env.reset(seeds)
+    steps = []
     while len(live):
         actions = np.asarray(act(live, obs), dtype=np.float64)
         res = env.step(actions)
-        yield live, obs, actions, res
-        if len(env) < len(live):  # the step ended some episodes
-            running = ~res.done
-            live, obs = live[running], res.next_obs[running]
-        else:
+        steps.append((live, obs, actions, res.reward, res.next_obs, res.terminated, res.truncated))
+        running = ~res.done
+        if running.all():
             obs = res.next_obs
-
-
-def _raw_returns(env: _Env, seeds, act) -> list[float]:
-    """Undiscounted return per episode, each summed in its own step order."""
-    raw = [0.0] * len(seeds)
-    for live, _, _, res in rollout(env, seeds, act):
-        for i, reward in zip(live.tolist(), res.reward.tolist()):
-            raw[i] += reward
-    return raw
-
-
-def run_episodes(env: _Env, seeds, act) -> dict:
-    """Roll one episode per seed side by side, acting by ``act(live, obs)``
-    (see ``rollout``). Returns the transitions as columns (obs, action,
-    reward, next_obs, terminated, truncated), episode after episode in step
-    order, and ``offsets``: episode i's rows are
-    ``offsets[i]:offsets[i + 1]``."""
-    steps = [
-        (live, obs, actions, res.reward, res.next_obs, res.terminated, res.truncated)
-        for live, obs, actions, res in rollout(env, seeds, act)
-    ]
+        else:
+            env.keep(running)
+            live, obs = live[running], res.next_obs[running]
     episode, *fields = (np.concatenate(part) for part in zip(*steps))
     order = np.argsort(episode, kind="stable")
     names = ("obs", "action", "reward", "next_obs", "terminated", "truncated")
     columns = {name: field[order] for name, field in zip(names, fields)}
     columns["offsets"] = np.searchsorted(episode[order], np.arange(len(seeds) + 1))
     return columns
+
+
+def _returns(spec: EnvSpec, seeds, act) -> tuple[np.ndarray, np.ndarray]:
+    """The undiscounted return and the length of one episode per seed,
+    rolled side by side in one env.
+
+    Every row steps until every episode has ended: at step t (from 0)
+    ``act(t, obs)`` gets the (n, obs_dim) observations of every row and
+    returns one action row each. A row whose episode has ended steps on,
+    and its rewards are not added; each return is summed in its episode's
+    own step order, so it equals that of the episode rolled alone."""
+    env = make_env(spec)
+    obs = env.reset(seeds)
+    raw = np.zeros(len(seeds))
+    lengths = np.zeros(len(seeds), dtype=np.int64)
+    running = np.ones(len(seeds), dtype=bool)
+    t = 0
+    while running.any():
+        res = env.step(act(t, obs))
+        t += 1
+        np.add(raw, res.reward, out=raw, where=running)
+        ended = running & res.done
+        lengths[ended] = t
+        running ^= ended
+        obs = res.next_obs
+    return raw, lengths
 
 
 @dataclass
@@ -497,16 +491,16 @@ def evaluate_policy(
     """Normalized undiscounted return of each of several policies over its
     seeded episodes: one evaluation per seed in ``seeds``, in order.
 
-    The ``episodes`` episodes of every policy all go in lockstep in one env.
-    At every step ``policy(obs)`` gets the (episodes, policies, obs_dim)
-    observations, row ``[i, p]`` of policy p's i-th episode, and returns one
-    action row each, (episodes, policies, action_dim). The row of an
-    episode that has ended holds a stale observation, or zeros, and its
-    action is dropped. The policy must act on each row alone, so that an
-    episode's actions do not depend on which other episodes run (as
-    ``agents.policy_fn`` does). Each return is summed in its episode's own
-    step order, so the scores equal those of each episode rolled alone, and
-    each policy's evaluation equals that of the policy alone.
+    The ``episodes`` episodes of every policy all go in lockstep in one env
+    until the longest has ended. At every step ``policy(obs)`` gets the
+    (episodes, policies, obs_dim) observations, row ``[i, p]`` of policy
+    p's i-th episode, and returns one action row each, (episodes, policies,
+    action_dim). The row of an episode that has ended steps on past its
+    end, and its action is ignored. The policy must act on each row alone,
+    so that an episode's actions do not depend on which other episodes run
+    (as ``agents.policy_fn`` does). Each return is summed in its episode's
+    own step order, so the scores equal those of each episode rolled alone,
+    and each policy's evaluation equals that of the policy alone.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -514,22 +508,16 @@ def evaluate_policy(
     lead = (episodes, n)
     # row i * n + p is policy p's i-th episode, so the rows reshape to ``lead``
     episode_seeds = [stable_seed("eval-episode", s, i) for i in range(episodes) for s in seeds]
-    grid = np.zeros((episodes * n, spec.obs_dim))  # every row, once some episodes end
 
-    def act(live, obs):
-        ended = len(live) < len(grid)
-        if ended:
-            grid[live] = obs
-            obs = grid
+    def act(t, obs):
         actions = np.asarray(policy(obs.reshape(*lead, spec.obs_dim)), dtype=np.float64)
         if actions.shape != (*lead, spec.action_dim):
             raise ShapeError(
                 f"expected actions of shape {(*lead, spec.action_dim)}, got {actions.shape}"
             )
-        actions = actions.reshape(len(grid), spec.action_dim)
-        return actions[live] if ended else actions
+        return actions.reshape(len(obs), spec.action_dim)
 
-    raw = _raw_returns(make_env(spec), episode_seeds, act)
+    raw = _returns(spec, episode_seeds, act)[0].tolist()
     results = []
     for p in range(n):
         scores = [reference.normalize(r) for r in raw[p::n]]
@@ -549,12 +537,6 @@ def _random_returns(spec: EnvSpec, seeds, rng: np.random.Generator) -> list[floa
     taking each earlier one of the pass to run the full horizon; it keeps
     the episodes up to and including the first that ended early, and the
     next pass starts after that one.
-
-    The episodes of a pass all take their t-th step together, so a pass
-    indexes its rows by episode and step and tells the early ends from the
-    ``terminated`` rows. It runs no integer array arithmetic: nothing else
-    in gen-data pages in that numpy code, which would count toward the
-    stage's peak RSS.
     """
     horizon = spec.horizon
     draws = rng.uniform(-1.0, 1.0, size=(len(seeds) * horizon, spec.action_dim))
@@ -563,24 +545,11 @@ def _random_returns(spec: EnvSpec, seeds, rng: np.random.Generator) -> list[floa
     while len(returns) < len(seeds):
         rest = seeds[len(returns) :]
         rows = draws[start : start + horizon * len(rest)].reshape(len(rest), horizon, -1)
-        t = 0
-
-        def act(live, obs):
-            nonlocal t
-            t += 1
-            return rows[live, t - 1]
-
-        raw = [0.0] * len(rest)
-        ran = [horizon] * len(rest)  # episode lengths
-        for live, _, _, res in rollout(make_env(spec), rest, act):
-            rewards, ends = res.reward.tolist(), res.terminated.tolist()
-            for i, reward, ended in zip(live.tolist(), rewards, ends):
-                raw[i] += reward
-                if ended:
-                    ran[i] = t
-        kept = next((i + 1 for i, n in enumerate(ran) if n < horizon), len(rest))
-        returns += raw[:kept]
-        start += horizon * (kept - 1) + ran[kept - 1]
+        raw, lengths = _returns(spec, rest, lambda t, obs: rows[:, t])
+        lengths = lengths.tolist()
+        kept = next((i + 1 for i, n in enumerate(lengths) if n < horizon), len(rest))
+        returns += raw[:kept].tolist()
+        start += horizon * (kept - 1) + lengths[kept - 1]
     return returns
 
 
@@ -593,7 +562,7 @@ def compute_reference_scores(spec: EnvSpec, seed: int, episodes: int = 100) -> R
     for kind in (UNIFORM_RANDOM, EXPERT):
         seeds = [stable_seed("reference", kind, seed, i) for i in range(episodes)]
         if kind == EXPERT:  # draws nothing
-            returns = _raw_returns(make_env(spec), seeds, lambda _, obs: expert_actions(spec, obs))
+            returns = _returns(spec, seeds, lambda t, obs: expert_actions(spec, obs))[0]
         else:
             returns = _random_returns(spec, seeds, rng_for("reference", kind, seed))
         means[kind] = float(np.mean(returns))

@@ -5,6 +5,7 @@ off that builder's annotations."""
 
 import inspect
 import numbers
+import sys
 import types
 import typing
 from dataclasses import is_dataclass
@@ -66,7 +67,9 @@ def parse(fn, data, section: str = "", builders: dict | None = None):
 
 def _typed(tp, value, name: str):
     """``value``, named ``name``, as a ``tp``: ``int`` takes an integral
-    number and ``float`` any number but a bool, converted; ``bool`` takes
+    number and ``float`` any finite number but a bool (not the NaN or
+    Infinity that Python's ``json`` reads, nor an integer past the largest
+    float), converted; ``bool`` takes
     only true or false and ``str`` only a string; ``tuple[X, ...]`` takes a
     list of X, ``X | None`` also null, and a dataclass an object."""
     if typing.get_origin(tp) in (typing.Union, types.UnionType):  # X | None
@@ -83,7 +86,9 @@ def _typed(tp, value, name: str):
     if tp is int and number and (isinstance(value, numbers.Integral) or value.is_integer()):
         return int(value)
     if tp is float and number:
-        return float(value)
+        if -sys.float_info.max <= value <= sys.float_info.max:  # no NaN, and no int past a float
+            return float(value)
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     if tp in (bool, str) and isinstance(value, tp):
         return value
     expected = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}

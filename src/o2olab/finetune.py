@@ -308,7 +308,7 @@ def run_finetune(
     originals alive.
 
     The group's run state is group-level. One env holds a row per run and
-    starts a run's next episode in its row when its episode ends. One
+    restarts a run's row with its next episode when its episode ends. One
     online buffer holds a ring per run; the runs that replay the dataset
     share its own buffer, and with ``single_buffer`` each ring starts out
     holding a copy of the dataset. One gather (``ReplayBuffer.sample``)
@@ -387,11 +387,11 @@ def run_finetune(
         transitions = (obs, actions, res.reward, res.next_obs, res.terminated)
         online.push(*(rows[:, None] for rows in transitions))  # one row per ring
         obs = res.next_obs
-        if len(env) < len(runs):  # the step ended some runs' episodes
-            ended = [i for i, done in enumerate(res.done.tolist()) if done]
+        ended = np.flatnonzero(res.done).tolist()  # the runs whose episodes the step ended
+        if ended:
             for i in ended:
                 runs[i].episode += 1
-            obs[ended] = env.start([runs[i].episode_seed() for i in ended], ended)
+            obs[ended] = env.restart(ended, [runs[i].episode_seed() for i in ended])
         if step % eval_every == 0:
             keep_point(step)
 

@@ -263,16 +263,6 @@ class RegimeLabel:
     delta: float
     alpha: float
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "p_lower": self.p_lower,
-            "p_upper": self.p_upper,
-            "mean_diff": self.mean_diff,
-            "delta": self.delta,
-            "alpha": self.alpha,
-        }
-
 
 def tost_classify(
     policy_stats: SampleStats,
@@ -328,18 +318,6 @@ class ClassComparison:
     policy_mean: float  # mean over per-seed scalars of the chosen variant
     data_mean: float
     p: float
-
-    def to_dict(self) -> dict:
-        return {
-            "winner": self.winner,
-            "policy_variant": self.policy_variant,
-            "data_variant": self.data_variant,
-            "policy_iqm": self.policy_iqm,
-            "data_iqm": self.data_iqm,
-            "policy_mean": self.policy_mean,
-            "data_mean": self.data_mean,
-            "p": self.p,
-        }
 
 
 def _select_variant(variants: dict[str, list[list[float]]]):

@@ -154,6 +154,12 @@ class TostConfig:
     delta: float = 0.05
     alpha: float = 0.05
 
+    def __post_init__(self):
+        if self.delta < 0:
+            raise ConfigError(f"tost.delta must be >= 0, got {self.delta}")
+        if not 0 < self.alpha < 1:
+            raise ConfigError(f"tost.alpha must be in (0, 1), got {self.alpha}")
+
 
 def _plain(value):
     """A config field as JSON data."""
@@ -604,7 +610,7 @@ def cmd_classify(config: ExperimentConfig) -> Path:
     label = tost_classify(policy_stats, data_stats, config.tost.delta, config.tost.alpha)
     payload = {
         "key": classify_key(config),
-        **label.to_dict(),
+        **asdict(label),
         "policy": {"mean": policy_stats.mean, "std": policy_stats.std, "n": policy_stats.n},
         "data": {"mean": data_stats.mean, "std": data_stats.std, "n": data_stats.n},
     }
@@ -805,7 +811,7 @@ def analyse(config: ExperimentConfig, classify: dict, logs: dict[tuple[str, int]
         "dataset_score": classify["data"],
         "pretrained_score": classify["policy"],
         "methods": methods_report,
-        "class_comparison": comparison.to_dict() if comparison else None,
+        "class_comparison": asdict(comparison) if comparison else None,
         "confusion_cell": (
             {"regime": mapped, "winner": comparison.winner}
             if comparison and mapped is not None

@@ -8,6 +8,7 @@ from o2olab.envs import (
     BehaviorSpec,
     PendulumEnv,
     PointGoalEnv,
+    ReferenceScores,
     behavior_act,
     compute_reference_scores,
     env_spec,
@@ -98,7 +99,7 @@ def behavior_policy(behavior, spec, rng):
 
 
 def expert_act(spec):
-    """The expert as an ``act(live, obs)`` of ``rollout``."""
+    """The expert as an ``act(live, obs)`` of ``run_episodes``."""
     return lambda live, obs: expert_actions(spec, obs)
 
 
@@ -221,15 +222,27 @@ def test_pendulum_dynamics_step():
     assert env._theta[0] == pytest.approx(theta + env._theta_dot[0] * 0.05)
 
 
-def test_step_after_done_raises():
+def test_a_row_steps_on_past_its_end_and_an_env_without_rows_refuses_a_step():
+    # the env drops no row: a row whose episode has ended steps on, beside
+    # one still running, until its caller drops it with keep
     spec = env_spec("pendulum", horizon=2)
     env = make_env(spec)
     env.reset([0])
     env.step(np.zeros((1, 1)))
-    res = env.step(np.zeros((1, 1)))
-    assert res.truncated[0]
+    env.restart([0], [1])  # now the row's episode is one step behind
+    for want in (False, True, True):
+        res = env.step(np.zeros((1, 1)))
+        assert res.truncated.tolist() == [want]
+    env = make_env(spec)
+    env.reset([0, 1])
+    env.step(np.zeros((2, 1)))
+    assert env.step(np.zeros((2, 1))).truncated.tolist() == [True, True]
+    assert env.step(np.zeros((2, 1))).reward.shape == (2,)
+    env.keep([False, False])
     with pytest.raises(RuntimeError):
-        env.step(np.zeros((1, 1)))
+        env.step(np.zeros((0, 1)))
+    with pytest.raises(RuntimeError):
+        make_env(spec).step(np.zeros((0, 1)))
 
 
 def test_action_shape_checked():
@@ -290,9 +303,11 @@ def test_sparse_rewards_binary_single_success():
 
 @pytest.mark.parametrize("kind", ["pendulum", "point_goal_dense", "point_goal_sparse"])
 def test_rows_equal_reference_episodes(kind):
-    # n episodes in one env, stepped directly and through run_episodes, and
-    # each alone through run_episodes, against the per-episode reference. At horizon 20 the expert brings some point-goal
-    # episodes to the goal, at different steps, and runs out of time on others.
+    # n episodes in one env, stepped directly (keeping the rows of the
+    # episodes still running) and through run_episodes, and each alone
+    # through run_episodes, against the per-episode reference. At horizon 20
+    # the expert brings some point-goal episodes to the goal, at different
+    # steps, and runs out of time on others.
     spec = env_spec(kind, horizon=20)
     policy = expert_policy(spec)
     endings = set()
@@ -315,6 +330,7 @@ def test_rows_equal_reference_episodes(kind):
                 got[i].append((obs[j], actions[j], res.reward[j], res.next_obs[j],
                                res.terminated[j], res.truncated[j]))
             live = [i for i, done in zip(live, res.done) if not done]
+            env.keep(~res.done)
             obs = res.next_obs[~res.done]
         for g, w in zip(got, want):
             assert_steps_equal(g, w)
@@ -354,7 +370,7 @@ def test_a_row_restarted_alone_leaves_the_others_as_alone(kind):
             for row in ended:
                 seeds[row].append(stable_seed("restart", kind, row, len(seeds[row])))
                 episodes[row].append([])
-            obs[ended] = env.start([seeds[row][-1] for row in ended], ended)
+            obs[ended] = env.restart(ended, [seeds[row][-1] for row in ended])
     for row_seeds, row_episodes in zip(seeds, episodes):
         for seed, got in zip(row_seeds, row_episodes):
             want = reference_episode(spec, policy, seed)
@@ -583,6 +599,38 @@ def random_grid(spec, rng):
     """Uniform-random actions from ``rng`` for the episodes x policies rows
     of evaluate_policy, the rows of ended episodes too, row after row."""
     return lambda obs: rng.uniform(-1.0, 1.0, size=(*obs.shape[:-1], spec.action_dim))
+
+
+@pytest.mark.parametrize("kind", ["point_goal_dense", "point_goal_sparse"])
+def test_evaluation_steps_until_its_longest_episode_has_ended(kind):
+    # the expert brings every point-goal episode to the goal, at different
+    # steps and before the horizon: each scores exactly as its one-episode
+    # rollout, and the evaluation asks the policy once per step of the
+    # longest episode
+    spec = env_spec(kind)
+    ref = ReferenceScores(kind, -10.0, 1.0, 1, 0)
+    expert, calls = expert_grid(spec), []
+
+    def counting_expert(obs):
+        calls.append(obs.shape)
+        return expert(obs)
+
+    episodes, seeds = 12, [5, 6]
+    got = evaluate_policy(counting_expert, spec, ref, episodes, seeds)
+    lengths = []
+    for seed, evaluation in zip(seeds, got):
+        want = []
+        for i in range(episodes):
+            episode_seed = stable_seed("eval-episode", seed, i)
+            rewards = run_episodes(make_env(spec), [episode_seed], expert_act(spec))["reward"]
+            raw = 0.0
+            for reward in rewards.tolist():
+                raw += reward
+            want.append(ref.normalize(raw))
+            lengths.append(len(rewards))
+        assert evaluation.per_episode == want
+    assert len(set(lengths)) > 1 and max(lengths) < spec.horizon
+    assert calls == [(episodes, len(seeds), spec.obs_dim)] * max(lengths)
 
 
 def test_evaluate_policy_normalization_identity(pendulum_reference):
