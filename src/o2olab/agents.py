@@ -6,13 +6,18 @@ batch actions)`` where lambda is 1/mean|Q1| when Q-normalization is on.
 beta = 0 with normalization off recovers plain TD3.
 
 Every agent is a lockstep group of R >= 1 runs; a single run is a group of
-one. One update steps every run as its own update would and reports the
-runs that blew up. Pretraining, too, trains a list of seeds as one group,
-each seed drawing from its own generators.
+one. A group is one (R, L) array whose row r is run r's checkpoint, and
+every net and Adam moment of the group is a view into it, so stacking
+groups concatenates rows, selecting runs indexes them, and saving or
+loading a run writes or reads one row. One update steps every run as its
+own update would and reports the runs that blew up. Pretraining, too,
+trains a list of seeds as one group, each seed drawing from its own
+generators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -20,7 +25,7 @@ import numpy as np
 
 from . import nn
 from .data import OfflineDataset, ReplayBuffer, TransitionBatch
-from .errors import ConfigError, MissingInputError, NumericError, parse
+from .errors import ConfigError, MissingInputError, NumericError, ShapeError, parse
 from .fsio import MANIFEST_FILE, read_json, write_json_atomic, write_npy_atomic
 from .seeding import rng_for
 
@@ -47,6 +52,12 @@ class Td3Hyper:
         for name in ("target_noise", "noise_clip", "explore_noise"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"agent.{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("gamma", "tau"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ConfigError(f"agent.{name} must be in [0, 1], got {getattr(self, name)}")
+        for name in ("actor_lr", "critic_lr"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"agent.{name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -59,41 +70,9 @@ class RegularizerConfig:
             raise ValueError("bc_coefficient must be >= 0")
 
 
-@dataclass
-class Td3Agent:
-    """A lockstep group of ``runs`` runs: the R actors as one stacked net,
-    the 2R critics as another (critic 1 of every run, in run order, then
-    critic 2 of every run, so the critics the actors ascend are the first R
-    members), with their Polyak targets and Adam moments (one Adam state
-    for the actors, one for the critics) in the same layouts. A group of
-    one holds a single run's layout. The runs share hyperparameters and
-    counters.
-    """
-
-    actor: nn.DenseNet
-    critics: nn.DenseNet
-    target_actor: nn.DenseNet
-    target_critics: nn.DenseNet
-    actor_opt: nn.AdamState
-    critic_opt: nn.AdamState
-    hyper: Td3Hyper
-    update_count: int = 0
-
-    @property
-    def runs(self) -> int:
-        return self.actor.stack
-
-    @property
-    def obs_dim(self) -> int:
-        return self.actor.in_dim
-
-    @property
-    def action_dim(self) -> int:
-        return self.actor.out_dim
-
-
-def _net_seeds(seed: int) -> list[int]:
-    return list(rng_for("agent-nets", seed).integers(0, 2**31, size=3))
+# a group's counters, by the names its checkpoint manifest gives them
+_COUNTERS = ("update_count", "actor_adam_steps", "critic_adam_steps")
+FRESH_COUNTERS = (0, 0, 0)  # those of a new agent
 
 
 def _layouts(obs_dim: int, action_dim: int, hyper: Td3Hyper) -> tuple:
@@ -105,6 +84,82 @@ def _layouts(obs_dim: int, action_dim: int, hyper: Td3Hyper) -> tuple:
     )
 
 
+def _row_shapes(obs_dim: int, action_dim: int, hyper: Td3Hyper) -> list[tuple]:
+    """The shapes of the parts of a run's state row, in order: actor,
+    critic pair, target actor, target critic pair, then the actor's Adam m
+    and v and the critic pair's Adam m and v."""
+    actor, critic = (nn.param_count(sizes) for sizes, _, _ in _layouts(obs_dim, action_dim, hyper))
+    return [(actor,), (2, critic)] * 2 + [(actor,)] * 2 + [(2, critic)] * 2
+
+
+class Td3Agent:
+    """A lockstep group of R runs, held in one C-contiguous float64 array
+    ``state`` of shape (R, L). Row r is, byte for byte, run r's
+    ``params.npy`` (see ``_row_shapes`` for its parts). Every net and Adam
+    moment is a view into ``state``: the actors are an (R,) stack and the
+    twin critics an (R, 2) stack, critic 1 of every run ``critics[:, 0]``,
+    with the Polyak targets and the Adam moments (one Adam state for the
+    actors, one for the critics) in the same shapes. The runs share
+    hyperparameters and counters.
+    """
+
+    def __init__(
+        self,
+        state: np.ndarray,
+        hyper: Td3Hyper,
+        obs_dim: int,
+        action_dim: int,
+        counters: tuple = FRESH_COUNTERS,
+    ):
+        shapes = _row_shapes(obs_dim, action_dim, hyper)
+        width = sum(math.prod(shape) for shape in shapes)
+        if (
+            state.dtype != np.float64
+            or state.ndim != 2
+            or state.shape[1] != width
+            or not state.flags.c_contiguous
+        ):
+            raise ShapeError(
+                f"expected a C-contiguous float64 state of shape (runs, {width}), "
+                f"got {state.dtype} {state.shape}"
+            )
+        self.state = state
+        self.hyper = hyper
+        self.obs_dim = obs_dim
+        self.action_dim = action_dim
+        self.update_count, actor_steps, critic_steps = counters
+        parts = nn.views(state, shapes)
+        layouts = _layouts(obs_dim, action_dim, hyper) * 2
+        self.actor, self.critics, self.target_actor, self.target_critics = (
+            nn.DenseNet(sizes, params, hidden, output)
+            for (sizes, hidden, output), params in zip(layouts, parts)
+        )
+        actor_m, actor_v, critic_m, critic_v = parts[4:]
+        self.actor_opt = nn.AdamState(hyper.actor_lr, actor_m, actor_v, actor_steps)
+        self.critic_opt = nn.AdamState(hyper.critic_lr, critic_m, critic_v, critic_steps)
+
+    @property
+    def runs(self) -> int:
+        return len(self.state)
+
+    def _like(self, state: np.ndarray) -> "Td3Agent":
+        """A group holding ``state``, with this group's hyperparameters,
+        dimensions and counters."""
+        return Td3Agent(state, self.hyper, self.obs_dim, self.action_dim, _counters(self))
+
+    def __deepcopy__(self, memo) -> "Td3Agent":
+        # a memberwise deep copy would copy the views apart from the state
+        return self._like(self.state.copy())
+
+
+def _counters(agent: Td3Agent) -> tuple:
+    return agent.update_count, agent.actor_opt.step_count, agent.critic_opt.step_count
+
+
+def _net_seeds(seed: int) -> list[int]:
+    return list(rng_for("agent-nets", seed).integers(0, 2**31, size=3))
+
+
 def _init_actor(obs_dim: int, action_dim: int, hyper: Td3Hyper, seed: int) -> nn.DenseNet:
     return nn.init_net(*_layouts(obs_dim, action_dim, hyper)[0], seed=seed)
 
@@ -113,29 +168,22 @@ def _init_critic(obs_dim: int, action_dim: int, hyper: Td3Hyper, seed: int) -> n
     return nn.init_net(*_layouts(obs_dim, action_dim, hyper)[1], seed=seed)
 
 
-def _assemble(actor: nn.DenseNet, critics: nn.DenseNet, hyper: Td3Hyper) -> Td3Agent:
-    """The one agent constructor: a group of the runs of the stacked
-    ``actor``, with ``critics`` in the layout of ``Td3Agent``; targets start
-    equal to the online nets, optimizers start at zero."""
-    return Td3Agent(
-        actor=actor,
-        critics=critics,
-        target_actor=actor.copy(),
-        target_critics=critics.copy(),
-        actor_opt=nn.AdamState.for_net(actor, hyper.actor_lr),
-        critic_opt=nn.AdamState.for_net(critics, hyper.critic_lr),
-        hyper=hyper,
-    )
+def _assemble(actors: nn.DenseNet, critics: np.ndarray, hyper: Td3Hyper) -> Td3Agent:
+    """A new group of the runs of the (R,) stack ``actors``, run r with the
+    critic pair ``critics[r]`` of an (R, 2, P) array; targets start equal
+    to the online nets, optimizers at zero."""
+    runs = len(critics)
+    online = np.concatenate([actors.params, critics.reshape(runs, -1)], axis=1)
+    state = np.concatenate([online, online, np.zeros((runs, 2 * online.shape[1]))], axis=1)
+    return Td3Agent(state, hyper, actors.in_dim, actors.out_dim)
 
 
 def make_td3_agent(obs_dim: int, action_dim: int, hyper: Td3Hyper, seed: int = 0) -> Td3Agent:
     actor_seed, c1_seed, c2_seed = _net_seeds(seed)
+    critics = [_init_critic(obs_dim, action_dim, hyper, s).params for s in (c1_seed, c2_seed)]
     return _assemble(
         nn.stack_nets([_init_actor(obs_dim, action_dim, hyper, actor_seed)]),
-        nn.stack_nets([
-            _init_critic(obs_dim, action_dim, hyper, c1_seed),
-            _init_critic(obs_dim, action_dim, hyper, c2_seed),
-        ]),
+        np.stack(critics)[None],
         hyper,
     )
 
@@ -150,53 +198,6 @@ def reset_parameters(agent: Td3Agent, seed: int) -> Td3Agent:
 
 # --- lockstep groups ---
 
-# which of ``_state_arrays`` hold a critic pair per run
-_PAIRED = (False, True, False, True, False, False, True, True)
-
-
-def _run_rows(array: np.ndarray, runs: int, paired: bool) -> np.ndarray:
-    """A group's state array as (runs, n) rows, row r in the layout of run
-    r's own array as a group of one holds it."""
-    if paired:  # critic 1 of every run, then critic 2 of every run
-        return array.reshape(2, runs, -1).swapaxes(0, 1).reshape(runs, -1)
-    return array.reshape(runs, -1)
-
-
-def _group_array(rows: np.ndarray, paired: bool) -> np.ndarray:
-    """The inverse of ``_run_rows``: a new flat vector."""
-    if paired:
-        return rows.reshape(len(rows), 2, -1).swapaxes(0, 1).ravel()
-    return rows.ravel()
-
-
-def _with_state(like: Td3Agent, arrays: list[np.ndarray], runs: int) -> Td3Agent:
-    """An agent of ``runs`` runs holding ``arrays``, in the order and layout
-    of ``_state_arrays``, with the nets, learning rates, hyperparameters and
-    counters of ``like``."""
-    pair = 2 * runs
-    nets = [
-        nn.DenseNet(net.layer_sizes, params, net.hidden_activation, net.output_activation, stack)
-        for net, params, stack in zip(
-            (like.actor, like.critics, like.actor, like.critics),
-            arrays[:4],
-            (runs, pair, runs, pair),
-        )
-    ]
-    opts = [
-        nn.AdamState(opt.learning_rate, m, v, opt.step_count)
-        for opt, m, v in ((like.actor_opt, *arrays[4:6]), (like.critic_opt, *arrays[6:8]))
-    ]
-    return Td3Agent(*nets, *opts, hyper=like.hyper, update_count=like.update_count)
-
-
-# a group's counters, by the names its checkpoint manifest gives them
-_COUNTERS = ("update_count", "actor_adam_steps", "critic_adam_steps")
-FRESH_COUNTERS = (0, 0, 0)  # those of a new agent
-
-
-def _counters(agent: Td3Agent) -> tuple:
-    return agent.update_count, agent.actor_opt.step_count, agent.critic_opt.step_count
-
 
 def checkpoint_counters(manifest: dict) -> tuple:
     """The counters that a checkpoint's manifest records: its update count
@@ -206,26 +207,23 @@ def checkpoint_counters(manifest: dict) -> tuple:
 
 
 def stack_agents(agents: list[Td3Agent]) -> Td3Agent:
-    """A lockstep group holding copies of the groups of one ``agents`` as
-    its runs, in order. They must share hyperparameters and counters, so
-    that one update steps every run as its own update would."""
-    first = agents[0]
-    shared = first.hyper, _counters(first)
-    if any(a.runs != 1 or (a.hyper, _counters(a)) != shared for a in agents):
-        raise ValueError("a lockstep group stacks groups of one that share hyper and counters")
-    columns = zip(*(_state_arrays(a) for a in agents))
-    arrays = [_group_array(np.stack(c), paired) for c, paired in zip(columns, _PAIRED)]
-    return _with_state(first, arrays, len(agents))
+    """A lockstep group holding copies of the runs of ``agents``, in order:
+    their rows, concatenated. They must share hyperparameters, dimensions
+    and counters, so that one update steps every run as its own update
+    would."""
+
+    def shared(agent: Td3Agent) -> tuple:
+        return agent.hyper, agent.obs_dim, agent.action_dim, _counters(agent)
+
+    if any(shared(a) != shared(agents[0]) for a in agents):
+        raise ValueError("stacked groups must share hyper, dimensions and counters")
+    return agents[0]._like(np.concatenate([a.state for a in agents]))
 
 
 def select_runs(group: Td3Agent, keep: list[int]) -> Td3Agent:
     """A lockstep group of copies of the runs ``keep`` of ``group``, in that
-    order."""
-    arrays = [
-        _group_array(_run_rows(a, group.runs, paired)[keep], paired)
-        for a, paired in zip(_state_arrays(group), _PAIRED)
-    ]
-    return _with_state(group, arrays, len(keep))
+    order: their rows."""
+    return group._like(group.state[keep])
 
 
 # --- acting ---
@@ -284,23 +282,14 @@ def policy_fn(actor: nn.DenseNet):
 # --- the update ---
 
 
-def _pair(agent: Td3Agent, x: np.ndarray) -> np.ndarray:
-    """The critic pair's (runs, batch, in) input: a group of one's, as it
-    is, broadcast over its two critics; a larger group's once for each
-    critic half."""
-    return x if agent.runs == 1 else np.concatenate([x, x])
-
-
 def _critic_targets(agent: Td3Agent, batch: TransitionBatch, rngs) -> np.ndarray:
     h = agent.hyper
     next_a = nn.forward(agent.target_actor, batch.next_obs)
     noise = np.clip(_normal(rngs, h.target_noise, next_a.shape), -h.noise_clip, h.noise_clip)
     next_a = np.clip(next_a + noise, -1.0, 1.0)
     x_next = np.concatenate([batch.next_obs, next_a], axis=-1)
-    q1_next, q2_next = nn.forward(agent.target_critics, _pair(agent, x_next)).reshape(
-        (2, *batch.reward.shape)
-    )
-    q_next = np.minimum(q1_next, q2_next)
+    q_next = nn.forward(agent.target_critics, x_next[:, None])[..., 0]  # (runs, 2, batch)
+    q_next = np.minimum(q_next[:, 0], q_next[:, 1])
     # bootstrap is masked on termination but not on time-limit truncation
     return batch.reward + h.gamma * (1.0 - batch.terminated) * q_next
 
@@ -312,11 +301,7 @@ def _actor_gradients(agent: Td3Agent, batch: TransitionBatch, reg: RegularizerCo
     actor_cache: list = []
     a = nn.forward(agent.actor, batch.obs, actor_cache)
     x = np.concatenate([batch.obs, a], axis=-1)
-    critics = agent.critics
-    critic1 = nn.DenseNet(  # critic 1 of each run: the first half of the pair
-        critics.layer_sizes, critics.params[: critics.params.size // 2],
-        critics.hidden_activation, critics.output_activation, agent.runs,
-    )
+    critic1 = agent.critics[:, 0]
     critic_cache: list = []
     q1 = nn.forward(critic1, x, critic_cache)[..., 0]
     bc_err = a - batch.action
@@ -361,50 +346,49 @@ def td3_update(
     h = agent.hyper
     failed: dict[int, str] = {}
 
-    def check(values: np.ndarray, halves: int, reason: str) -> None:
+    def check(values: np.ndarray, reason: str) -> None:
         """Fail, with ``reason``, each run with a non-finite entry in its
-        slices of ``values``: ``halves`` slices of every run, in run order."""
+        slice of ``values``, whose leading axis is the runs."""
         if not np.isfinite(values).all():
-            ok = np.isfinite(values).reshape(halves, agent.runs, -1).all(axis=(0, 2))
+            ok = np.isfinite(values).reshape(agent.runs, -1).all(axis=1)
             for run in np.flatnonzero(~ok):
                 failed.setdefault(int(run), reason)
 
-    def step(net: nn.DenseNet, grad: np.ndarray, opt: nn.AdamState, halves: int) -> None:
+    def step(net: nn.DenseNet, grad: np.ndarray, opt: nn.AdamState) -> None:
         """One Adam step of ``net`` with the failed runs' slices zeroed, so
         that it stays finite. ``adam_step``'s scan of ``grad`` is its one
         scan unless it finds a non-finite entry."""
-        per_run = grad.reshape(halves, agent.runs, -1)
         if failed:
-            per_run[:, list(failed)] = 0.0
+            grad[list(failed)] = 0.0
         try:
             nn.adam_step(net, grad, opt)
         except NumericError:
-            check(grad, halves, "non-finite gradient entry")
-            per_run[:, list(failed)] = 0.0
+            check(grad, "non-finite gradient entry")
+            grad[list(failed)] = 0.0
             nn.adam_step(net, grad, opt)
 
     # the checks find every non-finite value; the failed runs go on
     # computing with theirs until the caller drops them
     with np.errstate(all="ignore"):
         y = _critic_targets(agent, batch, rngs)
-        check(y, 1, "non-finite critic target")
+        check(y, "non-finite critic target")
 
         x = np.concatenate([batch.obs, batch.action], axis=-1)
         cache: list = []
-        err = nn.forward(agent.critics, _pair(agent, x), cache).reshape((2, *y.shape)) - y
+        err = nn.forward(agent.critics, x[:, None], cache)[..., 0] - y[:, None]
         # each critic's loss is finite where its sum of squared errors is
         check(
-            (err * err).sum(axis=-1), 2,
+            (err * err).sum(axis=-1),
             f"critic loss is not finite at update {agent.update_count + 1}",
         )
-        grad = nn.backward(agent.critics, cache, ((2.0 / n) * err).reshape(-1, n, 1))
-        step(agent.critics, grad, agent.critic_opt, 2)
+        grad = nn.backward(agent.critics, cache, ((2.0 / n) * err)[..., None])
+        step(agent.critics, grad, agent.critic_opt)
 
         agent.update_count += 1
         if agent.update_count % h.policy_delay == 0:
             grad, actor_loss = _actor_gradients(agent, batch, reg)
-            check(actor_loss, 1, f"actor loss is not finite at update {agent.update_count}")
-            step(agent.actor, grad, agent.actor_opt, 1)
+            check(actor_loss, f"actor loss is not finite at update {agent.update_count}")
+            step(agent.actor, grad, agent.actor_opt)
 
         nn.polyak_update(agent.target_actor, agent.actor, h.tau)
         nn.polyak_update(agent.target_critics, agent.critics, h.tau)
@@ -481,7 +465,7 @@ def agent_from_bc_fqe(actor: nn.DenseNet, critic: nn.DenseNet, hyper: Td3Hyper) 
     """Wrap cloned actors and their FQE critics, stacked nets of one member
     per run, as a lockstep group ready for fine-tuning: each run's critic
     fills both of its twin slots."""
-    return _assemble(actor, nn.stack_nets([critic, critic]), hyper)
+    return _assemble(actor, np.stack([critic.params, critic.params], axis=1), hyper)
 
 
 def offline_rl_pretrain(
@@ -513,29 +497,14 @@ def offline_rl_pretrain(
 PARAMS_FILE = "params.npy"
 
 
-def _state_arrays(agent: Td3Agent) -> list[np.ndarray]:
-    """Every array a checkpoint stores, in ``params.npy`` order: actor,
-    critic pair, target actor, target critic pair, then the actor's Adam
-    m and v and the critic pair's Adam m and v. Each is a flat vector in
-    the layout of ``nn.DenseNet``."""
-    return [
-        agent.actor.params,
-        agent.critics.params,
-        agent.target_actor.params,
-        agent.target_critics.params,
-        agent.actor_opt.m,
-        agent.actor_opt.v,
-        agent.critic_opt.m,
-        agent.critic_opt.v,
-    ]
-
-
 def save_agent(agent: Td3Agent, directory, extra: dict | None = None) -> None:
-    """Write every array of the agent to ``params.npy`` (one float64 vector)
-    and the rest of its state to ``manifest.json``."""
+    """Write the row of the group of one ``agent`` to ``params.npy`` (one
+    float64 vector) and the rest of its state to ``manifest.json``."""
+    if agent.runs != 1:
+        raise ValueError(f"a checkpoint holds one run, not {agent.runs}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_npy_atomic(directory / PARAMS_FILE, np.concatenate(_state_arrays(agent)))
+    write_npy_atomic(directory / PARAMS_FILE, agent.state[0])
     manifest = {
         "hyper": asdict(agent.hyper),
         "obs_dim": agent.obs_dim,
@@ -547,7 +516,7 @@ def save_agent(agent: Td3Agent, directory, extra: dict | None = None) -> None:
     write_json_atomic(directory / MANIFEST_FILE, manifest)
 
 
-def _agent_from_manifest(
+def _manifest_fields(
     hyper: Td3Hyper,
     obs_dim: int,
     action_dim: int,
@@ -555,25 +524,16 @@ def _agent_from_manifest(
     actor_adam_steps: int,
     critic_adam_steps: int,
     **extra,
-) -> Td3Agent:
-    """A group of one with the counts of a checkpoint manifest (built by
-    ``parse``, which types each field); ``extra`` holds the keys that the
-    caller of ``save_agent`` added. Its arrays are zeros, which
-    ``load_agent`` overwrites, so nothing is drawn."""
-    actor, critic = (
-        nn.DenseNet(sizes, np.zeros(nn.param_count(sizes)), hidden, output)
-        for sizes, hidden, output in _layouts(obs_dim, action_dim, hyper)
-    )
-    agent = _assemble(nn.stack_nets([actor]), nn.stack_nets([critic, critic]), hyper)
-    agent.update_count = update_count
-    agent.actor_opt.step_count = actor_adam_steps
-    agent.critic_opt.step_count = critic_adam_steps
-    return agent
+) -> tuple:
+    """The fields of a checkpoint manifest (typed by ``parse``) that rebuild
+    its agent around its row: hyper, dimensions and counters. ``extra``
+    holds the keys that the caller of ``save_agent`` added."""
+    return hyper, obs_dim, action_dim, (update_count, actor_adam_steps, critic_adam_steps)
 
 
 def load_agent(directory) -> Td3Agent:
-    """The group of one saved in ``directory``; a missing or damaged
-    checkpoint is a MissingInputError."""
+    """The group of one saved in ``directory``, whose row is its
+    ``params.npy``; a missing or damaged checkpoint is a MissingInputError."""
     directory = Path(directory)
     if not (directory / PARAMS_FILE).exists() or not (directory / MANIFEST_FILE).exists():
         raise MissingInputError(
@@ -581,20 +541,18 @@ def load_agent(directory) -> Td3Agent:
             "older o2olab); re-run `o2olab pretrain --force`"
         )
     try:
-        agent = parse(_agent_from_manifest, read_json(directory / MANIFEST_FILE), "manifest")
-        flat = np.load(directory / PARAMS_FILE)
+        hyper, obs_dim, action_dim, counters = parse(
+            _manifest_fields, read_json(directory / MANIFEST_FILE), "manifest"
+        )
+        row = np.load(directory / PARAMS_FILE)
     except (ValueError, EOFError) as exc:  # bad JSON, a mistyped field, a cut .npy
         raise MissingInputError(
             f"{directory} holds a damaged checkpoint ({exc}); re-run `o2olab pretrain --force`"
         ) from None
-    arrays = _state_arrays(agent)
-    if flat.dtype != np.float64 or flat.shape != (sum(a.size for a in arrays),):
+    try:
+        return Td3Agent(row[None], hyper, obs_dim, action_dim, counters)
+    except ShapeError:
         raise MissingInputError(
             f"{directory / PARAMS_FILE} does not match its manifest; "
             "re-run `o2olab pretrain --force`"
-        )
-    start = 0
-    for array in arrays:
-        array[...] = flat[start : start + array.size]
-        start += array.size
-    return agent
+        ) from None

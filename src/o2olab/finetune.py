@@ -267,20 +267,14 @@ class _Run:
         }
 
 
-def _evaluate_curves(
-    dataset: OfflineDataset, episodes: int, actor: nn.DenseNet, points: list
-) -> None:
+def _evaluate_curves(dataset: OfflineDataset, episodes: int, points: list) -> None:
     """Append every curve point to its runs' logs. ``points`` holds, per
     curve point in order, its step, its live runs and a copy of their
-    stacked actors' parameters; one ``evaluate_policy`` call scores every
-    (run, point) pair over its seeded episodes."""
+    stacked actors; one ``evaluate_policy`` call scores every (run, point)
+    pair over its seeded episodes."""
     pairs = [(k, step, run) for k, (step, live, _) in enumerate(points) for run in live]
-    actors = nn.DenseNet(
-        actor.layer_sizes, np.concatenate([params for _, _, params in points]),
-        actor.hidden_activation, actor.output_activation, len(pairs),
-    )
     results = evaluate_policy(
-        policy_fn(actors),
+        policy_fn(nn.stack_nets([actors for _, _, actors in points])),
         dataset.env,
         dataset.reference,
         episodes,
@@ -354,10 +348,10 @@ def run_finetune(
     env = make_env(spec)
     obs = env.reset([run.episode_seed() for run in runs])
     updates = 0  # of each live run
-    points = []  # per curve point: its step, its live runs and their actors' parameters
+    points = []  # per curve point: its step, its live runs and a copy of their actors
 
     def keep_point(step: int) -> None:
-        points.append((step, runs, group.actor.params.copy()))
+        points.append((step, runs, group.actor.copy()))
 
     keep_point(0)  # for replay_reset this is the post-reset policy
     for step in range(1, total_env_steps + 1):
@@ -397,5 +391,5 @@ def run_finetune(
 
     for run in runs:
         run.finish(total_env_steps, updates, offline_draws)
-    _evaluate_curves(dataset, eval_episodes, group.actor, points)
+    _evaluate_curves(dataset, eval_episodes, points)
     return [run.log for run in every]

@@ -1,8 +1,12 @@
 """Minimal dense networks: forward pass, exact backprop, Adam, Polyak.
 
-Everything is float64 and seed-deterministic. A net keeps all of its
-parameters in one flat vector; the per-layer weights and biases are views
-into it, so Adam and Polyak averaging are each one vectorised pass.
+Everything is float64 and seed-deterministic. A net's parameters are one
+array of shape (*stack, P): a plain net's is one flat vector of P, and a
+stack of nets (the (R,) actors or the (R, 2) twin critics of a lockstep
+group) holds one such vector per member, each contiguous along P but not
+necessarily next to the others, so a net can be a view into a larger
+array. The per-layer weights and biases are views into the parameters, so
+Adam and Polyak averaging are each one vectorised pass.
 
 ``backward`` returns the gradient of ``sum_batch <output, output_grad>``,
 i.e. gradients are accumulated over the batch; callers fold any 1/batch
@@ -15,6 +19,7 @@ scalar (ReLU takes a zero array) and ``matmul`` over an inner dimension of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,36 +35,44 @@ def param_count(layer_sizes) -> int:
     return sum(o * i + o for i, o in zip(layer_sizes[:-1], layer_sizes[1:]))
 
 
-def _layer_views(layer_sizes, flat: np.ndarray, stack: int | None):
-    """Per-layer (weights, biases) views into a flat parameter vector.
-
-    One net's vector holds, layer by layer, the (out, in) weight matrix in
-    row-major order and then the (out,) bias. A stack of S nets holds the
-    S members' vectors one after the other; its views carry a leading axis
-    of S: weights (S, out, in), biases (S, out).
-    """
-    rows = flat if stack is None else flat.reshape(stack, -1)
-    lead = () if stack is None else (stack,)
-    weights, biases = [], []
-    start = 0
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        mid = start + fan_out * fan_in
-        end = mid + fan_out
-        weights.append(rows[..., start:mid].reshape(*lead, fan_out, fan_in))
-        biases.append(rows[..., mid:end])
+def views(array: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views into ``array`` that cut its last axis into consecutive parts,
+    one per shape in ``shapes``: the i-th part takes the next prod(shape)
+    entries of every row and is shaped (*array.shape[:-1], *shape)."""
+    lead = array.shape[:-1]
+    parts, start = [], 0
+    for shape in shapes:
+        end = start + math.prod(shape)
+        parts.append(array[..., start:end].reshape(*lead, *shape))
         start = end
-    return weights, biases
+    return parts
+
+
+def _layer_views(layer_sizes, params: np.ndarray) -> tuple[list, list]:
+    """Per-layer (weights, biases) views into parameters of shape (*stack, P).
+
+    One member's P parameters hold, layer by layer, the (out, in) weight
+    matrix in row-major order and then the (out,) bias. The views carry the
+    stack's axes: weights (*stack, out, in), biases (*stack, out).
+    """
+    parts = views(params, [
+        shape
+        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:])
+        for shape in ((fan_out, fan_in), (fan_out,))
+    ])
+    return parts[0::2], parts[1::2]
 
 
 class DenseNet:
-    """A dense net, or a stack of same-shaped nets, over one flat vector.
+    """A dense net, or a stack of same-shaped nets, over one parameter array.
 
-    ``params`` is the flat float64 parameter vector (see ``_layer_views``
-    for its layout). ``weights[l]`` and ``biases[l]`` are views into it, so
-    writing to either changes the other. With ``stack=S`` the net is S
-    independent members evaluated together, on one (batch, in) input or
-    each on its own slice of an (S, batch, in) input; forward returns (S,
-    batch, out).
+    ``params`` is a float64 array of shape (*stack, P), contiguous along
+    its last axis (see ``_layer_views`` for the layout of a member's P
+    parameters). ``weights[l]`` and ``biases[l]`` are views into it, so
+    writing to either changes the other. A stacked net is its members evaluated together, on
+    one (batch, in) input or each on its own slice of an input whose
+    leading axes broadcast against ``stack``; ``net[index]`` is the net of
+    the members ``params[index]`` selects, sharing their memory.
     """
 
     def __init__(
@@ -68,23 +81,27 @@ class DenseNet:
         params: np.ndarray,
         hidden_activation: str = "relu",
         output_activation: str = "linear",
-        stack: int | None = None,
     ):
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         self.hidden_activation = hidden_activation
         self.output_activation = output_activation
-        self.stack = stack
-        size = param_count(self.layer_sizes) * (1 if stack is None else stack)
-        if params.dtype != np.float64 or params.shape != (size,):
+        size = param_count(self.layer_sizes)
+        if (
+            params.dtype != np.float64
+            or params.ndim < 1
+            or params.shape[-1] != size
+            or params.strides[-1] != params.itemsize
+        ):
             raise ShapeError(
-                f"expected a flat float64 vector of {size} parameters, "
-                f"got {params.dtype} {params.shape}"
+                f"expected float64 parameters of shape (..., {size}), contiguous along "
+                f"the last axis, got {params.dtype} {params.shape}"
             )
         self.params = params
-        self.weights, self.biases = _layer_views(self.layer_sizes, params, stack)
+        self.stack = params.shape[:-1]
+        self.weights, self.biases = _layer_views(self.layer_sizes, params)
         # forward() operands, built once: transposed weights, row-broadcast biases
         self._weights_t = [w.swapaxes(-1, -2) for w in self.weights]
-        self._bias_rows = [b if stack is None else b[:, None, :] for b in self.biases]
+        self._bias_rows = [b[..., None, :] if self.stack else b for b in self.biases]
 
     @property
     def in_dim(self) -> int:
@@ -94,13 +111,14 @@ class DenseNet:
     def out_dim(self) -> int:
         return self.layer_sizes[-1]
 
-    def _like(self, params: np.ndarray, stack: int | None) -> "DenseNet":
-        return DenseNet(
-            self.layer_sizes, params, self.hidden_activation, self.output_activation, stack
-        )
+    def _like(self, params: np.ndarray) -> "DenseNet":
+        return DenseNet(self.layer_sizes, params, self.hidden_activation, self.output_activation)
+
+    def __getitem__(self, index) -> "DenseNet":
+        return self._like(self.params[index])
 
     def copy(self) -> "DenseNet":
-        return self._like(self.params.copy(), self.stack)
+        return self._like(self.params.copy())
 
     def __deepcopy__(self, memo) -> "DenseNet":
         # a memberwise deep copy would copy the layer views apart from the
@@ -109,22 +127,22 @@ class DenseNet:
 
 
 def stack_nets(nets) -> DenseNet:
-    """One stacked net holding copies of the members of ``nets`` (same
-    shape and activations), in order: a plain net is one member, a stack
-    its members."""
+    """One stacked net, of stack (S,), holding copies of the members of
+    ``nets`` (same shape and activations), in order: a plain net is one
+    member, a stack its members in row-major order."""
     first = nets[0]
     for net in nets[1:]:
         if (net.layer_sizes, net.hidden_activation, net.output_activation) != (
             first.layer_sizes, first.hidden_activation, first.output_activation
         ):
             raise ShapeError("only nets of one shape and activation can be stacked")
-    members = sum(net.stack or 1 for net in nets)
-    return first._like(np.concatenate([net.params for net in nets]), members)
+    size = param_count(first.layer_sizes)
+    return first._like(np.concatenate([net.params.reshape(-1, size) for net in nets]))
 
 
 @dataclass
 class AdamState:
-    """Adam moments over a net's flat parameter vector."""
+    """Adam moments, each shaped like the parameters of the net it steps."""
 
     learning_rate: float
     m: np.ndarray
@@ -201,7 +219,8 @@ def _check_input(net: DenseNet, inputs: np.ndarray) -> np.ndarray:
 
 def forward(net: DenseNet, inputs: np.ndarray, cache: list | None = None) -> np.ndarray:
     """Apply the network to a (batch, in_dim) matrix, or to a stack of such
-    matrices with leading slice axes, e.g. (rows, 1, in_dim).
+    matrices with leading slice axes, e.g. (rows, 1, in_dim); a stacked
+    net's leading axes broadcast against its ``stack``.
 
     The rows of one (batch, in_dim) matrix go through one matrix product,
     whose rounding can differ from a single-row forward's in the last bits.
@@ -230,7 +249,7 @@ def _backprop(net: DenseNet, cache: list, output_grad: np.ndarray, grad=None):
     """Carry ``output_grad`` back through the layers recorded in ``cache``.
 
     Without ``grad``, returns the gradient with respect to the input. With
-    ``grad`` (a vector shaped like ``net.params``), writes each layer's
+    ``grad`` (an array shaped like ``net.params``), writes each layer's
     weight and bias gradients into it and stops at the first layer, skipping
     the product back to the input."""
     if len(cache) != len(net.weights) + 1:
@@ -242,7 +261,7 @@ def _backprop(net: DenseNet, cache: list, output_grad: np.ndarray, grad=None):
         )
 
     if grad is not None:
-        w_grads, b_grads = _layer_views(net.layer_sizes, grad, net.stack)
+        w_grads, b_grads = _layer_views(net.layer_sizes, grad)
     last = len(net.weights) - 1
     for l in range(last, -1, -1):
         kind = net.output_activation if l == last else net.hidden_activation
@@ -269,7 +288,7 @@ def _backprop(net: DenseNet, cache: list, output_grad: np.ndarray, grad=None):
 
 def backward(net: DenseNet, cache: list, output_grad: np.ndarray) -> np.ndarray:
     """Exact gradient of sum over the batch of <output, output_grad> with
-    respect to ``net.params``, as a flat vector of the same layout.
+    respect to ``net.params``, as a new C-contiguous array of its shape.
 
     ``cache`` holds the activations recorded by ``forward(net, x, cache)``.
     """
@@ -281,7 +300,7 @@ def backward(net: DenseNet, cache: list, output_grad: np.ndarray) -> np.ndarray:
 def input_backward(net: DenseNet, cache: list, output_grad: np.ndarray) -> np.ndarray:
     """The same sum's gradient with respect to the input, without the
     parameter gradient. A stacked net gives one input gradient per member,
-    (S, batch, in_dim)."""
+    (*stack, batch, in_dim)."""
     return _backprop(net, cache, output_grad)
 
 
@@ -307,17 +326,24 @@ def adam_step(net: DenseNet, grad: np.ndarray, state: AdamState) -> None:
     b1, b2 = state.beta1, state.beta2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    m, v = state.m, state.v
+    # numpy's ufuncs run several times slower on a strided view (a lockstep
+    # group's rows) than on a contiguous array, and a copy either way is
+    # cheap: the step runs on contiguous arrays, the moments and parameters
+    # themselves where those are contiguous, and is assigned back
+    m, v, params = (np.ascontiguousarray(a) for a in (state.m, state.v, net.params))
     m *= b1
     m += (1.0 - b1) * grad
     v *= b2
     v += (1.0 - b2) * grad * grad
-    net.params -= state.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + state.epsilon)
+    params -= state.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + state.epsilon)
+    state.m[...], state.v[...], net.params[...] = m, v, params
 
 
 def polyak_update(target: DenseNet, online: DenseNet, tau: float) -> None:
     """target <- (1 - tau) * target + tau * online, in place."""
     if target.params.shape != online.params.shape:
         raise ShapeError("target and online nets differ in shape")
-    target.params *= 1.0 - tau
-    target.params += tau * online.params
+    params = np.ascontiguousarray(target.params)  # see adam_step
+    params *= 1.0 - tau
+    params += tau * online.params
+    target.params[...] = params

@@ -10,7 +10,6 @@ from o2olab.agents import (
     RegularizerConfig,
     Td3Hyper,
     _actor_gradients,
-    _state_arrays,
     act,
     agent_from_bc_fqe,
     bc_pretrain,
@@ -97,7 +96,7 @@ def test_make_agent_deterministic():
     for name in NETS:
         assert nets_equal(getattr(a, name), getattr(b, name))
     assert not nets_equal(member(a.critics, 0), member(a.critics, 1))
-    assert (a.runs, a.actor.stack, a.critics.stack) == (1, 1, 2)
+    assert (a.runs, a.actor.stack, a.critics.stack) == (1, (1,), (1, 2))
 
 
 def test_targets_start_equal_to_online():
@@ -308,7 +307,7 @@ def test_textbook_td3_hand_check():
         nn.adam_step(critic, grad, nn.AdamState.for_net(critic, hyper.critic_lr))
     x_pi = np.concatenate([obs, nn.forward(actor, obs)], axis=1)
     da = -nn.input_gradient(critic1, x_pi, np.ones((1, 1)))[:, 1:]
-    nn.adam_step(actor, param_grad(actor, obs, da), mirror.actor_opt)
+    nn.adam_step(mirror.actor, param_grad(actor, obs, da)[None], mirror.actor_opt)
     for target, online in ((target_actor, actor),
                            (target1, critic1),
                            (target2, critic2)):
@@ -361,7 +360,7 @@ def test_huge_beta_aligns_with_bc_gradient():
     )
     pred = nn.forward(plain(agent.actor), batch.obs)
     err = pred - batch.action
-    va = g_reg
+    va = g_reg[0]  # the gradient of the one run
     vb = param_grad(plain(agent.actor), batch.obs, 2.0 * err / err.size)
     cosine = float(va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb)))
     assert cosine > 0.99
@@ -403,9 +402,7 @@ def random_batch(rng, size, obs_dim, action_dim):
 
 
 def same_state(a, b):
-    return a.update_count == b.update_count and all(
-        np.array_equal(x, y) for x, y in zip(_state_arrays(a), _state_arrays(b))
-    )
+    return a.update_count == b.update_count and np.array_equal(a.state, b.state)
 
 
 def run_of(group, run):
@@ -413,7 +410,7 @@ def run_of(group, run):
     return select_runs(group, [run])
 
 
-# (obs_dim, action_dim, sha256 of ``_state_arrays``) of make_td3_agent(obs_dim,
+# (obs_dim, action_dim, sha256 of ``state``) of make_td3_agent(obs_dim,
 # action_dim, hyper, seed=0) after 40 updates on random_batch draws. The
 # point-goal sizes were recorded when a run alone was a plain single-run agent
 # with its own update path; the pendulum one, whose actor ends in a 1-wide
@@ -437,7 +434,7 @@ def test_a_group_of_one_steps_as_the_single_run_did(hidden, batch, regularized):
     rng, data = np.random.default_rng(10), np.random.default_rng(7)
     for _ in range(40):
         assert update(agent, random_batch(data, batch, obs_dim, action_dim), reg, rng) == {}
-    digest = hashlib.sha256(np.concatenate(_state_arrays(agent)).tobytes()).hexdigest()
+    digest = hashlib.sha256(agent.state.tobytes()).hexdigest()
     assert agent.update_count == 40
     assert digest == want
 
@@ -471,21 +468,50 @@ def test_group_update_equals_each_run_alone(reg, runs, hidden, batch, dims):
 
 def test_stack_and_select_keep_each_run():
     agents = [make_td3_agent(4, 2, SMALL, seed=s) for s in range(3)]
-    for agent in agents:  # moments and targets apart from the online nets
-        for array in _state_arrays(agent)[2:]:
-            array += np.random.default_rng(len(array)).normal(size=array.shape)
+    for r, agent in enumerate(agents):  # moments and targets apart from the online nets
+        online = agent.actor.params.size + agent.critics.params.size
+        rest = agent.state[:, online:]
+        rest += np.random.default_rng(r).normal(size=rest.shape)
     group = stack_agents(agents)
-    assert group.runs == 3 and group.critics.stack == 6
+    assert group.runs == 3 and group.critics.stack == (3, 2)
     for r, agent in enumerate(agents):
         assert same_state(run_of(group, r), agent)
-        assert np.array_equal(member(group.critics, r).params, member(agent.critics, 0).params)
-        assert np.array_equal(member(group.critics, 3 + r).params, member(agent.critics, 1).params)
+        assert np.array_equal(group.critics[r, 0].params, agent.critics[0, 0].params)
+        assert np.array_equal(group.critics[r, 1].params, agent.critics[0, 1].params)
     kept = select_runs(group, [2, 0])
     assert kept.runs == 2
     assert same_state(run_of(kept, 0), agents[2]) and same_state(run_of(kept, 1), agents[0])
     agents[1].update_count += 1
     with pytest.raises(ValueError):
         stack_agents(agents)
+
+
+def test_a_groups_rows_are_its_runs_checkpoints(tmp_path):
+    group = stack_agents([make_td3_agent(4, 2, SMALL, seed=s) for s in range(3)])
+    state = group.state
+    data = np.random.default_rng(7)
+    rngs = [np.random.default_rng(r) for r in range(3)]
+    for _ in range(3):  # targets and moments apart from the online nets and zero
+        batch = stack_batches([random_batch(data, 32, 4, 2) for _ in range(3)])
+        assert td3_update(group, batch, RegularizerConfig(0.4, True), rngs) == {}
+    assert group.state is state and state.flags.c_contiguous  # updated in place
+    for r in range(3):
+        save_agent(select_runs(group, [r]), tmp_path / str(r))
+        params = (tmp_path / str(r) / "params.npy").read_bytes()
+        assert params.endswith(state[r].tobytes())
+        assert np.load(tmp_path / str(r) / "params.npy").tobytes() == state[r].tobytes()
+    loaded = stack_agents([load_agent(tmp_path / str(r)) for r in range(3)])
+    assert loaded.state.tobytes() == state.tobytes()
+    # every net and moment is a view into the state, not a copy
+    actor, critic = group.actor.params.shape[-1], group.critics.params.shape[-1]
+    group.actor.params[1, 0] = 42.0
+    assert state[1, 0] == 42.0
+    group.critic_opt.m[2, 1, -1] = -7.0  # critic 2 of run 2: the end of its row's critic m
+    assert state[2, 4 * actor + 6 * critic - 1] == -7.0
+    group.critics[:, 0].weights[0][0, 0, 0] = 5.0  # critic 1's first weight, run 0
+    assert state[0, actor] == 5.0
+    with pytest.raises(ValueError, match="one run"):
+        save_agent(group, tmp_path / "group")
 
 
 def test_group_act_and_policy_act_as_each_run():
@@ -553,7 +579,7 @@ def test_group_update_fails_only_the_run_whose_gradient_is_not_finite(monkeypatc
     def poisoned_backward(net, cache, output_grad):
         grad = real_backward(net, cache, output_grad)
         if net is group.critics:
-            grad.reshape(2, 3, -1)[1, 1, 0] = np.nan  # an entry of critic 2 of run 1
+            grad[1, 1, 0] = np.nan  # an entry of critic 2 of run 1
         return grad
 
     monkeypatch.setattr(nn, "backward", poisoned_backward)
@@ -751,8 +777,8 @@ def test_checkpoint_round_trip(tmp_path):
 
 def test_loading_draws_no_nets_and_restores_every_array(tmp_path, monkeypatch):
     agent = make_td3_agent(3, 1, SMALL, seed=3)
-    for array in _state_arrays(agent):  # every array apart from the others
-        array += np.random.default_rng(array.size).normal(size=array.shape)
+    # every array apart from the others
+    agent.state += np.random.default_rng(agent.state.size).normal(size=agent.state.shape)
     agent.update_count, agent.actor_opt.step_count, agent.critic_opt.step_count = 7, 3, 7
     save_agent(agent, tmp_path)
 

@@ -400,8 +400,9 @@ def test_every_curve_point_scores_its_actor_snapshot(
             if point.step == 0:
                 actor = start.actor
             else:  # the live runs are a prefix of the group: only the last aborts
-                actor = nn.DenseNet(layout.layer_sizes, actors[point.step - 1][r].copy(),
-                                    layout.hidden_activation, layout.output_activation, 1)
+                rows = actors[point.step - 1][r : r + 1].copy()  # a stack of one
+                actor = nn.DenseNet(layout.layer_sizes, rows, layout.hidden_activation,
+                                    layout.output_activation)
             [alone] = evaluate_policy(policy_fn(actor), SPEC, dataset.reference,
                                       config.eval_episodes, [eval_seed_for(seed, k)])
             assert (point.mean, point.per_episode) == (alone.mean, alone.per_episode)

@@ -8,11 +8,9 @@ from o2olab.errors import NumericError, ShapeError
 
 
 def member(net, i):
-    """Member ``i`` of a stacked net as a plain net sharing its memory."""
-    return nn.DenseNet(
-        net.layer_sizes, net.params.reshape(net.stack, -1)[i],
-        net.hidden_activation, net.output_activation,
-    )
+    """Member ``i``, in row-major order, of a stacked net as a plain net
+    sharing its memory."""
+    return net[np.unravel_index(i, net.stack)]
 
 
 def param_grad(net, inputs, output_grad):
@@ -175,7 +173,7 @@ def test_backprop_through_a_1_wide_layer_equals_the_matmul(stack):
     out = nn.forward(net, x, cache)
     g = rng.normal(size=out.shape)
     g[..., :2, :] = [[0.0], [-0.0]]
-    want = nn.DenseNet(net.layer_sizes, np.empty_like(net.params), stack=net.stack)
+    want = nn.DenseNet(net.layer_sizes, np.empty_like(net.params))
     delta = g
     for l in range(len(net.weights) - 1, -1, -1):
         if l < len(net.weights) - 1:
@@ -350,10 +348,9 @@ def test_stacked_net_matches_its_members_bit_for_bit():
     out = nn.forward(pair, x, cache)
     grad = nn.backward(pair, cache, g)
     din = nn.input_backward(pair, cache, g)
-    size = members[0].params.size
     for i, m in enumerate(members):
         assert np.array_equal(out[i], nn.forward(m, x))
-        assert np.array_equal(grad[i * size : (i + 1) * size], param_grad(m, x, g[i]))
+        assert np.array_equal(grad[i], param_grad(m, x, g[i]))
         assert np.array_equal(din[i], nn.input_gradient(m, x, g[i]))
         assert np.array_equal(member(pair, i).params, m.params)
     member(pair, 1).params[0] = 42.0  # members are views
@@ -383,9 +380,9 @@ def test_deep_copy_forwards_with_its_own_params(stack):
     x = np.random.default_rng(6).normal(size=(5, 3))
     before = nn.forward(net, x)
     copied = copy.deepcopy(net)
-    nn.polyak_update(copied, nn.DenseNet(net.layer_sizes, np.ones_like(net.params),
-                                         stack=net.stack), 0.5)  # in place
-    fresh = nn.DenseNet(net.layer_sizes, copied.params.copy(), stack=net.stack)
+    ones = nn.DenseNet(net.layer_sizes, np.ones_like(net.params))
+    nn.polyak_update(copied, ones, 0.5)  # in place
+    fresh = nn.DenseNet(net.layer_sizes, copied.params.copy())
     assert np.array_equal(nn.forward(copied, x), nn.forward(fresh, x))
     assert not np.array_equal(nn.forward(copied, x), before)
     assert np.array_equal(nn.forward(net, x), before)

@@ -412,6 +412,39 @@ FAILING_LATER = {
         {"agent": {"hidden": [8, 8], "batch": 16, "noise_clip": -1}},
         "agent.noise_clip must be >= 0, got -1.0",
     ),
+    # a discount past 1 or a Polyak step outside [0, 1] diverges, and a
+    # learning rate of 0 or below stands still or ascends
+    "agent gamma 1.5": (
+        {"agent": {"hidden": [], "gamma": 1.5}}, "agent.gamma must be in [0, 1], got 1.5"
+    ),
+    "agent gamma negative": (
+        {"agent": {"hidden": [8, 8], "batch": 16, "gamma": -0.5}},
+        "agent.gamma must be in [0, 1], got -0.5",
+    ),
+    "agent tau negative": (
+        {"agent": {"hidden": [8, 8], "batch": 16, "tau": -1}},
+        "agent.tau must be in [0, 1], got -1.0",
+    ),
+    "agent tau 2": (
+        {"agent": {"hidden": [8, 8], "batch": 16, "tau": 2}},
+        "agent.tau must be in [0, 1], got 2.0",
+    ),
+    "agent actor_lr negative": (
+        {"agent": {"hidden": [8, 8], "batch": 16, "actor_lr": -0.001}},
+        "agent.actor_lr must be > 0, got -0.001",
+    ),
+    "agent actor_lr 0": (
+        {"agent": {"hidden": [8, 8], "batch": 16, "actor_lr": 0}},
+        "agent.actor_lr must be > 0, got 0.0",
+    ),
+    "agent critic_lr 0": (
+        {"agent": {"hidden": [8, 8], "batch": 16, "critic_lr": 0}},
+        "agent.critic_lr must be > 0, got 0.0",
+    ),
+    "agent critic_lr negative": (
+        {"agent": {"hidden": [8, 8], "batch": 16, "critic_lr": -1}},
+        "agent.critic_lr must be > 0, got -1.0",
+    ),
 }
 
 
@@ -429,12 +462,14 @@ def test_cli_rejects_a_config_that_would_fail_in_a_later_stage(tmp_path, capsys,
 
 
 def test_cli_pretrain_blow_up_exits_3_and_writes_no_checkpoint(tmp_path, capsys):
-    # recorded when a pretraining run was a plain single-run agent
-    cfg_path = _write_config(tmp_path, {"agent": {"hidden": [8, 8], "batch": 16, "gamma": 1e300}})
+    # the first critic step, of about 1e300, overflows the next update's targets
+    cfg_path = _write_config(
+        tmp_path, {"agent": {"hidden": [8, 8], "batch": 16, "critic_lr": 1e300}}
+    )
     assert cli.main(["gen-data", "--config", str(cfg_path)]) == 0
     capsys.readouterr()
     assert cli.main(["pretrain", "--config", str(cfg_path)]) == 3
-    assert capsys.readouterr().err == "numeric failure: critic loss is not finite at update 1\n"
+    assert capsys.readouterr().err == "numeric failure: non-finite critic target\n"
     assert not (tmp_path / "runs" / "tiny-dense" / "pretrain").exists()
 
 
