@@ -10,9 +10,12 @@ one. A group is one (R, L) array whose row r is run r's checkpoint, and
 every net and Adam moment of the group is a view into it, so stacking
 groups concatenates rows, selecting runs indexes them, and saving or
 loading a run writes or reads one row. One update steps every run as its
-own update would and reports the runs that blew up. Pretraining, too,
-trains a list of seeds as one group, each seed drawing from its own
-generators.
+own update would and reports the runs that blew up. Each pretrainer,
+too, trains a group's (R, L) state in place, one seed per run, each seed
+drawing from its own generators: behavior-regularized TD3 steps the group
+as fine-tuning does; behavior cloning steps each run's actor and fitted Q
+evaluation its critic 1, after which ``agent_from_bc_fqe`` restarts the
+group's targets and optimizers.
 """
 
 from __future__ import annotations
@@ -156,36 +159,16 @@ def _counters(agent: Td3Agent) -> tuple:
     return agent.update_count, agent.actor_opt.step_count, agent.critic_opt.step_count
 
 
-def _net_seeds(seed: int) -> list[int]:
-    return list(rng_for("agent-nets", seed).integers(0, 2**31, size=3))
-
-
-def _init_actor(obs_dim: int, action_dim: int, hyper: Td3Hyper, seed: int) -> nn.DenseNet:
-    return nn.init_net(*_layouts(obs_dim, action_dim, hyper)[0], seed=seed)
-
-
-def _init_critic(obs_dim: int, action_dim: int, hyper: Td3Hyper, seed: int) -> nn.DenseNet:
-    return nn.init_net(*_layouts(obs_dim, action_dim, hyper)[1], seed=seed)
-
-
-def _assemble(actors: nn.DenseNet, critics: np.ndarray, hyper: Td3Hyper) -> Td3Agent:
-    """A new group of the runs of the (R,) stack ``actors``, run r with the
-    critic pair ``critics[r]`` of an (R, 2, P) array; targets start equal
-    to the online nets, optimizers at zero."""
-    runs = len(critics)
-    online = np.concatenate([actors.params, critics.reshape(runs, -1)], axis=1)
-    state = np.concatenate([online, online, np.zeros((runs, 2 * online.shape[1]))], axis=1)
-    return Td3Agent(state, hyper, actors.in_dim, actors.out_dim)
-
-
 def make_td3_agent(obs_dim: int, action_dim: int, hyper: Td3Hyper, seed: int = 0) -> Td3Agent:
-    actor_seed, c1_seed, c2_seed = _net_seeds(seed)
-    critics = [_init_critic(obs_dim, action_dim, hyper, s).params for s in (c1_seed, c2_seed)]
-    return _assemble(
-        nn.stack_nets([_init_actor(obs_dim, action_dim, hyper, actor_seed)]),
-        np.stack(critics)[None],
-        hyper,
-    )
+    """A new group of one run: actor and twin critics drawn from ``seed``,
+    targets equal to the online nets, optimizers at zero."""
+    actor, critic = _layouts(obs_dim, action_dim, hyper)
+    net_seeds = rng_for("agent-nets", seed).integers(0, 2**31, size=3)
+    online = np.concatenate([
+        nn.init_net(*layout, seed=s).params for layout, s in zip((actor, critic, critic), net_seeds)
+    ])
+    state = np.concatenate([online, online, np.zeros(2 * online.size)])
+    return Td3Agent(state[None], hyper, obs_dim, action_dim)
 
 
 def reset_parameters(agent: Td3Agent, seed: int) -> Td3Agent:
@@ -398,98 +381,85 @@ def td3_update(
 # --- pretraining ---
 
 
-def bc_pretrain(
-    dataset: OfflineDataset, steps: int, seeds: list[int], hyper: Td3Hyper
-) -> nn.DenseNet:
-    """Behavior cloning of a lockstep group: each seed's actor regressed
-    onto the dataset actions of its own batches. Returns the actors as one
-    stacked net, in seed order; each equals the actor its seed trains
-    alone."""
+def bc_pretrain(group: Td3Agent, dataset: OfflineDataset, steps: int, seeds: list[int]) -> None:
+    """Behavior cloning of a lockstep group, in place, one seed per run:
+    each run's actor regressed onto the dataset actions of its own batches,
+    drawn by its seed's generator, and stepped by the group's actor
+    optimizer."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    spec = dataset.env
-    actor = nn.stack_nets(
-        [_init_actor(spec.obs_dim, spec.action_dim, hyper, _net_seeds(s)[0]) for s in seeds]
-    )
-    opt = nn.AdamState.for_net(actor, hyper.actor_lr)
     buf = ReplayBuffer.from_dataset(dataset)
     rngs = [rng_for("bc", s) for s in seeds]
-    n = hyper.batch
+    actor, n = group.actor, group.hyper.batch
     for _ in range(steps):
         batch = buf.sample(n, rngs)
         cache: list = []
         err = nn.forward(actor, batch.obs, cache) - batch.action
-        grad = nn.backward(actor, cache, (2.0 / (n * spec.action_dim)) * err)
-        nn.adam_step(actor, grad, opt)
-    return actor
+        grad = nn.backward(actor, cache, (2.0 / (n * group.action_dim)) * err)
+        nn.adam_step(actor, grad, group.actor_opt)
 
 
-def fqe(
-    policy_net: nn.DenseNet,
-    dataset: OfflineDataset,
-    steps: int,
-    seeds: list[int],
-    hyper: Td3Hyper,
-) -> nn.DenseNet:
-    """Fitted Q evaluation of a lockstep group of fixed policies from
-    dataset transitions: ``policy_net`` stacks one actor per seed. Returns
-    the critics as one stacked net, in seed order; each equals the critic
-    its seed trains alone."""
+def fqe(group: Td3Agent, dataset: OfflineDataset, steps: int, seeds: list[int]) -> None:
+    """Fitted Q evaluation of a lockstep group's actors from dataset
+    transitions, in place, one seed per run: each run's critic 1 regresses
+    toward the bootstrap of its target critic 1 on its own batches, with
+    critic 1's slices of the group's critic optimizer."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    spec = dataset.env
-    critic = nn.stack_nets(
-        [_init_critic(spec.obs_dim, spec.action_dim, hyper, _net_seeds(s)[1]) for s in seeds]
-    )
-    target = critic.copy()
-    opt = nn.AdamState.for_net(critic, hyper.critic_lr)
     buf = ReplayBuffer.from_dataset(dataset)
     rngs = [rng_for("fqe", s) for s in seeds]
-    n = hyper.batch
+    h = group.hyper
+    critic, target = group.critics[:, 0], group.target_critics[:, 0]
+    opt = nn.AdamState(h.critic_lr, group.critic_opt.m[:, 0], group.critic_opt.v[:, 0])
     for _ in range(steps):
-        batch = buf.sample(n, rngs)
-        next_a = nn.forward(policy_net, batch.next_obs)
+        batch = buf.sample(h.batch, rngs)
+        next_a = nn.forward(group.actor, batch.next_obs)
         x_next = np.concatenate([batch.next_obs, next_a], axis=-1)
         q_next = nn.forward(target, x_next)[..., 0]
-        y = batch.reward + hyper.gamma * (1.0 - batch.terminated) * q_next
+        y = batch.reward + h.gamma * (1.0 - batch.terminated) * q_next
         x = np.concatenate([batch.obs, batch.action], axis=-1)
         cache: list = []
         q = nn.forward(critic, x, cache)[..., 0]
-        grad = nn.backward(critic, cache, (2.0 / n) * (q - y)[..., None])
+        grad = nn.backward(critic, cache, (2.0 / h.batch) * (q - y)[..., None])
         nn.adam_step(critic, grad, opt)
-        nn.polyak_update(target, critic, hyper.tau)
-    return critic
+        nn.polyak_update(target, critic, h.tau)
 
 
-def agent_from_bc_fqe(actor: nn.DenseNet, critic: nn.DenseNet, hyper: Td3Hyper) -> Td3Agent:
-    """Wrap cloned actors and their FQE critics, stacked nets of one member
-    per run, as a lockstep group ready for fine-tuning: each run's critic
-    fills both of its twin slots."""
-    return _assemble(actor, np.stack([critic.params, critic.params], axis=1), hyper)
+def agent_from_bc_fqe(group: Td3Agent) -> Td3Agent:
+    """Ready a group that ``bc_pretrain`` and ``fqe`` trained for
+    fine-tuning, in place: each run's FQE critic fills both of its twin
+    slots, the targets restart equal to the online nets, and the
+    optimizers and counters restart at zero. Returns ``group``."""
+    group.critics.params[:, 1] = group.critics.params[:, 0]
+    group.target_actor.params[...] = group.actor.params
+    group.target_critics.params[...] = group.critics.params
+    for opt in (group.actor_opt, group.critic_opt):
+        opt.m[...] = opt.v[...] = 0.0
+        opt.step_count = 0
+    group.update_count = 0
+    return group
 
 
 def offline_rl_pretrain(
-    dataset: OfflineDataset, steps: int, beta: float, seeds: list[int], hyper: Td3Hyper
-) -> Td3Agent:
-    """Behavior-regularized TD3 of a lockstep group, one run per seed,
-    trained purely on dataset batches. Each run's generator samples its
-    batch and then draws its target noise, so each run equals the one its
-    seed trains alone. Raises NumericError when any run's update blows up."""
+    group: Td3Agent, dataset: OfflineDataset, steps: int, beta: float, seeds: list[int]
+) -> None:
+    """Behavior-regularized TD3 of a lockstep group, in place, one seed per
+    run, trained purely on dataset batches. Each run's generator samples
+    its batch and then draws its target noise, so each run equals the one
+    its seed trains alone. Raises NumericError when any run's update blows
+    up."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if beta <= 0:
         raise ValueError("beta must be > 0 for offline pretraining")
-    spec = dataset.env
-    agent = stack_agents([make_td3_agent(spec.obs_dim, spec.action_dim, hyper, s) for s in seeds])
     reg = RegularizerConfig(bc_coefficient=beta, q_normalization=True)
     buf = ReplayBuffer.from_dataset(dataset)
     rngs = [rng_for("offline-rl", s) for s in seeds]
     for _ in range(steps):
-        batch = buf.sample(hyper.batch, rngs)
-        failed = td3_update(agent, batch, reg, rngs)
+        batch = buf.sample(group.hyper.batch, rngs)
+        failed = td3_update(group, batch, reg, rngs)
         if failed:
             raise NumericError(failed[min(failed)])
-    return agent
 
 
 # --- checkpoints ---
@@ -548,6 +518,11 @@ def load_agent(directory) -> Td3Agent:
     except (ValueError, EOFError) as exc:  # bad JSON, a mistyped field, a cut .npy
         raise MissingInputError(
             f"{directory} holds a damaged checkpoint ({exc}); re-run `o2olab pretrain --force`"
+        ) from None
+    except OSError as exc:  # a directory in a file's place, say
+        raise MissingInputError(
+            f"{exc.filename} cannot be read ({exc.strerror}); remove it and re-run "
+            "`o2olab pretrain --force`"
         ) from None
     try:
         return Td3Agent(row[None], hyper, obs_dim, action_dim, counters)

@@ -294,13 +294,16 @@ def tost_classify(
     return RegimeLabel(label, p_lower, p_upper, diff, delta, alpha)
 
 
+IQM_MIN_VALUES = 4  # the fewest values whose interquartile mean is taken
+
+
 def iqm(values) -> float:
     """Interquartile mean: drop floor(n/4) values from each end, average
     the rest."""
     values = sorted(float(v) for v in values)
     n = len(values)
-    if n < 4:
-        raise ValueError("iqm needs at least 4 values")
+    if n < IQM_MIN_VALUES:
+        raise ValueError(f"iqm needs at least {IQM_MIN_VALUES} values")
     trim = n // 4
     return float(np.mean(values[trim : n - trim]))
 

@@ -140,6 +140,12 @@ def stack_nets(nets) -> DenseNet:
     return first._like(np.concatenate([net.params.reshape(-1, size) for net in nets]))
 
 
+# Adam's moment decay rates and denominator offset
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam moments, each shaped like the parameters of the net it steps."""
@@ -148,13 +154,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    @classmethod
-    def for_net(cls, net: DenseNet, learning_rate: float) -> "AdamState":
-        return cls(learning_rate, np.zeros_like(net.params), np.zeros_like(net.params))
 
 
 def init_net(
@@ -323,7 +322,7 @@ def adam_step(net: DenseNet, grad: np.ndarray, state: AdamState) -> None:
 
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
     # numpy's ufuncs run several times slower on a strided view (a lockstep
@@ -335,7 +334,7 @@ def adam_step(net: DenseNet, grad: np.ndarray, state: AdamState) -> None:
     m += (1.0 - b1) * grad
     v *= b2
     v += (1.0 - b2) * grad * grad
-    params -= state.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + state.epsilon)
+    params -= state.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPSILON)
     state.m[...], state.v[...], net.params[...] = m, v, params
 
 

@@ -67,10 +67,12 @@ from .agents import (
     checkpoint_counters,
     fqe,
     load_agent,
+    make_td3_agent,
     offline_rl_pretrain,
     policy_fn,
     save_agent,
     select_runs,
+    stack_agents,
 )
 from .data import (
     OfflineDataset,
@@ -105,6 +107,7 @@ from .fsio import MANIFEST_FILE, read_json, write_json_atomic, write_text_atomic
 from .metrics import (
     COMPARABLE,
     INCONCLUSIVE,
+    IQM_MIN_VALUES,
     REGIMES,
     WINNERS,
     ClassComparison,
@@ -445,12 +448,16 @@ def _pretrain_group(
     if train:
         dataset = _dataset(config)
         train_seeds = [stable_seed("pretrain", seed) for seed in seeds]
+        env = config.env
+        group = stack_agents(
+            [make_td3_agent(env.obs_dim, env.action_dim, hyper, s) for s in train_seeds]
+        )
         if pretrain.kind == PRETRAIN_OFFLINE_RL:
-            group = offline_rl_pretrain(dataset, pretrain.steps, pretrain.beta, train_seeds, hyper)
+            offline_rl_pretrain(group, dataset, pretrain.steps, pretrain.beta, train_seeds)
         else:
-            actor = bc_pretrain(dataset, pretrain.steps, train_seeds, hyper)
-            critic = fqe(actor, dataset, pretrain.resolved_fqe_steps, train_seeds, hyper)
-            group = agent_from_bc_fqe(actor, critic, hyper)
+            bc_pretrain(group, dataset, pretrain.steps, train_seeds)
+            fqe(group, dataset, pretrain.resolved_fqe_steps, train_seeds)
+            agent_from_bc_fqe(group)
         for i, seed in enumerate(seeds):
             save_agent(
                 select_runs(group, [i]),
@@ -790,8 +797,11 @@ def analyse(config: ExperimentConfig, classify: dict, logs: dict[tuple[str, int]
             },
             "curve": _curve_stats([log.eval_curve for log in done]),
         }
-        if len(done) >= 2:  # a variant is compared over a sample of seeds
-            last_k_lists[method] = [[p.mean for p in log.eval_curve[-k:]] for log in done]
+        last_k = [[p.mean for p in log.eval_curve[-k:]] for log in done]
+        # a variant is compared over a sample of seeds, by the IQM of their
+        # pooled values
+        if len(done) >= 2 and sum(map(len, last_k)) >= IQM_MIN_VALUES:
+            last_k_lists[method] = last_k
 
     policy_variants = {m: last_k_lists[m] for m in POLICY_CENTRIC if m in last_k_lists}
     data_variants = {m: last_k_lists[m] for m in DATA_CENTRIC if m in last_k_lists}

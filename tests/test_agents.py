@@ -44,7 +44,7 @@ from o2olab.seeding import stable_seed
 
 from test_data import COLUMNS, one_trajectory, trajectory
 from test_envs import assert_columns_equal_steps, reference_episode
-from test_nn import member, param_grad
+from test_nn import fresh_adam, member, param_grad
 
 SMALL = Td3Hyper(hidden=(16, 16), batch=64)
 
@@ -304,7 +304,7 @@ def test_textbook_td3_hand_check():
     for critic in (critic1, critic2):
         q = nn.forward(critic, x)[0, 0]
         grad = param_grad(critic, x, np.array([[2.0 * (q - y)]]))
-        nn.adam_step(critic, grad, nn.AdamState.for_net(critic, hyper.critic_lr))
+        nn.adam_step(critic, grad, fresh_adam(critic, hyper.critic_lr))
     x_pi = np.concatenate([obs, nn.forward(actor, obs)], axis=1)
     da = -nn.input_gradient(critic1, x_pi, np.ones((1, 1)))[:, 1:]
     nn.adam_step(mirror.actor, param_grad(actor, obs, da)[None], mirror.actor_opt)
@@ -603,30 +603,40 @@ def dense_ref():
     return compute_reference_scores(env_spec("point_goal_dense"), seed=0, episodes=30)
 
 
+def pretrain_group(dataset, seeds, hyper=SMALL):
+    """A new lockstep group for ``dataset``'s env, one run per seed, as the
+    runner builds one to pretrain."""
+    spec = dataset.env
+    return stack_agents([make_td3_agent(spec.obs_dim, spec.action_dim, hyper, s) for s in seeds])
+
+
 def test_bc_learns_constant_action():
     ds = constant_action_dataset(action_value=0.25)
-    actor = bc_pretrain(ds, steps=3000, seeds=[0], hyper=SMALL)
+    group = pretrain_group(ds, [0])
+    bc_pretrain(group, ds, steps=3000, seeds=[0])
     obs = trajectory(ds, 0)["obs"][:50]
-    pred = nn.forward(actor, obs)
+    pred = nn.forward(group.actor, obs)
     assert np.all(np.abs(pred - 0.25) < 0.05)
 
 
 def test_bc_requires_steps():
+    ds = constant_action_dataset()
     with pytest.raises(ValueError):
-        bc_pretrain(constant_action_dataset(), steps=0, seeds=[0], hyper=SMALL)
+        bc_pretrain(pretrain_group(ds, [0]), ds, steps=0, seeds=[0])
 
 
 def test_bc_raises_on_a_nonfinite_gradient():
     ds = constant_action_dataset(action_value=np.inf)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite gradient"):
-        bc_pretrain(ds, steps=3, seeds=[0], hyper=SMALL)
+        bc_pretrain(pretrain_group(ds, [0]), ds, steps=3, seeds=[0])
 
 
 def test_bc_deterministic():
     ds = constant_action_dataset()
-    a = bc_pretrain(ds, steps=50, seeds=[3], hyper=SMALL)
-    b = bc_pretrain(ds, steps=50, seeds=[3], hyper=SMALL)
-    assert nets_equal(a, b)
+    a, b = pretrain_group(ds, [3]), pretrain_group(ds, [3])
+    bc_pretrain(a, ds, steps=50, seeds=[3])
+    bc_pretrain(b, ds, steps=50, seeds=[3])
+    assert nets_equal(a.actor, b.actor)
 
 
 def test_fqe_terminal_fixed_point():
@@ -639,28 +649,29 @@ def test_fqe_terminal_fixed_point():
     obs, action, next_obs = (np.array(column) for column in zip(*rows))
     ds = one_trajectory(spec, ref, obs, action, np.full(100, 2.0), next_obs,
                         np.ones(100, dtype=bool))
-    policy = bc_pretrain(ds, steps=30, seeds=[0], hyper=SMALL)
-    critic = member(fqe(policy, ds, steps=10_000, seeds=[0], hyper=SMALL), 0)
+    group = pretrain_group(ds, [0])
+    bc_pretrain(group, ds, steps=30, seeds=[0])
+    fqe(group, ds, steps=10_000, seeds=[0])
     x = np.concatenate([obs, action], axis=1)
-    q = nn.forward(critic, x)[:, 0]
+    q = nn.forward(group.critics[0, 0], x)[:, 0]
     assert np.all(np.abs(q - 2.0) < 0.05)
 
 
 def test_fqe_raises_on_a_nonfinite_gradient():
     ds = constant_action_dataset()
     ds.reward[:] = np.inf
-    policy = nn.stack_nets([nn.init_net((4, 16, 16, 2), "relu", "tanh", seed=0)])
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite gradient"):
-        fqe(policy, ds, steps=3, seeds=[0], hyper=SMALL)
+        fqe(pretrain_group(ds, [0]), ds, steps=3, seeds=[0])
 
 
 def test_fqe_gamma_zero_regresses_reward():
     ds = constant_action_dataset()
-    policy = bc_pretrain(ds, steps=30, seeds=[0], hyper=SMALL)
-    critic = member(fqe(policy, ds, steps=4000, seeds=[0], hyper=replace(SMALL, gamma=0.0)), 0)
+    group = pretrain_group(ds, [0], hyper=replace(SMALL, gamma=0.0))
+    bc_pretrain(group, ds, steps=30, seeds=[0])
+    fqe(group, ds, steps=4000, seeds=[0])
     traj = trajectory(ds, 0)
     x = np.concatenate([traj["obs"][:50], traj["action"][:50]], axis=1)
-    q = nn.forward(critic, x)[:, 0]
+    q = nn.forward(group.critics[0, 0], x)[:, 0]
     assert np.all(np.abs(q - (-1.0)) < 0.1)
 
 
@@ -668,7 +679,8 @@ def test_fqe_heldout_td_error_decreases(dense_ref):
     spec = env_spec("point_goal_dense")
     ds = generate_dataset(spec, BehaviorSpec("noisy_expert", sigma=0.4), 20, seed=2,
                           reference=dense_ref)
-    policy = bc_pretrain(ds, steps=200, seeds=[0], hyper=SMALL)
+    group = pretrain_group(ds, [0])
+    bc_pretrain(group, ds, steps=200, seeds=[0])
     split = ds.offsets[2]  # the first two trajectories are held out
     held = {name: getattr(ds, name)[:split] for name in COLUMNS}
     train = OfflineDataset(
@@ -677,20 +689,21 @@ def test_fqe_heldout_td_error_decreases(dense_ref):
         reference=ds.reference,
     )
 
-    def td_error(critic):
+    def td_error(group):
         obs, acts, nxt = held["obs"], held["action"], held["next_obs"]
         rew = held["reward"]
         term = held["terminated"].astype(float)
-        a_next = nn.forward(member(policy, 0), nxt)
-        critic = member(critic, 0)
+        a_next = nn.forward(plain(group.actor), nxt)
+        critic = group.critics[0, 0]
         qn = nn.forward(critic, np.concatenate([nxt, a_next], axis=1))[:, 0]
         y = rew + SMALL.gamma * (1 - term) * qn
         q = nn.forward(critic, np.concatenate([obs, acts], axis=1))[:, 0]
         return float(np.mean((q - y) ** 2))
 
-    c0 = fqe(policy, train, steps=1, seeds=[0], hyper=SMALL)
-    c1 = fqe(policy, train, steps=2000, seeds=[0], hyper=SMALL)
-    assert td_error(c1) < td_error(c0)
+    longer = select_runs(group, [0])  # a copy, with the same cloned actor
+    fqe(group, train, steps=1, seeds=[0])
+    fqe(longer, train, steps=2000, seeds=[0])
+    assert td_error(longer) < td_error(group)
 
 
 def test_offline_rl_expert_pendulum(dense_ref):
@@ -698,7 +711,8 @@ def test_offline_rl_expert_pendulum(dense_ref):
     # must reach at least 80% of the dataset's score
     spec = env_spec("point_goal_dense")
     ds = generate_dataset(spec, BehaviorSpec("expert"), 30, seed=0, reference=dense_ref)
-    agent = offline_rl_pretrain(ds, steps=2500, beta=0.4, seeds=[0], hyper=SMALL)
+    agent = pretrain_group(ds, [0])
+    offline_rl_pretrain(agent, ds, steps=2500, beta=0.4, seeds=[0])
     from o2olab.agents import policy_fn
     from o2olab.data import dataset_return
     from o2olab.envs import evaluate_policy
@@ -709,14 +723,16 @@ def test_offline_rl_expert_pendulum(dense_ref):
 
 
 def test_offline_rl_requires_positive_beta():
+    ds = constant_action_dataset()
     with pytest.raises(ValueError):
-        offline_rl_pretrain(constant_action_dataset(), steps=10, beta=0.0, seeds=[0], hyper=SMALL)
+        offline_rl_pretrain(pretrain_group(ds, [0]), ds, steps=10, beta=0.0, seeds=[0])
 
 
 def test_offline_rl_deterministic():
     ds = constant_action_dataset()
-    a = offline_rl_pretrain(ds, steps=20, beta=0.4, seeds=[5], hyper=SMALL)
-    b = offline_rl_pretrain(ds, steps=20, beta=0.4, seeds=[5], hyper=SMALL)
+    a, b = pretrain_group(ds, [5]), pretrain_group(ds, [5])
+    offline_rl_pretrain(a, ds, steps=20, beta=0.4, seeds=[5])
+    offline_rl_pretrain(b, ds, steps=20, beta=0.4, seeds=[5])
     assert nets_equal(a.actor, b.actor)
     assert nets_equal(a.target_critics, b.target_critics)
 
@@ -731,8 +747,10 @@ def test_pretraining_never_touches_environment(monkeypatch):
 
     monkeypatch.setattr(envs._Env, "step", counting_step)
     ds = constant_action_dataset()
-    offline_rl_pretrain(ds, steps=30, beta=0.4, seeds=[0], hyper=SMALL)
-    bc_pretrain(ds, steps=30, seeds=[0], hyper=SMALL)
+    offline_rl_pretrain(pretrain_group(ds, [0]), ds, steps=30, beta=0.4, seeds=[0])
+    group = pretrain_group(ds, [0])
+    bc_pretrain(group, ds, steps=30, seeds=[0])
+    fqe(group, ds, steps=30, seeds=[0])
     assert steps == []
 
 
@@ -741,18 +759,27 @@ def test_pretraining_never_touches_environment(monkeypatch):
 
 def test_agent_from_bc_fqe_duplicates_critic():
     ds = constant_action_dataset()
-    actor = bc_pretrain(ds, steps=30, seeds=[0], hyper=SMALL)
-    critic = fqe(actor, ds, steps=30, seeds=[0], hyper=SMALL)
-    agent = agent_from_bc_fqe(actor, critic, SMALL)
-    assert nets_equal(member(agent.critics, 0), member(critic, 0))
-    assert nets_equal(member(agent.critics, 1), member(critic, 0))
+    group = pretrain_group(ds, [0, 1])
+    bc_pretrain(group, ds, steps=30, seeds=[0, 1])
+    cloned = group.actor.copy()
+    fqe(group, ds, steps=30, seeds=[0, 1])
+    critic = group.critics[:, 0].copy()
+    agent = agent_from_bc_fqe(group)
+    assert agent is group
+    assert nets_equal(agent.actor, cloned)
+    assert nets_equal(agent.critics[:, 0], critic)
+    assert nets_equal(agent.critics[:, 1], critic)
+    assert nets_equal(agent.target_actor, agent.actor)
     assert nets_equal(agent.critics, agent.target_critics)
-    assert agent.update_count == 0
+    for opt in (agent.actor_opt, agent.critic_opt):
+        assert not opt.m.any() and not opt.v.any()
+    assert (agent.update_count, agent.actor_opt.step_count, agent.critic_opt.step_count) == (0, 0, 0)
 
 
 def test_checkpoint_round_trip(tmp_path):
     ds = constant_action_dataset()
-    agent = offline_rl_pretrain(ds, steps=25, beta=0.4, seeds=[8], hyper=SMALL)
+    agent = pretrain_group(ds, [8])
+    offline_rl_pretrain(agent, ds, steps=25, beta=0.4, seeds=[8])
     save_agent(agent, tmp_path / "ckpt", extra={"seed": 8})
     assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == [
         "manifest.json", "params.npy"

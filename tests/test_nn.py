@@ -13,6 +13,11 @@ def member(net, i):
     return net[np.unravel_index(i, net.stack)]
 
 
+def fresh_adam(net, learning_rate):
+    """An Adam state at zero for ``net``'s parameters."""
+    return nn.AdamState(learning_rate, np.zeros_like(net.params), np.zeros_like(net.params))
+
+
 def param_grad(net, inputs, output_grad):
     """Gradient of sum_batch <output, output_grad> w.r.t. ``net.params``."""
     cache = []
@@ -249,7 +254,7 @@ def test_input_gradient_matches_finite_differences():
 def test_adam_zero_gradients_no_change():
     net = nn.init_net((2, 3, 1), seed=0)
     before = [w.copy() for w in net.weights]
-    state = nn.AdamState.for_net(net, learning_rate=0.01)
+    state = fresh_adam(net, 0.01)
     nn.adam_step(net, np.zeros_like(net.params), state)
     assert state.step_count == 1
     for w, b4 in zip(net.weights, before):
@@ -259,10 +264,10 @@ def test_adam_zero_gradients_no_change():
 def test_adam_first_step_is_signed_lr():
     net = nn.init_net((1, 1), seed=0)
     w0 = net.weights[0][0, 0]
-    state = nn.AdamState.for_net(net, learning_rate=0.01)
+    state = fresh_adam(net, 0.01)
     g = 3.7
     nn.adam_step(net, np.array([g, 0.0]), state)
-    expected_delta = -0.01 * g / (abs(g) + state.epsilon)
+    expected_delta = -0.01 * g / (abs(g) + nn.ADAM_EPSILON)
     assert net.weights[0][0, 0] == pytest.approx(w0 + expected_delta, abs=1e-15)
 
 
@@ -282,7 +287,7 @@ def test_adam_quadratic_convergence():
 
     net = nn.init_net((1, 1), seed=0)
     net.weights[0][0, 0] = 1.0
-    state = nn.AdamState.for_net(net, learning_rate=0.1)
+    state = fresh_adam(net, 0.1)
     for _ in range(100):
         g = 2.0 * net.weights[0][0, 0]
         nn.adam_step(net, np.array([g, 0.0]), state)
@@ -292,14 +297,14 @@ def test_adam_quadratic_convergence():
 
 def test_adam_rejects_nonfinite():
     net = nn.init_net((1, 1), seed=0)
-    state = nn.AdamState.for_net(net, learning_rate=0.1)
+    state = fresh_adam(net, 0.1)
     with pytest.raises(NumericError):
         nn.adam_step(net, np.array([np.nan, 0.0]), state)
 
 
 def test_adam_shape_mismatch():
     net = nn.init_net((2, 2), seed=0)
-    state = nn.AdamState.for_net(net, learning_rate=0.1)
+    state = fresh_adam(net, 0.1)
     with pytest.raises(ShapeError):
         nn.adam_step(net, np.zeros(12), state)
 

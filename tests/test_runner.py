@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from o2olab import agents, cli, fsio, runner
+from o2olab import cli, fsio, runner
 from o2olab.agents import checkpoint_counters, load_agent, save_agent
 from o2olab.data import behavior_segment, load_dataset
 from o2olab.envs import BehaviorSpec, env_spec
@@ -782,6 +782,31 @@ def test_analyse_compares_only_variants_with_two_completed_runs(config):
     assert analysis["class_comparison"] is None and analysis["confusion_cell"] is None
 
 
+@pytest.mark.parametrize("seeds,last_k,compared", [
+    ([0, 1], 1, False), ([0, 1, 2], 1, False), ([0, 1], 2, True), ([0, 1, 2, 3], 1, True),
+])
+def test_analyse_compares_only_variants_with_four_pooled_values(tmp_path, seeds, last_k, compared):
+    # the selected variant is the one of highest IQM over its runs' pooled
+    # last-k values, and an IQM takes at least 4
+    config = runner.ExperimentConfig.from_dict(
+        tiny_config_dict(tmp_path, seeds=seeds, last_k=last_k)
+    )
+    analysis = runner.analyse(config, classify_record("Superior"), hand_logs(config))
+    assert (analysis["class_comparison"] is not None) == compared
+    assert (analysis["confusion_cell"] is not None) == compared
+    assert analysis["methods"]["o2o_reg"]["config_seeds"] == seeds  # still reported
+
+
+def test_cli_report_of_two_seeds_and_last_k_1_compares_nothing(finished, tmp_path):
+    # last_k feeds no key: the finished runs are reported anew
+    config = copy_of(finished, tmp_path, last_k=1)
+    cfg_path = _write_config(tmp_path, {"out_dir": str(config.root), "last_k": 1})
+    assert cli.main(["report", "--config", str(cfg_path)]) == 0
+    analysis = read_json(config.root / "report" / "analysis.json")
+    assert analysis["class_comparison"] is None and analysis["confusion_cell"] is None
+    assert analysis["methods"]["baseline"]["config_seeds"] == [0, 1]
+
+
 def test_analyse_notes_a_method_without_completed_runs(config):
     logs = hand_logs(config, drop=[("baseline", 0), ("baseline", 1)],
                      aborted=[("mixed", 0), ("mixed", 1)])
@@ -1359,7 +1384,7 @@ def test_a_seed_that_blows_up_in_pretraining_loses_its_group(tmp_path, capsys, m
     # and seed 4 never trains
     cfg_path = _write_config(tmp_path, {"seeds": [0, 1, 2, 3, 4]})
     assert cli.main(["gen-data", "--config", str(cfg_path)]) == 0
-    real, damaged = agents.make_td3_agent, stable_seed("pretrain", 3)
+    real, damaged = runner.make_td3_agent, stable_seed("pretrain", 3)
 
     def make(obs_dim, action_dim, hyper, seed=0):
         agent = real(obs_dim, action_dim, hyper, seed)
@@ -1368,7 +1393,7 @@ def test_a_seed_that_blows_up_in_pretraining_loses_its_group(tmp_path, capsys, m
                 w[:] = 1e200
         return agent
 
-    monkeypatch.setattr(agents, "make_td3_agent", make)
+    monkeypatch.setattr(runner, "make_td3_agent", make)
     monkeypatch.setattr(runner, "lockstep_runs", lambda hyper, spec: 2)
     capsys.readouterr()
     assert cli.main(["pretrain", "--config", str(cfg_path)]) == 3
@@ -1701,6 +1726,8 @@ UNREADABLE_INPUTS = {
     "run file a directory": (["finetune", "finetune --force", "report"], 2,
                              "is a directory where a file"),
     "pretrain eval a directory": (["pretrain", "classify"], 2, "is a directory where a file"),
+    "checkpoint params a directory": (["pretrain", "finetune --force"], 2,
+                                      "seed_1/params.npy cannot be read (Is a directory)"),
 }
 
 
@@ -1721,6 +1748,11 @@ def test_cli_unreadable_inputs_end_in_one_line(finished, tmp_path, capsys, fault
     elif fault == "pretrain eval a directory":
         paths.pretrain_eval.unlink()
         paths.pretrain_eval.mkdir()
+    elif fault == "checkpoint params a directory":
+        # with the eval record gone, pretrain evaluates the checkpoints anew
+        paths.pretrain_eval.unlink()
+        (paths.checkpoint(1) / "params.npy").unlink()
+        (paths.checkpoint(1) / "params.npy").mkdir()
     else:
         paths.run_file("mixed", 1).unlink()
         paths.run_file("mixed", 1).mkdir()
