@@ -203,10 +203,10 @@ def stack_agents(agents: list[Td3Agent]) -> Td3Agent:
     return agents[0]._like(np.concatenate([a.state for a in agents]))
 
 
-def select_runs(group: Td3Agent, keep: list[int]) -> Td3Agent:
-    """A lockstep group of copies of the runs ``keep`` of ``group``, in that
+def select_runs(group: Td3Agent, runs: list[int]) -> Td3Agent:
+    """A lockstep group of copies of the runs ``runs`` of ``group``, in that
     order: their rows."""
-    return group._like(group.state[keep])
+    return group._like(group.state[runs])
 
 
 # --- acting ---
@@ -228,27 +228,18 @@ def _actions(actor: nn.DenseNet, obs: np.ndarray) -> np.ndarray:
     return nn.forward(actor, obs[..., None, :]).reshape(*obs.shape[:-1], actor.out_dim)
 
 
-def act(
-    agent: Td3Agent,
-    obs: np.ndarray,
-    explore: bool = False,
-    rngs: list[np.random.Generator] | None = None,
-) -> np.ndarray:
-    """Deterministic actor output, plus clipped Gaussian noise when exploring.
+def act(agent: Td3Agent, obs: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
+    """The exploring action of each run of the group: its actor's output
+    on its observation row, plus Gaussian noise from its generator, clipped.
 
-    A group takes one row per run, (runs, obs_dim), each acting by its
-    run's actor; a group of one also takes one observation (obs_dim,) or
-    any stack of rows. The result has the leading shape of ``obs``. Each
-    row runs as its own (1, obs_dim) slice, so a row's action equals
-    ``act`` on that row alone, bit for bit. Exploring takes one row per
-    run and a list of generators, one per run, each drawing its run's
-    noise.
+    ``obs`` holds one row per run, (runs, obs_dim), and ``rngs`` one
+    generator per run. Each row runs as its own (1, obs_dim) slice, so a
+    row's action equals that of its run acting alone, bit for bit.
     """
     a = _actions(agent.actor, obs)
-    if explore:
-        if rngs is None or a.shape[:-1] != (agent.runs,) or len(rngs) != agent.runs:
-            raise ValueError("exploring takes one row and one generator per run")
-        a = a + _normal(rngs, agent.hyper.explore_noise, a.shape)
+    if a.shape[:-1] != (agent.runs,) or len(rngs) != agent.runs:
+        raise ValueError("exploring takes one row and one generator per run")
+    a = a + _normal(rngs, agent.hyper.explore_noise, a.shape)
     return np.minimum(np.maximum(a, -1.0), 1.0)  # np.clip, bit for bit, faster
 
 
@@ -257,8 +248,8 @@ def policy_fn(actor: nn.DenseNet):
     one per policy that ``envs.evaluate_policy`` scores: the (episodes,
     policies, obs_dim) observations act by their policy's actor. Each
     actor's weights are broadcast over its own rows, and each row runs as
-    its own (1, obs_dim) slice, so a row's action equals ``act`` on that
-    row alone, bit for bit, and no parameter is copied."""
+    its own (1, obs_dim) slice, so a row's action equals that of the row
+    alone, bit for bit, and no parameter is copied."""
     return lambda obs: np.minimum(np.maximum(_actions(actor, obs), -1.0), 1.0)
 
 
@@ -320,8 +311,8 @@ def td3_update(
 
     Returns {run: reason} for the runs whose update blew up: a non-finite
     critic target, critic loss, actor loss or gradient entry. Their
-    parameters are then garbage, and the caller drops them
-    (``select_runs``); every other run has stepped as above.
+    parameters are then garbage, which later updates may report again;
+    every other run has stepped as above, whatever the failed runs hold.
     """
     n = batch.reward.shape[-1]
     if n == 0:
@@ -351,7 +342,7 @@ def td3_update(
             nn.adam_step(net, grad, opt)
 
     # the checks find every non-finite value; the failed runs go on
-    # computing with theirs until the caller drops them
+    # computing with theirs, and the caller ignores them
     with np.errstate(all="ignore"):
         y = _critic_targets(agent, batch, rngs)
         check(y, "non-finite critic target")

@@ -102,7 +102,7 @@ def _cmd_matrix(args) -> int:
         try:
             write_text_atomic(args.out, text + "\n")
         except OSError as exc:
-            raise ConfigError(f"cannot write --out {args.out}: {exc.strerror}") from None
+            raise ConfigError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
     print(text)
     print(result["summary"], file=sys.stderr)
     return EXIT_OK

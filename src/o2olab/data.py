@@ -5,13 +5,14 @@ In memory a dataset is one array per transition field (obs, action,
 reward, next_obs, terminated, truncated), one row per transition, with
 trajectory offsets into the rows, as ``envs.run_episodes`` returns them.
 A dataset's trajectories are rolled side by side in one env, every
-behavior segment's at once, and one ``envs.behavior_act`` acts on all the
-live rows at each step.
-``ReplayBuffer`` holds one ring per run of a lockstep group, and its
-``sample``, and ``MixedSampler.sample`` through the same gather, draw
-every run's batch at once: the one gather path of pretraining and
-fine-tuning. ``push`` appends n rows by array copies. A buffer of a
-dataset's own size holds the dataset's columns themselves, read-only.
+behavior segment's at once, each in a row that it keeps to the end of the
+rollout, and one ``envs.behavior_act`` acts on every row at each step.
+``ReplayBuffer`` holds one ring per run of a lockstep group, each ring at
+its run's place for the buffer's life, and its ``sample``, and
+``MixedSampler.sample`` through the same gather, draw every run's batch at
+once: the one gather path of pretraining and fine-tuning. ``push`` appends
+n rows to every ring by array copies. A buffer of a dataset's own size
+holds the dataset's columns themselves, read-only.
 
 On disk a dataset is a directory: one ``.npy`` file per column (the
 offsets too) and a ``manifest.json`` holding the env, behavior, reference
@@ -35,10 +36,9 @@ from .envs import (
     behavior_act,
     compute_reference_scores,
     env_spec,
-    make_env,
     run_episodes,
 )
-from .errors import DatasetFormatError, EmptyBufferError, ShapeError, parse
+from .errors import ConfigError, DatasetFormatError, EmptyBufferError, ShapeError, parse
 from .fsio import MANIFEST_FILE, read_json, write_json_atomic, write_npy_atomic
 from .seeding import rng_for, stable_seed
 
@@ -90,7 +90,7 @@ def _generate(
             behaviors.append(kind)
             rngs.append(rng_for("traj-behavior", run_seed, i))
             seeds.append(stable_seed("traj-env", run_seed, i))
-    columns = run_episodes(make_env(spec), seeds, behavior_act(spec, behaviors, rngs))
+    columns = run_episodes(spec, seeds, behavior_act(spec, behaviors, rngs))
     return OfflineDataset(**columns, env=spec, behavior=behavior, reference=reference)
 
 
@@ -187,13 +187,10 @@ class ReplayBuffer:
 
     def push(self, obs, action, reward, next_obs, terminated) -> None:
         """Append n transitions to every ring, oldest first: arrays of n rows
-        each with a leading run axis, (runs, n, ...), or for a lone buffer
-        also (n, ...). Once full, each row overwrites the oldest; of more
-        rows than the capacity only the newest are kept."""
+        each with a leading run axis, (runs, n, ...). Once full, each row
+        overwrites the oldest; of more rows than the capacity only the
+        newest are kept."""
         columns = (obs, action, reward, next_obs, terminated)
-        if np.ndim(reward) == 1:  # a lone buffer's rows
-            columns = tuple(column[None] for column in columns)
-        obs, action, reward, next_obs, terminated = columns
         widths = (obs.shape[2:], action.shape[2:], next_obs.shape[2:])
         if widths != ((self.obs_dim,), (self.action_dim,), (self.obs_dim,)):
             raise ShapeError(
@@ -212,15 +209,6 @@ class ReplayBuffer:
             rings[:, : keep - head] = rows[:, n - keep + head :]
         self._next = (self._next + n) % capacity
         self.size = min(self.size + n, capacity)
-
-    def keep(self, runs) -> None:
-        """Keep only the rings of ``runs`` (run indices), in that order."""
-        kept = []
-        for store in self._columns():
-            rings = store.reshape(self.runs, self.capacity, *store.shape[1:])[runs]
-            kept.append(rings.reshape(-1, *store.shape[1:]))
-        self._obs, self._action, self._reward, self._next_obs, self._terminated = kept
-        self.runs = len(runs)
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         """The storage of each TransitionBatch field, in field order."""
@@ -385,6 +373,8 @@ def _behavior_to_json(behavior):
 def behavior_segment(n_traj: int = 1, **behavior) -> tuple[BehaviorSpec, int]:
     """A mixture's segment from a ``behavior`` entry (through ``parse``): a
     behavior's fields plus ``n_traj``, its trajectories, 1 when absent."""
+    if n_traj < 1:
+        raise ConfigError(f"behavior.n_traj must be >= 1, got {n_traj}")
     return parse(BehaviorSpec, behavior, "behavior"), n_traj
 
 

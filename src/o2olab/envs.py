@@ -6,21 +6,21 @@ seed; all randomness flows through numpy Generators.
 
 One env object runs n episodes side by side, one state row each (see
 ``_Env``). Each episode keeps its own generator, so its rows are the same,
-bit for bit, whatever else runs beside it. A row stays in its place until
-its caller drops it with ``keep`` or starts a new episode in it with
-``restart``; a row whose episode has ended steps on, and its caller
-ignores what it returns. The fine-tune loop runs a row per run of its
-group and restarts a run's row when the run's episode ends.
+bit for bit, whatever else runs beside it. A row never moves: it holds its
+episode until its caller starts a new one in it with ``restart``, and a
+row whose episode has ended steps on while its caller ignores what it
+returns. The fine-tune loop runs a row per run of its group and restarts
+a run's row when the run's episode ends.
 
-Every score comes from one loop (``_returns``): it steps every row until
-every episode has ended, asks ``act(t, obs)`` for one action row per row
-at step t, and adds each row's rewards while its episode runs.
-``evaluate_policy`` asks one policy call for the rows of every episode of
-several policies at once, laid out as episodes x policies, and
-``compute_reference_scores`` each behavior's episodes side by side.
-``run_episodes`` (dataset generation) drops the rows of the episodes that
-end and returns the transitions as columns; its ``act(live, obs)`` gets
-the indices and observation rows of the live episodes.
+Every rollout goes through one loop (``_steps``): it steps every row until
+every episode has ended, asking ``act(t, obs)`` for one action row per row
+at step t, and tells which rows' episodes were still running. ``_returns``
+adds each row's rewards while its episode runs: ``evaluate_policy`` asks
+one policy call for the rows of every episode of several policies at
+once, laid out as episodes x policies, and ``compute_reference_scores``
+scores each behavior's episodes side by side. ``run_episodes`` (dataset
+generation) keeps the steps each episode ran and returns them as columns,
+episode after episode.
 
 The scripted behaviors act row-wise too: ``behavior_act`` is one ``act``
 for a set of trajectories, each of its own behavior kind and generator.
@@ -93,8 +93,8 @@ class _Env:
     leading axis over the rows, in seed order. ``step`` takes one action
     row per row and returns one row each. The rows stay fixed: a row whose
     episode has ended steps on, past its end, and what it returns means
-    nothing. ``keep`` drops rows, and ``restart`` starts a new episode in
-    place of a row's, leaving every other row as it was.
+    nothing. ``restart`` starts a new episode in place of a row's, leaving
+    every other row as it was.
 
     The env counts its steps in ``_t``, and each row the count at which its
     episode started, so rows that started apart truncate apart, each at the
@@ -127,13 +127,6 @@ class _Env:
             getattr(self, name)[rows] = new_rows
         self._started[rows] = self._t
         return obs
-
-    def keep(self, rows) -> None:
-        """Keep only the episodes of ``rows``, a boolean mask or row indices,
-        in that order."""
-        for name in self._STATE:
-            setattr(self, name, getattr(self, name)[rows])
-        self._started = self._started[rows]
 
     def step(self, actions) -> StepResult:
         n = len(self._started)
@@ -349,17 +342,18 @@ def expert_actions(spec: EnvSpec, obs: np.ndarray) -> np.ndarray:
 
 
 def behavior_act(spec: EnvSpec, behaviors: list[BehaviorSpec], rngs: list[np.random.Generator]):
-    """One ``act(live, obs)`` for ``run_episodes``: trajectory i acts by
+    """One ``act(t, obs)`` for ``run_episodes``: trajectory i acts by
     ``behaviors[i]``, drawing from its own generator ``rngs[i]`` as it
     would draw step by step alone. Every trajectory starts at the env's
-    reset, and ``act`` is called once per step.
+    reset, and ``act`` gets every row at each step t.
 
     A uniform-random or noisy-expert trajectory draws its whole horizon of
     actions or noise at once: row t of ``uniform(-1, 1, size=(horizon,
     action_dim))`` or ``normal(0, sigma, size=(horizon, action_dim))`` is
     its t-th per-step draw. An ``epsilon_mixture`` trajectory draws
     ``random()``, and ``uniform(-1, 1, size=action_dim)`` when it acts at
-    random, at each step, the live rows in order. Every other row takes the
+    random, at each step, the rows in order; past its episode's end it
+    draws on, and nothing reads those draws. Every other row takes the
     expert's action on its observation, a noisy expert's with its noise
     added and clipped to [-1, 1].
     """
@@ -374,22 +368,19 @@ def behavior_act(spec: EnvSpec, behaviors: list[BehaviorSpec], rngs: list[np.ran
         np.array([b.kind == kind for b in behaviors], dtype=bool)
         for kind in (UNIFORM_RANDOM, NOISY_EXPERT, EPSILON_MIXTURE)
     )
-    t = 0
+    mixing = np.flatnonzero(mixing).tolist()
 
-    def act(live, obs):
-        nonlocal t
-        t += 1
-        actions = drawn[t - 1].take(live, axis=0)  # right for the uniform-random rows
-        scripted = ~uniform[live]  # the rows that take the expert's action
-        for row in np.flatnonzero(mixing[live]).tolist():
-            i = int(live[row])
+    def act(t, obs):
+        actions = drawn[t].copy()  # right for the uniform-random rows
+        scripted = ~uniform  # the rows that take the expert's action
+        for i in mixing:
             if rngs[i].random() < behaviors[i].epsilon:
-                actions[row] = rngs[i].uniform(-1.0, 1.0, size=width)
-                scripted[row] = False
+                actions[i] = rngs[i].uniform(-1.0, 1.0, size=width)
+                scripted[i] = False
         rows = np.flatnonzero(scripted)
         if len(rows):
             expert = expert_actions(spec, obs[rows])
-            shaken = noisy[live[rows]]
+            shaken = noisy[rows]
             if shaken.any():
                 noise = actions[rows[shaken]]
                 expert[shaken] = np.minimum(np.maximum(expert[shaken] + noise, -1.0), 1.0)
@@ -418,60 +409,55 @@ class ReferenceScores:
         )
 
 
-def run_episodes(env: _Env, seeds, act) -> dict:
-    """Roll one episode per seed side by side in ``env``.
+def _steps(env: _Env, seeds, act):
+    """Roll one episode per seed side by side in ``env``, every row until
+    every episode has ended: the one rollout loop.
 
-    At every step ``act(live, obs)`` gets the (live,) episode indices and
-    (live, obs_dim) observation rows of the episodes still running, in
-    episode order, and returns one action row per row; the rows of the
-    episodes that the step ends are then dropped. Returns the transitions
-    as columns (obs, action, reward, next_obs, terminated, truncated),
-    episode after episode in step order, and ``offsets``: episode i's rows
-    are ``offsets[i]:offsets[i + 1]``."""
-    live = np.arange(len(seeds))
+    At step t (from 0) ``act(t, obs)`` gets the (n, obs_dim) observations
+    of every row and returns one action row each. Yields, per step, the
+    observations, the actions, the step's ``StepResult`` and the (n,) mask
+    of the rows whose episodes the step belongs to. A row whose episode
+    has ended steps on, and its caller ignores it."""
     obs = env.reset(seeds)
-    steps = []
-    while len(live):
-        actions = np.asarray(act(live, obs), dtype=np.float64)
+    running = np.ones(len(seeds), dtype=bool)
+    t = 0
+    while running.any():
+        actions = np.asarray(act(t, obs), dtype=np.float64)
         res = env.step(actions)
-        steps.append((live, obs, actions, res.reward, res.next_obs, res.terminated, res.truncated))
-        running = ~res.done
-        if running.all():
-            obs = res.next_obs
-        else:
-            env.keep(running)
-            live, obs = live[running], res.next_obs[running]
-    episode, *fields = (np.concatenate(part) for part in zip(*steps))
-    order = np.argsort(episode, kind="stable")
+        yield obs, actions, res, running
+        running = running & ~res.done
+        obs = res.next_obs
+        t += 1
+
+
+def run_episodes(spec: EnvSpec, seeds, act) -> dict:
+    """Roll one episode per seed side by side (see ``_steps``, which asks
+    ``act(t, obs)`` for every row at each step). Returns the steps each
+    episode ran as columns (obs, action, reward, next_obs, terminated,
+    truncated), episode after episode in step order, and ``offsets``:
+    episode i's rows are ``offsets[i]:offsets[i + 1]``."""
+    *fields, running = zip(*(
+        (obs, actions, res.reward, res.next_obs, res.terminated, res.truncated, running)
+        for obs, actions, res, running in _steps(make_env(spec), seeds, act)
+    ))
+    ran = np.stack(running, axis=1)  # (episodes, steps): the steps each episode ran
     names = ("obs", "action", "reward", "next_obs", "terminated", "truncated")
-    columns = {name: field[order] for name, field in zip(names, fields)}
-    columns["offsets"] = np.searchsorted(episode[order], np.arange(len(seeds) + 1))
+    columns = {name: np.stack(field, axis=1)[ran] for name, field in zip(names, fields)}
+    columns["offsets"] = np.concatenate(([0], np.cumsum(ran.sum(axis=1))))
     return columns
 
 
 def _returns(spec: EnvSpec, seeds, act) -> tuple[np.ndarray, np.ndarray]:
     """The undiscounted return and the length of one episode per seed,
-    rolled side by side in one env.
-
-    Every row steps until every episode has ended: at step t (from 0)
-    ``act(t, obs)`` gets the (n, obs_dim) observations of every row and
-    returns one action row each. A row whose episode has ended steps on,
-    and its rewards are not added; each return is summed in its episode's
-    own step order, so it equals that of the episode rolled alone."""
-    env = make_env(spec)
-    obs = env.reset(seeds)
+    rolled side by side (see ``_steps``, which asks ``act(t, obs)`` for
+    every row at each step). Each row's rewards are added while its episode
+    runs, in its own step order, so each return equals that of its episode
+    rolled alone."""
     raw = np.zeros(len(seeds))
     lengths = np.zeros(len(seeds), dtype=np.int64)
-    running = np.ones(len(seeds), dtype=bool)
-    t = 0
-    while running.any():
-        res = env.step(act(t, obs))
-        t += 1
+    for _, _, res, running in _steps(make_env(spec), seeds, act):
         np.add(raw, res.reward, out=raw, where=running)
-        ended = running & res.done
-        lengths[ended] = t
-        running ^= ended
-        obs = res.next_obs
+        lengths += running
     return raw, lengths
 
 

@@ -12,8 +12,10 @@ the first update step, the online buffer's size and preload, the offline
 share and the counters they start from, and ``lockstep_runs`` sizes a
 group by its critic work. The group's run state is group-level, as its
 agent is: one env with a row per run, one online buffer with a ring per
-run, and one gather of every run's batch per update. The evaluation curve
-is scored after training, in one pass over every run and curve point.
+run, and one gather of every run's batch per update. A run keeps its place
+in each of them for the life of the group: a run that aborts stays there,
+masked, and nothing reads it again. The evaluation curve is scored after
+training, in one pass over every run and curve point.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .agents import (
     act,
     policy_fn,
     reset_parameters,
-    select_runs,
     stack_agents,
     td3_update,
 )
@@ -231,7 +232,7 @@ def lockstep_runs(hyper: Td3Hyper, spec: EnvSpec) -> int:
 class _Run:
     """One run of a lockstep group: its log, its counters and its
     generators. Its env row, its ring of the group's online buffer and its
-    agent are the group's, at the run's place among the live runs."""
+    agent row are the group's, at the run's place in the group."""
 
     log: RunLog
     replays: bool  # its batches mix in the dataset's own buffer (see _replays)
@@ -254,15 +255,14 @@ class _Run:
         return stable_seed("episode", self.log.seed, self.episode)
 
     def finish(self, env_steps: int, updates: int, offline_draws: int) -> None:
-        """Record the counters of the run, which leaves the group after
-        ``env_steps`` steps and ``updates`` updates; a replaying run's
-        batches hold ``offline_draws`` dataset rows each."""
+        """Record the counters of the run, which ends after ``env_steps``
+        steps and ``updates`` updates; a replaying run's batches hold
+        ``offline_draws`` dataset rows each."""
         self.log.counters = {
             "env_steps": env_steps,
             "updates": updates,
             "episodes_started": self.episode + 1,
-            # every update draws one batch of each live run, the one that
-            # aborts it too
+            # the run draws one batch per update, the one that aborts it too
             "dataset_samples": updates + self.log.aborted if self.replays and offline_draws else 0,
         }
 
@@ -272,7 +272,7 @@ def _evaluate_curves(dataset: OfflineDataset, episodes: int, points: list) -> No
     curve point in order, its step, its live runs and a copy of their
     stacked actors; one ``evaluate_policy`` call scores every (run, point)
     pair over its seeded episodes."""
-    pairs = [(k, step, run) for k, (step, live, _) in enumerate(points) for run in live]
+    pairs = [(k, step, run) for k, (step, runs, _) in enumerate(points) for run in runs]
     results = evaluate_policy(
         policy_fn(nn.stack_nets([actors for _, _, actors in points])),
         dataset.env,
@@ -308,8 +308,9 @@ def run_finetune(
     holding a copy of the dataset. One gather (``ReplayBuffer.sample``)
     draws every run's batch per update. Each run keeps its own episode
     seeds and generators, so its RunLog equals the one it would record
-    alone. A run whose update blows up aborts alone: its agent, env row and
-    ring leave the group.
+    alone. A run whose update blows up aborts alone: its agent row, env row
+    and ring stay in place and are ignored, and the group ends when no run
+    is live.
 
     The curve is evaluated after training: at each curve point the loop
     keeps a copy of the live runs' actors, and one evaluation then scores
@@ -330,53 +331,46 @@ def run_finetune(
     group = stack_agents(agents)
     agents.clear()
     spec = dataset.env
-    offline = ReplayBuffer.from_dataset(dataset) if any(map(_replays, configs)) else None
+    runs = [_Run.start(config, seed) for config, seed in zip(configs, seeds)]
+    live = np.ones(len(runs), dtype=bool)  # the runs that have not aborted
     if single_buffer:  # every ring starts out holding the dataset
-        online = ReplayBuffer.from_dataset(dataset, capacity + dataset.n_transitions, len(seeds))
+        online = ReplayBuffer.from_dataset(dataset, capacity + dataset.n_transitions, len(runs))
     else:
-        online = ReplayBuffer(capacity, spec.obs_dim, spec.action_dim, len(seeds))
-    every = [_Run.start(config, seed) for config, seed in zip(configs, seeds)]
-    runs = list(every)  # the live runs, in the order of the group's runs
-
-    def sampler_of(runs: list[_Run]):
-        if offline is None:
-            return online
-        return MixedSampler(offline, online, alpha, [run.replays for run in runs])
-
-    sampler = sampler_of(runs)
-    offline_draws = sampler.offline_count(hyper.batch) if offline is not None else 0
+        online = ReplayBuffer(capacity, spec.obs_dim, spec.action_dim, len(runs))
+    sampler, offline_draws = online, 0
+    if any(run.replays for run in runs):
+        offline = ReplayBuffer.from_dataset(dataset)
+        sampler = MixedSampler(offline, online, alpha, [run.replays for run in runs])
+        offline_draws = sampler.offline_count(hyper.batch)
+    sample_rngs = [run.sample_rng for run in runs]
+    update_rngs = [run.update_rng for run in runs]
+    explore_rngs = [run.explore_rng for run in runs]
     env = make_env(spec)
     obs = env.reset([run.episode_seed() for run in runs])
     updates = 0  # of each live run
     points = []  # per curve point: its step, its live runs and a copy of their actors
 
-    def keep_point(step: int) -> None:
-        points.append((step, runs, group.actor.copy()))
+    def add_point(step: int) -> None:
+        points.append((step, [run for run, alive in zip(runs, live) if alive], group.actor[live]))
 
-    keep_point(0)  # for replay_reset this is the post-reset policy
+    add_point(0)  # for replay_reset this is the post-reset policy
     for step in range(1, total_env_steps + 1):
         if step > start_delay:
             for _ in range(utd):
-                batch = sampler.sample(hyper.batch, [run.sample_rng for run in runs])
-                failed = td3_update(group, batch, reg, [run.update_rng for run in runs])
-                if failed:
-                    for i, reason in failed.items():
+                batch = sampler.sample(hyper.batch, sample_rngs)
+                failed = td3_update(group, batch, reg, update_rngs)
+                for i, reason in failed.items():
+                    if live[i]:  # an aborted run may be reported again; it ended here
+                        live[i] = False
                         runs[i].log.aborted = True
                         runs[i].log.abort_reason = reason
                         runs[i].finish(step - 1, updates, offline_draws)
-                    keep = [i for i in range(len(runs)) if i not in failed]
-                    runs = [runs[i] for i in keep]
-                    if not runs:
-                        break
-                    group = select_runs(group, keep)
-                    online.keep(keep)
-                    sampler = sampler_of(runs)
-                    env.keep(keep)
-                    obs = obs[keep]
+                if not live.any():
+                    break
                 updates += 1
-        if not runs:
+        if not live.any():
             break
-        actions = act(group, obs, explore=True, rngs=[run.explore_rng for run in runs])
+        actions = act(group, obs, explore_rngs)
         res = env.step(actions)
         transitions = (obs, actions, res.reward, res.next_obs, res.terminated)
         online.push(*(rows[:, None] for rows in transitions))  # one row per ring
@@ -387,9 +381,10 @@ def run_finetune(
                 runs[i].episode += 1
             obs[ended] = env.restart(ended, [runs[i].episode_seed() for i in ended])
         if step % eval_every == 0:
-            keep_point(step)
+            add_point(step)
 
-    for run in runs:
-        run.finish(total_env_steps, updates, offline_draws)
+    for run, alive in zip(runs, live):
+        if alive:
+            run.finish(total_env_steps, updates, offline_draws)
     _evaluate_curves(dataset, eval_episodes, points)
-    return [run.log for run in every]
+    return [run.log for run in runs]

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import MissingInputError
+
 # the JSON half of every artifact stored as ``.npy`` arrays plus a manifest
 MANIFEST_FILE = "manifest.json"
 
@@ -42,8 +44,11 @@ def _holds(path: Path, data: memoryview) -> bool:
 
 def _write_atomic(path, data) -> None:
     """Write the bytes-like ``data`` to ``path`` unless the file already
-    holds exactly it."""
+    holds exactly it. A directory in the file's place is a
+    MissingInputError, as no stage can write the file there."""
     path, data = Path(path), memoryview(data)
+    if path.is_dir():
+        raise MissingInputError(f"{path} is a directory where a file belongs; remove it")
     if _holds(path, data):
         return
     tmp = path.with_name(path.name + ".tmp")

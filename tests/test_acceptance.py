@@ -162,8 +162,8 @@ def test_criterion_6_mixed_sampler_exactness():
         on = ReplayBuffer(300, 2, 1)
         obs = np.random.default_rng(0).normal(size=(300, 2))
         no_action, not_terminal = np.zeros((300, 1)), np.zeros(300, dtype=bool)
-        off.push(obs, no_action, np.ones(300), obs, not_terminal)
-        on.push(obs, no_action, np.zeros(300), obs, not_terminal)
+        off.push(obs[None], no_action[None], np.ones((1, 300)), obs[None], not_terminal[None])
+        on.push(obs[None], no_action[None], np.zeros((1, 300)), obs[None], not_terminal[None])
         sampler = MixedSampler(off, on, alpha=0.5)
         rng = np.random.default_rng(123)
         for _ in range(10_000):

@@ -36,7 +36,6 @@ from o2olab.envs import (
     compute_reference_scores,
     env_spec,
     evaluate_policy,
-    make_env,
     run_episodes,
 )
 from o2olab.errors import MissingInputError, NumericError, ShapeError
@@ -106,20 +105,23 @@ def test_targets_start_equal_to_online():
 
 
 def test_act_deterministic_and_clipped():
+    # the policy is deterministic, and the exploring act is determined by
+    # its generators; both are clipped to [-1, 1]
     agent = make_td3_agent(3, 2, SMALL, seed=0)
     obs = np.array([0.5, -0.2, 1.0])
-    a1 = act(agent, obs)
-    a2 = act(agent, obs)
-    assert np.array_equal(a1, a2)
+    a1 = policy_fn(agent.actor)(obs)
+    assert np.array_equal(a1, policy_fn(agent.actor)(obs))
     assert np.all(np.abs(a1) <= 1.0)
     rng = np.random.default_rng(0)
     for _ in range(100):
-        noisy = act(agent, obs[None], explore=True, rngs=[rng])
+        noisy = act(agent, obs[None], [rng])
         assert np.all(np.abs(noisy) <= 1.0)
+    assert np.array_equal(act(agent, obs[None], [np.random.default_rng(1)]),
+                          act(agent, obs[None], [np.random.default_rng(1)]))
     # one row and one generator per run: no noise row is shared by others
     for rows, rngs in ((obs, [rng]), (np.stack([obs, obs]), [rng]), (obs[None], [rng, rng])):
         with pytest.raises(ValueError, match="one row and one generator per run"):
-            act(agent, rows, explore=True, rngs=rngs)
+            act(agent, rows, rngs)
 
 
 @pytest.mark.parametrize("obs_dim,action_dim", [(3, 1), (4, 2)])
@@ -127,9 +129,10 @@ def test_act_deterministic_and_clipped():
 def test_act_on_rows_equals_act_per_row(obs_dim, action_dim, hidden):
     agent = make_td3_agent(obs_dim, action_dim, Td3Hyper(hidden=hidden), seed=2)
     rows = np.random.default_rng(3).normal(0.0, 4.0, size=(17, obs_dim))
-    got = act(agent, rows)
+    policy = policy_fn(agent.actor)
+    got = policy(rows)
     assert got.shape == (17, action_dim)
-    assert np.array_equal(got, np.stack([act(agent, r) for r in rows]))
+    assert np.array_equal(got, np.stack([policy(r) for r in rows]))
 
 
 def steer_to_goal(agent):
@@ -169,9 +172,9 @@ def test_evaluate_policy_equals_sequential_episodes(kind, hidden):
         want = []
         for i in range(episodes):
             episode_seed = stable_seed("eval-episode", seed, i)
-            steps = reference_episode(spec, lambda obs: act(agent, obs), episode_seed)
-            rolled = run_episodes(make_env(spec), [episode_seed],
-                                  lambda live, obs: [act(agent, o) for o in obs])
+            policy = policy_fn(agent.actor)
+            steps = reference_episode(spec, policy, episode_seed)
+            rolled = run_episodes(spec, [episode_seed], lambda t, obs: [policy(o) for o in obs])
             assert_columns_equal_steps(rolled, 0, steps)
             raw = 0.0
             for step in steps:
@@ -218,9 +221,7 @@ def test_act_zero_noise_equals_deterministic():
     hyper = Td3Hyper(hidden=(8,), explore_noise=0.0)
     agent = make_td3_agent(3, 1, hyper, seed=1)
     obs = np.array([[0.1, 0.2, 0.3]])
-    assert np.array_equal(
-        act(agent, obs, explore=True, rngs=[np.random.default_rng(0)]), act(agent, obs)
-    )
+    assert np.array_equal(act(agent, obs, [np.random.default_rng(0)]), policy_fn(agent.actor)(obs))
 
 
 def test_reset_equals_fresh_agent():
@@ -518,14 +519,14 @@ def test_group_act_and_policy_act_as_each_run():
     agents = [make_td3_agent(4, 2, SMALL, seed=s) for s in range(3)]
     group = stack_agents(agents)
     obs = np.random.default_rng(0).normal(0.0, 4.0, size=(3, 4))
-    got = act(group, obs, explore=True, rngs=[np.random.default_rng(r) for r in range(3)])
+    got = act(group, obs, [np.random.default_rng(r) for r in range(3)])
     for r, agent in enumerate(agents):
-        alone = act(agent, obs[r : r + 1], explore=True, rngs=[np.random.default_rng(r)])
+        alone = act(agent, obs[r : r + 1], [np.random.default_rng(r)])
         assert np.array_equal(got[r : r + 1], alone)
     # the evaluation policy: episodes x runs rows, each by its run's actor
     policy = policy_fn(group.actor)
     rows = np.random.default_rng(1).normal(0.0, 4.0, size=(5, 3, 4))
-    want = np.stack([[act(agents[r], row[r]) for r in range(3)] for row in rows])
+    want = np.stack([[policy_fn(agents[r].actor)(row[r]) for r in range(3)] for row in rows])
     assert np.array_equal(policy(rows), want)
 
 
@@ -795,7 +796,7 @@ def test_checkpoint_round_trip(tmp_path):
         assert (a.learning_rate, a.step_count) == (b.learning_rate, b.step_count)
         assert np.array_equal(a.m, b.m) and np.array_equal(a.v, b.v)
     obs = np.array([1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(act(agent, obs), act(back, obs))
+    assert np.array_equal(policy_fn(agent.actor)(obs), policy_fn(back.actor)(obs))
     # loading and saving again reproduces both files byte for byte
     save_agent(back, tmp_path / "again", extra={"seed": 8})
     for name in ("manifest.json", "params.npy"):

@@ -59,6 +59,12 @@ def assert_same_columns(got, want):
         assert np.array_equal(got[f], want[f]), f
 
 
+def one_run(columns):
+    """``columns`` with a leading run axis of one, as a lone buffer's
+    ``push`` takes them."""
+    return {f: np.asarray(column)[None] for f, column in columns.items()}
+
+
 def rows(ks, obs_dim=2, action_dim=1):
     """Transition k of a buffer test, for each k in ``ks``, as push's columns:
     every field holds k, next_obs k + 0.5, never terminated."""
@@ -232,10 +238,10 @@ def test_expert_dataset_mean_near_one(sparse_reference):
 
 def test_buffer_ring_semantics():
     buf = ReplayBuffer(2, 2, 1)
-    buf.push(**rows([1]))
+    buf.push(**one_run(rows([1])))
     assert len(buf) == 1
-    buf.push(**rows([2]))
-    buf.push(**rows([3]))
+    buf.push(**one_run(rows([2])))
+    buf.push(**one_run(rows([3])))
     assert len(buf) == 2
     assert_same_columns(fifo_columns(buf), rows([2, 3]))
 
@@ -243,20 +249,20 @@ def test_buffer_ring_semantics():
 def test_buffer_size_tracks_pushes():
     buf = ReplayBuffer(10, 2, 1)
     for k in range(1, 8):
-        buf.push(**rows([k]))
+        buf.push(**one_run(rows([k])))
         assert len(buf) == k
 
 
 def test_buffer_fifo_under_repeated_overflow():
     buf = ReplayBuffer(3, 2, 1)
     for k in range(10):
-        buf.push(**rows([k]))
+        buf.push(**one_run(rows([k])))
     assert_same_columns(fifo_columns(buf), rows([7, 8, 9]))
 
 
 def one_row_at_a_time(buf, columns):
     for k in range(len(columns["reward"])):
-        buf.push(**{f: columns[f][k : k + 1] for f in BUFFER_FIELDS})
+        buf.push(**{f: columns[f][None, k : k + 1] for f in BUFFER_FIELDS})
 
 
 def assert_same_buffer(got, want):
@@ -289,8 +295,8 @@ def test_a_larger_buffer_holds_the_dataset_in_every_ring(sparse_reference):
     group = ReplayBuffer.from_dataset(ds, capacity, runs=2)
     off = ReplayBuffer(40, 4, 2)
     draws = np.random.default_rng(5)
-    off.push(draws.normal(size=(40, 4)), draws.normal(size=(40, 2)), draws.normal(size=40),
-             draws.normal(size=(40, 4)), draws.random(40) < 0.5)
+    off.push(draws.normal(size=(1, 40, 4)), draws.normal(size=(1, 40, 2)),
+             draws.normal(size=(1, 40)), draws.normal(size=(1, 40, 4)), draws.random((1, 40)) < 0.5)
     assert not np.shares_memory(group._obs, ds.obs)
     for ring in group._obs.reshape(2, capacity, 4):
         assert np.array_equal(ring[:n], ds.obs) and not ring[n:].any()
@@ -306,7 +312,7 @@ def test_a_larger_buffer_holds_the_dataset_in_every_ring(sparse_reference):
                   rng.random((2, chunk)) < 0.1]
         group.push(*online)
         for r, buf in enumerate(copied):
-            buf.push(*(column[r] for column in online))
+            buf.push(*(column[r : r + 1] for column in online))
         got = group.sample(64, [np.random.default_rng(s) for s in (1, 2)])
         # the second run mixes in offline draws
         mixed = MixedSampler(off, group, 0.5, [False, True])
@@ -331,7 +337,7 @@ def test_bulk_push_matches_pushing_rows_in_order(chunks):
     start = 0
     for n in chunks:
         columns = rows(range(start, start + n))
-        bulk.push(**columns)
+        bulk.push(**one_run(columns))
         one_row_at_a_time(pushed, columns)
         start += n
         assert_same_buffer(bulk, pushed)
@@ -340,25 +346,25 @@ def test_bulk_push_matches_pushing_rows_in_order(chunks):
 @pytest.mark.parametrize("field,width", [("obs", 3), ("action", 2), ("next_obs", 1)])
 def test_push_rejects_mismatched_widths(field, width):
     buf = ReplayBuffer(5, 2, 1)
-    buf.push(**rows([1]))
+    buf.push(**one_run(rows([1])))
     columns = rows([2, 3])
     columns[field] = np.zeros((2, width))
     with pytest.raises(ShapeError, match="do not match buffer"):
-        buf.push(**columns)
+        buf.push(**one_run(columns))
     assert (len(buf), buf._next) == (1, 1)
     assert_same_columns(fifo_columns(buf), rows([1]))
 
 
 def test_buffer_sample_single_item():
     buf = ReplayBuffer(4, 2, 1)
-    buf.push(**rows([5]))
+    buf.push(**one_run(rows([5])))
     batch = buf.sample(6, [np.random.default_rng(0)])
     assert batch.obs.shape == (1, 6, 2) and np.all(batch.obs == 5.0)
 
 
 def test_buffer_sample_reproducible():
     buf = ReplayBuffer(16, 2, 1)
-    buf.push(**rows(range(16)))
+    buf.push(**one_run(rows(range(16))))
     b1 = buf.sample(8, [np.random.default_rng(3)])
     b2 = buf.sample(8, [np.random.default_rng(3)])
     assert np.array_equal(b1.obs, b2.obs)
@@ -368,7 +374,7 @@ def test_buffer_sample_uniform_chi_square():
     # frequencies of each slot over 100k draws against a chi-square oracle
     n_items, draws = 20, 100_000
     buf = ReplayBuffer(n_items, 2, 1)
-    buf.push(**rows(range(n_items)))
+    buf.push(**one_run(rows(range(n_items))))
     rng = np.random.default_rng(12345)
     counts = np.zeros(n_items)
     for _ in range(100):
@@ -394,8 +400,8 @@ def test_buffer_empty_sample_raises():
 def _marked_buffers(n_off=50, n_on=50):
     off = ReplayBuffer(n_off, 2, 1)
     on = ReplayBuffer(n_on, 2, 1)
-    off.push(**{**rows(range(n_off)), "reward": np.ones(n_off)})  # offline marker
-    on.push(**{**rows(range(n_on)), "reward": np.zeros(n_on)})
+    off.push(**one_run({**rows(range(n_off)), "reward": np.ones(n_off)}))  # offline marker
+    on.push(**one_run({**rows(range(n_on)), "reward": np.zeros(n_on)}))
     return off, on
 
 
@@ -440,8 +446,8 @@ def test_mixed_sample_equals_concatenate_then_permute(alpha):
     rng = np.random.default_rng(3)
     off, on = ReplayBuffer(40, 2, 1), ReplayBuffer(30, 2, 1)
     for buf, n in ((off, 70), (on, 45)):
-        buf.push(rng.normal(size=(n, 2)), rng.normal(size=(n, 1)), rng.normal(size=n),
-                 rng.normal(size=(n, 2)), rng.random(n) < 0.5)
+        buf.push(rng.normal(size=(1, n, 2)), rng.normal(size=(1, n, 1)), rng.normal(size=(1, n)),
+                 rng.normal(size=(1, n, 2)), rng.random((1, n)) < 0.5)
     sampler = MixedSampler(off, on, alpha=alpha)
     for seed in range(5):
         got = sampler.sample(64, [np.random.default_rng(seed)])

@@ -99,8 +99,8 @@ def behavior_policy(behavior, spec, rng):
 
 
 def expert_act(spec):
-    """The expert as an ``act(live, obs)`` of ``run_episodes``."""
-    return lambda live, obs: expert_actions(spec, obs)
+    """The expert as an ``act(t, obs)`` of ``run_episodes``."""
+    return lambda t, obs: expert_actions(spec, obs)
 
 
 def assert_steps_equal(got, want):
@@ -224,7 +224,7 @@ def test_pendulum_dynamics_step():
 
 def test_a_row_steps_on_past_its_end_and_an_env_without_rows_refuses_a_step():
     # the env drops no row: a row whose episode has ended steps on, beside
-    # one still running, until its caller drops it with keep
+    # one still running, until its caller restarts it or resets the env
     spec = env_spec("pendulum", horizon=2)
     env = make_env(spec)
     env.reset([0])
@@ -238,7 +238,7 @@ def test_a_row_steps_on_past_its_end_and_an_env_without_rows_refuses_a_step():
     env.step(np.zeros((2, 1)))
     assert env.step(np.zeros((2, 1))).truncated.tolist() == [True, True]
     assert env.step(np.zeros((2, 1))).reward.shape == (2,)
-    env.keep([False, False])
+    env.reset([])
     with pytest.raises(RuntimeError):
         env.step(np.zeros((0, 1)))
     with pytest.raises(RuntimeError):
@@ -278,10 +278,9 @@ def test_trajectories_bit_identical():
     for _ in range(2):
         runs = []
         for _ in range(2):
-            env = make_env(spec)
             rng = np.random.default_rng(99)
             act = behavior_act(spec, [BehaviorSpec("uniform_random")], [rng])
-            runs.append(run_episodes(env, [4], act))
+            runs.append(run_episodes(spec, [4], act))
         c1, c2 = runs
         assert sum(c1["reward"].tolist()) == sum(c2["reward"].tolist())
         for name in (*STEP_COLUMNS, "offsets"):
@@ -290,10 +289,9 @@ def test_trajectories_bit_identical():
 
 def test_sparse_rewards_binary_single_success():
     spec = env_spec("point_goal_sparse")
-    env = make_env(spec)
     rng = np.random.default_rng(0)
     for ep in range(20):
-        columns = run_episodes(env, [ep], behavior_act(spec, [BehaviorSpec("expert")], [rng]))
+        columns = run_episodes(spec, [ep], behavior_act(spec, [BehaviorSpec("expert")], [rng]))
         rewards = columns["reward"].tolist()
         assert set(rewards) <= {0.0, 1.0}
         assert sum(rewards) <= 1.0
@@ -303,11 +301,12 @@ def test_sparse_rewards_binary_single_success():
 
 @pytest.mark.parametrize("kind", ["pendulum", "point_goal_dense", "point_goal_sparse"])
 def test_rows_equal_reference_episodes(kind):
-    # n episodes in one env, stepped directly (keeping the rows of the
-    # episodes still running) and through run_episodes, and each alone
-    # through run_episodes, against the per-episode reference. At horizon 20
-    # the expert brings some point-goal episodes to the goal, at different
-    # steps, and runs out of time on others.
+    # n episodes in one env, stepped directly (every row until every episode
+    # has ended, recording the rows of the episodes still running) and
+    # through run_episodes, and each alone through run_episodes, against the
+    # per-episode reference. At horizon 20 the expert brings some point-goal
+    # episodes to the goal, at different steps, and runs out of time on
+    # others.
     spec = env_spec(kind, horizon=20)
     policy = expert_policy(spec)
     endings = set()
@@ -315,23 +314,22 @@ def test_rows_equal_reference_episodes(kind):
         seeds = [stable_seed("rows", kind, n, i) for i in range(n)]
         want = [reference_episode(spec, policy, s) for s in seeds]
         for s, w in zip(seeds, want):
-            assert_columns_equal_steps(run_episodes(make_env(spec), [s], expert_act(spec)), 0, w)
-        columns = run_episodes(make_env(spec), seeds, expert_act(spec))
+            assert_columns_equal_steps(run_episodes(spec, [s], expert_act(spec)), 0, w)
+        columns = run_episodes(spec, seeds, expert_act(spec))
         for i, w in enumerate(want):
             assert_columns_equal_steps(columns, i, w)
         env = make_env(spec)
         obs = env.reset(seeds)
         got = [[] for _ in seeds]
-        live = list(range(n))
-        while live:
+        running = np.ones(n, dtype=bool)
+        while running.any():
             actions = np.stack([policy(o) for o in obs])
             res = env.step(actions)
-            for j, i in enumerate(live):
-                got[i].append((obs[j], actions[j], res.reward[j], res.next_obs[j],
-                               res.terminated[j], res.truncated[j]))
-            live = [i for i, done in zip(live, res.done) if not done]
-            env.keep(~res.done)
-            obs = res.next_obs[~res.done]
+            for i in np.flatnonzero(running):
+                got[i].append((obs[i], actions[i], res.reward[i], res.next_obs[i],
+                               res.terminated[i], res.truncated[i]))
+            running &= ~res.done
+            obs = res.next_obs
         for g, w in zip(got, want):
             assert_steps_equal(g, w)
         endings |= {(len(w), w[-1][4]) for w in want}
@@ -382,22 +380,25 @@ def test_a_row_restarted_alone_leaves_the_others_as_alone(kind):
     assert any(terminated for _, terminated in ends)
 
 
-def test_run_episodes_asks_each_live_episode_in_row_order():
-    # at every step the act gets each live episode's row once, in episode
-    # order, and an ended episode's no more
+def test_run_episodes_asks_every_row_at_every_step():
+    # at every step t the act gets every episode's row, in episode order,
+    # an ended episode's too, until the longest episode has ended
     spec = env_spec("point_goal_dense", horizon=20)
     calls = []
 
-    def logging_act(live, obs):
-        calls.extend(live.tolist())
+    def logging_act(t, obs):
+        calls.append((t, obs.copy()))
         return expert_actions(spec, obs)
 
     n = 12
     seeds = [stable_seed("rows", "order", i) for i in range(n)]
-    columns = run_episodes(make_env(spec), seeds, logging_act)
+    columns = run_episodes(spec, seeds, logging_act)
     lengths = np.diff(columns["offsets"]).tolist()
     assert len(set(lengths)) > 1
-    assert calls == [i for t in range(max(lengths)) for i in range(n) if lengths[i] > t]
+    assert [t for t, _ in calls] == list(range(max(lengths)))
+    for i, (start, length) in enumerate(zip(columns["offsets"].tolist(), lengths)):
+        rows = np.stack([obs[i] for _, obs in calls])
+        assert np.array_equal(rows[:length], columns["obs"][start : start + length])
 
 
 def test_goal_distance_is_the_vector_dot_product():
@@ -440,7 +441,37 @@ def one_row_actions(behavior, spec, obs, rng, steps):
     """The actions of one trajectory acting by ``behavior`` on the same
     observation row at each of ``steps`` steps."""
     act = behavior_act(env_spec(spec.kind, horizon=steps), [behavior], [rng])
-    return np.concatenate([act(np.array([0]), obs[None]) for _ in range(steps)])
+    return np.concatenate([act(t, obs[None]) for t in range(steps)])
+
+
+def test_behavior_act_gets_every_row_at_every_step():
+    # trajectories of every kind side by side, some reaching the goal early:
+    # the act gets every row at each step, an ended trajectory's too, and
+    # each trajectory's rows equal those it rolls alone
+    spec = env_spec("point_goal_sparse", horizon=30)
+    kinds = [BehaviorSpec("expert"), BehaviorSpec("noisy_expert", sigma=0.3),
+             BehaviorSpec("epsilon_mixture", epsilon=0.3), BehaviorSpec("uniform_random")]
+    behaviors = kinds * 3
+    seeds = [stable_seed("every-row", i) for i in range(len(behaviors))]
+
+    def rngs():
+        return [np.random.default_rng(seed) for seed in seeds]
+
+    act, calls = behavior_act(spec, behaviors, rngs()), []
+
+    def logging_act(t, obs):
+        calls.append((t, len(obs)))
+        return act(t, obs)
+
+    columns = run_episodes(spec, seeds, logging_act)
+    lengths = np.diff(columns["offsets"]).tolist()
+    assert len(set(lengths)) > 1
+    assert calls == [(t, len(seeds)) for t in range(max(lengths))]
+    for i, (behavior, seed, rng) in enumerate(zip(behaviors, seeds, rngs())):
+        alone = run_episodes(spec, [seed], behavior_act(spec, [behavior], [rng]))
+        start, stop = columns["offsets"][i : i + 2]
+        for name in STEP_COLUMNS:
+            assert np.array_equal(columns[name][start:stop], alone[name]), name
 
 
 def test_epsilon_one_is_uniform_random_in_distribution():
@@ -622,7 +653,7 @@ def test_evaluation_steps_until_its_longest_episode_has_ended(kind):
         want = []
         for i in range(episodes):
             episode_seed = stable_seed("eval-episode", seed, i)
-            rewards = run_episodes(make_env(spec), [episode_seed], expert_act(spec))["reward"]
+            rewards = run_episodes(spec, [episode_seed], expert_act(spec))["reward"]
             raw = 0.0
             for reward in rewards.tolist():
                 raw += reward

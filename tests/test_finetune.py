@@ -170,11 +170,11 @@ def test_dataset_immutable_during_runs(dataset):
     assert np.array_equal(buf._terminated, dataset.terminated)
     rows = (dataset.obs, dataset.action, dataset.reward, dataset.next_obs, dataset.terminated)
     with pytest.raises(ValueError, match="read-only"):
-        buf.push(*(column[:1] for column in rows))
+        buf.push(*(column[None, :1] for column in rows))
     assert_same_dataset(dataset, snapshot)
     # it draws the batches of a buffer that copied the rows, bit for bit
     copied = ReplayBuffer(dataset.n_transitions, SPEC.obs_dim, SPEC.action_dim)
-    copied.push(*rows)
+    copied.push(*(column[None] for column in rows))
     got = buf.sample(64, [np.random.default_rng(4)])
     want = copied.sample(64, [np.random.default_rng(4)])
     for name, column in vars(got).items():
@@ -379,9 +379,9 @@ def test_every_curve_point_scores_its_actor_snapshot(
     actors = []  # per env step: the live runs' actors, as act saw them
     real_act = ft.act
 
-    def recording_act(agent, obs, **kwargs):
+    def recording_act(agent, obs, rngs):
         actors.append(agent.actor.params.reshape(agent.runs, -1).copy())
-        return real_act(agent, obs, **kwargs)
+        return real_act(agent, obs, rngs)
 
     monkeypatch.setattr(ft, "act", recording_act)
     configs = [small_config(method=m, warmup_steps=warmup_steps) for m in methods]
@@ -399,13 +399,101 @@ def test_every_curve_point_scores_its_actor_snapshot(
         for k, point in enumerate(log.eval_curve):
             if point.step == 0:
                 actor = start.actor
-            else:  # the live runs are a prefix of the group: only the last aborts
+            else:  # each run keeps its row of the group, an aborted one too
                 rows = actors[point.step - 1][r : r + 1].copy()  # a stack of one
                 actor = nn.DenseNet(layout.layer_sizes, rows, layout.hidden_activation,
                                     layout.output_activation)
             [alone] = evaluate_policy(policy_fn(actor), SPEC, dataset.reference,
                                       config.eval_episodes, [eval_seed_for(seed, k)])
             assert (point.mean, point.per_episode) == (alone.mean, alone.per_episode)
+
+
+def poisoned_updates(monkeypatch, schedule):
+    """Have the fine-tune loop's k-th update (from 1) find the rows
+    ``schedule[k]`` of its group's state NaN, as a blow-up leaves them, so
+    that ``td3_update`` reports those runs then and at every later update.
+    Returns the list that collects each update's report."""
+    import o2olab.finetune as ft
+
+    real, reports = ft.td3_update, []
+
+    def update(group, batch, reg, rngs):
+        for row in schedule.get(len(reports) + 1, ()):
+            group.state[row] = np.nan
+        reports.append(real(group, batch, reg, rngs))
+        return reports[-1]
+
+    monkeypatch.setattr(ft, "td3_update", update)
+    return reports
+
+
+def test_runs_that_abort_at_different_updates_each_record_as_alone(dataset, monkeypatch):
+    # the first run aborts at update 3 and the third at update 40, beside
+    # the second, which runs to the end; each aborted run is reported again
+    # at every later update, and each log equals that of its run alone
+    configs = [small_config(method=m) for m in ("baseline", "replay", "baseline")]
+    seeds, aborts = [5, 6, 7], {0: 3, 2: 40}
+    reports = poisoned_updates(monkeypatch, {3: [0], 40: [2]})
+    logs = run_finetune(dataset, [fresh_agent(s) for s in range(3)], configs, seeds)
+    assert [sorted(report) for report in reports[1:4]] == [[], [0], [0]]
+    assert [sorted(report) for report in reports[38:41]] == [[0], [0, 2], [0, 2]]
+    for r, (log, config, seed) in enumerate(zip(logs, configs, seeds)):
+        poisoned_updates(monkeypatch, {aborts[r]: [0]} if r in aborts else {})
+        [alone] = run_finetune(dataset, [fresh_agent(r)], [config], [seed])
+        assert log.to_dict() == alone.to_dict()
+    assert [log.aborted for log in logs] == [True, False, True]
+    assert [log.counters["updates"] for log in logs] == [2, 200 - HYPER.batch, 39]
+    assert [[p.step for p in log.eval_curve] for log in logs] == [
+        [0], [0, 50, 100, 150, 200], [0, 50]
+    ]
+
+
+def test_a_group_whose_runs_all_abort_ends_at_the_last_abort(dataset, monkeypatch):
+    # no update, env step or curve point follows the last run's abort, and
+    # each run records the counters of its own abort, as it would alone
+    configs = [small_config(method=m) for m in ("baseline", "replay")]
+    reports = poisoned_updates(monkeypatch, {3: [1], 5: [0]})
+    logs = run_finetune(dataset, [fresh_agent(0), fresh_agent(1)], configs, [5, 6])
+    assert len(reports) == 5
+    assert [(log.counters["env_steps"], log.counters["updates"]) for log in logs] == [
+        (HYPER.batch + 4, 4), (HYPER.batch + 2, 2)
+    ]
+    assert logs[1].counters["dataset_samples"] == 3  # its two updates and its abort
+    for r, (log, config, seed) in enumerate(zip(logs, configs, [5, 6])):
+        poisoned_updates(monkeypatch, {(5, 3)[r]: [0]})
+        [alone] = run_finetune(dataset, [fresh_agent(r)], [config], [seed])
+        assert log.to_dict() == alone.to_dict()
+
+
+def test_a_run_from_a_nan_checkpoint_acts_on_nan_rows_until_the_group_ends(
+    dataset, monkeypatch
+):
+    # the middle run's checkpoint holds NaN: it acts with NaN at every step
+    # of the group, aborts at its first update, and warns nothing (the
+    # suite's warnings are errors); the runs beside it record as alone
+    import o2olab.finetune as ft
+
+    real_act, actions = ft.act, []
+
+    def recording_act(agent, obs, rngs):
+        actions.append(real_act(agent, obs, rngs))
+        return actions[-1]
+
+    nan = fresh_agent(1)
+    nan.state[:] = np.nan
+    configs, seeds = [small_config(method="replay")] * 3, [5, 6, 7]
+    monkeypatch.setattr(ft, "act", recording_act)
+    logs = run_finetune(dataset, [fresh_agent(0), nan, fresh_agent(2)], configs, seeds)
+    monkeypatch.undo()
+    assert len(actions) == 200
+    assert all(np.isnan(step[1]).all() and np.isfinite(step[[0, 2]]).all() for step in actions)
+    assert (logs[1].aborted, logs[1].abort_reason) == (True, "non-finite critic target")
+    assert logs[1].counters == {"env_steps": HYPER.batch, "updates": 0,
+                                "episodes_started": 1, "dataset_samples": 1}
+    assert [p.step for p in logs[1].eval_curve] == [0] and np.isnan(logs[1].eval_curve[0].mean)
+    for r in (0, 2):
+        [alone] = run_finetune(dataset, [fresh_agent(r)], [configs[r]], [seeds[r]])
+        assert logs[r].to_dict() == alone.to_dict()
 
 
 # --- last_k stat ---

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from o2olab import fsio
+from o2olab.errors import MissingInputError
 from o2olab.fsio import write_json_atomic, write_npy_atomic, write_text_atomic
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "o2olab"
@@ -104,8 +105,9 @@ def test_a_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, mon
 
 
 def test_a_directory_in_the_way_leaves_no_temp_file(tmp_path):
+    # a MissingInputError that names the directory, as for a read
     (tmp_path / "report").mkdir()
-    with pytest.raises(IsADirectoryError):
+    with pytest.raises(MissingInputError, match="report is a directory where a file belongs"):
         write_text_atomic(tmp_path / "report", "text\n")
     assert [p.name for p in tmp_path.iterdir()] == ["report"]
 

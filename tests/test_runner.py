@@ -445,6 +445,13 @@ FAILING_LATER = {
         {"agent": {"hidden": [8, 8], "batch": 16, "critic_lr": -1}},
         "agent.critic_lr must be > 0, got -1.0",
     ),
+    "behavior n_traj 0": (
+        {"behavior": {"kind": "expert", "n_traj": 0}}, "behavior.n_traj must be >= 1, got 0"
+    ),
+    "behavior n_traj negative": (
+        {"behavior": [{"kind": "expert", "n_traj": 2}, {"kind": "uniform_random", "n_traj": -3}]},
+        "behavior.n_traj must be >= 1, got -3",
+    ),
 }
 
 
@@ -1762,6 +1769,30 @@ def test_cli_unreadable_inputs_end_in_one_line(finished, tmp_path, capsys, fault
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err, stage
         assert message in err, stage
+
+
+# a directory in place of a file that a stage writes: (stage, the file)
+UNWRITABLE_OUTPUTS = {
+    "checkpoint params a directory": ("pretrain --force",
+                                      lambda paths: paths.checkpoint(1) / "params.npy"),
+    "classify.json a directory": ("classify", lambda paths: paths.classify),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(UNWRITABLE_OUTPUTS))
+def test_cli_a_directory_in_place_of_an_output_ends_in_one_line(finished, tmp_path, capsys,
+                                                                fault):
+    stage, output = UNWRITABLE_OUTPUTS[fault]
+    config = copy_of(finished, tmp_path)
+    cfg_path = _write_config(tmp_path, {"out_dir": str(config.root)})
+    path = output(runner.Paths(config))
+    path.unlink()
+    path.mkdir()
+    capsys.readouterr()
+    assert cli.main([*stage.split(), "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"missing input: {path} is a directory where a file belongs; remove it\n"
+    assert path.is_dir() and not path.with_name(path.name + ".tmp").exists()
 
 
 def test_cli_usage_error_is_exit_1(capsys):
