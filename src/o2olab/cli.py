@@ -108,6 +108,12 @@ def _cmd_matrix(args) -> int:
     return EXIT_OK
 
 
+def _file_in_place(path: Path) -> Path:
+    """The file at ``path`` or at its nearest ancestor: it stands where a
+    directory belongs."""
+    return next((p for p in (path, *path.parents) if p.is_file()), path)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     runner._configure_process()
@@ -145,6 +151,11 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (FileExistsError, NotADirectoryError) as exc:  # a directory made, or read, over a file
+        path = _file_in_place(Path(exc.filename))
+        print(f"missing input: {path} is a file where a directory belongs; remove it",
+              file=sys.stderr)
+        return EXIT_MISSING
 
 
 if __name__ == "__main__":

@@ -7,12 +7,13 @@ trajectory offsets into the rows, as ``envs.run_episodes`` returns them.
 A dataset's trajectories are rolled side by side in one env, every
 behavior segment's at once, each in a row that it keeps to the end of the
 rollout, and one ``envs.behavior_act`` acts on every row at each step.
-``ReplayBuffer`` holds one ring per run of a lockstep group, each ring at
-its run's place for the buffer's life, and its ``sample``, and
+``ReplayBuffer`` holds one block of rows per run of a lockstep group, each
+block at its run's place for the buffer's life, and its ``sample``, and
 ``MixedSampler.sample`` through the same gather, draw every run's batch at
 once: the one gather path of pretraining and fine-tuning. ``push`` appends
-n rows to every ring by array copies. A buffer of a dataset's own size
-holds the dataset's columns themselves, read-only.
+n rows to every block by array copies, and a buffer is filled once: rows
+that would not fit raise. The dataset's own buffer holds the dataset's
+columns themselves, read-only.
 
 On disk a dataset is a directory: one ``.npy`` file per column (the
 offsets too) and a ``manifest.json`` holding the env, behavior, reference
@@ -157,12 +158,13 @@ class TransitionBatch:
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO rings of transitions with uniform sampling, one
-    ring per run of a lockstep group; a lone buffer is a group of one.
+    """Fixed-capacity stores of transitions, filled once, with uniform
+    sampling: one block of rows per run of a lockstep group; a lone buffer
+    is a group of one.
 
-    The runs push together, one row each per transition, so every ring
-    holds as many rows as the others, at the same slots. Each field is
-    stored as one array, ring after ring: slot s of ring r is row
+    The runs push together, one row each per transition, so every block
+    holds as many rows as the others, in push order. Each field is stored
+    as one array, block after block: row s of run r's block is row
     ``r * capacity + s``.
     """
 
@@ -174,7 +176,6 @@ class ReplayBuffer:
         self.obs_dim = obs_dim
         self.action_dim = action_dim
         self.size = 0
-        self._next = 0
         rows = runs * capacity
         self._obs = np.zeros((rows, obs_dim))
         self._action = np.zeros((rows, action_dim))
@@ -186,10 +187,9 @@ class ReplayBuffer:
         return self.size
 
     def push(self, obs, action, reward, next_obs, terminated) -> None:
-        """Append n transitions to every ring, oldest first: arrays of n rows
-        each with a leading run axis, (runs, n, ...). Once full, each row
-        overwrites the oldest; of more rows than the capacity only the
-        newest are kept."""
+        """Append n transitions to every block, after its rows so far:
+        arrays of n rows each with a leading run axis, (runs, n, ...). Rows
+        that would not fit raise, and the buffer stays as it was."""
         columns = (obs, action, reward, next_obs, terminated)
         widths = (obs.shape[2:], action.shape[2:], next_obs.shape[2:])
         if widths != ((self.obs_dim,), (self.action_dim,), (self.obs_dim,)):
@@ -199,38 +199,31 @@ class ReplayBuffer:
             )
         if len(obs) != self.runs:
             raise ShapeError(f"rows of {len(obs)} runs for a buffer of {self.runs}")
-        n, capacity = obs.shape[1], self.capacity
-        keep = min(n, capacity)
-        first = (self._next + n - keep) % capacity  # the slot of the first row kept
-        head = min(keep, capacity - first)  # the rows before the ring wraps
+        start, stop = self.size, self.size + obs.shape[1]
+        if stop > self.capacity:
+            raise ValueError(
+                f"no room for {stop - start} more transition(s): the buffer holds "
+                f"{start} of {self.capacity}"
+            )
         for store, rows in zip(self._columns(), columns):
-            rings = store.reshape(self.runs, capacity, *store.shape[1:])
-            rings[:, first : first + head] = rows[:, n - keep : n - keep + head]
-            rings[:, : keep - head] = rows[:, n - keep + head :]
-        self._next = (self._next + n) % capacity
-        self.size = min(self.size + n, capacity)
+            store.reshape(self.runs, self.capacity, *store.shape[1:])[:, start:stop] = rows
+        self.size = stop
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         """The storage of each TransitionBatch field, in field order."""
         return self._obs, self._action, self._reward, self._next_obs, self._terminated
 
     def _draw(self, batch: int, rng: np.random.Generator) -> np.ndarray:
-        """``batch`` uniform draws with replacement, as FIFO positions (0 the
-        oldest row)."""
+        """``batch`` uniform draws with replacement, as rows of a block (0
+        its first)."""
         if self.size == 0:
             raise EmptyBufferError("cannot sample from an empty buffer")
         # int64 is the default; naming it skips a slow conversion, same draws
         return rng.integers(0, self.size, size=batch, dtype=np.int64)
 
-    def _slots(self, positions: np.ndarray) -> np.ndarray:
-        """The ring slots of FIFO positions."""
-        if self.size == self.capacity:
-            return (self._next + positions) % self.capacity
-        return positions
-
     def sample(self, batch: int, rngs: list[np.random.Generator]) -> TransitionBatch:
         """One batch per generator in ``rngs``, on a leading run axis: run r
-        draws ``batch`` rows of ring r uniformly with replacement from
+        draws ``batch`` rows of block r uniformly with replacement from
         ``rngs[r]``. A lone buffer serves every generator. Every run's rows
         are gathered at once (see ``_gather``)."""
         return self._gather(batch, rngs, None, [None] * len(rngs))
@@ -245,9 +238,9 @@ class ReplayBuffer:
         """The one gather of ``sample`` and ``MixedSampler.sample``.
         ``offline``, a lone buffer, goes into the batch of each run r whose
         ``offline_draws[r]`` is not None: that many offline draws, then the
-        rest from ring r, then a permutation of the batch's rows, all from
+        rest from block r, then a permutation of the batch's rows, all from
         ``rngs[r]``. Rows are gathered by one ``take`` per field and buffer
-        they come from; where they all come from the rings, those takes are
+        they come from; where they all come from the blocks, those takes are
         the batch."""
         runs = len(rngs)
         if self.runs not in (1, runs):
@@ -264,10 +257,10 @@ class ReplayBuffer:
             places.append(at)
 
         for r, (rng, n_off) in enumerate(zip(rngs, offline_draws)):
-            ring = (r if self.runs > 1 else 0) * self.capacity  # the ring's first row
+            first = (r if self.runs > 1 else 0) * self.capacity  # the block's first row
             rows_at = np.arange(r * batch, (r + 1) * batch)
             if n_off is None:
-                take(self, self._slots(self._draw(batch, rng)) + ring, rows_at)
+                take(self, self._draw(batch, rng) + first, rows_at)
                 continue
             if len(offline) == 0 or len(self) == 0:
                 raise EmptyBufferError("mixed sampling needs both buffers non-empty")
@@ -277,9 +270,9 @@ class ReplayBuffer:
             at = np.empty(batch, dtype=np.int64)
             at[rng.permutation(batch)] = rows_at
             if n_off:
-                take(offline, offline._slots(offline_picks), at[:n_off])
+                take(offline, offline_picks, at[:n_off])
             if batch - n_off:
-                take(self, self._slots(online_picks) + ring, at[n_off:])
+                take(self, online_picks + first, at[n_off:])
         sources = list(parts)
         rows = [np.concatenate(parts[source][0]) for source in sources]
         if sources == [self] and not mixes:  # the rows are in batch order
@@ -301,29 +294,18 @@ class ReplayBuffer:
         return TransitionBatch(*(c.reshape(runs, batch, *c.shape[1:]) for c in columns))
 
     @classmethod
-    def from_dataset(cls, dataset: OfflineDataset, capacity: int | None = None, runs: int = 1):
-        """A buffer of ``runs`` rings (of ``capacity``, default the dataset's
-        size), each holding one push of the dataset's columns: when the
-        dataset is larger than a ring, its newest rows.
-
-        A lone buffer at the dataset's own size is full from the start and
+    def from_dataset(cls, dataset: OfflineDataset) -> "ReplayBuffer":
+        """The dataset's own buffer: a lone one, full from the start, that
         holds the dataset's float columns themselves, read-only, with
-        ``terminated`` as floats; a push into it raises. Any other buffer
-        copies the rows into every ring."""
-        n = dataset.n_transitions
-        rows = (dataset.obs, dataset.action, dataset.reward, dataset.next_obs, dataset.terminated)
-        capacity = n if capacity is None else capacity
+        ``terminated`` as floats; a push into it raises."""
         spec = dataset.env
-        if capacity == n and runs == 1:
-            buf = cls(1, spec.obs_dim, spec.action_dim)
-            buf.capacity = buf.size = n
-            columns = [np.asarray(column, dtype=np.float64).view() for column in rows]
-            for column in columns:
-                column.flags.writeable = False
-            buf._obs, buf._action, buf._reward, buf._next_obs, buf._terminated = columns
-            return buf
-        buf = cls(capacity, spec.obs_dim, spec.action_dim, runs)
-        buf.push(*(np.broadcast_to(column, (runs, *column.shape)) for column in rows))
+        buf = cls(1, spec.obs_dim, spec.action_dim)
+        buf.capacity = buf.size = dataset.n_transitions
+        rows = (dataset.obs, dataset.action, dataset.reward, dataset.next_obs, dataset.terminated)
+        columns = [np.asarray(column, dtype=np.float64).view() for column in rows]
+        for column in columns:
+            column.flags.writeable = False
+        buf._obs, buf._action, buf._reward, buf._next_obs, buf._terminated = columns
         return buf
 
 
@@ -333,15 +315,15 @@ class MixedSampler:
 
     A batch of size B contains exactly round(alpha * B) offline
     transitions; the split is deterministic per batch, not Bernoulli. The
-    offline buffer is a lone one, which every ring of the online buffer
-    shares. ``mixing`` holds, per ring, whether its run mixes; the others
-    draw from their rings alone. Without it every run mixes.
+    offline buffer is a lone one, which every block of the online buffer
+    shares. ``mixing`` holds, per block, whether its run mixes; the others
+    draw from their blocks alone.
     """
 
     offline_buffer: ReplayBuffer
     online_buffer: ReplayBuffer
     alpha: float
-    mixing: list[bool] | None = None
+    mixing: list[bool]
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -356,8 +338,7 @@ class MixedSampler:
         round(alpha * batch) offline rows, then its online rows, then a
         permutation of its batch's rows."""
         n_off = self.offline_count(batch)
-        mixing = self.mixing or [True] * len(rngs)
-        draws = [n_off if mixes else None for mixes in mixing]
+        draws = [n_off if mixes else None for mixes in self.mixing]
         return self.online_buffer._gather(batch, rngs, self.offline_buffer, draws)
 
 

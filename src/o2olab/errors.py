@@ -67,11 +67,11 @@ def parse(fn, data, section: str = "", builders: dict | None = None):
 
 def _typed(tp, value, name: str):
     """``value``, named ``name``, as a ``tp``: ``int`` takes an integral
-    number and ``float`` any finite number but a bool (not the NaN or
-    Infinity that Python's ``json`` reads, nor an integer past the largest
-    float), converted; ``bool`` takes
-    only true or false and ``str`` only a string; ``tuple[X, ...]`` takes a
-    list of X, ``X | None`` also null, and a dataclass an object."""
+    number and ``float`` any finite number, but neither a bool (nor does
+    ``float`` take the NaN or Infinity that Python's ``json`` reads, or an
+    integer past the largest float), converted; ``str`` takes only a
+    string; ``tuple[X, ...]`` takes a list of X, ``X | None`` also null,
+    and a dataclass an object."""
     if typing.get_origin(tp) in (typing.Union, types.UnionType):  # X | None
         if value is None:
             return None
@@ -89,7 +89,7 @@ def _typed(tp, value, name: str):
         if -sys.float_info.max <= value <= sys.float_info.max:  # no NaN, and no int past a float
             return float(value)
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    if tp in (bool, str) and isinstance(value, tp):
+    if tp is str and isinstance(value, str):
         return value
-    expected = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+    expected = {int: "an integer", float: "a number", str: "a string"}
     raise ConfigError(f"{name} must be {expected[tp]}, got {value!r}")

@@ -8,14 +8,15 @@ exactly K transitions. Total updates are exactly
 
 The loop steps a lockstep group of runs (see ``run_finetune``), which may
 be of several methods: runs of one ``update_class`` share the regularizer,
-the first update step, the online buffer's size and preload, the offline
-share and the counters they start from, and ``lockstep_runs`` sizes a
-group by its critic work. The group's run state is group-level, as its
-agent is: one env with a row per run, one online buffer with a ring per
-run, and one gather of every run's batch per update. A run keeps its place
-in each of them for the life of the group: a run that aborts stays there,
-masked, and nothing reads it again. The evaluation curve is scored after
-training, in one pass over every run and curve point.
+the first update step, the step and curve schedule, the offline share and
+the counters they start from, and ``lockstep_runs`` sizes a group by its
+critic work. The group's run state is group-level, as its agent is: one
+env with a row per run, one online buffer with a block of rows per run,
+which holds the whole run, and one gather of every run's batch per update.
+A run keeps its place in each of them for the life of the group: a run
+that aborts stays there, masked, and nothing reads it again. The
+evaluation curve is scored after training, in one pass over every run and
+curve point.
 """
 
 from __future__ import annotations
@@ -73,8 +74,6 @@ class FinetuneConfig:
     beta: float | None = None  # required by o2o_reg and mixed
     eval_every: int = 1000
     eval_episodes: int = 20
-    online_buffer_capacity: int | None = None  # defaults to total_env_steps
-    single_buffer: bool = False  # preload the dataset into the online buffer
 
     def __post_init__(self):
         if self.method not in ALL_METHODS:
@@ -85,11 +84,6 @@ class FinetuneConfig:
             raise ConfigError(f"finetune.warmup_steps must be >= 1, got {self.warmup_steps}")
         if self.warmup_steps > self.total_env_steps:
             raise ConfigError("warmup_steps must be <= total_env_steps")
-        if self.online_buffer_capacity is not None and self.online_buffer_capacity < 1:
-            raise ConfigError(
-                "finetune.online_buffer_capacity must be >= 1, got "
-                f"{self.online_buffer_capacity}"
-            )
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must be in [0, 1]")
         if self.eval_every < 1 or self.eval_episodes < 1:
@@ -144,19 +138,12 @@ def _regularizer_for(config: FinetuneConfig) -> RegularizerConfig:
     return RegularizerConfig()
 
 
-def _replays(config: FinetuneConfig) -> bool:
-    """Whether the run samples the dataset's own buffer beside its online one."""
-    return config.method in REPLAY_METHODS and not config.single_buffer
-
-
 def _schedule(config: FinetuneConfig, hyper: Td3Hyper) -> tuple:
     """What the runs of one lockstep group share of their configs: the
-    regularizer, the first update step, the updates per step, the curve
-    points, their online buffer's capacity and whether it starts out
-    holding the dataset, and the offline share of a replaying run's
-    batch."""
+    regularizer, the first update step, the updates per step, the env steps
+    (which size the online buffer), the curve points, and the offline share
+    of a replaying run's batch."""
     start_delay = config.warmup_steps if config.method == METHOD_WARMUP else hyper.batch
-    capacity = config.online_buffer_capacity
     return (
         _regularizer_for(config),
         start_delay,
@@ -164,8 +151,6 @@ def _schedule(config: FinetuneConfig, hyper: Td3Hyper) -> tuple:
         config.total_env_steps,
         config.eval_every,
         config.eval_episodes,
-        config.total_env_steps if capacity is None else capacity,
-        config.single_buffer,
         config.alpha,
     )
 
@@ -173,8 +158,8 @@ def _schedule(config: FinetuneConfig, hyper: Td3Hyper) -> tuple:
 def update_class(config: FinetuneConfig, hyper: Td3Hyper, counters: tuple) -> tuple:
     """The class of a run: runs of one class update alike, whatever their
     methods, and can share a lockstep group. It holds the config's schedule
-    (regularizer, first update step, updates per step, curve points, online
-    buffer, offline share) and the counters the run starts from: its
+    (regularizer, first update step, updates per step, env steps, curve
+    points, offline share) and the counters the run starts from: its
     checkpoint's ``counters`` (see ``agents.checkpoint_counters``), or fresh
     ones after a replay_reset."""
     start = FRESH_COUNTERS if config.method == METHOD_REPLAY_RESET else tuple(counters)
@@ -231,11 +216,11 @@ def lockstep_runs(hyper: Td3Hyper, spec: EnvSpec) -> int:
 @dataclass(eq=False)
 class _Run:
     """One run of a lockstep group: its log, its counters and its
-    generators. Its env row, its ring of the group's online buffer and its
+    generators. Its env row, its block of the group's online buffer and its
     agent row are the group's, at the run's place in the group."""
 
     log: RunLog
-    replays: bool  # its batches mix in the dataset's own buffer (see _replays)
+    replays: bool  # its batches mix in the dataset's own buffer
     explore_rng: np.random.Generator
     update_rng: np.random.Generator
     sample_rng: np.random.Generator
@@ -245,7 +230,7 @@ class _Run:
     def start(cls, config: FinetuneConfig, seed: int) -> "_Run":
         return cls(
             log=RunLog(method=config.method, seed=seed, config=asdict(config), eval_curve=[]),
-            replays=_replays(config),
+            replays=config.method in REPLAY_METHODS,
             explore_rng=rng_for("explore", seed),
             update_rng=rng_for("update", seed),
             sample_rng=rng_for("sample", seed),
@@ -303,28 +288,25 @@ def run_finetune(
 
     The group's run state is group-level. One env holds a row per run and
     restarts a run's row with its next episode when its episode ends. One
-    online buffer holds a ring per run; the runs that replay the dataset
-    share its own buffer, and with ``single_buffer`` each ring starts out
-    holding a copy of the dataset. One gather (``ReplayBuffer.sample``)
-    draws every run's batch per update. Each run keeps its own episode
-    seeds and generators, so its RunLog equals the one it would record
-    alone. A run whose update blows up aborts alone: its agent row, env row
-    and ring stay in place and are ignored, and the group ends when no run
-    is live.
+    online buffer holds a block per run, with room for every step of the run;
+    the runs that replay the dataset share its own buffer. One gather
+    (``ReplayBuffer.sample``) draws every run's batch per update. Each run
+    keeps its own episode seeds and generators, so its RunLog equals the
+    one it would record alone. A run whose update blows up aborts alone:
+    its agent row, env row and block stay in place and are ignored, and the
+    group ends when no run is live.
 
     The curve is evaluated after training: at each curve point the loop
     keeps a copy of the live runs' actors, and one evaluation then scores
     every (run, point) pair (see ``_evaluate_curves``). Scores are
     normalized by the dataset's reference scores; runs act in the dataset's
-    env. The dataset is sampled only by the replay-based methods and with
-    ``single_buffer``.
+    env. The dataset is sampled only by the replay-based methods.
     """
     hyper = agents[0].hyper
     schedule = _schedule(configs[0], hyper)
     if any(_schedule(config, hyper) != schedule for config in configs):
         raise ValueError("a lockstep group takes runs whose configs share a schedule")
-    (reg, start_delay, utd, total_env_steps, eval_every, eval_episodes,
-     capacity, single_buffer, alpha) = schedule
+    reg, start_delay, utd, total_env_steps, eval_every, eval_episodes, alpha = schedule
     for i, (config, seed) in enumerate(zip(configs, seeds)):  # no loop variable keeps an agent
         if config.method == METHOD_REPLAY_RESET:
             reset_parameters(agents[i], seed=stable_seed("reset", seed))
@@ -333,10 +315,7 @@ def run_finetune(
     spec = dataset.env
     runs = [_Run.start(config, seed) for config, seed in zip(configs, seeds)]
     live = np.ones(len(runs), dtype=bool)  # the runs that have not aborted
-    if single_buffer:  # every ring starts out holding the dataset
-        online = ReplayBuffer.from_dataset(dataset, capacity + dataset.n_transitions, len(runs))
-    else:
-        online = ReplayBuffer(capacity, spec.obs_dim, spec.action_dim, len(runs))
+    online = ReplayBuffer(total_env_steps, spec.obs_dim, spec.action_dim, len(runs))
     sampler, offline_draws = online, 0
     if any(run.replays for run in runs):
         offline = ReplayBuffer.from_dataset(dataset)
@@ -373,7 +352,7 @@ def run_finetune(
         actions = act(group, obs, explore_rngs)
         res = env.step(actions)
         transitions = (obs, actions, res.reward, res.next_obs, res.terminated)
-        online.push(*(rows[:, None] for rows in transitions))  # one row per ring
+        online.push(*(rows[:, None] for rows in transitions))  # one row per block
         obs = res.next_obs
         ended = np.flatnonzero(res.done).tolist()  # the runs whose episodes the step ended
         if ended:

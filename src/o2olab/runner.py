@@ -24,9 +24,12 @@ a ConfigError (exit 1) that names the command remaking it. Every stage
 checks the dataset's columns against its manifest without reading rows (a
 DatasetFormatError, exit 2); only training loads the rows, and classify
 takes the dataset's per-trajectory returns from the manifest. ``setting``,
-``out_dir``, the selection of methods and seeds, and the report knobs
-(``last_k``, ``map_inconclusive``) feed no key, so changing them
-invalidates nothing.
+``out_dir``, the selection of methods, and the report knobs (``last_k``,
+``map_inconclusive``) feed no key, so changing them invalidates nothing.
+A run seed hashes the seed's position in ``seeds`` (``run_seed_for``): an
+appended seed leaves every run current, but dropping, inserting or
+reordering seeds re-seeds and re-runs each run whose seed moved (ROADMAP
+item 7).
 
 Pretrain and finetune split their work into one unit per lockstep group.
 Pretrain's classes are the seeds to train and the seeds only to evaluate;

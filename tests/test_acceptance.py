@@ -164,7 +164,7 @@ def test_criterion_6_mixed_sampler_exactness():
         no_action, not_terminal = np.zeros((300, 1)), np.zeros(300, dtype=bool)
         off.push(obs[None], no_action[None], np.ones((1, 300)), obs[None], not_terminal[None])
         on.push(obs[None], no_action[None], np.zeros((1, 300)), obs[None], not_terminal[None])
-        sampler = MixedSampler(off, on, alpha=0.5)
+        sampler = MixedSampler(off, on, 0.5, [True])
         rng = np.random.default_rng(123)
         for _ in range(10_000):
             batch = sampler.sample(256, [rng])

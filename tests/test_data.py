@@ -48,10 +48,9 @@ def one_trajectory(spec, reference, obs, action, reward, next_obs, terminated):
     )
 
 
-def fifo_columns(buf):
-    """The buffer's columns, oldest row first."""
-    order = (buf._next - buf.size + np.arange(buf.size)) % buf.capacity
-    return {f: getattr(buf, f"_{f}")[order] for f in BUFFER_FIELDS}
+def stored_columns(buf):
+    """A lone buffer's columns, in push order."""
+    return {f: getattr(buf, f"_{f}")[: buf.size] for f in BUFFER_FIELDS}
 
 
 def assert_same_columns(got, want):
@@ -236,16 +235,6 @@ def test_expert_dataset_mean_near_one(sparse_reference):
 # --- replay buffer ---
 
 
-def test_buffer_ring_semantics():
-    buf = ReplayBuffer(2, 2, 1)
-    buf.push(**one_run(rows([1])))
-    assert len(buf) == 1
-    buf.push(**one_run(rows([2])))
-    buf.push(**one_run(rows([3])))
-    assert len(buf) == 2
-    assert_same_columns(fifo_columns(buf), rows([2, 3]))
-
-
 def test_buffer_size_tracks_pushes():
     buf = ReplayBuffer(10, 2, 1)
     for k in range(1, 8):
@@ -253,11 +242,26 @@ def test_buffer_size_tracks_pushes():
         assert len(buf) == k
 
 
-def test_buffer_fifo_under_repeated_overflow():
-    buf = ReplayBuffer(3, 2, 1)
-    for k in range(10):
-        buf.push(**one_run(rows([k])))
-    assert_same_columns(fifo_columns(buf), rows([7, 8, 9]))
+@pytest.mark.parametrize("runs", [1, 2])
+def test_a_push_past_capacity_raises_and_changes_nothing(runs):
+    buf = ReplayBuffer(5, 2, 1, runs)
+
+    def push(ks):  # the same rows into every block
+        buf.push(**{f: np.stack([column] * runs) for f, column in rows(ks).items()})
+
+    push([1, 2, 3])
+    stored = [column.copy() for column in buf._columns()]
+    for n in (3, 7):
+        with pytest.raises(ValueError, match="no room for"):
+            push(range(n))
+        assert len(buf) == 3
+        for got, want in zip(buf._columns(), stored):
+            assert np.array_equal(got, want)
+    # what fits still goes in after the rows so far
+    push([4, 5])
+    for block in range(runs):
+        got = {f: getattr(buf, f"_{f}")[block * 5 : block * 5 + 5] for f in BUFFER_FIELDS}
+        assert_same_columns(got, rows([1, 2, 3, 4, 5]))
 
 
 def one_row_at_a_time(buf, columns):
@@ -266,74 +270,63 @@ def one_row_at_a_time(buf, columns):
 
 
 def assert_same_buffer(got, want):
-    assert (len(got), got._next) == (len(want), want._next)
-    assert_same_columns(fifo_columns(got), fifo_columns(want))
+    assert len(got) == len(want)
+    assert_same_columns(stored_columns(got), stored_columns(want))
     a = got.sample(50, [np.random.default_rng(1)])
     b = want.sample(50, [np.random.default_rng(1)])
     for field in BUFFER_FIELDS:
         assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
-@pytest.mark.parametrize("capacity", [None, 7, 40])
-def test_from_dataset_matches_pushing_rows_in_order(sparse_reference, capacity):
+def test_from_dataset_matches_pushing_rows_in_order(sparse_reference):
     ds = generate_dataset(env_spec("point_goal_sparse"), BehaviorSpec("noisy_expert", sigma=0.3),
                           3, seed=4, reference=sparse_reference)
-    pushed = ReplayBuffer(capacity or ds.n_transitions, 4, 2)
+    pushed = ReplayBuffer(ds.n_transitions, 4, 2)
     one_row_at_a_time(pushed, {f: getattr(ds, f) for f in BUFFER_FIELDS})
-    assert_same_buffer(ReplayBuffer.from_dataset(ds, capacity), pushed)
+    assert_same_buffer(ReplayBuffer.from_dataset(ds), pushed)
 
 
-def test_a_larger_buffer_holds_the_dataset_in_every_ring(sparse_reference):
-    # two rings start out holding a copy of the dataset each, and then draw,
-    # ring by ring, what a lone buffer that pushed its rows one at a time
-    # draws, alone and mixed with an offline buffer: before the wrap, while
-    # the rings overwrite the dataset's rows, and after they have
-    # overwritten all of them
-    ds = generate_dataset(env_spec("point_goal_sparse"), BehaviorSpec("noisy_expert", sigma=0.3),
-                          3, seed=4, reference=sparse_reference)
-    n, capacity = ds.n_transitions, ds.n_transitions + 30
-    group = ReplayBuffer.from_dataset(ds, capacity, runs=2)
+def test_a_group_buffer_draws_from_each_block_as_a_lone_buffer():
+    # two blocks draw, block by block, what a lone buffer that pushed the
+    # same rows one at a time draws, alone and mixed with an offline buffer,
+    # as the blocks fill up
+    capacity = 100
+    group = ReplayBuffer(capacity, 4, 2, runs=2)
     off = ReplayBuffer(40, 4, 2)
     draws = np.random.default_rng(5)
     off.push(draws.normal(size=(1, 40, 4)), draws.normal(size=(1, 40, 2)),
              draws.normal(size=(1, 40)), draws.normal(size=(1, 40, 4)), draws.random((1, 40)) < 0.5)
-    assert not np.shares_memory(group._obs, ds.obs)
-    for ring in group._obs.reshape(2, capacity, 4):
-        assert np.array_equal(ring[:n], ds.obs) and not ring[n:].any()
-    copied = []
-    for _ in range(2):
-        buf = ReplayBuffer(capacity, 4, 2)
-        one_row_at_a_time(buf, {f: getattr(ds, f) for f in BUFFER_FIELDS})
-        copied.append(buf)
+    alone = [ReplayBuffer(capacity, 4, 2) for _ in range(2)]
     rng = np.random.default_rng(0)
-    for chunk in (20, 25, n // 2, n):
+    for chunk in (20, 25, 55):
         online = [rng.normal(size=(2, chunk, 4)), rng.uniform(-1, 1, (2, chunk, 2)),
                   rng.normal(size=(2, chunk)), rng.normal(size=(2, chunk, 4)),
                   rng.random((2, chunk)) < 0.1]
         group.push(*online)
-        for r, buf in enumerate(copied):
-            buf.push(*(column[r : r + 1] for column in online))
+        for r, buf in enumerate(alone):
+            one_row_at_a_time(buf, dict(zip(BUFFER_FIELDS, (column[r] for column in online))))
         got = group.sample(64, [np.random.default_rng(s) for s in (1, 2)])
         # the second run mixes in offline draws
         mixed = MixedSampler(off, group, 0.5, [False, True])
         got_mixed = mixed.sample(64, [np.random.default_rng(s) for s in (3, 4)])
-        for r, buf in enumerate(copied):
+        for r, buf in enumerate(alone):
             want = buf.sample(64, [np.random.default_rng(1 + r)])
-            want_mixed = (MixedSampler(off, buf, 0.5) if r else buf).sample(
+            want_mixed = (MixedSampler(off, buf, 0.5, [True]) if r else buf).sample(
                 64, [np.random.default_rng(3 + r)]
             )
             for f in BUFFER_FIELDS:
                 assert np.array_equal(getattr(got, f)[r], getattr(want, f)[0]), (chunk, r, f)
                 assert np.array_equal(getattr(got_mixed, f)[r], getattr(want_mixed, f)[0])
+    assert len(group) == capacity
 
 
 @pytest.mark.parametrize("chunks", [
-    [12],  # one push larger than the capacity
-    [3, 4],  # a push that wraps onto a non-empty buffer
-    [3, 9],  # a push larger than the capacity onto a non-empty buffer
+    [12],  # one push that fills the buffer
+    [3, 4],  # a push onto a non-empty buffer
+    [3, 5, 4],  # pushes that fill the buffer in three parts
 ])
 def test_bulk_push_matches_pushing_rows_in_order(chunks):
-    bulk, pushed = ReplayBuffer(5, 2, 1), ReplayBuffer(5, 2, 1)
+    bulk, pushed = ReplayBuffer(12, 2, 1), ReplayBuffer(12, 2, 1)
     start = 0
     for n in chunks:
         columns = rows(range(start, start + n))
@@ -351,8 +344,8 @@ def test_push_rejects_mismatched_widths(field, width):
     columns[field] = np.zeros((2, width))
     with pytest.raises(ShapeError, match="do not match buffer"):
         buf.push(**one_run(columns))
-    assert (len(buf), buf._next) == (1, 1)
-    assert_same_columns(fifo_columns(buf), rows([1]))
+    assert len(buf) == 1
+    assert_same_columns(stored_columns(buf), rows([1]))
 
 
 def test_buffer_sample_single_item():
@@ -407,7 +400,7 @@ def _marked_buffers(n_off=50, n_on=50):
 
 def test_mixed_exact_split_every_batch():
     off, on = _marked_buffers()
-    sampler = MixedSampler(off, on, alpha=0.5)
+    sampler = MixedSampler(off, on, 0.5, [True])
     rng = np.random.default_rng(0)
     for _ in range(200):
         batch = sampler.sample(256, [rng])
@@ -417,7 +410,7 @@ def test_mixed_exact_split_every_batch():
 @pytest.mark.parametrize("alpha,expect", [(0.0, 0), (1.0, 64), (0.25, 16)])
 def test_mixed_alpha_boundaries(alpha, expect):
     off, on = _marked_buffers()
-    sampler = MixedSampler(off, on, alpha=alpha)
+    sampler = MixedSampler(off, on, alpha, [True])
     batch = sampler.sample(64, [np.random.default_rng(1)])
     assert int(batch.reward.sum()) == expect
 
@@ -425,14 +418,14 @@ def test_mixed_alpha_boundaries(alpha, expect):
 def test_mixed_requires_both_nonempty():
     off, _ = _marked_buffers()
     empty = ReplayBuffer(4, 2, 1)
-    sampler = MixedSampler(off, empty, alpha=0.5)
+    sampler = MixedSampler(off, empty, 0.5, [True])
     with pytest.raises(EmptyBufferError):
         sampler.sample(8, [np.random.default_rng(0)])
 
 
 def test_mixed_order_shuffled():
     off, on = _marked_buffers()
-    sampler = MixedSampler(off, on, alpha=0.5)
+    sampler = MixedSampler(off, on, 0.5, [True])
     batch = sampler.sample(64, [np.random.default_rng(2)])
     # offline markers must not sit in one contiguous block
     first_half = batch.reward[0, :32].sum()
@@ -442,13 +435,14 @@ def test_mixed_order_shuffled():
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_mixed_sample_equals_concatenate_then_permute(alpha):
     # the parts' draws, then the permutation, as a concatenation of the
-    # parts' own samples permuted; both buffers have wrapped
+    # parts' own samples permuted; the offline buffer is full, the online
+    # one part full
     rng = np.random.default_rng(3)
-    off, on = ReplayBuffer(40, 2, 1), ReplayBuffer(30, 2, 1)
+    off, on = ReplayBuffer(70, 2, 1), ReplayBuffer(60, 2, 1)
     for buf, n in ((off, 70), (on, 45)):
         buf.push(rng.normal(size=(1, n, 2)), rng.normal(size=(1, n, 1)), rng.normal(size=(1, n)),
                  rng.normal(size=(1, n, 2)), rng.random((1, n)) < 0.5)
-    sampler = MixedSampler(off, on, alpha=alpha)
+    sampler = MixedSampler(off, on, alpha, [True])
     for seed in range(5):
         got = sampler.sample(64, [np.random.default_rng(seed)])
         draws = np.random.default_rng(seed)
@@ -464,7 +458,7 @@ def test_mixed_sample_equals_concatenate_then_permute(alpha):
 def test_mixed_alpha_validated():
     off, on = _marked_buffers()
     with pytest.raises(ValueError):
-        MixedSampler(off, on, alpha=1.5)
+        MixedSampler(off, on, 1.5, [True])
 
 
 # --- file I/O ---

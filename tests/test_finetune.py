@@ -169,7 +169,7 @@ def test_dataset_immutable_during_runs(dataset):
     assert buf._terminated.dtype == np.float64
     assert np.array_equal(buf._terminated, dataset.terminated)
     rows = (dataset.obs, dataset.action, dataset.reward, dataset.next_obs, dataset.terminated)
-    with pytest.raises(ValueError, match="read-only"):
+    with pytest.raises(ValueError, match="no room for 1 more"):  # it is full, too
         buf.push(*(column[None, :1] for column in rows))
     assert_same_dataset(dataset, snapshot)
     # it draws the batches of a buffer that copied the rows, bit for bit
@@ -179,9 +179,6 @@ def test_dataset_immutable_during_runs(dataset):
     want = copied.sample(64, [np.random.default_rng(4)])
     for name, column in vars(got).items():
         assert column.dtype == np.float64 and np.array_equal(column, getattr(want, name)), name
-    # a larger buffer, as single_buffer makes, copies the rows
-    larger = ReplayBuffer.from_dataset(dataset, dataset.n_transitions + 10)
-    assert not np.shares_memory(larger._obs, dataset.obs) and larger._obs.flags.writeable
 
 
 def test_replay_reset_degrades_step0(dataset):
@@ -199,13 +196,6 @@ def test_replay_reset_degrades_step0(dataset):
     )
     # the reset agent is a different random net; bit-equality would be a fluke
     assert log.eval_curve[0].per_episode != incoming.per_episode
-
-
-def test_single_buffer_variant_preloads(dataset):
-    log = run(method="replay", dataset=dataset, single_buffer=True)
-    # no dual-buffer sampling happens in the single-buffer form
-    assert log.counters["dataset_samples"] == 0
-    assert log.counters["updates"] > 0
 
 
 def test_replay_batches_split_exactly_at_full_scale(dataset):
@@ -313,30 +303,21 @@ def test_a_run_whose_episodes_end_early_restarts_its_row_alone(dataset):
     assert episodes[0] == episodes[2] == 160 // SPEC.horizon + 1 < episodes[1]
 
 
-# groups whose online buffers wrap, start out holding the dataset, or lose
-# a run after the wrap: replaying and plain runs side by side
-BUFFER_GROUPS = {
-    "wrapping ring": dict(online_buffer_capacity=50),
-    "single buffer": dict(online_buffer_capacity=50, single_buffer=True),
-    "abort after the wrap": dict(online_buffer_capacity=20),
-}
-
-
-@pytest.mark.parametrize("case", sorted(BUFFER_GROUPS))
-def test_a_group_buffer_records_each_run_as_alone(dataset, case):
+# replaying and plain runs side by side in one online buffer, whose blocks
+# fill up to the last step; in the second group a run aborts at its first
+# update and its block stays in place
+@pytest.mark.parametrize("damaged", [False, True], ids=["all to the end", "an abort"])
+def test_a_group_buffer_records_each_run_as_alone(dataset, damaged):
     methods = ["baseline", "replay", "replay", "baseline"]
-    damaged = case == "abort after the wrap"
 
     def agents():  # the second run's first update (step 33) blows up
         return [damaged_agent(s) if damaged and i == 1 else fresh_agent(s)
                 for i, s in enumerate(range(len(methods)))]
 
-    configs = [small_config(method=m, **BUFFER_GROUPS[case]) for m in methods]
+    configs = [small_config(method=m) for m in methods]
     logs = assert_each_run_as_alone(dataset, agents, configs, [5, 6, 7, 8])
     assert [log.aborted for log in logs] == [False, damaged, False, False]
-    # with a single buffer no run draws from the dataset's own buffer
-    single = BUFFER_GROUPS[case].get("single_buffer", False)
-    assert logs[2].counters["dataset_samples"] == (0 if single else 200 - HYPER.batch)
+    assert logs[2].counters["dataset_samples"] == 200 - HYPER.batch
     if damaged:
         assert logs[1].counters == {"env_steps": HYPER.batch, "updates": 0,
                                     "episodes_started": 1, "dataset_samples": 1}

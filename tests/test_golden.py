@@ -67,51 +67,51 @@ GOLDEN = {
         "finetune/baseline/seed_0.csv":
             "7f28d1574a4556151fb1831575f3d7f3cbd44962e8918ba9737a7bc1acc6470f",
         "finetune/baseline/seed_0.json":
-            "f74f08ac5942b1501a261d66430e8d5b6fb7a809a29cc4ac714ee706db65e663",
+            "2744283fb95ee1cf0fa770bf681d28bf98ec94a13d62fcf3ea6c8a28b1745c8c",
         "finetune/baseline/seed_1.csv":
             "9d4db13f408fdecdab241219610d11d0f5678ebad35fd607ceb8bff8617749bd",
         "finetune/baseline/seed_1.json":
-            "f46554486a2bc0bfd491e915c52a230470630040eec24a34b9621a167f422697",
+            "338d368dfee82d3a860108033f01be059fa97fde484302846b434056241470ef",
         "finetune/mixed/seed_0.csv":
             "cc612856ae619416266da493f16b34d92d282010903421c7661e54aa5ff808c5",
         "finetune/mixed/seed_0.json":
-            "7e6e0a04c0c1c08510c1b490c3e6f0f83758dfbec465abdbc39932f1e76175b5",
+            "44e646bc6fbf9a0cf0435691ec14b4b11d0321001726bb59d020c342362018d0",
         "finetune/mixed/seed_1.csv":
             "b0f34894a82cdcae86d07562c3b2688090b1289b8557a23aee00980f2034bbb0",
         "finetune/mixed/seed_1.json":
-            "b1a31fd36f8bed1a2f9ea708f1e4c0193b236f3a4552c5c99cec7e9a65a189df",
+            "0468810b2517a1646b2160934f65972882e5494654ab1ccc0a364e3687ccb4d0",
         "finetune/o2o_reg/seed_0.csv":
             "3262fde973a40cc243898b55aa8e6e2b32c166c248056e370cff8428107b75b4",
         "finetune/o2o_reg/seed_0.json":
-            "2403c93a213e8856bcc22d2749b6ef69c71e01ae84da06fdda28e721954ad27a",
+            "0621b7f3133f4ac6f25c89cb5509b1e7384d81d30be89c3a9d3c170a93c53af2",
         "finetune/o2o_reg/seed_1.csv":
             "4e15a9ad21f808d1e8f3b3def54e064810bd1ae72bd9adcc3d90ced78c50f9af",
         "finetune/o2o_reg/seed_1.json":
-            "5522682180eba43ba4f0d41f5a8354fe03bf57d1beda98fd8a5c1fdc430e5f15",
+            "6f1cf1ad1e6b1124a551adcc71bb052b30935669f187c1c6ee673427400601c3",
         "finetune/replay/seed_0.csv":
             "5e455bfbd7b85683546613b6d5d9d01fccc9e9c2a13cc504846d9bd4944aa4c7",
         "finetune/replay/seed_0.json":
-            "22303a5e7634daefc9ab0849bd441ed0162978a89aec472ed81f55536beb9a27",
+            "75293e4022de79c6c7e93bf50fd3fa6c347dfce811accb385d046b29edab03e4",
         "finetune/replay/seed_1.csv":
             "a3fae70f69ac8b0252f04e0ee0764ffa8e42937c8deecc5298f3d3f755c646a6",
         "finetune/replay/seed_1.json":
-            "df1bf1baa8a50d708d0632c53d0d0249a8f285fbe54b62710857ac270db48d74",
+            "3d29deb7ff821b41187324dfb3f09912daef05443a085360e668a9bf782eadb6",
         "finetune/replay_reset/seed_0.csv":
             "8f1920836160610e51dedcd538a5ba02c8ad1aae7fd8e4cce7002341b4c3c8cb",
         "finetune/replay_reset/seed_0.json":
-            "ee4ce8865dc812c0154a65a451e28083962c012f75a26ce58d764f704fb93ed4",
+            "97dc953394e34666172095448281cf05edf671ddb0b51e6c638723918b369714",
         "finetune/replay_reset/seed_1.csv":
             "534b562487f606813c442d28d6a1eec5e7393642ef286d0147fc5a78ccdecce6",
         "finetune/replay_reset/seed_1.json":
-            "fe17d2b9772418cb3f6dc49b5fafde9a24970ab83af236303921918a74918a29",
+            "2f84ba73a22475c19f58ed4f298f24113a35c2d1af067f613c63b3b6f62c64fe",
         "finetune/warmup/seed_0.csv":
             "b3225fc231c0357da785228ba5a6310062d5a75fd799887aa4fb6b756aaaa9fb",
         "finetune/warmup/seed_0.json":
-            "86c9b38116e98a6241b4ada1e105e3b45b8071215fe138e3ad4a4c4b4639b0a9",
+            "98551123f13f0d14f00c7d35f201ae7a4c82c0a21f44dee9fbf765e044585397",
         "finetune/warmup/seed_1.csv":
             "8202937c32a1e857fa108481e4a29aa3ca8a4e42155741f8b5f689c34b6a7c7d",
         "finetune/warmup/seed_1.json":
-            "65c5cac65343830cb33e69ab45b281e80cb0205d8e718950ff4d459f47a937a4",
+            "1c902632ad8fb58ae9234f8b5fe842369f179fa20895a6137fedd1cfc9af101a",
         "pretrain/eval.json":
             "887237fc581ff3c5da4dc36f6ee143ae68a310ca182950641fe481074c1ec9be",
         "pretrain/seed_0/manifest.json":
@@ -146,51 +146,51 @@ GOLDEN = {
         "finetune/baseline/seed_0.csv":
             "4824fdf4d4b5c1e99f8818ce3a983b5a79c80994c5809c33f703a6b4fb6110ce",
         "finetune/baseline/seed_0.json":
-            "c0f20c536c2ed6b482147b3a399c7f758dabf83db19b7c748ff3289f10187793",
+            "707ef5b1f442e49ff30212e8d666070397224939f1fd771477281c4ce29b91a5",
         "finetune/baseline/seed_1.csv":
             "aa4925d840c92bef2b908489d04b633bef291ec80fc1c44db8244bca59594986",
         "finetune/baseline/seed_1.json":
-            "f32f52f0ac1a16964f07d4981adcdaf364c021919d26384c954c7c058fc2f071",
+            "64a79269d3ff1d69566feb81db76586cf93995438e642b20eca44a16e1f60f49",
         "finetune/mixed/seed_0.csv":
             "eae756173873c13f1db4341bb412f6b5bb5d376f2c95982178ca5a0397cf6e70",
         "finetune/mixed/seed_0.json":
-            "30e189261dd1b6cadfadaaa90577e82a5b99597a4b92a8f1ab55cc577dae8ccb",
+            "09e7e7297f3c6d29daadfefdedb1ef5112834bd7b89fe1a33cc4143ba19fb1b0",
         "finetune/mixed/seed_1.csv":
             "abafb3b566b3e2dd4c5208e63188414815fc09877c006f517460cd6bbe4473d4",
         "finetune/mixed/seed_1.json":
-            "fd29a68438b1fa6752ac0b45849738cea535324a307fdf862cb31e026dd16565",
+            "143af8443f2cec8d42a0b7a03fe975ee965d72ce1161a494f2c109d1d4a70d77",
         "finetune/o2o_reg/seed_0.csv":
             "edc9e0689ebc3d0507ea69c725d81035454d28c1b3cf024d9424418ac90cae65",
         "finetune/o2o_reg/seed_0.json":
-            "bb8a1ff191b8cf793e20e5482236195350bcbf3a9bde2cc5e4b6a89ba16f6a37",
+            "f3ce3895fc848b7e7b2487b19037c09d8825cc46404bb624286678a1992d610e",
         "finetune/o2o_reg/seed_1.csv":
             "e1623c2e916572165d5cd84422810ffd4555854d0ad984ecd42959a9a74b21da",
         "finetune/o2o_reg/seed_1.json":
-            "dc5fbe27c9ddac1d46b9ea975c37689772c6d8d748d713fe2b6a0c87f74f7928",
+            "1b0274943f7be2f2f1716e6fb6657dd788ab4d711b88793ef114e24babb2db4c",
         "finetune/replay/seed_0.csv":
             "69978057839fca552042e31428a2157f85122709bab385cc1a85a4a2d6ac7524",
         "finetune/replay/seed_0.json":
-            "7a382afe1d4957df299a9e6bafdc96195fcb3f7ffb61cd35c7bf2bf0360190fe",
+            "424a1e0fdb8f200b22b1e6efb0252b992c2f66b2866a8b8d93b24928b51f29b9",
         "finetune/replay/seed_1.csv":
             "1269b7b338906849fb1ee17dee5380c788277e9f417a6b3899ea117aa2ef12a9",
         "finetune/replay/seed_1.json":
-            "b167af249c99cf3f7d3e6c8fc0da1917688dd03c0cc16db7c373037e9ae5e82a",
+            "912857397806de8fb5c6a735532b5a2b753ed63a392946bbec8affb8653091f5",
         "finetune/replay_reset/seed_0.csv":
             "8f1920836160610e51dedcd538a5ba02c8ad1aae7fd8e4cce7002341b4c3c8cb",
         "finetune/replay_reset/seed_0.json":
-            "6e883235ebd2f7704aeb493e5941bc76c53138ca190d6aeab3440692ec361631",
+            "f5ec32a52b28376c6b382d321bf25d6ce2764e713ece286419fd194580957629",
         "finetune/replay_reset/seed_1.csv":
             "534b562487f606813c442d28d6a1eec5e7393642ef286d0147fc5a78ccdecce6",
         "finetune/replay_reset/seed_1.json":
-            "0008c34134bc71a37454f420fa89770f8b2e122ba41572b73525643de8aec02c",
+            "3a2015e94e5d9a0c721169f1242782ac06f4274d63fb5bdb8e1d02909697c8d0",
         "finetune/warmup/seed_0.csv":
             "eb9e82ffd1a6bbb2090d9986481431114db6d5e592f5c3c59a17c11893db2f0b",
         "finetune/warmup/seed_0.json":
-            "d94424438590b17a7003ad37dd051e6b814ee97ef972266153360071837d5609",
+            "ae60a51f875575e2e2a278e1b6f9f1f524c2b11badfe8cc2e86ad32a52f7808f",
         "finetune/warmup/seed_1.csv":
             "d32513a86217908deee95f3be8e710675abd2899a679754adad96df4e524375e",
         "finetune/warmup/seed_1.json":
-            "64222e06a1c978d86ecff2e15e1338b82c47f3689dddb88e376fb226f5bc2da0",
+            "a1d8e8b00ce2ff7dd33292ccab297899d3169a5a97255a8c701fd8147d838c86",
         "pretrain/eval.json":
             "0cdb6a959f73bdfe58a81cf1e0c0732ab2a85b65bf7343f0b1183cb29cb88133",
         "pretrain/seed_0/manifest.json":

@@ -126,7 +126,9 @@ def test_cli_rejects_a_behavior_parameter_that_its_kind_does_not_use(
 
 def test_config_keys_are_pinned():
     # recorded before the flat pretrain_*/tost_* fields were folded into
-    # their sections; a change here moves the key of every artifact
+    # their sections, the run key again when the finetune section lost
+    # single_buffer and online_buffer_capacity; a change here moves the key
+    # of every artifact
     config = runner.ExperimentConfig.from_dict({
         "setting": "k",
         "env": {"kind": "pendulum", "horizon": 50},
@@ -147,7 +149,7 @@ def test_config_keys_are_pinned():
         runner.run_key(config, "mixed", 1),
     )
     assert keys == ("668ddcf4a7da", "2b8728e99b70", "3661eed5a167", "ba8b1c50cbe2",
-                    "4ca4d18178c0")
+                    "3e510e3daf87")
 
 
 NOT_INTEGERS = {  # integer field: an override of tiny_config_dict giving it another value
@@ -174,13 +176,15 @@ def test_cli_rejects_a_non_integer_in_an_integer_field(tmp_path, capsys, name):
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("value", ["false", 0, 1, None])
+# single_buffer is no longer a setting: whatever a config sets it to, the
+# key is refused before any stage runs
+@pytest.mark.parametrize("value", ["false", 0, 1, None, True])
 def test_cli_rejects_a_single_buffer_that_is_not_a_bool(tmp_path, capsys, value):
     cfg_path = _write_config(tmp_path, {"finetune": {**FINETUNE, "single_buffer": value}})
     capsys.readouterr()
     assert cli.main(["gen-data", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
-    assert f"finetune.single_buffer must be true or false, got {value!r}" in err
+    assert "unknown config key 'single_buffer' in finetune" in err
     assert "Traceback" not in err and not (tmp_path / "runs").exists()
 
 
@@ -214,12 +218,12 @@ def _unwrap(tp) -> tuple[object, bool]:
 
 def wrong_values(tp) -> list:
     """Values of another type than ``tp``: a string or a bool for a number,
-    a number for a string or a bool, null unless ``tp`` is optional."""
+    a number for a string, null unless ``tp`` is optional."""
     tp, optional = _unwrap(tp)
     values = [] if optional else [None]
     if typing.get_origin(tp) is tuple:
         return values + ["x"] + [[v] for v in wrong_values(typing.get_args(tp)[0])]
-    return values + {int: ["1", True], float: ["1", True], str: [5], bool: [1, "true"]}.get(tp, [5])
+    return values + {int: ["1", True], float: ["1", True], str: [5]}.get(tp, [5])
 
 
 # the behavior kind that each behavior parameter belongs to
@@ -322,8 +326,9 @@ def test_integral_floats_are_their_integers(finished, tmp_path):
     }
 
 
-# configs that would parse and then fail in a later stage, or be ignored:
-# an override of tiny_config_dict, and the message of its config error
+# configs that would parse and then fail in a later stage, or be ignored
+# (as a key that is no setting any more would be): an override of
+# tiny_config_dict, and the message of its config error
 FAILING_LATER = {
     "pretrain beta 0": (
         {"pretrain": {"kind": "offline_rl", "steps": 60, "beta": 0}},
@@ -367,13 +372,11 @@ FAILING_LATER = {
         {"finetune": {**FINETUNE, "warmup_steps": -5}},
         "finetune.warmup_steps must be >= 1, got -5",
     ),
-    "finetune online_buffer_capacity 0": (
-        {"finetune": {**FINETUNE, "online_buffer_capacity": 0}},
-        "finetune.online_buffer_capacity must be >= 1, got 0",
-    ),
-    "finetune online_buffer_capacity negative": (
-        {"finetune": {**FINETUNE, "online_buffer_capacity": -5}},
-        "finetune.online_buffer_capacity must be >= 1, got -5",
+    # every online buffer holds its whole run, and every replaying run mixes
+    # in the dataset's own buffer
+    "finetune online_buffer_capacity set": (
+        {"finetune": {**FINETUNE, "online_buffer_capacity": 50}},
+        "unknown config key 'online_buffer_capacity' in finetune",
     ),
     "method in finetune": (  # ``methods`` picks the methods that run
         {"finetune": {**FINETUNE, "method": "warmup"}},
@@ -1793,6 +1796,34 @@ def test_cli_a_directory_in_place_of_an_output_ends_in_one_line(finished, tmp_pa
     err = capsys.readouterr().err
     assert err == f"missing input: {path} is a directory where a file belongs; remove it\n"
     assert path.is_dir() and not path.with_name(path.name + ".tmp").exists()
+
+
+# a file in place of a directory that a stage writes into or reads from:
+# (the stages, each ending at the file, and the directory)
+FILES_IN_PLACE = {
+    "checkpoint directory": (["pretrain --force", "pretrain"],
+                             lambda paths: paths.checkpoint(1)),
+    "method directory": (["finetune"], lambda paths: paths.finetune_dir / "replay"),
+    "report directory": (["report"], lambda paths: paths.report_dir),
+    "dataset directory": (["gen-data --force", "classify"], lambda paths: paths.dataset),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FILES_IN_PLACE))
+def test_cli_a_file_in_place_of_an_output_directory_ends_in_one_line(finished, tmp_path,
+                                                                    capsys, fault):
+    stages, directory = FILES_IN_PLACE[fault]
+    config = copy_of(finished, tmp_path)
+    cfg_path = _write_config(tmp_path, {"out_dir": str(config.root)})
+    path = directory(runner.Paths(config))
+    shutil.rmtree(path)
+    path.write_text("not a directory\n")
+    for stage in stages:
+        capsys.readouterr()
+        assert cli.main([*stage.split(), "--config", str(cfg_path)]) == 2, stage
+        err = capsys.readouterr().err
+        assert err == f"missing input: {path} is a file where a directory belongs; remove it\n"
+        assert path.read_text() == "not a directory\n", stage
 
 
 def test_cli_usage_error_is_exit_1(capsys):
