@@ -239,58 +239,49 @@ class ReplayBuffer:
         ``offline``, a lone buffer, goes into the batch of each run r whose
         ``offline_draws[r]`` is not None: that many offline draws, then the
         rest from block r, then a permutation of the batch's rows, all from
-        ``rngs[r]``. Rows are gathered by one ``take`` per field and buffer
-        they come from; where they all come from the blocks, those takes are
-        the batch."""
+        ``rngs[r]``. Rows are gathered by one ``take`` per field and source;
+        where no run mixes, the blocks' takes are the batch."""
         runs = len(rngs)
         if self.runs not in (1, runs):
             raise ValueError(f"{runs} generators for a buffer of {self.runs} runs")
         mixes = any(n_off is not None for n_off in offline_draws)
         if mixes and (offline is None or offline.runs != 1):
             raise ValueError("mixed draws need a lone offline buffer")
-        # per source buffer: the rows it gives, and their rows of the stacked batch
-        parts: dict[ReplayBuffer, tuple[list, list]] = {}
-
-        def take(source: ReplayBuffer, rows: np.ndarray, at: np.ndarray) -> None:
-            source_rows, places = parts.setdefault(source, ([], []))
-            source_rows.append(rows)
-            places.append(at)
-
+        # per source: the rows it gives, and the rows of the stacked batch they go to
+        block_rows, block_at, offline_rows, offline_at = [], [], [], []
         for r, (rng, n_off) in enumerate(zip(rngs, offline_draws)):
             first = (r if self.runs > 1 else 0) * self.capacity  # the block's first row
-            rows_at = np.arange(r * batch, (r + 1) * batch)
+            at = np.arange(r * batch, (r + 1) * batch)
             if n_off is None:
-                take(self, self._draw(batch, rng) + first, rows_at)
+                block_rows.append(self._draw(batch, rng) + first)
+                block_at.append(at)
                 continue
             if len(offline) == 0 or len(self) == 0:
                 raise EmptyBufferError("mixed sampling needs both buffers non-empty")
-            offline_picks = offline._draw(n_off, rng) if n_off else None
-            online_picks = self._draw(batch - n_off, rng) if batch - n_off else None
-            # the batch's row i is row perm[i] of the parts, one after the other
-            at = np.empty(batch, dtype=np.int64)
-            at[rng.permutation(batch)] = rows_at
             if n_off:
-                take(offline, offline_picks, at[:n_off])
+                offline_rows.append(offline._draw(n_off, rng))
             if batch - n_off:
-                take(self, online_picks + first, at[n_off:])
-        sources = list(parts)
-        rows = [np.concatenate(parts[source][0]) for source in sources]
-        if sources == [self] and not mixes:  # the rows are in batch order
-            # take gathers the same rows as indexing, in less time
-            columns = [column.take(rows[0], axis=0) for column in self._columns()]
+                block_rows.append(self._draw(batch - n_off, rng) + first)
+            # the batch's row i is row perm[i] of the offline rows, then the block's
+            places = np.empty(batch, dtype=np.int64)
+            places[rng.permutation(batch)] = at
+            offline_at.append(places[:n_off])
+            block_at.append(places[n_off:])
+        if not mixes:  # the rows are in batch order; take gathers them as indexing does, faster
+            rows = np.concatenate(block_rows)
+            columns = [column.take(rows, axis=0) for column in self._columns()]
         else:  # one take per source, then the rows put in batch order
-            at = np.concatenate([a for source in sources for a in parts[source][1]])
+            no_rows = np.empty(0, dtype=np.int64)
+            block = np.concatenate([no_rows, *block_rows])
+            from_offline = np.concatenate([no_rows, *offline_rows])
+            at = np.concatenate(block_at + offline_at)
             back = np.empty_like(at)
             back[at] = np.arange(len(at))
-            columns = []
-            for stores in zip(*(source._columns() for source in sources)):
-                gathered = np.empty((len(at), *stores[0].shape[1:]))
-                start = 0
-                for store, source_rows in zip(stores, rows):
-                    stop = start + len(source_rows)
-                    np.take(store, source_rows, axis=0, out=gathered[start:stop])
-                    start = stop
-                columns.append(gathered.take(back, axis=0))
+            columns = [
+                np.concatenate([own.take(block, axis=0), shared.take(from_offline, axis=0)])
+                .take(back, axis=0)
+                for own, shared in zip(self._columns(), offline._columns())
+            ]
         return TransitionBatch(*(c.reshape(runs, batch, *c.shape[1:]) for c in columns))
 
     @classmethod

@@ -14,7 +14,9 @@ critic work. The group's run state is group-level, as its agent is: one
 env with a row per run, one online buffer with a block of rows per run,
 which holds the whole run, and one gather of every run's batch per update.
 A run keeps its place in each of them for the life of the group: a run
-that aborts stays there, masked, and nothing reads it again. The
+that aborts stays there, masked, and nothing reads it again, but its rows
+still go through every update, action and env step until the group ends,
+so it costs what a live run does. The
 evaluation curve is scored after training, in one pass over every run and
 curve point.
 """

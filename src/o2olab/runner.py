@@ -26,21 +26,22 @@ DatasetFormatError, exit 2); only training loads the rows, and classify
 takes the dataset's per-trajectory returns from the manifest. ``setting``,
 ``out_dir``, the selection of methods, and the report knobs (``last_k``,
 ``map_inconclusive``) feed no key, so changing them invalidates nothing.
-A run seed hashes the seed's position in ``seeds`` (``run_seed_for``): an
-appended seed leaves every run current, but dropping, inserting or
-reordering seeds re-seeds and re-runs each run whose seed moved (ROADMAP
-item 7).
+A run seed hashes the seed's value and the method, not the seed's position
+in ``seeds`` (``run_seed_for``): appending, dropping, inserting or
+reordering seeds leaves every run of a kept seed current. (Run seeds once
+hashed the position too; a tree made then from a list other than 0..n-1 in
+order re-runs its runs once.)
 
 Pretrain and finetune split their work into one unit per lockstep group.
-Pretrain's classes are the seeds to train and the seeds only to evaluate;
-finetune sorts the runs to do, in config order, into classes that update
-alike whatever their methods (``finetune.update_class``, from each
-checkpoint manifest's counters). Each class is cut into groups
-(``finetune.lockstep_runs``). A serial stage (``jobs`` 1) is the
-one-worker case of the same units: ``jobs`` N runs the same unit function
-in a pool of N worker processes, each unit takes the dataset's rows from a
-per-process cache, and results come back in unit order, so both write the
-same bytes.
+Pretrain's one class is the seeds to train; finetune sorts the runs to do,
+in config order, into classes that update alike whatever their methods
+(``finetune.update_class``, from each checkpoint manifest's counters). Each
+class is cut into groups (``finetune.lockstep_runs``). A serial stage
+(``jobs`` 1) is the one-worker case of the same units: ``jobs`` N runs the
+same unit function in a pool of N worker processes, each unit takes the
+dataset's rows from a per-process cache, and each writes its own files, so
+both write the same bytes. Pretrain then scores every seed's checkpoint,
+whether it trained now or earlier, in one evaluation in this process.
 
 Regime labels are persisted by the classify stage before any fine-tuning
 output exists, so the prediction is made ahead of the outcome. Report reads
@@ -89,7 +90,6 @@ from .data import (
 from .envs import (
     BehaviorSpec,
     EnvSpec,
-    ReferenceScores,
     compute_reference_scores,
     env_spec,
     evaluate_policy,
@@ -343,7 +343,7 @@ def run_key(config: ExperimentConfig, method: str, seed: int) -> str:
     return _key({
         "checkpoint": checkpoint_key(config, seed),
         "finetune": asdict(_method_finetune(config, method)),
-        "run_seed": run_seed_for(seed, method, config.seeds.index(seed)),
+        "run_seed": run_seed_for(seed, method),
     })
 
 
@@ -439,45 +439,28 @@ def _dataset(config: ExperimentConfig) -> OfflineDataset:
     return _rows(Paths(config).dataset, dataset_key(config))
 
 
-def _pretrain_group(
-    config: ExperimentConfig, seeds: tuple[int, ...], reference: ReferenceScores, train: bool
-) -> list[tuple[float, list[float]]]:
-    """Evaluate the checkpoints of ``seeds``, first training them as one
-    lockstep group and saving each when ``train``; returns (mean,
-    per_episode) per seed. Nothing is saved before the whole group is
-    trained, and one evaluation scores every seed's pretrained actor."""
+def _pretrain_group(config: ExperimentConfig, seeds: tuple[int, ...]) -> None:
+    """Train the checkpoints of ``seeds`` as one lockstep group and save
+    each; nothing is saved before the whole group is trained."""
     paths = Paths(config)
-    pretrain, hyper = config.pretrain, config.agent
-    if train:
-        dataset = _dataset(config)
-        train_seeds = [stable_seed("pretrain", seed) for seed in seeds]
-        env = config.env
-        group = stack_agents(
-            [make_td3_agent(env.obs_dim, env.action_dim, hyper, s) for s in train_seeds]
-        )
-        if pretrain.kind == PRETRAIN_OFFLINE_RL:
-            offline_rl_pretrain(group, dataset, pretrain.steps, pretrain.beta, train_seeds)
-        else:
-            bc_pretrain(group, dataset, pretrain.steps, train_seeds)
-            fqe(group, dataset, pretrain.resolved_fqe_steps, train_seeds)
-            agent_from_bc_fqe(group)
-        for i, seed in enumerate(seeds):
-            save_agent(
-                select_runs(group, [i]),
-                paths.checkpoint(seed),
-                extra={"key": checkpoint_key(config, seed), "seed": seed},
-            )
-        actors = group.actor
-    else:
-        actors = stack_nets([load_agent(paths.checkpoint(seed)).actor for seed in seeds])
-    results = evaluate_policy(
-        policy_fn(actors),
-        config.env,
-        reference,
-        config.finetune.eval_episodes,
-        [stable_seed("pretrain-eval", seed) for seed in seeds],
+    pretrain, hyper, env = config.pretrain, config.agent, config.env
+    dataset = _dataset(config)
+    train_seeds = [stable_seed("pretrain", seed) for seed in seeds]
+    group = stack_agents(
+        [make_td3_agent(env.obs_dim, env.action_dim, hyper, s) for s in train_seeds]
     )
-    return [(result.mean, result.per_episode) for result in results]
+    if pretrain.kind == PRETRAIN_OFFLINE_RL:
+        offline_rl_pretrain(group, dataset, pretrain.steps, pretrain.beta, train_seeds)
+    else:
+        bc_pretrain(group, dataset, pretrain.steps, train_seeds)
+        fqe(group, dataset, pretrain.resolved_fqe_steps, train_seeds)
+        agent_from_bc_fqe(group)
+    for i, seed in enumerate(seeds):
+        save_agent(
+            select_runs(group, [i]),
+            paths.checkpoint(seed),
+            extra={"key": checkpoint_key(config, seed), "seed": seed},
+        )
 
 
 def _openblas_function(name: str):
@@ -575,33 +558,37 @@ def _check_jobs(jobs: int) -> None:
 
 def cmd_pretrain(config: ExperimentConfig, jobs: int = 1, force: bool = False) -> Path:
     """Train every seed whose checkpoint is missing or stale (every seed with
-    ``force``), then evaluate all seeds into ``pretrain/eval.json``. The
-    seeds to train, and apart from them the seeds to evaluate only, are cut
-    into lockstep groups, one work unit each (see ``_lockstep_units``). The
-    dataset's rows are loaded only when a seed trains."""
+    ``force``), cut into lockstep groups, one work unit each (see
+    ``_lockstep_units``), then score every seed's checkpoint into
+    ``pretrain/eval.json`` with one evaluation. The dataset's rows are
+    loaded only when a seed trains."""
     _check_jobs(jobs)
     paths = Paths(config)
     reference = _dataset_manifest(config)["reference"]
-    train = {
-        seed: force
+    stale = [
+        seed for seed in config.seeds
+        if force
         or not _is_current(paths.checkpoint(seed) / MANIFEST_FILE, checkpoint_key(config, seed))
-        for seed in config.seeds
-    }
-    if not any(train.values()) and _is_current(paths.pretrain_eval, eval_key(config)):
+    ]
+    if not stale and _is_current(paths.pretrain_eval, eval_key(config)):
         return paths.pretrain_eval
-    classes = [[seed for seed in config.seeds if train[seed] == trains] for trains in (True, False)]
-    units = _lockstep_units(classes, lockstep_runs(config.agent, config.env), jobs)
-    results = _map(
-        jobs, _pretrain_group, repeat(config), units, repeat(reference),
-        [train[unit[0]] for unit in units],
+    units = _lockstep_units([stale], lockstep_runs(config.agent, config.env), jobs)
+    if units:
+        _map(jobs, _pretrain_group, repeat(config), units)
+    actors = stack_nets([load_agent(paths.checkpoint(seed)).actor for seed in config.seeds])
+    results = evaluate_policy(
+        policy_fn(actors),
+        config.env,
+        reference,
+        config.finetune.eval_episodes,
+        [stable_seed("pretrain-eval", seed) for seed in config.seeds],
     )
-    by_seed = {seed: r for unit, rows in zip(units, results) for seed, r in zip(unit, rows)}
     record = {
         "key": eval_key(config),
         "episodes": config.finetune.eval_episodes,
         "seeds": list(config.seeds),
-        "means": [by_seed[seed][0] for seed in config.seeds],
-        "per_episode": [by_seed[seed][1] for seed in config.seeds],
+        "means": [result.mean for result in results],
+        "per_episode": [result.per_episode for result in results],
     }
     write_json_atomic(paths.pretrain_eval, record)
     return paths.pretrain_eval
@@ -631,10 +618,12 @@ def cmd_classify(config: ExperimentConfig) -> Path:
 # --- stage: finetune ---
 
 
-def run_seed_for(config_seed: int, method: str, seed_index: int) -> int:
-    """Seed of one fine-tuning run, derived from the configured seed value,
-    the method, and the seed's position in the config list."""
-    return stable_seed("run", config_seed, method, seed_index)
+def run_seed_for(config_seed: int, method: str) -> int:
+    """Seed of one fine-tuning run, derived from the configured seed value
+    and the method alone."""
+    # the seed's value stands where its position stood, so the runs of
+    # seeds 0..n-1 in order keep their seeds and keys
+    return stable_seed("run", config_seed, method, config_seed)
 
 
 def _method_finetune(config: ExperimentConfig, method: str) -> FinetuneConfig:
@@ -648,7 +637,7 @@ def _finetune_group(config: ExperimentConfig, runs: tuple[tuple[str, int], ...])
     paths = Paths(config)
     agents = [load_agent(paths.checkpoint(seed)) for _, seed in runs]
     configs = [_method_finetune(config, method) for method, _ in runs]
-    run_seeds = [run_seed_for(seed, method, config.seeds.index(seed)) for method, seed in runs]
+    run_seeds = [run_seed_for(seed, method) for method, seed in runs]
     logs = run_finetune(_dataset(config), agents, configs, run_seeds)
     for (method, seed), log in zip(runs, logs):
         payload = {"key": run_key(config, method, seed), "config_seed": seed, **log.to_dict()}

@@ -286,10 +286,13 @@ def test_from_dataset_matches_pushing_rows_in_order(sparse_reference):
     assert_same_buffer(ReplayBuffer.from_dataset(ds), pushed)
 
 
-def test_a_group_buffer_draws_from_each_block_as_a_lone_buffer():
+@pytest.mark.parametrize("mixing", [[False, True], [True, True]], ids=["one-mixes", "both-mix"])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_a_group_buffer_draws_from_each_block_as_a_lone_buffer(alpha, mixing):
     # two blocks draw, block by block, what a lone buffer that pushed the
     # same rows one at a time draws, alone and mixed with an offline buffer,
-    # as the blocks fill up
+    # as the blocks fill up; at alpha 0 a mixing run draws no offline rows
+    # and still permutes its batch, and at alpha 1 it draws no online rows
     capacity = 100
     group = ReplayBuffer(capacity, 4, 2, runs=2)
     off = ReplayBuffer(40, 4, 2)
@@ -306,12 +309,11 @@ def test_a_group_buffer_draws_from_each_block_as_a_lone_buffer():
         for r, buf in enumerate(alone):
             one_row_at_a_time(buf, dict(zip(BUFFER_FIELDS, (column[r] for column in online))))
         got = group.sample(64, [np.random.default_rng(s) for s in (1, 2)])
-        # the second run mixes in offline draws
-        mixed = MixedSampler(off, group, 0.5, [False, True])
+        mixed = MixedSampler(off, group, alpha, mixing)
         got_mixed = mixed.sample(64, [np.random.default_rng(s) for s in (3, 4)])
         for r, buf in enumerate(alone):
             want = buf.sample(64, [np.random.default_rng(1 + r)])
-            want_mixed = (MixedSampler(off, buf, 0.5, [True]) if r else buf).sample(
+            want_mixed = (MixedSampler(off, buf, alpha, [True]) if mixing[r] else buf).sample(
                 64, [np.random.default_rng(3 + r)]
             )
             for f in BUFFER_FIELDS:

@@ -545,9 +545,7 @@ def test_pipeline_end_to_end(config):
         assert f.exists()
         data = read_json(f)
         assert data["key"] == runner.run_key(config, data["method"], data["config_seed"])
-        assert data["seed"] == runner.run_seed_for(
-            data["config_seed"], data["method"], config.seeds.index(data["config_seed"])
-        )
+        assert data["seed"] == runner.run_seed_for(data["config_seed"], data["method"])
 
     analysis_path = runner.cmd_report(config)
     analysis = read_json(analysis_path)
@@ -946,6 +944,36 @@ def test_appending_a_seed_keeps_dataset_and_runs(finished, tmp_path):
     assert read_json(runner.Paths(config).analysis)["completeness"]["completed_runs"] == 18
 
 
+def test_dropping_or_reordering_seeds_keeps_every_run(finished, tmp_path):
+    # a run seed hashes the seed's value, not its position in ``seeds``:
+    # the runs made for [0, 1, 2] stay current for [0, 2] and [2, 0, 1],
+    # where pretrain and classify redo only the evaluation and the label,
+    # whose keys cover the seeds in order
+    config = copy_of(finished, tmp_path, seeds=[0, 1, 2])
+    root = runner.Paths(config).root
+    run_pipeline(config)
+    before = snapshot(root)
+    means = dict(zip(config.seeds, read_json(root / "pretrain" / "eval.json")["means"]))
+    kept = [n for n in before if n.startswith(("dataset/", "finetune/", "pretrain/seed_"))]
+    assert all(f"finetune/{m}/seed_2.{ext}" in kept
+               for m in config.methods for ext in ("json", "csv"))
+    for seeds in ([0, 2], [2, 0, 1]):
+        changed = runner.ExperimentConfig.from_dict(
+            tiny_config_dict(tmp_path, out_dir=str(root), seeds=seeds)
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            written = recording_writes(mp, root)
+            run_stages(changed)
+        assert [n for n in written if not n.startswith("report/")] == [
+            "pretrain/eval.json", "classify.json"
+        ]
+        after = snapshot(root)
+        assert all(after[n] == before[n] for n in kept)
+        assert read_json(root / "pretrain" / "eval.json")["means"] == [means[s] for s in seeds]
+        completed = read_json(runner.Paths(changed).analysis)["completeness"]["completed_runs"]
+        assert completed == len(config.methods) * len(seeds)
+
+
 def test_stale_pretrain_eval_is_redone(finished, tmp_path):
     config = copy_of(finished, tmp_path)
     paths = runner.Paths(config)
@@ -1308,12 +1336,12 @@ def test_a_class_is_cut_into_groups_of_even_size(classes, size, jobs, sizes):
 
 def recording_pretrain_units(mp):
     """Patch ``runner._pretrain_group`` to record the seeds of each work
-    unit and whether it trains them."""
+    unit."""
     units, real = [], runner._pretrain_group
 
-    def recording(config, seeds, reference, train):
-        units.append((seeds, train))
-        return real(config, seeds, reference, train)
+    def recording(config, seeds):
+        units.append(seeds)
+        real(config, seeds)
 
     mp.setattr(runner, "_pretrain_group", recording)
     return units
@@ -1352,9 +1380,9 @@ def three_seed_dataset(request, tmp_path_factory):
 def test_a_pretraining_group_writes_the_bytes_of_seeds_alone(three_seed_dataset):
     config = three_seed_dataset
     alone, units = pretrain_in_groups(config, 1)
-    assert units == [((0,), True), ((1,), True), ((2,), True)]
+    assert units == [(0,), (1,), (2,)]
     grouped, units = pretrain_in_groups(config, 4)
-    assert units == [((0, 1, 2), True)]
+    assert units == [(0, 1, 2)]
     # every checkpoint and the eval record, whose means are the pi_0 scores
     assert len(grouped) == 2 * 3 + 1 and grouped == alone
     assert read_json(runner.Paths(config).pretrain_eval)["seeds"] == [0, 1, 2]
@@ -1363,7 +1391,7 @@ def test_a_pretraining_group_writes_the_bytes_of_seeds_alone(three_seed_dataset)
 def test_pretraining_with_two_jobs_writes_the_bytes_of_one(three_seed_dataset):
     config = three_seed_dataset
     serial, units = pretrain_in_groups(config, 4)
-    assert units == [((0, 1, 2), True)]
+    assert units == [(0, 1, 2)]
     parallel, _ = pretrain_in_groups(config, 4, jobs=2)  # groups of 2 and 1
     assert parallel == serial
 
@@ -1372,7 +1400,8 @@ def test_pretraining_with_two_jobs_writes_the_bytes_of_one(three_seed_dataset):
 def test_pretraining_units_give_every_worker_a_unit_and_keep_the_seed_order(
     tmp_path, monkeypatch, jobs
 ):
-    # two seeds to train and two to evaluate only: neither unit mixes them
+    # two seeds to train and two kept: only the two train, and every seed
+    # is scored from its checkpoint
     config = runner.ExperimentConfig.from_dict(tiny_config_dict(tmp_path, seeds=[5, 3, 8, 1]))
     runner.cmd_gen_data(config)
     runner.cmd_pretrain(config)
@@ -1382,9 +1411,7 @@ def test_pretraining_units_give_every_worker_a_unit_and_keep_the_seed_order(
     units = recording_pretrain_units(monkeypatch)
     monkeypatch.setattr(runner, "_map", lambda _, fn, *args: list(map(fn, *args)))
     runner.cmd_pretrain(config, jobs=jobs)
-    expected = {1: [((3, 1), True), ((5, 8), False)],
-                2: [((3, 1), True), ((5, 8), False)],
-                3: [((3,), True), ((1,), True), ((5, 8), False)]}
+    expected = {1: [(3, 1)], 2: [(3,), (1,)], 3: [(3,), (1,)]}
     assert units == expected[jobs]
     assert read_json(runner.Paths(config).pretrain_eval) == before
 
