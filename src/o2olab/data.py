@@ -71,6 +71,11 @@ class OfflineDataset:
         return len(self.offsets) - 1
 
 
+def reference_seed_for(dataset_seed: int) -> int:
+    """Seed of the reference scores of the dataset of ``dataset_seed``."""
+    return stable_seed("reference", dataset_seed)
+
+
 def _generate(
     spec: EnvSpec,
     runs: list[tuple[BehaviorSpec, int, int]],
@@ -84,7 +89,7 @@ def _generate(
     generator and resets with its own env seed, so no trajectory depends on
     what runs beside it."""
     if reference is None:
-        reference = compute_reference_scores(spec, seed=stable_seed("reference", seed))
+        reference = compute_reference_scores(spec, seed=reference_seed_for(seed))
     behaviors, rngs, seeds = [], [], []
     for kind, n_traj, run_seed in runs:
         for i in range(n_traj):
@@ -336,7 +341,8 @@ class MixedSampler:
 # --- file I/O ---
 
 
-def _behavior_to_json(behavior):
+def behavior_to_json(behavior):
+    """A behavior as JSON data: its fields, or per segment its fields and ``n_traj``."""
     if isinstance(behavior, BehaviorSpec):
         return asdict(behavior)
     return [{**asdict(spec), "n_traj": n} for spec, n in behavior]
@@ -350,7 +356,8 @@ def behavior_segment(n_traj: int = 1, **behavior) -> tuple[BehaviorSpec, int]:
     return parse(BehaviorSpec, behavior, "behavior"), n_traj
 
 
-def _behavior_from_json(data):
+def behavior_from_json(data):
+    """The behavior of ``behavior_to_json``'s data; a list holds segments."""
     if isinstance(data, dict):
         return parse(BehaviorSpec, data, "behavior")
     return [parse(behavior_segment, d, "behavior") for d in data]
@@ -388,7 +395,7 @@ def save_dataset(dataset: OfflineDataset, directory, extra: dict | None = None) 
         "action_dim": dataset.env.action_dim,
         "n_traj": dataset.n_traj,
         "n_transitions": dataset.n_transitions,
-        "behavior": _behavior_to_json(dataset.behavior),
+        "behavior": behavior_to_json(dataset.behavior),
         "reference": asdict(dataset.reference),
         "returns": per_traj.tolist(),  # dataset_return's sample, for classify
         **(extra or {}),
@@ -431,7 +438,7 @@ def _read_manifest(directory: Path) -> dict:
             _typed_manifest,
             read_json(path),
             "manifest",
-            {"env": lambda data: parse(env_spec, data, "env"), "behavior": _behavior_from_json},
+            {"env": lambda data: parse(env_spec, data, "env"), "behavior": behavior_from_json},
         )
     except FileNotFoundError:
         raise DatasetFormatError(f"{path} is missing (an interrupted save?)") from None

@@ -1,4 +1,4 @@
-"""Online fine-tuning loop and the six evaluated method configurations.
+"""Online fine-tuning loop and the six evaluated methods.
 
 Per environment step the loop first performs the scheduled gradient
 updates, then collects one transition, so with a warm-up of K steps the
@@ -7,9 +7,9 @@ exactly K transitions. Total updates are exactly
 ``utd * max(0, steps - start_delay)``.
 
 The loop steps a lockstep group of runs (see ``run_finetune``), which may
-be of several methods: runs of one ``update_class`` share the regularizer,
-the first update step, the step and curve schedule, the offline share and
-the counters they start from, and ``lockstep_runs`` sizes a group by its
+be of several methods over the setting's one ``FinetuneConfig``: runs of
+one ``update_class`` share the regularizer, the first update step and the
+counters they start from, and ``lockstep_runs`` sizes a group by its
 critic work. The group's run state is group-level, as its agent is: one
 env with a row per run, one online buffer with a block of rows per run,
 which holds the whole run, and one gather of every run's batch per update.
@@ -68,7 +68,8 @@ DATA_CENTRIC = (METHOD_REPLAY, METHOD_REPLAY_RESET)
 
 @dataclass
 class FinetuneConfig:
-    method: str = METHOD_BASELINE
+    """What every run of a setting shares; a run is a (method, seed) pair."""
+
     total_env_steps: int = 50_000
     utd: int = 1
     warmup_steps: int = 500  # K; desk-scale default (paper scale 5000)
@@ -78,8 +79,6 @@ class FinetuneConfig:
     eval_episodes: int = 20
 
     def __post_init__(self):
-        if self.method not in ALL_METHODS:
-            raise ConfigError(f"unknown method {self.method!r}")
         if self.total_env_steps < 1 or self.utd < 1:
             raise ConfigError("total_env_steps and utd must be >= 1")
         if self.warmup_steps < 1:
@@ -90,8 +89,6 @@ class FinetuneConfig:
             raise ConfigError("alpha must be in [0, 1]")
         if self.eval_every < 1 or self.eval_episodes < 1:
             raise ConfigError("eval_every and eval_episodes must be >= 1")
-        if self.method in (METHOD_O2O_REG, METHOD_MIXED) and self.beta is None:
-            raise ConfigError(f"method {self.method!r} needs beta")
         if self.beta is not None and self.beta < 0:
             raise ConfigError(f"finetune.beta must be >= 0, got {self.beta}")
 
@@ -120,6 +117,11 @@ class RunLog:
         return cls(**record)
 
 
+def run_settings(method: str, config: FinetuneConfig) -> dict:
+    """A run of ``method`` under ``config``: its log's ``config``, which its key hashes."""
+    return {"method": method, **asdict(config)}
+
+
 def eval_seed_for(run_seed: int, point_index: int) -> int:
     """Seed used for the evaluation at the given curve point; exposed so the
     step-0 point can be reproduced independently."""
@@ -134,38 +136,31 @@ def last_k_eval_stat(log: RunLog, k: int) -> float:
     return float(np.mean(means[-k:]))
 
 
-def _regularizer_for(config: FinetuneConfig) -> RegularizerConfig:
-    if config.method in (METHOD_O2O_REG, METHOD_MIXED):
+def _regularizer_for(method: str, config: FinetuneConfig) -> RegularizerConfig:
+    if method in (METHOD_O2O_REG, METHOD_MIXED):
+        if config.beta is None:
+            raise ConfigError(f"method {method!r} needs beta")
         return RegularizerConfig(bc_coefficient=config.beta, q_normalization=True)
     return RegularizerConfig()
 
 
-def _schedule(config: FinetuneConfig, hyper: Td3Hyper) -> tuple:
-    """What the runs of one lockstep group share of their configs: the
-    regularizer, the first update step, the updates per step, the env steps
-    (which size the online buffer), the curve points, and the offline share
-    of a replaying run's batch."""
-    start_delay = config.warmup_steps if config.method == METHOD_WARMUP else hyper.batch
-    return (
-        _regularizer_for(config),
-        start_delay,
-        config.utd,
-        config.total_env_steps,
-        config.eval_every,
-        config.eval_episodes,
-        config.alpha,
-    )
+def _schedule(method: str, config: FinetuneConfig, hyper: Td3Hyper) -> tuple:
+    """What a method makes of its setting's config, beyond what every run
+    shares: the regularizer and the first update step."""
+    if method not in ALL_METHODS:
+        raise ConfigError(f"unknown method {method!r}")
+    start_delay = config.warmup_steps if method == METHOD_WARMUP else hyper.batch
+    return _regularizer_for(method, config), start_delay
 
 
-def update_class(config: FinetuneConfig, hyper: Td3Hyper, counters: tuple) -> tuple:
-    """The class of a run: runs of one class update alike, whatever their
-    methods, and can share a lockstep group. It holds the config's schedule
-    (regularizer, first update step, updates per step, env steps, curve
-    points, offline share) and the counters the run starts from: its
-    checkpoint's ``counters`` (see ``agents.checkpoint_counters``), or fresh
-    ones after a replay_reset."""
-    start = FRESH_COUNTERS if config.method == METHOD_REPLAY_RESET else tuple(counters)
-    return (*_schedule(config, hyper), start)
+def update_class(method: str, config: FinetuneConfig, hyper: Td3Hyper, counters: tuple) -> tuple:
+    """The class of a run of ``method`` under ``config``: runs of one class
+    update alike, whatever their methods, and can share a lockstep group.
+    It holds the method's schedule (regularizer, first update step) and the
+    counters the run starts from: its checkpoint's ``counters`` (see
+    ``agents.checkpoint_counters``), or fresh ones after a replay_reset."""
+    start = FRESH_COUNTERS if method == METHOD_REPLAY_RESET else tuple(counters)
+    return (*_schedule(method, config, hyper), start)
 
 
 # A lockstep group pays where a run's update is small enough that its fixed
@@ -229,10 +224,10 @@ class _Run:
     episode: int = 0
 
     @classmethod
-    def start(cls, config: FinetuneConfig, seed: int) -> "_Run":
+    def start(cls, method: str, config: FinetuneConfig, seed: int) -> "_Run":
         return cls(
-            log=RunLog(method=config.method, seed=seed, config=asdict(config), eval_curve=[]),
-            replays=config.method in REPLAY_METHODS,
+            log=RunLog(method, seed, run_settings(method, config), eval_curve=[]),
+            replays=method in REPLAY_METHODS,
             explore_rng=rng_for("explore", seed),
             update_rng=rng_for("update", seed),
             sample_rng=rng_for("sample", seed),
@@ -274,16 +269,18 @@ def _evaluate_curves(dataset: OfflineDataset, episodes: int, points: list) -> No
 def run_finetune(
     dataset: OfflineDataset,
     agents: list[Td3Agent],
-    configs: list[FinetuneConfig],
+    methods: list[str],
+    config: FinetuneConfig,
     seeds: list[int],
 ) -> list[RunLog]:
-    """Fine-tune each agent (a group of one) online by its config and run
-    seed; returns one RunLog per run, in order.
+    """Fine-tune each agent (a group of one) online by its method and run
+    seed, under the one ``config`` that every run shares; returns one RunLog
+    per run, in order.
 
     The runs go in lockstep, as one group holding copies of the agents: one
     stacked ``td3_update`` per update and one exploring ``act`` per env step
     (see ``agents.stack_agents``). Their methods may differ where the runs
-    update alike (see ``update_class``): the configs must share their
+    update alike (see ``update_class``): the methods must share their
     schedule, and the agents their counters once a replay_reset run's agent
     is reset. ``agents`` is emptied, so that nothing here keeps the
     originals alive.
@@ -305,23 +302,22 @@ def run_finetune(
     env. The dataset is sampled only by the replay-based methods.
     """
     hyper = agents[0].hyper
-    schedule = _schedule(configs[0], hyper)
-    if any(_schedule(config, hyper) != schedule for config in configs):
-        raise ValueError("a lockstep group takes runs whose configs share a schedule")
-    reg, start_delay, utd, total_env_steps, eval_every, eval_episodes, alpha = schedule
-    for i, (config, seed) in enumerate(zip(configs, seeds)):  # no loop variable keeps an agent
-        if config.method == METHOD_REPLAY_RESET:
+    reg, start_delay = _schedule(methods[0], config, hyper)
+    if any(_schedule(method, config, hyper) != (reg, start_delay) for method in methods):
+        raise ValueError("a lockstep group takes methods that share a schedule")
+    for i, (method, seed) in enumerate(zip(methods, seeds)):  # no loop variable keeps an agent
+        if method == METHOD_REPLAY_RESET:
             reset_parameters(agents[i], seed=stable_seed("reset", seed))
     group = stack_agents(agents)
     agents.clear()
     spec = dataset.env
-    runs = [_Run.start(config, seed) for config, seed in zip(configs, seeds)]
+    runs = [_Run.start(method, config, seed) for method, seed in zip(methods, seeds)]
     live = np.ones(len(runs), dtype=bool)  # the runs that have not aborted
-    online = ReplayBuffer(total_env_steps, spec.obs_dim, spec.action_dim, len(runs))
+    online = ReplayBuffer(config.total_env_steps, spec.obs_dim, spec.action_dim, len(runs))
     sampler, offline_draws = online, 0
     if any(run.replays for run in runs):
         offline = ReplayBuffer.from_dataset(dataset)
-        sampler = MixedSampler(offline, online, alpha, [run.replays for run in runs])
+        sampler = MixedSampler(offline, online, config.alpha, [run.replays for run in runs])
         offline_draws = sampler.offline_count(hyper.batch)
     sample_rngs = [run.sample_rng for run in runs]
     update_rngs = [run.update_rng for run in runs]
@@ -335,9 +331,9 @@ def run_finetune(
         points.append((step, [run for run, alive in zip(runs, live) if alive], group.actor[live]))
 
     add_point(0)  # for replay_reset this is the post-reset policy
-    for step in range(1, total_env_steps + 1):
+    for step in range(1, config.total_env_steps + 1):
         if step > start_delay:
-            for _ in range(utd):
+            for _ in range(config.utd):
                 batch = sampler.sample(hyper.batch, sample_rngs)
                 failed = td3_update(group, batch, reg, update_rngs)
                 for i, reason in failed.items():
@@ -361,11 +357,11 @@ def run_finetune(
             for i in ended:
                 runs[i].episode += 1
             obs[ended] = env.restart(ended, [runs[i].episode_seed() for i in ended])
-        if step % eval_every == 0:
+        if step % config.eval_every == 0:
             add_point(step)
 
     for run, alive in zip(runs, live):
         if alive:
-            run.finish(total_env_steps, updates, offline_draws)
-    _evaluate_curves(dataset, eval_episodes, points)
+            run.finish(config.total_env_steps, updates, offline_draws)
+    _evaluate_curves(dataset, config.eval_episodes, points)
     return [run.log for run in runs]

@@ -16,7 +16,7 @@ key of each artifact it is made from is chained into its own:
     checkpoint(seed) <- dataset key, pretrain settings, agent hyper, seed
     pretrain eval    <- the checkpoint keys of ``seeds`` in order, episodes
     classify         <- pretrain eval key, tost
-    run(method,seed) <- checkpoint key, the method's FinetuneConfig, run seed
+    run(method,seed) <- checkpoint key, the method and FinetuneConfig, run seed
 
 A stage skips work whose artifact already has the expected key. An input
 that does not exist is a MissingInputError (exit 2); one with another key is
@@ -37,11 +37,12 @@ Pretrain's one class is the seeds to train; finetune sorts the runs to do,
 in config order, into classes that update alike whatever their methods
 (``finetune.update_class``, from each checkpoint manifest's counters). Each
 class is cut into groups (``finetune.lockstep_runs``). A serial stage
-(``jobs`` 1) is the one-worker case of the same units: ``jobs`` N runs the
-same unit function in a pool of N worker processes, each unit takes the
-dataset's rows from a per-process cache, and each writes its own files, so
-both write the same bytes. Pretrain then scores every seed's checkpoint,
-whether it trained now or earlier, in one evaluation in this process.
+(``jobs`` 1, or a lone unit) is the one-worker case of the same units:
+``jobs`` N runs the same unit function in a pool of one worker process per
+unit, at most N, each unit takes the dataset's rows from a per-process
+cache, and each writes its own files, so both write the same bytes.
+Pretrain then scores every seed's checkpoint, whether it trained now or
+earlier, in one evaluation in this process.
 
 Regime labels are persisted by the classify stage before any fine-tuning
 output exists, so the prediction is made ahead of the outcome. Report reads
@@ -80,11 +81,13 @@ from .agents import (
 )
 from .data import (
     OfflineDataset,
-    behavior_segment,
+    behavior_from_json,
+    behavior_to_json,
     generate_dataset,
     generate_mixed_dataset,
     load_dataset,
     read_manifest,
+    reference_seed_for,
     save_dataset,
 )
 from .envs import (
@@ -104,6 +107,7 @@ from .finetune import (
     last_k_eval_stat,
     lockstep_runs,
     run_finetune,
+    run_settings,
     update_class,
 )
 from .fsio import MANIFEST_FILE, read_json, write_json_atomic, write_text_atomic
@@ -181,9 +185,7 @@ def _plain(value):
 # a list of them.
 _SECTIONS = {
     "env": lambda env: parse(env_spec, env, "env"),
-    "behavior": lambda b: [
-        parse(behavior_segment, entry, "behavior") for entry in (b if isinstance(b, list) else [b])
-    ],
+    "behavior": lambda b: behavior_from_json(b if isinstance(b, list) else [b]),
 }
 
 
@@ -203,7 +205,6 @@ class ExperimentConfig:
     finetune: FinetuneConfig = field(default_factory=FinetuneConfig)
     agent: Td3Hyper = field(default_factory=Td3Hyper)
     dataset_seed: int = 0
-    reference_seed: int | None = None
     reference_episodes: int = 100
     tost: TostConfig = field(default_factory=TostConfig)
     map_inconclusive: str = MAP_COMPARABLE
@@ -238,16 +239,9 @@ class ExperimentConfig:
                 f"got {self.last_k}"
             )
 
-    @property
-    def resolved_reference_seed(self) -> int:
-        if self.reference_seed is not None:
-            return self.reference_seed
-        return stable_seed("reference", self.dataset_seed)
-
     def to_dict(self) -> dict:
         d = {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
-        d["behavior"] = [{**asdict(b), "n_traj": n} for b, n in self.behavior]
-        del d["finetune"]["method"]  # each run's method comes from ``methods``
+        d["behavior"] = behavior_to_json(self.behavior)
         return d
 
     @classmethod
@@ -314,7 +308,7 @@ def dataset_key(config: ExperimentConfig) -> str:
     d = config.to_dict()
     return _key({
         **{name: d[name] for name in ("env", "behavior", "dataset_seed", "reference_episodes")},
-        "reference_seed": config.resolved_reference_seed,
+        "reference_seed": reference_seed_for(config.dataset_seed),
     })
 
 
@@ -342,7 +336,7 @@ def classify_key(config: ExperimentConfig) -> str:
 def run_key(config: ExperimentConfig, method: str, seed: int) -> str:
     return _key({
         "checkpoint": checkpoint_key(config, seed),
-        "finetune": asdict(_method_finetune(config, method)),
+        "finetune": run_settings(method, config.finetune),
         "run_seed": run_seed_for(seed, method),
     })
 
@@ -410,7 +404,7 @@ def cmd_gen_data(config: ExperimentConfig, force: bool = False) -> Path:
         raise ConfigError(f"{paths.dataset} already exists; use --force to overwrite")
     paths.root.mkdir(parents=True, exist_ok=True)
     reference = compute_reference_scores(
-        config.env, seed=config.resolved_reference_seed, episodes=config.reference_episodes
+        config.env, reference_seed_for(config.dataset_seed), config.reference_episodes
     )
     if len(config.behavior) == 1:
         behavior, n_traj = config.behavior[0]
@@ -538,17 +532,21 @@ def _configure_process() -> None:
     _keep_freed_memory()
 
 
-def _process_pool(jobs: int) -> cf.ProcessPoolExecutor:
-    return cf.ProcessPoolExecutor(max_workers=jobs, initializer=_configure_process)
+def _process_pool(workers: int) -> cf.ProcessPoolExecutor:
+    return cf.ProcessPoolExecutor(max_workers=workers, initializer=_configure_process)
 
 
-def _map(jobs: int, fn, *iterables) -> list:
-    """``fn`` over the work units in unit order: in this process when
-    ``jobs`` is 1, else in a pool of ``jobs`` workers."""
-    if jobs == 1:
-        return list(map(fn, *iterables))
-    with _process_pool(jobs) as pool:
-        return list(pool.map(fn, *iterables))
+def _map(jobs: int, fn, config: ExperimentConfig, units: list[tuple]) -> None:
+    """``fn(config, unit)`` for every work unit, in unit order, in a pool of
+    one worker per unit, at most ``jobs`` (a fork pool starts them all at
+    once), or in this process where that is one worker."""
+    workers = min(jobs, len(units))
+    if workers <= 1:
+        for unit in units:
+            fn(config, unit)
+        return
+    with _process_pool(workers) as pool:
+        list(pool.map(fn, repeat(config), units))
 
 
 def _check_jobs(jobs: int) -> None:
@@ -559,9 +557,9 @@ def _check_jobs(jobs: int) -> None:
 def cmd_pretrain(config: ExperimentConfig, jobs: int = 1, force: bool = False) -> Path:
     """Train every seed whose checkpoint is missing or stale (every seed with
     ``force``), cut into lockstep groups, one work unit each (see
-    ``_lockstep_units``), then score every seed's checkpoint into
-    ``pretrain/eval.json`` with one evaluation. The dataset's rows are
-    loaded only when a seed trains."""
+    ``_lockstep_units``) and one worker per unit, at most ``jobs``; then
+    score every seed's checkpoint into ``pretrain/eval.json`` with one
+    evaluation. The dataset's rows are loaded only when a seed trains."""
     _check_jobs(jobs)
     paths = Paths(config)
     reference = _dataset_manifest(config)["reference"]
@@ -573,8 +571,7 @@ def cmd_pretrain(config: ExperimentConfig, jobs: int = 1, force: bool = False) -
     if not stale and _is_current(paths.pretrain_eval, eval_key(config)):
         return paths.pretrain_eval
     units = _lockstep_units([stale], lockstep_runs(config.agent, config.env), jobs)
-    if units:
-        _map(jobs, _pretrain_group, repeat(config), units)
+    _map(jobs, _pretrain_group, config, units)
     actors = stack_nets([load_agent(paths.checkpoint(seed)).actor for seed in config.seeds])
     results = evaluate_policy(
         policy_fn(actors),
@@ -626,19 +623,15 @@ def run_seed_for(config_seed: int, method: str) -> int:
     return stable_seed("run", config_seed, method, config_seed)
 
 
-def _method_finetune(config: ExperimentConfig, method: str) -> FinetuneConfig:
-    return replace(config.finetune, method=method)
-
-
 def _finetune_group(config: ExperimentConfig, runs: tuple[tuple[str, int], ...]) -> None:
     """Fine-tune ``runs``, (method, seed) pairs of one update class, as one
     lockstep group and write their run files; nothing is written before the
     whole group is done."""
     paths = Paths(config)
     agents = [load_agent(paths.checkpoint(seed)) for _, seed in runs]
-    configs = [_method_finetune(config, method) for method, _ in runs]
+    methods = [method for method, _ in runs]
     run_seeds = [run_seed_for(seed, method) for method, seed in runs]
-    logs = run_finetune(_dataset(config), agents, configs, run_seeds)
+    logs = run_finetune(_dataset(config), agents, methods, config.finetune, run_seeds)
     for (method, seed), log in zip(runs, logs):
         payload = {"key": run_key(config, method, seed), "config_seed": seed, **log.to_dict()}
         write_json_atomic(paths.run_file(method, seed), payload)
@@ -698,11 +691,12 @@ def _quarantine(path: Path) -> None:
 
 
 def cmd_finetune(config: ExperimentConfig, jobs: int = 1, force: bool = False) -> list[Path]:
-    """Run every method x seed whose run file is missing or stale (every one
-    with ``force``). A stale run file is overwritten in place; only an
-    unreadable one is first renamed ``seed_<s>.json.corrupt-<n>``. The
-    dataset's rows are loaded only when a run is left to do, and under
-    ``jobs > 1`` only in the pool's workers."""
+    """Run every (method, seed) whose run file is missing or stale (every
+    one with ``force``) under the one ``config.finetune``, in lockstep
+    groups of one update class, a work unit each, one worker per unit, at
+    most ``jobs``. A stale run file is overwritten in place; only an unreadable one is
+    first renamed ``seed_<s>.json.corrupt-<n>``. The dataset's rows are
+    loaded only when a run is left to do, and in a pool only by workers."""
     _check_jobs(jobs)
     paths = Paths(config)
     # the regime prediction is recorded before any outcome
@@ -729,11 +723,10 @@ def cmd_finetune(config: ExperimentConfig, jobs: int = 1, force: bool = False) -
     }
     classes: dict[tuple, list[tuple[str, int]]] = {}
     for method, seed in todo:
-        key = update_class(_method_finetune(config, method), config.agent, counters[seed])
+        key = update_class(method, config.finetune, config.agent, counters[seed])
         classes.setdefault(key, []).append((method, seed))
     units = _lockstep_units(list(classes.values()), lockstep_runs(config.agent, config.env), jobs)
-    if units:
-        _map(jobs, _finetune_group, repeat(config), units)
+    _map(jobs, _finetune_group, config, units)
     return [paths.run_file(m, s) for m in config.methods for s in config.seeds]
 
 

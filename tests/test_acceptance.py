@@ -195,18 +195,17 @@ def test_criterion_7_warmup_contract(tmp_path):
             for total, expected_updates in ((500, 0), (501, 1), (520, 20)):
                 first_sample_sizes.clear()
                 config = FinetuneConfig(
-                    method="warmup", total_env_steps=total, warmup_steps=500,
-                    eval_every=total, eval_episodes=1,
+                    total_env_steps=total, warmup_steps=500, eval_every=total, eval_episodes=1,
                 )
                 agent = make_td3_agent(spec.obs_dim, spec.action_dim, hyper, seed=0)
-                [log] = run_finetune(dataset, [agent], [config], [1])
+                [log] = run_finetune(dataset, [agent], ["warmup"], config, [1])
                 assert log.counters["updates"] == expected_updates, total
                 if expected_updates:
                     assert first_sample_sizes[0] == 500  # buffer size at first update
         finally:
             ft.ReplayBuffer = original
         # paper-scale K is a valid setting: constructing the config checks it
-        FinetuneConfig(method="warmup", warmup_steps=5000, total_env_steps=50_000)
+        FinetuneConfig(warmup_steps=5000, total_env_steps=50_000)
 
 
 # --- 9: confusion-matrix arithmetic ---

@@ -438,23 +438,42 @@ def test_mixed_order_shuffled():
 def test_mixed_sample_equals_concatenate_then_permute(alpha):
     # the parts' draws, then the permutation, as a concatenation of the
     # parts' own samples permuted; the offline buffer is full, the online
-    # one part full
+    # one part full. A lone run mixes, and in a group of three runs the
+    # first and last mix and the middle one draws from its block alone:
+    # each run's batch is checked against lone buffers of its block's rows
     rng = np.random.default_rng(3)
-    off, on = ReplayBuffer(70, 2, 1), ReplayBuffer(60, 2, 1)
-    for buf, n in ((off, 70), (on, 45)):
-        buf.push(rng.normal(size=(1, n, 2)), rng.normal(size=(1, n, 1)), rng.normal(size=(1, n)),
-                 rng.normal(size=(1, n, 2)), rng.random((1, n)) < 0.5)
-    sampler = MixedSampler(off, on, alpha, [True])
-    for seed in range(5):
-        got = sampler.sample(64, [np.random.default_rng(seed)])
-        draws = np.random.default_rng(seed)
-        n_off = sampler.offline_count(64)
-        parts = [buf.sample(n, [draws]) for buf, n in ((off, n_off), (on, 64 - n_off)) if n]
-        perm = draws.permutation(64)
-        for name in ("obs", "action", "reward", "next_obs", "terminated"):
-            expected = np.concatenate([getattr(p, name) for p in parts], axis=1)[:, perm]
-            assert np.array_equal(getattr(got, name), expected), name
-            assert getattr(got, name).dtype == expected.dtype
+
+    def rows(runs, n):
+        return (rng.normal(size=(runs, n, 2)), rng.normal(size=(runs, n, 1)),
+                rng.normal(size=(runs, n)), rng.normal(size=(runs, n, 2)),
+                rng.random((runs, n)) < 0.5)
+
+    off = ReplayBuffer(70, 2, 1)
+    off.push(*rows(1, 70))
+    for mixing in ([True], [True, False, True]):
+        on, online = ReplayBuffer(60, 2, 1, runs=len(mixing)), rows(len(mixing), 45)
+        on.push(*online)
+        blocks = [ReplayBuffer(60, 2, 1) for _ in mixing]
+        for r, block in enumerate(blocks):
+            block.push(*(column[r : r + 1] for column in online))
+        sampler = MixedSampler(off, on, alpha, mixing)
+        for seed in range(5):
+            got = sampler.sample(64, [np.random.default_rng(seed + r) for r in range(len(mixing))])
+            for r, (block, mixes) in enumerate(zip(blocks, mixing)):
+                draws = np.random.default_rng(seed + r)
+                if not mixes:
+                    want = block.sample(64, [draws])
+                    for name in BUFFER_FIELDS:
+                        assert np.array_equal(getattr(got, name)[r], getattr(want, name)[0])
+                    continue
+                n_off = sampler.offline_count(64)
+                parts = [buf.sample(n, [draws]) for buf, n in ((off, n_off), (block, 64 - n_off))
+                         if n]
+                perm = draws.permutation(64)
+                for name in BUFFER_FIELDS:
+                    expected = np.concatenate([getattr(p, name)[0] for p in parts])[perm]
+                    assert np.array_equal(getattr(got, name)[r], expected), (mixing, r, name)
+                    assert getattr(got, name).dtype == expected.dtype
 
 
 def test_mixed_alpha_validated():

@@ -43,7 +43,6 @@ def dataset(reference):
 
 def small_config(**overrides):
     base = dict(
-        method="baseline",
         total_env_steps=200,
         warmup_steps=60,
         eval_every=50,
@@ -59,8 +58,7 @@ def fresh_agent(seed=0):
 
 
 def run(method, dataset, seed=5, **overrides):
-    config = small_config(method=method, **overrides)
-    [log] = run_finetune(dataset, [fresh_agent()], [config], [seed])
+    [log] = run_finetune(dataset, [fresh_agent()], [method], small_config(**overrides), [seed])
     return log
 
 
@@ -68,16 +66,18 @@ def run(method, dataset, seed=5, **overrides):
 
 
 def test_config_validation():
-    # a FinetuneConfig that exists is valid: construction runs the checks
-    with pytest.raises(ConfigError):
-        small_config(method="nope")
+    # a FinetuneConfig that exists is valid: construction runs the checks;
+    # a method is checked where its schedule is built
+    with pytest.raises(ConfigError, match="unknown method 'nope'"):
+        update_class("nope", small_config(), HYPER, (0, 0, 0))
     with pytest.raises(ConfigError):
         small_config(warmup_steps=1000)
     with pytest.raises(ConfigError):
         small_config(alpha=2.0)
-    with pytest.raises(ConfigError):
-        small_config(method="o2o_reg", beta=None)
-    small_config()
+    for method in ("o2o_reg", "mixed"):
+        with pytest.raises(ConfigError, match=f"method '{method}' needs beta"):
+            update_class(method, small_config(beta=None), HYPER, (0, 0, 0))
+    update_class("baseline", small_config(beta=None), HYPER, (0, 0, 0))
 
 
 # --- warm-up and UTD accounting ---
@@ -85,8 +85,8 @@ def test_config_validation():
 
 def test_warmup_contract(dataset):
     # first update at step K+1 with exactly K transitions banked
-    config = small_config(method="warmup", warmup_steps=60, total_env_steps=120)
-    [log] = run_finetune(dataset, [fresh_agent()], [config], [2])
+    config = small_config(warmup_steps=60, total_env_steps=120)
+    [log] = run_finetune(dataset, [fresh_agent()], ["warmup"], config, [2])
     assert log.counters["updates"] == 120 - 60
     assert log.counters["env_steps"] == 120
 
@@ -103,8 +103,8 @@ def test_utd_accounting_scales(dataset):
 
 
 def test_zero_updates_before_warmup_end(dataset):
-    config = small_config(method="warmup", warmup_steps=150, total_env_steps=150)
-    [log] = run_finetune(dataset, [fresh_agent()], [config], [2])
+    config = small_config(warmup_steps=150, total_env_steps=150)
+    [log] = run_finetune(dataset, [fresh_agent()], ["warmup"], config, [2])
     assert log.counters["updates"] == 0
 
 
@@ -123,7 +123,7 @@ def test_step0_matches_independent_evaluation(dataset):
     agent = fresh_agent(3)
     frozen = copy.deepcopy(agent)
     config = small_config()
-    [log] = run_finetune(dataset, [agent], [config], [seed])
+    [log] = run_finetune(dataset, [agent], ["baseline"], config, [seed])
     [independent] = evaluate_policy(
         policy_fn(frozen.actor), SPEC, dataset.reference, config.eval_episodes,
         [eval_seed_for(seed, 0)],
@@ -188,8 +188,8 @@ def test_replay_reset_degrades_step0(dataset):
     # replaces parameters, so step-0 differs from the incoming agent's score
     frozen = copy.deepcopy(agent)
     seed = 21
-    config = small_config(method="replay_reset")
-    [log] = run_finetune(dataset, [agent], [config], [seed])
+    config = small_config()
+    [log] = run_finetune(dataset, [agent], ["replay_reset"], config, [seed])
     [incoming] = evaluate_policy(
         policy_fn(frozen.actor), SPEC, dataset.reference, config.eval_episodes,
         [eval_seed_for(seed, 0)],
@@ -213,12 +213,11 @@ def test_replay_batches_split_exactly_at_full_scale(dataset):
 
     agent = make_td3_agent(SPEC.obs_dim, SPEC.action_dim,
                            Td3Hyper(hidden=(8, 8), batch=256), seed=0)
-    config = small_config(method="replay", total_env_steps=280, eval_every=140,
-                          eval_episodes=1)
+    config = small_config(total_env_steps=280, eval_every=140, eval_episodes=1)
     original = ft.MixedSampler
     ft.MixedSampler = CountingSampler
     try:
-        [log] = run_finetune(dataset, [agent], [config], [3])
+        [log] = run_finetune(dataset, [agent], ["replay"], config, [3])
     finally:
         ft.MixedSampler = original
     assert log.counters["updates"] == 280 - 256
@@ -230,7 +229,8 @@ def test_replay_batches_split_exactly_at_full_scale(dataset):
 
 def test_a_group_lets_go_of_the_agents_it_copied(dataset):
     agents = [fresh_agent(0), fresh_agent(1)]
-    logs = run_finetune(dataset, agents, [small_config(total_env_steps=60)] * 2, [5, 6])
+    logs = run_finetune(dataset, agents, ["baseline"] * 2, small_config(total_env_steps=60),
+                        [5, 6])
     assert agents == [] and [log.seed for log in logs] == [5, 6]
 
 
@@ -269,21 +269,21 @@ def test_a_mixed_method_group_records_each_run_as_alone(dataset, runs):
         return [fresh_agent(s) if i < len(runs) - 1 else damaged_agent(s)
                 for i, (_, s, _) in enumerate(runs)]
 
-    configs = [small_config(method=method) for method, _, _ in runs]
+    methods = [method for method, _, _ in runs]
     seeds = [seed for _, _, seed in runs]
-    group = run_finetune(dataset, agents(), configs, seeds)
-    for log, agent, config, seed in zip(group, agents(), configs, seeds):
-        assert log.to_dict() == run_finetune(dataset, [agent], [config], [seed])[0].to_dict()
-    assert [log.aborted for log in group] == [False] * (len(runs) - 1) + [True]
-    assert len({log.method for log in group}) > 1
+    logs = assert_each_run_as_alone(dataset, agents, methods, small_config(), seeds)
+    assert [log.aborted for log in logs] == [False] * (len(runs) - 1) + [True]
+    assert len({log.method for log in logs}) > 1
 
 
-def assert_each_run_as_alone(dataset, agents, configs, seeds):
-    """Run the group of ``agents()``, ``configs`` and ``seeds``, and check
-    each run's log against that run fine-tuned alone; returns the logs."""
-    group = run_finetune(dataset, agents(), configs, seeds)
-    for log, agent, config, seed in zip(group, agents(), configs, seeds):
-        assert log.to_dict() == run_finetune(dataset, [agent], [config], [seed])[0].to_dict()
+def assert_each_run_as_alone(dataset, agents, methods, config, seeds):
+    """Run the group of ``agents()``, ``methods`` and ``seeds`` under
+    ``config``, and check each run's log against that run fine-tuned alone;
+    returns the logs."""
+    group = run_finetune(dataset, agents(), methods, config, seeds)
+    for log, agent, method, seed in zip(group, agents(), methods, seeds):
+        [alone] = run_finetune(dataset, [agent], [method], config, [seed])
+        assert log.to_dict() == alone.to_dict()
     return group
 
 
@@ -297,8 +297,8 @@ def test_a_run_whose_episodes_end_early_restarts_its_row_alone(dataset):
     def agents():
         return [fresh_agent(0), steer_to_goal(fresh_agent(1)), fresh_agent(2)]
 
-    configs = [small_config(method="warmup", warmup_steps=100, total_env_steps=160)] * 3
-    logs = assert_each_run_as_alone(dataset, agents, configs, [5, 6, 7])
+    config = small_config(warmup_steps=100, total_env_steps=160)
+    logs = assert_each_run_as_alone(dataset, agents, ["warmup"] * 3, config, [5, 6, 7])
     episodes = [log.counters["episodes_started"] for log in logs]
     assert episodes[0] == episodes[2] == 160 // SPEC.horizon + 1 < episodes[1]
 
@@ -314,8 +314,7 @@ def test_a_group_buffer_records_each_run_as_alone(dataset, damaged):
         return [damaged_agent(s) if damaged and i == 1 else fresh_agent(s)
                 for i, s in enumerate(range(len(methods)))]
 
-    configs = [small_config(method=m) for m in methods]
-    logs = assert_each_run_as_alone(dataset, agents, configs, [5, 6, 7, 8])
+    logs = assert_each_run_as_alone(dataset, agents, methods, small_config(), [5, 6, 7, 8])
     assert [log.aborted for log in logs] == [False, damaged, False, False]
     assert logs[2].counters["dataset_samples"] == 200 - HYPER.batch
     if damaged:
@@ -326,21 +325,21 @@ def test_a_group_buffer_records_each_run_as_alone(dataset, damaged):
 def test_a_group_refuses_runs_that_update_apart(dataset):
     for other in ("warmup", "o2o_reg"):
         with pytest.raises(ValueError, match="schedule"):
-            run_finetune(dataset, [fresh_agent(0), fresh_agent(1)],
-                         [small_config(), small_config(method=other)], [5, 6])
+            run_finetune(dataset, [fresh_agent(0), fresh_agent(1)], ["baseline", other],
+                         small_config(), [5, 6])
 
 
 def test_update_classes():
     hyper, counters = HYPER, (60, 30, 60)
-    classes = {m: update_class(small_config(method=m), hyper, counters) for m in ALL_METHODS}
+    classes = {m: update_class(m, small_config(), hyper, counters) for m in ALL_METHODS}
     assert classes["baseline"] == classes["replay"] != classes["replay_reset"]
     assert classes["o2o_reg"] == classes["mixed"] != classes["baseline"]
     assert classes["warmup"] != classes["baseline"]
     # from a checkpoint with fresh counters, replay_reset updates alike
-    fresh = {m: update_class(small_config(method=m), hyper, (0, 0, 0)) for m in ALL_METHODS}
+    fresh = {m: update_class(m, small_config(), hyper, (0, 0, 0)) for m in ALL_METHODS}
     assert fresh["baseline"] == fresh["replay_reset"]
     # warm-up ending at the batch fill starts updating at the same step
-    assert update_class(small_config(method="warmup", warmup_steps=HYPER.batch), hyper,
+    assert update_class("warmup", small_config(warmup_steps=HYPER.batch), hyper,
                         counters) == classes["baseline"]
 
 
@@ -365,16 +364,16 @@ def test_every_curve_point_scores_its_actor_snapshot(
         return real_act(agent, obs, rngs)
 
     monkeypatch.setattr(ft, "act", recording_act)
-    configs = [small_config(method=m, warmup_steps=warmup_steps) for m in methods]
+    config = small_config(warmup_steps=warmup_steps)
     incoming = [fresh_agent(0), fresh_agent(1), damaged_agent(2)]
     seeds = [5, 6, 7]
-    logs = run_finetune(dataset, copy.deepcopy(incoming), configs, seeds)
+    logs = run_finetune(dataset, copy.deepcopy(incoming), methods, config, seeds)
     assert [log.aborted for log in logs] == [False, False, True]
     assert [p.step for p in logs[2].eval_curve] == aborted_steps
     layout = incoming[0].actor
-    for r, (log, config, seed) in enumerate(zip(logs, configs, seeds)):
+    for r, (log, method, seed) in enumerate(zip(logs, methods, seeds)):
         start = copy.deepcopy(incoming[r])
-        if config.method == "replay_reset":
+        if method == "replay_reset":
             reset_parameters(start, seed=stable_seed("reset", seed))
         assert len(log.eval_curve) == (5 if r < 2 else len(aborted_steps))
         for k, point in enumerate(log.eval_curve):
@@ -412,15 +411,15 @@ def test_runs_that_abort_at_different_updates_each_record_as_alone(dataset, monk
     # the first run aborts at update 3 and the third at update 40, beside
     # the second, which runs to the end; each aborted run is reported again
     # at every later update, and each log equals that of its run alone
-    configs = [small_config(method=m) for m in ("baseline", "replay", "baseline")]
+    methods, config = ["baseline", "replay", "baseline"], small_config()
     seeds, aborts = [5, 6, 7], {0: 3, 2: 40}
     reports = poisoned_updates(monkeypatch, {3: [0], 40: [2]})
-    logs = run_finetune(dataset, [fresh_agent(s) for s in range(3)], configs, seeds)
+    logs = run_finetune(dataset, [fresh_agent(s) for s in range(3)], methods, config, seeds)
     assert [sorted(report) for report in reports[1:4]] == [[], [0], [0]]
     assert [sorted(report) for report in reports[38:41]] == [[0], [0, 2], [0, 2]]
-    for r, (log, config, seed) in enumerate(zip(logs, configs, seeds)):
+    for r, (log, method, seed) in enumerate(zip(logs, methods, seeds)):
         poisoned_updates(monkeypatch, {aborts[r]: [0]} if r in aborts else {})
-        [alone] = run_finetune(dataset, [fresh_agent(r)], [config], [seed])
+        [alone] = run_finetune(dataset, [fresh_agent(r)], [method], config, [seed])
         assert log.to_dict() == alone.to_dict()
     assert [log.aborted for log in logs] == [True, False, True]
     assert [log.counters["updates"] for log in logs] == [2, 200 - HYPER.batch, 39]
@@ -432,17 +431,17 @@ def test_runs_that_abort_at_different_updates_each_record_as_alone(dataset, monk
 def test_a_group_whose_runs_all_abort_ends_at_the_last_abort(dataset, monkeypatch):
     # no update, env step or curve point follows the last run's abort, and
     # each run records the counters of its own abort, as it would alone
-    configs = [small_config(method=m) for m in ("baseline", "replay")]
+    methods, config = ["baseline", "replay"], small_config()
     reports = poisoned_updates(monkeypatch, {3: [1], 5: [0]})
-    logs = run_finetune(dataset, [fresh_agent(0), fresh_agent(1)], configs, [5, 6])
+    logs = run_finetune(dataset, [fresh_agent(0), fresh_agent(1)], methods, config, [5, 6])
     assert len(reports) == 5
     assert [(log.counters["env_steps"], log.counters["updates"]) for log in logs] == [
         (HYPER.batch + 4, 4), (HYPER.batch + 2, 2)
     ]
     assert logs[1].counters["dataset_samples"] == 3  # its two updates and its abort
-    for r, (log, config, seed) in enumerate(zip(logs, configs, [5, 6])):
+    for r, (log, method, seed) in enumerate(zip(logs, methods, [5, 6])):
         poisoned_updates(monkeypatch, {(5, 3)[r]: [0]})
-        [alone] = run_finetune(dataset, [fresh_agent(r)], [config], [seed])
+        [alone] = run_finetune(dataset, [fresh_agent(r)], [method], config, [seed])
         assert log.to_dict() == alone.to_dict()
 
 
@@ -462,9 +461,10 @@ def test_a_run_from_a_nan_checkpoint_acts_on_nan_rows_until_the_group_ends(
 
     nan = fresh_agent(1)
     nan.state[:] = np.nan
-    configs, seeds = [small_config(method="replay")] * 3, [5, 6, 7]
+    config, seeds = small_config(), [5, 6, 7]
     monkeypatch.setattr(ft, "act", recording_act)
-    logs = run_finetune(dataset, [fresh_agent(0), nan, fresh_agent(2)], configs, seeds)
+    logs = run_finetune(dataset, [fresh_agent(0), nan, fresh_agent(2)], ["replay"] * 3, config,
+                        seeds)
     monkeypatch.undo()
     assert len(actions) == 200
     assert all(np.isnan(step[1]).all() and np.isfinite(step[[0, 2]]).all() for step in actions)
@@ -473,7 +473,7 @@ def test_a_run_from_a_nan_checkpoint_acts_on_nan_rows_until_the_group_ends(
                                 "episodes_started": 1, "dataset_samples": 1}
     assert [p.step for p in logs[1].eval_curve] == [0] and np.isnan(logs[1].eval_curve[0].mean)
     for r in (0, 2):
-        [alone] = run_finetune(dataset, [fresh_agent(r)], [configs[r]], [seeds[r]])
+        [alone] = run_finetune(dataset, [fresh_agent(r)], ["replay"], config, [seeds[r]])
         assert logs[r].to_dict() == alone.to_dict()
 
 

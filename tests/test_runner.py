@@ -202,8 +202,7 @@ def config_fields() -> list[tuple[str, str, object]]:
     for name, tp in _parameters(runner.ExperimentConfig).items():
         found.append(("", name, tp))
         if dataclasses.is_dataclass(tp) and name != "env":
-            found += [(name, key, t) for key, t in _parameters(tp).items()
-                      if (name, key) != ("finetune", "method")]
+            found += [(name, key, t) for key, t in _parameters(tp).items()]
     found += [("env", key, t) for key, t in _parameters(env_spec).items()]
     behavior = {**_parameters(BehaviorSpec), **_parameters(behavior_segment)}
     return found + [("behavior", key, t) for key, t in behavior.items()]
@@ -378,6 +377,8 @@ FAILING_LATER = {
         {"finetune": {**FINETUNE, "online_buffer_capacity": 50}},
         "unknown config key 'online_buffer_capacity' in finetune",
     ),
+    # the reference scores' seed derives from dataset_seed alone
+    "reference_seed set": ({"reference_seed": 3}, "unknown config key 'reference_seed'"),
     "method in finetune": (  # ``methods`` picks the methods that run
         {"finetune": {**FINETUNE, "method": "warmup"}},
         "finetune.method is not a setting: `methods` lists the methods to run",
@@ -679,8 +680,8 @@ def test_parallel_matches_serial(tmp_path):
         runner.cmd_classify(cfg)
         # fewer update classes than methods: some lockstep groups mix methods
         manifest = read_json(runner.Paths(cfg).checkpoint(0) / "manifest.json")
-        classes = {update_class(runner._method_finetune(cfg, method), cfg.agent,
-                                checkpoint_counters(manifest)) for method in cfg.methods}
+        classes = {update_class(method, cfg.finetune, cfg.agent, checkpoint_counters(manifest))
+                   for method in cfg.methods}
         assert len(classes) < len(cfg.methods)
         runner.cmd_finetune(cfg, jobs=jobs)
         runner.cmd_report(cfg)
@@ -1087,12 +1088,59 @@ def test_stages_parse_the_dataset_only_when_they_have_work(finished, tmp_path, m
     runner.cmd_report(config)
     assert parsed == []  # nothing left to do
     runner.cmd_pretrain(config, jobs=2, force=True)
-    paths.run_file("baseline", 0).unlink()
+    for seed in (0, 1):
+        paths.run_file("baseline", seed).unlink()
     runner.cmd_finetune(config, jobs=2)
-    assert parsed == []  # only the workers parsed
+    assert parsed == []  # a worker per unit, and only the workers parsed
     assert paths.run_file("baseline", 0).exists()
-    runner.cmd_pretrain(config, force=True)
+    paths.run_file("baseline", 0).unlink()
+    runner.cmd_finetune(config, jobs=2)  # a lone unit runs in this process
     assert parsed == [paths.dataset]
+    runner._rows.cache_clear()
+    runner.cmd_pretrain(config, force=True)
+    assert parsed == [paths.dataset] * 2
+
+
+def recording_pools(mp):
+    """Patch ``runner._process_pool`` with a stand-in that maps in this
+    process and records the workers each pool is asked for; no process
+    starts."""
+    pools = []
+
+    class Pool:
+        def __init__(self, workers):
+            pools.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    mp.setattr(runner, "_process_pool", Pool)
+    return pools
+
+
+def test_a_stage_starts_a_worker_per_unit_and_runs_a_lone_unit_here(finished, tmp_path,
+                                                                     monkeypatch):
+    # two seeds under --jobs 8 are two units and two workers; one stale run
+    # under --jobs 2 is a lone unit, run in this process with the bytes of
+    # a pool's
+    config = copy_of(finished, tmp_path)
+    paths = runner.Paths(config)
+    pools = recording_pools(monkeypatch)
+    runner.cmd_pretrain(config, jobs=8, force=True)
+    assert pools == [2]
+    run_file = paths.run_file("mixed", 1)
+    before = run_file.read_bytes()
+    run_file.unlink()
+    runner.cmd_finetune(config, jobs=2)
+    assert pools == [2] and run_file.read_bytes() == before
+    runner.cmd_finetune(config, jobs=3, force=True)  # 12 runs in more units than jobs
+    assert pools == [2, 3]
 
 
 # --- lockstep groups ---
@@ -1103,9 +1151,9 @@ def recording_groups(mp):
     runs, in order."""
     groups, real = [], runner.run_finetune
 
-    def recording(dataset, agents, configs, seeds):
-        groups.append(tuple(config.method for config in configs))
-        return real(dataset, agents, configs, seeds)
+    def recording(dataset, agents, methods, config, seeds):
+        groups.append(tuple(methods))
+        return real(dataset, agents, methods, config, seeds)
 
     mp.setattr(runner, "run_finetune", recording)
     return groups
@@ -1205,8 +1253,7 @@ def test_groups_of_bc_fqe_checkpoints_write_the_bytes_of_runs_alone(three_bc_fqe
     manifest = read_json(runner.Paths(config).checkpoint(0) / "manifest.json")
     classes = {}
     for method in config.methods:
-        key = update_class(runner._method_finetune(config, method), config.agent,
-                           checkpoint_counters(manifest))
+        key = update_class(method, config.finetune, config.agent, checkpoint_counters(manifest))
         classes.setdefault(key, []).append(method)
     assert [tuple(methods) for methods in classes.values()] == CLASSES["bc_fqe"]
     groups = assert_groups_write_the_bytes_of_runs_alone(three_bc_fqe_seeds, size)
@@ -1409,7 +1456,7 @@ def test_pretraining_units_give_every_worker_a_unit_and_keep_the_seed_order(
     for seed in (3, 1):
         shutil.rmtree(runner.Paths(config).checkpoint(seed))
     units = recording_pretrain_units(monkeypatch)
-    monkeypatch.setattr(runner, "_map", lambda _, fn, *args: list(map(fn, *args)))
+    monkeypatch.setattr(runner, "_map", lambda _, fn, cfg, units: [fn(cfg, u) for u in units])
     runner.cmd_pretrain(config, jobs=jobs)
     expected = {1: [(3, 1)], 2: [(3,), (1,)], 3: [(3,), (1,)]}
     assert units == expected[jobs]
